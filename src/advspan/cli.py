@@ -132,8 +132,7 @@ def run_pipeline(options: argparse.Namespace) -> tuple[dict, int]:
                              1e-6 if f.value(s) == 0 else 1e-9, "le"))
 
         jd = spectral.jordan_decompose(graph.delta, graph.pi_projector(s))
-        u_s = spectral.reflection_unitary(graph, s)
-        recon = float(np.abs(jd.reconstruct_unitary() - u_s).max())
+        recon = float(np.abs(jd.reconstruct_unitary() - spectral.reflection_unitary(graph, s)).max())
         checks.append(_check(f"jordan_reconstruction[{label}]", recon, 1e-8, "le"))
 
         if f.value(s) == 0:
@@ -148,14 +147,14 @@ def run_pipeline(options: argparse.Namespace) -> tuple[dict, int]:
 
         if not options.skip_sim:
             phases, vectors = jd.eigen_system()
-            overlaps = np.abs(vectors.conj().T @ anchor.astype(complex)) ** 2
+            overlaps = np.abs(vectors.conj().T @ anchor) ** 2
             precision = 1.0 / (100.0 * w_size)
             p_phase = qsim.qpe_accept_probability(
                 phases, overlaps, precision, qsim.default_ancilla_count(precision)
             )
             tau = int(np.ceil(100.0 * w_size))
-            p_search = qsim.search_accept_probability(u_s, tau, anchor=anchor)
-            p_bare = qsim.search_noregister_probability(u_s, tau, anchor=anchor)
+            p_search = qsim.search_accept_probability(phases, overlaps, tau)
+            p_bare = qsim.search_noregister_probability(phases, overlaps, tau)
             if f.value(s):
                 checks.append(_check(f"phase_estimation_true[{label}]", p_phase - PHASE_ERROR_BUDGET, 0.8, "ge"))
                 checks.append(_check(f"search_true[{label}]", p_search, 0.9, "ge"))

@@ -92,10 +92,9 @@ def eig_hermitian(m, tol: float = HERMITIAN_TOL) -> EigenSystem:
     a = require_hermitian(m, tol)
     w, v = np.linalg.eigh(a)
     v = _canonicalize_phases(v)
-    order = sorted(
-        range(len(w)),
-        key=lambda k: (w[k],) + tuple(np.round(v[:, k].real, 12)) + tuple(np.round(v[:, k].imag, 12)),
-    )
+    # lexsort's last key is its primary one: w, then the rounded real parts
+    # entry by entry, then the rounded imaginary parts
+    order = np.lexsort(np.vstack([np.round(v.imag, 12)[::-1], np.round(v.real, 12)[::-1], w]))
     return EigenSystem(eigenvalues=w[order], eigenvectors=np.ascontiguousarray(v[:, order]))
 
 

@@ -21,7 +21,7 @@ from .errors import (
     DimensionMismatchError,
     NotNormalizedError,
 )
-from .matkernel import eig_hermitian, hadamard, spectral_norm, unitary_eigensystem
+from .matkernel import eig_hermitian, hadamard, spectral_norm
 
 FINAL_OVERLAP_CONSTANT = (2.0 / 3.0) * np.sqrt(2.0)
 
@@ -218,6 +218,15 @@ def qpe_kernel(theta, ancilla_count: int):
     return np.where(small, 1.0, num / np.where(small, 1.0, den))
 
 
+def _resolution(phases, overlaps) -> tuple[np.ndarray, np.ndarray]:
+    """phases/overlaps as float arrays; overlaps must sum to one."""
+    phases = np.asarray(phases, dtype=float)
+    overlaps = np.asarray(overlaps, dtype=float)
+    if abs(overlaps.sum() - 1.0) > 1e-8:
+        raise NotNormalizedError(f"overlaps sum to {overlaps.sum():.10f}, expected 1")
+    return phases, overlaps
+
+
 def qpe_accept_probability(
     phases, overlaps, precision: float, ancilla_count: int
 ) -> float:
@@ -227,10 +236,7 @@ def qpe_accept_probability(
     over U_s eigenvectors; overlaps must sum to one.  Requires
     2^-ancilla_count <= precision.
     """
-    phases = np.asarray(phases, dtype=float)
-    overlaps = np.asarray(overlaps, dtype=float)
-    if abs(overlaps.sum() - 1.0) > 1e-8:
-        raise NotNormalizedError(f"overlaps sum to {overlaps.sum():.10f}, expected 1")
+    phases, overlaps = _resolution(phases, overlaps)
     if 2.0**-ancilla_count > precision:
         raise ValueError("ancilla register too small for the requested precision")
     return float((overlaps * qpe_kernel(phases, ancilla_count)).sum())
@@ -240,34 +246,27 @@ def default_ancilla_count(precision: float) -> int:
     return int(np.ceil(np.log2(1.0 / precision))) + 1
 
 
-def _spectral_overlaps(u: np.ndarray, anchor: np.ndarray | None):
-    phases, vectors = unitary_eigensystem(u)
-    if anchor is None:
-        anchor = np.zeros(u.shape[0])
-        anchor[0] = 1.0
-    overlaps = np.abs(vectors.conj().T @ anchor.astype(complex)) ** 2
-    return phases, overlaps
-
-
-def search_accept_probability(u, tau: int, anchor: np.ndarray | None = None) -> float:
+def search_accept_probability(phases, overlaps, tau: int) -> float:
     """Average over T in 1..tau of (1/4) ||(I + U^T) anchor||^2.
 
-    Computed from the eigenphases (no repeated matrix powers):
-    each eigenvector beta contributes cos^2(theta(beta) T / 2).
+    phases/overlaps are the spectral resolution of the anchor, as for
+    qpe_accept_probability; each eigenvector beta contributes
+    cos^2(theta(beta) T / 2), so no matrix power is formed.
     """
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    phases, overlaps = _spectral_overlaps(np.asarray(u), anchor)
+    phases, overlaps = _resolution(phases, overlaps)
     t_range = np.arange(1, tau + 1)
     kernel = np.cos(np.outer(phases, t_range) / 2.0) ** 2
     return float(overlaps @ kernel.mean(axis=1))
 
 
-def search_noregister_probability(u, tau: int, anchor: np.ndarray | None = None) -> float:
-    """Average over T in 1..tau of |<anchor| U^T |anchor>|^2."""
+def search_noregister_probability(phases, overlaps, tau: int) -> float:
+    """Average over T in 1..tau of |<anchor| U^T |anchor>|^2, from the
+    anchor's spectral resolution."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    phases, overlaps = _spectral_overlaps(np.asarray(u), anchor)
+    phases, overlaps = _resolution(phases, overlaps)
     t_range = np.arange(1, tau + 1)
     amplitudes = (np.exp(1j * np.outer(t_range, phases)) * overlaps).sum(axis=1)
     return float((np.abs(amplitudes) ** 2).mean())

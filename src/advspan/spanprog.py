@@ -183,15 +183,6 @@ class CanonicalSpanProgram:
             target=np.ones(len(self.f.f0)),
         )
 
-    def graph_program(self) -> SpanProgram:
-        """The same program with the 1/(3 sqrt(W)) target used by the graphs."""
-        return SpanProgram(
-            n=self.f.n,
-            block_sizes=self.block_sizes,
-            matrix=self.matrix,
-            target=self.target.copy(),
-        )
-
     def stored_witness_size(self, s: int) -> float:
         """sum_j ||v_{s,j}||^2, the canonical witness accounting for input s."""
         return float(np.einsum("jk,jk->", self.vectors[s], self.vectors[s]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cossin
 
 from .errors import (
     DecompositionFailureError,
@@ -22,7 +23,12 @@ from .errors import (
 from .matkernel import eig_hermitian, nullspace_projector, require_hermitian
 from .spanprog import CanonicalSpanProgram
 
-JORDAN_CLASSIFY_TOL = 1e-9
+
+def column_mask(n: int, m: int, s: int) -> np.ndarray:
+    """Mask over I = blocks (j, b) of m columns each: True on the columns
+    agreeing with s (b = s_j), which Pi(s) keeps."""
+    bits = (s >> (n - 1 - np.arange(n))) & 1
+    return np.repeat(bits[:, None] == np.arange(2), m, axis=1).ravel()
 
 
 @dataclass(frozen=True)
@@ -49,19 +55,10 @@ class ProgramGraph:
         e[self.mu0_index] = 1.0
         return e
 
-    def column_mask(self, s: int) -> np.ndarray:
-        """Mask over I of the columns agreeing with s (kept by Pi(s))."""
-        mask = np.zeros(2 * self.n * self.m, dtype=bool)
-        for j in range(1, self.n + 1):
-            b = (s >> (self.n - j)) & 1
-            start = ((j - 1) * 2 + b) * self.m
-            mask[start : start + self.m] = True
-        return mask
-
     def pi_projector(self, s: int) -> np.ndarray:
         """Pi_s on F0 | mu0 | I: diagonal, zero exactly on the (j, not s_j, k) entries."""
         diag = np.ones(self.dim)
-        diag[self.num_false + 1 :] = self.column_mask(s).astype(float)
+        diag[self.num_false + 1 :] = column_mask(self.n, self.m, s)
         return np.diag(diag)
 
 
@@ -88,7 +85,6 @@ class InputGraph:
     b_true: np.ndarray
     b_false: np.ndarray
     a_gs: np.ndarray
-    pi_s: np.ndarray
     num_false: int
 
     @property
@@ -109,7 +105,7 @@ class InputGraph:
 def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, s: int) -> InputGraph:
     ni = 2 * p.f.n * p.m
     nf0 = g.num_false
-    mask = g.column_mask(s)
+    mask = column_mask(g.n, g.m, s)
     pibar = np.diag(1.0 - mask.astype(float))
     b_true = np.zeros((nf0 + ni, 1 + ni))
     b_true[:nf0] = g.b_g
@@ -127,7 +123,6 @@ def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, s: int) -> Input
         b_true=b_true,
         b_false=b_false,
         a_gs=a_gs,
-        pi_s=g.pi_projector(s),
         num_false=nf0,
     )
 
@@ -145,21 +140,16 @@ def zero_witness_vectors(p: CanonicalSpanProgram, s: int) -> np.ndarray:
     """
     f, n, m = p.f, p.f.n, p.m
     w_size = p.witness_size
-    g = build_program_graph(p)
-    ig = build_input_graph(g, p, s)
-    ni = 2 * n * m
-
-    def block(j: int, b: int) -> slice:
-        start = ((j - 1) * 2 + b) * m
-        return slice(start, start + m)
+    mask = column_mask(n, m, s)
+    nf0 = len(f.f0)
 
     if f.value(s) == 1:
-        psi = np.zeros(1 + ni)
+        psi = np.zeros(1 + 2 * n * m)
         psi[0] = -3.0 * np.sqrt(w_size)
-        for j in range(1, n + 1):
-            sl = block(j, f.bit(s, j))
-            psi[1 + sl.start : 1 + sl.stop] = p.vectors[s, j - 1]
-        residual = float(np.linalg.norm(ig.b_true @ psi))
+        psi[1:][mask] = p.vectors[s].ravel()
+        # B_{G(s)} psi = (t psi_0 + A psi_I, Pi-bar psi_I); the second part
+        # vanishes because psi_I lives on the columns Pi(s) keeps
+        residual = float(np.linalg.norm(p.target * psi[0] + p.matrix @ psi[1:]))
         ratio = psi[0] ** 2 / float(psi @ psi)
         if residual > 1e-6 or ratio < 0.9 - 1e-9:
             raise WitnessViolationError(
@@ -167,15 +157,12 @@ def zero_witness_vectors(p: CanonicalSpanProgram, s: int) -> np.ndarray:
             )
         return psi
 
-    psi = np.zeros(ig.num_false + ni)
+    psi = np.zeros(nf0 + 2 * n * m)
     psi[f.f0.index(s)] = -1.0
-    for j in range(1, n + 1):
-        sl = block(j, 1 - f.bit(s, j))
-        psi[ig.num_false + sl.start : ig.num_false + sl.stop] = p.vectors[s, j - 1]
-    residual = float(np.linalg.norm(ig.b_false.T @ psi))
-    t_hat = np.zeros(ig.num_false + ni)
-    t_hat[: ig.num_false] = p.target
-    ratio = float(t_hat @ psi) ** 2 / float(psi @ psi)
+    psi[nf0:][~mask] = p.vectors[s].ravel()
+    # B_{G'(s)}^T psi = A^T psi_F0 + Pi-bar psi_I', and Pi-bar psi_I' = psi_I'
+    residual = float(np.linalg.norm(p.matrix.T @ psi[:nf0] + psi[nf0:]))
+    ratio = float(p.target @ psi[:nf0]) ** 2 / float(psi @ psi)
     floor = 1.0 / (9.0 * w_size * (w_size + 1.0))
     if residual > 1e-6 or ratio < floor - 1e-9:
         raise WitnessViolationError(
@@ -186,9 +173,12 @@ def zero_witness_vectors(p: CanonicalSpanProgram, s: int) -> np.ndarray:
 
 
 def reflection_unitary(g: ProgramGraph, s: int) -> np.ndarray:
-    """U_s = (2 Pi_s - I)(2 Delta - I) on F0 | mu0 | I."""
-    eye = np.eye(g.dim)
-    return (2.0 * g.pi_projector(s) - eye) @ (2.0 * g.delta - eye)
+    """U_s = (2 Pi_s - I)(2 Delta - I) on F0 | mu0 | I: the rows of
+    (2 Delta - I) that Pi_s drops change sign."""
+    u = 2.0 * g.delta - np.eye(g.dim)
+    u[g.num_false + 1 :][~column_mask(g.n, g.m, s)] *= -1.0
+    u += 0.0  # turns the -0.0 of negated zeros into the +0.0 a matrix product gives
+    return u
 
 
 @dataclass(frozen=True)
@@ -206,25 +196,52 @@ class JordanBlock:
 class JordanDecomposition:
     """Invariant 1-d / 2-d splitting of the space under two projectors.
 
-    one_dim entries are (vector, b, c) with Delta v = b v and Pi v = c v;
-    the two-reflection unitary acts as +1 when b == c and -1 otherwise,
-    and as a rotation by theta on each 2-d block.
+    Column k of `fixed` is a 1-d direction with Delta v = b[k] v and
+    Pi v = c[k] v; the two-reflection unitary acts there as +1 when
+    b == c and -1 otherwise.  Columns k of `v` / `v_perp` span a 2-d block
+    with Delta v = v and Delta v_perp = 0, on which the unitary rotates by
+    theta[k] in (0, pi), and Pi projects onto
+    w = cos(theta/2) v + sin(theta/2) v_perp.
     """
 
-    dim: int
-    one_dim: tuple[tuple[np.ndarray, int, int], ...]
-    two_dim: tuple[JordanBlock, ...]
+    fixed: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    v: np.ndarray
+    v_perp: np.ndarray
+    theta: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.fixed.shape[0]
+
+    @property
+    def one_dim(self) -> tuple[tuple[np.ndarray, int, int], ...]:
+        return tuple((self.fixed[:, k], int(self.b[k]), int(self.c[k])) for k in range(len(self.b)))
+
+    @property
+    def two_dim(self) -> tuple[JordanBlock, ...]:
+        cos_h, sin_h = np.cos(self.theta / 2.0), np.sin(self.theta / 2.0)
+        w = self.v * cos_h + self.v_perp * sin_h
+        w_perp = self.v_perp * cos_h - self.v * sin_h
+        return tuple(
+            JordanBlock(v=self.v[:, k], v_perp=self.v_perp[:, k], w=w[:, k], w_perp=w_perp[:, k],
+                        theta=float(self.theta[k]))
+            for k in range(len(self.theta))
+        )
+
+    def basis(self) -> np.ndarray:
+        """All directions as columns: fixed | v | v_perp."""
+        return np.hstack([self.fixed, self.v, self.v_perp])
 
     def reconstruct_unitary(self) -> np.ndarray:
-        u = np.zeros((self.dim, self.dim))
-        for vec, b, c in self.one_dim:
-            sign = 1.0 if b == c else -1.0
-            u += sign * np.outer(vec, vec)
-        for blk in self.two_dim:
-            cos_t, sin_t = np.cos(blk.theta), np.sin(blk.theta)
-            u += cos_t * (np.outer(blk.v, blk.v) + np.outer(blk.v_perp, blk.v_perp))
-            u += sin_t * (np.outer(blk.v_perp, blk.v) - np.outer(blk.v, blk.v_perp))
-        return u
+        cos_t, sin_t = np.cos(self.theta), np.sin(self.theta)
+        image = np.hstack([
+            self.fixed * np.where(self.b == self.c, 1.0, -1.0),
+            self.v * cos_t + self.v_perp * sin_t,
+            self.v_perp * cos_t - self.v * sin_t,
+        ])
+        return image @ self.basis().conj().T
 
     def eigen_system(self) -> tuple[np.ndarray, np.ndarray]:
         """Orthonormal eigensystem of the reconstructed unitary.
@@ -232,35 +249,39 @@ class JordanDecomposition:
         Phases lie in (-pi, pi]; 2-d blocks contribute the conjugate pair
         (v +- i v_perp)/sqrt(2) with phases -+ theta.
         """
-        phases = []
-        vectors = []
-        for vec, b, c in self.one_dim:
-            phases.append(0.0 if b == c else np.pi)
-            vectors.append(vec.astype(complex))
-        for blk in self.two_dim:
-            plus = (blk.v + 1j * blk.v_perp) / np.sqrt(2.0)
-            minus = (blk.v - 1j * blk.v_perp) / np.sqrt(2.0)
-            phases.extend([-blk.theta, blk.theta])
-            vectors.extend([plus, minus])
-        return np.array(phases), np.array(vectors).T
+        plus = (self.v + 1j * self.v_perp) / np.sqrt(2.0)
+        minus = (self.v - 1j * self.v_perp) / np.sqrt(2.0)
+        pairs = np.stack([plus, minus], axis=2).reshape(self.dim, -1)
+        phases = np.concatenate([
+            np.where(self.b == self.c, 0.0, np.pi),
+            np.stack([-self.theta, self.theta], axis=1).ravel(),
+        ])
+        return phases, np.hstack([self.fixed, pairs])
 
 
-def _orthonormal_columns(vectors: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis of the column span, dropping near-null directions."""
-    if vectors.size == 0:
-        return vectors.reshape(vectors.shape[0], 0)
-    u, sv, _ = np.linalg.svd(vectors, full_matrices=False)
-    return u[:, sv > tol]
+# A principal angle within ANGLE_TOL of 0 or pi/2 is split into two 1-d
+# directions.  That replaces a rotation by 2 phi with +-I on its block, which
+# moves any entry of the reconstructed unitary by at most 2 sin(ANGLE_TOL)
+# <= 2e-10 (the blocks are orthogonal, so the errors do not add up): below
+# the 1e-8 reconstruction check.
+ANGLE_TOL = 1e-10
 
 
-def jordan_decompose(delta, pi, classify_tol: float = JORDAN_CLASSIFY_TOL) -> JordanDecomposition:
+def _range_first_basis(proj: np.ndarray) -> tuple[np.ndarray, int]:
+    """Eigenbasis of a projector with its range columns first, and its rank."""
+    vals, vecs = np.linalg.eigh(proj)
+    return vecs[:, ::-1], int((vals > 0.5).sum())
+
+
+def jordan_decompose(delta, pi) -> JordanDecomposition:
     """Split the space into invariant 1-d / 2-d subspaces of two projectors.
 
-    Works from the eigendecomposition of Delta Pi Delta: a fractional
-    eigenvalue lam seeds a 2-d block with cos^2(theta/2) = lam, eigenvalue
-    one gives a shared fixed direction, and the orthogonal remainder lies
-    in ker Delta, where Pi must act as 0/1 (anything else fails the
-    completeness check).
+    Jordan's lemma from one CS decomposition of the overlap between the
+    eigenbases of Delta and Pi: its angles phi are the principal angles
+    between range(Delta) and range(Pi) (Bjorck and Golub, Math. Comp. 1973),
+    accurate at small and large angles alike.  Each angle strictly inside
+    (0, pi/2) gives a 2-d block with theta = 2 phi; every other direction
+    of the CS bases is shared by both projectors.
     """
     d = require_hermitian(delta, tol=1e-9)
     q = require_hermitian(pi, tol=1e-9)
@@ -268,66 +289,40 @@ def jordan_decompose(delta, pi, classify_tol: float = JORDAN_CLASSIFY_TOL) -> Jo
         if np.abs(proj @ proj - proj).max() > 1e-9:
             raise DecompositionFailureError(f"{name} is not idempotent within 1e-9")
     dim = d.shape[0]
-    es = eig_hermitian(d @ q @ d)
+    basis_d, p = _range_first_basis(d)
+    basis_q, k = _range_first_basis(q)
+    r = min(p, k, dim - p, dim - k)
+    if r:
+        (u1, u2), phi, _ = cossin(basis_d.conj().T @ basis_q, p=p, q=k, separate=True, compute_vh=False)
+        basis_d = np.hstack([basis_d[:, :p] @ u1, basis_d[:, p:] @ u2])
+    else:  # Delta or Pi is 0 or I, so there are no angles
+        phi = np.zeros(0)
+        if p in (0, dim):  # Pi's eigenbasis then fits the layout below, range first iff Delta = I
+            basis_d = basis_q if p else basis_q[:, ::-1]
 
-    one_dim: list[tuple[np.ndarray, int, int]] = []
-    blocks: list[JordanBlock] = []
-    claimed: list[np.ndarray] = []
-    for lam, vec in zip(es.eigenvalues, es.eigenvectors.T):
-        vec = vec.real if np.abs(vec.imag).max() < 1e-12 else vec
-        if lam >= 1.0 - classify_tol:
-            one_dim.append((vec, 1, 1))
-            claimed.append(vec)
-        elif lam > classify_tol:
-            theta = 2.0 * np.arccos(np.sqrt(np.clip(lam, 0.0, 1.0)))
-            w_vec = q @ vec
-            w_vec = w_vec / np.linalg.norm(w_vec)
-            v_perp = w_vec - np.vdot(vec, w_vec) * vec
-            v_perp = v_perp / np.linalg.norm(v_perp)
-            w_perp = -np.sin(theta / 2.0) * vec + np.cos(theta / 2.0) * v_perp
-            blocks.append(JordanBlock(v=vec, v_perp=v_perp, w=w_vec, w_perp=w_perp, theta=float(theta)))
-            claimed.extend([vec, v_perp])
-        # lam ~ 0 eigenvectors of Delta Pi Delta mix ker Delta with the
-        # (b=1, c=0) directions; both are recovered below.
-
-    # remaining directions inside range(Delta): Delta-fixed, Pi-annihilated
-    if claimed:
-        used = np.array(claimed).T
-        residue = d - used @ (used.conj().T @ d)
-    else:
-        residue = d
-    for vec in _orthonormal_columns(residue).T:
-        one_dim.append((vec, 1, 0))
-        claimed.append(vec)
-
-    # remainder lives in ker Delta; Pi must restrict to a projector there
-    if claimed:
-        used = np.array(claimed).T
-        rem = np.eye(dim) - used @ used.conj().T
-    else:
-        rem = np.eye(dim)
-    basis = _orthonormal_columns(rem, tol=0.5)
-    if basis.shape[1]:
-        sub = eig_hermitian(basis.conj().T @ q @ basis)
-        for lam, coeff in zip(sub.eigenvalues, sub.eigenvectors.T):
-            vec = basis @ coeff
-            vec = vec.real if np.abs(vec.imag).max() < 1e-12 else vec
-            if lam <= classify_tol * 10:
-                one_dim.append((vec, 0, 0))
-            elif lam >= 1.0 - classify_tol * 10:
-                one_dim.append((vec, 0, 1))
-            else:
-                raise DecompositionFailureError(
-                    f"remainder direction has fractional Pi eigenvalue {lam:.3e}"
-                )
-
-    jd = JordanDecomposition(dim=dim, one_dim=tuple(one_dim), two_dim=tuple(blocks))
-    total = np.zeros((dim, dim))
-    for v, _, _ in jd.one_dim:
-        total = total + np.outer(v, v.conj()).real
-    for blk in jd.two_dim:
-        total = total + np.outer(blk.v, blk.v.conj()).real + np.outer(blk.v_perp, blk.v_perp.conj()).real
-    if np.abs(total - np.eye(dim)).max() > 1e-8:
+    # CS layout (LAPACK xORCSD): the range(Delta) columns are n11 shared with
+    # range(Pi), r cosine directions, then the rest inside ker(Pi); the
+    # ker(Delta) columns are n22 inside ker(Pi), r sine partners, then the
+    # rest inside range(Pi).
+    n11, n22 = min(p, k) - r, min(dim - p, dim - k) - r
+    top, bottom = basis_d[:, :p], basis_d[:, p:]
+    v, v_perp = top[:, n11 : n11 + r], bottom[:, n22 : n22 + r]
+    zero, right = phi <= ANGLE_TOL, phi >= np.pi / 2.0 - ANGLE_TOL
+    groups = (
+        (top[:, :n11], 1, 1), (v[:, zero], 1, 1), (top[:, n11 + r :], 1, 0), (v[:, right], 1, 0),
+        (bottom[:, :n22], 0, 0), (v_perp[:, zero], 0, 0), (bottom[:, n22 + r :], 0, 1), (v_perp[:, right], 0, 1),
+    )
+    block = ~(zero | right)
+    jd = JordanDecomposition(
+        fixed=np.hstack([cols for cols, _, _ in groups]),
+        b=np.concatenate([np.full(cols.shape[1], b) for cols, b, _ in groups]),
+        c=np.concatenate([np.full(cols.shape[1], c) for cols, _, c in groups]),
+        v=v[:, block],
+        v_perp=v_perp[:, block],
+        theta=2.0 * phi[block],
+    )
+    basis = jd.basis()
+    if np.abs(basis @ basis.conj().T - np.eye(dim)).max() > 1e-8:
         raise DecompositionFailureError("subspaces do not resolve the identity within 1e-8")
     return jd
 

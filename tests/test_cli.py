@@ -118,3 +118,9 @@ def test_report_carries_certificate_matrix(tmp_path):
     gamma = report["adv"]["gamma"]
     assert len(gamma) == 4 and len(gamma[0]) == 4
     assert all(pair == [0.0, 0.0] for row in (gamma[0], gamma[3]) for pair in (row[0], row[3]))
+
+
+def test_verify_3bit_table_that_needs_small_jordan_angles(tmp_path):
+    code, report = run_args(tmp_path, "--function", "00011000")
+    assert code == 0
+    assert report["status"] == "PASS"

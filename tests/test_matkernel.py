@@ -67,6 +67,28 @@ def test_eig_deterministic_bytes():
     assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
 
 
+def test_eig_tie_order_matches_tuple_key():
+    """Exact eigenvalue ties are ordered as by the reference key (eigenvalue,
+    rounded real parts, rounded imaginary parts), compared as tuples."""
+    pauli_y = np.array([[0.0, -1j], [1j, 0.0]])
+    cases = [
+        np.eye(3),
+        np.diag([2.0, 1.0, 2.0, 1.0, 2.0]),
+        np.kron(np.eye(3), np.array([[0.0, 1.0], [1.0, 0.0]])),
+        np.kron(np.eye(2), pauli_y),
+        np.kron(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2)),
+    ]
+    for m in cases:
+        es = eig_hermitian(m)
+        v = es.eigenvectors
+        keys = [
+            (es.eigenvalues[k],) + tuple(np.round(v[:, k].real, 12)) + tuple(np.round(v[:, k].imag, 12))
+            for k in range(es.dim)
+        ]
+        assert len(set(es.eigenvalues)) < es.dim  # the case has exact ties
+        assert keys == sorted(keys)
+
+
 def test_spectral_norm_examples():
     assert spectral_norm(np.eye(3)) == pytest.approx(1.0)
     assert spectral_norm(np.zeros((4, 2))) == 0.0

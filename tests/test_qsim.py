@@ -7,6 +7,7 @@ from advspan.errors import (
     DimensionMismatchError,
     NotNormalizedError,
 )
+from advspan.matkernel import unitary_eigensystem
 from advspan.qsim import (
     QueryAlgorithm,
     constant_output_algorithm,
@@ -21,6 +22,15 @@ from advspan.qsim import (
 from advspan.spectral import reflection_unitary
 
 FINAL_CONSTANT = (2.0 / 3.0) * np.sqrt(2.0)
+
+
+def resolution(u, anchor=None):
+    """(phases, overlaps) of the anchor (default e_0) over the Schur eigenvectors of u."""
+    phases, vectors = unitary_eigensystem(u)
+    if anchor is None:
+        anchor = np.zeros(u.shape[0])
+        anchor[0] = 1.0
+    return phases, np.abs(vectors.conj().T @ anchor) ** 2
 
 
 def test_constant_algorithm_on_constant_function():
@@ -106,10 +116,10 @@ def test_qpe_validates_inputs():
 
 
 def test_search_probability_trivial_unitaries():
-    assert search_accept_probability(np.eye(4), 7) == pytest.approx(1.0)
-    assert search_accept_probability(-np.eye(4), 2) == pytest.approx(0.5)  # odd T: 0, even T: 1
-    assert search_noregister_probability(np.eye(3), 5) == pytest.approx(1.0)
-    assert search_noregister_probability(-np.eye(3), 5) == pytest.approx(1.0)  # global phase
+    assert search_accept_probability(*resolution(np.eye(4)), 7) == pytest.approx(1.0)
+    assert search_accept_probability(*resolution(-np.eye(4)), 2) == pytest.approx(0.5)  # odd T: 0, even T: 1
+    assert search_noregister_probability(*resolution(np.eye(3)), 5) == pytest.approx(1.0)
+    assert search_noregister_probability(*resolution(-np.eye(3)), 5) == pytest.approx(1.0)  # global phase
 
 
 def naive_search_probability(u, tau, anchor):
@@ -127,7 +137,7 @@ def test_search_probability_matches_matrix_powers():
         q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
         anchor = np.zeros(dim)
         anchor[0] = 1.0
-        fast = search_accept_probability(q, 9)
+        fast = search_accept_probability(*resolution(q), 9)
         assert fast == pytest.approx(naive_search_probability(q, 9, anchor), abs=1e-8)
 
 
@@ -139,10 +149,10 @@ def test_search_on_parity_true_input(solved):
     anchor = g.mu0_vector()
     for s in bundle.f.f1:
         u = reflection_unitary(g, s)
-        assert search_accept_probability(u, tau, anchor=anchor) >= 0.9 - 1e-9
+        assert search_accept_probability(*resolution(u, anchor), tau) >= 0.9 - 1e-9
     # the register-free variant is reported, not thresholded
     for s in bundle.f.inputs:
-        p = search_noregister_probability(reflection_unitary(g, s), tau, anchor=anchor)
+        p = search_noregister_probability(*resolution(reflection_unitary(g, s), anchor), tau)
         assert 0.0 <= p <= 1.0 + 1e-12
 
 
@@ -156,6 +166,6 @@ def test_noregister_values_at_large_tau(solved):
     values = {}
     for s in bundle.f.inputs:
         u = reflection_unitary(g, s)
-        values[f"{s:02b}"] = round(search_noregister_probability(u, tau, anchor=g.mu0_vector()), 4)
+        values[f"{s:02b}"] = round(search_noregister_probability(*resolution(u, g.mu0_vector()), tau), 4)
     assert all(0.0 <= v <= 1.0 for v in values.values())
     print("register-free acceptance at tau=1e5*W:", values)

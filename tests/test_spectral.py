@@ -336,3 +336,16 @@ def test_edge_list_roundtrip(solved):
     for r, c, wgt in edges:
         rebuilt[r, c] = wgt
     assert np.array_equal(rebuilt, g.a_g)
+
+
+@pytest.mark.parametrize(
+    "table",
+    ["00000001", "00000011", "00000110", "00000111", "00010110", "00011000", "00011001", "00011110"],
+)
+def test_jordan_decomposes_every_input_of_hard_3bit_tables(solved, table):
+    """Tables whose inputs the eigenvector classification of Delta Pi Delta
+    could not split; the CS decomposition must resolve all of them."""
+    g = solved(table).graph
+    for s in solved(table).f.inputs:
+        jd = jordan_decompose(g.delta, g.pi_projector(s))
+        assert np.abs(jd.reconstruct_unitary() - reflection_unitary(g, s)).max() <= 1e-8
