@@ -53,6 +53,7 @@ from .qsim import (
     search_accept_probability,
     search_noregister_probability,
 )
+from .pipeline import Verification, verify
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

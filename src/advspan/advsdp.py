@@ -36,6 +36,9 @@ from .matkernel import eig_hermitian, hadamard, spectral_norm
 DEFAULT_TOL = 1e-7
 MAX_ITERATIONS = 50_000
 BETA_DROP_TOL = 1e-10
+# ADMM penalty and over-relaxation factor
+RHO = 1.0
+RELAXATION = 1.7
 
 
 @dataclass(frozen=True)
@@ -127,8 +130,6 @@ def solve_sdp(
     sdp: WitnessSdp,
     tol: float = DEFAULT_TOL,
     max_iterations: int = MAX_ITERATIONS,
-    rho: float = 1.0,
-    relaxation: float = 1.7,
 ) -> SdpSolution:
     """Run the projection splitting until the duality gap closes.
 
@@ -166,21 +167,21 @@ def solve_sdp(
     iterations = max_iterations
     primal_res = dual_res = gap = np.inf
     for k in range(max_iterations):
-        v, mu = project_affine(z - lam - cost / rho)
-        v_relaxed = relaxation * v + (1 - relaxation) * z
+        v, mu = project_affine(z - lam - cost / RHO)
+        v_relaxed = RELAXATION * v + (1 - RELAXATION) * z
         z_new = project_cone(v_relaxed + lam)
         lam = lam + v_relaxed - z_new
         primal_res = float(np.linalg.norm(v - z_new))
-        dual_res = rho * float(np.linalg.norm(z_new - z))
+        dual_res = RHO * float(np.linalg.norm(z_new - z))
         z = z_new
         xi = float(z[-1])
-        gap = abs(xi - float(-rho * mu[: len(sdp.pairs)].sum()))
+        gap = abs(xi - float(-RHO * mu[: len(sdp.pairs)].sum()))
         scale = tol * max(1.0, abs(xi))
         if primal_res <= scale and dual_res <= scale and gap <= scale:
             iterations = k + 1
             break
 
-    nu = -rho * mu
+    nu = -RHO * mu
     alpha = nu[: len(sdp.pairs)]
     beta = -nu[len(sdp.pairs) :]
     x = z[: side * side].reshape(side, side)

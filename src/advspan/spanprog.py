@@ -222,9 +222,7 @@ class CanonicalSpanProgram:
         )
 
 
-def canonical_from_gram(
-    f: BooleanFunction, sol: SdpSolution, rank_tol: float = 1e-8
-) -> CanonicalSpanProgram:
+def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanProgram:
     """Canonical span program from the Gram vectors of a solved SDP.
 
     gram_factor supplies v_{s,j} (m = numerical rank).  Every input is then
@@ -235,7 +233,7 @@ def canonical_from_gram(
     exact rather than one-sided.
     """
     n = f.n
-    flat = gram_factor(sol.x, rank_tol)
+    flat = gram_factor(sol.x)
     if np.abs(flat @ flat.T - sol.x).max() > 1e-6:
         raise GramFailureError("Gram factorization does not reproduce X within 1e-6")
     m0 = flat.shape[1]

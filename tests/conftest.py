@@ -4,15 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from advspan import (
-    build_witness_sdp,
-    canonical_from_gram,
-    extract_certificate,
-    load_function,
-    solve_sdp,
-)
+from advspan import verify
 from advspan.boolfun import BooleanFunction
-from advspan.spectral import build_input_graph, build_program_graph, jordan_decompose
 
 
 def two_bit_dependent_tables() -> list[str]:
@@ -32,26 +25,18 @@ def corpus_specs() -> list[str]:
 
 
 class SolvedFunction:
+    """One default verify() run: its report and the objects it built."""
+
     def __init__(self, spec: str):
         self.spec = spec
-        self.f = load_function(spec)
-        self.sdp = build_witness_sdp(self.f)
-        self.solution = solve_sdp(self.sdp)
-        self.certificate = extract_certificate(self.solution, self.f)
-        self.program = canonical_from_gram(self.f, self.solution)
-        self.graph = build_program_graph(self.program)
-        self._input_graphs: dict[int, object] = {}
-        self._jordans: dict[int, object] = {}
-
-    def input_graph(self, s: int):
-        if s not in self._input_graphs:
-            self._input_graphs[s] = build_input_graph(self.graph, self.program, s)
-        return self._input_graphs[s]
-
-    def jordan(self, s: int):
-        if s not in self._jordans:
-            self._jordans[s] = jordan_decompose(self.graph.delta, self.graph.pi_projector(s))
-        return self._jordans[s]
+        result = verify(spec)
+        self.report = result.report
+        self.solution = result.solution
+        self.certificate = result.certificate
+        self.program = result.program
+        self.graph = result.graph
+        self.f = self.program.f
+        self.sdp = self.solution.sdp
 
 
 @pytest.fixture(scope="session")

@@ -11,21 +11,13 @@ from advspan.advsdp import build_witness_sdp, extract_certificate, solve_sdp
 from advspan.boolfun import BooleanFunction, formula_size, kw_partition, load_function, minimal_formula
 from advspan.matkernel import spectral_norm, unitary_eigensystem
 from advspan.qsim import (
-    default_ancilla_count,
     parity_two_query_algorithm,
     progress_trace,
-    qpe_accept_probability,
     search_accept_probability,
     search_noregister_probability,
 )
 from advspan.spanprog import evaluate, program_witness_size
-from advspan.spectral import (
-    effective_gap_profile,
-    phase_gap_profile,
-    psd_spectral_bound_check,
-    reflection_unitary,
-    zero_witness_vectors,
-)
+from advspan.spectral import psd_spectral_bound_check, reflection_unitary
 
 from conftest import corpus_specs
 
@@ -35,6 +27,11 @@ FINAL_CONSTANT = (2.0 / 3.0) * np.sqrt(2.0)
 def report(number: int, passed: bool, detail: str) -> None:
     print(f"criterion {number}: {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, f"criterion {number}: {detail}"
+
+
+def labels(bundle, inputs) -> list[str]:
+    """Report labels of the inputs; each must get its rows, so a dropped check fails loudly."""
+    return [f"{s:0{bundle.f.n}b}" for s in inputs]
 
 
 def test_criterion_1_parity2_adv():
@@ -74,16 +71,14 @@ def test_criterion_3_canonical_round_trip(corpus):
 def test_criterion_4_spectra_gap_constants(corpus):
     worst_true = worst_false = 0.0
     for bundle in corpus:
-        f, prog = bundle.f, bundle.program
-        w = prog.witness_size
-        for s in f.inputs:
-            psi = zero_witness_vectors(prog, s)
-            if f.value(s) == 1:
-                ratio = psi[0] ** 2 / (psi @ psi)
+        w = bundle.program.witness_size
+        rows = bundle.report["lemma_checks"]["zero_witness"]
+        assert [row["input"] for row in rows] == labels(bundle, bundle.f.inputs), bundle.spec
+        for s, row in zip(bundle.f.inputs, rows):
+            ratio = row["overlap_ratio"]
+            if bundle.f.value(s) == 1:
                 worst_true = max(worst_true, abs(ratio - 0.9))
             else:
-                t_hat = np.concatenate([prog.target, np.zeros(len(psi) - len(prog.target))])
-                ratio = (t_hat @ psi) ** 2 / (psi @ psi)
                 worst_false = max(worst_false, abs(ratio - 1.0 / (9.0 * w * (w + 1.0))))
     ok = worst_true <= 1e-9 and worst_false <= 1e-6
     report(4, ok, f"true-input |ratio - 9/10| <= {worst_true:.2e}, "
@@ -96,21 +91,16 @@ def test_criterion_5_effective_and_phase_gap(corpus):
     min_margin = np.inf
     rows = 0
     for bundle in corpus:
-        f, prog, g = bundle.f, bundle.program, bundle.graph
-        w = prog.witness_size
-        anchor = g.mu0_vector()
+        w = bundle.program.witness_size
         theta_grid = (1.0 / (50.0 * w), 0.01, 0.1, 1.0)
-        for s in f.f0:
-            for _, lhs, rhs in effective_gap_profile(bundle.input_graph(s), w, c_grid, enforce=False):
+        for family, key, grid in (("effective_gap", "c", c_grid), ("phase_gap", "theta", theta_grid)):
+            family_rows = bundle.report["lemma_checks"][family]
+            expected = [(s, x) for s in labels(bundle, bundle.f.f0) for x in grid]
+            assert [(row["input"], row[key]) for row in family_rows] == expected, (bundle.spec, family)
+            for row in family_rows:
                 rows += 1
-                min_margin = min(min_margin, rhs - lhs)
-                violations += lhs > rhs + 1e-6
-            for _, lhs, rhs in phase_gap_profile(
-                bundle.jordan(s), w, theta_grid, anchor, 0, enforce=False
-            ):
-                rows += 1
-                min_margin = min(min_margin, rhs - lhs)
-                violations += lhs > rhs + 1e-6
+                min_margin = min(min_margin, row["rhs"] - row["lhs"])
+                violations += row["lhs"] > row["rhs"] + 1e-6
     ok = violations == 0
     report(5, ok, f"{rows} (input, parameter) checks, min margin {min_margin:.6f}, "
                   f"{violations} violations")
@@ -131,9 +121,7 @@ def test_criterion_6_psd_bound_suite():
         t = rng.standard_normal(dim)
         if np.linalg.norm(basis[:, :kernel_dim].T @ t) < 1e-2:
             t = t + basis[:, 0]  # plant a kernel component
-        for _, lhs, rhs in psd_spectral_bound_check(
-            x, t, [0.05, 0.2, 1.0, 5.0], enforce=False
-        ):
+        for _, lhs, rhs in psd_spectral_bound_check(x, t, [0.05, 0.2, 1.0, 5.0]):
             violations += lhs > rhs + 1e-6
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 30.0
@@ -143,16 +131,11 @@ def test_criterion_6_psd_bound_suite():
 def test_criterion_7_phase_estimation_thresholds(corpus):
     worst_true, worst_false = 1.0, 0.0
     for bundle in corpus:
-        f, prog, g = bundle.f, bundle.program, bundle.graph
-        w = prog.witness_size
-        anchor = g.mu0_vector().astype(complex)
-        precision = 1.0 / (100.0 * w)
-        ancillas = default_ancilla_count(precision)
-        for s in f.inputs:
-            phases, vectors = bundle.jordan(s).eigen_system()
-            overlaps = np.abs(vectors.conj().T @ anchor) ** 2
-            prob = qpe_accept_probability(phases, overlaps, precision, ancillas)
-            if f.value(s) == 1:
+        rows = bundle.report["algorithms"]
+        assert [row["input"] for row in rows] == labels(bundle, bundle.f.inputs), bundle.spec
+        for s, row in zip(bundle.f.inputs, rows):
+            prob = row["phase_estimation"]
+            if bundle.f.value(s) == 1:
                 worst_true = min(worst_true, prob - 0.1)
             else:
                 worst_false = max(worst_false, prob + 0.1)

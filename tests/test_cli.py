@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from advspan.cli import build_parser, main, matrix_to_json, run_pipeline
+from advspan import pipeline
+from advspan.cli import build_parser, main, run_pipeline
+from advspan.pipeline import matrix_to_json, verify
 
 
 def run_args(tmp_path, *extra):
@@ -103,13 +105,12 @@ def test_run_pipeline_returns_report_object(tmp_path):
 
 
 def test_solver_failure_exits_3(monkeypatch):
-    from advspan import cli as cli_module
     from advspan.errors import NoConvergenceError
 
     def explode(*args, **kwargs):
         raise NoConvergenceError("stalled", {"consensus_primal": 1.0})
 
-    monkeypatch.setattr(cli_module, "solve_sdp", explode)
+    monkeypatch.setattr(pipeline, "solve_sdp", explode)
     assert main(["verify", "--function", "PARITY:2"]) == 3
 
 
@@ -124,3 +125,14 @@ def test_verify_3bit_table_that_needs_small_jordan_angles(tmp_path):
     code, report = run_args(tmp_path, "--function", "00011000")
     assert code == 0
     assert report["status"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "flag, options", [("--formula-bound", {"formula_bound": True}), ("--skip-sim", {"simulate": False})]
+)
+def test_cli_json_is_the_verify_report(tmp_path, flag, options):
+    _, written = run_args(tmp_path, "--function", "OR:3", flag)
+    report = json.loads(json.dumps(verify("OR:3", **options).report))
+    written.pop("timings")
+    report.pop("timings")
+    assert report == written

@@ -83,7 +83,7 @@ def test_zero_witness_constants_across_corpus(corpus):
         f, prog = bundle.f, bundle.program
         w = prog.witness_size
         for s in f.inputs:
-            psi = zero_witness_vectors(prog, s)
+            psi, _, _ = zero_witness_vectors(prog, s)
             if f.value(s) == 1:
                 assert psi[0] ** 2 == pytest.approx(9.0 * w, rel=1e-9)
                 assert psi @ psi == pytest.approx(10.0 * w, rel=1e-9)
@@ -203,7 +203,7 @@ def test_true_input_fixed_vector(corpus):
     for bundle in corpus:
         f, prog, g = bundle.f, bundle.program, bundle.graph
         for s in f.f1:
-            psi = zero_witness_vectors(prog, s)
+            psi, _, _ = zero_witness_vectors(prog, s)
             phi = np.concatenate([np.zeros(g.num_false), psi])
             u = reflection_unitary(g, s)
             assert np.linalg.norm(u @ phi - phi) <= 1e-7 * np.linalg.norm(phi)
@@ -218,8 +218,11 @@ def test_effective_gap_profile(corpus):
         for s in f.f0:
             ig = build_input_graph(g, prog, s)
             rows = effective_gap_profile(ig, w, [0.0, 0.05, 0.1, 0.5, 1.0, 2.0])
+            eigenvalues, eigenvectors = np.linalg.eigh(ig.a_gs)
+            overlaps = eigenvectors[ig.mu0_index] ** 2
             for c, lhs, rhs in rows:
                 assert lhs <= rhs + 1e-6
+                assert lhs == pytest.approx(overlaps[np.abs(eigenvalues) <= c / w].sum(), abs=1e-12)
             assert rows[0][1] <= 1e-9  # c = 0: kernel vectors are orthogonal to |0>
         with pytest.raises(WrongBranchError):
             effective_gap_profile(build_input_graph(g, prog, f.f1[0]), w, [0.1])
@@ -311,12 +314,11 @@ def test_gap_bound_composition(solved):
             t_hat = np.concatenate([prog.target, np.zeros(x.shape[0] - len(prog.target))])
             assert np.abs(ig.b_true @ ig.b_true.T - (x + np.outer(t_hat, t_hat))).max() <= 1e-12
             # kernel overlap delta realized by the false witness
-            psi = zero_witness_vectors(prog, s)
+            psi, _, _ = zero_witness_vectors(prog, s)
             assert (t_hat @ psi) ** 2 / (psi @ psi) == pytest.approx(delta_floor, rel=1e-9)
             # adjacency-eigenvector sum equals the biadjacency-side sum
             es = eig_hermitian(ig.a_gs)
-            mu0 = ig.mu0_vector()
-            adj_overlaps = np.abs(es.eigenvectors.T @ mu0) ** 2
+            adj_overlaps = es.eigenvectors[ig.mu0_index] ** 2
             scale = np.abs(es.eigenvalues).max()
             es_x = eig_hermitian(x + np.outer(t_hat, t_hat))
             t_overlaps = np.abs(es_x.eigenvectors.T @ t_hat) ** 2
