@@ -14,6 +14,10 @@ projection onto the cone PSD x R+^S x R, with over-relaxation.  Dual
 multipliers for the affine rows come out of the least-squares projection
 and assemble into the adversary-matrix certificate via
 Gamma[w,x] = alpha_{w,x} / sqrt(beta_w beta_x).
+
+The constraints are index arrays, and the affine projection is exact in closed
+form: A A^T = diag(|D(w,x)|/2) + ((n+1) I + 1 1^T), since each X[a,b] lies in
+one pair row (a an F0 row, b an F1 row) and the row-sum rows meet only in xi.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .boolfun import BooleanFunction, difference_matrix
 from .errors import (
@@ -48,12 +51,15 @@ class WitnessSdp:
     The flat variable vector is [vec(X) | u | xi] with X of side n * 2^n.
     Equality rows cover the F0 x F1 pair constraints followed by the
     slack-completed row-sum constraints sum_j X[(s,j),(s,j)] + u_s = xi.
+    Pair row p sums (X[a,b] + X[b,a]) / 2 over the entries e with entry_pair[e] = p,
+    one per 0-based j with w_j != x_j: a = entry_row[e] = w*n + j, b = entry_col[e] = x*n + j.
     """
 
     f: BooleanFunction
     pairs: tuple[tuple[int, int], ...]
-    constraints: np.ndarray
-    rhs: np.ndarray
+    entry_pair: np.ndarray
+    entry_row: np.ndarray
+    entry_col: np.ndarray
 
     @property
     def n(self) -> int:
@@ -67,38 +73,54 @@ class WitnessSdp:
     def num_inputs(self) -> int:
         return 2**self.f.n
 
-    def index(self, s: int, j: int) -> int:
-        """Row/column of X for input s and 1-based coordinate j."""
-        return s * self.f.n + (j - 1)
+    @property
+    def constraints(self) -> np.ndarray:
+        """Dense equality rows A, the tests' reference; the solver never builds it."""
+        side, p, s = self.side, len(self.pairs), self.num_inputs
+        rows = np.zeros((p + s, side * side + s + 1))
+        rows[self.entry_pair, self.entry_row * side + self.entry_col] = 0.5
+        rows[self.entry_pair, self.entry_col * side + self.entry_row] = 0.5
+        rows[p + np.arange(side) // self.n, np.arange(side) * (side + 1)] = 1.0
+        rows[p:, side * side :] = np.hstack([np.eye(s), -np.ones((s, 1))])
+        return rows
 
 
 def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
-    """Assemble the constraint system; one equality per (w,x), one row bound per s."""
+    """Index the constraint system; one equality per (w,x), one row bound per s."""
     if f.is_constant:
         raise ConstantFunctionError("ADV is undefined for constant functions (F0 x F1 is empty)")
-    n, side = f.n, f.n * 2**f.n
-    num_inputs = 2**f.n
-    dim = side * side + num_inputs + 1
+    n = f.n
     pairs = tuple((w, x) for w in f.f0 for x in f.f1)
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    f0, f1 = np.array(f.f0), np.array(f.f1)
+    pair, j = np.nonzero((bits[f0][:, None, :] != bits[f1][None, :, :]).reshape(len(pairs), n))
+    return WitnessSdp(f=f, pairs=pairs, entry_pair=pair, entry_row=f0[pair // len(f1)] * n + j,
+                      entry_col=f1[pair % len(f1)] * n + j)
 
-    rows = np.zeros((len(pairs) + num_inputs, dim))
-    rhs = np.zeros(len(pairs) + num_inputs)
-    for p, (w, x) in enumerate(pairs):
-        for j in range(1, n + 1):
-            if f.bit(w, j) != f.bit(x, j):
-                a = w * n + (j - 1)
-                b = x * n + (j - 1)
-                rows[p, a * side + b] += 0.5
-                rows[p, b * side + a] += 0.5
-        rhs[p] = 1.0
-    for s in range(num_inputs):
-        r = len(pairs) + s
-        for j in range(n):
-            k = s * n + j
-            rows[r, k * side + k] = 1.0
-        rows[r, side * side + s] = 1.0
-        rows[r, side * side + num_inputs] = -1.0
-    return WitnessSdp(f=f, pairs=pairs, constraints=rows, rhs=rhs)
+
+def _pair_values(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
+    """The pair rows of A applied to the flat variable v."""
+    both = v[sdp.entry_row * sdp.side + sdp.entry_col] + v[sdp.entry_col * sdp.side + sdp.entry_row]
+    return 0.5 * np.bincount(sdp.entry_pair, weights=both, minlength=len(sdp.pairs))
+
+
+def affine_projection(sdp: WitnessSdp, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projection v = y - A^T m of y onto {A v = b}, m = (A A^T)^-1 (A y - b).
+
+    No (a,b) repeats or is also a (b,a), so scattering A^T m needs no np.add.at.
+    """
+    side, num_inputs, n = sdp.side, sdp.num_inputs, sdp.n
+    m_pair = (_pair_values(sdp, y) - 1.0) / (0.5 * np.bincount(sdp.entry_pair, minlength=len(sdp.pairs)))
+    r = y[: side * side : side + 1].reshape(num_inputs, n).sum(axis=1) + y[side * side : -1] - y[-1]
+    m_row = (r - r.sum() / (n + 1 + num_inputs)) / (n + 1)
+    v = y.copy()
+    step = 0.5 * m_pair[sdp.entry_pair]
+    v[sdp.entry_row * side + sdp.entry_col] -= step
+    v[sdp.entry_col * side + sdp.entry_row] -= step
+    v[: side * side : side + 1] -= np.repeat(m_row, n)
+    v[side * side : -1] -= m_row
+    v[-1] += m_row.sum()
+    return v, np.concatenate([m_pair, m_row])
 
 
 @dataclass(frozen=True)
@@ -122,8 +144,7 @@ class SdpSolution:
         return float(self.alpha.sum())
 
     def row_sum(self, s: int) -> float:
-        n = self.sdp.n
-        return float(sum(self.x[s * n + j, s * n + j] for j in range(n)))
+        return float(np.diagonal(self.x).reshape(-1, self.sdp.n)[s].sum())
 
 
 def solve_sdp(
@@ -140,20 +161,14 @@ def solve_sdp(
     """
     if tol < 1e-9:
         raise ValueError("tol below 1e-9 is not supported")
-    a_mat, b_vec = sdp.constraints, sdp.rhs
-    side, num_inputs = sdp.side, sdp.num_inputs
-    dim = a_mat.shape[1]
+    side, num_inputs, num_pairs = sdp.side, sdp.num_inputs, len(sdp.pairs)
+    dim = side * side + num_inputs + 1
     cost = np.zeros(dim)
     cost[-1] = 1.0
 
-    gram = scipy.linalg.cho_factor(a_mat @ a_mat.T)
     z = np.zeros(dim)
     lam = np.zeros(dim)
-    mu = np.zeros(len(b_vec))
-
-    def project_affine(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = scipy.linalg.cho_solve(gram, a_mat @ y - b_vec)
-        return y - a_mat.T @ m, m
+    mu = np.zeros(num_pairs + num_inputs)
 
     def project_cone(y: np.ndarray) -> np.ndarray:
         xm = y[: side * side].reshape(side, side)
@@ -164,10 +179,10 @@ def solve_sdp(
             [xp.reshape(-1), np.maximum(y[side * side : side * side + num_inputs], 0.0), y[-1:]]
         )
 
-    iterations = max_iterations
+    iterations, converged = 0, False
     primal_res = dual_res = gap = np.inf
-    for k in range(max_iterations):
-        v, mu = project_affine(z - lam - cost / RHO)
+    while not converged and iterations < max_iterations:
+        v, mu = affine_projection(sdp, z - lam - cost / RHO)
         v_relaxed = RELAXATION * v + (1 - RELAXATION) * z
         z_new = project_cone(v_relaxed + lam)
         lam = lam + v_relaxed - z_new
@@ -175,24 +190,22 @@ def solve_sdp(
         dual_res = RHO * float(np.linalg.norm(z_new - z))
         z = z_new
         xi = float(z[-1])
-        gap = abs(xi - float(-RHO * mu[: len(sdp.pairs)].sum()))
+        gap = abs(xi - float(-RHO * mu[:num_pairs].sum()))
         scale = tol * max(1.0, abs(xi))
-        if primal_res <= scale and dual_res <= scale and gap <= scale:
-            iterations = k + 1
-            break
+        iterations += 1
+        converged = primal_res <= scale and dual_res <= scale and gap <= scale
 
     nu = -RHO * mu
-    alpha = nu[: len(sdp.pairs)]
-    beta = -nu[len(sdp.pairs) :]
+    alpha = nu[:num_pairs]
+    beta = -nu[num_pairs:]
+    eq = _pair_values(sdp, z) - 1.0
     x = z[: side * side].reshape(side, side)
     x = (x + x.T) / 2
     xi = float(z[-1])
 
-    eq = a_mat[: len(sdp.pairs)] @ z - b_vec[: len(sdp.pairs)]
-    row_sums = np.array([sum(x[s * sdp.n + j, s * sdp.n + j] for j in range(sdp.n)) for s in range(num_inputs)])
     residuals = {
-        "primal_equality": float(np.abs(eq).max()) if len(eq) else 0.0,
-        "row_sum_violation": float(max(0.0, (row_sums - xi).max())),
+        "primal_equality": float(np.abs(eq).max()),
+        "row_sum_violation": float(max(0.0, (np.diagonal(x).reshape(num_inputs, sdp.n).sum(axis=1) - xi).max())),
         "min_eigenvalue": float(eig_hermitian(x).eigenvalues.min()),
         "duality_gap": float(abs(xi - alpha.sum())),
         "beta_sum": float(beta.sum()),
@@ -201,14 +214,13 @@ def solve_sdp(
         "iterations": iterations,
         "tolerance": tol,
     }
-    solution = SdpSolution(sdp=sdp, x=x, xi=xi, alpha=alpha, beta=beta, residuals=residuals)
-    if iterations >= max_iterations and (primal_res > tol * max(1.0, xi) or gap > tol * max(1.0, xi)):
+    if not converged:
         raise NoConvergenceError(
             f"no convergence after {max_iterations} iterations "
-            f"(consensus {primal_res:.2e}, gap {gap:.2e})",
+            f"(consensus {primal_res:.2e}/{dual_res:.2e}, gap {gap:.2e})",
             residuals,
         )
-    return solution
+    return SdpSolution(sdp=sdp, x=x, xi=xi, alpha=alpha, beta=beta, residuals=residuals)
 
 
 @dataclass(frozen=True)

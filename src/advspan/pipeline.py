@@ -138,19 +138,20 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
         jd = spectral.jordan_decompose(graph.delta, graph.pi_projector(s))
         recon = float(np.abs(jd.reconstruct_unitary() - spectral.reflection_unitary(graph, s)).max())
         checks.append(_check(f"jordan_reconstruction[{label}]", recon, 1e-8, "le"))
+        if f.value(s) == 0 or simulate:
+            phases, vectors = jd.eigen_system()
+            overlaps = np.abs(vectors.conj().T @ anchor) ** 2
 
         if f.value(s) == 0:
             ig = spectral.build_input_graph(graph, program, s)
             for c, lhs, rhs in spectral.effective_gap_profile(ig, w_size, c_grid):
                 gap_rows.append({"input": label, "c": c, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
                 checks.append(_check(f"effective_gap[{label},c={c:g}]", lhs, rhs + 1e-6, "le"))
-            for theta, lhs, rhs in spectral.phase_gap_profile(jd, w_size, theta_grid, anchor, f.value(s)):
+            for theta, lhs, rhs in spectral.phase_gap_profile(phases, overlaps, w_size, theta_grid, f.value(s)):
                 phase_rows.append({"input": label, "theta": theta, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
                 checks.append(_check(f"phase_gap[{label},theta={theta:.6g}]", lhs, rhs + 1e-6, "le"))
 
         if simulate:
-            phases, vectors = jd.eigen_system()
-            overlaps = np.abs(vectors.conj().T @ anchor) ** 2
             precision = 1.0 / (100.0 * w_size)
             p_phase = qsim.qpe_accept_probability(
                 phases, overlaps, precision, qsim.default_ancilla_count(precision)

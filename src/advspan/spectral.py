@@ -336,21 +336,19 @@ def effective_gap_profile(ig: InputGraph, w_size: float, c_grid) -> list[tuple[f
 
 
 def phase_gap_profile(
-    jd: JordanDecomposition,
+    phases: np.ndarray,
+    overlaps: np.ndarray,
     w_size: float,
     theta_grid,
-    anchor: np.ndarray,
     input_value: int,
 ) -> list[tuple[float, float, float]]:
     """Low-phase overlap of the anchor with U_s versus (2 sqrt(6 Theta W) + Theta/2)^2.
 
-    anchor is the mu0 indicator in the reflection space.  Returns
-    (Theta, lhs, rhs) triples.  Only defined on false inputs.
+    phases/overlaps resolve the mu0 anchor over the eigenvectors of U_s.
+    Returns (Theta, lhs, rhs) triples.  Only defined on false inputs.
     """
     if input_value == 1:
         raise WrongBranchError("phase profile needs f(s) = 0")
-    phases, vectors = jd.eigen_system()
-    overlaps = np.abs(vectors.conj().T @ anchor.astype(complex)) ** 2
     out = []
     for theta in theta_grid:
         lhs = float(overlaps[np.abs(phases) <= theta].sum())

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from advspan.advsdp import adversary_ratio, build_witness_sdp, solve_sdp
+from advspan.advsdp import adversary_ratio, affine_projection, build_witness_sdp, extract_certificate, solve_sdp
 from advspan.boolfun import load_function
 from advspan.errors import (
     ConstantFunctionError,
@@ -212,3 +212,38 @@ def test_certificate_beta_alignment_reported(corpus):
     for spec, val in values.items():
         assert -1.0 - 1e-9 <= val <= 1.0 + 1e-9
     print("beta alignment <beta|Gamma|beta> / ||Gamma|| by function:", values)
+
+
+def test_iteration_cap_below_convergence_raises():
+    """The cap raises unless the loop's own stopping test held; on OR:2 the
+    dual residual is the last to close, so only the gap and primal residual
+    being small is not enough."""
+    sdp = build_witness_sdp(load_function("OR:2"))
+    converging = solve_sdp(sdp).residuals["iterations"]
+    for cap in range(1, converging):
+        with pytest.raises(NoConvergenceError):
+            solve_sdp(sdp, max_iterations=cap)
+    assert solve_sdp(sdp, max_iterations=converging).residuals["iterations"] == converging
+
+
+@pytest.mark.parametrize("spec", ["01", "OR:3", "0110", "MAJ:3"])
+def test_affine_projection_matches_dense_reference(spec):
+    sdp = build_witness_sdp(load_function(spec))
+    a_mat = sdp.constraints
+    b_vec = np.concatenate([np.ones(len(sdp.pairs)), np.zeros(sdp.num_inputs)])
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        y = rng.standard_normal(a_mat.shape[1])
+        m_ref = np.linalg.solve(a_mat @ a_mat.T, a_mat @ y - b_vec)
+        v, m = affine_projection(sdp, y)
+        assert np.abs(v - (y - a_mat.T @ m_ref)).max() <= 1e-12
+        assert np.abs(m - m_ref).max() <= 1e-12
+        assert np.abs(a_mat @ v - b_vec).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec, adv", [("OR:5", np.sqrt(5.0)), ("AND:5", np.sqrt(5.0)), ("PARITY:5", 5.0)])
+def test_five_bit_closed_forms(spec, adv):
+    f = load_function(spec)
+    sol = solve_sdp(build_witness_sdp(f))
+    assert sol.xi == pytest.approx(adv, abs=1e-5)
+    assert extract_certificate(sol, f).value == pytest.approx(adv, abs=1e-5)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -136,3 +137,20 @@ def test_cli_json_is_the_verify_report(tmp_path, flag, options):
     written.pop("timings")
     report.pop("timings")
     assert report == written
+
+
+def test_algorithms_csv_pass_is_the_report_check(tmp_path):
+    """00111101 fails phase_estimation_true[010] only through the phase-error
+    budget (0.89998 - 0.1 < 0.8), so a CSV that judged the raw probability
+    would mark that row passing."""
+    csv_dir = tmp_path / "csv"
+    code, report = run_args(tmp_path, "--function", "00111101", "--csv-dir", str(csv_dir))
+    assert code == 1
+    checks = {chk["name"]: chk["pass"] for chk in report["checks"]}
+    assert checks["phase_estimation_true[010]"] is False
+    rows = list(csv.DictReader((csv_dir / "algorithms.csv").open()))
+    judged = [row for row in rows if row["algorithm"] != "search_noregister"]
+    assert len(judged) == 2 * 2**3
+    for row in judged:
+        branch = "true" if report["algorithms"][int(row["input"], 2)]["f"] else "false"
+        assert row["pass"] == str(checks[f"{row['algorithm']}_{branch}[{row['input']}]"])

@@ -254,16 +254,17 @@ def test_phase_gap_profile(corpus):
         w = prog.witness_size
         anchor = g.mu0_vector()
         for s in f.f0:
-            jd = jordan_decompose(g.delta, g.pi_projector(s))
+            phases, vectors = jordan_decompose(g.delta, g.pi_projector(s)).eigen_system()
+            overlaps = np.abs(vectors.conj().T @ anchor) ** 2
             grid = [0.0, 1.0 / (50.0 * w), 0.01, 0.1, 1.0, np.pi]
-            rows = phase_gap_profile(jd, w, grid, anchor, f.value(s))
+            rows = phase_gap_profile(phases, overlaps, w, grid, f.value(s))
             for theta, lhs, rhs in rows:
                 assert lhs <= rhs + 1e-6
             assert rows[0][1] <= 1e-9  # Theta = 0: zero-phase vectors miss |0>
             assert rows[-1][1] <= 1.0 + 1e-9  # Theta = pi: completeness
-        jd_true = jordan_decompose(g.delta, g.pi_projector(f.f1[0]))
+        phases, vectors = jordan_decompose(g.delta, g.pi_projector(f.f1[0])).eigen_system()
         with pytest.raises(WrongBranchError):
-            phase_gap_profile(jd_true, w, [0.1], anchor, 1)
+            phase_gap_profile(phases, np.abs(vectors.conj().T @ anchor) ** 2, w, [0.1], 1)
 
 
 def test_psd_bound_scalar_case():
