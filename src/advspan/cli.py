@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import spectral
+from .advsdp import DEFAULT_TOL
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this copy
 from .advsdp import build_witness_sdp  # noqa: F401
 from .errors import AdvspanError, BadSpecError, ConstantFunctionError, NoConvergenceError
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run the full pipeline on one function")
     verify.add_argument("--function", required=True, help='e.g. PARITY:2, OR:3, or a bitstring like "0110"')
-    verify.add_argument("--tol", type=float, default=1e-7, help="SDP duality-gap tolerance")
+    verify.add_argument("--tol", type=float, default=DEFAULT_TOL, help="SDP duality-gap tolerance")
     verify.add_argument("--seed", type=int, default=0,
                         help="recorded in the report; the pipeline itself is deterministic")
     verify.add_argument("--skip-sim", action="store_true", help="skip the algorithm simulations")

@@ -33,7 +33,9 @@ def column_mask(n: int, m: int, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProgramGraph:
-    """Input-independent graph of the program: B_G = [t A] and its adjacency."""
+    """Input-independent graph of the program: B_G = [t A], its adjacency,
+    and Delta, the projector onto the adjacency's kernel, with its
+    orthonormal eigenbasis (range columns first) and rank."""
 
     n: int
     m: int
@@ -41,6 +43,8 @@ class ProgramGraph:
     b_g: np.ndarray
     a_g: np.ndarray
     delta: np.ndarray
+    delta_basis: np.ndarray
+    delta_rank: int
 
     @property
     def dim(self) -> int:
@@ -55,11 +59,13 @@ class ProgramGraph:
         e[self.mu0_index] = 1.0
         return e
 
+    def pi_mask(self, s: int) -> np.ndarray:
+        """Coordinates of F0 | mu0 | I that Pi_s keeps: all but the (j, not s_j, k) entries."""
+        return np.concatenate([np.ones(self.num_false + 1, dtype=bool), column_mask(self.n, self.m, s)])
+
     def pi_projector(self, s: int) -> np.ndarray:
-        """Pi_s on F0 | mu0 | I: diagonal, zero exactly on the (j, not s_j, k) entries."""
-        diag = np.ones(self.dim)
-        diag[self.num_false + 1 :] = column_mask(self.n, self.m, s)
-        return np.diag(diag)
+        """Pi_s as the dense diagonal of pi_mask(s): the tests' reference."""
+        return np.diag(self.pi_mask(s).astype(float))
 
 
 def build_program_graph(p: CanonicalSpanProgram) -> ProgramGraph:
@@ -73,7 +79,9 @@ def build_program_graph(p: CanonicalSpanProgram) -> ProgramGraph:
     a_g[:nf0, nf0:] = b_g
     a_g[nf0:, :nf0] = b_g.T
     delta = nullspace_projector(a_g)
-    return ProgramGraph(n=p.f.n, m=p.m, num_false=nf0, b_g=b_g, a_g=a_g, delta=delta)
+    vals, vecs = np.linalg.eigh(delta)
+    return ProgramGraph(n=p.f.n, m=p.m, num_false=nf0, b_g=b_g, a_g=a_g, delta=delta,
+                        delta_basis=vecs[:, ::-1], delta_rank=int((vals > 0.5).sum()))
 
 
 @dataclass(frozen=True)
@@ -162,7 +170,7 @@ def reflection_unitary(g: ProgramGraph, s: int) -> np.ndarray:
     """U_s = (2 Pi_s - I)(2 Delta - I) on F0 | mu0 | I: the rows of
     (2 Delta - I) that Pi_s drops change sign."""
     u = 2.0 * g.delta - np.eye(g.dim)
-    u[g.num_false + 1 :][~column_mask(g.n, g.m, s)] *= -1.0
+    u[~g.pi_mask(s)] *= -1.0
     u += 0.0  # turns the -0.0 of negated zeros into the +0.0 a matrix product gives
     return u
 
@@ -253,38 +261,29 @@ class JordanDecomposition:
 ANGLE_TOL = 1e-10
 
 
-def _range_first_basis(proj: np.ndarray) -> tuple[np.ndarray, int]:
-    """Eigenbasis of a projector with its range columns first, and its rank."""
-    vals, vecs = np.linalg.eigh(proj)
-    return vecs[:, ::-1], int((vals > 0.5).sum())
-
-
-def jordan_decompose(delta, pi) -> JordanDecomposition:
+def jordan_decompose(basis_d: np.ndarray, p: int, keep: np.ndarray) -> JordanDecomposition:
     """Split the space into invariant 1-d / 2-d subspaces of two projectors.
 
-    Jordan's lemma from one CS decomposition of the overlap between the
-    eigenbases of Delta and Pi: its angles phi are the principal angles
-    between range(Delta) and range(Pi) (Bjorck and Golub, Math. Comp. 1973),
-    accurate at small and large angles alike.  Each angle strictly inside
-    (0, pi/2) gives a 2-d block with theta = 2 phi; every other direction
-    of the CS bases is shared by both projectors.
+    Delta projects onto the first p columns of the orthonormal basis_d, Pi
+    onto the coordinates where keep is True; any two projectors take this
+    form in Pi's eigenbasis.  Jordan's lemma then comes from one CS
+    decomposition of the kept-first rows of basis_d: its angles phi are the
+    principal angles between range(Delta) and range(Pi) (Bjorck and Golub,
+    Math. Comp. 1973), accurate at small and large angles alike.  Each
+    angle strictly inside (0, pi/2) gives a 2-d block with theta = 2 phi;
+    every other direction of the CS bases is shared by both projectors.
     """
-    d = require_hermitian(delta, tol=1e-9)
-    q = require_hermitian(pi, tol=1e-9)
-    for name, proj in (("delta", d), ("pi", q)):
-        if np.abs(proj @ proj - proj).max() > 1e-9:
-            raise DecompositionFailureError(f"{name} is not idempotent within 1e-9")
-    dim = d.shape[0]
-    basis_d, p = _range_first_basis(d)
-    basis_q, k = _range_first_basis(q)
+    dim = basis_d.shape[0]
+    perm = np.concatenate([np.flatnonzero(keep), np.flatnonzero(~keep)])
+    k = int(np.count_nonzero(keep))
     r = min(p, k, dim - p, dim - k)
-    if r:
-        (u1, u2), phi, _ = cossin(basis_d.conj().T @ basis_q, p=p, q=k, separate=True, compute_vh=False)
+    if r:  # Pi's eigenbasis is eye[:, perm], so the overlap of the two bases is basis_d[perm]^*
+        (u1, u2), phi, _ = cossin(basis_d[perm].conj().T, p=p, q=k, separate=True, compute_vh=False)
         basis_d = np.hstack([basis_d[:, :p] @ u1, basis_d[:, p:] @ u2])
     else:  # Delta or Pi is 0 or I, so there are no angles
         phi = np.zeros(0)
         if p in (0, dim):  # Pi's eigenbasis then fits the layout below, range first iff Delta = I
-            basis_d = basis_q if p else basis_q[:, ::-1]
+            basis_d = np.eye(dim)[:, perm if p else perm[::-1]]
 
     # CS layout (LAPACK xORCSD): the range(Delta) columns are n11 shared with
     # range(Pi), r cosine directions, then the rest inside ker(Pi); the

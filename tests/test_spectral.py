@@ -3,6 +3,7 @@ import pytest
 
 from advspan.boolfun import load_function
 from advspan.errors import (
+    DecompositionFailureError,
     NoNullWitnessError,
     WitnessViolationError,
     WrongBranchError,
@@ -22,6 +23,14 @@ from advspan.spectral import (
 )
 
 from test_spanprog import parity_example_gram_solution
+
+
+def in_pi_frame(delta, pi):
+    """jordan_decompose's input for two dense projectors, written in Pi's
+    eigenbasis Q_Pi: (Q_Pi^T basis_Delta, rank of Delta, kept coordinates)."""
+    pi_vals, q_pi = np.linalg.eigh(pi)
+    vals, vecs = np.linalg.eigh(delta)
+    return q_pi.T @ vecs[:, ::-1], int((vals > 0.5).sum()), pi_vals > 0.5
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +87,27 @@ def test_pi_projector_zero_count(corpus):
             assert set(np.unique(diag)) <= {0.0, 1.0}
 
 
+def test_program_graph_resolves_delta_once(corpus, solved):
+    for bundle in [*corpus, solved("00111101")]:
+        g = bundle.graph
+        basis, rank = g.delta_basis, g.delta_rank
+        assert np.abs(basis.T @ basis - np.eye(g.dim)).max() <= 1e-12
+        assert np.abs(basis[:, :rank] @ basis[:, :rank].T - g.delta).max() <= 1e-12
+        for s in bundle.f.inputs:
+            assert np.array_equal(g.pi_projector(s), np.diag(g.pi_mask(s)))
+
+
+def test_zero_witness_bound_is_relative_to_its_target(corpus):
+    """Both overlap ratios are exact by construction, so each check's bound
+    is 1e-9 times the ratio it expects, on false and true inputs alike."""
+    for bundle in corpus:
+        report = bundle.report
+        expected = {row["input"]: row["expected"] for row in report["lemma_checks"]["zero_witness"]}
+        bounds = {chk["name"][len("zero_witness_ratio[") : -1]: chk["bound"]
+                  for chk in report["checks"] if chk["name"].startswith("zero_witness_ratio[")}
+        assert bounds == {label: 1e-9 * ratio for label, ratio in expected.items()}
+
+
 def test_zero_witness_constants_across_corpus(corpus):
     for bundle in corpus:
         f, prog = bundle.f, bundle.program
@@ -118,7 +148,7 @@ def test_reflection_unitary_is_unitary(corpus):
 def test_reflection_phases_come_in_pairs(solved):
     bundle = solved("PARITY:2")
     g = bundle.graph
-    jd = jordan_decompose(g.delta, g.pi_projector(0b10))
+    jd = jordan_decompose(g.delta_basis, g.delta_rank, g.pi_mask(0b10))
     phases, _ = jd.eigen_system()
     nonreal = np.sort(phases[np.abs(np.abs(phases) - np.pi) > 1e-12])
     nonreal = nonreal[np.abs(nonreal) > 1e-12]
@@ -128,10 +158,10 @@ def test_reflection_phases_come_in_pairs(solved):
 
 def test_jordan_identity_cases():
     eye = np.eye(4)
-    jd = jordan_decompose(eye, eye)
+    jd = jordan_decompose(*in_pi_frame(eye, eye))
     assert not jd.two_dim
     assert np.allclose(jd.reconstruct_unitary(), eye)
-    jd2 = jordan_decompose(np.zeros((4, 4)), eye)
+    jd2 = jordan_decompose(*in_pi_frame(np.zeros((4, 4)), eye))
     assert not jd2.two_dim
     assert np.allclose(jd2.reconstruct_unitary(), -eye)
 
@@ -140,7 +170,7 @@ def test_jordan_two_lines_at_45_degrees():
     delta = np.diag([1.0, 0.0])
     direction = np.array([1.0, 1.0]) / np.sqrt(2.0)
     pi = np.outer(direction, direction)
-    jd = jordan_decompose(delta, pi)
+    jd = jordan_decompose(*in_pi_frame(delta, pi))
     assert len(jd.two_dim) == 1
     assert not jd.one_dim
     assert jd.two_dim[0].theta == pytest.approx(np.pi / 2.0, abs=1e-12)
@@ -152,7 +182,7 @@ def test_jordan_shared_projector_gives_plus_one():
     rng = np.random.default_rng(31)
     basis = np.linalg.qr(rng.standard_normal((6, 6)))[0][:, :3]
     p = basis @ basis.T
-    jd = jordan_decompose(p, p)
+    jd = jordan_decompose(*in_pi_frame(p, p))
     assert not jd.two_dim
     assert np.allclose(jd.reconstruct_unitary(), np.eye(6), atol=1e-9)
 
@@ -162,9 +192,19 @@ def test_jordan_commuting_projectors_are_one_dimensional():
     q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
     delta = q @ np.diag([1, 1, 1, 0, 0, 0, 0, 0.0]) @ q.T
     pi = q @ np.diag([1, 0, 1, 1, 0, 0, 1, 0.0]) @ q.T
-    jd = jordan_decompose(delta, pi)
+    jd = jordan_decompose(*in_pi_frame(delta, pi))
     assert not jd.two_dim
     assert len(jd.one_dim) == 8
+
+
+def test_jordan_rejects_a_basis_that_is_not_orthonormal():
+    """jordan_decompose trusts its basis; the identity-resolution check
+    catches one that is off by a relative 1e-7."""
+    q = np.linalg.qr(np.random.default_rng(43).standard_normal((6, 6)))[0]
+    basis, rank, keep = in_pi_frame(q[:, :3] @ q[:, :3].T, np.diag([1.0, 1, 0, 1, 0, 0]))
+    assert len(jordan_decompose(basis, rank, keep).two_dim) == 3
+    with pytest.raises(DecompositionFailureError):
+        jordan_decompose(basis * (1.0 + 1e-7), rank, keep)
 
 
 def test_jordan_blocks_carry_rank_one_projections(corpus):
@@ -172,7 +212,7 @@ def test_jordan_blocks_carry_rank_one_projections(corpus):
         g = bundle.graph
         for s in bundle.f.inputs:
             pi = g.pi_projector(s)
-            jd = jordan_decompose(g.delta, pi)
+            jd = jordan_decompose(g.delta_basis, g.delta_rank, g.pi_mask(s))
             for blk in jd.two_dim:
                 assert 0.0 < blk.theta < np.pi
                 assert blk.theta == pytest.approx(
@@ -188,7 +228,7 @@ def test_jordan_reconstruction_matches_reflection(corpus):
     for bundle in corpus:
         g = bundle.graph
         for s in bundle.f.inputs:
-            jd = jordan_decompose(g.delta, g.pi_projector(s))
+            jd = jordan_decompose(g.delta_basis, g.delta_rank, g.pi_mask(s))
             u = reflection_unitary(g, s)
             assert np.abs(jd.reconstruct_unitary() - u).max() <= 1e-8
             phases, vectors = jd.eigen_system()
@@ -254,7 +294,7 @@ def test_phase_gap_profile(corpus):
         w = prog.witness_size
         anchor = g.mu0_vector()
         for s in f.f0:
-            phases, vectors = jordan_decompose(g.delta, g.pi_projector(s)).eigen_system()
+            phases, vectors = jordan_decompose(g.delta_basis, g.delta_rank, g.pi_mask(s)).eigen_system()
             overlaps = np.abs(vectors.conj().T @ anchor) ** 2
             grid = [0.0, 1.0 / (50.0 * w), 0.01, 0.1, 1.0, np.pi]
             rows = phase_gap_profile(phases, overlaps, w, grid, f.value(s))
@@ -262,7 +302,7 @@ def test_phase_gap_profile(corpus):
                 assert lhs <= rhs + 1e-6
             assert rows[0][1] <= 1e-9  # Theta = 0: zero-phase vectors miss |0>
             assert rows[-1][1] <= 1.0 + 1e-9  # Theta = pi: completeness
-        phases, vectors = jordan_decompose(g.delta, g.pi_projector(f.f1[0])).eigen_system()
+        phases, vectors = jordan_decompose(g.delta_basis, g.delta_rank, g.pi_mask(f.f1[0])).eigen_system()
         with pytest.raises(WrongBranchError):
             phase_gap_profile(phases, np.abs(vectors.conj().T @ anchor) ** 2, w, [0.1], 1)
 
@@ -350,5 +390,5 @@ def test_jordan_decomposes_every_input_of_hard_3bit_tables(solved, table):
     could not split; the CS decomposition must resolve all of them."""
     g = solved(table).graph
     for s in solved(table).f.inputs:
-        jd = jordan_decompose(g.delta, g.pi_projector(s))
+        jd = jordan_decompose(g.delta_basis, g.delta_rank, g.pi_mask(s))
         assert np.abs(jd.reconstruct_unitary() - reflection_unitary(g, s)).max() <= 1e-8
