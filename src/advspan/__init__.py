@@ -34,6 +34,7 @@ from .spectral import (
     InputGraph,
     JordanDecomposition,
     ProgramGraph,
+    anchor_measure,
     build_input_graph,
     build_program_graph,
     effective_gap_profile,

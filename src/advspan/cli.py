@@ -15,7 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import spectral
 from .advsdp import DEFAULT_TOL
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this copy
 from .advsdp import build_witness_sdp  # noqa: F401
@@ -55,7 +54,7 @@ def _write_csvs(directory: Path, report: dict, graph) -> None:
                                      passed[f"{alg}_{branch}[{row['input']}]"]])
                 writer.writerow([row["input"], "search_noregister", row["tau"], row["search_noregister"], "", ""])
     with open(directory / "program_graph_edges.txt", "w") as fh:
-        for r, c, wgt in spectral.edge_list(graph.a_g):
+        for r, c, wgt in graph.edges():
             fh.write(f"{r} {c} {wgt!r}\n")
 
 
@@ -71,6 +70,8 @@ def _print_report(report: dict, stream) -> None:
         flag = "ok " if chk["pass"] else "FAIL"
         print(f"  [{flag}] {chk['name']}: value={chk['value']!r} bound={chk['bound']!r} "
               f"margin={chk['margin']:.3e}", file=stream)
+    for family, least in report["margins"].items():
+        print(f"  least margin {family}: {least['margin']:.3e} ({least['check']})", file=stream)
     print(f"status: {report['status']}", file=stream)
 
 

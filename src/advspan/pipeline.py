@@ -19,6 +19,18 @@ from .spanprog import CanonicalSpanProgram, canonical_from_gram, evaluate
 
 DEFAULT_C_GRID = (0.05, 0.1, 0.5, 1.0, 2.0)
 PHASE_ERROR_BUDGET = 0.1
+# how the gap checks' names print their grid parameter
+C_LABEL, THETA_LABEL = "c={:g}", "theta={:.6g}"
+# the family of each check name (the part before "["), for report["margins"]
+CHECK_FAMILIES = {
+    "strong_duality_gap": "sdp", "equality_residual": "sdp", "psd_residual": "sdp",
+    "wsize_matches_adv": "span_program", "evaluate_agrees_with_f": "span_program",
+    "zero_witness_ratio": "zero_witness", "jordan_reconstruction": "jordan",
+    "effective_gap": "effective_gap", "phase_gap": "phase_gap",
+    "phase_estimation_true": "phase_estimation", "phase_estimation_false": "phase_estimation",
+    "search_true": "search", "search_false": "search",
+    "adv_le_sqrt_formula_size": "formula_bound",
+}
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,25 @@ def _check(name: str, value: float, bound: float, kind: str) -> dict:
     }
 
 
+def _distinct(grid, label: str) -> tuple:
+    """grid without the entries whose label repeats an earlier entry's, so no
+    two checks share a name (1/(50W) prints as 0.01 when W is near 2)."""
+    kept: dict[str, float] = {}
+    for x in grid:
+        kept.setdefault(label.format(x), x)
+    return tuple(kept.values())
+
+
+def _margins(checks: list[dict]) -> dict:
+    """The check of least margin in each family, families in report order."""
+    out: dict[str, dict] = {}
+    for chk in checks:
+        family = CHECK_FAMILIES[chk["name"].split("[")[0]]
+        if family not in out or chk["margin"] < out[family]["margin"]:
+            out[family] = {"check": chk["name"], "margin": chk["margin"]}
+    return out
+
+
 def matrix_to_json(mat: np.ndarray) -> list:
     """Nested rows of [re, im] pairs."""
     arr = np.asarray(mat, dtype=complex)
@@ -57,7 +88,8 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
 
     The keywords are the `advspan verify` flags: tol is the SDP duality-gap
     tolerance, c_grid and theta_grid the effective- and phase-gap parameters
-    (theta_grid defaults to 1/(50W), 0.01, 0.1, 1), simulate runs the
+    (theta_grid defaults to 1/(50W), 0.01, 0.1, 1; an entry whose check
+    name repeats an earlier one's is dropped), simulate runs the
     phase-estimation and search algorithms, formula_bound also checks
     ADV <= sqrt(minimal formula size), and seed is only recorded.  A failed
     check sets the report's status to FAIL; bad input and solver failure
@@ -123,7 +155,8 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
     t0 = time.perf_counter()
     graph = spectral.build_program_graph(program)
     w_size = program.witness_size
-    theta_grid = tuple(theta_grid) if theta_grid else (1.0 / (50.0 * w_size), 0.01, 0.1, 1.0)
+    c_grid = _distinct(c_grid, C_LABEL)
+    theta_grid = _distinct(theta_grid or (1.0 / (50.0 * w_size), 0.01, 0.1, 1.0), THETA_LABEL)
     zero_rows, gap_rows, phase_rows, alg_rows = [], [], [], []
     for s in f.inputs:
         label = f"{s:0{f.n}b}"
@@ -134,21 +167,21 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
         # both ratios are exact by construction, so the bound is relative
         checks.append(_check(f"zero_witness_ratio[{label}]", abs(overlap - target_ratio), 1e-9 * target_ratio, "le"))
 
-        jd = spectral.jordan_decompose(graph.delta_basis, graph.delta_rank, graph.pi_mask(s))
-        recon = float(np.abs(jd.reconstruct_unitary() - spectral.reflection_unitary(graph, s)).max())
+        ig = spectral.build_input_graph(graph, program, s)
+        jd = spectral.jordan_decompose(ig.delta_basis, ig.delta_rank, ig.keep)
+        # U_s and its reconstruction agree outside T, so this bounds every entry of their difference
+        recon = float(np.linalg.norm(jd.reconstruct_unitary() - spectral.reflection_unitary(ig), 2))
         checks.append(_check(f"jordan_reconstruction[{label}]", recon, 1e-8, "le"))
         if f.value(s) == 0 or simulate:
-            phases, vectors = jd.eigen_system()
-            overlaps = np.abs(vectors[graph.mu0_index]) ** 2
+            phases, overlaps = spectral.anchor_measure(ig, jd)
 
         if f.value(s) == 0:
-            ig = spectral.build_input_graph(graph, program, s)
             for c, lhs, rhs in spectral.effective_gap_profile(ig, w_size, c_grid):
                 gap_rows.append({"input": label, "c": c, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
-                checks.append(_check(f"effective_gap[{label},c={c:g}]", lhs, rhs + 1e-6, "le"))
+                checks.append(_check(f"effective_gap[{label},{C_LABEL.format(c)}]", lhs, rhs + 1e-6, "le"))
             for theta, lhs, rhs in spectral.phase_gap_profile(phases, overlaps, w_size, theta_grid, f.value(s)):
                 phase_rows.append({"input": label, "theta": theta, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
-                checks.append(_check(f"phase_gap[{label},theta={theta:.6g}]", lhs, rhs + 1e-6, "le"))
+                checks.append(_check(f"phase_gap[{label},{THETA_LABEL.format(theta)}]", lhs, rhs + 1e-6, "le"))
 
         if simulate:
             precision = 1.0 / (100.0 * w_size)
@@ -187,6 +220,7 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
         report["formula_bound"] = None
 
     report["checks"] = checks
+    report["margins"] = _margins(checks)
     report["status"] = "PASS" if all(c["pass"] for c in checks) else "FAIL"
     timings["total"] = time.perf_counter() - t_start
     report["timings"] = {k: round(v, 6) for k, v in timings.items()}

@@ -5,6 +5,14 @@ Index layouts (fixed throughout):
   program graph space:  F0 | mu0 | I      with |I| = 2 n m
   input graph space:    F0 | I' | mu0 | I with I' a copy of I
 The vector |0> is the mu0 indicator in whichever space applies.
+
+Nothing here builds a matrix of the program graph's dimension.  The
+adjacency A_G = [[0, B_G], [B_G^T, 0]] has kernel projector Delta with
+I - Delta = U_r U_r^T (+) V_r V_r^T from one thin SVD of B_G, so
+U_s = (2 Pi_s - I)(2 Delta - I) is I - 2 U_r U_r^T on F0, where |0> has no
+weight, and 2 Pi_s - I outside T = span(Pi_s V_r) (+) span((I - Pi_s) V_r),
+a subspace of mu0 | I of dimension at most 2r (Szegedy, FOCS 2004).  Every
+per-input object lives in T coordinates.
 """
 
 from __future__ import annotations
@@ -33,91 +41,95 @@ def column_mask(n: int, m: int, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProgramGraph:
-    """Input-independent graph of the program: B_G = [t A], its adjacency,
-    and Delta, the projector onto the adjacency's kernel, with its
-    orthonormal eigenbasis (range columns first) and rank."""
+    """Input-independent graph of the program: B_G = [t A] and its thin SVD
+    B_G = U_r diag(sigma) V_r^T cut to the numerical rank r, which resolves
+    Delta, the projector onto the adjacency's kernel:
+    I - Delta = U_r U_r^T on F0 (+) V_r V_r^T on mu0 | I."""
 
     n: int
     m: int
     num_false: int
     b_g: np.ndarray
-    a_g: np.ndarray
-    delta: np.ndarray
-    delta_basis: np.ndarray
-    delta_rank: int
+    u_r: np.ndarray
+    sigma: np.ndarray
+    v_r: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.num_false + 1 + 2 * self.n * self.m
 
-    @property
-    def mu0_index(self) -> int:
-        return self.num_false
-
-    def mu0_vector(self) -> np.ndarray:
-        e = np.zeros(self.dim)
-        e[self.mu0_index] = 1.0
-        return e
-
     def pi_mask(self, s: int) -> np.ndarray:
         """Coordinates of F0 | mu0 | I that Pi_s keeps: all but the (j, not s_j, k) entries."""
         return np.concatenate([np.ones(self.num_false + 1, dtype=bool), column_mask(self.n, self.m, s)])
 
-    def pi_projector(self, s: int) -> np.ndarray:
-        """Pi_s as the dense diagonal of pi_mask(s): the tests' reference."""
-        return np.diag(self.pi_mask(s).astype(float))
+    def edges(self) -> list[tuple[int, int, float]]:
+        """The adjacency's nonzero entries in row-major order, read off B_G."""
+        nf0 = self.num_false
+        return ([(r, nf0 + c, w) for r, c, w in edge_list(self.b_g)]
+                + [(nf0 + c, r, w) for c, r, w in edge_list(self.b_g.T)])
 
 
 def build_program_graph(p: CanonicalSpanProgram) -> ProgramGraph:
-    nf0 = len(p.f.f0)
-    ni = 2 * p.f.n * p.m
-    b_g = np.zeros((nf0, 1 + ni))
-    b_g[:, 0] = p.target
-    b_g[:, 1:] = p.matrix
-    dim = nf0 + 1 + ni
-    a_g = np.zeros((dim, dim))
-    a_g[:nf0, nf0:] = b_g
-    a_g[nf0:, :nf0] = b_g.T
-    delta = nullspace_projector(a_g)
-    vals, vecs = np.linalg.eigh(delta)
-    return ProgramGraph(n=p.f.n, m=p.m, num_false=nf0, b_g=b_g, a_g=a_g, delta=delta,
-                        delta_basis=vecs[:, ::-1], delta_rank=int((vals > 0.5).sum()))
+    """B_G and its thin SVD, cut where the kernel projector of the adjacency
+    (eigenvalues +-sigma and 0) cuts: sigma > DEFAULT_ZERO_TOL * max(1, sigma_max)."""
+    b_g = np.hstack([p.target[:, None], p.matrix])
+    u, sigma, vh = np.linalg.svd(b_g, full_matrices=False)
+    r = int((sigma > DEFAULT_ZERO_TOL * max(1.0, float(sigma.max(initial=0.0)))).sum())
+    return ProgramGraph(n=p.f.n, m=p.m, num_false=len(p.f.f0), b_g=b_g,
+                        u_r=u[:, :r], sigma=sigma[:r], v_r=vh[:r].T)
 
 
 @dataclass(frozen=True)
 class InputGraph:
-    """Graphs G(s)/G'(s) for one input: true and false biadjacency."""
+    """One input s, written in T coordinates: orthonormal directions of
+    mu0 | I, first those in range(Pi_s), which span Pi_s V_r and possibly
+    more, then those in its kernel, which span (I - Pi_s) V_r and possibly more.
+
+    delta_basis is an orthonormal eigenbasis of Delta on T, range first:
+    its last r columns are V_r in T coordinates, its first delta_rank
+    columns their orthogonal complement.  keep marks the T coordinates
+    Pi_s keeps, anchor is |0> projected onto T, and sigma is B_G's.
+    """
 
     s: int
     value: int
-    b_true: np.ndarray
-    b_false: np.ndarray
+    delta_basis: np.ndarray
+    delta_rank: int
+    keep: np.ndarray
+    anchor: np.ndarray
+    sigma: np.ndarray
 
     @property
-    def a_gs(self) -> np.ndarray:
-        """Dense adjacency [[0, B], [B^T, 0]] of G(s), B = b_true, built on each
-        access: the tests' eigen reference; the profiles work on B itself."""
-        (rows, cols), b = self.b_true.shape, self.b_true
-        return np.block([[np.zeros((rows, rows)), b], [b.T, np.zeros((cols, cols))]])
+    def w(self) -> np.ndarray:
+        """V_r in T coordinates: orthonormal columns spanning the range of I - Delta."""
+        return self.delta_basis[:, self.delta_rank:]
 
     @property
-    def mu0_index(self) -> int:
-        # row order F0 | I' | mu0 | I
-        return self.b_true.shape[0]
+    def outside_weight(self) -> float:
+        """Weight of |0> outside T, which lies in range(Pi_s) and in the
+        kernels of B_G and of I - Delta."""
+        return max(0.0, 1.0 - float(self.anchor @ self.anchor))
+
+    def biadjacency(self) -> np.ndarray:
+        """The true-input biadjacency B_{G(s)} = [B_G ; 0 | Pi-bar] on T, up to an
+        isometry on the left: [diag(sigma) W^T ; I on the dropped coordinates].
+        Outside T, B_{G(s)} is zero on range(Pi_s) and an isometry on its kernel."""
+        return np.vstack([self.sigma[:, None] * self.w.T, np.eye(len(self.keep))[~self.keep]])
 
 
 def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, s: int) -> InputGraph:
-    ni = 2 * p.f.n * p.m
-    nf0 = g.num_false
-    mask = column_mask(g.n, g.m, s)
-    pibar = np.diag(1.0 - mask.astype(float))
-    b_true = np.zeros((nf0 + ni, 1 + ni))
-    b_true[:nf0] = g.b_g
-    b_true[nf0:, 1:] = pibar
-    b_false = np.zeros((nf0 + ni, ni))
-    b_false[:nf0] = p.matrix
-    b_false[nf0:] = pibar
-    return InputGraph(s=s, value=p.f.value(s), b_true=b_true, b_false=b_false)
+    """Orthonormal bases of T from thin SVDs of V_r's kept rows and of its
+    dropped rows; any orthonormal columns do, since T need only contain both
+    row blocks' ranges to be invariant under Pi_s and Delta."""
+    kept = g.pi_mask(s)[g.num_false:]
+    halves = [np.linalg.svd(g.v_r[rows], full_matrices=False)[0] for rows in (kept, ~kept)]
+    w = np.vstack([half.T @ g.v_r[rows] for half, rows in zip(halves, (kept, ~kept))])
+    complement = np.linalg.qr(w, mode="complete")[0][:, w.shape[1]:]
+    keep = np.arange(len(w)) < halves[0].shape[1]
+    anchor = np.zeros(len(w))
+    anchor[keep] = halves[0][0]  # mu0 is the first kept row
+    return InputGraph(s=s, value=p.f.value(s), delta_basis=np.hstack([complement, w]),
+                      delta_rank=complement.shape[1], keep=keep, anchor=anchor, sigma=g.sigma)
 
 
 def zero_witness_vectors(p: CanonicalSpanProgram, s: int) -> tuple[np.ndarray, float, float]:
@@ -166,24 +178,12 @@ def zero_witness_vectors(p: CanonicalSpanProgram, s: int) -> tuple[np.ndarray, f
     return psi, ratio, residual
 
 
-def reflection_unitary(g: ProgramGraph, s: int) -> np.ndarray:
-    """U_s = (2 Pi_s - I)(2 Delta - I) on F0 | mu0 | I: the rows of
-    (2 Delta - I) that Pi_s drops change sign."""
-    u = 2.0 * g.delta - np.eye(g.dim)
-    u[~g.pi_mask(s)] *= -1.0
-    u += 0.0  # turns the -0.0 of negated zeros into the +0.0 a matrix product gives
+def reflection_unitary(ig: InputGraph) -> np.ndarray:
+    """U_s = (2 Pi_s - I)(2 Delta - I) on T: the rows of I - 2 W W^T that
+    Pi_s drops change sign."""
+    u = np.eye(len(ig.keep)) - 2.0 * ig.w @ ig.w.T
+    u[~ig.keep] *= -1.0
     return u
-
-
-@dataclass(frozen=True)
-class JordanBlock:
-    """One 2-d invariant subspace: Delta projects onto v, Pi onto w."""
-
-    v: np.ndarray
-    v_perp: np.ndarray
-    w: np.ndarray
-    w_perp: np.ndarray
-    theta: float
 
 
 @dataclass(frozen=True)
@@ -208,21 +208,6 @@ class JordanDecomposition:
     @property
     def dim(self) -> int:
         return self.fixed.shape[0]
-
-    @property
-    def one_dim(self) -> tuple[tuple[np.ndarray, int, int], ...]:
-        return tuple((self.fixed[:, k], int(self.b[k]), int(self.c[k])) for k in range(len(self.b)))
-
-    @property
-    def two_dim(self) -> tuple[JordanBlock, ...]:
-        cos_h, sin_h = np.cos(self.theta / 2.0), np.sin(self.theta / 2.0)
-        w = self.v * cos_h + self.v_perp * sin_h
-        w_perp = self.v_perp * cos_h - self.v * sin_h
-        return tuple(
-            JordanBlock(v=self.v[:, k], v_perp=self.v_perp[:, k], w=w[:, k], w_perp=w_perp[:, k],
-                        theta=float(self.theta[k]))
-            for k in range(len(self.theta))
-        )
 
     def basis(self) -> np.ndarray:
         """All directions as columns: fixed | v | v_perp."""
@@ -255,9 +240,9 @@ class JordanDecomposition:
 
 # A principal angle within ANGLE_TOL of 0 or pi/2 is split into two 1-d
 # directions.  That replaces a rotation by 2 phi with +-I on its block, which
-# moves any entry of the reconstructed unitary by at most 2 sin(ANGLE_TOL)
-# <= 2e-10 (the blocks are orthogonal, so the errors do not add up): below
-# the 1e-8 reconstruction check.
+# moves the reconstructed unitary by at most 2 sin(ANGLE_TOL) <= 2e-10 in
+# spectral norm (the blocks are orthogonal, so the errors do not add up):
+# below the 1e-8 reconstruction check.
 ANGLE_TOL = 1e-10
 
 
@@ -312,20 +297,30 @@ def jordan_decompose(basis_d: np.ndarray, p: int, keep: np.ndarray) -> JordanDec
     return jd
 
 
+def anchor_measure(ig: InputGraph, jd: JordanDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral measure of |0> under U_s: (phases, weights) from jd, the
+    Jordan decomposition on T, plus the weight of |0> outside T at phase 0,
+    where U_s = 2 Pi_s - I fixes it."""
+    phases, vectors = jd.eigen_system()
+    return np.append(phases, 0.0), np.append(np.abs(ig.anchor @ vectors) ** 2, ig.outside_weight)
+
+
 def effective_gap_profile(ig: InputGraph, w_size: float, c_grid) -> list[tuple[float, float, float]]:
     """Low-eigenvalue overlap of |0> with A_{G(s)} versus 72 c^2 (1 + 1/W).
 
-    A_{G(s)} is bipartite with biadjacency B = b_true, so its eigenvalues
+    A_{G(s)} is bipartite with biadjacency B = B_{G(s)}, so its eigenvalues
     are +-sigma_k over the singular values of B (zero for the extra right
-    singular vectors), and |0> is column 0 of B: the eigenvectors at
-    +-sigma_k together carry |V*[k, 0]|^2 of it.  Returns (c, lhs, rhs)
-    triples.  Only defined on false inputs.
+    singular vectors), and |0> is column mu0 of B: the eigenvectors at
+    +-sigma_k together carry |<v_k|0>|^2 of it.  On T that is B's
+    restriction ig.biadjacency(); the weight of |0> outside T sits at
+    sigma = 0.  Returns (c, lhs, rhs) triples.  Only defined on false inputs.
     """
     if ig.value == 1:
         raise WrongBranchError(f"input {ig.s:b} evaluates true; the profile needs f(s) = 0")
-    _, sigma, vh = np.linalg.svd(ig.b_true)
-    sigma = np.concatenate([sigma, np.zeros(vh.shape[0] - len(sigma))])
-    overlaps = np.abs(vh[:, 0]) ** 2
+    _, sigma, vh = np.linalg.svd(ig.biadjacency())
+    # the extra right singular vectors, and then the weight outside T, sit at sigma = 0
+    sigma = np.concatenate([sigma, np.zeros(vh.shape[0] - len(sigma) + 1)])
+    overlaps = np.append(np.abs(vh @ ig.anchor) ** 2, ig.outside_weight)
     out = []
     for c in c_grid:
         lhs = float(overlaps[sigma <= c / w_size].sum())

@@ -6,7 +6,9 @@ import pytest
 
 from advspan import advsdp, pipeline
 from advspan.cli import build_parser, main, run_pipeline
-from advspan.pipeline import matrix_to_json, verify
+from advspan.pipeline import CHECK_FAMILIES, matrix_to_json, verify
+
+from conftest import NPN3_CANONICAL, corpus_specs
 
 
 def run_args(tmp_path, *extra):
@@ -172,3 +174,43 @@ def test_algorithms_csv_pass_is_the_report_check(tmp_path):
     for row in judged:
         branch = "true" if report["algorithms"][int(row["input"], 2)]["f"] else "false"
         assert row["pass"] == str(checks[f"{row['algorithm']}_{branch}[{row['input']}]"])
+
+
+@pytest.mark.parametrize("spec", [*corpus_specs(), *NPN3_CANONICAL])
+def test_check_names_are_unique(solved, spec):
+    """At W = 2 the default grid's 1/(50W) prints as the fixed 0.01 entry, so
+    one of the two is dropped rather than reported under a shared name."""
+    report = solved(spec).report
+    names = [chk["name"] for chk in report["checks"]]
+    assert len(names) == len(set(names))
+    thetas = {row["theta"] for row in report["lemma_checks"]["phase_gap"]}
+    assert len({f"{theta:.6g}" for theta in thetas}) == len(thetas)
+
+
+def test_margins_summarize_each_check_family(solved, capsys):
+    report = solved("00111101").report
+    families = {}
+    for chk in report["checks"]:
+        families.setdefault(CHECK_FAMILIES[chk["name"].split("[")[0]], []).append(chk)
+    assert list(report["margins"]) == list(families)
+    assert {"sdp", "zero_witness", "jordan", "effective_gap", "phase_gap", "phase_estimation",
+            "search"} <= set(families)
+    for family, chks in families.items():
+        least = min(chks, key=lambda chk: chk["margin"])
+        assert report["margins"][family] == {"check": least["name"], "margin": least["margin"]}
+    # the one failing check of this table is its family's least margin
+    assert report["margins"]["phase_estimation"]["check"] == "phase_estimation_true[010]"
+    assert report["margins"]["phase_estimation"]["margin"] < 0.0
+    assert main(["verify", "--function", "OR:2", "--skip-sim"]) == 0
+    out = capsys.readouterr().out
+    assert "least margin zero_witness: " in out and "least margin search" not in out
+
+
+@pytest.mark.parametrize("spec", ["MAJ:5", "AND:5"])
+def test_five_bit_verify_passes(spec):
+    report = verify(spec).report
+    assert report["status"] == "PASS"
+    labels = [f"{s:05b}" for s in range(32)]
+    for family in ("zero_witness_ratio", "jordan_reconstruction"):
+        assert [chk["name"] for chk in report["checks"] if chk["name"].startswith(family + "[")] == [
+            f"{family}[{label}]" for label in labels]

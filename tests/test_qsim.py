@@ -19,7 +19,8 @@ from advspan.qsim import (
     search_accept_probability,
     search_noregister_probability,
 )
-from advspan.spectral import reflection_unitary
+
+from conftest import anchor_vector, dense_unitary
 
 FINAL_CONSTANT = (2.0 / 3.0) * np.sqrt(2.0)
 
@@ -146,13 +147,13 @@ def test_search_on_parity_true_input(solved):
     g = bundle.graph
     w = bundle.program.witness_size
     tau = int(np.ceil(100.0 * w))
-    anchor = g.mu0_vector()
+    anchor = anchor_vector(g)
     for s in bundle.f.f1:
-        u = reflection_unitary(g, s)
+        u = dense_unitary(g, s)
         assert search_accept_probability(*resolution(u, anchor), tau) >= 0.9 - 1e-9
     # the register-free variant is reported, not thresholded
     for s in bundle.f.inputs:
-        p = search_noregister_probability(*resolution(reflection_unitary(g, s), anchor), tau)
+        p = search_noregister_probability(*resolution(dense_unitary(g, s), anchor), tau)
         assert 0.0 <= p <= 1.0 + 1e-12
 
 
@@ -165,7 +166,7 @@ def test_noregister_values_at_large_tau(solved):
     tau = int(np.ceil(1e5 * bundle.program.witness_size))
     values = {}
     for s in bundle.f.inputs:
-        u = reflection_unitary(g, s)
-        values[f"{s:02b}"] = round(search_noregister_probability(*resolution(u, g.mu0_vector()), tau), 4)
+        u = dense_unitary(g, s)
+        values[f"{s:02b}"] = round(search_noregister_probability(*resolution(u, anchor_vector(g)), tau), 4)
     assert all(0.0 <= v <= 1.0 for v in values.values())
     print("register-free acceptance at tau=1e5*W:", values)
