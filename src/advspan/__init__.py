@@ -32,16 +32,13 @@ from .spanprog import (
 )
 from .spectral import (
     InputGraph,
-    JordanDecomposition,
     ProgramGraph,
     anchor_measure,
     build_input_graph,
     build_program_graph,
     effective_gap_profile,
-    jordan_decompose,
     phase_gap_profile,
     psd_spectral_bound_check,
-    reflection_unitary,
     zero_witness_vectors,
 )
 from .qsim import (

@@ -73,10 +73,6 @@ class NoNullWitnessError(AdvspanError):
     """Null space carries no component of the anchor vector."""
 
 
-class DecompositionFailureError(AdvspanError):
-    """Two-projector decomposition failed its completeness check."""
-
-
 class NotNormalizedError(AdvspanError):
     """Spectral overlaps do not sum to one."""
 

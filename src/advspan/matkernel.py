@@ -126,18 +126,6 @@ def spectral_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False).sum())
-
-
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(as_matrix(m)))
-
-
 def hadamard(a, b) -> np.ndarray:
     """Entry-wise product; operands must share a shape."""
     x, y = as_matrix(a), as_matrix(b)

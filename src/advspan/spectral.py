@@ -1,5 +1,5 @@
-"""Bipartite graphs of a canonical span program, the two-reflection unitary,
-its Jordan decomposition, and the spectral-gap profiles.
+"""Bipartite graphs of a canonical span program, the two-reflection walk,
+the anchor's spectral measure under it, and the spectral-gap profiles.
 
 Index layouts (fixed throughout):
   program graph space:  F0 | mu0 | I      with |I| = 2 n m
@@ -11,8 +11,11 @@ adjacency A_G = [[0, B_G], [B_G^T, 0]] has kernel projector Delta with
 I - Delta = U_r U_r^T (+) V_r V_r^T from one thin SVD of B_G, so
 U_s = (2 Pi_s - I)(2 Delta - I) is I - 2 U_r U_r^T on F0, where |0> has no
 weight, and 2 Pi_s - I outside T = span(Pi_s V_r) (+) span((I - Pi_s) V_r),
-a subspace of mu0 | I of dimension at most 2r (Szegedy, FOCS 2004).  Every
-per-input object lives in T coordinates.
+a subspace of mu0 | I of dimension at most 2r.  On T, the spectral lemma
+for two reflections (Szegedy, FOCS 2004) gives U_s in closed form: the
+singular values c_k of V_r's kept rows are the cosines of the principal
+angles between range(I - Delta) and range(Pi_s), and U_s turns the k-th
+2-d block by +-2 arcsin(c_k).
 """
 
 from __future__ import annotations
@@ -20,16 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cossin
 
-from .errors import (
-    DecompositionFailureError,
-    NoNullWitnessError,
-    WitnessViolationError,
-    WrongBranchError,
-)
+from .errors import NoNullWitnessError, WitnessViolationError, WrongBranchError
 from .matkernel import DEFAULT_ZERO_TOL, eig_hermitian, nullspace_projector, require_hermitian
 from .spanprog import CanonicalSpanProgram
+
+# A singular value of B_G within this factor of the rank cut, on either side,
+# makes the numerical rank ambiguous; verify then resolves every rank it could be.
+RANK_WINDOW = 100.0
+# Moments <0|U_s^t|0> are compared for t = 1..MOMENTS.
+MOMENTS = 16
 
 
 def column_mask(n: int, m: int, s: int) -> np.ndarray:
@@ -41,22 +44,30 @@ def column_mask(n: int, m: int, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProgramGraph:
-    """Input-independent graph of the program: B_G = [t A] and its thin SVD
-    B_G = U_r diag(sigma) V_r^T cut to the numerical rank r, which resolves
-    Delta, the projector onto the adjacency's kernel:
-    I - Delta = U_r U_r^T on F0 (+) V_r V_r^T on mu0 | I."""
+    """Input-independent graph of the program: B_G = [t A], its singular
+    values sigma (descending) and right singular vectors v, down to
+    RANK_WINDOW below the numerical-rank cut.  The first `rank` of them
+    resolve Delta, the projector onto the adjacency's kernel:
+    I - Delta = U_r U_r^T on F0 (+) V_r V_r^T on mu0 | I, with
+    U_r = B_G V_r diag(sigma)^-1.  near_ranks are the other ranks a cut
+    within RANK_WINDOW of this one would pick."""
 
     n: int
     m: int
     num_false: int
     b_g: np.ndarray
-    u_r: np.ndarray
     sigma: np.ndarray
-    v_r: np.ndarray
+    v: np.ndarray
+    rank: int
+    near_ranks: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return self.num_false + 1 + 2 * self.n * self.m
+
+    @property
+    def v_r(self) -> np.ndarray:
+        return self.v[:, : self.rank]
 
     def pi_mask(self, s: int) -> np.ndarray:
         """Coordinates of F0 | mu0 | I that Pi_s keeps: all but the (j, not s_j, k) entries."""
@@ -73,36 +84,32 @@ def build_program_graph(p: CanonicalSpanProgram) -> ProgramGraph:
     """B_G and its thin SVD, cut where the kernel projector of the adjacency
     (eigenvalues +-sigma and 0) cuts: sigma > DEFAULT_ZERO_TOL * max(1, sigma_max)."""
     b_g = np.hstack([p.target[:, None], p.matrix])
-    u, sigma, vh = np.linalg.svd(b_g, full_matrices=False)
-    r = int((sigma > DEFAULT_ZERO_TOL * max(1.0, float(sigma.max(initial=0.0)))).sum())
-    return ProgramGraph(n=p.f.n, m=p.m, num_false=len(p.f.f0), b_g=b_g,
-                        u_r=u[:, :r], sigma=sigma[:r], v_r=vh[:r].T)
+    _, sigma, vh = np.linalg.svd(b_g, full_matrices=False)
+    cut = DEFAULT_ZERO_TOL * max(1.0, float(sigma.max(initial=0.0)))
+    rank, low, high = (int((sigma > bound).sum()) for bound in (cut, cut * RANK_WINDOW, cut / RANK_WINDOW))
+    return ProgramGraph(n=p.f.n, m=p.m, num_false=len(p.f.f0), b_g=b_g, sigma=sigma[:high], v=vh[:high].T,
+                        rank=rank, near_ranks=tuple(k for k in range(low, high + 1) if k != rank))
 
 
 @dataclass(frozen=True)
 class InputGraph:
     """One input s, written in T coordinates: orthonormal directions of
-    mu0 | I, first those in range(Pi_s), which span Pi_s V_r and possibly
-    more, then those in its kernel, which span (I - Pi_s) V_r and possibly more.
+    mu0 | I, first the left singular vectors of V_r's kept rows, which span
+    Pi_s V_r and possibly more, then those of its dropped rows, which span
+    (I - Pi_s) V_r and possibly more.
 
-    delta_basis is an orthonormal eigenbasis of Delta on T, range first:
-    its last r columns are V_r in T coordinates, its first delta_rank
-    columns their orthogonal complement.  keep marks the T coordinates
-    Pi_s keeps, anchor is |0> projected onto T, and sigma is B_G's.
+    w is V_r in T coordinates, keep marks the T coordinates Pi_s keeps,
+    cosines are the kept rows' singular values (one per kept coordinate),
+    anchor is |0> projected onto T, and sigma is B_G's, to the same rank.
     """
 
     s: int
     value: int
-    delta_basis: np.ndarray
-    delta_rank: int
+    w: np.ndarray
     keep: np.ndarray
+    cosines: np.ndarray
     anchor: np.ndarray
     sigma: np.ndarray
-
-    @property
-    def w(self) -> np.ndarray:
-        """V_r in T coordinates: orthonormal columns spanning the range of I - Delta."""
-        return self.delta_basis[:, self.delta_rank:]
 
     @property
     def outside_weight(self) -> float:
@@ -117,19 +124,20 @@ class InputGraph:
         return np.vstack([self.sigma[:, None] * self.w.T, np.eye(len(self.keep))[~self.keep]])
 
 
-def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, s: int) -> InputGraph:
+def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, s: int, rank: int | None = None) -> InputGraph:
     """Orthonormal bases of T from thin SVDs of V_r's kept rows and of its
     dropped rows; any orthonormal columns do, since T need only contain both
-    row blocks' ranges to be invariant under Pi_s and Delta."""
-    kept = g.pi_mask(s)[g.num_false:]
-    halves = [np.linalg.svd(g.v_r[rows], full_matrices=False)[0] for rows in (kept, ~kept)]
-    w = np.vstack([half.T @ g.v_r[rows] for half, rows in zip(halves, (kept, ~kept))])
-    complement = np.linalg.qr(w, mode="complete")[0][:, w.shape[1]:]
-    keep = np.arange(len(w)) < halves[0].shape[1]
+    row blocks' ranges to be invariant under Pi_s and Delta.  rank, g.rank
+    by default, is how many of g's singular vectors make up V_r."""
+    rank = g.rank if rank is None else rank
+    v_r, kept = g.v[:, :rank], g.pi_mask(s)[g.num_false:]
+    (u_kept, cosines, _), (u_dropped, _, _) = (np.linalg.svd(v_r[rows], full_matrices=False) for rows in (kept, ~kept))
+    w = np.vstack([u_kept.T @ v_r[kept], u_dropped.T @ v_r[~kept]])
+    keep = np.arange(len(w)) < len(cosines)
     anchor = np.zeros(len(w))
-    anchor[keep] = halves[0][0]  # mu0 is the first kept row
-    return InputGraph(s=s, value=p.f.value(s), delta_basis=np.hstack([complement, w]),
-                      delta_rank=complement.shape[1], keep=keep, anchor=anchor, sigma=g.sigma)
+    anchor[keep] = u_kept[0]  # mu0 is the first kept row
+    return InputGraph(s=s, value=p.f.value(s), w=w, keep=keep, cosines=cosines, anchor=anchor,
+                      sigma=g.sigma[:rank])
 
 
 def zero_witness_vectors(p: CanonicalSpanProgram, s: int) -> tuple[np.ndarray, float, float]:
@@ -178,131 +186,46 @@ def zero_witness_vectors(p: CanonicalSpanProgram, s: int) -> tuple[np.ndarray, f
     return psi, ratio, residual
 
 
-def reflection_unitary(ig: InputGraph) -> np.ndarray:
-    """U_s = (2 Pi_s - I)(2 Delta - I) on T: the rows of I - 2 W W^T that
-    Pi_s drops change sign."""
-    u = np.eye(len(ig.keep)) - 2.0 * ig.w @ ig.w.T
-    u[~ig.keep] *= -1.0
-    return u
+def anchor_measure(ig: InputGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral measure of |0> under U_s, (phases, weights), in closed form.
 
-
-@dataclass(frozen=True)
-class JordanDecomposition:
-    """Invariant 1-d / 2-d splitting of the space under two projectors.
-
-    Column k of `fixed` is a 1-d direction with Delta v = b[k] v and
-    Pi v = c[k] v; the two-reflection unitary acts there as +1 when
-    b == c and -1 otherwise.  Columns k of `v` / `v_perp` span a 2-d block
-    with Delta v = v and Delta v_perp = 0, on which the unitary rotates by
-    theta[k] in (0, pi), and Pi projects onto
-    w = cos(theta/2) v + sin(theta/2) v_perp.
+    Kept coordinate k of T lies at the principal angle arccos(c_k) to
+    range(I - Delta); with its projection there it spans a block on which
+    U_s turns by +-2 arcsin(c_k) (a line U_s fixes when c_k = 0, one it
+    negates when c_k = 1), and |0>'s component along it, anchor[k], splits
+    evenly between the block's two eigenvectors.  The weight of |0> outside
+    T goes at phase 0, where U_s = 2 Pi_s - I fixes it.  The min guards
+    cosines a rounding above 1.
     """
-
-    fixed: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    v: np.ndarray
-    v_perp: np.ndarray
-    theta: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.fixed.shape[0]
-
-    def basis(self) -> np.ndarray:
-        """All directions as columns: fixed | v | v_perp."""
-        return np.hstack([self.fixed, self.v, self.v_perp])
-
-    def reconstruct_unitary(self) -> np.ndarray:
-        cos_t, sin_t = np.cos(self.theta), np.sin(self.theta)
-        image = np.hstack([
-            self.fixed * np.where(self.b == self.c, 1.0, -1.0),
-            self.v * cos_t + self.v_perp * sin_t,
-            self.v_perp * cos_t - self.v * sin_t,
-        ])
-        return image @ self.basis().conj().T
-
-    def eigen_system(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal eigensystem of the reconstructed unitary.
-
-        Phases lie in (-pi, pi]; 2-d blocks contribute the conjugate pair
-        (v +- i v_perp)/sqrt(2) with phases -+ theta.
-        """
-        plus = (self.v + 1j * self.v_perp) / np.sqrt(2.0)
-        minus = (self.v - 1j * self.v_perp) / np.sqrt(2.0)
-        pairs = np.stack([plus, minus], axis=2).reshape(self.dim, -1)
-        phases = np.concatenate([
-            np.where(self.b == self.c, 0.0, np.pi),
-            np.stack([-self.theta, self.theta], axis=1).ravel(),
-        ])
-        return phases, np.hstack([self.fixed, pairs])
+    theta = 2.0 * np.arcsin(np.minimum(ig.cosines, 1.0))
+    half = ig.anchor[ig.keep] ** 2 / 2.0
+    return np.concatenate([theta, -theta, [0.0]]), np.concatenate([half, half, [ig.outside_weight]])
 
 
-# A principal angle within ANGLE_TOL of 0 or pi/2 is split into two 1-d
-# directions.  That replaces a rotation by 2 phi with +-I on its block, which
-# moves the reconstructed unitary by at most 2 sin(ANGLE_TOL) <= 2e-10 in
-# spectral norm (the blocks are orthogonal, so the errors do not add up):
-# below the 1e-8 reconstruction check.
-ANGLE_TOL = 1e-10
+def moments(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """<0|U^t|0> = sum_k weights_k e^{i t phases_k} for t = 1..MOMENTS."""
+    return np.exp(1j * np.outer(np.arange(1, MOMENTS + 1), phases)) @ weights
 
 
-def jordan_decompose(basis_d: np.ndarray, p: int, keep: np.ndarray) -> JordanDecomposition:
-    """Split the space into invariant 1-d / 2-d subspaces of two projectors.
-
-    Delta projects onto the first p columns of the orthonormal basis_d, Pi
-    onto the coordinates where keep is True; any two projectors take this
-    form in Pi's eigenbasis.  Jordan's lemma then comes from one CS
-    decomposition of the kept-first rows of basis_d: its angles phi are the
-    principal angles between range(Delta) and range(Pi) (Bjorck and Golub,
-    Math. Comp. 1973), accurate at small and large angles alike.  Each
-    angle strictly inside (0, pi/2) gives a 2-d block with theta = 2 phi;
-    every other direction of the CS bases is shared by both projectors.
-    """
-    dim = basis_d.shape[0]
-    perm = np.concatenate([np.flatnonzero(keep), np.flatnonzero(~keep)])
-    k = int(np.count_nonzero(keep))
-    r = min(p, k, dim - p, dim - k)
-    if r:  # Pi's eigenbasis is eye[:, perm], so the overlap of the two bases is basis_d[perm]^*
-        (u1, u2), phi, _ = cossin(basis_d[perm].conj().T, p=p, q=k, separate=True, compute_vh=False)
-        basis_d = np.hstack([basis_d[:, :p] @ u1, basis_d[:, p:] @ u2])
-    else:  # Delta or Pi is 0 or I, so there are no angles
-        phi = np.zeros(0)
-        if p in (0, dim):  # Pi's eigenbasis then fits the layout below, range first iff Delta = I
-            basis_d = np.eye(dim)[:, perm if p else perm[::-1]]
-
-    # CS layout (LAPACK xORCSD): the range(Delta) columns are n11 shared with
-    # range(Pi), r cosine directions, then the rest inside ker(Pi); the
-    # ker(Delta) columns are n22 inside ker(Pi), r sine partners, then the
-    # rest inside range(Pi).
-    n11, n22 = min(p, k) - r, min(dim - p, dim - k) - r
-    top, bottom = basis_d[:, :p], basis_d[:, p:]
-    v, v_perp = top[:, n11 : n11 + r], bottom[:, n22 : n22 + r]
-    zero, right = phi <= ANGLE_TOL, phi >= np.pi / 2.0 - ANGLE_TOL
-    groups = (
-        (top[:, :n11], 1, 1), (v[:, zero], 1, 1), (top[:, n11 + r :], 1, 0), (v[:, right], 1, 0),
-        (bottom[:, :n22], 0, 0), (v_perp[:, zero], 0, 0), (bottom[:, n22 + r :], 0, 1), (v_perp[:, right], 0, 1),
-    )
-    block = ~(zero | right)
-    jd = JordanDecomposition(
-        fixed=np.hstack([cols for cols, _, _ in groups]),
-        b=np.concatenate([np.full(cols.shape[1], b) for cols, b, _ in groups]),
-        c=np.concatenate([np.full(cols.shape[1], c) for cols, _, c in groups]),
-        v=v[:, block],
-        v_perp=v_perp[:, block],
-        theta=2.0 * phi[block],
-    )
-    basis = jd.basis()
-    if np.abs(basis @ basis.conj().T - np.eye(dim)).max() > 1e-8:
-        raise DecompositionFailureError("subspaces do not resolve the identity within 1e-8")
-    return jd
+def walk_moments(g: ProgramGraph, s: int) -> np.ndarray:
+    """<0|U_s^t|0> for t = 1..MOMENTS by applying U_s to |0> on mu0 | I,
+    x -> (2 Pi_s - I)(x - 2 V_r V_r^T x): no basis of T and no SVD, so it
+    checks anchor_measure independently."""
+    sign = np.where(g.pi_mask(s)[g.num_false:], 1.0, -1.0)
+    x = np.zeros(len(sign))
+    x[0] = 1.0
+    out = np.zeros(MOMENTS)
+    for t in range(MOMENTS):
+        x = sign * (x - 2.0 * (g.v_r @ (g.v_r.T @ x)))
+        out[t] = x[0]
+    return out
 
 
-def anchor_measure(ig: InputGraph, jd: JordanDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral measure of |0> under U_s: (phases, weights) from jd, the
-    Jordan decomposition on T, plus the weight of |0> outside T at phase 0,
-    where U_s = 2 Pi_s - I fixes it."""
-    phases, vectors = jd.eigen_system()
-    return np.append(phases, 0.0), np.append(np.abs(ig.anchor @ vectors) ** 2, ig.outside_weight)
+def rank_spread(g: ProgramGraph, p: CanonicalSpanProgram, s: int, ranks) -> float:
+    """Largest difference of the anchor's moments between input s resolved
+    with V_r cut to ranks[0] and to each later rank."""
+    base, *others = (moments(*anchor_measure(build_input_graph(g, p, s, rank))) for rank in ranks)
+    return max(float(np.abs(other - base).max()) for other in others)
 
 
 def effective_gap_profile(ig: InputGraph, w_size: float, c_grid) -> list[tuple[float, float, float]]:

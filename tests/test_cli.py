@@ -214,3 +214,16 @@ def test_five_bit_verify_passes(spec):
     for family in ("zero_witness_ratio", "jordan_reconstruction"):
         assert [chk["name"] for chk in report["checks"] if chk["name"].startswith(family + "[")] == [
             f"{family}[{label}]" for label in labels]
+
+
+@pytest.mark.parametrize("spec", ["01", "MAJ:3", "OR:4"])
+def test_report_times_each_input(solved, spec):
+    """timings["inputs"] has one entry per input, and each stage's per-input
+    times are disjoint parts of that stage's total."""
+    bundle = solved(spec)
+    timings = bundle.report["timings"]
+    labels = [f"{s:0{bundle.f.n}b}" for s in bundle.f.inputs]
+    assert list(timings["inputs"]) == labels
+    for stage in ("span_program", "spectral"):
+        per_input = [timings["inputs"][label][stage] for label in labels]
+        assert min(per_input) >= 0.0 and sum(per_input) <= timings[stage]

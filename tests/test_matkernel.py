@@ -4,12 +4,10 @@ import pytest
 from advspan.errors import DimensionMismatchError, NonHermitianError, NotPSDError
 from advspan.matkernel import (
     eig_hermitian,
-    frobenius_norm,
     gram_factor,
     hadamard,
     nullspace_projector,
     spectral_norm,
-    trace_norm,
     unitary_eigensystem,
 )
 
@@ -93,39 +91,6 @@ def test_spectral_norm_examples():
     assert spectral_norm(np.eye(3)) == pytest.approx(1.0)
     assert spectral_norm(np.zeros((4, 2))) == 0.0
     assert spectral_norm(np.array([[1.0, 2.0], [2.0, 1.0]])) == pytest.approx(3.0)
-
-
-def test_trace_norm_examples():
-    assert trace_norm(np.eye(2)) == pytest.approx(2.0)
-    rng = np.random.default_rng(11)
-    u = rng.standard_normal(5)
-    v = rng.standard_normal(5)
-    u /= np.linalg.norm(u)
-    v /= np.linalg.norm(v)
-    assert trace_norm(np.outer(u, v)) == pytest.approx(1.0)
-    assert trace_norm(np.array([[1.0, 2.0], [2.0, 1.0]])) == pytest.approx(4.0)  # |-1| + |3|
-
-
-def test_trace_norm_dual_characterization():
-    # ||M||_Tr = max_B |<M, B>| / ||B||: random B give lower bounds, the
-    # aligned B attains it
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((6, 4))
-    tn = trace_norm(m)
-    for _ in range(25):
-        b = rng.standard_normal((6, 4))
-        assert abs(np.trace(m.T @ b)) / spectral_norm(b) <= tn + 1e-9
-    u, _, vt = np.linalg.svd(m, full_matrices=False)
-    aligned = u @ vt
-    assert abs(np.trace(m.T @ aligned)) / spectral_norm(aligned) == pytest.approx(tn, abs=1e-6)
-
-
-def test_schatten_ordering():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-        assert spectral_norm(m) <= frobenius_norm(m) + 1e-12
-        assert frobenius_norm(m) <= trace_norm(m) + 1e-12
 
 
 def test_hadamard():

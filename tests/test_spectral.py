@@ -1,25 +1,26 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from advspan.boolfun import load_function
-from advspan.errors import (
-    DecompositionFailureError,
-    NoNullWitnessError,
-    WitnessViolationError,
-    WrongBranchError,
-)
+from advspan.errors import NoNullWitnessError, WitnessViolationError, WrongBranchError
 from advspan.matkernel import eig_hermitian, unitary_eigensystem
 from advspan.spanprog import CanonicalSpanProgram
 from advspan.spectral import (
+    MOMENTS,
+    ProgramGraph,
     anchor_measure,
     build_input_graph,
     build_program_graph,
     edge_list,
     effective_gap_profile,
-    jordan_decompose,
+    moments,
     phase_gap_profile,
     psd_spectral_bound_check,
-    reflection_unitary,
+    rank_spread,
+    walk_moments,
     zero_witness_vectors,
 )
 
@@ -37,12 +38,31 @@ from conftest import (
 from test_spanprog import parity_example_gram_solution
 
 
-def in_pi_frame(delta, pi):
-    """jordan_decompose's input for two dense projectors, written in Pi's
-    eigenbasis Q_Pi: (Q_Pi^T basis_Delta, rank of Delta, kept coordinates)."""
-    pi_vals, q_pi = np.linalg.eigh(pi)
-    vals, vecs = np.linalg.eigh(delta)
-    return q_pi.T @ vecs[:, ::-1], int((vals > 0.5).sum()), pi_vals > 0.5
+def two_reflections(v):
+    """(graph, input graph) of U = (2 Pi - I)(I - 2 v v^T) on mu0 | I with
+    n = 1, for orthonormal columns v of length 1 + 2m, at input 0: Pi keeps
+    mu0 and the first m coordinates of I, and drops the last m."""
+    dim, rank = v.shape
+    g = ProgramGraph(n=1, m=(dim - 1) // 2, num_false=0, b_g=np.zeros((0, dim)), sigma=np.ones(rank),
+                     v=v, rank=rank, near_ranks=())
+    return g, build_input_graph(g, SimpleNamespace(f=SimpleNamespace(value=lambda s: 0)), 0)
+
+
+def measure_of(g, ig):
+    """anchor_measure(ig) as {rounded phase: total weight}, after checking
+    its moments against the matrix-free walk."""
+    phases, weights = anchor_measure(ig)
+    assert np.abs(moments(phases, weights) - walk_moments(g, 0)).max() <= 1e-12
+    out: dict[float, float] = {}
+    for phase, weight in zip(np.round(np.abs(phases), 12), weights):
+        out[phase] = out.get(phase, 0.0) + weight
+    return {phase: weight for phase, weight in out.items() if weight > 1e-12}
+
+
+def reconstruction(g, ig) -> float:
+    """The report's jordan_reconstruction value: the closed-form moments
+    against those of the walk on g."""
+    return float(np.abs(moments(*anchor_measure(ig)) - walk_moments(g, ig.s)).max())
 
 
 def b_true_singular_values(g, ig) -> np.ndarray:
@@ -55,9 +75,13 @@ def b_true_singular_values(g, ig) -> np.ndarray:
 
 
 def resolve(bundle, s):
-    """(input graph, its Jordan decomposition on T) of one input."""
-    ig = build_input_graph(bundle.graph, bundle.program, s)
-    return ig, jordan_decompose(ig.delta_basis, ig.delta_rank, ig.keep)
+    """The input graph of input s."""
+    return build_input_graph(bundle.graph, bundle.program, s)
+
+
+def rebuilt_u_r(g) -> np.ndarray:
+    """U_r = B_G V_r diag(sigma)^-1, the left singular vectors of the cut."""
+    return g.b_g @ g.v_r / g.sigma[: g.rank]
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +98,12 @@ def test_program_graph_layout(worked_parity_program):
     assert g.dim == 7 and g.b_g.shape == (2, 5)
     assert np.allclose(g.b_g[:, 0], np.ones(2) / (3 * np.sqrt(2.0)))
     assert np.allclose(g.b_g[:, 1:], worked_parity_program.matrix, atol=1e-12)
-    # the thin SVD: rank |F0| = 2, orthonormal factors that rebuild B_G
-    assert len(g.sigma) == 2
-    assert np.abs(g.u_r.T @ g.u_r - np.eye(2)).max() <= 1e-12
+    # the thin SVD: rank |F0| = 2, far from the cut, orthonormal factors that rebuild B_G
+    assert g.rank == len(g.sigma) == 2 and g.near_ranks == ()
+    u_r = rebuilt_u_r(g)
+    assert np.abs(u_r.T @ u_r - np.eye(2)).max() <= 1e-12
     assert np.abs(g.v_r.T @ g.v_r - np.eye(2)).max() <= 1e-12
-    assert np.abs((g.u_r * g.sigma) @ g.v_r.T - g.b_g).max() <= 1e-12
+    assert np.abs((u_r * g.sigma) @ g.v_r.T - g.b_g).max() <= 1e-12
 
 
 def test_adjacency_square_is_block_gram(worked_parity_program):
@@ -109,7 +134,7 @@ def test_input_graph_matches_worked_parity_matrices(worked_parity_program):
     # the biadjacency on T and the isometry outside it give b_true's singular values
     for s in range(4):
         ig = build_input_graph(g, worked_parity_program, s)
-        assert len(ig.keep) == 4 and ig.delta_rank == 2  # dim T = 2 rank(B_G)
+        assert ig.w.shape == (4, 2)  # dim T = 2 rank(B_G)
         dense = np.linalg.svd(input_biadjacency(g, s)[0], compute_uv=False)
         assert np.abs(b_true_singular_values(g, ig) - dense).max() <= 1e-12
 
@@ -131,7 +156,8 @@ def test_program_graph_resolves_delta_once(corpus, solved):
         g = bundle.graph
         nf0 = g.num_false
         complement = np.zeros((g.dim, g.dim))
-        complement[:nf0, :nf0] = g.u_r @ g.u_r.T
+        u_r = rebuilt_u_r(g)
+        complement[:nf0, :nf0] = u_r @ u_r.T
         complement[nf0:, nf0:] = g.v_r @ g.v_r.T
         assert np.abs(np.eye(g.dim) - complement - dense_delta(g)).max() <= 1e-11
 
@@ -144,13 +170,13 @@ def test_low_rank_spectra_match_dense_oracles(solved, spec):
     bundle = solved(spec)
     f, g, w = bundle.f, bundle.graph, bundle.program.witness_size
     delta = dense_delta(g)
-    powers = np.arange(1, 17)
+    powers = np.arange(1, MOMENTS + 1)
     rows = bundle.report["lemma_checks"]["effective_gap"]
     for s in f.inputs:
-        phases, overlaps = anchor_measure(*resolve(bundle, s))
+        phases, overlaps = anchor_measure(resolve(bundle, s))
         dense_phases, vectors = unitary_eigensystem(dense_unitary(g, s, delta))
         dense_overlaps = np.abs(vectors.conj().T @ anchor_vector(g)) ** 2
-        low = np.exp(1j * np.outer(powers, phases)) @ overlaps
+        low = moments(phases, overlaps)
         dense = np.exp(1j * np.outer(powers, dense_phases)) @ dense_overlaps
         assert np.abs(low - dense).max() <= 1e-10, (spec, s)
         if f.value(s) == 0:
@@ -212,95 +238,96 @@ def test_reflection_unitary_is_unitary(corpus):
         for s in bundle.f.inputs:
             u = dense_unitary(g, s, delta)
             assert np.abs(u.T @ u - np.eye(g.dim)).max() <= 1e-9
-            u_t = reflection_unitary(build_input_graph(g, bundle.program, s))
-            assert np.abs(u_t.T @ u_t - np.eye(len(u_t))).max() <= 1e-12
 
 
 def test_reflection_phases_come_in_pairs(solved):
-    phases, _ = resolve(solved("PARITY:2"), 0b10)[1].eigen_system()
+    """The dense U_s has its non-real phases in +- pairs, and every phase the
+    closed form puts weight on is one of them."""
+    bundle = solved("PARITY:2")
+    phases, _ = unitary_eigensystem(dense_unitary(bundle.graph, 0b10))
     nonreal = np.sort(phases[np.abs(np.abs(phases) - np.pi) > 1e-12])
     nonreal = nonreal[np.abs(nonreal) > 1e-12]
     assert np.allclose(nonreal, -nonreal[::-1], atol=1e-9)  # +- pairs
     assert set(np.round(phases[np.isclose(np.abs(phases), 0.0, atol=1e-12)], 12)) <= {0.0}
+    closed, weights = anchor_measure(resolve(bundle, 0b10))
+    for phase in closed[weights > 1e-12]:
+        assert np.abs(np.exp(1j * phases) - np.exp(1j * phase)).min() <= 1e-9
 
 
 def test_jordan_identity_cases():
-    eye = np.eye(4)
-    jd = jordan_decompose(*in_pi_frame(eye, eye))
-    assert not len(jd.theta)
-    assert np.allclose(jd.reconstruct_unitary(), eye)
-    jd2 = jordan_decompose(*in_pi_frame(np.zeros((4, 4)), eye))
-    assert not len(jd2.theta)
-    assert np.allclose(jd2.reconstruct_unitary(), -eye)
+    """Delta = I (V_r empty): U = 2 Pi - I fixes |0>.  Delta = 0 (V_r = I):
+    U = -(2 Pi - I) negates it."""
+    assert measure_of(*two_reflections(np.zeros((5, 0)))) == pytest.approx({0.0: 1.0})
+    assert measure_of(*two_reflections(np.eye(5))) == pytest.approx({round(np.pi, 12): 1.0})
 
 
 def test_jordan_two_lines_at_45_degrees():
-    delta = np.diag([1.0, 0.0])
-    direction = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    pi = np.outer(direction, direction)
-    jd = jordan_decompose(*in_pi_frame(delta, pi))
-    assert len(jd.theta) == 1
-    assert not len(jd.b)  # no 1-d directions
-    assert jd.theta[0] == pytest.approx(np.pi / 2.0, abs=1e-12)
-    phases, _ = jd.eigen_system()
-    assert np.allclose(np.sort(phases), [-np.pi / 2.0, np.pi / 2.0])  # eigenvalues -+ i
+    """range(I - Delta) is the line through mu0 and a dropped coordinate, at
+    45 degrees to range(Pi): U turns by -+pi/2, and U^2 |0> = -|0>."""
+    g, ig = two_reflections(np.array([[1.0], [0.0], [1.0]]) / np.sqrt(2.0))
+    assert ig.cosines == pytest.approx([np.sqrt(0.5)], abs=1e-15)
+    assert measure_of(g, ig) == pytest.approx({round(np.pi / 2.0, 12): 1.0})
+    assert walk_moments(g, 0)[:2] == pytest.approx([0.0, -1.0], abs=1e-15)
 
 
 def test_jordan_shared_projector_gives_plus_one():
-    rng = np.random.default_rng(31)
-    basis = np.linalg.qr(rng.standard_normal((6, 6)))[0][:, :3]
-    p = basis @ basis.T
-    jd = jordan_decompose(*in_pi_frame(p, p))
-    assert not len(jd.theta)
-    assert np.allclose(jd.reconstruct_unitary(), np.eye(6), atol=1e-9)
+    """Delta = Pi: V_r spans the dropped coordinates, every cosine is 0, and
+    U fixes |0> at every power."""
+    v = np.zeros((7, 3))
+    v[4:] = np.linalg.qr(np.random.default_rng(31).standard_normal((3, 3)))[0]
+    g, ig = two_reflections(v)
+    assert np.abs(ig.cosines).max() <= 1e-15
+    assert measure_of(g, ig) == pytest.approx({0.0: 1.0})
+    assert walk_moments(g, 0) == pytest.approx(np.ones(MOMENTS), abs=1e-15)
 
 
 def test_jordan_commuting_projectors_are_one_dimensional():
+    """V_r spans two kept directions (one through mu0) and one dropped one,
+    so Delta and Pi commute: every cosine is 0 or 1, and |0> sits at phase pi
+    with its weight in range(I - Delta), at 0 with the rest."""
     rng = np.random.default_rng(37)
-    q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
-    delta = q @ np.diag([1, 1, 1, 0, 0, 0, 0, 0.0]) @ q.T
-    pi = q @ np.diag([1, 0, 1, 1, 0, 0, 1, 0.0]) @ q.T
-    jd = jordan_decompose(*in_pi_frame(delta, pi))
-    assert not len(jd.theta)
-    assert len(jd.b) == 8
+    v = np.zeros((9, 3))
+    v[:5, :2] = np.linalg.qr(rng.standard_normal((5, 2)))[0]
+    v[7, 2] = 1.0
+    g, ig = two_reflections(v)
+    assert np.minimum(np.abs(ig.cosines), np.abs(ig.cosines - 1.0)).max() <= 1e-12
+    inside = float(v[0] @ v[0])
+    assert measure_of(g, ig) == pytest.approx({round(np.pi, 12): inside, 0.0: 1.0 - inside})
 
 
-def test_jordan_rejects_a_basis_that_is_not_orthonormal():
-    """jordan_decompose trusts its basis; the identity-resolution check
-    catches one that is off by a relative 1e-7."""
-    q = np.linalg.qr(np.random.default_rng(43).standard_normal((6, 6)))[0]
-    basis, rank, keep = in_pi_frame(q[:, :3] @ q[:, :3].T, np.diag([1.0, 1, 0, 1, 0, 0]))
-    assert len(jordan_decompose(basis, rank, keep).theta) == 3
-    with pytest.raises(DecompositionFailureError):
-        jordan_decompose(basis * (1.0 + 1e-7), rank, keep)
+def test_jordan_rejects_a_basis_that_is_not_orthonormal(solved):
+    """jordan_reconstruction fails loudly on every input when the walk's V_r is
+    off by a relative 1e-7 or misses its first column."""
+    for spec in ("MAJ:3", "MAJ:4", "00111101"):
+        bundle = solved(spec)
+        g = bundle.graph
+        for bad in (dataclasses.replace(g, v=g.v * (1.0 + 1e-7)),
+                    dataclasses.replace(g, v=g.v[:, 1:], rank=g.rank - 1)):
+            for s in bundle.f.inputs:
+                assert reconstruction(bad, resolve(bundle, s)) > 1e-8, (spec, s)
 
 
 def test_jordan_blocks_carry_rank_one_projections(corpus):
+    """Pi (I - Delta) Pi = sum_k c_k^2 |k><k| over the kept T coordinates, and
+    the dropped ones diagonalize (I - Pi)(I - Delta)(I - Pi) too."""
     for bundle in corpus[:3]:
         for s in bundle.f.inputs:
-            ig, jd = resolve(bundle, s)
-            delta = np.eye(len(ig.keep)) - ig.w @ ig.w.T
-            pi = np.diag(ig.keep.astype(float))
-            # Pi projects each block onto w = cos(theta/2) v + sin(theta/2) v_perp
-            cos_h, sin_h = np.cos(jd.theta / 2.0), np.sin(jd.theta / 2.0)
-            w, w_perp = jd.v * cos_h + jd.v_perp * sin_h, jd.v_perp * cos_h - jd.v * sin_h
-            assert np.all((0.0 < jd.theta) & (jd.theta < np.pi))
-            assert np.allclose(jd.theta, 2.0 * np.arccos(np.abs((jd.v * w).sum(axis=0))), atol=1e-9)
-            for cols, image in ((jd.v, delta @ jd.v), (0 * jd.v_perp, delta @ jd.v_perp),
-                                (w, pi @ w), (0 * w_perp, pi @ w_perp)):
-                assert np.linalg.norm(image - cols, axis=0).max(initial=0.0) <= 1e-8
+            ig = resolve(bundle, s)
+            kept, dropped = ig.w[ig.keep], ig.w[~ig.keep]
+            assert np.abs(kept @ kept.T - np.diag(ig.cosines**2)).max() <= 1e-12
+            gram = dropped @ dropped.T
+            assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-12
 
 
 def test_jordan_reconstruction_matches_reflection(corpus):
+    """The closed-form moments match U_s applied to |0> on every input, and
+    the measure is a probability measure."""
     for bundle in corpus:
         for s in bundle.f.inputs:
-            ig, jd = resolve(bundle, s)
-            u = reflection_unitary(ig)
-            assert np.linalg.norm(jd.reconstruct_unitary() - u, 2) <= 1e-8
-            phases, vectors = jd.eigen_system()
-            assert np.abs(vectors.conj().T @ vectors - np.eye(len(u))).max() <= 1e-8
-            check = u @ vectors - vectors * np.exp(1j * phases)[None, :]
-            assert np.abs(check).max() <= 1e-7
+            ig = resolve(bundle, s)
+            assert reconstruction(bundle.graph, ig) <= 1e-12
+            weights = anchor_measure(ig)[1]
+            assert weights.min() >= 0.0 and weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_true_input_fixed_vector(corpus):
@@ -362,7 +389,7 @@ def test_phase_gap_profile(corpus):
         f, prog = bundle.f, bundle.program
         w = prog.witness_size
         for s in f.f0:
-            phases, overlaps = anchor_measure(*resolve(bundle, s))
+            phases, overlaps = anchor_measure(resolve(bundle, s))
             grid = [0.0, 1.0 / (50.0 * w), 0.01, 0.1, 1.0, np.pi]
             rows = phase_gap_profile(phases, overlaps, w, grid, f.value(s))
             for theta, lhs, rhs in rows:
@@ -370,7 +397,7 @@ def test_phase_gap_profile(corpus):
             assert rows[0][1] <= 1e-9  # Theta = 0: zero-phase vectors miss |0>
             assert rows[-1][1] <= 1.0 + 1e-9  # Theta = pi: completeness
         with pytest.raises(WrongBranchError):
-            phase_gap_profile(*anchor_measure(*resolve(bundle, f.f1[0])), w, [0.1], 1)
+            phase_gap_profile(*anchor_measure(resolve(bundle, f.f1[0])), w, [0.1], 1)
 
 
 def test_psd_bound_scalar_case():
@@ -455,8 +482,26 @@ def test_edge_list_roundtrip(solved):
     ["00000001", "00000011", "00000110", "00000111", "00010110", "00011000", "00011001", "00011110"],
 )
 def test_jordan_decomposes_every_input_of_hard_3bit_tables(solved, table):
-    """Tables whose inputs the eigenvector classification of Delta Pi Delta
-    could not split; the CS decomposition must resolve all of them."""
-    for s in solved(table).f.inputs:
-        ig, jd = resolve(solved(table), s)
-        assert np.linalg.norm(jd.reconstruct_unitary() - reflection_unitary(ig), 2) <= 1e-8
+    """Tables whose inputs put Jordan angles at or near 0 and pi/2, where
+    the CS layout of earlier versions split them: the closed form matches
+    the walk on every input well inside the report's 1e-8 bound."""
+    bundle = solved(table)
+    for s in bundle.f.inputs:
+        assert reconstruction(bundle.graph, resolve(bundle, s)) <= 1e-12
+
+
+def test_rank_cut_rows_only_where_the_cut_is_ambiguous(corpus, solved):
+    """00000011 has singular values of B_G at 1.28 and 0.90 times the cut, so
+    ranks 4 and 6 are resolved beside 5, and they agree; ranks 3 and 4 span a
+    real singular value and do not.  Nowhere else is a rank_cut row reported."""
+    bundle = solved("00000011")
+    g, p = bundle.graph, bundle.program
+    assert (g.rank, g.near_ranks) == (5, (4, 6))
+    rows = [chk for chk in bundle.report["checks"] if chk["name"].startswith("rank_cut[")]
+    assert [chk["name"] for chk in rows] == [f"rank_cut[{s:03b}]" for s in bundle.f.inputs]
+    assert all(chk["pass"] and chk["bound"] == 1e-8 for chk in rows)
+    for s in bundle.f.inputs:
+        assert rank_spread(g, p, s, (3, 4)) > 1e-8
+    for other in corpus:
+        assert other.graph.near_ranks == ()
+        assert not any(chk["name"].startswith("rank_cut[") for chk in other.report["checks"])
