@@ -5,19 +5,22 @@ pairs subject to
     sum_{j : w_j != x_j} X[(w,j),(x,j)] = 1          for every (w,x) in F0 x F1,
     sum_j X[(s,j),(s,j)] <= xi                        for every input s.
 The optimum equals ADV(f), the maximum over adversary matrices Gamma of
-||Gamma|| / max_i ||Gamma o D_i||.
+||Gamma|| / max_i ||Gamma o D_i||.  No constraint reads an entry that joins
+two coordinates, so the cone is exactly the product of n PSD cones of side 2^n,
+the blocks X_j[w,x] = X[(w,j),(x,j)]: zeroing the joining entries keeps a PSD
+X PSD (its blocks are principal submatrices), feasible and as good.
 
 The solver is a projection-splitting (ADMM) scheme over the variable
-v = (vec(X), slacks u, xi): it alternates a least-squares projection onto
-the affine constraint set (with the linear objective folded in) against a
-projection onto the cone PSD x R+^S x R, with over-relaxation.  Dual
-multipliers for the affine rows come out of the least-squares projection
-and assemble into the adversary-matrix certificate via
-Gamma[w,x] = alpha_{w,x} / sqrt(beta_w beta_x).
+v = (vec(X_0) ... vec(X_{n-1}), slacks u, xi): it alternates a least-squares
+projection onto the affine constraint set (with the linear objective folded
+in) against a projection onto the cone PSD^n x R+^S x R (one batched eigh),
+with over-relaxation.  Dual multipliers for the affine rows come out of the
+least-squares projection and assemble into the adversary-matrix certificate
+via Gamma[w,x] = alpha_{w,x} / sqrt(beta_w beta_x).
 
 The constraints are index arrays, and the affine projection is exact in closed
-form: A A^T = diag(|D(w,x)|/2) + ((n+1) I + 1 1^T), since each X[a,b] lies in
-one pair row (a an F0 row, b an F1 row) and the row-sum rows meet only in xi.
+form: A A^T = diag(|D(w,x)|/2) + ((n+1) I + 1 1^T), since each X_j[w,x] lies
+in one pair row (w an F0 row, x an F1 row) and the row-sum rows meet only in xi.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     PatternViolationError,
     ZeroMatrixError,
 )
-from .matkernel import eig_hermitian, hadamard, spectral_norm
+from .matkernel import hadamard, spectral_norm
 
 DEFAULT_TOL = 1e-7
 MAX_ITERATIONS = 50_000
@@ -48,18 +51,20 @@ RELAXATION = 1.7
 class WitnessSdp:
     """Standard-form data for the witness-size SDP of one function.
 
-    The flat variable vector is [vec(X) | u | xi] with X of side n * 2^n.
-    Equality rows cover the F0 x F1 pair constraints followed by the
-    slack-completed row-sum constraints sum_j X[(s,j),(s,j)] + u_s = xi.
-    Pair row p sums (X[a,b] + X[b,a]) / 2 over the entries e with entry_pair[e] = p,
-    one per 0-based j with w_j != x_j: a = entry_row[e] = w*n + j, b = entry_col[e] = x*n + j.
+    The flat variable vector is [vec(X_0) ... vec(X_{n-1}) | u | xi] with
+    X_j[w,x] at j * 4^n + w * 2^n + x.  Equality rows cover the F0 x F1 pair
+    constraints followed by the slack-completed row-sum constraints
+    sum_j X_j[s,s] + u_s = xi, with X_j[s,s] at diagonal[j, s].  Pair row p sums
+    (X_j[w,x] + X_j[x,w]) / 2 over the entries e with entry_pair[e] = p, one per
+    0-based j with w_j != x_j, at entry_index[e] and entry_mirror[e].
     """
 
     f: BooleanFunction
     pairs: tuple[tuple[int, int], ...]
     entry_pair: np.ndarray
-    entry_row: np.ndarray
-    entry_col: np.ndarray
+    entry_index: np.ndarray
+    entry_mirror: np.ndarray
+    diagonal: np.ndarray
 
     @property
     def n(self) -> int:
@@ -67,6 +72,7 @@ class WitnessSdp:
 
     @property
     def side(self) -> int:
+        """Side of the whole Gram matrix X, indexed by s * n + j."""
         return self.f.n * 2**self.f.n
 
     @property
@@ -76,12 +82,12 @@ class WitnessSdp:
     @property
     def constraints(self) -> np.ndarray:
         """Dense equality rows A, the tests' reference; the solver never builds it."""
-        side, p, s = self.side, len(self.pairs), self.num_inputs
-        rows = np.zeros((p + s, side * side + s + 1))
-        rows[self.entry_pair, self.entry_row * side + self.entry_col] = 0.5
-        rows[self.entry_pair, self.entry_col * side + self.entry_row] = 0.5
-        rows[p + np.arange(side) // self.n, np.arange(side) * (side + 1)] = 1.0
-        rows[p:, side * side :] = np.hstack([np.eye(s), -np.ones((s, 1))])
+        n, p, s = self.n, len(self.pairs), self.num_inputs
+        rows = np.zeros((p + s, n * s * s + s + 1))
+        rows[self.entry_pair, self.entry_index] = 0.5
+        rows[self.entry_pair, self.entry_mirror] = 0.5
+        rows[p + np.arange(s), self.diagonal] = 1.0
+        rows[p:, n * s * s :] = np.hstack([np.eye(s), -np.ones((s, 1))])
         return rows
 
 
@@ -89,36 +95,38 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
     """Index the constraint system; one equality per (w,x), one row bound per s."""
     if f.is_constant:
         raise ConstantFunctionError("ADV is undefined for constant functions (F0 x F1 is empty)")
-    n = f.n
+    n, s = f.n, 2**f.n
     pairs = tuple((w, x) for w in f.f0 for x in f.f1)
-    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    bits = (np.arange(s)[:, None] >> (n - 1 - np.arange(n))) & 1
     f0, f1 = np.array(f.f0), np.array(f.f1)
     pair, j = np.nonzero((bits[f0][:, None, :] != bits[f1][None, :, :]).reshape(len(pairs), n))
-    return WitnessSdp(f=f, pairs=pairs, entry_pair=pair, entry_row=f0[pair // len(f1)] * n + j,
-                      entry_col=f1[pair % len(f1)] * n + j)
+    w, x = f0[pair // len(f1)], f1[pair % len(f1)]
+    return WitnessSdp(f=f, pairs=pairs, entry_pair=pair, entry_index=(j * s + w) * s + x,
+                      entry_mirror=(j * s + x) * s + w,
+                      diagonal=np.arange(n)[:, None] * s * s + np.arange(s) * (s + 1))
 
 
 def _pair_values(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
     """The pair rows of A applied to the flat variable v."""
-    both = v[sdp.entry_row * sdp.side + sdp.entry_col] + v[sdp.entry_col * sdp.side + sdp.entry_row]
+    both = v[sdp.entry_index] + v[sdp.entry_mirror]
     return 0.5 * np.bincount(sdp.entry_pair, weights=both, minlength=len(sdp.pairs))
 
 
 def affine_projection(sdp: WitnessSdp, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projection v = y - A^T m of y onto {A v = b}, m = (A A^T)^-1 (A y - b).
 
-    No (a,b) repeats or is also a (b,a), so scattering A^T m needs no np.add.at.
+    No (j,w,x) repeats or is also a (j,x,w), so scattering A^T m needs no np.add.at.
     """
-    side, num_inputs, n = sdp.side, sdp.num_inputs, sdp.n
+    num_inputs, n = sdp.num_inputs, sdp.n
     m_pair = (_pair_values(sdp, y) - 1.0) / (0.5 * np.bincount(sdp.entry_pair, minlength=len(sdp.pairs)))
-    r = y[: side * side : side + 1].reshape(num_inputs, n).sum(axis=1) + y[side * side : -1] - y[-1]
+    r = y[sdp.diagonal].sum(axis=0) + y[-1 - num_inputs : -1] - y[-1]
     m_row = (r - r.sum() / (n + 1 + num_inputs)) / (n + 1)
     v = y.copy()
     step = 0.5 * m_pair[sdp.entry_pair]
-    v[sdp.entry_row * side + sdp.entry_col] -= step
-    v[sdp.entry_col * side + sdp.entry_row] -= step
-    v[: side * side : side + 1] -= np.repeat(m_row, n)
-    v[side * side : -1] -= m_row
+    v[sdp.entry_index] -= step
+    v[sdp.entry_mirror] -= step
+    v[sdp.diagonal] -= m_row
+    v[-1 - num_inputs : -1] -= m_row
     v[-1] += m_row.sum()
     return v, np.concatenate([m_pair, m_row])
 
@@ -161,23 +169,17 @@ def solve_sdp(
     """
     if tol < 1e-9:
         raise ValueError("tol below 1e-9 is not supported")
-    side, num_inputs, num_pairs = sdp.side, sdp.num_inputs, len(sdp.pairs)
-    dim = side * side + num_inputs + 1
-    cost = np.zeros(dim)
+    n, num_inputs, num_pairs = sdp.n, sdp.num_inputs, len(sdp.pairs)
+    cost = np.zeros(n * num_inputs**2 + num_inputs + 1)
     cost[-1] = 1.0
 
-    z = np.zeros(dim)
-    lam = np.zeros(dim)
-    mu = np.zeros(num_pairs + num_inputs)
+    z, lam, mu = np.zeros_like(cost), np.zeros_like(cost), np.zeros(num_pairs + num_inputs)
 
     def project_cone(y: np.ndarray) -> np.ndarray:
-        xm = y[: side * side].reshape(side, side)
-        xm = (xm + xm.T) / 2
-        w, v = np.linalg.eigh(xm)
-        xp = (v * np.maximum(w, 0.0)) @ v.T
-        return np.concatenate(
-            [xp.reshape(-1), np.maximum(y[side * side : side * side + num_inputs], 0.0), y[-1:]]
-        )
+        xb = y[: -1 - num_inputs].reshape(n, num_inputs, num_inputs)
+        w, v = np.linalg.eigh((xb + xb.transpose(0, 2, 1)) / 2)
+        xp = (v * np.maximum(w, 0.0)[:, None, :]) @ v.transpose(0, 2, 1)
+        return np.concatenate([xp.reshape(-1), np.maximum(y[-1 - num_inputs : -1], 0.0), y[-1:]])
 
     iterations, converged = 0, False
     primal_res = dual_res = gap = np.inf
@@ -195,18 +197,16 @@ def solve_sdp(
         iterations += 1
         converged = primal_res <= scale and dual_res <= scale and gap <= scale
 
-    nu = -RHO * mu
-    alpha = nu[:num_pairs]
-    beta = -nu[num_pairs:]
-    eq = _pair_values(sdp, z) - 1.0
-    x = z[: side * side].reshape(side, side)
-    x = (x + x.T) / 2
+    alpha, beta = -RHO * mu[:num_pairs], RHO * mu[num_pairs:]
+    xb = z[: -1 - num_inputs].reshape(n, num_inputs, num_inputs)
+    blocks = (xb + xb.transpose(0, 2, 1)) / 2
+    x = np.einsum("jwx,jk->wjxk", blocks, np.eye(n)).reshape(sdp.side, sdp.side)
     xi = float(z[-1])
 
     residuals = {
-        "primal_equality": float(np.abs(eq).max()),
-        "row_sum_violation": float(max(0.0, (np.diagonal(x).reshape(num_inputs, sdp.n).sum(axis=1) - xi).max())),
-        "min_eigenvalue": float(eig_hermitian(x).eigenvalues.min()),
+        "primal_equality": float(np.abs(_pair_values(sdp, z) - 1.0).max()),
+        "row_sum_violation": float(max(0.0, (z[sdp.diagonal].sum(axis=0) - xi).max())),
+        "min_eigenvalue": float(np.linalg.eigvalsh(blocks).min()),
         "duality_gap": float(abs(xi - alpha.sum())),
         "beta_sum": float(beta.sum()),
         "consensus_primal": primal_res,

@@ -115,8 +115,10 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
 
     t0 = time.perf_counter()
     sol = solve_sdp(build_witness_sdp(f), tol=tol)
-    cert = extract_certificate(sol, f)
     timings["sdp"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    cert = extract_certificate(sol, f)
+    timings["certificate"] = time.perf_counter() - t0
     xi = sol.xi
     report["adv"] = {
         "xi": xi,
@@ -133,6 +135,8 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
     t0 = time.perf_counter()
     program = canonical_from_gram(f, sol)
     witness_prog = program.witness_program()
+    timings["canonical"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     per_input = []
     input_timings: dict[str, dict[str, float]] = {}
     for s in f.inputs:

@@ -84,11 +84,15 @@ class Evaluation:
 
 
 def _nullspace_basis(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of null(mat)."""
+    """Orthonormal basis (columns) of null(mat).
+
+    With rows >= cols the thin SVD already holds all cols right vectors, so
+    the rows x rows left factor is never formed.
+    """
     rows, cols = mat.shape
     if rows == 0:
         return np.eye(cols)
-    _, sv, vt = np.linalg.svd(mat, full_matrices=True)
+    _, sv, vt = np.linalg.svd(mat, full_matrices=rows < cols)
     tol = max(rows, cols) * np.finfo(float).eps * (sv[0] if len(sv) else 0.0)
     rank = int((sv > tol).sum())
     return vt[rank:].T

@@ -1,5 +1,6 @@
 """Shared corpus of solved functions, cached once per session, and the dense
-references of the program and input graphs that only tests build."""
+references of the witness SDP solver and of the program and input graphs that
+only tests build."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from advspan import verify
+from advspan.advsdp import DEFAULT_TOL, MAX_ITERATIONS, RELAXATION, RHO
 from advspan.boolfun import BooleanFunction
 from advspan.matkernel import nullspace_projector
 from advspan.spectral import column_mask
@@ -124,3 +126,50 @@ def input_adjacency(g, s: int) -> tuple[np.ndarray, int]:
     b = input_biadjacency(g, s)[0]
     rows, cols = b.shape
     return np.block([[np.zeros((rows, rows)), b], [b.T, np.zeros((cols, cols))]]), rows
+
+
+def dense_witness_constraints(sdp) -> np.ndarray:
+    """Equality rows A on [vec(X) | u | xi], X of side n 2^n indexed by s n + j."""
+    n, side, p, s = sdp.n, sdp.side, len(sdp.pairs), sdp.num_inputs
+    rows = np.zeros((p + s, side * side + s + 1))
+    for k, (w, x) in enumerate(sdp.pairs):
+        for j in range(n):
+            if sdp.f.bit(w, j + 1) != sdp.f.bit(x, j + 1):
+                rows[k, (w * n + j) * side + x * n + j] = 0.5
+                rows[k, (x * n + j) * side + w * n + j] = 0.5
+    for t in range(s):
+        for j in range(n):
+            rows[p + t, (t * n + j) * (side + 1)] = 1.0
+    rows[p:, side * side :] = np.hstack([np.eye(s), -np.ones((s, 1))])
+    return rows
+
+
+def dense_admm(sdp, tol: float = DEFAULT_TOL, max_iterations: int = MAX_ITERATIONS) -> dict:
+    """solve_sdp's ADMM over one PSD matrix X of side n 2^n, with the affine
+    projection solved against the dense A A^T: the block solver's reference."""
+    a = dense_witness_constraints(sdp)
+    p, s, side = len(sdp.pairs), sdp.num_inputs, sdp.side
+    b = np.concatenate([np.ones(p), np.zeros(s)])
+    gram = a @ a.T
+    cost = np.zeros(a.shape[1])
+    cost[-1] = 1.0
+    z, lam = np.zeros_like(cost), np.zeros_like(cost)
+    for iterations in range(1, max_iterations + 1):
+        y = z - lam - cost / RHO
+        mu = np.linalg.solve(gram, a @ y - b)
+        v = y - a.T @ mu
+        v_relaxed = RELAXATION * v + (1 - RELAXATION) * z
+        q = v_relaxed + lam
+        xm = q[: side * side].reshape(side, side)
+        w, vecs = np.linalg.eigh((xm + xm.T) / 2)
+        xp = (vecs * np.maximum(w, 0.0)) @ vecs.T
+        z_new = np.concatenate([xp.reshape(-1), np.maximum(q[side * side : -1], 0.0), q[-1:]])
+        lam = lam + v_relaxed - z_new
+        primal_res, dual_res = np.linalg.norm(v - z_new), RHO * np.linalg.norm(z_new - z)
+        z = z_new
+        scale = tol * max(1.0, abs(z[-1]))
+        if primal_res <= scale and dual_res <= scale and abs(z[-1] + RHO * mu[:p].sum()) <= scale:
+            break
+    x = z[: side * side].reshape(side, side)
+    return {"iterations": iterations, "x": (x + x.T) / 2, "xi": float(z[-1]),
+            "alpha": -RHO * mu[:p], "beta": RHO * mu[p:]}

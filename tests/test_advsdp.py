@@ -12,6 +12,8 @@ from advspan.errors import (
     ZeroMatrixError,
 )
 
+from conftest import corpus_specs, dense_admm
+
 
 def test_build_dimensions_parity2():
     sdp = build_witness_sdp(load_function("PARITY:2"))
@@ -191,18 +193,35 @@ def test_no_convergence_reports_residuals():
 
 
 def test_pair_constraints_touch_only_differing_coordinates():
+    """Each pair row reads X_j[w,x] and X_j[x,w] of its own pair, and only on
+    coordinates j where w and x differ; the block layout puts both ends of an
+    entry on the same coordinate by construction."""
     sdp = build_witness_sdp(load_function("MAJ:3"))
-    side = sdp.side
+    s = sdp.num_inputs
     for p, (w, x) in enumerate(sdp.pairs):
-        support = np.flatnonzero(sdp.constraints[p, : side * side])
+        support = np.flatnonzero(sdp.constraints[p, : sdp.n * s * s])
+        assert len(support) > 0
         for flat in support:
-            r, c = divmod(flat, side)
-            a, b = sorted((r, c))
-            s1, j1 = divmod(a, sdp.n)
-            s2, j2 = divmod(b, sdp.n)
-            assert {s1, s2} == {w, x}
-            assert j1 == j2
-            assert sdp.f.bit(w, j1 + 1) != sdp.f.bit(x, j1 + 1)
+            j, r, c = np.unravel_index(flat, (sdp.n, s, s))
+            assert {int(r), int(c)} == {w, x}
+            assert sdp.f.bit(w, j + 1) != sdp.f.bit(x, j + 1)
+
+
+@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4"])
+def test_block_solver_matches_dense_reference(solved, spec):
+    """The block solver runs the same ADMM as the loop over one PSD matrix of
+    side n 2^n: same iteration count, same duals and the same Gram matrix, which
+    is zero between coordinates."""
+    sol = solved(spec).solution
+    ref = dense_admm(sol.sdp)
+    assert sol.residuals["iterations"] == ref["iterations"]
+    assert abs(sol.xi - ref["xi"]) <= 1e-12
+    assert np.abs(sol.alpha - ref["alpha"]).max() <= 1e-12
+    assert np.abs(sol.beta - ref["beta"]).max() <= 1e-12
+    assert np.abs(sol.x - ref["x"]).max() <= 1e-11
+    coords = np.arange(sol.sdp.side) % sol.sdp.n
+    assert not sol.x[coords[:, None] != coords[None, :]].any()
+    assert abs(sol.residuals["min_eigenvalue"] - np.linalg.eigvalsh(sol.x).min()) <= 1e-12
 
 
 def test_certificate_beta_alignment_reported(corpus):

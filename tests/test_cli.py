@@ -218,10 +218,12 @@ def test_five_bit_verify_passes(spec):
 
 @pytest.mark.parametrize("spec", ["01", "MAJ:3", "OR:4"])
 def test_report_times_each_input(solved, spec):
-    """timings["inputs"] has one entry per input, and each stage's per-input
-    times are disjoint parts of that stage's total."""
+    """timings has one total per stage and timings["inputs"] one entry per
+    input, and each stage's per-input times are disjoint parts of that stage's
+    total."""
     bundle = solved(spec)
     timings = bundle.report["timings"]
+    assert list(timings) == ["sdp", "certificate", "canonical", "span_program", "spectral", "total", "inputs"]
     labels = [f"{s:0{bundle.f.n}b}" for s in bundle.f.inputs]
     assert list(timings["inputs"]) == labels
     for stage in ("span_program", "spectral"):
