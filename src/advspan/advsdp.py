@@ -71,11 +71,6 @@ class WitnessSdp:
         return self.f.n
 
     @property
-    def side(self) -> int:
-        """Side of the whole Gram matrix X, indexed by s * n + j."""
-        return self.f.n * 2**self.f.n
-
-    @property
     def num_inputs(self) -> int:
         return 2**self.f.n
 
@@ -97,8 +92,7 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
         raise ConstantFunctionError("ADV is undefined for constant functions (F0 x F1 is empty)")
     n, s = f.n, 2**f.n
     pairs = tuple((w, x) for w in f.f0 for x in f.f1)
-    bits = (np.arange(s)[:, None] >> (n - 1 - np.arange(n))) & 1
-    f0, f1 = np.array(f.f0), np.array(f.f1)
+    bits, f0, f1 = f.bits, np.array(f.f0), np.array(f.f1)
     pair, j = np.nonzero((bits[f0][:, None, :] != bits[f1][None, :, :]).reshape(len(pairs), n))
     w, x = f0[pair // len(f1)], f1[pair % len(f1)]
     return WitnessSdp(f=f, pairs=pairs, entry_pair=pair, entry_index=(j * s + w) * s + x,
@@ -135,13 +129,16 @@ def affine_projection(sdp: WitnessSdp, y: np.ndarray) -> tuple[np.ndarray, np.nd
 class SdpSolution:
     """Primal-dual output of solve_sdp.
 
-    alpha holds one multiplier per equality constraint (keyed like
-    WitnessSdp.pairs) and beta one nonnegative multiplier per input; at the
-    optimum sum(beta) = 1 and sum(alpha) equals xi.
+    blocks, of shape (n, 2^n, 2^n), holds the Gram blocks
+    X_j[w,x] = <v_{w,j}|v_{x,j}>; they are the whole primal, since no
+    constraint reads an entry between two coordinates.  alpha holds one
+    multiplier per equality constraint (keyed like WitnessSdp.pairs) and
+    beta one nonnegative multiplier per input; at the optimum sum(beta) = 1
+    and sum(alpha) equals xi.
     """
 
     sdp: WitnessSdp
-    x: np.ndarray
+    blocks: np.ndarray
     xi: float
     alpha: np.ndarray
     beta: np.ndarray
@@ -152,7 +149,7 @@ class SdpSolution:
         return float(self.alpha.sum())
 
     def row_sum(self, s: int) -> float:
-        return float(np.diagonal(self.x).reshape(-1, self.sdp.n)[s].sum())
+        return float(self.blocks[:, s, s].sum())
 
 
 def solve_sdp(
@@ -200,7 +197,6 @@ def solve_sdp(
     alpha, beta = -RHO * mu[:num_pairs], RHO * mu[num_pairs:]
     xb = z[: -1 - num_inputs].reshape(n, num_inputs, num_inputs)
     blocks = (xb + xb.transpose(0, 2, 1)) / 2
-    x = np.einsum("jwx,jk->wjxk", blocks, np.eye(n)).reshape(sdp.side, sdp.side)
     xi = float(z[-1])
 
     residuals = {
@@ -220,7 +216,7 @@ def solve_sdp(
             f"(consensus {primal_res:.2e}/{dual_res:.2e}, gap {gap:.2e})",
             residuals,
         )
-    return SdpSolution(sdp=sdp, x=x, xi=xi, alpha=alpha, beta=beta, residuals=residuals)
+    return SdpSolution(sdp=sdp, blocks=blocks, xi=xi, alpha=alpha, beta=beta, residuals=residuals)
 
 
 @dataclass(frozen=True)

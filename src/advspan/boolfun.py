@@ -48,6 +48,11 @@ class BooleanFunction:
         return (s >> (self.n - j)) & 1
 
     @property
+    def bits(self) -> np.ndarray:
+        """The (2^n, n) 0/1 table of every input: bits[s, j-1] = x_j of s (MSB = x_1)."""
+        return (np.arange(2**self.n)[:, None] >> (self.n - 1 - np.arange(self.n))) & 1
+
+    @property
     def inputs(self) -> range:
         return range(2**self.n)
 
@@ -110,7 +115,7 @@ def difference_matrix(f: BooleanFunction, i: int) -> np.ndarray:
     """0/1 matrix with entry (x, y) = 1 exactly when x_i != y_i."""
     if not 1 <= i <= f.n:
         raise IndexOutOfRangeError(f"coordinate {i} outside 1..{f.n}")
-    bits = np.array([f.bit(s, i) for s in f.inputs])
+    bits = f.bits[:, i - 1]
     return (bits[:, None] != bits[None, :]).astype(float)
 
 

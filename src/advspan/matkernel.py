@@ -33,25 +33,27 @@ def as_matrix(m) -> np.ndarray:
 
 
 def hermitian_defect(m) -> float:
-    """max |M[i,j] - conj(M[j,i])| over all entries."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    """max |M[i,j] - conj(M[j,i])| over all entries of a matrix or a stack (..., k, k)."""
+    a = np.asarray(m)
+    if a.ndim < 2:
+        raise DimensionMismatchError(f"expected a matrix or a stack of them, got shape {a.shape}")
+    if a.shape[-2] != a.shape[-1]:
         return float("inf")
-    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
 
 
 def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Return the exactly-symmetrized matrix, or raise NonHermitianError.
+    """Return the exactly-symmetrized matrix (or stack), or raise NonHermitianError.
 
     The defect tolerance is scaled by max(1, max|entry|) so that large
     well-conditioned matrices are not rejected for roundoff.
     """
-    a = as_matrix(m)
+    a = np.asarray(m)
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
     defect = hermitian_defect(a)
     if defect > tol * scale:
         raise NonHermitianError(f"Hermitian defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    return (a + a.conj().T) / 2
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 @dataclass(frozen=True)
@@ -135,21 +137,23 @@ def hadamard(a, b) -> np.ndarray:
 
 
 def gram_factor(x, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Vectors v_i with <v_i|v_j> = X[i,j], as rows of the returned array.
+    """Vectors v_i with <v_i|v_j> = X[i,j], as rows, for one Gram matrix X or
+    for each block of a stack (..., k, k), from one eigh call.
 
-    The vector dimension equals the numerical rank: eigenvalues below
-    rank_tol * max(1, lambda_max) are truncated.  Raises NotPSDError when
-    the smallest eigenvalue is below -rank_tol on the same scale.
+    Eigenvalues at or below rank_tol * max(1, lambda_max), lambda_max over the
+    whole stack, are truncated.  The result has shape (..., k, r_max), r_max
+    the largest numerical rank in the stack: each block's columns follow its
+    eigenvalues in descending order, so those past its own rank are zero.
+    Raises NotPSDError when an eigenvalue is below -rank_tol on the same scale.
     """
-    es = eig_hermitian(x)
-    scale = max(1.0, float(es.eigenvalues.max()) if es.dim else 0.0)
-    if es.dim and es.eigenvalues.min() < -rank_tol * scale:
-        raise NotPSDError(f"minimum eigenvalue {es.eigenvalues.min():.3e} below -{rank_tol:.1e} * {scale:.3e}")
-    keep = es.eigenvalues > rank_tol * scale
-    vectors = es.eigenvectors[:, keep] * np.sqrt(es.eigenvalues[keep])
-    if np.abs(vectors.imag).max(initial=0.0) < 1e-14:
-        vectors = vectors.real
-    return vectors
+    w, v = np.linalg.eigh(require_hermitian(x))
+    scale = max(1.0, float(w.max(initial=0.0)))
+    if w.min(initial=0.0) < -rank_tol * scale:
+        raise NotPSDError(f"minimum eigenvalue {w.min():.3e} below -{rank_tol:.1e} * {scale:.3e}")
+    keep = w > rank_tol * scale
+    rank = int(keep.sum(axis=-1).max(initial=0))
+    vectors = v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
+    return vectors[..., ::-1][..., :rank]
 
 
 def nullspace_projector(m, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advsdp import SdpSolution
+from .advsdp import SdpSolution, _pair_values
 from .boolfun import BooleanFunction
 from .errors import DimensionMismatchError, GramFailureError
 from .matkernel import gram_factor
@@ -193,11 +193,8 @@ class CanonicalSpanProgram:
 
     def pair_sum(self, w: int, x: int) -> float:
         """sum over disagreeing coordinates of <v_{w,j}|v_{x,j}>."""
-        total = 0.0
-        for j in range(1, self.f.n + 1):
-            if self.f.bit(w, j) != self.f.bit(x, j):
-                total += float(self.vectors[w, j - 1] @ self.vectors[x, j - 1])
-        return total
+        differ = self.f.bits[w] != self.f.bits[x]
+        return float(np.einsum("jk,jk->", self.vectors[w, differ], self.vectors[x, differ]))
 
     def to_json(self) -> str:
         payload = {
@@ -227,55 +224,47 @@ class CanonicalSpanProgram:
 
 
 def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanProgram:
-    """Canonical span program from the Gram vectors of a solved SDP.
+    """Canonical span program from the Gram blocks of a solved SDP.
 
-    gram_factor supplies v_{s,j} (m = numerical rank).  Every input is then
-    padded with one private orthogonal dimension so sum_j ||v_{s,j}||^2
-    equals the witness size W exactly; the pair constraints are untouched
-    because padded dimensions never meet across inputs.  This tightness is
-    what makes the spectral-gap witness overlaps (9/10 and 1/(9W(W+1)))
-    exact rather than one-sided.
+    v_{s,j} is row s of gram_factor's factor of X_j, so every coordinate
+    shares one R^m with m = max_j rank X_j.  That is exact: coordinate j's
+    vectors only ever appear in its own column blocks I_{j,b}, so the program
+    reads no inner product across coordinates (AA^T[w,w'] is
+    sum_{j : w_j = w'_j} X_j[w,w']).  Every deficient input then gets one
+    private dimension, which m counts too, so that sum_j ||v_{s,j}||^2 equals
+    the witness size W exactly; the pair constraints are untouched because
+    the private dimensions never meet across inputs.  This tightness is what
+    makes the spectral-gap witness overlaps (9/10 and 1/(9W(W+1))) exact
+    rather than one-sided.
     """
-    n = f.n
-    flat = gram_factor(sol.x)
-    if np.abs(flat @ flat.T - sol.x).max() > 1e-6:
+    n, num_inputs = f.n, 2**f.n
+    factor = gram_factor(sol.blocks)
+    if np.abs(factor @ factor.transpose(0, 2, 1) - sol.blocks).max() > 1e-6:
         raise GramFailureError("Gram factorization does not reproduce X within 1e-6")
-    m0 = flat.shape[1]
+    rank = factor.shape[2]
 
-    row_sums = {
-        s: sum(float(flat[s * n + j] @ flat[s * n + j]) for j in range(n)) for s in f.inputs
-    }
+    row_sums = np.einsum("jsk,jsk->s", factor, factor)
     # pad up to the worst row (not xi itself): feasibility slop can leave a
     # row marginally above xi, and exact tightness is what the witness
     # overlaps need
-    w_size = max(sol.xi, max(row_sums.values()))
-    deficits = {}
-    for s in f.inputs:
-        gap = w_size - row_sums[s]
-        if gap > 1e-12 * max(1.0, w_size):
-            deficits[s] = gap
-    m = m0 + len(deficits)
-    vectors = np.zeros((2**n, n, m))
-    for s in f.inputs:
-        for j in range(n):
-            vectors[s, j, :m0] = flat[s * n + j]
-    for k, (s, gap) in enumerate(sorted(deficits.items())):
-        vectors[s, 0, m0 + k] = np.sqrt(gap)
+    w_size = max(sol.xi, float(row_sums.max()))
+    gaps = w_size - row_sums
+    deficient = np.flatnonzero(gaps > 1e-12 * max(1.0, w_size))
+    m = rank + len(deficient)
+    vectors = np.zeros((num_inputs, n, m))
+    vectors[:, :, :rank] = factor.transpose(1, 0, 2)
+    vectors[deficient, 0, rank + np.arange(len(deficient))] = np.sqrt(gaps[deficient])
 
-    matrix = np.zeros((len(f.f0), 2 * n * m))
-    for r, w in enumerate(f.f0):
-        for j in range(1, n + 1):
-            b = 1 - f.bit(w, j)
-            start = ((j - 1) * 2 + b) * m
-            matrix[r, start : start + m] = vectors[w, j - 1]
-    target = np.ones(len(f.f0)) / (3 * np.sqrt(w_size))
+    # row r holds v_{w,j} on the disagreeing block I_{j, 1 - w_j}
+    f0 = np.array(f.f0)
+    matrix = np.zeros((len(f0), n, 2, m))
+    matrix[np.arange(len(f0))[:, None], np.arange(n), 1 - f.bits[f0]] = vectors[f0]
+    target = np.ones(len(f0)) / (3 * np.sqrt(w_size))
 
-    program = CanonicalSpanProgram(
-        f=f, m=m, witness_size=w_size, vectors=vectors, matrix=matrix, target=target
-    )
-    worst = max(
-        abs(program.pair_sum(w, x) - 1.0) for w in f.f0 for x in f.f1
-    )
+    gram = np.einsum("wjk,xjk->jwx", vectors, vectors)
+    worst = float(np.abs(_pair_values(sol.sdp, gram.ravel()) - 1.0).max())
     if worst > 1e-6:
         raise GramFailureError(f"pair-sum constraint residual {worst:.3e} exceeds 1e-6")
-    return program
+    return CanonicalSpanProgram(
+        f=f, m=m, witness_size=w_size, vectors=vectors, matrix=matrix.reshape(len(f0), -1), target=target
+    )

@@ -1,6 +1,6 @@
 """Shared corpus of solved functions, cached once per session, and the dense
-references of the witness SDP solver and of the program and input graphs that
-only tests build."""
+references of the witness SDP solver, of the canonical program and of the
+program and input graphs that only tests build."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import pytest
 from advspan import verify
 from advspan.advsdp import DEFAULT_TOL, MAX_ITERATIONS, RELAXATION, RHO
 from advspan.boolfun import BooleanFunction
-from advspan.matkernel import nullspace_projector
+from advspan.matkernel import gram_factor, nullspace_projector
+from advspan.spanprog import CanonicalSpanProgram
 from advspan.spectral import column_mask
 
 # Lexicographically smallest truth table of each non-constant NPN class of
@@ -130,7 +131,8 @@ def input_adjacency(g, s: int) -> tuple[np.ndarray, int]:
 
 def dense_witness_constraints(sdp) -> np.ndarray:
     """Equality rows A on [vec(X) | u | xi], X of side n 2^n indexed by s n + j."""
-    n, side, p, s = sdp.n, sdp.side, len(sdp.pairs), sdp.num_inputs
+    n, p, s = sdp.n, len(sdp.pairs), sdp.num_inputs
+    side = n * s
     rows = np.zeros((p + s, side * side + s + 1))
     for k, (w, x) in enumerate(sdp.pairs):
         for j in range(n):
@@ -148,7 +150,8 @@ def dense_admm(sdp, tol: float = DEFAULT_TOL, max_iterations: int = MAX_ITERATIO
     """solve_sdp's ADMM over one PSD matrix X of side n 2^n, with the affine
     projection solved against the dense A A^T: the block solver's reference."""
     a = dense_witness_constraints(sdp)
-    p, s, side = len(sdp.pairs), sdp.num_inputs, sdp.side
+    p, s = len(sdp.pairs), sdp.num_inputs
+    side = sdp.n * s
     b = np.concatenate([np.ones(p), np.zeros(s)])
     gram = a @ a.T
     cost = np.zeros(a.shape[1])
@@ -173,3 +176,29 @@ def dense_admm(sdp, tol: float = DEFAULT_TOL, max_iterations: int = MAX_ITERATIO
     x = z[: side * side].reshape(side, side)
     return {"iterations": iterations, "x": (x + x.T) / 2, "xi": float(z[-1]),
             "alpha": -RHO * mu[:p], "beta": RHO * mu[p:]}
+
+
+def whole_gram_program(f, sol) -> CanonicalSpanProgram:
+    """The canonical program from one factor of the whole Gram matrix X of side
+    n 2^n (index s n + j), assembled from sol.blocks: each coordinate then gets
+    its own columns, m = sum_j rank X_j plus one private dimension per
+    deficient input.  The reference for the shared layout of canonical_from_gram."""
+    n, num_inputs = f.n, 2**f.n
+    x = np.einsum("jwx,jk->wjxk", sol.blocks, np.eye(n)).reshape(n * num_inputs, n * num_inputs)
+    flat = gram_factor(x).reshape(num_inputs, n, -1)
+    row_sums = np.einsum("sjk,sjk->s", flat, flat)
+    w_size = max(sol.xi, float(row_sums.max()))
+    deficient = [s for s in f.inputs if w_size - row_sums[s] > 1e-12 * max(1.0, w_size)]
+    m0 = flat.shape[2]
+    vectors = np.zeros((num_inputs, n, m0 + len(deficient)))
+    vectors[:, :, :m0] = flat
+    for k, s in enumerate(deficient):
+        vectors[s, 0, m0 + k] = np.sqrt(w_size - row_sums[s])
+    m = vectors.shape[2]
+    matrix = np.zeros((len(f.f0), 2 * n * m))
+    for r, w in enumerate(f.f0):
+        for j in range(1, n + 1):
+            start = ((j - 1) * 2 + 1 - f.bit(w, j)) * m
+            matrix[r, start : start + m] = vectors[w, j - 1]
+    return CanonicalSpanProgram(f=f, m=m, witness_size=w_size, vectors=vectors, matrix=matrix,
+                                target=np.ones(len(f.f0)) / (3 * np.sqrt(w_size)))

@@ -17,17 +17,17 @@ from conftest import corpus_specs, dense_admm
 
 def test_build_dimensions_parity2():
     sdp = build_witness_sdp(load_function("PARITY:2"))
-    assert sdp.side == 8
+    assert (sdp.n, sdp.num_inputs) == (2, 4)  # two Gram blocks of side 4
     assert len(sdp.pairs) == 4  # |F0| * |F1| = 2 * 2
     assert sdp.constraints.shape[0] == 4 + 4  # equalities + one row bound per input
 
 
 def test_build_dimensions_or2_and_identity():
     or2 = build_witness_sdp(load_function("OR:2"))
-    assert or2.side == 8
+    assert (or2.n, or2.num_inputs) == (2, 4)
     assert len(or2.pairs) == 3  # |F0| = 1, |F1| = 3
     ident = build_witness_sdp(load_function("01"))  # AND:1 = identity on one bit
-    assert ident.side == 2
+    assert (ident.n, ident.num_inputs) == (1, 2)
     assert len(ident.pairs) == 1
 
 
@@ -180,7 +180,7 @@ def test_solver_is_deterministic():
     sdp = build_witness_sdp(load_function("OR:2"))
     a = solve_sdp(sdp)
     b = solve_sdp(sdp)
-    assert a.x.tobytes() == b.x.tobytes()
+    assert a.blocks.tobytes() == b.blocks.tobytes()
     assert a.xi == b.xi
     assert a.alpha.tobytes() == b.alpha.tobytes()
 
@@ -210,18 +210,20 @@ def test_pair_constraints_touch_only_differing_coordinates():
 @pytest.mark.parametrize("spec", corpus_specs() + ["OR:4"])
 def test_block_solver_matches_dense_reference(solved, spec):
     """The block solver runs the same ADMM as the loop over one PSD matrix of
-    side n 2^n: same iteration count, same duals and the same Gram matrix, which
-    is zero between coordinates."""
+    side n 2^n: same iteration count, same duals, and Gram blocks equal to the
+    reference's diagonal blocks, whose entries between coordinates vanish."""
     sol = solved(spec).solution
     ref = dense_admm(sol.sdp)
     assert sol.residuals["iterations"] == ref["iterations"]
     assert abs(sol.xi - ref["xi"]) <= 1e-12
     assert np.abs(sol.alpha - ref["alpha"]).max() <= 1e-12
     assert np.abs(sol.beta - ref["beta"]).max() <= 1e-12
-    assert np.abs(sol.x - ref["x"]).max() <= 1e-11
-    coords = np.arange(sol.sdp.side) % sol.sdp.n
-    assert not sol.x[coords[:, None] != coords[None, :]].any()
-    assert abs(sol.residuals["min_eigenvalue"] - np.linalg.eigvalsh(sol.x).min()) <= 1e-12
+    n, s = sol.sdp.n, sol.sdp.num_inputs
+    x = ref["x"].reshape(s, n, s, n)
+    assert np.abs(sol.blocks - np.einsum("wjxj->jwx", x)).max() <= 1e-11
+    between = x.transpose(1, 3, 0, 2)[~np.eye(n, dtype=bool)]
+    assert np.abs(between).max(initial=0.0) <= 1e-11
+    assert abs(sol.residuals["min_eigenvalue"] - np.linalg.eigvalsh(sol.blocks).min()) <= 1e-12
 
 
 def test_certificate_beta_alignment_reported(corpus):

@@ -123,11 +123,25 @@ def test_gram_factor_random_psd():
         x = root @ root.T
         vecs = gram_factor(x)
         assert np.abs(vecs @ vecs.T - x).max() <= 1e-8
+    # a stack of blocks of ranks 1, 3 and 0 shares the widest rank
+    roots = rng.standard_normal((3, 6, 3))
+    roots[0, :, 1:] = 0.0
+    roots[2] = 0.0
+    stack = roots @ roots.transpose(0, 2, 1)
+    vecs = gram_factor(stack)
+    assert vecs.shape == (3, 6, 3)
+    assert np.abs(vecs @ vecs.transpose(0, 2, 1) - stack).max() <= 1e-8
+    assert not vecs[0, :, 1:].any() and not vecs[2].any()
+    # the cut is relative to the whole stack's largest eigenvalue
+    vecs = gram_factor(np.stack([1e4 * np.eye(2), 1e-5 * np.eye(2)]))
+    assert vecs.shape == (2, 2, 2) and not vecs[1].any()
 
 
 def test_gram_factor_rejects_indefinite():
     with pytest.raises(NotPSDError):
         gram_factor(np.diag([1.0, -0.5]))
+    with pytest.raises(NotPSDError):
+        gram_factor(np.stack([np.eye(2), np.diag([1.0, -0.5]), np.ones((2, 2))]))
 
 
 def test_nullspace_projector_examples():

@@ -4,6 +4,7 @@ import pytest
 from advspan.advsdp import SdpSolution, build_witness_sdp
 from advspan.boolfun import load_function
 from advspan.errors import GramFailureError
+from advspan.matkernel import DEFAULT_RANK_TOL
 from advspan.spanprog import (
     CanonicalSpanProgram,
     SpanProgram,
@@ -12,6 +13,9 @@ from advspan.spanprog import (
     program_witness_size,
     witness_size_input,
 )
+from advspan.spectral import build_program_graph
+
+from conftest import corpus_specs, whole_gram_program
 
 
 def parity_example_program():
@@ -85,13 +89,13 @@ def test_exactly_one_branch_on_the_example_programs():
 
 
 def parity_example_gram_solution():
-    """The all-ones Gram matrix: every v_{s,j} is the same unit scalar, which
+    """All-ones Gram blocks: every v_{s,j} is the same unit scalar, which
     is feasible and optimal for parity with m = 1."""
     f = load_function("PARITY:2")
     sdp = build_witness_sdp(f)
     return SdpSolution(
         sdp=sdp,
-        x=np.ones((8, 8)),
+        blocks=np.ones((2, 4, 4)),
         xi=2.0,
         alpha=np.full(4, 0.5),
         beta=np.full(4, 0.25),
@@ -164,6 +168,28 @@ def test_canonical_witnesses_are_attained_by_stored_vectors(corpus):
             assert witness_size_input(p, s) <= stored + 1e-4
 
 
+@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "MAJ:4"])
+def test_shared_layout_matches_whole_gram_reference(solved, spec):
+    """Giving every coordinate one shared R^m changes no inner product the
+    program reads: AA^T, B_G's singular values and the stored witness sizes
+    match the factor of the whole Gram matrix, and m is the widest block's
+    rank plus one private dimension per deficient input."""
+    bundle = solved(spec)
+    f, sol, prog = bundle.f, bundle.solution, bundle.program
+    ref = whole_gram_program(f, sol)
+    assert np.abs(prog.matrix @ prog.matrix.T - ref.matrix @ ref.matrix.T).max() <= 1e-11
+    sigma, sigma_ref = (np.linalg.svd(build_program_graph(p).b_g, compute_uv=False) for p in (prog, ref))
+    assert np.abs(sigma - sigma_ref).max() <= 1e-11
+    for s in f.inputs:
+        assert abs(prog.stored_witness_size(s) - ref.stored_witness_size(s)) <= 1e-12
+    eigenvalues = np.linalg.eigvalsh(sol.blocks)
+    ranks = (eigenvalues > DEFAULT_RANK_TOL * max(1.0, eigenvalues.max())).sum(axis=1)
+    row_sums = sol.blocks.diagonal(axis1=1, axis2=2).sum(axis=0)
+    w_size = max(sol.xi, row_sums.max())
+    deficient = int((w_size - row_sums > 1e-12 * max(1.0, w_size)).sum())
+    assert prog.m == ranks.max() + deficient
+
+
 def test_canonical_target_normalization(corpus):
     for bundle in corpus:
         prog = bundle.program
@@ -189,7 +215,7 @@ def test_canonical_rejects_infeasible_gram():
     sdp = build_witness_sdp(f)
     broken = SdpSolution(
         sdp=sdp,
-        x=np.eye(8),  # PSD but violates every pair constraint
+        blocks=np.tile(np.eye(4), (2, 1, 1)),  # PSD but violates every pair constraint
         xi=2.0,
         alpha=np.zeros(4),
         beta=np.full(4, 0.25),
