@@ -10,24 +10,31 @@ two coordinates, so the cone is exactly the product of n PSD cones of side 2^n,
 the blocks X_j[w,x] = X[(w,j),(x,j)]: zeroing the joining entries keeps a PSD
 X PSD (its blocks are principal submatrices), feasible and as good.
 
-The solver is a projection-splitting (ADMM) scheme over the variable
-v = (vec(X_0) ... vec(X_{n-1}), slacks u, xi): it alternates a least-squares
-projection onto the affine constraint set (with the linear objective folded
-in) against a projection onto the cone PSD^n x R+^S x R (one batched eigh),
-with over-relaxation.  Dual multipliers for the affine rows come out of the
-least-squares projection and assemble into the adversary-matrix certificate
-via Gamma[w,x] = alpha_{w,x} / sqrt(beta_w beta_x).
+The solver is a primal-dual interior-point method: the HKM search direction
+(Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 1996) with
+Mehrotra's predictor-corrector, as in SDPT3.  The variable is
+v = (vec(X_0) ... vec(X_{n-1}), slacks u, xi) in the cone PSD^n x R+^(S+1)
+(xi >= max row sum >= 0), and the equalities are the pair rows and the S rows
+sum_j X_j[s,s] + u_s - xi = 0.  Their multipliers y give the dual directly:
+alpha = y_pair and beta = -y_row, which assemble into the adversary-matrix
+certificate via Gamma[w,x] = alpha_{w,x} / sqrt(beta_w beta_x).
 
-The constraints are index arrays, and the affine projection is exact in closed
-form: A A^T = diag(|D(w,x)|/2) + ((n+1) I + 1 1^T), since each X_j[w,x] lies
-in one pair row (w an F0 row, x an F1 row) and the row-sum rows meet only in xi.
+Each iteration solves one Schur complement system, M_ik = tr(A_i X A_k Z^-1)
+plus the (u, xi) part.  Every constraint puts entries (E_ab + E_ba) / 2 into
+single Gram blocks (a pair row one per coordinate where w and x differ, a row
+sum one at (s,s) of each block), so M is summed block by block from entries of
+X_j and Z_j^-1 (schur_complement): Z^-1 is n inverses of side 2^n, M has side
+|F0||F1| + 2^n (at most 288 at n = 5), and neither the dense constraint matrix
+nor a matrix of side n 4^n is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .boolfun import BooleanFunction, difference_matrix
 from .errors import (
@@ -40,11 +47,8 @@ from .errors import (
 from .matkernel import hadamard, spectral_norm
 
 DEFAULT_TOL = 1e-7
-MAX_ITERATIONS = 50_000
+MAX_ITERATIONS = 100
 BETA_DROP_TOL = 1e-10
-# ADMM penalty and over-relaxation factor
-RHO = 1.0
-RELAXATION = 1.7
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,18 @@ class WitnessSdp:
     @property
     def num_inputs(self) -> int:
         return 2**self.f.n
+
+    @cached_property
+    def block_entries(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per Gram block j, (constraint, a, b) for every entry (E_ab + E_ba) / 2
+        that a constraint puts in X_j: the pair rows with w_j != x_j (a = w,
+        b = x), then the row-sum rows (a = b = s)."""
+        num_pairs, s = len(self.pairs), self.num_inputs
+        j, w, x = np.unravel_index(self.entry_index, (self.n, s, s))
+        rows = np.arange(s)
+        return tuple((np.concatenate([self.entry_pair[j == k], num_pairs + rows]),
+                      np.concatenate([w[j == k], rows]), np.concatenate([x[j == k], rows]))
+                     for k in range(self.n))
 
     @property
     def constraints(self) -> np.ndarray:
@@ -106,23 +122,65 @@ def _pair_values(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
     return 0.5 * np.bincount(sdp.entry_pair, weights=both, minlength=len(sdp.pairs))
 
 
-def affine_projection(sdp: WitnessSdp, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projection v = y - A^T m of y onto {A v = b}, m = (A A^T)^-1 (A y - b).
+def _apply(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
+    """A v: the pair rows, then the row-sum rows sum_j X_j[s,s] + u_s - xi."""
+    num_inputs = sdp.num_inputs
+    rows = v[sdp.diagonal].sum(axis=0) + v[-1 - num_inputs : -1] - v[-1]
+    return np.concatenate([_pair_values(sdp, v), rows])
 
-    No (j,w,x) repeats or is also a (j,x,w), so scattering A^T m needs no np.add.at.
+
+def _apply_adjoint(sdp: WitnessSdp, y: np.ndarray) -> np.ndarray:
+    """A^T y on the flat variable; no (j,w,x) repeats or is also a (j,x,w)."""
+    num_pairs, num_inputs = len(sdp.pairs), sdp.num_inputs
+    v = np.zeros(sdp.n * num_inputs**2 + num_inputs + 1)
+    half = 0.5 * y[:num_pairs][sdp.entry_pair]
+    v[sdp.entry_index] = half
+    v[sdp.entry_mirror] = half
+    v[sdp.diagonal] = y[num_pairs:]
+    v[-1 - num_inputs : -1] = y[num_pairs:]
+    v[-1] = -y[num_pairs:].sum()
+    return v
+
+
+def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio: np.ndarray) -> np.ndarray:
+    """The HKM Schur complement M[i,k] = tr(A_i X A_k Z^-1) + sum_l a_il a_kl x_l / z_l.
+
+    x and z_inv are stacks of the n Gram blocks and lp_ratio is x / z on
+    (u, xi).  Block j of A_i is (E_ab + E_ba) / 2 for each entry (a, b) of
+    sdp.block_entries[j], so block j adds, over entry pairs e and f,
+    (X[b_e,a_f] Z^-1[a_e,b_f] + X[b_e,b_f] Z^-1[a_e,a_f] + X[a_e,a_f] Z^-1[b_e,b_f]
+    + X[a_e,b_f] Z^-1[b_e,a_f]) / 4; the last term is the first transposed.
     """
-    num_inputs, n = sdp.num_inputs, sdp.n
-    m_pair = (_pair_values(sdp, y) - 1.0) / (0.5 * np.bincount(sdp.entry_pair, minlength=len(sdp.pairs)))
-    r = y[sdp.diagonal].sum(axis=0) + y[-1 - num_inputs : -1] - y[-1]
-    m_row = (r - r.sum() / (n + 1 + num_inputs)) / (n + 1)
-    v = y.copy()
-    step = 0.5 * m_pair[sdp.entry_pair]
-    v[sdp.entry_index] -= step
-    v[sdp.entry_mirror] -= step
-    v[sdp.diagonal] -= m_row
-    v[-1 - num_inputs : -1] -= m_row
-    v[-1] += m_row.sum()
-    return v, np.concatenate([m_pair, m_row])
+    num_pairs, num_inputs = len(sdp.pairs), sdp.num_inputs
+    m = np.zeros((num_pairs + num_inputs, num_pairs + num_inputs))
+    for (con, a, b), xj, zj in zip(sdp.block_entries, x, z_inv):
+        xa, xb, za, zb = xj[a], xj[b], zj[a], zj[b]
+        k = xb[:, a]
+        k *= zb[:, a].T
+        t = k + k.T
+        np.take(xb, b, axis=1, out=k)
+        k *= za[:, a]
+        t += k
+        np.take(xa, a, axis=1, out=k)
+        k *= zb[:, b]
+        t += k
+        m[np.ix_(con, con)] += t
+    m *= 0.25
+    rows = num_pairs + np.arange(num_inputs)
+    m[num_pairs:, num_pairs:] += lp_ratio[-1]
+    m[rows, rows] += lp_ratio[:-1]
+    return m
+
+
+def _solver(m: np.ndarray):
+    """Solve with M: Cholesky, or LU where M is numerically singular (as it
+    gets near the optimum when f ignores a variable)."""
+    try:
+        factor = scipy.linalg.cho_factor(m, check_finite=False)
+        return lambda r: scipy.linalg.cho_solve(factor, r, check_finite=False)
+    except np.linalg.LinAlgError:
+        factor = scipy.linalg.lu_factor(m, overwrite_a=True, check_finite=False)
+        return lambda r: scipy.linalg.lu_solve(factor, r, check_finite=False)
 
 
 @dataclass(frozen=True)
@@ -157,63 +215,110 @@ def solve_sdp(
     tol: float = DEFAULT_TOL,
     max_iterations: int = MAX_ITERATIONS,
 ) -> SdpSolution:
-    """Run the projection splitting until the duality gap closes.
+    """Follow the central path until the duality gap closes.
 
-    Stops when the consensus residuals and the primal-dual gap all fall
-    below tol * max(1, xi); raises NoConvergenceError (with residuals
-    attached) at the iteration cap.  Deterministic: fixed zero start,
-    fixed penalty and relaxation.
+    Stops when the largest primal and dual infeasibilities, |xi - sum(alpha)|
+    and <X, Z> + <(u, xi), (z_u, z_xi)> all fall below tol * max(1, xi); raises
+    NoConvergenceError (with residuals attached) at the iteration cap or when
+    roundoff leaves an iterate on the cone's boundary.  residuals["history"]
+    has one row per iteration: mu, the gap and both infeasibilities at the
+    iterate it started from, and the step lengths it took.  Deterministic:
+    fixed start X_j = Z_j = I.
     """
     if tol < 1e-9:
         raise ValueError("tol below 1e-9 is not supported")
     n, num_inputs, num_pairs = sdp.n, sdp.num_inputs, len(sdp.pairs)
-    cost = np.zeros(n * num_inputs**2 + num_inputs + 1)
+    nb, shape = n * num_inputs**2, (n, num_inputs, num_inputs)
+    order = n * num_inputs + num_inputs + 1
+    b = np.concatenate([np.ones(num_pairs), np.zeros(num_inputs)])
+    cost = np.zeros(nb + num_inputs + 1)
     cost[-1] = 1.0
 
-    z, lam, mu = np.zeros_like(cost), np.zeros_like(cost), np.zeros(num_pairs + num_inputs)
+    # X_j = I and u = 1 satisfy the row sums with xi = n + 1
+    x, z, y = np.zeros_like(cost), np.zeros_like(cost), np.zeros(num_pairs + num_inputs)
+    x[sdp.diagonal], x[nb:], x[-1] = 1.0, 1.0, n + 1.0
+    z[sdp.diagonal], z[nb:] = 1.0, 1.0
 
-    def project_cone(y: np.ndarray) -> np.ndarray:
-        xb = y[: -1 - num_inputs].reshape(n, num_inputs, num_inputs)
-        w, v = np.linalg.eigh((xb + xb.transpose(0, 2, 1)) / 2)
-        xp = (v * np.maximum(w, 0.0)[:, None, :]) @ v.transpose(0, 2, 1)
-        return np.concatenate([xp.reshape(-1), np.maximum(y[-1 - num_inputs : -1], 0.0), y[-1:]])
+    def max_step(w: np.ndarray, q: np.ndarray, v: np.ndarray, dv: np.ndarray) -> float:
+        """Largest a with the blocks + a dv PSD (blocks = q diag(w) q^T) and (u, xi) + a dv >= 0."""
+        r = q / np.sqrt(w)[:, None, :]
+        lam = float(np.linalg.eigvalsh(r.transpose(0, 2, 1) @ dv[:nb].reshape(shape) @ r).min())
+        shrink = dv[nb:] < 0
+        return min(np.inf if lam >= 0 else -1.0 / lam, float((v[nb:][shrink] / -dv[nb:][shrink]).min(initial=np.inf)))
 
-    iterations, converged = 0, False
-    primal_res = dual_res = gap = np.inf
-    while not converged and iterations < max_iterations:
-        v, mu = affine_projection(sdp, z - lam - cost / RHO)
-        v_relaxed = RELAXATION * v + (1 - RELAXATION) * z
-        z_new = project_cone(v_relaxed + lam)
-        lam = lam + v_relaxed - z_new
-        primal_res = float(np.linalg.norm(v - z_new))
-        dual_res = RHO * float(np.linalg.norm(z_new - z))
-        z = z_new
-        xi = float(z[-1])
-        gap = abs(xi - float(-RHO * mu[:num_pairs].sum()))
+    history: list[dict] = []
+    iterations = 0
+    while True:
+        rp = b - _apply(sdp, x)
+        rd = cost - _apply_adjoint(sdp, y) - z
+        xi = float(x[-1])
+        complementarity = float(x @ z)
+        gap = xi - float(y[:num_pairs].sum())
+        primal_inf, dual_inf = float(np.abs(rp).max()), float(np.abs(rd).max())
         scale = tol * max(1.0, abs(xi))
+        if max(primal_inf, dual_inf, abs(gap), complementarity) <= scale:
+            break
+        xb, zb = x[:nb].reshape(shape), z[:nb].reshape(shape)
+        wx, qx = np.linalg.eigh(xb)
+        wz, qz = np.linalg.eigh(zb)
+        if iterations == max_iterations or wx.min() <= 0.0 or wz.min() <= 0.0:
+            break  # the cap, or roundoff has left the cone's interior
+        mu = complementarity / order
+        z_inv = (qz / wz[:, None, :]) @ qz.transpose(0, 2, 1)
+        lp_x, lp_z = x[nb:], z[nb:]
+        solve = _solver(schur_complement(sdp, xb, z_inv, lp_x / lp_z))
+        x_rd_zinv = (xb @ rd[:nb].reshape(shape) @ z_inv).ravel()
+        lp_rd = lp_x * rd[nb:] / lp_z
+
+        def direction(rc_zinv: np.ndarray, rc_lp: np.ndarray):
+            """(dx, dy, dz) with A dx = rp, A^T dy + dz = rd and the linearized
+            HKM centring dX = sym((R_c - X dZ) Z^-1), given R_c Z^-1 and r_c / z."""
+            dy = solve(rp + _apply(sdp, np.concatenate([x_rd_zinv - rc_zinv.ravel(), lp_rd - rc_lp])))
+            dz = rd - _apply_adjoint(sdp, dy)
+            dxb = rc_zinv - xb @ dz[:nb].reshape(shape) @ z_inv
+            dxb += dxb.transpose(0, 2, 1)
+            dxb *= 0.5
+            return np.concatenate([dxb.ravel(), rc_lp - lp_x * dz[nb:] / lp_z]), dy, dz
+
+        # Mehrotra: an affine predictor sets the centring sigma, then one corrector
+        dx, dy, dz = direction(-xb, -lp_x)
+        step_p, step_d = min(1.0, max_step(wx, qx, x, dx)), min(1.0, max_step(wz, qz, z, dz))
+        sigma = min(1.0, ((x + step_p * dx) @ (z + step_d * dz) / order / mu) ** 3)
+        dxb, dzb = dx[:nb].reshape(shape), dz[:nb].reshape(shape)
+        dx, dy, dz = direction(sigma * mu * z_inv - xb - dxb @ dzb @ z_inv,
+                               (sigma * mu - dx[nb:] * dz[nb:]) / lp_z - lp_x)
+        # the fraction of the way to the boundary, as in SDPT3
+        fraction = 0.9 + 0.09 * min(step_p, step_d)
+        step_p = min(1.0, fraction * max_step(wx, qx, x, dx))
+        step_d = min(1.0, fraction * max_step(wz, qz, z, dz))
+        x += step_p * dx
+        y += step_d * dy
+        z += step_d * dz
         iterations += 1
-        converged = primal_res <= scale and dual_res <= scale and gap <= scale
+        history.append({"mu": mu, "gap": gap, "primal_infeasibility": primal_inf,
+                        "dual_infeasibility": dual_inf, "step_primal": step_p, "step_dual": step_d})
 
-    alpha, beta = -RHO * mu[:num_pairs], RHO * mu[num_pairs:]
-    xb = z[: -1 - num_inputs].reshape(n, num_inputs, num_inputs)
-    blocks = (xb + xb.transpose(0, 2, 1)) / 2
-    xi = float(z[-1])
-
+    alpha, beta = y[:num_pairs], -y[num_pairs:]
+    blocks = x[:nb].reshape(shape)
     residuals = {
-        "primal_equality": float(np.abs(_pair_values(sdp, z) - 1.0).max()),
-        "row_sum_violation": float(max(0.0, (z[sdp.diagonal].sum(axis=0) - xi).max())),
+        "primal_equality": float(np.abs(_pair_values(sdp, x) - 1.0).max()),
+        "row_sum_violation": float(max(0.0, (x[sdp.diagonal].sum(axis=0) - xi).max())),
         "min_eigenvalue": float(np.linalg.eigvalsh(blocks).min()),
-        "duality_gap": float(abs(xi - alpha.sum())),
+        "duality_gap": abs(gap),
         "beta_sum": float(beta.sum()),
-        "consensus_primal": primal_res,
-        "consensus_dual": dual_res,
+        "primal_infeasibility": primal_inf,
+        "dual_infeasibility": dual_inf,
+        "complementarity": complementarity,
         "iterations": iterations,
         "tolerance": tol,
+        "history": history,
     }
-    if not converged:
+    if max(primal_inf, dual_inf, abs(gap), complementarity) > scale:
+        stop = "the iteration cap" if iterations == max_iterations else "the iterates left the cone's interior"
         raise NoConvergenceError(
-            f"no convergence after {max_iterations} iterations "
-            f"(consensus {primal_res:.2e}/{dual_res:.2e}, gap {gap:.2e})",
+            f"no convergence after {iterations} iterations, at {stop} "
+            f"(infeasibility {primal_inf:.2e}/{dual_inf:.2e}, "
+            f"gap {gap:.2e}, complementarity {complementarity:.2e})",
             residuals,
         )
     return SdpSolution(sdp=sdp, blocks=blocks, xi=xi, alpha=alpha, beta=beta, residuals=residuals)

@@ -1,6 +1,6 @@
 """Shared corpus of solved functions, cached once per session, and the dense
-references of the witness SDP solver, of the canonical program and of the
-program and input graphs that only tests build."""
+references of the canonical program and of the program and input graphs that
+only tests build."""
 
 from __future__ import annotations
 
@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from advspan import verify
-from advspan.advsdp import DEFAULT_TOL, MAX_ITERATIONS, RELAXATION, RHO
 from advspan.boolfun import BooleanFunction
 from advspan.matkernel import gram_factor, nullspace_projector
-from advspan.spanprog import CanonicalSpanProgram
+from advspan.spanprog import CanonicalSpanProgram, _gauss_newton_step
 from advspan.spectral import column_mask
 
 # Lexicographically smallest truth table of each non-constant NPN class of
@@ -129,62 +128,19 @@ def input_adjacency(g, s: int) -> tuple[np.ndarray, int]:
     return np.block([[np.zeros((rows, rows)), b], [b.T, np.zeros((cols, cols))]]), rows
 
 
-def dense_witness_constraints(sdp) -> np.ndarray:
-    """Equality rows A on [vec(X) | u | xi], X of side n 2^n indexed by s n + j."""
-    n, p, s = sdp.n, len(sdp.pairs), sdp.num_inputs
-    side = n * s
-    rows = np.zeros((p + s, side * side + s + 1))
-    for k, (w, x) in enumerate(sdp.pairs):
-        for j in range(n):
-            if sdp.f.bit(w, j + 1) != sdp.f.bit(x, j + 1):
-                rows[k, (w * n + j) * side + x * n + j] = 0.5
-                rows[k, (x * n + j) * side + w * n + j] = 0.5
-    for t in range(s):
-        for j in range(n):
-            rows[p + t, (t * n + j) * (side + 1)] = 1.0
-    rows[p:, side * side :] = np.hstack([np.eye(s), -np.ones((s, 1))])
-    return rows
-
-
-def dense_admm(sdp, tol: float = DEFAULT_TOL, max_iterations: int = MAX_ITERATIONS) -> dict:
-    """solve_sdp's ADMM over one PSD matrix X of side n 2^n, with the affine
-    projection solved against the dense A A^T: the block solver's reference."""
-    a = dense_witness_constraints(sdp)
-    p, s = len(sdp.pairs), sdp.num_inputs
-    side = sdp.n * s
-    b = np.concatenate([np.ones(p), np.zeros(s)])
-    gram = a @ a.T
-    cost = np.zeros(a.shape[1])
-    cost[-1] = 1.0
-    z, lam = np.zeros_like(cost), np.zeros_like(cost)
-    for iterations in range(1, max_iterations + 1):
-        y = z - lam - cost / RHO
-        mu = np.linalg.solve(gram, a @ y - b)
-        v = y - a.T @ mu
-        v_relaxed = RELAXATION * v + (1 - RELAXATION) * z
-        q = v_relaxed + lam
-        xm = q[: side * side].reshape(side, side)
-        w, vecs = np.linalg.eigh((xm + xm.T) / 2)
-        xp = (vecs * np.maximum(w, 0.0)) @ vecs.T
-        z_new = np.concatenate([xp.reshape(-1), np.maximum(q[side * side : -1], 0.0), q[-1:]])
-        lam = lam + v_relaxed - z_new
-        primal_res, dual_res = np.linalg.norm(v - z_new), RHO * np.linalg.norm(z_new - z)
-        z = z_new
-        scale = tol * max(1.0, abs(z[-1]))
-        if primal_res <= scale and dual_res <= scale and abs(z[-1] + RHO * mu[:p].sum()) <= scale:
-            break
-    x = z[: side * side].reshape(side, side)
-    return {"iterations": iterations, "x": (x + x.T) / 2, "xi": float(z[-1]),
-            "alpha": -RHO * mu[:p], "beta": RHO * mu[p:]}
-
-
 def whole_gram_program(f, sol) -> CanonicalSpanProgram:
     """The canonical program from one factor of the whole Gram matrix X of side
-    n 2^n (index s n + j), assembled from sol.blocks: each coordinate then gets
-    its own columns, m = sum_j rank X_j plus one private dimension per
-    deficient input.  The reference for the shared layout of canonical_from_gram."""
+    n 2^n (index s n + j), assembled from the rounded Gram blocks: each
+    coordinate then gets its own columns, m = sum_j rank X_j plus one private
+    dimension per deficient input.  The reference for the shared layout of
+    canonical_from_gram.  Its rounding maps each block G_j to
+    (I - L_j) G_j (I - L_j), which no layout of the factor changes."""
     n, num_inputs = f.n, 2**f.n
-    x = np.einsum("jwx,jk->wjxk", sol.blocks, np.eye(n)).reshape(n * num_inputs, n * num_inputs)
+    v = gram_factor(sol.blocks)
+    for _ in range(2):
+        v = _gauss_newton_step(sol.sdp, v)
+    blocks = v @ v.transpose(0, 2, 1)
+    x = np.einsum("jwx,jk->wjxk", blocks, np.eye(n)).reshape(n * num_inputs, n * num_inputs)
     flat = gram_factor(x).reshape(num_inputs, n, -1)
     row_sums = np.einsum("sjk,sjk->s", flat, flat)
     w_size = max(sol.xi, float(row_sums.max()))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from advspan.advsdp import SdpSolution, build_witness_sdp
+from advspan.advsdp import SdpSolution, _pair_values, build_witness_sdp, extract_certificate
 from advspan.boolfun import load_function
 from advspan.errors import GramFailureError
 from advspan.matkernel import DEFAULT_RANK_TOL
@@ -15,7 +15,7 @@ from advspan.spanprog import (
 )
 from advspan.spectral import build_program_graph
 
-from conftest import corpus_specs, whole_gram_program
+from conftest import NPN3_CANONICAL, corpus_specs, whole_gram_program
 
 
 def parity_example_program():
@@ -188,6 +188,24 @@ def test_shared_layout_matches_whole_gram_reference(solved, spec):
     w_size = max(sol.xi, row_sums.max())
     deficient = int((w_size - row_sums > 1e-12 * max(1.0, w_size)).sum())
     assert prog.m == ranks.max() + deficient
+
+
+@pytest.mark.parametrize("spec", [*corpus_specs(), *NPN3_CANONICAL, "OR:5", "MAJ:5", "PARITY:5"])
+def test_rounding_meets_pair_constraints_to_roundoff(solved, spec):
+    """The Gauss-Newton rounding makes every pair sum 1 to roundoff and moves W
+    by at most 1e-6 relative; it leaves the solution, so xi and the certificate
+    are the solver's, bit for bit."""
+    bundle = solved(spec)
+    f, sol, prog = bundle.f, bundle.solution, bundle.program
+    gram = np.einsum("wjk,xjk->jwx", prog.vectors, prog.vectors)
+    assert np.abs(_pair_values(sol.sdp, gram.ravel()) - 1.0).max() <= 1e-12
+    unrounded = max(sol.xi, sol.blocks.diagonal(axis1=1, axis2=2).sum(axis=0).max())
+    assert abs(prog.witness_size - unrounded) <= 1e-6 * unrounded
+    before = (sol.xi, sol.alpha.tobytes(), sol.beta.tobytes(), sol.blocks.tobytes())
+    canonical_from_gram(f, sol)
+    assert (sol.xi, sol.alpha.tobytes(), sol.beta.tobytes(), sol.blocks.tobytes()) == before
+    assert bundle.report["adv"]["xi"] == sol.xi
+    assert extract_certificate(sol, f).gamma.tobytes() == bundle.certificate.gamma.tobytes()
 
 
 def test_canonical_target_normalization(corpus):
