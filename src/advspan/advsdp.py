@@ -343,20 +343,25 @@ def extract_certificate(sol: SdpSolution, f: BooleanFunction) -> AdversaryCertif
     """Build Gamma[w,x] = alpha_{w,x} / sqrt(beta_w beta_x) from the dual.
 
     Inputs with beta_s below 1e-10 carry no weight in the dual optimum and
-    are dropped (their Gamma rows/columns stay zero); that is only legal
-    when the matching alpha multipliers vanish too, otherwise the dual is
-    reported as degenerate.
+    are dropped (their Gamma rows/columns stay zero).  That is only legal
+    when the matching alpha multipliers vanish with beta: the dual slack
+    Z_j = diag(beta) - sum_{w_j != x_j} alpha_wx (E_wx + E_xw) / 2 is PSD, so
+    |alpha_wx| <= 2 sqrt(beta_w beta_x), and an interior-point dual sits at
+    that scale (beta_s ~ mu on a slack input, alpha ~ sqrt(mu)).  An alpha
+    beyond that bound, by more than 1e-6 max(1, max|alpha|), reports the
+    dual as degenerate.
     """
     num_inputs = 2**f.n
     gamma = np.zeros((num_inputs, num_inputs))
     alpha_scale = max(1.0, float(np.abs(sol.alpha).max()) if len(sol.alpha) else 0.0)
     dropped = [s for s in range(num_inputs) if sol.beta[s] < BETA_DROP_TOL]
+    beta_plus = np.maximum(sol.beta, 0.0)
     for p, (w, x) in enumerate(sol.sdp.pairs):
         if w in dropped or x in dropped:
-            if abs(sol.alpha[p]) > 1e-6 * alpha_scale:
+            if abs(sol.alpha[p]) > 2.0 * np.sqrt(beta_plus[w] * beta_plus[x]) + 1e-6 * alpha_scale:
                 raise DegenerateDualError(
                     f"beta vanished on inputs {sorted(set(dropped) & {w, x})} "
-                    f"but alpha[{w},{x}] = {sol.alpha[p]:.3e} is nonzero"
+                    f"but alpha[{w},{x}] = {sol.alpha[p]:.3e} exceeds what Z >= 0 allows"
                 )
             continue
         val = sol.alpha[p] / np.sqrt(sol.beta[w] * sol.beta[x])

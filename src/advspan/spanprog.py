@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .advsdp import SdpSolution, WitnessSdp, _pair_values
+from .advsdp import SdpSolution, WitnessSdp, _apply_adjoint, _pair_values
 from .boolfun import BooleanFunction
 from .errors import DimensionMismatchError, GramFailureError
 from .matkernel import gram_factor
@@ -230,40 +230,44 @@ def _check_pair_sums(sdp: WitnessSdp, gram: np.ndarray) -> None:
         raise GramFailureError(f"pair-sum constraint residual {worst:.3e} exceeds 1e-6")
 
 
-def _gauss_newton_step(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
-    """One least-norm Gauss-Newton step on the Gram factors v_j (rows v_{s,j})
+def _round_factor(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
+    """Two least-norm Gauss-Newton steps on the Gram factors v_j (rows v_{s,j})
     towards the pair constraints sum_{j : w_j != x_j} <v_{w,j}|v_{x,j}> = 1,
     after Peyrl and Parrilo's rounding, done in the factor space.
 
-    The step is dV_j = -L_j V_j, with L_j the symmetric matrix holding the
+    Each step is dV_j = -L_j V_j, with L_j the symmetric matrix holding the
     multiplier lambda_{wx} = ((J J^T)^-1 r)_{wx} at [w,x] and [x,w] for the
-    pairs that differ in coordinate j.  With pairs ordered w-major over
-    F0 x F1, J J^T = sum_j D_j (I_{F0} (x) G_j[F1,F1] + G_j[F0,F0] (x) I_{F1}) D_j,
+    pairs that differ in coordinate j (twice the Gram-block part of A^T
+    lambda).  With pairs ordered w-major over F0 x F1,
+    J J^T = sum_j D_j (I_{F0} (x) G_j[F1,F1] + G_j[F0,F0] (x) I_{F1}) D_j,
     G_j = V_j V_j^T and D_j the pairs' mask, so J itself is never formed.  The
     residual r falls to about |r|^2 / sigma_min(J)^2, and X = V V^T stays PSD
-    because only the factor moves.
+    because only the factor moves.  The rank cut drops the solver's mu-sized
+    eigenvalues, which moves the pair sums by ~1e-9; one step leaves 7e-12
+    where J is nearly singular (00000011, sigma_min 1e-5), a second reaches
+    roundoff.
     """
     f = sdp.f
     f0, f1 = np.array(f.f0), np.array(f.f1)
-    gram = v @ v.transpose(0, 2, 1)
-    residual = _pair_values(sdp, gram.ravel()) - 1.0
     differ = (f.bits[f0][:, None, :] != f.bits[f1][None, :, :]).astype(float)  # (w, x, j)
-    # J J^T[(w,x),(w',x')] = sum_j d_j[w,x] d_j[w',x'] (delta_ww' G_j[x,x'] + G_j[w,w'] delta_xx')
-    jjt = np.zeros((len(f0), len(f1), len(f0), len(f1)))
-    jjt[np.arange(len(f0)), :, np.arange(len(f0)), :] += np.einsum(
-        "wxj,wyj,jxy->wxy", differ, differ, gram[:, f1[:, None], f1])
-    jjt[:, np.arange(len(f1)), :, np.arange(len(f1))] += np.einsum(
-        "wxj,vxj,jwv->xwv", differ, differ, gram[:, f0[:, None], f0])
-    jjt = jjt.reshape(len(sdp.pairs), len(sdp.pairs))
-    try:
-        lam = scipy.linalg.cho_solve(scipy.linalg.cho_factor(jjt), residual)
-    except np.linalg.LinAlgError:  # J J^T singular: the least-norm multipliers
-        lam = np.linalg.lstsq(jjt, residual, rcond=None)[0]
-    weights = np.zeros(gram.shape).reshape(-1)
-    half = lam[sdp.entry_pair]
-    weights[sdp.entry_index] = half
-    weights[sdp.entry_mirror] = half
-    return v - weights.reshape(gram.shape) @ v
+    no_rows = np.zeros(sdp.num_inputs)
+    for _ in range(2):
+        gram = v @ v.transpose(0, 2, 1)
+        residual = _pair_values(sdp, gram.ravel()) - 1.0
+        # J J^T[(w,x),(w',x')] = sum_j d_j[w,x] d_j[w',x'] (delta_ww' G_j[x,x'] + G_j[w,w'] delta_xx')
+        jjt = np.zeros((len(f0), len(f1), len(f0), len(f1)))
+        jjt[np.arange(len(f0)), :, np.arange(len(f0)), :] += np.einsum(
+            "wxj,wyj,jxy->wxy", differ, differ, gram[:, f1[:, None], f1])
+        jjt[:, np.arange(len(f1)), :, np.arange(len(f1))] += np.einsum(
+            "wxj,vxj,jwv->xwv", differ, differ, gram[:, f0[:, None], f0])
+        jjt = jjt.reshape(len(sdp.pairs), len(sdp.pairs))
+        try:
+            lam = scipy.linalg.cho_solve(scipy.linalg.cho_factor(jjt), residual)
+        except np.linalg.LinAlgError:  # J J^T singular: the least-norm multipliers
+            lam = np.linalg.lstsq(jjt, residual, rcond=None)[0]
+        weights = 2.0 * _apply_adjoint(sdp, np.concatenate([lam, no_rows]))[: gram.size]
+        v = v - weights.reshape(gram.shape) @ v
+    return v
 
 
 def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanProgram:
@@ -288,11 +292,7 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     if np.abs(gram - sol.blocks).max() > 1e-6:
         raise GramFailureError("Gram factorization does not reproduce X within 1e-6")
     _check_pair_sums(sol.sdp, gram)
-    # the cut drops the solver's mu-sized eigenvalues, which moves the pair sums
-    # by ~1e-9; one step leaves 7e-12 where J is nearly singular (00000011,
-    # sigma_min 1e-5), a second reaches roundoff
-    for _ in range(2):
-        factor = _gauss_newton_step(sol.sdp, factor)
+    factor = _round_factor(sol.sdp, factor)
     rank = factor.shape[2]
 
     row_sums = np.einsum("jsk,jsk->s", factor, factor)

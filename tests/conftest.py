@@ -10,7 +10,7 @@ import pytest
 from advspan import verify
 from advspan.boolfun import BooleanFunction
 from advspan.matkernel import gram_factor, nullspace_projector
-from advspan.spanprog import CanonicalSpanProgram, _gauss_newton_step
+from advspan.spanprog import CanonicalSpanProgram, _round_factor
 from advspan.spectral import column_mask
 
 # Lexicographically smallest truth table of each non-constant NPN class of
@@ -136,9 +136,7 @@ def whole_gram_program(f, sol) -> CanonicalSpanProgram:
     canonical_from_gram.  Its rounding maps each block G_j to
     (I - L_j) G_j (I - L_j), which no layout of the factor changes."""
     n, num_inputs = f.n, 2**f.n
-    v = gram_factor(sol.blocks)
-    for _ in range(2):
-        v = _gauss_newton_step(sol.sdp, v)
+    v = _round_factor(sol.sdp, gram_factor(sol.blocks))
     blocks = v @ v.transpose(0, 2, 1)
     x = np.einsum("jwx,jk->wjxk", blocks, np.eye(n)).reshape(n * num_inputs, n * num_inputs)
     flat = gram_factor(x).reshape(num_inputs, n, -1)

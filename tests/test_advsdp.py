@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from advspan import verify
 from advspan.boolfun import load_function
 from advspan.errors import (
     ConstantFunctionError,
+    DegenerateDualError,
     NoConvergenceError,
     PatternViolationError,
     ZeroMatrixError,
@@ -135,6 +137,24 @@ def test_certificate_values(solved):
     assert parity.certificate.value == pytest.approx(2.0, abs=1e-3)
     or2 = solved("OR:2")  # exercises the dropped-beta path (input 11 has slack)
     assert or2.certificate.value == pytest.approx(np.sqrt(2.0), abs=1e-3)
+
+
+def test_dropped_inputs_keep_alpha_at_the_scale_z_allows():
+    """At tol 1e-9 the interior-point dual of 11000000 leaves beta ~5e-11 on
+    the slack inputs 110 and 111, below the drop threshold, and alpha ~1.2e-6
+    on their pairs, inside the |alpha_wx| <= 2 sqrt(beta_w beta_x) that Z >= 0
+    allows: they are dropped and the certificate is exact.  An alpha beyond
+    that bound is a degenerate dual."""
+    result = verify("11000000", tol=1e-9)
+    sol, sdp = result.solution, result.solution.sdp
+    assert sol.beta[0b110] < 1e-10 and sol.beta[0b111] < 1e-10
+    assert np.all(result.certificate.gamma[0b110:] == 0.0)
+    assert result.certificate.value == pytest.approx(np.sqrt(2.0), abs=1e-9)
+    assert result.report["status"] == "PASS"
+    alpha = sol.alpha.copy()
+    alpha[sdp.pairs.index((0b110, 0b000))] = 1e-4
+    with pytest.raises(DegenerateDualError):
+        extract_certificate(dataclasses.replace(sol, alpha=alpha), sol.sdp.f)
 
 
 def test_certificate_zero_pattern_is_exact(corpus):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from advspan import verify
 from advspan.boolfun import load_function
 from advspan.errors import NoNullWitnessError, WitnessViolationError, WrongBranchError
 from advspan.matkernel import DEFAULT_ZERO_TOL, eig_hermitian, unitary_eigensystem
@@ -490,13 +491,14 @@ def test_jordan_decomposes_every_input_of_hard_3bit_tables(solved, table):
         assert reconstruction(bundle.graph, resolve(bundle, s)) <= 1e-12
 
 
-def test_rank_cut_rows_only_where_the_cut_is_ambiguous(solved):
+def test_rank_cut_rows_only_where_the_cut_is_ambiguous(solved, monkeypatch):
     """No rounded canonical program has a singular value of B_G within
     RANK_WINDOW of the cut, so the corpus and the 13 NPN classes report no
     rank_cut row.  Moving 00000011's two smallest singular values (real, near
     5e-4) to 1.28 and 0.90 times the cut makes it ambiguous: ranks 4 and 6 are
-    resolved beside 5, and they agree; ranks 3 and 4 span a real singular
-    value and do not."""
+    resolved beside 5, and they agree, so verify reports one passing rank_cut
+    row per input; ranks 3 and 4 span a real singular value and do not
+    agree."""
     for spec in [*corpus_specs(), *NPN3_CANONICAL]:
         bundle = solved(spec)
         assert bundle.graph.near_ranks == ()
@@ -510,5 +512,11 @@ def test_rank_cut_rows_only_where_the_cut_is_ambiguous(solved):
     g = build_program_graph(q)
     assert (g.rank, g.near_ranks) == (5, (4, 6))
     for s in q.f.inputs:
-        assert rank_spread(g, q, s, (5, 4, 6)) <= 1e-8
         assert rank_spread(g, q, s, (3, 4)) > 1e-8
+    # the input graphs read only the program graph, so verify on 00000011 with
+    # this graph in place of its own reports the rows the moved program gets
+    monkeypatch.setattr("advspan.spectral.build_program_graph", lambda program: g)
+    report = verify("00000011", simulate=False).report
+    rows = [chk for chk in report["checks"] if chk["name"].startswith("rank_cut[")]
+    assert [chk["name"] for chk in rows] == [f"rank_cut[{s:03b}]" for s in q.f.inputs]
+    assert all(chk["pass"] and chk["bound"] == 1e-8 for chk in rows)
