@@ -21,11 +21,17 @@ certificate via Gamma[w,x] = alpha_{w,x} / sqrt(beta_w beta_x).
 
 Each iteration solves one Schur complement system, M_ik = tr(A_i X A_k Z^-1)
 plus the (u, xi) part.  Every constraint puts entries (E_ab + E_ba) / 2 into
-single Gram blocks (a pair row one per coordinate where w and x differ, a row
-sum one at (s,s) of each block), so M is summed block by block from entries of
-X_j and Z_j^-1 (schur_complement): Z^-1 is n inverses of side 2^n, M has side
-|F0||F1| + 2^n (at most 288 at n = 5), and neither the dense constraint matrix
-nor a matrix of side n 4^n is ever formed.
+single Gram blocks: a pair row one per coordinate where w and x differ, a row
+sum one at (s,s) of each block.  The mask d_j(w,x) = [w_j != x_j] splits as
+sum_c [w_j = c][x_j = 1 - c], so over the pair grid F0 x F1 every pair-pair
+term of M is a sum of products of one F0-side and one F1-side matrix, masked
+entries of X_j and Z_j^-1, and M is built from GEMMs (schur_complement).  M
+has side |F0||F1| + 2^n (at most 288 at n = 5), and neither the dense
+constraint matrix nor a matrix of side n 4^n is ever formed.  Each iterate's
+blocks are factored once, X_j = L L^T and Z_j = L L^T: Z^-1 is
+L_Z^-T L_Z^-1, the largest step keeping V + a dV PSD is read off
+lambda_min(L^-1 dV L^-T), and a failed factorization means roundoff has left
+the cone's interior.  No eigendecomposition runs inside the loop.
 """
 
 from __future__ import annotations
@@ -79,16 +85,18 @@ class WitnessSdp:
         return 2**self.f.n
 
     @cached_property
-    def block_entries(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per Gram block j, (constraint, a, b) for every entry (E_ab + E_ba) / 2
-        that a constraint puts in X_j: the pair rows with w_j != x_j (a = w,
-        b = x), then the row-sum rows (a = b = s)."""
-        num_pairs, s = len(self.pairs), self.num_inputs
-        j, w, x = np.unravel_index(self.entry_index, (self.n, s, s))
-        rows = np.arange(s)
-        return tuple((np.concatenate([self.entry_pair[j == k], num_pairs + rows]),
-                      np.concatenate([w[j == k], rows]), np.concatenate([x[j == k], rows]))
-                     for k in range(self.n))
+    def grid(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], dict]:
+        """(sides, h, hh) for the Schur complement, with sides = (F0, F1) and
+        h = (h0, h1).  Each pair row's coefficient in block j, d_j(w,x) / 2
+        with d_j(w,x) = [w_j != x_j], splits as sum_c h0[j,c,w] h1[j,c,x],
+        where h0[j,c,w] = [w_j = c] / 2 over F0 and h1[j,c,x] = [x_j = 1 - c]
+        over F1; hh[r, s][j,c,c',u,v] = h[r][j,c,u] h[s][j,c',v]."""
+        bits, sides = self.f.bits.T, (np.array(self.f.f0), np.array(self.f.f1))
+        c = np.arange(2)[None, :, None]
+        h = (0.5 * (bits[:, None, sides[0]] == c), (bits[:, None, sides[1]] == 1 - c).astype(float))
+        hh = {(r, s): np.ascontiguousarray(h[r][:, :, None, :, None] * h[s][:, None, :, None, :])
+              for r in range(2) for s in range(2)}
+        return sides, h, hh
 
     @property
     def constraints(self) -> np.ndarray:
@@ -146,41 +154,78 @@ def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio
     """The HKM Schur complement M[i,k] = tr(A_i X A_k Z^-1) + sum_l a_il a_kl x_l / z_l.
 
     x and z_inv are stacks of the n Gram blocks and lp_ratio is x / z on
-    (u, xi).  Block j of A_i is (E_ab + E_ba) / 2 for each entry (a, b) of
-    sdp.block_entries[j], so block j adds, over entry pairs e and f,
-    (X[b_e,a_f] Z^-1[a_e,b_f] + X[b_e,b_f] Z^-1[a_e,a_f] + X[a_e,a_f] Z^-1[b_e,b_f]
-    + X[a_e,b_f] Z^-1[b_e,a_f]) / 4; the last term is the first transposed.
+    (u, xi).  Block j of pair row (w,x) is d_j(w,x) (E_wx + E_xw) / 2, so the
+    pair-pair entry is the sum over j of d_j(w,x) d_j(w',x') / 4 times
+    X[w,w'] Z^-1[x,x'] + Z^-1[w,w'] X[x,x'] + Z^-1[w,x'] X[x,w'] + X[w,x'] Z^-1[x,w'].
+    With d_j / 2 = sum_c h0[j,c,w] h1[j,c,x] (WitnessSdp.grid), each term is
+    a sum over k = (j, c, c') of an F0-side matrix times an F1-side one, so
+    the first two are one GEMM over 8n products and the last two another.
+    Both run one slice of the smaller side at a time, each slice landing in
+    M's pair block, so no temporary of M's size is made.  A pair-row entry
+    is sum_j d_j(w,x) (Z^-1[w,s] X[x,s] + X[w,s] Z^-1[x,s]) / 2, a matmul over
+    4n products per s, and the row-row block is sum_j X_j o Z_j^-1 plus the
+    (u, xi) part.  All of the symmetric M is filled.
     """
-    num_pairs, num_inputs = len(sdp.pairs), sdp.num_inputs
-    m = np.zeros((num_pairs + num_inputs, num_pairs + num_inputs))
-    for (con, a, b), xj, zj in zip(sdp.block_entries, x, z_inv):
-        xa, xb, za, zb = xj[a], xj[b], zj[a], zj[b]
-        k = xb[:, a]
-        k *= zb[:, a].T
-        t = k + k.T
-        np.take(xb, b, axis=1, out=k)
-        k *= za[:, a]
-        t += k
-        np.take(xa, a, axis=1, out=k)
-        k *= zb[:, b]
-        t += k
-        m[np.ix_(con, con)] += t
-    m *= 0.25
-    rows = num_pairs + np.arange(num_inputs)
-    m[num_pairs:, num_pairs:] += lp_ratio[-1]
-    m[rows, rows] += lp_ratio[:-1]
+    sides, (h0, h1), hh = sdp.grid
+    n, num_inputs, a, b = sdp.n, sdp.num_inputs, len(sides[0]), len(sides[1])
+    p, k = a * b, 8 * n
+    xz = np.stack([x, z_inv])
+    zx = xz[::-1]
+
+    def split(y: np.ndarray, r: int, s: int) -> np.ndarray:
+        """h[r][j,c,u] y[t,j,u,v] h[s][j,c',v] for u in side r and v in side s,
+        stacked over k = (t, j, c, c')."""
+        # np.take keeps the block C-ordered, so the masked product is one contiguous pass
+        block = np.take(np.take(y, sides[r], axis=2), sides[s], axis=3)
+        return (block[:, :, None, None] * hh[r, s]).reshape(k, len(sides[r]), len(sides[s]))
+
+    m = np.empty((p + num_inputs, p + num_inputs))
+    # slice u of the smaller side r holds (v, u', v') over the other side o
+    r, o = (0, 1) if a <= b else (1, 0)
+    pair_block = m[:p, :p].reshape(a, b, a, b)
+    pair_block = pair_block if r == 0 else pair_block.transpose(1, 0, 3, 2)
+    nr, no = len(sides[r]), len(sides[o])
+    same_r, same_o = split(xz, r, r), split(zx, o, o).reshape(k, no * no)
+    across, back = split(zx, r, o), split(xz, o, r).reshape(k, no * nr).T
+    for u in range(nr):
+        np.add((same_r[:, u].T @ same_o).reshape(nr, no, no).transpose(1, 0, 2),
+               (back @ across[:, u]).reshape(no, nr, no), out=pair_block[u])
+    ws = (xz[:, :, :, sides[0]][:, :, None] * h0[:, :, None, :]).reshape(4 * n, num_inputs, a)
+    xs = (zx[:, :, :, sides[1]][:, :, None] * h1[:, :, None, :]).reshape(4 * n, num_inputs, b)
+    pair_row = np.matmul(ws.transpose(1, 2, 0), xs.transpose(1, 0, 2)).reshape(num_inputs, p)
+    m[p:, :p] = pair_row
+    m[:p, p:] = pair_row.T
+    row_block = m[p:, p:]
+    np.einsum("jst,jst->st", x, z_inv, out=row_block)
+    row_block += lp_ratio[-1]
+    row_block[np.diag_indices(num_inputs)] += lp_ratio[:-1]
     return m
 
 
 def _solver(m: np.ndarray):
-    """Solve with M: Cholesky, or LU where M is numerically singular (as it
-    gets near the optimum when f ignores a variable)."""
+    """Solve with M: Cholesky in place, or LU where M is numerically singular
+    (as it gets near the optimum when f ignores a variable).  The Cholesky of
+    the Fortran-ordered M^T writes only M's lower triangle, so after a failed
+    one the upper triangle and the saved diagonal restore M for the LU."""
+    diagonal = m.diagonal().copy()
     try:
-        factor = scipy.linalg.cho_factor(m, check_finite=False)
+        factor = scipy.linalg.cho_factor(m.T, overwrite_a=True, check_finite=False)
         return lambda r: scipy.linalg.cho_solve(factor, r, check_finite=False)
     except np.linalg.LinAlgError:
+        lower = np.tril_indices(len(m), -1)
+        m[lower] = m.T[lower]
+        m[np.diag_indices(len(m))] = diagonal
         factor = scipy.linalg.lu_factor(m, overwrite_a=True, check_finite=False)
         return lambda r: scipy.linalg.lu_solve(factor, r, check_finite=False)
+
+
+def _inverse_factors(blocks: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor L = chol(V) of each block V of the stack;
+    LinAlgError where a block is not positive definite."""
+    factors = np.linalg.cholesky(blocks)
+    for factor in factors:
+        factor[...] = scipy.linalg.lapack.dtrtri(factor, lower=1)[0]
+    return factors
 
 
 @dataclass(frozen=True)
@@ -239,12 +284,20 @@ def solve_sdp(
     x[sdp.diagonal], x[nb:], x[-1] = 1.0, 1.0, n + 1.0
     z[sdp.diagonal], z[nb:] = 1.0, 1.0
 
-    def max_step(w: np.ndarray, q: np.ndarray, v: np.ndarray, dv: np.ndarray) -> float:
-        """Largest a with the blocks + a dv PSD (blocks = q diag(w) q^T) and (u, xi) + a dv >= 0."""
-        r = q / np.sqrt(w)[:, None, :]
-        lam = float(np.linalg.eigvalsh(r.transpose(0, 2, 1) @ dv[:nb].reshape(shape) @ r).min())
-        shrink = dv[nb:] < 0
-        return min(np.inf if lam >= 0 else -1.0 / lam, float((v[nb:][shrink] / -dv[nb:][shrink]).min(initial=np.inf)))
+    def max_step(l_inv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> tuple[float, float]:
+        """Largest a_p and a_d with X + a_p dX and Z + a_d dZ PSD and
+        (u, xi) + a dv >= 0 on each side.  With V = L L^T and l_inv the stack
+        of L^-1 for the blocks of X then Z, V + a dV is PSD while
+        a lambda_min(L^-1 dV L^-T) >= -1, so one eigvalsh of the 2n blocks
+        L^-1 dV L^-T gives both lengths."""
+        dv = np.concatenate([dx[:nb], dz[:nb]]).reshape(2 * n, num_inputs, num_inputs)
+        low = np.linalg.eigvalsh(l_inv @ dv @ l_inv.transpose(0, 2, 1)).min(axis=1)
+        steps = []
+        for lam, v, d in ((float(low[:n].min()), x, dx), (float(low[n:].min()), z, dz)):
+            shrink = d[nb:] < 0
+            steps.append(min(np.inf if lam >= 0 else -1.0 / lam,
+                             float((v[nb:][shrink] / -d[nb:][shrink]).min(initial=np.inf))))
+        return steps[0], steps[1]
 
     history: list[dict] = []
     iterations = 0
@@ -258,13 +311,15 @@ def solve_sdp(
         scale = tol * max(1.0, abs(xi))
         if max(primal_inf, dual_inf, abs(gap), complementarity) <= scale:
             break
+        if iterations == max_iterations:
+            break
         xb, zb = x[:nb].reshape(shape), z[:nb].reshape(shape)
-        wx, qx = np.linalg.eigh(xb)
-        wz, qz = np.linalg.eigh(zb)
-        if iterations == max_iterations or wx.min() <= 0.0 or wz.min() <= 0.0:
-            break  # the cap, or roundoff has left the cone's interior
+        try:
+            l_inv = _inverse_factors(np.concatenate([xb, zb]))
+        except np.linalg.LinAlgError:
+            break  # roundoff has left the cone's interior
         mu = complementarity / order
-        z_inv = (qz / wz[:, None, :]) @ qz.transpose(0, 2, 1)
+        z_inv = l_inv[n:].transpose(0, 2, 1) @ l_inv[n:]
         lp_x, lp_z = x[nb:], z[nb:]
         solve = _solver(schur_complement(sdp, xb, z_inv, lp_x / lp_z))
         x_rd_zinv = (xb @ rd[:nb].reshape(shape) @ z_inv).ravel()
@@ -282,15 +337,14 @@ def solve_sdp(
 
         # Mehrotra: an affine predictor sets the centring sigma, then one corrector
         dx, dy, dz = direction(-xb, -lp_x)
-        step_p, step_d = min(1.0, max_step(wx, qx, x, dx)), min(1.0, max_step(wz, qz, z, dz))
+        step_p, step_d = (min(1.0, step) for step in max_step(l_inv, dx, dz))
         sigma = min(1.0, ((x + step_p * dx) @ (z + step_d * dz) / order / mu) ** 3)
         dxb, dzb = dx[:nb].reshape(shape), dz[:nb].reshape(shape)
         dx, dy, dz = direction(sigma * mu * z_inv - xb - dxb @ dzb @ z_inv,
                                (sigma * mu - dx[nb:] * dz[nb:]) / lp_z - lp_x)
         # the fraction of the way to the boundary, as in SDPT3
         fraction = 0.9 + 0.09 * min(step_p, step_d)
-        step_p = min(1.0, fraction * max_step(wx, qx, x, dx))
-        step_d = min(1.0, fraction * max_step(wz, qz, z, dz))
+        step_p, step_d = (min(1.0, fraction * step) for step in max_step(l_inv, dx, dz))
         x += step_p * dx
         y += step_d * dy
         z += step_d * dz
@@ -354,19 +408,20 @@ def extract_certificate(sol: SdpSolution, f: BooleanFunction) -> AdversaryCertif
     num_inputs = 2**f.n
     gamma = np.zeros((num_inputs, num_inputs))
     alpha_scale = max(1.0, float(np.abs(sol.alpha).max()) if len(sol.alpha) else 0.0)
-    dropped = [s for s in range(num_inputs) if sol.beta[s] < BETA_DROP_TOL]
+    dropped = sol.beta < BETA_DROP_TOL
     beta_plus = np.maximum(sol.beta, 0.0)
-    for p, (w, x) in enumerate(sol.sdp.pairs):
-        if w in dropped or x in dropped:
-            if abs(sol.alpha[p]) > 2.0 * np.sqrt(beta_plus[w] * beta_plus[x]) + 1e-6 * alpha_scale:
-                raise DegenerateDualError(
-                    f"beta vanished on inputs {sorted(set(dropped) & {w, x})} "
-                    f"but alpha[{w},{x}] = {sol.alpha[p]:.3e} exceeds what Z >= 0 allows"
-                )
-            continue
-        val = sol.alpha[p] / np.sqrt(sol.beta[w] * sol.beta[x])
-        gamma[w, x] = val
-        gamma[x, w] = val
+    w, x = np.array(sol.sdp.pairs).reshape(-1, 2).T
+    on_dropped = dropped[w] | dropped[x]
+    beyond = on_dropped & (np.abs(sol.alpha) > 2.0 * np.sqrt(beta_plus[w] * beta_plus[x]) + 1e-6 * alpha_scale)
+    if beyond.any():
+        p = int(np.argmax(beyond))
+        raise DegenerateDualError(
+            f"beta vanished on inputs {sorted(int(s) for s in (w[p], x[p]) if dropped[s])} "
+            f"but alpha[{w[p]},{x[p]}] = {sol.alpha[p]:.3e} exceeds what Z >= 0 allows"
+        )
+    kept = ~on_dropped
+    w, x = w[kept], x[kept]
+    gamma[w, x] = gamma[x, w] = sol.alpha[kept] / np.sqrt(sol.beta[w] * sol.beta[x])
     value = adversary_ratio(gamma, f)
     beta_hat = np.sqrt(np.maximum(sol.beta, 0.0))
     beta_hat /= np.linalg.norm(beta_hat)
@@ -380,11 +435,10 @@ def adversary_ratio(gamma, f: BooleanFunction) -> float:
     scale = float(np.abs(g).max()) if g.size else 0.0
     if scale == 0.0:
         raise ZeroMatrixError("adversary ratio is undefined for the zero matrix")
-    for x in f.inputs:
-        for y in f.inputs:
-            if f.value(x) == f.value(y) and abs(g[x, y]) > 1e-12 * scale:
-                raise PatternViolationError(
-                    f"Gamma[{x},{y}] = {g[x, y]:.3e} but f({x}) = f({y})"
-                )
+    table = np.array(f.table)
+    wrong = (table[:, None] == table[None, :]) & (np.abs(g) > 1e-12 * scale)
+    if wrong.any():
+        x, y = np.unravel_index(np.argmax(wrong), wrong.shape)
+        raise PatternViolationError(f"Gamma[{x},{y}] = {g[x, y]:.3e} but f({x}) = f({y})")
     denom = max(spectral_norm(hadamard(g, difference_matrix(f, i))) for i in range(1, f.n + 1))
     return spectral_norm(g) / denom

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from advspan import advsdp
 from advspan.advsdp import adversary_ratio, build_witness_sdp, extract_certificate, schur_complement, solve_sdp
 from advspan import verify
 from advspan.boolfun import load_function
@@ -16,6 +17,11 @@ from advspan.errors import (
 )
 
 from conftest import corpus_specs
+
+
+def random_tables(n: int, count: int, seed: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    return ["".join(str(b) for b in rng.integers(0, 2, 2**n)) for _ in range(count)]
 
 
 def test_build_dimensions_parity2():
@@ -216,6 +222,45 @@ def test_no_convergence_reports_residuals():
     assert residuals["primal_infeasibility"] >= 0.0 and residuals["dual_infeasibility"] >= 0.0
 
 
+def test_failed_cholesky_stops_with_the_finished_iterations(monkeypatch):
+    """A Cholesky factorization of an iterate that fails means roundoff has
+    left the cone's interior: solve_sdp raises NoConvergenceError with the
+    residuals and the history of the iterations it finished, never LinAlgError."""
+    sdp = build_witness_sdp(load_function("MAJ:3"))
+    assert solve_sdp(sdp).residuals["iterations"] > 4
+    cholesky, calls = np.linalg.cholesky, []
+
+    def fail_fourth_call(a):
+        calls.append(a.shape)
+        if len(calls) == 4:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(advsdp.np.linalg, "cholesky", fail_fourth_call)
+    with pytest.raises(NoConvergenceError, match="interior") as err:
+        solve_sdp(sdp)
+    residuals = err.value.residuals
+    assert residuals["iterations"] == 3
+    assert len(residuals["history"]) == 3
+    assert residuals["primal_infeasibility"] >= 0.0 and residuals["dual_infeasibility"] >= 0.0
+
+
+def test_schur_solver_restores_m_for_the_lu_fallback():
+    """M's Cholesky runs in place.  Where it fails (here M is indefinite, so it
+    fails part way), the LU solves with M restored from its untouched triangle
+    and the saved diagonal."""
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    m = q @ np.diag([3.0, 2.0, 1.0, -1.0, 0.5, 2.0]) @ q.T
+    m = 0.5 * (m + m.T)
+    r = rng.standard_normal(6)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(m)
+    assert np.allclose(advsdp._solver(m.copy())(r), np.linalg.solve(m, r), rtol=1e-12, atol=1e-12)
+    spd = m @ m.T + np.eye(6)
+    assert np.allclose(advsdp._solver(spd.copy())(r), np.linalg.solve(spd, r), rtol=1e-12, atol=1e-12)
+
+
 def test_residual_history_has_one_row_per_iteration(corpus):
     keys = {"mu", "gap", "primal_infeasibility", "dual_infeasibility", "step_primal", "step_dual"}
     for bundle in corpus:
@@ -244,10 +289,12 @@ def test_pair_constraints_touch_only_differing_coordinates():
             assert sdp.f.bit(w, j + 1) != sdp.f.bit(x, j + 1)
 
 
-@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4"])
+@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "MAJ:4", "AND:4"] + random_tables(4, 2, 1))
 def test_block_solver_matches_dense_reference(spec):
-    """The per-block Schur complement equals A (X (x) Z^-1 (+) diag(x/z)) A^T with
-    the dense constraint rows A: the solver never forms the Kronecker product."""
+    """The Schur complement from GEMMs on the F0 x F1 grid equals
+    A (X (x) Z^-1 (+) diag(x/z)) A^T with the dense constraint rows A, the
+    solver never forming the Kronecker product.  OR:4 (|F0| = 1) and AND:4
+    (|F1| = 1) run its loop over the smaller side from either side."""
     sdp = build_witness_sdp(load_function(spec))
     n, s = sdp.n, sdp.num_inputs
     rng = np.random.default_rng(3)
@@ -292,11 +339,6 @@ def test_five_bit_closed_forms(spec, adv):
     sol = solve_sdp(build_witness_sdp(f))
     assert sol.xi == pytest.approx(adv, abs=1e-5)
     assert extract_certificate(sol, f).value == pytest.approx(adv, abs=1e-5)
-
-
-def random_tables(n: int, count: int, seed: int) -> list[str]:
-    rng = np.random.default_rng(seed)
-    return ["".join(str(b) for b in rng.integers(0, 2, 2**n)) for _ in range(count)]
 
 
 @pytest.mark.parametrize("table", random_tables(4, 12, 0))
