@@ -28,7 +28,6 @@ from .spanprog import (
     canonical_from_gram,
     evaluate,
     program_witness_size,
-    witness_size_input,
 )
 from .spectral import (
     InputGraph,

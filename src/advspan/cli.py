@@ -30,7 +30,8 @@ def run_pipeline(options: argparse.Namespace) -> tuple[dict, int]:
     if options.csv_dir:
         _write_csvs(Path(options.csv_dir), report, result.graph)
     if options.json:
-        Path(options.json).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        # compact: without an indent json uses its C encoder (read it with python -m json.tool)
+        Path(options.json).write_text(json.dumps(report, sort_keys=True) + "\n")
     return report, (0 if report["status"] == "PASS" else 1)
 
 
@@ -53,9 +54,7 @@ def _write_csvs(directory: Path, report: dict, graph) -> None:
                     writer.writerow([row["input"], alg, param, row[alg], row["thresholds"][alg],
                                      passed[f"{alg}_{branch}[{row['input']}]"]])
                 writer.writerow([row["input"], "search_noregister", row["tau"], row["search_noregister"], "", ""])
-    with open(directory / "program_graph_edges.txt", "w") as fh:
-        for r, c, wgt in graph.edges():
-            fh.write(f"{r} {c} {wgt!r}\n")
+    (directory / "program_graph_edges.txt").write_text("".join(f"{r} {c} {wgt!r}\n" for r, c, wgt in graph.edges()))
 
 
 def _print_report(report: dict, stream) -> None:

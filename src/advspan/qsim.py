@@ -219,57 +219,72 @@ def qpe_kernel(theta, ancilla_count: int):
 
 
 def _resolution(phases, overlaps) -> tuple[np.ndarray, np.ndarray]:
-    """phases/overlaps as float arrays; overlaps must sum to one."""
+    """phases/overlaps as float arrays; each row of overlaps must sum to one."""
     phases = np.asarray(phases, dtype=float)
     overlaps = np.asarray(overlaps, dtype=float)
-    if abs(overlaps.sum() - 1.0) > 1e-8:
-        raise NotNormalizedError(f"overlaps sum to {overlaps.sum():.10f}, expected 1")
+    totals = overlaps.sum(axis=-1)
+    worst = np.abs(totals - 1.0)
+    if worst.max(initial=0.0) > 1e-8:
+        raise NotNormalizedError(f"overlaps sum to {np.ravel(totals)[np.argmax(worst)]:.10f}, expected 1")
     return phases, overlaps
 
 
-def qpe_accept_probability(
-    phases, overlaps, precision: float, ancilla_count: int
-) -> float:
+def _dirichlet_sum(phi, tau: int) -> np.ndarray:
+    """sum_{T=1}^{tau} cos(T phi) = sin(tau phi / 2) cos((tau + 1) phi / 2) / sin(phi / 2),
+    elementwise.  phi is first reduced to [-pi, pi), so that the arguments of
+    the sines stay as small as phi's distance to the nearest multiple of
+    2 pi; where |sin(phi / 2)| < 1e-12 every term is 1 to roundoff and the
+    sum is tau, the guard qpe_kernel uses."""
+    phi = np.remainder(np.asarray(phi, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    den = np.sin(phi / 2.0)
+    small = np.abs(den) < 1e-12
+    num = np.sin(tau * phi / 2.0) * np.cos((tau + 1) * phi / 2.0)
+    return np.where(small, float(tau), num / np.where(small, 1.0, den))
+
+
+def qpe_accept_probability(phases, overlaps, precision: float, ancilla_count: int):
     """Exact ideal-circuit probability of measuring phase zero.
 
     phases/overlaps describe the spectral resolution of the initial state
-    over U_s eigenvectors; overlaps must sum to one.  Requires
-    2^-ancilla_count <= precision.
+    over U_s eigenvectors, along the last axis, so a (..., K) stack gives a
+    (...) array of probabilities; each row of overlaps must sum to one.
+    Requires 2^-ancilla_count <= precision.
     """
     phases, overlaps = _resolution(phases, overlaps)
     if 2.0**-ancilla_count > precision:
         raise ValueError("ancilla register too small for the requested precision")
-    return float((overlaps * qpe_kernel(phases, ancilla_count)).sum())
+    return (overlaps * qpe_kernel(phases, ancilla_count)).sum(axis=-1)
 
 
 def default_ancilla_count(precision: float) -> int:
     return int(np.ceil(np.log2(1.0 / precision))) + 1
 
 
-def search_accept_probability(phases, overlaps, tau: int) -> float:
+def search_accept_probability(phases, overlaps, tau: int):
     """Average over T in 1..tau of (1/4) ||(I + U^T) anchor||^2.
 
-    phases/overlaps are the spectral resolution of the anchor, as for
-    qpe_accept_probability; each eigenvector beta contributes
-    cos^2(theta(beta) T / 2), so no matrix power is formed.
+    phases/overlaps are the spectral resolution of the anchor along the last
+    axis, as for qpe_accept_probability.  Each eigenvector beta contributes
+    cos^2(theta(beta) T / 2) = (1 + cos(theta(beta) T)) / 2, whose average
+    over T is a Dirichlet sum, so neither a matrix power nor a term per T is
+    formed.
     """
     if tau < 1:
         raise ValueError("tau must be at least 1")
     phases, overlaps = _resolution(phases, overlaps)
-    t_range = np.arange(1, tau + 1)
-    kernel = np.cos(np.outer(phases, t_range) / 2.0) ** 2
-    return float(overlaps @ kernel.mean(axis=1))
+    return (overlaps * (0.5 + _dirichlet_sum(phases, tau) / (2.0 * tau))).sum(axis=-1)
 
 
-def search_noregister_probability(phases, overlaps, tau: int) -> float:
+def search_noregister_probability(phases, overlaps, tau: int):
     """Average over T in 1..tau of |<anchor| U^T |anchor>|^2, from the
-    anchor's spectral resolution."""
+    anchor's spectral resolution along the last axis:
+    sum_{k,l} w_k w_l (1/tau) sum_T cos(T (theta_k - theta_l)), one Dirichlet
+    sum per pair of phases."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
     phases, overlaps = _resolution(phases, overlaps)
-    t_range = np.arange(1, tau + 1)
-    amplitudes = (np.exp(1j * np.outer(t_range, phases)) * overlaps).sum(axis=1)
-    return float((np.abs(amplitudes) ** 2).mean())
+    kernel = _dirichlet_sum(phases[..., :, None] - phases[..., None, :], tau) / tau
+    return np.einsum("...k,...kl,...l->...", overlaps, kernel, overlaps)
 
 
 # ---------------------------------------------------------------------------

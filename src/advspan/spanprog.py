@@ -57,98 +57,109 @@ class SpanProgram:
             start += self.block_sizes[j - 1][0]
         return slice(start, start + self.block_sizes[j - 1][b])
 
-    def bit(self, s: int, j: int) -> int:
-        return (s >> (self.n - j)) & 1
-
-    def selection_mask(self, s: int) -> np.ndarray:
-        """Boolean mask of the columns kept by Pi(s) (literals agreeing with s)."""
-        mask = np.zeros(self.columns, dtype=bool)
-        for j in range(1, self.n + 1):
-            mask[self.column_range(j, self.bit(s, j))] = True
-        return mask
+    def selection_masks(self) -> np.ndarray:
+        """(2^n, columns) boolean: row s marks the columns Pi(s) keeps, the
+        literals agreeing with s (b = s_j in I_{j,b})."""
+        block = np.repeat(np.arange(2 * self.n), [size for pair in self.block_sizes for size in pair])
+        bits = (np.arange(2**self.n)[:, None] >> (self.n - 1 - np.arange(self.n))) & 1
+        return bits[:, block // 2] == block % 2
 
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Outcome of running a span program on one input.
+    """Outcome of running a span program on every input, stacked along the
+    input axis.
 
-    For value True, witness is the minimum-norm z (on the full column
-    index, zero outside Pi(s)) with A Pi(s) z = t.  For value False it is
-    the negative witness y with y* A Pi(s) = 0, <y|t> = 1 and minimal
-    ||y* A||^2.  witness_size is the corresponding squared norm.
+    value[s] is f(s) as the program computes it.  For value True, witness[s]
+    is the minimum-norm z (on the full column index, zero outside Pi(s))
+    with A Pi(s) z = t, and residual[s] is ||A Pi(s) z - t|| / ||t||.  For
+    value False it is the negative witness y with y* A Pi(s) = 0,
+    <y|t> = 1 and minimal ||y* A||^2, and residual[s] is ||y* A Pi(s)||.
+    witness_size[s] is the corresponding squared norm.
     """
 
-    value: bool
-    witness: np.ndarray
-    witness_size: float
-    residual: float
+    value: np.ndarray
+    witness: tuple[np.ndarray, ...]
+    witness_size: np.ndarray
+    residual: np.ndarray
 
 
-def _nullspace_basis(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of null(mat).
+def evaluate(p: SpanProgram) -> Evaluation:
+    """Evaluate the program on all 2^n inputs, returning each branch and its
+    optimal witness.
 
-    With rows >= cols the thin SVD already holds all cols right vectors, so
-    the rows x rows left factor is never formed.
+    Inputs that select equally many columns share one stacked SVD of their
+    selected columns A Pi(s) (a canonical program is one such group).  It
+    gives the true branch's least-norm solution and the false branch's
+    basis of null((A Pi(s))^T), both cut at numpy's rank rule
+    max(rows, columns) eps sigma_1, the rule of lstsq(rcond=None).  Only the
+    false branch's KKT solve for the negative witness runs per input.
     """
-    rows, cols = mat.shape
-    if rows == 0:
-        return np.eye(cols)
-    _, sv, vt = np.linalg.svd(mat, full_matrices=rows < cols)
-    tol = max(rows, cols) * np.finfo(float).eps * (sv[0] if len(sv) else 0.0)
-    rank = int((sv > tol).sum())
-    return vt[rank:].T
-
-
-def evaluate(p: SpanProgram, s: int) -> Evaluation:
-    """Evaluate the program, returning the branch and its optimal witness."""
-    mask = p.selection_mask(s)
-    selected = p.matrix[:, mask]
     t = p.target
     tnorm = np.linalg.norm(t)
+    masks = p.selection_masks()
+    counts = masks.sum(axis=1)
+    num_inputs = len(masks)
+    value = np.zeros(num_inputs, dtype=bool)
+    sizes, residual = np.zeros(num_inputs), np.zeros(num_inputs)
+    witness: list[np.ndarray] = [np.zeros(0)] * num_inputs
+    for k in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == k)
+        cols = np.nonzero(masks[group])[1].reshape(len(group), k)
+        selected = p.matrix[:, cols].transpose(1, 0, 2)  # (inputs, rows, k)
+        # the SVD of the transposes, selected = V S U^T: its rows x rows V^T
+        # holds the null-space basis whether k < rows (full factors) or not
+        u, sv, vt = np.linalg.svd(selected.transpose(0, 2, 1), full_matrices=k < p.rows)
+        kept = sv > max(p.rows, k) * np.finfo(float).eps * sv[:, :1]
+        rank = kept.sum(axis=1)
+        width = sv.shape[1]
+        coef = np.divide(vt[:, :width] @ t, sv, out=np.zeros_like(sv), where=kept)
+        z = np.einsum("gkq,gq->gk", u[:, :, :width], coef)
+        true_residual = np.linalg.norm(np.einsum("grk,gk->gr", selected, z) - t, axis=1)
+        for s, res in zip(group.tolist(), true_residual.tolist()):
+            if 0.1 * WITNESS_RTOL * tnorm < res < 10 * WITNESS_RTOL * tnorm:
+                warnings.warn(
+                    f"near-degenerate span program: membership residual {res:.3e} "
+                    f"sits at the branch threshold for input {s:0{p.n}b}",
+                    stacklevel=2,
+                )
+        positive = true_residual <= WITNESS_RTOL * tnorm
+        value[group[positive]] = True
+        sizes[group[positive]] = np.einsum("gk,gk->g", z[positive], z[positive])
+        residual[group[positive]] = true_residual[positive] / tnorm
+        for g in np.flatnonzero(positive).tolist():
+            witness[group[g]] = np.zeros(p.columns)
+            witness[group[g]][cols[g]] = z[g]
 
-    if selected.shape[1]:
-        z_sel, *_ = np.linalg.lstsq(selected, t, rcond=None)
-        true_residual = float(np.linalg.norm(selected @ z_sel - t))
-    else:
-        z_sel = np.zeros(0)
-        true_residual = float(tnorm)
-
-    if 0.1 * WITNESS_RTOL * tnorm < true_residual < 10 * WITNESS_RTOL * tnorm:
-        warnings.warn(
-            f"near-degenerate span program: membership residual {true_residual:.3e} "
-            f"sits at the branch threshold for input {s:0{p.n}b}",
-            stacklevel=2,
-        )
-    if true_residual <= WITNESS_RTOL * tnorm:
-        witness = np.zeros(p.columns)
-        witness[mask] = z_sel
-        return Evaluation(True, witness, float(z_sel @ z_sel), true_residual / tnorm)
-
-    # negative witness: y in null(selected^T) with <y|t> = 1, minimizing ||y^T A||
-    basis = _nullspace_basis(selected.T)
-    t_comp = basis.T @ t
-    if np.linalg.norm(t_comp) <= WITNESS_RTOL * tnorm:
-        raise GramFailureError(f"no branch admits a witness on input {s:0{p.n}b}")
-    reach = p.matrix.T @ basis
-    h = reach.T @ reach
-    kkt = np.block([[h, t_comp[:, None]], [t_comp[None, :], np.zeros((1, 1))]])
-    rhs = np.zeros(len(t_comp) + 1)
-    rhs[-1] = 1.0
-    q = np.linalg.lstsq(kkt, rhs, rcond=None)[0][: len(t_comp)]
-    y = basis @ q
-    pulled = y @ p.matrix
-    residual = float(np.linalg.norm(y @ selected)) if selected.shape[1] else 0.0
-    return Evaluation(False, y, float(pulled @ pulled), residual)
-
-
-def witness_size_input(p: SpanProgram, s: int) -> float:
-    """Minimum squared witness norm on input s (||z||^2 or ||y* A||^2)."""
-    return evaluate(p, s).witness_size
+        # negative witnesses, y in null(selected^T) with <y|t> = 1 minimizing
+        # ||y^T A||, stacked over the inputs whose null spaces share a dimension
+        for r in np.unique(rank[~positive]).tolist():
+            sub = np.flatnonzero(~positive & (rank == r))
+            basis = vt[sub, r:].transpose(0, 2, 1)  # (inputs, rows, d)
+            t_comp = np.einsum("gid,i->gd", basis, t)
+            short = np.flatnonzero(np.linalg.norm(t_comp, axis=1) <= WITNESS_RTOL * tnorm)
+            if len(short):
+                raise GramFailureError(f"no branch admits a witness on input {int(group[sub[short[0]]]):0{p.n}b}")
+            reach = p.matrix.T @ basis
+            d = p.rows - r
+            kkt = np.zeros((len(sub), d + 1, d + 1))
+            kkt[:, :d, :d] = reach.transpose(0, 2, 1) @ reach
+            kkt[:, :d, d] = kkt[:, d, :d] = t_comp
+            rhs = np.zeros(d + 1)
+            rhs[-1] = 1.0
+            q = np.array([np.linalg.lstsq(m, rhs, rcond=None)[0][:d] for m in kkt])  # the per-input KKT solve
+            y = np.einsum("gid,gd->gi", basis, q)
+            pulled = y @ p.matrix
+            sizes[group[sub]] = np.einsum("gc,gc->g", pulled, pulled)
+            residual[group[sub]] = np.linalg.norm(np.einsum("gi,gik->gk", y, selected[sub]), axis=1)
+            for s, y_s in zip(group[sub].tolist(), y):
+                witness[s] = y_s
+    return Evaluation(value, tuple(witness), sizes, residual)
 
 
 def program_witness_size(p: SpanProgram) -> float:
-    """wsize(P) = max over all 2^n inputs of witness_size_input."""
-    return max(witness_size_input(p, s) for s in range(2**p.n))
+    """wsize(P) = max over all 2^n inputs of the witness size."""
+    return float(evaluate(p).witness_size.max())
 
 
 # ---------------------------------------------------------------------------

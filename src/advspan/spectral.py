@@ -20,7 +20,7 @@ angles between range(I - Delta) and range(Pi_s), and U_s turns the k-th
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,11 +35,11 @@ RANK_WINDOW = 100.0
 MOMENTS = 16
 
 
-def column_mask(n: int, m: int, s: int) -> np.ndarray:
-    """Mask over I = blocks (j, b) of m columns each: True on the columns
-    agreeing with s (b = s_j), which Pi(s) keeps."""
-    bits = (s >> (n - 1 - np.arange(n))) & 1
-    return np.repeat(bits[:, None] == np.arange(2), m, axis=1).ravel()
+def column_masks(n: int, m: int) -> np.ndarray:
+    """(2^n, 2 n m) mask over I = blocks (j, b) of m columns each: row s is
+    True on the columns agreeing with s (b = s_j), which Pi(s) keeps."""
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    return np.repeat(bits[:, :, None] == np.arange(2), m, axis=2).reshape(2**n, -1)
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,11 @@ class ProgramGraph:
     def v_r(self) -> np.ndarray:
         return self.v[:, : self.rank]
 
-    def pi_mask(self, s: int) -> np.ndarray:
-        """Coordinates of F0 | mu0 | I that Pi_s keeps: all but the (j, not s_j, k) entries."""
-        return np.concatenate([np.ones(self.num_false + 1, dtype=bool), column_mask(self.n, self.m, s)])
+    def pi_masks(self) -> np.ndarray:
+        """(2^n, dim): row s marks the coordinates of F0 | mu0 | I that Pi_s
+        keeps, all but the (j, not s_j, k) entries."""
+        kept = column_masks(self.n, self.m)
+        return np.hstack([np.ones((len(kept), self.num_false + 1), dtype=bool), kept])
 
     def edges(self) -> list[tuple[int, int, float]]:
         """The adjacency's nonzero entries in row-major order, read off B_G."""
@@ -93,18 +95,20 @@ def build_program_graph(p: CanonicalSpanProgram) -> ProgramGraph:
 
 @dataclass(frozen=True)
 class InputGraph:
-    """One input s, written in T coordinates: orthonormal directions of
-    mu0 | I, first the left singular vectors of V_r's kept rows, which span
-    Pi_s V_r and possibly more, then those of its dropped rows, which span
-    (I - Pi_s) V_r and possibly more.
+    """A stack of inputs, each written in its own T coordinates: orthonormal
+    directions of mu0 | I, first the left singular vectors of V_r's kept
+    rows, which span Pi_s V_r and possibly more, then those of its dropped
+    rows, which span (I - Pi_s) V_r and possibly more.  Every input keeps
+    1 + n m rows and drops n m, so all of them share one shape.
 
-    w is V_r in T coordinates, keep marks the T coordinates Pi_s keeps,
-    cosines are the kept rows' singular values (one per kept coordinate),
-    anchor is |0> projected onto T, and sigma is B_G's, to the same rank.
+    Row i describes input inputs[i]: w[i] is V_r in its T coordinates,
+    cosines[i] the kept rows' singular values (one per kept coordinate) and
+    anchor[i] is |0> projected onto T.  keep marks the T coordinates Pi_s
+    keeps (the same for every input), and sigma is B_G's, to the same rank.
     """
 
-    s: int
-    value: int
+    inputs: np.ndarray
+    value: np.ndarray
     w: np.ndarray
     keep: np.ndarray
     cosines: np.ndarray
@@ -112,82 +116,98 @@ class InputGraph:
     sigma: np.ndarray
 
     @property
-    def outside_weight(self) -> float:
-        """Weight of |0> outside T, which lies in range(Pi_s) and in the
-        kernels of B_G and of I - Delta."""
-        return max(0.0, 1.0 - float(self.anchor @ self.anchor))
+    def outside_weight(self) -> np.ndarray:
+        """Weight of |0> outside T, per input; it lies in range(Pi_s) and in
+        the kernels of B_G and of I - Delta."""
+        return np.maximum(0.0, 1.0 - np.einsum("ik,ik->i", self.anchor, self.anchor))
+
+    def select(self, rows) -> "InputGraph":
+        """The sub-stack of the given rows."""
+        return replace(self, inputs=self.inputs[rows], value=self.value[rows], w=self.w[rows],
+                                   cosines=self.cosines[rows], anchor=self.anchor[rows])
 
     def biadjacency(self) -> np.ndarray:
-        """The true-input biadjacency B_{G(s)} = [B_G ; 0 | Pi-bar] on T, up to an
-        isometry on the left: [diag(sigma) W^T ; I on the dropped coordinates].
-        Outside T, B_{G(s)} is zero on range(Pi_s) and an isometry on its kernel."""
-        return np.vstack([self.sigma[:, None] * self.w.T, np.eye(len(self.keep))[~self.keep]])
+        """The true-input biadjacencies B_{G(s)} = [B_G ; 0 | Pi-bar] on T, up to
+        an isometry on the left: [diag(sigma) W^T ; I on the dropped
+        coordinates], stacked.  Outside T, B_{G(s)} is zero on range(Pi_s)
+        and an isometry on its kernel."""
+        dropped = np.eye(len(self.keep))[~self.keep]
+        top = self.sigma[:, None] * self.w.transpose(0, 2, 1)
+        return np.concatenate([top, np.broadcast_to(dropped, (len(top), *dropped.shape))], axis=1)
 
 
-def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, s: int, rank: int | None = None) -> InputGraph:
-    """Orthonormal bases of T from thin SVDs of V_r's kept rows and of its
-    dropped rows; any orthonormal columns do, since T need only contain both
-    row blocks' ranges to be invariant under Pi_s and Delta.  rank, g.rank
-    by default, is how many of g's singular vectors make up V_r."""
+def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, rank: int | None = None) -> InputGraph:
+    """Every input's T basis from two stacked thin SVDs, of V_r's kept rows
+    (2^n, 1 + n m, r) and of its dropped rows (2^n, n m, r); any orthonormal
+    columns do, since T need only contain both row blocks' ranges to be
+    invariant under Pi_s and Delta.  rank, g.rank by default, is how many of
+    g's singular vectors make up V_r."""
     rank = g.rank if rank is None else rank
-    v_r, kept = g.v[:, :rank], g.pi_mask(s)[g.num_false:]
-    (u_kept, cosines, _), (u_dropped, _, _) = (np.linalg.svd(v_r[rows], full_matrices=False) for rows in (kept, ~kept))
-    w = np.vstack([u_kept.T @ v_r[kept], u_dropped.T @ v_r[~kept]])
-    keep = np.arange(len(w)) < len(cosines)
-    anchor = np.zeros(len(w))
-    anchor[keep] = u_kept[0]  # mu0 is the first kept row
-    return InputGraph(s=s, value=p.f.value(s), w=w, keep=keep, cosines=cosines, anchor=anchor,
-                      sigma=g.sigma[:rank])
+    v_r = g.v[:, :rank]
+    kept = g.pi_masks()[:, g.num_false:]  # on mu0 | I
+    num_inputs = len(kept)
+    rows_kept = np.nonzero(kept)[1].reshape(num_inputs, -1)
+    rows_dropped = np.nonzero(~kept)[1].reshape(num_inputs, -1)
+    blocks = v_r[rows_kept], v_r[rows_dropped]
+    (u_kept, cosines, _), (u_dropped, _, _) = (np.linalg.svd(block, full_matrices=False) for block in blocks)
+    w = np.concatenate([u_kept.transpose(0, 2, 1) @ blocks[0], u_dropped.transpose(0, 2, 1) @ blocks[1]], axis=1)
+    keep = np.arange(w.shape[1]) < cosines.shape[1]
+    anchor = np.zeros(w.shape[:2])
+    anchor[:, keep] = u_kept[:, 0]  # mu0 is the first kept row
+    return InputGraph(inputs=np.arange(num_inputs), value=np.array(p.f.table), w=w, keep=keep, cosines=cosines,
+                      anchor=anchor, sigma=g.sigma[:rank])
 
 
-def zero_witness_vectors(p: CanonicalSpanProgram, s: int) -> tuple[np.ndarray, float, float]:
-    """Kernel witness of the input graph, with its exact overlap guarantees.
+def zero_witness_vectors(p: CanonicalSpanProgram, value: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel witnesses of the input graphs of every input s with f(s) = value
+    (f.f1 or f.f0, in that order), with their exact overlap guarantees.
 
-    For f(s) = 1 returns psi = -3 sqrt(W) |0> + sum_j |j, s_j> v_{s,j} in the
-    mu0 | I column space, a kernel vector of B_{G(s)} with
-    |<0|psi>|^2 / ||psi||^2 = 9/10.  For f(s) = 0 returns
+    For f(s) = 1 row s is psi = -3 sqrt(W) |0> + sum_j |j, s_j> v_{s,j} in
+    the mu0 | I column space, a kernel vector of B_{G(s)} with
+    |<0|psi>|^2 / ||psi||^2 = 9/10.  For f(s) = 0 it is
     psi' = -|s> + sum_j |j, not s_j> v_{s,j} in the F0 | I' row space, a
     kernel vector of B_{G'(s)}* with |<t|psi'>|^2 / ||psi'||^2 = 1/(9W(W+1)).
-    Returns (psi, overlap ratio, kernel residual).  Raises
-    WitnessViolationError when the residual betrays an inaccurate upstream
+    Returns (psi, overlap ratios, kernel residuals), stacked.  Raises
+    WitnessViolationError when a residual betrays an inaccurate upstream
     SDP solution.
     """
     f, n, m = p.f, p.f.n, p.m
     w_size = p.witness_size
-    mask = column_mask(n, m, s)
+    inputs = np.array(f.f1 if value else f.f0)
     nf0 = len(f.f0)
+    # each v_{s,j} on block (j, s_j) for a true input, (j, not s_j) for a false one
+    blocks = np.zeros((len(inputs), n, 2, m))
+    bits = f.bits[inputs]
+    blocks[np.arange(len(inputs))[:, None], np.arange(n), bits if value else 1 - bits] = p.vectors[inputs]
+    blocks = blocks.reshape(len(inputs), -1)
 
-    if f.value(s) == 1:
-        psi = np.zeros(1 + 2 * n * m)
-        psi[0] = -3.0 * np.sqrt(w_size)
-        psi[1:][mask] = p.vectors[s].ravel()
+    if value:
+        psi = np.hstack([np.full((len(inputs), 1), -3.0 * np.sqrt(w_size)), blocks])
         # B_{G(s)} psi = (t psi_0 + A psi_I, Pi-bar psi_I); the second part
         # vanishes because psi_I lives on the columns Pi(s) keeps
-        residual = float(np.linalg.norm(p.target * psi[0] + p.matrix @ psi[1:]))
-        ratio = psi[0] ** 2 / float(psi @ psi)
-        if residual > 1e-6 or ratio < 0.9 - 1e-9:
-            raise WitnessViolationError(
-                f"true witness for input {s:0{n}b}: residual {residual:.3e}, ratio {ratio:.12f}"
-            )
-        return psi, ratio, residual
-
-    psi = np.zeros(nf0 + 2 * n * m)
-    psi[f.f0.index(s)] = -1.0
-    psi[nf0:][~mask] = p.vectors[s].ravel()
-    # B_{G'(s)}^T psi = A^T psi_F0 + Pi-bar psi_I', and Pi-bar psi_I' = psi_I'
-    residual = float(np.linalg.norm(p.matrix.T @ psi[:nf0] + psi[nf0:]))
-    ratio = float(p.target @ psi[:nf0]) ** 2 / float(psi @ psi)
-    floor = 1.0 / (9.0 * w_size * (w_size + 1.0))
-    if residual > 1e-6 or ratio < floor - 1e-9:
+        residual = np.linalg.norm(psi[:, :1] * p.target + blocks @ p.matrix.T, axis=1)
+        ratio = psi[:, 0] ** 2 / np.einsum("ik,ik->i", psi, psi)
+        floor, kind = 0.9, "true"
+    else:
+        # false input number i is the i-th row of F0
+        psi = np.hstack([-np.eye(nf0), blocks])
+        # B_{G'(s)}^T psi = A^T psi_F0 + Pi-bar psi_I', and Pi-bar psi_I' = psi_I'
+        residual = np.linalg.norm(blocks - p.matrix, axis=1)
+        ratio = p.target**2 / np.einsum("ik,ik->i", psi, psi)
+        floor, kind = 1.0 / (9.0 * w_size * (w_size + 1.0)), "false"
+    bad = np.flatnonzero((residual > 1e-6) | (ratio < floor - 1e-9))
+    if len(bad):
+        i = int(bad[0])
         raise WitnessViolationError(
-            f"false witness for input {s:0{n}b}: residual {residual:.3e}, "
-            f"ratio {ratio:.3e} vs floor {floor:.3e}"
+            f"{kind} witness for input {int(inputs[i]):0{n}b}: residual {residual[i]:.3e}, "
+            f"ratio {ratio[i]:.12g} vs floor {floor:.12g}"
         )
     return psi, ratio, residual
 
 
 def anchor_measure(ig: InputGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral measure of |0> under U_s, (phases, weights), in closed form.
+    """Spectral measure of |0> under U_s, (phases, weights), in closed form,
+    one row per input of the stack.
 
     Kept coordinate k of T lies at the principal angle arccos(c_k) to
     range(I - Delta); with its projection there it spans a block on which
@@ -198,80 +218,81 @@ def anchor_measure(ig: InputGraph) -> tuple[np.ndarray, np.ndarray]:
     cosines a rounding above 1.
     """
     theta = 2.0 * np.arcsin(np.minimum(ig.cosines, 1.0))
-    half = ig.anchor[ig.keep] ** 2 / 2.0
-    return np.concatenate([theta, -theta, [0.0]]), np.concatenate([half, half, [ig.outside_weight]])
+    half = ig.anchor[:, ig.keep] ** 2 / 2.0
+    outside = ig.outside_weight[:, None]
+    return np.hstack([theta, -theta, np.zeros_like(outside)]), np.hstack([half, half, outside])
 
 
 def moments(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """<0|U^t|0> = sum_k weights_k e^{i t phases_k} for t = 1..MOMENTS."""
-    return np.exp(1j * np.outer(np.arange(1, MOMENTS + 1), phases)) @ weights
+    """<0|U^t|0> = sum_k weights_k e^{i t phases_k} for t = 1..MOMENTS, over
+    the last axis: (..., K) stacks give (..., MOMENTS)."""
+    powers = np.arange(1, MOMENTS + 1)[:, None]
+    return np.einsum("...tk,...k->...t", np.exp(1j * powers * phases[..., None, :]), weights)
 
 
-def walk_moments(g: ProgramGraph, s: int) -> np.ndarray:
-    """<0|U_s^t|0> for t = 1..MOMENTS by applying U_s to |0> on mu0 | I,
-    x -> (2 Pi_s - I)(x - 2 V_r V_r^T x): no basis of T and no SVD, so it
-    checks anchor_measure independently."""
-    sign = np.where(g.pi_mask(s)[g.num_false:], 1.0, -1.0)
-    x = np.zeros(len(sign))
+def walk_moments(g: ProgramGraph) -> np.ndarray:
+    """<0|U_s^t|0> for t = 1..MOMENTS and every input s, (2^n, MOMENTS), by
+    applying U_s to |0> on mu0 | I, x -> (2 Pi_s - I)(x - 2 V_r V_r^T x), to
+    all inputs at once as the columns of one block: no basis of T and no
+    SVD, so it checks anchor_measure independently."""
+    sign = np.where(g.pi_masks()[:, g.num_false:].T, 1.0, -1.0)  # (mu0 | I, inputs)
+    v_r = g.v_r
+    x = np.zeros(sign.shape)
     x[0] = 1.0
-    out = np.zeros(MOMENTS)
+    out = np.zeros((sign.shape[1], MOMENTS))
     for t in range(MOMENTS):
-        x = sign * (x - 2.0 * (g.v_r @ (g.v_r.T @ x)))
-        out[t] = x[0]
+        x = sign * (x - 2.0 * (v_r @ (v_r.T @ x)))
+        out[:, t] = x[0]
     return out
 
 
-def rank_spread(g: ProgramGraph, p: CanonicalSpanProgram, s: int, ranks) -> float:
-    """Largest difference of the anchor's moments between input s resolved
-    with V_r cut to ranks[0] and to each later rank."""
-    base, *others = (moments(*anchor_measure(build_input_graph(g, p, s, rank))) for rank in ranks)
-    return max(float(np.abs(other - base).max()) for other in others)
+def rank_spread(g: ProgramGraph, p: CanonicalSpanProgram, ranks) -> np.ndarray:
+    """Largest difference, per input, of the anchor's moments between V_r
+    cut to ranks[0] and to each later rank."""
+    base, *others = (moments(*anchor_measure(build_input_graph(g, p, rank))) for rank in ranks)
+    return np.max([np.abs(other - base).max(axis=1) for other in others], axis=0)
 
 
-def effective_gap_profile(ig: InputGraph, w_size: float, c_grid) -> list[tuple[float, float, float]]:
-    """Low-eigenvalue overlap of |0> with A_{G(s)} versus 72 c^2 (1 + 1/W).
+def effective_gap_profile(ig: InputGraph, w_size: float, c_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Low-eigenvalue overlap of |0> with A_{G(s)} versus 72 c^2 (1 + 1/W),
+    for a stack of false inputs.
 
     A_{G(s)} is bipartite with biadjacency B = B_{G(s)}, so its eigenvalues
-    are +-sigma_k over the singular values of B (zero for the extra right
-    singular vectors), and |0> is column mu0 of B: the eigenvectors at
-    +-sigma_k together carry |<v_k|0>|^2 of it.  On T that is B's
-    restriction ig.biadjacency(); the weight of |0> outside T sits at
-    sigma = 0.  Returns (c, lhs, rhs) triples.  Only defined on false inputs.
+    are +-sigma_k over the singular values of B, and |0> is column mu0 of B:
+    the eigenvectors at +-sigma_k together carry |<v_k|0>|^2 of it.  On T
+    that is B's restriction ig.biadjacency(), which has at least as many
+    rows as columns, so its thin SVD holds every right singular vector; the
+    weight of |0> outside T sits at sigma = 0.  One stacked SVD serves the
+    whole stack.  Returns (lhs, rhs): lhs[i, c] for input i and grid entry
+    c, rhs[c].  Only defined on false inputs.
     """
-    if ig.value == 1:
-        raise WrongBranchError(f"input {ig.s:b} evaluates true; the profile needs f(s) = 0")
-    _, sigma, vh = np.linalg.svd(ig.biadjacency())
-    # the extra right singular vectors, and then the weight outside T, sit at sigma = 0
-    sigma = np.concatenate([sigma, np.zeros(vh.shape[0] - len(sigma) + 1)])
-    overlaps = np.append(np.abs(vh @ ig.anchor) ** 2, ig.outside_weight)
-    out = []
-    for c in c_grid:
-        lhs = float(overlaps[sigma <= c / w_size].sum())
-        rhs = 72.0 * c * c * (1.0 + 1.0 / w_size)
-        out.append((float(c), lhs, rhs))
-    return out
+    if ig.value.any():
+        true_input = int(ig.inputs[ig.value.argmax()])
+        raise WrongBranchError(f"input {true_input:b} evaluates true; the profile needs f(s) = 0")
+    c_grid = np.asarray(c_grid, dtype=float)
+    _, sigma, vh = np.linalg.svd(ig.biadjacency(), full_matrices=False)
+    sigma = np.hstack([sigma, np.zeros((len(sigma), 1))])
+    overlaps = np.hstack([np.einsum("ikl,il->ik", vh, ig.anchor) ** 2, ig.outside_weight[:, None]])
+    low = sigma[:, None, :] <= c_grid[None, :, None] / w_size
+    lhs = np.einsum("ick,ik->ic", low.astype(float), overlaps)
+    return lhs, 72.0 * c_grid * c_grid * (1.0 + 1.0 / w_size)
 
 
-def phase_gap_profile(
-    phases: np.ndarray,
-    overlaps: np.ndarray,
-    w_size: float,
-    theta_grid,
-    input_value: int,
-) -> list[tuple[float, float, float]]:
+def phase_gap_profile(phases: np.ndarray, overlaps: np.ndarray, w_size: float, theta_grid,
+                      input_value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Low-phase overlap of the anchor with U_s versus (2 sqrt(6 Theta W) + Theta/2)^2.
 
-    phases/overlaps resolve the mu0 anchor over the eigenvectors of U_s.
-    Returns (Theta, lhs, rhs) triples.  Only defined on false inputs.
+    phases/overlaps resolve the mu0 anchor over the eigenvectors of U_s, one
+    row per input, and input_value holds those inputs' f(s).  Returns
+    (lhs, rhs): lhs[i, theta] for input i and grid entry theta, rhs[theta].
+    Only defined on false inputs.
     """
-    if input_value == 1:
+    if np.any(input_value):
         raise WrongBranchError("phase profile needs f(s) = 0")
-    out = []
-    for theta in theta_grid:
-        lhs = float(overlaps[np.abs(phases) <= theta].sum())
-        rhs = (2.0 * np.sqrt(6.0 * theta * w_size) + theta / 2.0) ** 2
-        out.append((float(theta), lhs, rhs))
-    return out
+    theta_grid = np.asarray(theta_grid, dtype=float)
+    low = np.abs(phases)[:, None, :] <= theta_grid[None, :, None]
+    lhs = np.einsum("itk,ik->it", low.astype(float), overlaps)
+    return lhs, (2.0 * np.sqrt(6.0 * theta_grid * w_size) + theta_grid / 2.0) ** 2
 
 
 def psd_spectral_bound_check(x, t: np.ndarray, gamma_grid) -> list[tuple[float, float, float]]:
@@ -306,4 +327,4 @@ def edge_list(matrix: np.ndarray) -> list[tuple[int, int, float]]:
     """Nonzero entries as (row, col, weight) rows for external visualization."""
     mat = np.asarray(matrix)
     rows, cols = np.nonzero(mat)
-    return [(int(r), int(c), float(mat[r, c])) for r, c in zip(rows, cols)]
+    return list(zip(rows.tolist(), cols.tolist(), mat[rows, cols].astype(float).tolist()))

@@ -1,6 +1,7 @@
-"""Shared corpus of solved functions, cached once per session, and the dense
+"""Shared corpus of solved functions, cached once per session, the dense
 references of the canonical program and of the program and input graphs that
-only tests build."""
+only tests build, and the per-input span-program evaluation, the oracle of
+the stacked `evaluate`."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ import pytest
 from advspan import verify
 from advspan.boolfun import BooleanFunction
 from advspan.matkernel import gram_factor, nullspace_projector
-from advspan.spanprog import CanonicalSpanProgram, _round_factor
-from advspan.spectral import column_mask
+from advspan.errors import GramFailureError
+from advspan.spanprog import WITNESS_RTOL, CanonicalSpanProgram, _round_factor
+from advspan.spectral import column_masks
 
 # Lexicographically smallest truth table of each non-constant NPN class of
 # 3-bit functions.
@@ -89,8 +91,8 @@ def dense_delta(g) -> np.ndarray:
 
 
 def pi_projector(g, s: int) -> np.ndarray:
-    """Pi_s as the dense diagonal of g.pi_mask(s)."""
-    return np.diag(g.pi_mask(s).astype(float))
+    """Pi_s as the dense diagonal of row s of g.pi_masks()."""
+    return np.diag(g.pi_masks()[s].astype(float))
 
 
 def dense_unitary(g, s: int, delta=None) -> np.ndarray:
@@ -110,7 +112,7 @@ def input_biadjacency(g, s: int) -> tuple[np.ndarray, np.ndarray]:
     """(b_true, b_false): G(s) with rows F0 | I' and columns mu0 | I, and G'(s)
     with rows F0 | I' and columns I."""
     nf0, ni = g.num_false, g.b_g.shape[1] - 1
-    pibar = np.diag(1.0 - column_mask(g.n, g.m, s).astype(float))
+    pibar = np.diag(1.0 - column_masks(g.n, g.m)[s].astype(float))
     b_true = np.zeros((nf0 + ni, 1 + ni))
     b_true[:nf0] = g.b_g
     b_true[nf0:, 1:] = pibar
@@ -156,3 +158,47 @@ def whole_gram_program(f, sol) -> CanonicalSpanProgram:
             matrix[r, start : start + m] = vectors[w, j - 1]
     return CanonicalSpanProgram(f=f, m=m, witness_size=w_size, vectors=vectors, matrix=matrix,
                                 target=np.ones(len(f.f0)) / (3 * np.sqrt(w_size)))
+
+
+# -- the per-input span-program evaluation ----------------------------------
+
+
+def _nullspace_basis(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of null(mat), cut at numpy's max(M, N) eps sigma_1."""
+    rows, cols = mat.shape
+    if rows == 0:
+        return np.eye(cols)
+    _, sv, vt = np.linalg.svd(mat, full_matrices=rows < cols)
+    tol = max(rows, cols) * np.finfo(float).eps * (sv[0] if len(sv) else 0.0)
+    rank = int((sv > tol).sum())
+    return vt[rank:].T
+
+
+def reference_evaluate(p, s: int) -> tuple[bool, np.ndarray, float]:
+    """(branch, witness, witness size) of input s, one input at a time: lstsq
+    for the positive witness, a null-space basis and a KKT lstsq for the
+    negative one.  The oracle of the stacked spanprog.evaluate."""
+    mask = p.selection_masks()[s]
+    selected = p.matrix[:, mask]
+    t = p.target
+    tnorm = np.linalg.norm(t)
+    if selected.shape[1]:
+        z_sel = np.linalg.lstsq(selected, t, rcond=None)[0]
+        true_residual = float(np.linalg.norm(selected @ z_sel - t))
+    else:
+        z_sel, true_residual = np.zeros(0), float(tnorm)
+    if true_residual <= WITNESS_RTOL * tnorm:
+        witness = np.zeros(p.columns)
+        witness[mask] = z_sel
+        return True, witness, float(z_sel @ z_sel)
+    basis = _nullspace_basis(selected.T)
+    t_comp = basis.T @ t
+    if np.linalg.norm(t_comp) <= WITNESS_RTOL * tnorm:
+        raise GramFailureError(f"no branch admits a witness on input {s:0{p.n}b}")
+    reach = p.matrix.T @ basis
+    kkt = np.block([[reach.T @ reach, t_comp[:, None]], [t_comp[None, :], np.zeros((1, 1))]])
+    rhs = np.zeros(len(t_comp) + 1)
+    rhs[-1] = 1.0
+    y = basis @ np.linalg.lstsq(kkt, rhs, rcond=None)[0][: len(t_comp)]
+    pulled = y @ p.matrix
+    return False, y, float(pulled @ pulled)

@@ -62,8 +62,7 @@ def test_criterion_3_canonical_round_trip(corpus):
         p = bundle.program.witness_program()
         wsize = program_witness_size(p)
         worst = max(worst, abs(wsize - bundle.solution.xi) / bundle.solution.xi)
-        for s in bundle.f.inputs:
-            agree = agree and (evaluate(p, s).value is (bundle.f.value(s) == 1))
+        agree = agree and evaluate(p).value.tolist() == [bundle.f.value(s) == 1 for s in bundle.f.inputs]
     ok = worst <= 1e-3 and agree
     report(3, ok, f"worst relative wsize gap {worst:.2e}, evaluation agreement {agree}")
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from advspan import advsdp, pipeline
 from advspan.cli import build_parser, main, run_pipeline
 from advspan.pipeline import CHECK_FAMILIES, matrix_to_json, verify
 
-from conftest import NPN3_CANONICAL, corpus_specs
+from advspan.spectral import edge_list
+
+from conftest import NPN3_CANONICAL, corpus_specs, dense_adjacency
 
 
 def run_args(tmp_path, *extra):
@@ -74,6 +77,15 @@ def test_csv_exports(tmp_path):
     assert algs[0] == "input,algorithm,parameter,probability,threshold,pass"
     edges = (csv_dir / "program_graph_edges.txt").read_text().splitlines()
     assert all(len(line.split()) == 3 for line in edges)
+
+
+def test_edge_file_lists_the_dense_adjacency(tmp_path):
+    """program_graph_edges.txt holds the dense adjacency's nonzeros in row-major
+    order, one "row col repr(weight)" line each, byte for byte."""
+    csv_dir = tmp_path / "csv"
+    assert main(["verify", "--function", "MAJ:3", "--skip-sim", "--csv-dir", str(csv_dir)]) == 0
+    expected = "".join(f"{r} {c} {w!r}\n" for r, c, w in edge_list(dense_adjacency(verify("MAJ:3").graph)))
+    assert (csv_dir / "program_graph_edges.txt").read_text() == expected
 
 
 def test_custom_grids(tmp_path):
@@ -157,6 +169,7 @@ def test_verify_3bit_table_that_needs_small_jordan_angles(tmp_path):
 )
 def test_cli_json_is_the_verify_report(tmp_path, flag, options):
     _, written = run_args(tmp_path, "--function", "OR:3", flag)
+    assert (tmp_path / "report.json").read_text().count("\n") == 1  # compact, one line
     report = json.loads(json.dumps(verify("OR:3", **options).report))
     written.pop("timings")
     report.pop("timings")
@@ -226,14 +239,36 @@ def test_five_bit_verify_passes(spec):
 
 @pytest.mark.parametrize("spec", ["01", "MAJ:3", "OR:4"])
 def test_report_times_each_input(solved, spec):
-    """timings has one total per stage and timings["inputs"] one entry per
-    input, and each stage's per-input times are disjoint parts of that stage's
-    total."""
+    """timings has one total per stage, and timings["spectral_stages"] the
+    totals of the stacked sub-stages that resolve every input at once:
+    disjoint parts of the spectral total.  The rows still carry each input's
+    values."""
     bundle = solved(spec)
     timings = bundle.report["timings"]
-    assert list(timings) == ["sdp", "certificate", "canonical", "span_program", "spectral", "total", "inputs"]
+    assert list(timings) == ["sdp", "certificate", "canonical", "span_program", "spectral", "total",
+                             "spectral_stages"]
+    stages = timings["spectral_stages"]
+    assert list(stages) == ["resolve", "walk", "gaps", "algorithms"]
+    assert min(stages.values()) >= 0.0 and sum(stages.values()) <= timings["spectral"]
     labels = [f"{s:0{bundle.f.n}b}" for s in bundle.f.inputs]
-    assert list(timings["inputs"]) == labels
-    for stage in ("span_program", "spectral"):
-        per_input = [timings["inputs"][label][stage] for label in labels]
-        assert min(per_input) >= 0.0 and sum(per_input) <= timings[stage]
+    assert [row["input"] for row in bundle.report["lemma_checks"]["zero_witness"]] == labels
+
+
+def test_stacked_stages_take_a_fixed_number_of_svds(monkeypatch):
+    """Every input is resolved in stacks, so the span-program and spectral
+    stages of verify take the same number of SVDs at n = 3 and at n = 5: one
+    for the canonical program's evaluation, one for B_G, two for the input
+    graphs and one for the effective-gap profiles."""
+    svd = np.linalg.svd
+    callers = []
+
+    def counting_svd(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for spec in ("MAJ:3", "MAJ:5"):
+        callers.clear()
+        verify(spec)
+        assert sorted(name for name in callers if name in ("advspan.spanprog", "advspan.spectral")) == [
+            "advspan.spanprog", *["advspan.spectral"] * 4], spec

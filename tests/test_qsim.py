@@ -170,3 +170,50 @@ def test_noregister_values_at_large_tau(solved):
         values[f"{s:02b}"] = round(search_noregister_probability(*resolution(u, anchor_vector(g)), tau), 4)
     assert all(0.0 <= v <= 1.0 for v in values.values())
     print("register-free acceptance at tau=1e5*W:", values)
+
+
+def explicit_probabilities(phases, overlaps, tau, ancilla_count):
+    """(qpe, search, register-free search) of one measure by the explicit sums
+    over the 2^a powers and over T = 1..tau: the oracle of the closed forms."""
+    powers = np.arange(2**ancilla_count)
+    qpe = float(overlaps @ (np.abs(np.exp(1j * np.outer(phases, powers)).sum(axis=1)) ** 2 / 4.0**ancilla_count))
+    search = noregister = 0.0
+    for t in range(1, tau + 1):
+        search += float(overlaps @ np.cos(t * phases / 2.0) ** 2)
+        noregister += abs(complex(overlaps @ np.exp(1j * t * phases))) ** 2
+    return qpe, search / tau, noregister / tau
+
+
+def seeded_measures(count=6, size=9):
+    """Seeded random measures that also put weight on phases 0 and +-pi and on
+    a pair whose difference is 2 pi - 1e-13, where the Dirichlet kernel's
+    sin(phi / 2) vanishes to roundoff."""
+    rng = np.random.default_rng(47)
+    fixed = np.array([0.0, np.pi, -np.pi, np.pi - 5e-14, -np.pi + 5e-14])
+    phases = np.array([np.concatenate([fixed, rng.uniform(-np.pi, np.pi, size - len(fixed))]) for _ in range(count)])
+    overlaps = rng.dirichlet(np.ones(size), count)
+    return phases, overlaps
+
+
+@pytest.mark.parametrize("tau", [1, 2, 7, 250, 1001])
+def test_stacked_probabilities_match_explicit_sums(tau):
+    phases, overlaps = seeded_measures()
+    a = 5
+    qpe = qpe_accept_probability(phases, overlaps, 2.0**-a, a)
+    search = search_accept_probability(phases, overlaps, tau)
+    noregister = search_noregister_probability(phases, overlaps, tau)
+    assert qpe.shape == search.shape == noregister.shape == (len(phases),)
+    for i in range(len(phases)):
+        expected = explicit_probabilities(phases[i], overlaps[i], tau, a)
+        assert [qpe[i], search[i], noregister[i]] == pytest.approx(expected, abs=1e-12)
+        # a stack gives the values of its rows taken one by one
+        assert qpe_accept_probability(phases[i], overlaps[i], 2.0**-a, a) == pytest.approx(qpe[i], abs=1e-15)
+        assert search_accept_probability(phases[i], overlaps[i], tau) == pytest.approx(search[i], abs=1e-15)
+        assert search_noregister_probability(phases[i], overlaps[i], tau) == pytest.approx(noregister[i], abs=1e-15)
+
+
+def test_stacked_probabilities_validate_every_row():
+    phases, overlaps = seeded_measures()
+    overlaps[3] *= 1.01
+    with pytest.raises(NotNormalizedError):
+        search_accept_probability(phases, overlaps, 5)

@@ -11,11 +11,10 @@ from advspan.spanprog import (
     canonical_from_gram,
     evaluate,
     program_witness_size,
-    witness_size_input,
 )
 from advspan.spectral import build_program_graph
 
-from conftest import NPN3_CANONICAL, corpus_specs, whole_gram_program
+from conftest import NPN3_CANONICAL, corpus_specs, reference_evaluate, whole_gram_program
 
 
 def parity_example_program():
@@ -40,35 +39,33 @@ def or2_example_program():
 
 
 def test_parity_program_true_branch():
-    ev = evaluate(parity_example_program(), 0b01)
-    assert ev.value is True
-    assert ev.witness_size == pytest.approx(2.0, abs=1e-9)  # witness z = [1, 1]
-    assert ev.residual <= 1e-7
+    ev = evaluate(parity_example_program())
+    assert ev.value[0b01]
+    assert ev.witness_size[0b01] == pytest.approx(2.0, abs=1e-9)  # witness z = [1, 1]
+    assert ev.residual[0b01] <= 1e-7
 
 
 def test_parity_program_false_branch():
-    ev = evaluate(parity_example_program(), 0b00)
-    assert ev.value is False
-    assert np.allclose(np.abs(ev.witness), [0.0, 1.0], atol=1e-9)  # y = [0, 1]
-    assert ev.witness_size == pytest.approx(2.0, abs=1e-9)
+    ev = evaluate(parity_example_program())
+    assert not ev.value[0b00]
+    assert np.allclose(np.abs(ev.witness[0b00]), [0.0, 1.0], atol=1e-9)  # y = [0, 1]
+    assert ev.witness_size[0b00] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_parity_program_witness_sizes():
     p = parity_example_program()
-    assert witness_size_input(p, 0b01) == pytest.approx(2.0, abs=1e-9)
-    assert witness_size_input(p, 0b00) == pytest.approx(2.0, abs=1e-9)
+    assert evaluate(p).witness_size == pytest.approx([2.0] * 4, abs=1e-9)
     assert program_witness_size(p) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_or2_program():
     p = or2_example_program()
-    ev00 = evaluate(p, 0b00)
-    assert ev00.value is False
-    assert np.allclose(ev00.witness, [1.0])
-    assert ev00.witness_size == pytest.approx(2.0, abs=1e-9)  # ||y^T A||^2
-    ev11 = evaluate(p, 0b11)
-    assert ev11.value is True
-    assert ev11.witness_size == pytest.approx(0.5, abs=1e-9)  # z = [1/2, 1/2]
+    ev = evaluate(p)
+    assert not ev.value[0b00]
+    assert np.allclose(ev.witness[0b00], [1.0])
+    assert ev.witness_size[0b00] == pytest.approx(2.0, abs=1e-9)  # ||y^T A||^2
+    assert ev.value[0b11]
+    assert ev.witness_size[0b11] == pytest.approx(0.5, abs=1e-9)  # z = [1/2, 1/2]
     assert program_witness_size(p) == pytest.approx(2.0, abs=1e-9)
 
 
@@ -77,15 +74,48 @@ def test_single_literal_program():
         n=1, block_sizes=((0, 1),), matrix=np.array([[1.0]]), target=np.array([1.0])
     )
     assert program_witness_size(p) == pytest.approx(1.0, abs=1e-9)
-    assert evaluate(p, 0).value is False
-    assert evaluate(p, 1).value is True
+    assert evaluate(p).value.tolist() == [False, True]
 
 
 def test_exactly_one_branch_on_the_example_programs():
     for p, f in ((parity_example_program(), load_function("PARITY:2")),
                  (or2_example_program(), load_function("OR:2"))):
-        for s in f.inputs:
-            assert evaluate(p, s).value is (f.value(s) == 1)
+        assert evaluate(p).value.tolist() == [f.value(s) == 1 for s in f.inputs]
+
+
+def assert_matches_reference(p, label) -> None:
+    """The stacked evaluation takes each input's branch and witness size from
+    the per-input lstsq / null-space reference."""
+    ev = evaluate(p)
+    for s in range(2**p.n):
+        value, _, size = reference_evaluate(p, s)
+        assert bool(ev.value[s]) is value, (label, s)
+        assert ev.witness_size[s] == pytest.approx(size, rel=1e-9), (label, s)
+
+
+def test_selection_masks_group_unequal_blocks():
+    """OR:2's program keeps 0, 1 or 2 columns and the single-literal program
+    0 or 1, so their inputs fall into groups of different widths."""
+    or2 = or2_example_program()
+    assert or2.selection_masks().sum(axis=1).tolist() == [0, 1, 1, 2]
+    single = SpanProgram(n=1, block_sizes=((0, 1),), matrix=np.array([[1.0]]), target=np.array([1.0]))
+    for label, p in (("parity", parity_example_program()), ("or2", or2), ("single", single),
+                     ("or3", or_n_example_program(3))):
+        assert_matches_reference(p, label)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stacked_evaluate_matches_per_input_reference(solved, corpus, seed):
+    """On the corpus and on seeded random 4-bit tables, the stacked SVD takes
+    the reference's branch on every input, with witness sizes within 1e-9
+    relative."""
+    rng = np.random.default_rng(seed)
+    table = "".join(map(str, rng.integers(0, 2, 16)))
+    while len(set(table)) == 1:
+        table = "".join(map(str, rng.integers(0, 2, 16)))
+    bundles = [solved(table)] + (corpus if seed == 0 else [])
+    for bundle in bundles:
+        assert_matches_reference(bundle.program.witness_program(), bundle.spec)
 
 
 def parity_example_gram_solution():
@@ -137,8 +167,7 @@ def test_canonical_witness_size_matches_adv(corpus):
 def test_canonical_evaluates_like_f(corpus):
     for bundle in corpus:
         p = bundle.program.witness_program()
-        for s in bundle.f.inputs:
-            assert evaluate(p, s).value is (bundle.f.value(s) == 1)
+        assert evaluate(p).value.tolist() == [bundle.f.value(s) == 1 for s in bundle.f.inputs]
 
 
 def test_canonical_witnesses_are_attained_by_stored_vectors(corpus):
@@ -148,6 +177,7 @@ def test_canonical_witnesses_are_attained_by_stored_vectors(corpus):
         f, prog = bundle.f, bundle.program
         p = prog.witness_program()
         n, m = f.n, prog.m
+        masks, sizes = p.selection_masks(), evaluate(p).witness_size
         for s in f.inputs:
             stored = prog.stored_witness_size(s)
             assert stored == pytest.approx(prog.witness_size, rel=1e-9)  # tight padding
@@ -161,11 +191,10 @@ def test_canonical_witnesses_are_attained_by_stored_vectors(corpus):
             else:
                 y = np.zeros(len(f.f0))
                 y[f.f0.index(s)] = 1.0
-                mask = p.selection_mask(s)
-                assert np.linalg.norm(y @ prog.matrix[:, mask]) <= 1e-12
+                assert np.linalg.norm(y @ prog.matrix[:, masks[s]]) <= 1e-12
                 pulled = y @ prog.matrix
                 assert pulled @ pulled == pytest.approx(stored, rel=1e-9)
-            assert witness_size_input(p, s) <= stored + 1e-4
+            assert sizes[s] <= stored + 1e-4
 
 
 @pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "MAJ:4"])
@@ -258,8 +287,8 @@ def test_or_n_example_witness_size_is_n(n):
     """Direct computation on the all-ones OR_n program: the all-zero input
     with witness y = [1] pulls back to ||y^T A||^2 = n (not n^2)."""
     p = or_n_example_program(n)
-    ev = evaluate(p, 0)
-    assert ev.value is False
-    assert np.allclose(ev.witness, [1.0])
-    assert ev.witness_size == pytest.approx(float(n), abs=1e-9)
+    ev = evaluate(p)
+    assert not ev.value[0]
+    assert np.allclose(ev.witness[0], [1.0])
+    assert ev.witness_size[0] == pytest.approx(float(n), abs=1e-9)
     assert program_witness_size(p) == pytest.approx(float(n), abs=1e-9)

@@ -46,38 +46,39 @@ def two_reflections(v):
     dim, rank = v.shape
     g = ProgramGraph(n=1, m=(dim - 1) // 2, num_false=0, b_g=np.zeros((0, dim)), sigma=np.ones(rank),
                      v=v, rank=rank, near_ranks=())
-    return g, build_input_graph(g, SimpleNamespace(f=SimpleNamespace(value=lambda s: 0)), 0)
+    return g, build_input_graph(g, SimpleNamespace(f=SimpleNamespace(table=(0, 0)))).select([0])
 
 
 def measure_of(g, ig):
-    """anchor_measure(ig) as {rounded phase: total weight}, after checking
-    its moments against the matrix-free walk."""
-    phases, weights = anchor_measure(ig)
-    assert np.abs(moments(phases, weights) - walk_moments(g, 0)).max() <= 1e-12
+    """anchor_measure(ig) of the first input as {rounded phase: total weight},
+    after checking its moments against the matrix-free walk."""
+    phases, weights = (row[0] for row in anchor_measure(ig))
+    assert np.abs(moments(phases, weights) - walk_moments(g)[0]).max() <= 1e-12
     out: dict[float, float] = {}
     for phase, weight in zip(np.round(np.abs(phases), 12), weights):
         out[phase] = out.get(phase, 0.0) + weight
     return {phase: weight for phase, weight in out.items() if weight > 1e-12}
 
 
-def reconstruction(g, ig) -> float:
-    """The report's jordan_reconstruction value: the closed-form moments
-    against those of the walk on g."""
-    return float(np.abs(moments(*anchor_measure(ig)) - walk_moments(g, ig.s)).max())
+def reconstruction(g, ig) -> np.ndarray:
+    """The report's jordan_reconstruction values, one per input of the stack:
+    the closed-form moments against those of the walk on g."""
+    return np.abs(moments(*anchor_measure(ig)) - walk_moments(g)[ig.inputs]).max(axis=1)
 
 
-def b_true_singular_values(g, ig) -> np.ndarray:
-    """b_true's singular values, descending, from its restriction to T: outside
-    T, b_true is an isometry on the dropped coordinates and zero on the kept ones."""
+def b_true_singular_values(g, ig, s) -> np.ndarray:
+    """b_true's singular values on input s, descending, from its restriction to
+    T: outside T, b_true is an isometry on the dropped coordinates and zero on
+    the kept ones."""
     dropped = g.n * g.m
-    low = np.linalg.svd(ig.biadjacency(), compute_uv=False)
+    low = np.linalg.svd(ig.biadjacency()[s], compute_uv=False)
     outside = [np.ones(dropped - int((~ig.keep).sum())), np.zeros(dropped + 1 - int(ig.keep.sum()))]
     return np.sort(np.concatenate([low, *outside]))[::-1]
 
 
-def resolve(bundle, s):
-    """The input graph of input s."""
-    return build_input_graph(bundle.graph, bundle.program, s)
+def resolve(bundle):
+    """The input graphs of every input, stacked."""
+    return build_input_graph(bundle.graph, bundle.program)
 
 
 def rebuilt_u_r(g) -> np.ndarray:
@@ -133,11 +134,11 @@ def test_input_graph_matches_worked_parity_matrices(worked_parity_program):
         atol=1e-12,
     )
     # the biadjacency on T and the isometry outside it give b_true's singular values
+    ig = build_input_graph(g, worked_parity_program)
+    assert ig.w.shape == (4, 4, 2)  # dim T = 2 rank(B_G) on each of the 4 inputs
     for s in range(4):
-        ig = build_input_graph(g, worked_parity_program, s)
-        assert ig.w.shape == (4, 2)  # dim T = 2 rank(B_G)
         dense = np.linalg.svd(input_biadjacency(g, s)[0], compute_uv=False)
-        assert np.abs(b_true_singular_values(g, ig) - dense).max() <= 1e-12
+        assert np.abs(b_true_singular_values(g, ig, s) - dense).max() <= 1e-12
 
 
 def test_pi_projector_zero_count(corpus):
@@ -173,8 +174,9 @@ def test_low_rank_spectra_match_dense_oracles(solved, spec):
     delta = dense_delta(g)
     powers = np.arange(1, MOMENTS + 1)
     rows = bundle.report["lemma_checks"]["effective_gap"]
+    measure = anchor_measure(resolve(bundle))
     for s in f.inputs:
-        phases, overlaps = anchor_measure(resolve(bundle, s))
+        phases, overlaps = measure[0][s], measure[1][s]
         dense_phases, vectors = unitary_eigensystem(dense_unitary(g, s, delta))
         dense_overlaps = np.abs(vectors.conj().T @ anchor_vector(g)) ** 2
         low = moments(phases, overlaps)
@@ -207,8 +209,7 @@ def test_zero_witness_constants_across_corpus(corpus):
     for bundle in corpus:
         f, prog = bundle.f, bundle.program
         w = prog.witness_size
-        for s in f.inputs:
-            psi, _, _ = zero_witness_vectors(prog, s)
+        for s, psi in [*zip(f.f1, zero_witness_vectors(prog, 1)[0]), *zip(f.f0, zero_witness_vectors(prog, 0)[0])]:
             if f.value(s) == 1:
                 assert psi[0] ** 2 == pytest.approx(9.0 * w, rel=1e-9)
                 assert psi @ psi == pytest.approx(10.0 * w, rel=1e-9)
@@ -229,7 +230,7 @@ def test_zero_witness_rejects_corrupted_program(solved):
         target=prog.target,
     )
     with pytest.raises(WitnessViolationError):
-        zero_witness_vectors(broken, prog.f.f1[0])
+        zero_witness_vectors(broken, 1)
 
 
 def test_reflection_unitary_is_unitary(corpus):
@@ -250,7 +251,7 @@ def test_reflection_phases_come_in_pairs(solved):
     nonreal = nonreal[np.abs(nonreal) > 1e-12]
     assert np.allclose(nonreal, -nonreal[::-1], atol=1e-9)  # +- pairs
     assert set(np.round(phases[np.isclose(np.abs(phases), 0.0, atol=1e-12)], 12)) <= {0.0}
-    closed, weights = anchor_measure(resolve(bundle, 0b10))
+    closed, weights = (row[0b10] for row in anchor_measure(resolve(bundle)))
     for phase in closed[weights > 1e-12]:
         assert np.abs(np.exp(1j * phases) - np.exp(1j * phase)).min() <= 1e-9
 
@@ -266,9 +267,9 @@ def test_jordan_two_lines_at_45_degrees():
     """range(I - Delta) is the line through mu0 and a dropped coordinate, at
     45 degrees to range(Pi): U turns by -+pi/2, and U^2 |0> = -|0>."""
     g, ig = two_reflections(np.array([[1.0], [0.0], [1.0]]) / np.sqrt(2.0))
-    assert ig.cosines == pytest.approx([np.sqrt(0.5)], abs=1e-15)
+    assert ig.cosines[0] == pytest.approx([np.sqrt(0.5)], abs=1e-15)
     assert measure_of(g, ig) == pytest.approx({round(np.pi / 2.0, 12): 1.0})
-    assert walk_moments(g, 0)[:2] == pytest.approx([0.0, -1.0], abs=1e-15)
+    assert walk_moments(g)[0, :2] == pytest.approx([0.0, -1.0], abs=1e-15)
 
 
 def test_jordan_shared_projector_gives_plus_one():
@@ -279,7 +280,7 @@ def test_jordan_shared_projector_gives_plus_one():
     g, ig = two_reflections(v)
     assert np.abs(ig.cosines).max() <= 1e-15
     assert measure_of(g, ig) == pytest.approx({0.0: 1.0})
-    assert walk_moments(g, 0) == pytest.approx(np.ones(MOMENTS), abs=1e-15)
+    assert walk_moments(g)[0] == pytest.approx(np.ones(MOMENTS), abs=1e-15)
 
 
 def test_jordan_commuting_projectors_are_one_dimensional():
@@ -304,18 +305,17 @@ def test_jordan_rejects_a_basis_that_is_not_orthonormal(solved):
         g = bundle.graph
         for bad in (dataclasses.replace(g, v=g.v * (1.0 + 1e-7)),
                     dataclasses.replace(g, v=g.v[:, 1:], rank=g.rank - 1)):
-            for s in bundle.f.inputs:
-                assert reconstruction(bad, resolve(bundle, s)) > 1e-8, (spec, s)
+            assert reconstruction(bad, resolve(bundle)).min() > 1e-8, spec
 
 
 def test_jordan_blocks_carry_rank_one_projections(corpus):
     """Pi (I - Delta) Pi = sum_k c_k^2 |k><k| over the kept T coordinates, and
     the dropped ones diagonalize (I - Pi)(I - Delta)(I - Pi) too."""
     for bundle in corpus[:3]:
+        ig = resolve(bundle)
         for s in bundle.f.inputs:
-            ig = resolve(bundle, s)
-            kept, dropped = ig.w[ig.keep], ig.w[~ig.keep]
-            assert np.abs(kept @ kept.T - np.diag(ig.cosines**2)).max() <= 1e-12
+            kept, dropped = ig.w[s][ig.keep], ig.w[s][~ig.keep]
+            assert np.abs(kept @ kept.T - np.diag(ig.cosines[s] ** 2)).max() <= 1e-12
             gram = dropped @ dropped.T
             assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-12
 
@@ -324,11 +324,10 @@ def test_jordan_reconstruction_matches_reflection(corpus):
     """The closed-form moments match U_s applied to |0> on every input, and
     the measure is a probability measure."""
     for bundle in corpus:
-        for s in bundle.f.inputs:
-            ig = resolve(bundle, s)
-            assert reconstruction(bundle.graph, ig) <= 1e-12
-            weights = anchor_measure(ig)[1]
-            assert weights.min() >= 0.0 and weights.sum() == pytest.approx(1.0, abs=1e-12)
+        ig = resolve(bundle)
+        assert reconstruction(bundle.graph, ig).max() <= 1e-12
+        weights = anchor_measure(ig)[1]
+        assert weights.min() >= 0.0 and weights.sum(axis=1) == pytest.approx(np.ones(len(weights)), abs=1e-12)
 
 
 def test_true_input_fixed_vector(corpus):
@@ -336,8 +335,7 @@ def test_true_input_fixed_vector(corpus):
     eigenvector with the 9/10 overlap."""
     for bundle in corpus:
         f, prog, g = bundle.f, bundle.program, bundle.graph
-        for s in f.f1:
-            psi, _, _ = zero_witness_vectors(prog, s)
+        for s, psi in zip(f.f1, zero_witness_vectors(prog, 1)[0]):
             phi = np.concatenate([np.zeros(g.num_false), psi])
             u = dense_unitary(g, s)
             assert np.linalg.norm(u @ phi - phi) <= 1e-7 * np.linalg.norm(phi)
@@ -349,39 +347,41 @@ def test_effective_gap_profile(corpus):
     for bundle in corpus:
         f, prog, g = bundle.f, bundle.program, bundle.graph
         w = prog.witness_size
-        for s in f.f0:
-            ig = build_input_graph(g, prog, s)
-            rows = effective_gap_profile(ig, w, [0.0, 0.05, 0.1, 0.5, 1.0, 2.0])
+        ig = build_input_graph(g, prog)
+        grid = [0.0, 0.05, 0.1, 0.5, 1.0, 2.0]
+        lhs, rhs = effective_gap_profile(ig.select(list(f.f0)), w, grid)
+        assert lhs.shape == (len(f.f0), len(grid)) and (lhs <= rhs + 1e-6).all()
+        assert lhs[:, 0].max() <= 1e-9  # c = 0: kernel vectors are orthogonal to |0>
+        for i, s in enumerate(f.f0):
             a_gs, mu0 = input_adjacency(g, s)
             eigenvalues, eigenvectors = np.linalg.eigh(a_gs)
             overlaps = eigenvectors[mu0] ** 2
-            for c, lhs, rhs in rows:
-                assert lhs <= rhs + 1e-6
-                assert lhs == pytest.approx(overlaps[np.abs(eigenvalues) <= c / w].sum(), abs=1e-12)
-            assert rows[0][1] <= 1e-9  # c = 0: kernel vectors are orthogonal to |0>
+            for c, value in zip(grid, lhs[i]):
+                assert value == pytest.approx(overlaps[np.abs(eigenvalues) <= c / w].sum(), abs=1e-12)
         with pytest.raises(WrongBranchError):
-            effective_gap_profile(build_input_graph(g, prog, f.f1[0]), w, [0.1])
+            effective_gap_profile(ig.select([*f.f0, f.f1[0]]), w, [0.1])
 
 
 def test_effective_gap_full_spectrum_case(solved):
     bundle = solved("PARITY:2")
     prog, g = bundle.program, bundle.graph
     w = prog.witness_size
-    ig = build_input_graph(g, prog, bundle.f.f0[0])
+    ig = build_input_graph(g, prog).select([bundle.f.f0[0]])
     big_c = w * (np.abs(np.linalg.eigvalsh(input_adjacency(g, bundle.f.f0[0])[0])).max() + 1.0)
-    ((_, lhs, rhs),) = effective_gap_profile(ig, w, [big_c])
-    assert lhs == pytest.approx(1.0, abs=1e-9)  # whole spectrum: full mass of |0>
+    (lhs,), (rhs,) = effective_gap_profile(ig, w, [big_c])
+    assert lhs == pytest.approx([1.0], abs=1e-9)  # whole spectrum: full mass of |0>
     assert rhs > 1.0
 
 
 def test_bipartite_spectrum_is_symmetric(corpus):
     for bundle in corpus[:6]:
         g, prog = bundle.graph, bundle.program
+        ig = build_input_graph(g, prog)
         for s in bundle.f.inputs:
             ev = np.linalg.eigvalsh(input_adjacency(g, s)[0])
             assert np.abs(np.sort(ev) + np.sort(-ev)[::-1]).max() <= 1e-8
             # the upper half is b_true's singular values, read off T
-            low = b_true_singular_values(g, build_input_graph(g, prog, s))
+            low = b_true_singular_values(g, ig, s)
             assert np.abs(np.sort(ev)[::-1][: len(low)] - low).max() <= 1e-8
 
 
@@ -389,16 +389,16 @@ def test_phase_gap_profile(corpus):
     for bundle in corpus:
         f, prog = bundle.f, bundle.program
         w = prog.witness_size
-        for s in f.f0:
-            phases, overlaps = anchor_measure(resolve(bundle, s))
-            grid = [0.0, 1.0 / (50.0 * w), 0.01, 0.1, 1.0, np.pi]
-            rows = phase_gap_profile(phases, overlaps, w, grid, f.value(s))
-            for theta, lhs, rhs in rows:
-                assert lhs <= rhs + 1e-6
-            assert rows[0][1] <= 1e-9  # Theta = 0: zero-phase vectors miss |0>
-            assert rows[-1][1] <= 1.0 + 1e-9  # Theta = pi: completeness
+        phases, overlaps = anchor_measure(resolve(bundle))
+        values = np.array(f.table)
+        f0 = list(f.f0)
+        grid = [0.0, 1.0 / (50.0 * w), 0.01, 0.1, 1.0, np.pi]
+        lhs, rhs = phase_gap_profile(phases[f0], overlaps[f0], w, grid, values[f0])
+        assert lhs.shape == (len(f0), len(grid)) and (lhs <= rhs + 1e-6).all()
+        assert lhs[:, 0].max() <= 1e-9  # Theta = 0: zero-phase vectors miss |0>
+        assert lhs[:, -1].max() <= 1.0 + 1e-9  # Theta = pi: completeness
         with pytest.raises(WrongBranchError):
-            phase_gap_profile(*anchor_measure(resolve(bundle, f.f1[0])), w, [0.1], 1)
+            phase_gap_profile(phases, overlaps, w, [0.1], values)
 
 
 def test_psd_bound_scalar_case():
@@ -443,13 +443,12 @@ def test_gap_bound_composition(solved):
             assert abs(8.0 * gamma**2 / delta_floor - 72.0 * c**2 * (1.0 + 1.0 / w)) <= 1e-12 * max(
                 1.0, 72.0 * c**2 * (1.0 + 1.0 / w)
             )
-        for s in f.f0:
+        for s, psi in zip(f.f0, zero_witness_vectors(prog, 0)[0]):
             b_true, b_false = input_biadjacency(g, s)
             x = b_false @ b_false.T
             t_hat = np.concatenate([prog.target, np.zeros(x.shape[0] - len(prog.target))])
             assert np.abs(b_true @ b_true.T - (x + np.outer(t_hat, t_hat))).max() <= 1e-12
             # kernel overlap delta realized by the false witness
-            psi, _, _ = zero_witness_vectors(prog, s)
             assert (t_hat @ psi) ** 2 / (psi @ psi) == pytest.approx(delta_floor, rel=1e-9)
             # adjacency-eigenvector sum equals the biadjacency-side sum
             a_gs, mu0 = input_adjacency(g, s)
@@ -487,8 +486,7 @@ def test_jordan_decomposes_every_input_of_hard_3bit_tables(solved, table):
     the CS layout of earlier versions split them: the closed form matches
     the walk on every input well inside the report's 1e-8 bound."""
     bundle = solved(table)
-    for s in bundle.f.inputs:
-        assert reconstruction(bundle.graph, resolve(bundle, s)) <= 1e-12
+    assert reconstruction(bundle.graph, resolve(bundle)).max() <= 1e-12
 
 
 def test_rank_cut_rows_only_where_the_cut_is_ambiguous(solved, monkeypatch):
@@ -511,8 +509,7 @@ def test_rank_cut_rows_only_where_the_cut_is_ambiguous(solved, monkeypatch):
     q = dataclasses.replace(p, target=moved[:, 0], matrix=moved[:, 1:])
     g = build_program_graph(q)
     assert (g.rank, g.near_ranks) == (5, (4, 6))
-    for s in q.f.inputs:
-        assert rank_spread(g, q, s, (3, 4)) > 1e-8
+    assert rank_spread(g, q, (3, 4)).min() > 1e-8
     # the input graphs read only the program graph, so verify on 00000011 with
     # this graph in place of its own reports the rows the moved program gets
     monkeypatch.setattr("advspan.spectral.build_program_graph", lambda program: g)
