@@ -23,6 +23,12 @@ MAX_ARITY = 5
 _BUILTINS = ("OR", "AND", "PARITY", "MAJ")
 
 
+def input_bits(n: int) -> np.ndarray:
+    """The (2^n, n) 0/1 table of every n-bit input: row s, column j-1 is x_j
+    of s, the most significant bit being x_1."""
+    return (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+
+
 @dataclass(frozen=True)
 class BooleanFunction:
     """Truth table of an n-ary boolean function."""
@@ -50,7 +56,7 @@ class BooleanFunction:
     @property
     def bits(self) -> np.ndarray:
         """The (2^n, n) 0/1 table of every input: bits[s, j-1] = x_j of s (MSB = x_1)."""
-        return (np.arange(2**self.n)[:, None] >> (self.n - 1 - np.arange(self.n))) & 1
+        return input_bits(self.n)
 
     @property
     def inputs(self) -> range:

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .advsdp import SdpSolution, WitnessSdp, _apply_adjoint, _pair_values
-from .boolfun import BooleanFunction
+from .boolfun import BooleanFunction, input_bits
 from .errors import DimensionMismatchError, GramFailureError
 from .matkernel import gram_factor
 
@@ -58,11 +58,16 @@ class SpanProgram:
         return slice(start, start + self.block_sizes[j - 1][b])
 
     def selection_masks(self) -> np.ndarray:
-        """(2^n, columns) boolean: row s marks the columns Pi(s) keeps, the
-        literals agreeing with s (b = s_j in I_{j,b})."""
-        block = np.repeat(np.arange(2 * self.n), [size for pair in self.block_sizes for size in pair])
-        bits = (np.arange(2**self.n)[:, None] >> (self.n - 1 - np.arange(self.n))) & 1
-        return bits[:, block // 2] == block % 2
+        """(2^n, columns) boolean: row s marks the columns Pi(s) keeps."""
+        return literal_masks(self.n, self.block_sizes)
+
+
+def literal_masks(n: int, block_sizes) -> np.ndarray:
+    """(2^n, columns) boolean over the blocks I_{1,0}, I_{1,1}, I_{2,0}, ...
+    of the given (|I_{j,0}|, |I_{j,1}|) sizes: row s marks the literals
+    agreeing with s (b = s_j in I_{j,b})."""
+    block = np.repeat(np.arange(2 * n), [size for pair in block_sizes for size in pair])
+    return input_bits(n)[:, block // 2] == block % 2
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,8 @@ def evaluate(p: SpanProgram) -> Evaluation:
     gives the true branch's least-norm solution and the false branch's
     basis of null((A Pi(s))^T), both cut at numpy's rank rule
     max(rows, columns) eps sigma_1, the rule of lstsq(rcond=None).  Only the
-    false branch's KKT solve for the negative witness runs per input.
+    false branch's KKT solve for the negative witness runs per input, in
+    input order.
     """
     t = p.target
     tnorm = np.linalg.norm(t)
@@ -132,28 +138,23 @@ def evaluate(p: SpanProgram) -> Evaluation:
             witness[group[g]][cols[g]] = z[g]
 
         # negative witnesses, y in null(selected^T) with <y|t> = 1 minimizing
-        # ||y^T A||, stacked over the inputs whose null spaces share a dimension
-        for r in np.unique(rank[~positive]).tolist():
-            sub = np.flatnonzero(~positive & (rank == r))
-            basis = vt[sub, r:].transpose(0, 2, 1)  # (inputs, rows, d)
-            t_comp = np.einsum("gid,i->gd", basis, t)
-            short = np.flatnonzero(np.linalg.norm(t_comp, axis=1) <= WITNESS_RTOL * tnorm)
-            if len(short):
-                raise GramFailureError(f"no branch admits a witness on input {int(group[sub[short[0]]]):0{p.n}b}")
+        # ||y^T A||, one KKT solve per input
+        for g in np.flatnonzero(~positive).tolist():
+            s = int(group[g])
+            basis = vt[g, rank[g]:].T
+            t_comp = basis.T @ t
+            if np.linalg.norm(t_comp) <= WITNESS_RTOL * tnorm:
+                raise GramFailureError(f"no branch admits a witness on input {s:0{p.n}b}")
             reach = p.matrix.T @ basis
-            d = p.rows - r
-            kkt = np.zeros((len(sub), d + 1, d + 1))
-            kkt[:, :d, :d] = reach.transpose(0, 2, 1) @ reach
-            kkt[:, :d, d] = kkt[:, d, :d] = t_comp
+            d = len(t_comp)
+            kkt = np.zeros((d + 1, d + 1))
+            kkt[:d, :d] = reach.T @ reach
+            kkt[:d, d] = kkt[d, :d] = t_comp
             rhs = np.zeros(d + 1)
             rhs[-1] = 1.0
-            q = np.array([np.linalg.lstsq(m, rhs, rcond=None)[0][:d] for m in kkt])  # the per-input KKT solve
-            y = np.einsum("gid,gd->gi", basis, q)
+            y = basis @ np.linalg.lstsq(kkt, rhs, rcond=None)[0][:d]
             pulled = y @ p.matrix
-            sizes[group[sub]] = np.einsum("gc,gc->g", pulled, pulled)
-            residual[group[sub]] = np.linalg.norm(np.einsum("gi,gik->gk", y, selected[sub]), axis=1)
-            for s, y_s in zip(group[sub].tolist(), y):
-                witness[s] = y_s
+            witness[s], sizes[s], residual[s] = y, pulled @ pulled, np.linalg.norm(y @ selected[g])
     return Evaluation(value, tuple(witness), sizes, residual)
 
 
@@ -199,9 +200,10 @@ class CanonicalSpanProgram:
             target=np.ones(len(self.f.f0)),
         )
 
-    def stored_witness_size(self, s: int) -> float:
-        """sum_j ||v_{s,j}||^2, the canonical witness accounting for input s."""
-        return float(np.einsum("jk,jk->", self.vectors[s], self.vectors[s]))
+    @property
+    def stored_witness_sizes(self) -> np.ndarray:
+        """sum_j ||v_{s,j}||^2 for every input s, the canonical witness accounting."""
+        return np.einsum("sjk,sjk->s", self.vectors, self.vectors)
 
     def pair_sum(self, w: int, x: int) -> float:
         """sum over disagreeing coordinates of <v_{w,j}|v_{x,j}>."""

@@ -26,20 +26,13 @@ import numpy as np
 
 from .errors import NoNullWitnessError, WitnessViolationError, WrongBranchError
 from .matkernel import DEFAULT_ZERO_TOL, eig_hermitian, nullspace_projector, require_hermitian
-from .spanprog import CanonicalSpanProgram
+from .spanprog import CanonicalSpanProgram, literal_masks
 
 # A singular value of B_G within this factor of the rank cut, on either side,
 # makes the numerical rank ambiguous; verify then resolves every rank it could be.
 RANK_WINDOW = 100.0
 # Moments <0|U_s^t|0> are compared for t = 1..MOMENTS.
 MOMENTS = 16
-
-
-def column_masks(n: int, m: int) -> np.ndarray:
-    """(2^n, 2 n m) mask over I = blocks (j, b) of m columns each: row s is
-    True on the columns agreeing with s (b = s_j), which Pi(s) keeps."""
-    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
-    return np.repeat(bits[:, :, None] == np.arange(2), m, axis=2).reshape(2**n, -1)
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,7 @@ class ProgramGraph:
     def pi_masks(self) -> np.ndarray:
         """(2^n, dim): row s marks the coordinates of F0 | mu0 | I that Pi_s
         keeps, all but the (j, not s_j, k) entries."""
-        kept = column_masks(self.n, self.m)
+        kept = literal_masks(self.n, ((self.m, self.m),) * self.n)
         return np.hstack([np.ones((len(kept), self.num_false + 1), dtype=bool), kept])
 
     def edges(self) -> list[tuple[int, int, float]]:
@@ -158,51 +151,53 @@ def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, rank: int | None
                       anchor=anchor, sigma=g.sigma[:rank])
 
 
-def zero_witness_vectors(p: CanonicalSpanProgram, value: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel witnesses of the input graphs of every input s with f(s) = value
-    (f.f1 or f.f0, in that order), with their exact overlap guarantees.
+def zero_witness_vectors(p: CanonicalSpanProgram) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Kernel witnesses of the input graphs of every input, with their exact
+    overlap guarantees.
 
-    For f(s) = 1 row s is psi = -3 sqrt(W) |0> + sum_j |j, s_j> v_{s,j} in
-    the mu0 | I column space, a kernel vector of B_{G(s)} with
+    For f(s) = 1 the witness is psi = -3 sqrt(W) |0> + sum_j |j, s_j> v_{s,j}
+    in the mu0 | I column space, a kernel vector of B_{G(s)} with
     |<0|psi>|^2 / ||psi||^2 = 9/10.  For f(s) = 0 it is
     psi' = -|s> + sum_j |j, not s_j> v_{s,j} in the F0 | I' row space, a
     kernel vector of B_{G'(s)}* with |<t|psi'>|^2 / ||psi'||^2 = 1/(9W(W+1)).
-    Returns (psi, overlap ratios, kernel residuals), stacked.  Raises
-    WitnessViolationError when a residual betrays an inaccurate upstream
-    SDP solution.
+    Returns (psi, overlap ratios, kernel residuals): psi[v] stacks the
+    witnesses of the inputs with f(s) = v (f.f0 or f.f1, in that order), the
+    ratios and residuals are indexed by input.  Raises WitnessViolationError,
+    naming the first offending input, when a residual or ratio betrays an
+    inaccurate upstream SDP solution.
     """
     f, n, m = p.f, p.f.n, p.m
     w_size = p.witness_size
-    inputs = np.array(f.f1 if value else f.f0)
-    nf0 = len(f.f0)
+    values = np.array(f.table)
+    f0 = np.array(f.f0)
     # each v_{s,j} on block (j, s_j) for a true input, (j, not s_j) for a false one
-    blocks = np.zeros((len(inputs), n, 2, m))
-    bits = f.bits[inputs]
-    blocks[np.arange(len(inputs))[:, None], np.arange(n), bits if value else 1 - bits] = p.vectors[inputs]
-    blocks = blocks.reshape(len(inputs), -1)
+    blocks = np.zeros((len(values), n, 2, m))
+    literal = np.where(values[:, None] == 1, f.bits, 1 - f.bits)
+    blocks[np.arange(len(values))[:, None], np.arange(n), literal] = p.vectors
+    blocks = blocks.reshape(len(values), -1)
+    true_blocks, false_blocks = blocks[values == 1], blocks[f0]
+    ratio, residual = np.zeros(len(values)), np.zeros(len(values))
 
-    if value:
-        psi = np.hstack([np.full((len(inputs), 1), -3.0 * np.sqrt(w_size)), blocks])
-        # B_{G(s)} psi = (t psi_0 + A psi_I, Pi-bar psi_I); the second part
-        # vanishes because psi_I lives on the columns Pi(s) keeps
-        residual = np.linalg.norm(psi[:, :1] * p.target + blocks @ p.matrix.T, axis=1)
-        ratio = psi[:, 0] ** 2 / np.einsum("ik,ik->i", psi, psi)
-        floor, kind = 0.9, "true"
-    else:
-        # false input number i is the i-th row of F0
-        psi = np.hstack([-np.eye(nf0), blocks])
-        # B_{G'(s)}^T psi = A^T psi_F0 + Pi-bar psi_I', and Pi-bar psi_I' = psi_I'
-        residual = np.linalg.norm(blocks - p.matrix, axis=1)
-        ratio = p.target**2 / np.einsum("ik,ik->i", psi, psi)
-        floor, kind = 1.0 / (9.0 * w_size * (w_size + 1.0)), "false"
+    psi_true = np.hstack([np.full((len(true_blocks), 1), -3.0 * np.sqrt(w_size)), true_blocks])
+    # B_{G(s)} psi = (t psi_0 + A psi_I, Pi-bar psi_I); the second part
+    # vanishes because psi_I lives on the columns Pi(s) keeps
+    residual[values == 1] = np.linalg.norm(psi_true[:, :1] * p.target + true_blocks @ p.matrix.T, axis=1)
+    ratio[values == 1] = psi_true[:, 0] ** 2 / np.einsum("ik,ik->i", psi_true, psi_true)
+    # false input number i is the i-th row of F0
+    psi_false = np.hstack([-np.eye(len(f0)), false_blocks])
+    # B_{G'(s)}^T psi = A^T psi_F0 + Pi-bar psi_I', and Pi-bar psi_I' = psi_I'
+    residual[f0] = np.linalg.norm(false_blocks - p.matrix, axis=1)
+    ratio[f0] = p.target**2 / np.einsum("ik,ik->i", psi_false, psi_false)
+
+    floor = np.where(values == 1, 0.9, 1.0 / (9.0 * w_size * (w_size + 1.0)))
     bad = np.flatnonzero((residual > 1e-6) | (ratio < floor - 1e-9))
     if len(bad):
-        i = int(bad[0])
+        s = int(bad[0])
         raise WitnessViolationError(
-            f"{kind} witness for input {int(inputs[i]):0{n}b}: residual {residual[i]:.3e}, "
-            f"ratio {ratio[i]:.12g} vs floor {floor:.12g}"
+            f"{'true' if values[s] else 'false'} witness for input {s:0{n}b}: residual {residual[s]:.3e}, "
+            f"ratio {ratio[s]:.12g} vs floor {floor[s]:.12g}"
         )
-    return psi, ratio, residual
+    return (psi_false, psi_true), ratio, residual
 
 
 def anchor_measure(ig: InputGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,6 @@ from advspan.boolfun import BooleanFunction
 from advspan.matkernel import gram_factor, nullspace_projector
 from advspan.errors import GramFailureError
 from advspan.spanprog import WITNESS_RTOL, CanonicalSpanProgram, _round_factor
-from advspan.spectral import column_masks
 
 # Lexicographically smallest truth table of each non-constant NPN class of
 # 3-bit functions.
@@ -112,7 +111,7 @@ def input_biadjacency(g, s: int) -> tuple[np.ndarray, np.ndarray]:
     """(b_true, b_false): G(s) with rows F0 | I' and columns mu0 | I, and G'(s)
     with rows F0 | I' and columns I."""
     nf0, ni = g.num_false, g.b_g.shape[1] - 1
-    pibar = np.diag(1.0 - column_masks(g.n, g.m)[s].astype(float))
+    pibar = np.diag(1.0 - g.pi_masks()[s, nf0 + 1:].astype(float))
     b_true = np.zeros((nf0 + ni, 1 + ni))
     b_true[:nf0] = g.b_g
     b_true[nf0:, 1:] = pibar

@@ -179,7 +179,7 @@ def test_canonical_witnesses_are_attained_by_stored_vectors(corpus):
         n, m = f.n, prog.m
         masks, sizes = p.selection_masks(), evaluate(p).witness_size
         for s in f.inputs:
-            stored = prog.stored_witness_size(s)
+            stored = prog.stored_witness_sizes[s]
             assert stored == pytest.approx(prog.witness_size, rel=1e-9)  # tight padding
             if f.value(s) == 1:
                 z = np.zeros(2 * n * m)
@@ -209,8 +209,7 @@ def test_shared_layout_matches_whole_gram_reference(solved, spec):
     assert np.abs(prog.matrix @ prog.matrix.T - ref.matrix @ ref.matrix.T).max() <= 1e-11
     sigma, sigma_ref = (np.linalg.svd(build_program_graph(p).b_g, compute_uv=False) for p in (prog, ref))
     assert np.abs(sigma - sigma_ref).max() <= 1e-11
-    for s in f.inputs:
-        assert abs(prog.stored_witness_size(s) - ref.stored_witness_size(s)) <= 1e-12
+    assert np.abs(prog.stored_witness_sizes - ref.stored_witness_sizes).max() <= 1e-12
     eigenvalues = np.linalg.eigvalsh(sol.blocks)
     ranks = (eigenvalues > DEFAULT_RANK_TOL * max(1.0, eigenvalues.max())).sum(axis=1)
     row_sums = sol.blocks.diagonal(axis1=1, axis2=2).sum(axis=0)

@@ -209,7 +209,8 @@ def test_zero_witness_constants_across_corpus(corpus):
     for bundle in corpus:
         f, prog = bundle.f, bundle.program
         w = prog.witness_size
-        for s, psi in [*zip(f.f1, zero_witness_vectors(prog, 1)[0]), *zip(f.f0, zero_witness_vectors(prog, 0)[0])]:
+        psi_false, psi_true = zero_witness_vectors(prog)[0]
+        for s, psi in [*zip(f.f1, psi_true), *zip(f.f0, psi_false)]:
             if f.value(s) == 1:
                 assert psi[0] ** 2 == pytest.approx(9.0 * w, rel=1e-9)
                 assert psi @ psi == pytest.approx(10.0 * w, rel=1e-9)
@@ -229,8 +230,9 @@ def test_zero_witness_rejects_corrupted_program(solved):
         matrix=prog.matrix * 1.01,
         target=prog.target,
     )
-    with pytest.raises(WitnessViolationError):
-        zero_witness_vectors(broken, 1)
+    # every input fails; the error names the first in input order, a false one
+    with pytest.raises(WitnessViolationError, match="false witness for input 00:"):
+        zero_witness_vectors(broken)
 
 
 def test_reflection_unitary_is_unitary(corpus):
@@ -335,7 +337,7 @@ def test_true_input_fixed_vector(corpus):
     eigenvector with the 9/10 overlap."""
     for bundle in corpus:
         f, prog, g = bundle.f, bundle.program, bundle.graph
-        for s, psi in zip(f.f1, zero_witness_vectors(prog, 1)[0]):
+        for s, psi in zip(f.f1, zero_witness_vectors(prog)[0][1]):
             phi = np.concatenate([np.zeros(g.num_false), psi])
             u = dense_unitary(g, s)
             assert np.linalg.norm(u @ phi - phi) <= 1e-7 * np.linalg.norm(phi)
@@ -443,7 +445,7 @@ def test_gap_bound_composition(solved):
             assert abs(8.0 * gamma**2 / delta_floor - 72.0 * c**2 * (1.0 + 1.0 / w)) <= 1e-12 * max(
                 1.0, 72.0 * c**2 * (1.0 + 1.0 / w)
             )
-        for s, psi in zip(f.f0, zero_witness_vectors(prog, 0)[0]):
+        for s, psi in zip(f.f0, zero_witness_vectors(prog)[0][0]):
             b_true, b_false = input_biadjacency(g, s)
             x = b_false @ b_false.T
             t_hat = np.concatenate([prog.target, np.zeros(x.shape[0] - len(prog.target))])
