@@ -5,39 +5,51 @@ pairs subject to
     sum_{j : w_j != x_j} X[(w,j),(x,j)] = 1          for every (w,x) in F0 x F1,
     sum_j X[(s,j),(s,j)] <= xi                        for every input s.
 The optimum equals ADV(f), the maximum over adversary matrices Gamma of
-||Gamma|| / max_i ||Gamma o D_i||.  No constraint reads an entry that joins
-two coordinates, so the cone is exactly the product of n PSD cones of side 2^n,
-the blocks X_j[w,x] = X[(w,j),(x,j)]: zeroing the joining entries keeps a PSD
-X PSD (its blocks are principal submatrices), feasible and as good.
+||Gamma|| / max_i ||Gamma o D_i||.  A constraint reads X[(w,j),(x,j)] only
+where w_j != x_j with w in F0 and x in F1, that is where w and x lie in the
+same class C_{j,c} = {s : s_j xor f(s) = c} (c = w_j = 1 - x_j), or on the
+diagonal.  The constraint pattern is therefore disconnected into 2n classes,
+and by the matrix-completion argument of Fukuda, Kojima, Murota and Nakata
+(SIAM J. Optim. 2001) the cone is exactly the product of 2n PSD cones, one
+class block X_{j,c} per class: zeroing every other entry keeps a PSD X PSD
+(the class blocks are principal submatrices), feasible and as good.  The
+HKM iterates below never leave this form either, so the full solver run on
+the n Gram blocks X_j of side 2^n would keep their entries between classes
+at exactly zero.
 
 The solver is a primal-dual interior-point method: the HKM search direction
 (Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 1996) with
 Mehrotra's predictor-corrector, as in SDPT3.  The variable is
-v = (vec(X_0) ... vec(X_{n-1}), slacks u, xi) in the cone PSD^n x R+^(S+1)
-(xi >= max row sum >= 0), and the equalities are the pair rows and the S rows
-sum_j X_j[s,s] + u_s - xi = 0.  Their multipliers y give the dual directly:
-alpha = y_pair and beta = -y_row, which assemble into the adversary-matrix
-certificate via Gamma[w,x] = alpha_{w,x} / sqrt(beta_w beta_x).
+v = (vec(X_{0,0}) vec(X_{0,1}) ... vec(X_{n-1,1}), slacks u, xi) in the cone
+PSD^{2n} x R+^(S+1) (xi >= max row sum >= 0), and the equalities are the
+pair rows and the S rows sum_j X_j[s,s] + u_s - xi = 0.  Their multipliers y
+give the dual directly: alpha = y_pair and beta = -y_row, which assemble into
+the adversary-matrix certificate via Gamma[w,x] = alpha_{w,x} / sqrt(beta_w beta_x).
+The class blocks share one stack of side K = max |C_{j,c}|; a smaller class
+is zero-padded, and the padding holds zero in X, Z and every direction, so it
+adds nothing to <X, Z> or mu.
 
 Each iteration solves one Schur complement system, M_ik = tr(A_i X A_k Z^-1)
 plus the (u, xi) part.  Every constraint puts entries (E_ab + E_ba) / 2 into
-single Gram blocks: a pair row one per coordinate where w and x differ, a row
-sum one at (s,s) of each block.  The mask d_j(w,x) = [w_j != x_j] splits as
-sum_c [w_j = c][x_j = 1 - c], so over the pair grid F0 x F1 every pair-pair
-term of M is a sum of products of one F0-side and one F1-side matrix, masked
-entries of X_j and Z_j^-1, and M is built from GEMMs (schur_complement).  M
-has side |F0||F1| + 2^n (at most 288 at n = 5), and neither the dense
-constraint matrix nor a matrix of side n 4^n is ever formed.  Each iterate's
-blocks are factored once, X_j = L L^T and Z_j = L L^T: Z^-1 is
-L_Z^-T L_Z^-1, the largest step keeping V + a dV PSD is read off
-lambda_min(L^-1 dV L^-T), and a failed factorization means roundoff has left
-the cone's interior.  No eigendecomposition runs inside the loop.
+class blocks: a pair row one per coordinate where w and x differ, a row sum
+one at (s,s) of the class block of s in each coordinate.  Within class block
+(j,c) every F0 member pairs with every F1 member, so over the pair grid
+F0 x F1 every pair-pair term of M is a sum over the 4n (class block, X or
+Z^-1) of one F0-side times one F1-side matrix, gathered from the stack with
+zeros off the class, and M is built from GEMMs (schur_complement).  M has
+side |F0||F1| + 2^n (at most 288 at n = 5), and neither the dense constraint
+matrix nor a matrix of side n 4^n is ever formed.  Each iterate's class
+blocks are factored once, X_b = L L^T and Z_b = L L^T (a padded block with
+the identity on its padding): Z^-1 is L_Z^-T L_Z^-1, the largest step keeping
+V + a dV PSD is read off lambda_min(L^-1 dV L^-T), and a failed factorization
+means roundoff has left the cone's interior.  No eigh runs inside the loop;
+eigvalsh of L^-1 dV L^-T is the only spectral call.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -53,6 +65,7 @@ from .errors import (
 from .matkernel import hadamard, spectral_norm
 
 DEFAULT_TOL = 1e-7
+MIN_TOL = 1e-9
 MAX_ITERATIONS = 100
 BETA_DROP_TOL = 1e-10
 
@@ -61,20 +74,33 @@ BETA_DROP_TOL = 1e-10
 class WitnessSdp:
     """Standard-form data for the witness-size SDP of one function.
 
-    The flat variable vector is [vec(X_0) ... vec(X_{n-1}) | u | xi] with
-    X_j[w,x] at j * 4^n + w * 2^n + x.  Equality rows cover the F0 x F1 pair
+    Class block b = 2j + c holds X_{j,c}, the Gram block of coordinate j
+    (0-based) on the class C_{j,c} = {s : s_j xor f(s) = c}; members[b] lists
+    its inputs in increasing order, then -1 on the padding up to the common
+    side K.  The flat variable vector is [vec(X_0) ... vec(X_{2n-1}) | u | xi]
+    with X_b[i,k] at (b K + i) K + k.  Equality rows cover the F0 x F1 pair
     constraints followed by the slack-completed row-sum constraints
-    sum_j X_j[s,s] + u_s = xi, with X_j[s,s] at diagonal[j, s].  Pair row p sums
-    (X_j[w,x] + X_j[x,w]) / 2 over the entries e with entry_pair[e] = p, one per
-    0-based j with w_j != x_j, at entry_index[e] and entry_mirror[e].
+    sum_j X_j[s,s] + u_s = xi, with X_j[s,s] at diagonal[j, s].  Pair row p
+    sums (X_j[w,x] + X_j[x,w]) / 2 over the entries e with entry_pair[e] = p,
+    one per 0-based j with w_j != x_j, at entry_index[e] and entry_mirror[e].
+    padding indexes the padding's diagonal in the stack.
+
+    gather holds the flat indices that schur_complement reads from the stack
+    [X | 0 | Z^-1 | 0] (the two stacks, each followed by one zero), one array
+    per product term, pointing at that zero off the class; gather["blocks"],
+    of shape (n, 2^n, 2^n), maps the stack onto the n Gram blocks X_j of side
+    2^n (to_blocks).
     """
 
     f: BooleanFunction
     pairs: tuple[tuple[int, int], ...]
+    members: np.ndarray
     entry_pair: np.ndarray
     entry_index: np.ndarray
     entry_mirror: np.ndarray
     diagonal: np.ndarray
+    padding: np.ndarray
+    gather: dict
 
     @property
     def n(self) -> int:
@@ -84,44 +110,82 @@ class WitnessSdp:
     def num_inputs(self) -> int:
         return 2**self.f.n
 
-    @cached_property
-    def grid(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], dict]:
-        """(sides, h, hh) for the Schur complement, with sides = (F0, F1) and
-        h = (h0, h1).  Each pair row's coefficient in block j, d_j(w,x) / 2
-        with d_j(w,x) = [w_j != x_j], splits as sum_c h0[j,c,w] h1[j,c,x],
-        where h0[j,c,w] = [w_j = c] / 2 over F0 and h1[j,c,x] = [x_j = 1 - c]
-        over F1; hh[r, s][j,c,c',u,v] = h[r][j,c,u] h[s][j,c',v]."""
-        bits, sides = self.f.bits.T, (np.array(self.f.f0), np.array(self.f.f1))
-        c = np.arange(2)[None, :, None]
-        h = (0.5 * (bits[:, None, sides[0]] == c), (bits[:, None, sides[1]] == 1 - c).astype(float))
-        hh = {(r, s): np.ascontiguousarray(h[r][:, :, None, :, None] * h[s][:, None, :, None, :])
-              for r in range(2) for s in range(2)}
-        return sides, h, hh
+    @property
+    def side(self) -> int:
+        """K, the side of every padded class block."""
+        return self.members.shape[1]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """|C_{j,c}| per class block b = 2j + c."""
+        return (self.members >= 0).sum(axis=1)
+
+    @property
+    def stack_size(self) -> int:
+        """2n K^2, the entries of the class-block stack in the flat variable."""
+        return self.members.size * self.side
 
     @property
     def constraints(self) -> np.ndarray:
         """Dense equality rows A, the tests' reference; the solver never builds it."""
-        n, p, s = self.n, len(self.pairs), self.num_inputs
-        rows = np.zeros((p + s, n * s * s + s + 1))
+        p, s, nb = len(self.pairs), self.num_inputs, self.stack_size
+        rows = np.zeros((p + s, nb + s + 1))
         rows[self.entry_pair, self.entry_index] = 0.5
         rows[self.entry_pair, self.entry_mirror] = 0.5
         rows[p + np.arange(s), self.diagonal] = 1.0
-        rows[p:, n * s * s :] = np.hstack([np.eye(s), -np.ones((s, 1))])
+        rows[p:, nb:] = np.hstack([np.eye(s), -np.ones((s, 1))])
         return rows
 
 
 def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
-    """Index the constraint system; one equality per (w,x), one row bound per s."""
+    """Index the constraint system on the 2n class blocks; one equality per
+    (w,x), one row bound per s, and the gather indices of schur_complement."""
     if f.is_constant:
         raise ConstantFunctionError("ADV is undefined for constant functions (F0 x F1 is empty)")
     n, s = f.n, 2**f.n
-    pairs = tuple((w, x) for w in f.f0 for x in f.f1)
+    pairs = tuple(itertools.product(f.f0, f.f1))
     bits, f0, f1 = f.bits, np.array(f.f0), np.array(f.f1)
+    cls = bits ^ np.array(f.table)[:, None]  # (s, j): the c of the class of s in coordinate j
+    block = 2 * np.arange(n) + cls
+    pos = np.where(cls, np.cumsum(cls, axis=0), np.cumsum(1 - cls, axis=0)) - 1  # place within the class
+    side = int(np.bincount(block.ravel(), minlength=2 * n).max())
+    members = np.full((2 * n, side), -1)
+    members[block, pos] = np.arange(s)[:, None]
+    zero = members.size * side  # the zero after each stack, at zero and 2 zero + 1
+    c = cls.T
+    # entries[j, s, t]: where X_j[s,t] sits in the stack, or zero between two classes
+    entries = np.where(c[:, :, None] == c[:, None, :],
+                       ((block.T * side + pos.T) * side)[:, :, None] + pos.T[:, None, :], zero)
+
     pair, j = np.nonzero((bits[f0][:, None, :] != bits[f1][None, :, :]).reshape(len(pairs), n))
     w, x = f0[pair // len(f1)], f1[pair % len(f1)]
-    return WitnessSdp(f=f, pairs=pairs, entry_pair=pair, entry_index=(j * s + w) * s + x,
-                      entry_mirror=(j * s + x) * s + w,
-                      diagonal=np.arange(n)[:, None] * s * s + np.arange(s) * (s + 1))
+    b, i = np.nonzero(members < 0)
+
+    def both(flat: np.ndarray, axis: int, swapped: bool) -> np.ndarray:
+        """flat read in X, then in Z^-1 (swapped: Z^-1, then X), along axis."""
+        halves = (flat, flat + zero + 1)
+        return np.concatenate(halves[::-1] if swapped else halves, axis=axis)
+
+    def terms(u: np.ndarray, v: np.ndarray, swapped: bool = False) -> np.ndarray:
+        """X_{j,c}[u,v] for u, v on two sides, stacked over (t, j, c)."""
+        flat = np.where(c[:, None, u, None] == np.arange(2)[:, None, None], entries[:, None, u[:, None], v], zero)
+        return both(flat.reshape(2 * n, len(u), len(v)), 0, swapped)
+
+    def by_row(v: np.ndarray, swapped: bool = False) -> np.ndarray:
+        """X_j[s,v] for every input s and v on one side, in the class of s in
+        each coordinate j, stacked over (s, t, j)."""
+        return both(entries[:, :, v].transpose(1, 0, 2), 1, swapped)
+
+    # the Schur complement loops over the smaller side r of F0 x F1; its
+    # arrays read (X, Z^-1), the other side's (Z^-1, X)
+    (r, o), swap = ((f0, f1), False) if len(f0) <= len(f1) else ((f1, f0), True)
+    gather = {
+        "same_r": terms(r, r), "same_o": terms(o, o, True), "across": terms(r, o, True), "back": terms(o, r),
+        "row_f0": by_row(f0), "row_f1": by_row(f1, True), "swap": swap, "blocks": entries,
+    }
+    return WitnessSdp(f=f, pairs=pairs, members=members, entry_pair=pair,
+                      entry_index=entries[j, w, x], entry_mirror=entries[j, x, w],
+                      diagonal=entries[:, np.arange(s), np.arange(s)], padding=(b * side + i) * side + i, gather=gather)
 
 
 def _pair_values(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
@@ -138,9 +202,9 @@ def _apply(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
 
 
 def _apply_adjoint(sdp: WitnessSdp, y: np.ndarray) -> np.ndarray:
-    """A^T y on the flat variable; no (j,w,x) repeats or is also a (j,x,w)."""
+    """A^T y on the flat variable; no (b,i,k) repeats or is also a (b,k,i)."""
     num_pairs, num_inputs = len(sdp.pairs), sdp.num_inputs
-    v = np.zeros(sdp.n * num_inputs**2 + num_inputs + 1)
+    v = np.zeros(sdp.stack_size + num_inputs + 1)
     half = 0.5 * y[:num_pairs][sdp.entry_pair]
     v[sdp.entry_index] = half
     v[sdp.entry_mirror] = half
@@ -150,53 +214,75 @@ def _apply_adjoint(sdp: WitnessSdp, y: np.ndarray) -> np.ndarray:
     return v
 
 
-def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio: np.ndarray) -> np.ndarray:
+def to_blocks(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
+    """The n Gram blocks X_j of side 2^n, of shape (n, 2^n, 2^n), from the
+    class stack at the head of the flat v; zero between two classes."""
+    return np.append(v[: sdp.stack_size], 0.0)[sdp.gather["blocks"]]
+
+
+def pair_sums(sdp: WitnessSdp, blocks: np.ndarray) -> np.ndarray:
+    """The pair rows of A on Gram blocks of shape (n, 2^n, 2^n):
+    sum_{j : w_j != x_j} (X_j[w,x] + X_j[x,w]) / 2 for every pair (w,x)."""
+    stack = np.zeros(sdp.stack_size + 1)
+    stack[sdp.gather["blocks"]] = blocks  # every entry between two classes lands on the spare last slot
+    return _pair_values(sdp, stack)
+
+
+def pair_adjoint(sdp: WitnessSdp, lam: np.ndarray) -> np.ndarray:
+    """sum_p lam_p A_p on the Gram blocks, of shape (n, 2^n, 2^n): the
+    pair rows' part of A^T (lam, 0)."""
+    return to_blocks(sdp, _apply_adjoint(sdp, np.concatenate([lam, np.zeros(sdp.num_inputs)])))
+
+
+def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """The HKM Schur complement M[i,k] = tr(A_i X A_k Z^-1) + sum_l a_il a_kl x_l / z_l.
 
-    x and z_inv are stacks of the n Gram blocks and lp_ratio is x / z on
-    (u, xi).  Block j of pair row (w,x) is d_j(w,x) (E_wx + E_xw) / 2, so the
-    pair-pair entry is the sum over j of d_j(w,x) d_j(w',x') / 4 times
-    X[w,w'] Z^-1[x,x'] + Z^-1[w,w'] X[x,x'] + Z^-1[w,x'] X[x,w'] + X[w,x'] Z^-1[x,w'].
-    With d_j / 2 = sum_c h0[j,c,w] h1[j,c,x] (WitnessSdp.grid), each term is
-    a sum over k = (j, c, c') of an F0-side matrix times an F1-side one, so
-    the first two are one GEMM over 8n products and the last two another.
-    Both run one slice of the smaller side at a time, each slice landing in
-    M's pair block, so no temporary of M's size is made.  A pair-row entry
-    is sum_j d_j(w,x) (Z^-1[w,s] X[x,s] + X[w,s] Z^-1[x,s]) / 2, a matmul over
-    4n products per s, and the row-row block is sum_j X_j o Z_j^-1 plus the
-    (u, xi) part.  All of the symmetric M is filled.
+    x and z_inv are stacks of the 2n class blocks and lp_ratio is x / z on
+    (u, xi).  Pair rows (w,x) and (w',x') meet in class block (j,c) when all
+    four inputs lie in C_{j,c}, where their entry is
+    X[w,w'] Z^-1[x,x'] + Z^-1[w,w'] X[x,x'] + Z^-1[w,x'] X[x,w'] + X[w,x'] Z^-1[x,w']
+    over 4, summed over the blocks.  Gathered from the stack with zeros off
+    the class (WitnessSdp.gather), each term is a sum over the 4n (block, X
+    or Z^-1) of an F0-side matrix times an F1-side one, so the first two are
+    one GEMM over 4n products and the last two another.  Both run one slice
+    of the smaller side at a time, each slice landing in M's pair block, so
+    no temporary of M's size is made.  A pair-row entry is
+    sum_j (Z^-1[w,s] X[x,s] + X[w,s] Z^-1[x,s]) / 2 over the coordinates j
+    where s shares the class of w and x, a matmul over 2n products per s,
+    and the row-row block is sum_j X_j o Z_j^-1 plus the (u, xi) part.  All
+    of the symmetric M is filled, in out when given: the solver reuses one
+    buffer, since a fresh M (0.66 MB at n = 5) every iteration page-faults.
     """
-    sides, (h0, h1), hh = sdp.grid
-    n, num_inputs, a, b = sdp.n, sdp.num_inputs, len(sides[0]), len(sides[1])
-    p, k = a * b, 8 * n
-    xz = np.stack([x, z_inv])
-    zx = xz[::-1]
+    g, num_inputs = sdp.gather, sdp.num_inputs
+    a, b = g["row_f0"].shape[2], g["row_f1"].shape[2]  # |F0|, |F1|
+    p, k = a * b, 4 * sdp.n
+    src = np.zeros((2, sdp.stack_size + 1))  # [X | 0 | Z^-1 | 0]
+    src[0, :-1] = x.ravel()
+    src[1, :-1] = z_inv.ravel()
+    flat = src.ravel()
 
-    def split(y: np.ndarray, r: int, s: int) -> np.ndarray:
-        """h[r][j,c,u] y[t,j,u,v] h[s][j,c',v] for u in side r and v in side s,
-        stacked over k = (t, j, c, c')."""
-        # np.take keeps the block C-ordered, so the masked product is one contiguous pass
-        block = np.take(np.take(y, sides[r], axis=2), sides[s], axis=3)
-        return (block[:, :, None, None] * hh[r, s]).reshape(k, len(sides[r]), len(sides[s]))
-
-    m = np.empty((p + num_inputs, p + num_inputs))
+    m = np.empty((p + num_inputs, p + num_inputs)) if out is None else out
     # slice u of the smaller side r holds (v, u', v') over the other side o
-    r, o = (0, 1) if a <= b else (1, 0)
     pair_block = m[:p, :p].reshape(a, b, a, b)
-    pair_block = pair_block if r == 0 else pair_block.transpose(1, 0, 3, 2)
-    nr, no = len(sides[r]), len(sides[o])
-    same_r, same_o = split(xz, r, r), split(zx, o, o).reshape(k, no * no)
-    across, back = split(zx, r, o), split(xz, o, r).reshape(k, no * nr).T
+    pair_block = pair_block.transpose(1, 0, 3, 2) if g["swap"] else pair_block
+    same_r = np.take(flat, g["same_r"])
+    same_r *= 0.25
+    across = np.take(flat, g["across"])
+    across *= 0.25
+    nr, no = across.shape[1:]
+    same_o = np.take(flat, g["same_o"]).reshape(k, no * no)
+    back = np.take(flat, g["back"]).reshape(k, no * nr).T
     for u in range(nr):
         np.add((same_r[:, u].T @ same_o).reshape(nr, no, no).transpose(1, 0, 2),
                (back @ across[:, u]).reshape(no, nr, no), out=pair_block[u])
-    ws = (xz[:, :, :, sides[0]][:, :, None] * h0[:, :, None, :]).reshape(4 * n, num_inputs, a)
-    xs = (zx[:, :, :, sides[1]][:, :, None] * h1[:, :, None, :]).reshape(4 * n, num_inputs, b)
-    pair_row = np.matmul(ws.transpose(1, 2, 0), xs.transpose(1, 0, 2)).reshape(num_inputs, p)
+    ws = np.take(flat, g["row_f0"])
+    ws *= 0.5
+    pair_row = np.matmul(ws.transpose(0, 2, 1), np.take(flat, g["row_f1"])).reshape(num_inputs, p)
     m[p:, :p] = pair_row
     m[:p, p:] = pair_row.T
     row_block = m[p:, p:]
-    np.einsum("jst,jst->st", x, z_inv, out=row_block)
+    np.take(src[0] * src[1], g["blocks"]).sum(axis=0, out=row_block)
     row_block += lp_ratio[-1]
     row_block[np.diag_indices(num_inputs)] += lp_ratio[:-1]
     return m
@@ -233,8 +319,9 @@ class SdpSolution:
     """Primal-dual output of solve_sdp.
 
     blocks, of shape (n, 2^n, 2^n), holds the Gram blocks
-    X_j[w,x] = <v_{w,j}|v_{x,j}>; they are the whole primal, since no
-    constraint reads an entry between two coordinates.  alpha holds one
+    X_j[w,x] = <v_{w,j}|v_{x,j}>, assembled once from the solver's class
+    blocks with zeros between two classes; they are the whole primal, since
+    no constraint reads an entry between two coordinates.  alpha holds one
     multiplier per equality constraint (keyed like WitnessSdp.pairs) and
     beta one nonnegative multiplier per input; at the optimum sum(beta) = 1
     and sum(alpha) equals xi.
@@ -268,12 +355,13 @@ def solve_sdp(
     roundoff leaves an iterate on the cone's boundary.  residuals["history"]
     has one row per iteration: mu, the gap and both infeasibilities at the
     iterate it started from, and the step lengths it took.  Deterministic:
-    fixed start X_j = Z_j = I.
+    fixed start X_b = Z_b = I on every class block.
     """
-    if tol < 1e-9:
-        raise ValueError("tol below 1e-9 is not supported")
+    if not (np.isfinite(tol) and tol >= MIN_TOL):
+        raise ValueError(f"tol must be finite and at least {MIN_TOL:g}")
     n, num_inputs, num_pairs = sdp.n, sdp.num_inputs, len(sdp.pairs)
-    nb, shape = n * num_inputs**2, (n, num_inputs, num_inputs)
+    nb, shape = sdp.stack_size, (2 * n, sdp.side, sdp.side)
+    padding = np.concatenate([sdp.padding, nb + sdp.padding])  # in the stack [X; Z]
     order = n * num_inputs + num_inputs + 1
     b = np.concatenate([np.ones(num_pairs), np.zeros(num_inputs)])
     cost = np.zeros(nb + num_inputs + 1)
@@ -287,13 +375,15 @@ def solve_sdp(
     def max_step(l_inv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> tuple[float, float]:
         """Largest a_p and a_d with X + a_p dX and Z + a_d dZ PSD and
         (u, xi) + a dv >= 0 on each side.  With V = L L^T and l_inv the stack
-        of L^-1 for the blocks of X then Z, V + a dV is PSD while
-        a lambda_min(L^-1 dV L^-T) >= -1, so one eigvalsh of the 2n blocks
-        L^-1 dV L^-T gives both lengths."""
-        dv = np.concatenate([dx[:nb], dz[:nb]]).reshape(2 * n, num_inputs, num_inputs)
+        of L^-1 for the class blocks of X then Z, V + a dV is PSD while
+        a lambda_min(L^-1 dV L^-T) >= -1, so one eigvalsh of the 4n blocks
+        L^-1 dV L^-T gives both lengths.  A padded block adds zero
+        eigenvalues, which leave the length unchanged: it is unbounded as
+        long as lambda_min >= 0."""
+        dv = np.concatenate([dx[:nb], dz[:nb]]).reshape(4 * n, sdp.side, sdp.side)
         low = np.linalg.eigvalsh(l_inv @ dv @ l_inv.transpose(0, 2, 1)).min(axis=1)
         steps = []
-        for lam, v, d in ((float(low[:n].min()), x, dx), (float(low[n:].min()), z, dz)):
+        for lam, v, d in ((float(low[: 2 * n].min()), x, dx), (float(low[2 * n :].min()), z, dz)):
             shrink = d[nb:] < 0
             steps.append(min(np.inf if lam >= 0 else -1.0 / lam,
                              float((v[nb:][shrink] / -d[nb:][shrink]).min(initial=np.inf))))
@@ -301,6 +391,7 @@ def solve_sdp(
 
     history: list[dict] = []
     iterations = 0
+    m = np.empty((num_pairs + num_inputs,) * 2)  # the Schur complement, refilled every iteration
     while True:
         rp = b - _apply(sdp, x)
         rd = cost - _apply_adjoint(sdp, y) - z
@@ -314,14 +405,17 @@ def solve_sdp(
         if iterations == max_iterations:
             break
         xb, zb = x[:nb].reshape(shape), z[:nb].reshape(shape)
+        blocks = np.concatenate([xb, zb])
+        blocks.reshape(-1)[padding] = 1.0  # factor X_b + I and Z_b + I on the padding
         try:
-            l_inv = _inverse_factors(np.concatenate([xb, zb]))
+            l_inv = _inverse_factors(blocks)
         except np.linalg.LinAlgError:
             break  # roundoff has left the cone's interior
+        l_inv.reshape(-1)[padding] = 0.0  # so Z^-1 and every direction keep the padding at zero
         mu = complementarity / order
-        z_inv = l_inv[n:].transpose(0, 2, 1) @ l_inv[n:]
+        z_inv = l_inv[2 * n :].transpose(0, 2, 1) @ l_inv[2 * n :]
         lp_x, lp_z = x[nb:], z[nb:]
-        solve = _solver(schur_complement(sdp, xb, z_inv, lp_x / lp_z))
+        solve = _solver(schur_complement(sdp, xb, z_inv, lp_x / lp_z, out=m))
         x_rd_zinv = (xb @ rd[:nb].reshape(shape) @ z_inv).ravel()
         lp_rd = lp_x * rd[nb:] / lp_z
 
@@ -353,11 +447,13 @@ def solve_sdp(
                         "dual_infeasibility": dual_inf, "step_primal": step_p, "step_dual": step_d})
 
     alpha, beta = y[:num_pairs], -y[num_pairs:]
-    blocks = x[:nb].reshape(shape)
+    stack, sizes = x[:nb].reshape(shape), sdp.sizes
     residuals = {
         "primal_equality": float(np.abs(_pair_values(sdp, x) - 1.0).max()),
         "row_sum_violation": float(max(0.0, (x[sdp.diagonal].sum(axis=0) - xi).max())),
-        "min_eigenvalue": float(np.linalg.eigvalsh(blocks).min()),
+        # the class blocks without their padding, grouped by size (a class may be empty)
+        "min_eigenvalue": min(float(np.linalg.eigvalsh(stack[sizes == k, :k, :k]).min())
+                              for k in np.unique(sizes[sizes > 0])),
         "duality_gap": abs(gap),
         "beta_sum": float(beta.sum()),
         "primal_infeasibility": primal_inf,
@@ -375,7 +471,7 @@ def solve_sdp(
             f"gap {gap:.2e}, complementarity {complementarity:.2e})",
             residuals,
         )
-    return SdpSolution(sdp=sdp, blocks=blocks, xi=xi, alpha=alpha, beta=beta, residuals=residuals)
+    return SdpSolution(sdp=sdp, blocks=to_blocks(sdp, x), xi=xi, alpha=alpha, beta=beta, residuals=residuals)
 
 
 @dataclass(frozen=True)

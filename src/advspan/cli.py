@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
-from .advsdp import DEFAULT_TOL
+from .advsdp import DEFAULT_TOL, MIN_TOL
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this copy
 from .advsdp import build_witness_sdp  # noqa: F401
 from .errors import AdvspanError, BadSpecError, ConstantFunctionError, NoConvergenceError
@@ -74,12 +75,25 @@ def _print_report(report: dict, stream) -> None:
     print(f"status: {report['status']}", file=stream)
 
 
+def _tolerance(text: str) -> float:
+    """--tol: a finite number no smaller than the solver's floor MIN_TOL;
+    anything else is bad input (exit 2)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise argparse.ArgumentTypeError(f"input error: tol must be a finite number >= {MIN_TOL:g}, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="advspan")
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run the full pipeline on one function")
     verify.add_argument("--function", required=True, help='e.g. PARITY:2, OR:3, or a bitstring like "0110"')
-    verify.add_argument("--tol", type=float, default=DEFAULT_TOL, help="SDP duality-gap tolerance")
+    verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                        help=f"SDP duality-gap tolerance, at least {MIN_TOL:g}")
     verify.add_argument("--seed", type=int, default=0,
                         help="recorded in the report; the pipeline itself is deterministic")
     verify.add_argument("--skip-sim", action="store_true", help="skip the algorithm simulations")

@@ -22,6 +22,10 @@ PHASE_ERROR_BUDGET = 0.1
 # a check passes when its margin is at least -MARGIN_TOL, and margins within
 # MARGIN_TOL of each other count as equal in report["margins"]
 MARGIN_TOL = 1e-12
+# strong_duality_gap and wsize_matches_adv allow ADV_RTOL or 100 tol, whichever
+# is larger, times max(1, xi): the solver stops at a relative gap of tol, and
+# on 292 functions with n = 3..5 both stayed below 1e-7 max(1, xi)
+ADV_RTOL = 1e-5
 # how the gap checks' names print their grid parameter
 C_LABEL, THETA_LABEL = "c={:g}", "theta={:.6g}"
 # the family of each check name (the part before "["), for report["margins"]
@@ -138,7 +142,8 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
         "gamma": matrix_to_json(cert.gamma),
         "residuals": sol.residuals,
     }
-    checks.append(_check("strong_duality_gap", abs(xi - cert.value), 1e-3 * xi, "le"))
+    adv_bound = max(ADV_RTOL, 100.0 * tol) * max(1.0, xi)
+    checks.append(_check("strong_duality_gap", abs(xi - cert.value), adv_bound, "le"))
     checks.append(_check("equality_residual", sol.residuals["primal_equality"], 1e-6, "le"))
     checks.append(_check("psd_residual", -sol.residuals["min_eigenvalue"], 1e-7, "le"))
 
@@ -157,7 +162,7 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
     report["span_program"] = {"m": program.m, "witness_size": program.witness_size, "per_input": per_input}
     wmax = max(row["witness_size"] for row in per_input)
     eval_ok = all(row["evaluates"] == row["f"] for row in per_input)
-    checks.append(_check("wsize_matches_adv", abs(wmax - xi), 1e-3 * xi, "le"))
+    checks.append(_check("wsize_matches_adv", abs(wmax - xi), adv_bound, "le"))
     checks.append(_check("evaluate_agrees_with_f", 0.0 if eval_ok else 1.0, 0.5, "le"))
 
     # every per-input quantity is computed as a stack over the inputs (or over

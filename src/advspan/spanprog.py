@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .advsdp import SdpSolution, WitnessSdp, _apply_adjoint, _pair_values
+from .advsdp import SdpSolution, WitnessSdp, pair_adjoint, pair_sums
 from .boolfun import BooleanFunction, input_bits
 from .errors import DimensionMismatchError, GramFailureError
 from .matkernel import gram_factor
@@ -238,7 +238,7 @@ class CanonicalSpanProgram:
 
 
 def _check_pair_sums(sdp: WitnessSdp, gram: np.ndarray) -> None:
-    worst = float(np.abs(_pair_values(sdp, gram.ravel()) - 1.0).max())
+    worst = float(np.abs(pair_sums(sdp, gram) - 1.0).max())
     if worst > 1e-6:
         raise GramFailureError(f"pair-sum constraint residual {worst:.3e} exceeds 1e-6")
 
@@ -263,10 +263,9 @@ def _round_factor(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
     f = sdp.f
     f0, f1 = np.array(f.f0), np.array(f.f1)
     differ = (f.bits[f0][:, None, :] != f.bits[f1][None, :, :]).astype(float)  # (w, x, j)
-    no_rows = np.zeros(sdp.num_inputs)
     for _ in range(2):
         gram = v @ v.transpose(0, 2, 1)
-        residual = _pair_values(sdp, gram.ravel()) - 1.0
+        residual = pair_sums(sdp, gram) - 1.0
         # J J^T[(w,x),(w',x')] = sum_j d_j[w,x] d_j[w',x'] (delta_ww' G_j[x,x'] + G_j[w,w'] delta_xx')
         jjt = np.zeros((len(f0), len(f1), len(f0), len(f1)))
         jjt[np.arange(len(f0)), :, np.arange(len(f0)), :] += np.einsum(
@@ -278,8 +277,7 @@ def _round_factor(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
             lam = scipy.linalg.cho_solve(scipy.linalg.cho_factor(jjt), residual)
         except np.linalg.LinAlgError:  # J J^T singular: the least-norm multipliers
             lam = np.linalg.lstsq(jjt, residual, rcond=None)[0]
-        weights = 2.0 * _apply_adjoint(sdp, np.concatenate([lam, no_rows]))[: gram.size]
-        v = v - weights.reshape(gram.shape) @ v
+        v = v - 2.0 * pair_adjoint(sdp, lam) @ v
     return v
 
 

@@ -1,7 +1,8 @@
 """Shared corpus of solved functions, cached once per session, the dense
 references of the canonical program and of the program and input graphs that
-only tests build, and the per-input span-program evaluation, the oracle of
-the stacked `evaluate`."""
+only tests build, the per-input span-program evaluation, the oracle of the
+stacked `evaluate`, and the interior-point loop on n full Gram blocks of side
+2^n, the oracle of the class-block `solve_sdp`."""
 
 from __future__ import annotations
 
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 from advspan import verify
+from advspan.advsdp import DEFAULT_TOL, MAX_ITERATIONS, SdpSolution, _inverse_factors, _solver, build_witness_sdp
 from advspan.boolfun import BooleanFunction
 from advspan.matkernel import gram_factor, nullspace_projector
-from advspan.errors import GramFailureError
+from advspan.errors import GramFailureError, NoConvergenceError
 from advspan.spanprog import WITNESS_RTOL, CanonicalSpanProgram, _round_factor
 
 # Lexicographically smallest truth table of each non-constant NPN class of
@@ -201,3 +203,128 @@ def reference_evaluate(p, s: int) -> tuple[bool, np.ndarray, float]:
     y = basis @ np.linalg.lstsq(kkt, rhs, rcond=None)[0][: len(t_comp)]
     pulled = y @ p.matrix
     return False, y, float(pulled @ pulled)
+
+
+# -- the interior-point loop on the n full Gram blocks ------------------------
+
+
+def reference_solve_sdp(f, tol: float = DEFAULT_TOL, max_iterations: int = MAX_ITERATIONS) -> SdpSolution:
+    """The HKM predictor-corrector of solve_sdp on the n Gram blocks X_j of
+    side 2^n, with the Schur complement summed over the whole split
+    [w_j != x_j] = sum_c [w_j = c][x_j = 1 - c], all 8n products per entry
+    (c = c' and c != c').  The same start, steps and stopping rule; only the
+    cone's layout differs.  Returns the SdpSolution with blocks, xi, alpha,
+    beta and the residuals iterations, history and duality_gap."""
+    n, s = f.n, 2**f.n
+    sdp = build_witness_sdp(f)
+    num_pairs = len(sdp.pairs)
+    bits, f0, f1 = f.bits, np.array(f.f0), np.array(f.f1)
+    pair, jj = np.nonzero((bits[f0][:, None, :] != bits[f1][None, :, :]).reshape(num_pairs, n))
+    w, x_ = f0[pair // len(f1)], f1[pair % len(f1)]
+    index, mirror = (jj * s + w) * s + x_, (jj * s + x_) * s + w
+    diagonal = np.arange(n)[:, None] * s * s + np.arange(s) * (s + 1)
+    nb, shape, order = n * s * s, (n, s, s), n * s + s + 1
+    sides = (f0, f1)
+    c = np.arange(2)[None, :, None]
+    h = (0.5 * (bits.T[:, None, f0] == c), (bits.T[:, None, f1] == 1 - c).astype(float))
+    hh = {(r, q): np.ascontiguousarray(h[r][:, :, None, :, None] * h[q][:, None, :, None, :])
+          for r in range(2) for q in range(2)}
+
+    def apply(v):
+        pairs = 0.5 * np.bincount(pair, weights=v[index] + v[mirror], minlength=num_pairs)
+        return np.concatenate([pairs, v[diagonal].sum(axis=0) + v[nb:-1] - v[-1]])
+
+    def adjoint(y):
+        v = np.zeros(nb + s + 1)
+        v[index] = v[mirror] = 0.5 * y[:num_pairs][pair]
+        v[diagonal] = v[nb:-1] = y[num_pairs:]
+        v[-1] = -y[num_pairs:].sum()
+        return v
+
+    def schur(xb, z_inv, lp_ratio):
+        """GEMMs over all k = 8n products, one slice of the smaller side at a time."""
+        a, b, p, k = len(f0), len(f1), len(f0) * len(f1), 8 * n
+        xz = np.stack([xb, z_inv])
+        zx = xz[::-1]
+
+        def split(y, r, q):
+            block = np.take(np.take(y, sides[r], axis=2), sides[q], axis=3)
+            return (block[:, :, None, None] * hh[r, q]).reshape(k, len(sides[r]), len(sides[q]))
+
+        m = np.empty((p + s, p + s))
+        r, o = (0, 1) if a <= b else (1, 0)
+        pair_block = m[:p, :p].reshape(a, b, a, b)
+        pair_block = pair_block if r == 0 else pair_block.transpose(1, 0, 3, 2)
+        nr, no = len(sides[r]), len(sides[o])
+        same_r, same_o = split(xz, r, r), split(zx, o, o).reshape(k, no * no)
+        across, back = split(zx, r, o), split(xz, o, r).reshape(k, no * nr).T
+        for u in range(nr):
+            np.add((same_r[:, u].T @ same_o).reshape(nr, no, no).transpose(1, 0, 2),
+                   (back @ across[:, u]).reshape(no, nr, no), out=pair_block[u])
+        ws = (xz[:, :, :, f0][:, :, None] * h[0][:, :, None, :]).reshape(4 * n, s, a)
+        xs = (zx[:, :, :, f1][:, :, None] * h[1][:, :, None, :]).reshape(4 * n, s, b)
+        pair_row = np.matmul(ws.transpose(1, 2, 0), xs.transpose(1, 0, 2)).reshape(s, p)
+        m[p:, :p] = pair_row
+        m[:p, p:] = pair_row.T
+        row_block = m[p:, p:]
+        np.einsum("jst,jst->st", xb, z_inv, out=row_block)
+        row_block += lp_ratio[-1]
+        row_block[np.diag_indices(s)] += lp_ratio[:-1]
+        return m
+
+    def max_step(l_inv, dx, dz):
+        low = np.linalg.eigvalsh(l_inv @ np.concatenate([dx[:nb], dz[:nb]]).reshape(2 * n, s, s)
+                                 @ l_inv.transpose(0, 2, 1)).min(axis=1)
+        steps = []
+        for lam, v, d in ((low[:n].min(), x, dx), (low[n:].min(), z, dz)):
+            shrink = d[nb:] < 0
+            steps.append(min(np.inf if lam >= 0 else -1.0 / lam, (v[nb:][shrink] / -d[nb:][shrink]).min(initial=np.inf)))
+        return steps
+
+    b_vec = np.concatenate([np.ones(num_pairs), np.zeros(s)])
+    cost = np.zeros(nb + s + 1)
+    cost[-1] = 1.0
+    x, z, y = np.zeros_like(cost), np.zeros_like(cost), np.zeros(num_pairs + s)
+    x[diagonal], x[nb:], x[-1] = 1.0, 1.0, n + 1.0
+    z[diagonal], z[nb:] = 1.0, 1.0
+    history = []
+    while True:
+        rp, rd = b_vec - apply(x), cost - adjoint(y) - z
+        xi, complementarity = float(x[-1]), float(x @ z)
+        gap = xi - float(y[:num_pairs].sum())
+        residual = max(np.abs(rp).max(), np.abs(rd).max(), abs(gap), complementarity)
+        if residual <= tol * max(1.0, abs(xi)) or len(history) == max_iterations:
+            break
+        xb, zb = x[:nb].reshape(shape), z[:nb].reshape(shape)
+        try:
+            l_inv = _inverse_factors(np.concatenate([xb, zb]))
+        except np.linalg.LinAlgError:
+            break
+        mu = complementarity / order
+        z_inv = l_inv[n:].transpose(0, 2, 1) @ l_inv[n:]
+        lp_x, lp_z = x[nb:], z[nb:]
+        solve = _solver(schur(xb, z_inv, lp_x / lp_z))
+        x_rd_zinv = (xb @ rd[:nb].reshape(shape) @ z_inv).ravel()
+        lp_rd = lp_x * rd[nb:] / lp_z
+
+        def direction(rc_zinv, rc_lp):
+            dy = solve(rp + apply(np.concatenate([x_rd_zinv - rc_zinv.ravel(), lp_rd - rc_lp])))
+            dz = rd - adjoint(dy)
+            dxb = rc_zinv - xb @ dz[:nb].reshape(shape) @ z_inv
+            dxb = 0.5 * (dxb + dxb.transpose(0, 2, 1))
+            return np.concatenate([dxb.ravel(), rc_lp - lp_x * dz[nb:] / lp_z]), dy, dz
+
+        dx, dy, dz = direction(-xb, -lp_x)
+        step_p, step_d = (min(1.0, step) for step in max_step(l_inv, dx, dz))
+        sigma = min(1.0, ((x + step_p * dx) @ (z + step_d * dz) / order / mu) ** 3)
+        dx, dy, dz = direction(sigma * mu * z_inv - xb - dx[:nb].reshape(shape) @ dz[:nb].reshape(shape) @ z_inv,
+                               (sigma * mu - dx[nb:] * dz[nb:]) / lp_z - lp_x)
+        fraction = 0.9 + 0.09 * min(step_p, step_d)
+        step_p, step_d = (min(1.0, fraction * step) for step in max_step(l_inv, dx, dz))
+        x, y, z = x + step_p * dx, y + step_d * dy, z + step_d * dz
+        history.append({"mu": mu, "step_primal": step_p, "step_dual": step_d})
+    residuals = {"iterations": len(history), "history": history, "duality_gap": abs(gap)}
+    if residual > tol * max(1.0, abs(xi)):
+        raise NoConvergenceError(f"reference loop: no convergence after {len(history)} iterations", residuals)
+    return SdpSolution(sdp=sdp, blocks=x[:nb].reshape(shape), xi=xi, alpha=y[:num_pairs], beta=-y[num_pairs:],
+                       residuals=residuals)

@@ -3,11 +3,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from advspan import advsdp
-from advspan.advsdp import adversary_ratio, build_witness_sdp, extract_certificate, schur_complement, solve_sdp
+from advspan.advsdp import (
+    DEFAULT_TOL,
+    adversary_ratio,
+    build_witness_sdp,
+    extract_certificate,
+    schur_complement,
+    solve_sdp,
+)
 from advspan import verify
 from advspan.boolfun import load_function
+from advspan.pipeline import ADV_RTOL
 from advspan.errors import (
     ConstantFunctionError,
     DegenerateDualError,
@@ -16,7 +25,7 @@ from advspan.errors import (
     ZeroMatrixError,
 )
 
-from conftest import corpus_specs
+from conftest import corpus_specs, reference_solve_sdp
 
 
 def random_tables(n: int, count: int, seed: int) -> list[str]:
@@ -48,6 +57,12 @@ def test_build_rejects_constant():
 def test_solve_rejects_too_small_tol(solved):
     with pytest.raises(ValueError):
         solve_sdp(solved("PARITY:2").sdp, tol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_solve_rejects_tol_that_is_not_finite_or_is_below_the_floor(solved, tol):
+    with pytest.raises(ValueError):
+        solve_sdp(solved("PARITY:2").sdp, tol=tol)
 
 
 def test_parity2_value(solved):
@@ -173,9 +188,11 @@ def test_certificate_zero_pattern_is_exact(corpus):
 
 
 def test_strong_duality_across_corpus(corpus):
+    """The certificate's ratio meets xi within the report's strong_duality_gap
+    bound, max(1e-5, 100 tol) max(1, xi)."""
     for bundle in corpus:
         xi = bundle.solution.xi
-        assert abs(xi - bundle.certificate.value) <= 1e-3 * xi
+        assert abs(xi - bundle.certificate.value) <= max(ADV_RTOL, 100.0 * DEFAULT_TOL) * max(1.0, xi)
 
 
 def test_adversary_ratio_identity_function():
@@ -276,38 +293,83 @@ def test_residual_history_has_one_row_per_iteration(corpus):
 
 def test_pair_constraints_touch_only_differing_coordinates():
     """Each pair row reads X_j[w,x] and X_j[x,w] of its own pair, and only on
-    coordinates j where w and x differ; the block layout puts both ends of an
-    entry on the same coordinate by construction."""
+    coordinates j where w and x differ, in the class block of C_{j, w_j}; the
+    layout puts both ends of an entry in the same class block by construction."""
     sdp = build_witness_sdp(load_function("MAJ:3"))
-    s = sdp.num_inputs
+    shape = (2 * sdp.n, sdp.side, sdp.side)
     for p, (w, x) in enumerate(sdp.pairs):
-        support = np.flatnonzero(sdp.constraints[p, : sdp.n * s * s])
+        support = np.flatnonzero(sdp.constraints[p, : sdp.stack_size])
         assert len(support) > 0
         for flat in support:
-            j, r, c = np.unravel_index(flat, (sdp.n, s, s))
-            assert {int(r), int(c)} == {w, x}
+            b, r, c = np.unravel_index(flat, shape)
+            j = b // 2
+            assert {int(sdp.members[b, r]), int(sdp.members[b, c])} == {w, x}
             assert sdp.f.bit(w, j + 1) != sdp.f.bit(x, j + 1)
+            assert b % 2 == sdp.f.bit(w, j + 1)
+
+
+@pytest.mark.parametrize("spec, sizes", [("OR:5", (17, 15)), ("MAJ:5", (22, 10)), ("PARITY:5", (16, 16)),
+                                         ("OR:4", (9, 7)), ("MAJ:4", (11, 5)), ("01", (2, 0))])
+def test_class_blocks_partition_each_coordinate(spec, sizes):
+    """Class block b = 2j + c lists C_{j,c} = {s : s_j xor f(s) = c} in
+    increasing order, padded with -1 to the largest class; the two classes of
+    a coordinate partition the inputs, and the identity's second class is empty."""
+    f = load_function(spec)
+    sdp = build_witness_sdp(f)
+    assert sdp.side == max(sizes)
+    for j in range(f.n):
+        for c in range(2):
+            expected = [s for s in f.inputs if f.bit(s, j + 1) ^ f.value(s) == c]
+            assert len(expected) == sizes[c]
+            assert sdp.members[2 * j + c].tolist() == expected + [-1] * (sdp.side - len(expected))
+
+
+def test_padding_takes_no_direction(monkeypatch):
+    """A class smaller than the stack's side is zero-padded.  The solver
+    factors each block completed by the identity on its padding, but no
+    direction ever moves the padding: the final iterate is zero there."""
+    to_blocks, iterates = advsdp.to_blocks, []
+
+    def capture(sdp, v):
+        iterates.append(v.copy())
+        return to_blocks(sdp, v)
+
+    monkeypatch.setattr(advsdp, "to_blocks", capture)
+    sdp = build_witness_sdp(load_function("MAJ:4"))  # classes of 11 and 5
+    solve_sdp(sdp)
+    stack = iterates[0][: sdp.stack_size].reshape(2 * sdp.n, sdp.side, sdp.side)
+    padding = (sdp.members[:, :, None] < 0) | (sdp.members[:, None, :] < 0)
+    assert padding.any() and np.all(stack[padding] == 0.0)
+
+
+def class_block_stack(sdp, rng) -> np.ndarray:
+    """A random stack positive definite on each class block, zero on the padding."""
+    stack = np.zeros((2 * sdp.n, sdp.side, sdp.side))
+    for b, size in enumerate(sdp.sizes):
+        g = rng.standard_normal((size, size))
+        stack[b, :size, :size] = g @ g.T + 0.1 * np.eye(size)
+    return stack
 
 
 @pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "MAJ:4", "AND:4"] + random_tables(4, 2, 1))
 def test_block_solver_matches_dense_reference(spec):
     """The Schur complement from GEMMs on the F0 x F1 grid equals
-    A (X (x) Z^-1 (+) diag(x/z)) A^T with the dense constraint rows A, the
-    solver never forming the Kronecker product.  OR:4 (|F0| = 1) and AND:4
-    (|F1| = 1) run its loop over the smaller side from either side."""
+    A (X (x) Z^-1 (+) diag(x/z)) A^T with the dense constraint rows A on the
+    class blocks, the solver never forming the Kronecker product.  X and Z^-1
+    are drawn block-diagonal over the classes, the only form the solver's
+    iterates take.  OR:4 (|F0| = 1) and AND:4 (|F1| = 1) run its loop over
+    the smaller side from either side."""
     sdp = build_witness_sdp(load_function(spec))
-    n, s = sdp.n, sdp.num_inputs
+    s, k = sdp.num_inputs, sdp.side
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((n, s, s))
-    x = x @ x.transpose(0, 2, 1) + 0.1 * np.eye(s)
-    z = rng.standard_normal((n, s, s))
-    z_inv = np.linalg.inv(z @ z.transpose(0, 2, 1) + 0.1 * np.eye(s))
+    x = class_block_stack(sdp, rng)
+    z_inv = class_block_stack(sdp, rng)
     lp_ratio = rng.uniform(0.1, 2.0, s + 1)
     a = sdp.constraints
     kron = np.zeros((a.shape[1], a.shape[1]))
-    for j in range(n):
-        kron[j * s * s : (j + 1) * s * s, j * s * s : (j + 1) * s * s] = np.kron(x[j], z_inv[j])
-    kron[n * s * s :, n * s * s :] = np.diag(lp_ratio)
+    for b in range(2 * sdp.n):
+        kron[b * k * k : (b + 1) * k * k, b * k * k : (b + 1) * k * k] = np.kron(x[b], z_inv[b])
+    kron[sdp.stack_size :, sdp.stack_size :] = np.diag(lp_ratio)
     ref = a @ kron @ a.T
     got = schur_complement(sdp, x, z_inv, lp_ratio)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -352,3 +414,39 @@ def test_random_five_bit_tables_solve(table):
     f = load_function(table)
     sol = solve_sdp(build_witness_sdp(f))
     assert abs(sol.xi - extract_certificate(sol, f).value) <= 1e-6
+
+
+@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "MAJ:4", "AND:4"] + random_tables(5, 2, 0))
+def test_class_blocks_follow_the_full_block_path(spec):
+    """Splitting each Gram block over its two classes loses nothing: the same
+    interior-point loop on the n full blocks of side 2^n (reference_solve_sdp)
+    takes as many iterations to the same xi, and keeps every entry between
+    two classes at exactly zero.  alpha and beta are not compared: where the
+    dual optimum is not unique they move while xi holds, by up to 2.3e-4 on
+    the 3-bit tables (00001110)."""
+    f = load_function(spec)
+    sol = solve_sdp(build_witness_sdp(f))
+    ref = reference_solve_sdp(f)
+    assert sol.residuals["iterations"] == ref.residuals["iterations"]
+    assert abs(sol.xi - ref.xi) <= 1e-9 * max(1.0, ref.xi)
+    between = sol.sdp.gather["blocks"] == sol.sdp.stack_size
+    assert np.all(ref.blocks[between] == 0.0) and np.all(sol.blocks[between] == 0.0)
+
+
+# non-constant truth tables of 1 to 4 bits, as bitstrings
+TABLES = st.integers(1, 4).flatmap(lambda n: st.integers(1, 2 ** 2**n - 2).map(lambda code: format(code, f"0{2**n}b")))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(TABLES)
+def test_random_tables_meet_strong_duality_on_the_full_block_path(table):
+    """On any non-constant table: the certificate's ratio meets xi within the
+    strong_duality_gap bound, beta sums to 1 within tol, and the loop on the
+    full Gram blocks takes as many iterations.  Derandomized, so every run
+    draws the same tables."""
+    f = load_function(table)
+    sol = solve_sdp(build_witness_sdp(f))
+    xi = sol.xi
+    assert abs(xi - extract_certificate(sol, f).value) <= max(ADV_RTOL, 100.0 * DEFAULT_TOL) * max(1.0, xi)
+    assert abs(sol.beta.sum() - 1.0) <= DEFAULT_TOL
+    assert sol.residuals["iterations"] == reference_solve_sdp(f).residuals["iterations"]

@@ -64,6 +64,20 @@ def test_input_errors_exit_2(tmp_path):
     assert main(["verify", "--function", "0000"]) == 2  # constant: ADV undefined
 
 
+@pytest.mark.parametrize("tol", ["1e-10", "0", "-1", "nan", "inf", "abc"])
+def test_bad_tol_exits_2(tol, capsys):
+    """A tolerance below the solver's floor of 1e-9, or not a finite number,
+    is bad input: rejected while the arguments are parsed, before any solve."""
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--function", "01", f"--tol={tol}"])
+    assert err.value.code == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_tol_floor_is_accepted():
+    assert build_parser().parse_args(["verify", "--function", "01", "--tol", "1e-9"]).tol == advsdp.MIN_TOL
+
+
 def test_csv_exports(tmp_path):
     csv_dir = tmp_path / "csv"
     code = main(["verify", "--function", "PARITY:2", "--csv-dir", str(csv_dir)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from advspan.advsdp import SdpSolution, _pair_values, build_witness_sdp, extract_certificate
+from advspan.advsdp import SdpSolution, build_witness_sdp, extract_certificate, pair_sums
 from advspan.boolfun import load_function
 from advspan.errors import GramFailureError
 from advspan.matkernel import DEFAULT_RANK_TOL
@@ -226,7 +226,7 @@ def test_rounding_meets_pair_constraints_to_roundoff(solved, spec):
     bundle = solved(spec)
     f, sol, prog = bundle.f, bundle.solution, bundle.program
     gram = np.einsum("wjk,xjk->jwx", prog.vectors, prog.vectors)
-    assert np.abs(_pair_values(sol.sdp, gram.ravel()) - 1.0).max() <= 1e-12
+    assert np.abs(pair_sums(sol.sdp, gram) - 1.0).max() <= 1e-12
     unrounded = max(sol.xi, sol.blocks.diagonal(axis1=1, axis2=2).sum(axis=0).max())
     assert abs(prog.witness_size - unrounded) <= 1e-6 * unrounded
     before = (sol.xi, sol.alpha.tobytes(), sol.beta.tobytes(), sol.blocks.tobytes())
