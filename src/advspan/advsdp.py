@@ -44,6 +44,34 @@ the identity on its padding): Z^-1 is L_Z^-T L_Z^-1, the largest step keeping
 V + a dV PSD is read off lambda_min(L^-1 dV L^-T), and a failed factorization
 means roundoff has left the cone's interior.  No eigh runs inside the loop;
 eigvalsh of L^-1 dV L^-T is the only spectral call.
+
+Each Newton system is solved on the orbits of Aut(f), the input
+permutations and negations g with f o g = f (output negation is excluded:
+it swaps F0 and F1).  g acts on the three index sets of the SDP: the pair
+rows (w,x) -> (g(w), g(x)), the inputs s -> g(s) (the row sums and the
+slacks u), and the stack entries X_j[s,t] -> X_{j'}[g(s), g(t)], j' the
+coordinate g moves j to; it maps class blocks onto class blocks and the
+constraints onto themselves.  The reduction is exact.  By the automorphism
+principle of Hoyer, Lee and Spalek (quant-ph/0611054) an optimal adversary
+matrix may be taken invariant, and more than that the HKM central path from
+X = Z = I is unique, hence invariant, so every iterate and every Newton
+system commutes with the group (Gatermann and Parrilo, J. Pure Appl.
+Algebra 2004).  With the rows' 0/1 orbit-membership matrix P and
+D = P^T P, dy = P d and M dy = r reduce to D^-1/2 P^T M P D^-1/2 (D^1/2 d)
+= D^-1/2 P^T r: M is built only at one representative row per orbit,
+summed over each orbit's columns, and is symmetric positive definite of side
+the number of orbits (MAJ:5 288 -> 20, PARITY:5 288 -> 5, MAJ:4 71 -> 13).
+y and Z then move by orbit-constant steps, but dX comes through products
+with Z^-1, so X is averaged over its orbits after every step, or roundoff
+lets it drift (a prototype that reduced only the Newton system lost primal
+feasibility on MAJ:4).  So is Z^-1: computed from the per-block Cholesky
+factors, which no permutation commutes with, it is invariant only to about
+eps cond(Z), cond(Z) ~ 1/mu, and the representative rows would stop
+representing their orbits near the optimum.  Z is averaged too, which moves
+it by at most an ulp.  A function whose group is trivial, as almost every
+random table, solves on all of M exactly as before, and so does one whose M
+has side below MIN_REDUCED_SIDE, where the reduction's own calls cost more
+than M.
 """
 
 from __future__ import annotations
@@ -54,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .boolfun import BooleanFunction, difference_matrix
+from .boolfun import BooleanFunction, automorphism_cosets, input_maps
 from .errors import (
     ConstantFunctionError,
     DegenerateDualError,
@@ -62,12 +90,50 @@ from .errors import (
     PatternViolationError,
     ZeroMatrixError,
 )
-from .matkernel import hadamard, spectral_norm
 
 DEFAULT_TOL = 1e-7
 MIN_TOL = 1e-9
 MAX_ITERATIONS = 100
 BETA_DROP_TOL = 1e-10
+# The side of the smallest Schur complement solved on the orbits of Aut(f).
+# Below it M costs less to build and factor than the reduction's own calls
+# each iteration (the averages and the expand GEMVs): reduced, the solve of
+# the 254 3-bit tables (side <= 24) took 1.08 times as long, OR:4 and AND:4
+# (31) 1.05, OR:5 and AND:5 (63) 0.99; MAJ:4 (71) 0.96, MAJ:5 (288) 0.62.
+MIN_REDUCED_SIDE = 64
+
+
+@dataclass(frozen=True)
+class Orbits:
+    """The orbits of Aut(f), of order |G| > 1, on the SDP's three index sets.
+
+    label holds the orbit of each entry of the class-block stack (the padding
+    is one orbit of zeros), then of each slack u_s, that is of each input;
+    weight is 1 / orbit size per element, so the orbit average of v is
+    bincount(label, v)[label] * weight (average).  row maps each equality
+    row, the pairs then the inputs, to its reduced row: the pair orbits
+    first, sorted by their representative's u on the Schur complement's loop
+    side, then the input orbits.  reps holds the representative equality row
+    of each reduced row, scale sqrt(orbit size), and expand = P D^-1/2, P the
+    0/1 orbit-membership matrix of the rows and D = P^T P: its columns are
+    orthonormal, M reduces to expand^T M expand and dy = expand dy_reduced.
+    """
+
+    order: int
+    label: np.ndarray
+    weight: np.ndarray
+    row: np.ndarray
+    reps: np.ndarray
+    expand: np.ndarray
+    scale: np.ndarray
+
+    def average(self, v: np.ndarray) -> np.ndarray:
+        """v averaged over each orbit, in place: a class-block stack, or a flat
+        variable [stack | u | xi] (xi is fixed by the group)."""
+        size = min(len(v), len(self.label))
+        label = self.label[:size]
+        v[:size] = np.bincount(label, weights=v[:size])[label] * self.weight[:size]
+        return v
 
 
 @dataclass(frozen=True)
@@ -89,7 +155,14 @@ class WitnessSdp:
     [X | 0 | Z^-1 | 0] (the two stacks, each followed by one zero), one array
     per product term, pointing at that zero off the class; gather["blocks"],
     of shape (n, 2^n, 2^n), maps the stack onto the n Gram blocks X_j of side
-    2^n (to_blocks).
+    2^n (to_blocks).  gather["runs"] lists the rows schur_complement builds,
+    one GEMM per u on the smaller side of F0 x F1, and gather["pair_reps"]
+    and gather["input_reps"] the pairs and inputs at those rows.
+
+    orbits holds the orbits of Aut(f) on the pair rows, the inputs and the
+    stack entries (Orbits), and the map of the equality rows onto the
+    reduced Newton system; None when the group is trivial or M has side
+    below MIN_REDUCED_SIDE, and every row of M is then built and solved.
     """
 
     f: BooleanFunction
@@ -101,6 +174,7 @@ class WitnessSdp:
     diagonal: np.ndarray
     padding: np.ndarray
     gather: dict
+    orbits: Orbits | None
 
     @property
     def n(self) -> int:
@@ -139,7 +213,8 @@ class WitnessSdp:
 
 def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
     """Index the constraint system on the 2n class blocks; one equality per
-    (w,x), one row bound per s, and the gather indices of schur_complement."""
+    (w,x), one row bound per s, the gather indices of schur_complement, and
+    the orbits of Aut(f), computed once per function."""
     if f.is_constant:
         raise ConstantFunctionError("ADV is undefined for constant functions (F0 x F1 is empty)")
     n, s = f.n, 2**f.n
@@ -183,9 +258,84 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
         "same_r": terms(r, r), "same_o": terms(o, o, True), "across": terms(r, o, True), "back": terms(o, r),
         "row_f0": by_row(f0), "row_f1": by_row(f1, True), "swap": swap, "blocks": entries,
     }
+    orbits = _orbits(f, members, r, o, swap) if len(pairs) + s >= MIN_REDUCED_SIDE else None
+    if orbits is not None:
+        reps = orbits.reps[orbits.reps < len(pairs)]  # the pair rows, sorted by their u
+        u, v = np.divmod(reps, len(f1))
+        u, v = (v, u) if swap else (u, v)
+        bounds = np.flatnonzero(np.diff(u)) + 1
+        runs = [(int(u[start]), None if stop - start == len(o) else v[start:stop], slice(start, stop))
+                for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(u)])]
+        gather["pair_reps"], gather["input_reps"] = reps, orbits.reps[len(reps):] - len(pairs)
+    else:  # every pair is a row, in pair order: the rows (u, v) of one u lie |F1| apart when r is F1
+        nr, no = len(r), len(o)
+        runs = [(u, None, slice(u, nr * no, nr) if swap else slice(u * no, (u + 1) * no)) for u in range(nr)]
+        gather["pair_reps"], gather["input_reps"] = slice(None), slice(None)
+    gather["runs"] = runs
     return WitnessSdp(f=f, pairs=pairs, members=members, entry_pair=pair,
                       entry_index=entries[j, w, x], entry_mirror=entries[j, x, w],
-                      diagonal=entries[:, np.arange(s), np.arange(s)], padding=(b * side + i) * side + i, gather=gather)
+                      diagonal=entries[:, np.arange(s), np.arange(s)], padding=(b * side + i) * side + i,
+                      gather=gather, orbits=orbits)
+
+
+def _orbits(f: BooleanFunction, members: np.ndarray, r: np.ndarray, o: np.ndarray, swap: bool) -> Orbits | None:
+    """The orbits of Aut(f) on the inputs, the pairs and the stack entries,
+    each labelled by its smallest member; None when the group is trivial.
+
+    No orbit is gathered under the whole group.  Aut(f) is a union of cosets
+    (pi, m_pi xor N), N its pure negations, so the smallest input of the orbit
+    of s is the least over pi of the smallest input of pi(s) xor m_pi xor N.
+    Every g taking s to that s0 is h k, h one such element and k in the
+    stabilizer G_s0, whose members are the (pi, pi(s0) xor s0) in the group;
+    so the smallest (s0, j', t') in the orbit of X_j[s,t] is s0 with the
+    smallest image of (h(j), h(t)) under G_s0, one minimum over each
+    stabilizer for every (j, t) at once.  Pairs (u, v), u on the smaller side
+    r, are labelled the same way through u."""
+    perms, shifts, negations = automorphism_cosets(f)
+    if len(perms) * len(negations) == 1:
+        return None
+    images, coordinates, _, _ = input_maps(f.n)
+    n, num = f.n, 2**f.n
+    heads = perms * num + shifts  # one element of each coset
+    head_images = images[heads]
+    inputs = np.arange(num)
+    to_least = negations[(inputs[:, None] ^ negations).argmin(axis=1)]  # t xor it is the least of t xor N
+    shift = to_least[head_images]
+    coset = (head_images ^ shift).argmin(axis=0)  # the coset taking s lowest
+    lowest = head_images[coset, inputs] ^ shift[coset, inputs]
+    h = heads[coset] ^ shift[coset, inputs]  # an element taking s to lowest[s]
+    reps = np.flatnonzero(lowest == inputs)
+    in_negations = np.zeros(num, dtype=bool)
+    in_negations[negations] = True
+    rep, k = np.nonzero(in_negations[head_images[:, reps] ^ reps].T)  # the stabilizer of each rep, in turn
+    member = heads[k] ^ head_images[k, reps[rep]] ^ reps[rep]
+    starts = np.searchsorted(rep, np.arange(len(reps)))
+    moved = images[member]
+    least_input = np.minimum.reduceat(moved, starts)  # (reps, 2^n)
+    least_entry = np.minimum.reduceat(coordinates[member][:, :, None] * num + moved[:, None, :], starts)
+    which, h_images = np.searchsorted(reps, lowest), images[h]
+
+    s, t = members[:, :, None], members[:, None, :]
+    code = lowest[s] * (n * num) + least_entry[which[s], coordinates[h][s, np.arange(2 * n)[:, None, None] // 2],
+                                               h_images[s, t]]
+    entry = np.where((s < 0) | (t < 0), n * num * num, code).ravel()  # the padding is one orbit of zeros
+
+    pair_code = lowest[r][:, None] * num + least_input[which[r][:, None], h_images[r[:, None], o]]
+    pair_code = (pair_code.T if swap else pair_code).ravel()  # in pair order, w-major over F0 x F1
+    present = np.zeros(num * num, dtype=bool)
+    present[pair_code] = True
+    pair_reps = np.flatnonzero(present)
+    row = np.concatenate([(np.cumsum(present) - 1)[pair_code], len(pair_reps) + which])
+    size = np.bincount(row)
+    expand = np.zeros((len(row), len(size)))
+    expand[np.arange(len(row)), row] = 1.0 / np.sqrt(size[row])
+    position = np.empty(num, dtype=int)
+    position[r], position[o] = np.arange(len(r)), np.arange(len(o))
+    u, v = position[pair_reps // num], position[pair_reps % num]
+    first = np.concatenate([v * len(r) + u if swap else u * len(o) + v, len(pair_code) + reps])
+    label = np.concatenate([entry, n * num * num + 1 + lowest])
+    return Orbits(order=len(perms) * len(negations), label=label, weight=1.0 / np.bincount(label)[label], row=row,
+                  reps=first, expand=expand, scale=np.sqrt(size))
 
 
 def _pair_values(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
@@ -236,25 +386,28 @@ def pair_adjoint(sdp: WitnessSdp, lam: np.ndarray) -> np.ndarray:
 
 def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """The HKM Schur complement M[i,k] = tr(A_i X A_k Z^-1) + sum_l a_il a_kl x_l / z_l.
+    """The HKM Schur complement M[i,k] = tr(A_i X A_k Z^-1) + sum_l a_il a_kl x_l / z_l,
+    on the orbits of Aut(f): expand^T M expand (Orbits), or M itself when the
+    group is trivial.
 
     x and z_inv are stacks of the 2n class blocks and lp_ratio is x / z on
-    (u, xi).  Pair rows (w,x) and (w',x') meet in class block (j,c) when all
-    four inputs lie in C_{j,c}, where their entry is
+    (u, xi), all constant on their orbits, so M commutes with the group and
+    only M's rows at one representative per orbit are built, in out when
+    given (the solver reuses one buffer, since a fresh M, 0.66 MB at n = 5,
+    every iteration page-faults); summed over each orbit's columns and scaled
+    they are the reduced system.  Pair rows (w,x) and (w',x') meet in class
+    block (j,c) when all four inputs lie in C_{j,c}, where their entry is
     X[w,w'] Z^-1[x,x'] + Z^-1[w,w'] X[x,x'] + Z^-1[w,x'] X[x,w'] + X[w,x'] Z^-1[x,w']
     over 4, summed over the blocks.  Gathered from the stack with zeros off
     the class (WitnessSdp.gather), each term is a sum over the 4n (block, X
     or Z^-1) of an F0-side matrix times an F1-side one, so the first two are
-    one GEMM over 4n products and the last two another.  Both run one slice
-    of the smaller side at a time, each slice landing in M's pair block, so
-    no temporary of M's size is made.  A pair-row entry is
-    sum_j (Z^-1[w,s] X[x,s] + X[w,s] Z^-1[x,s]) / 2 over the coordinates j
+    one GEMM over 4n products and the last two another, run for all the rows
+    of one u on the smaller side at a time (gather["runs"]).  A pair-row entry
+    is sum_j (Z^-1[w,s] X[x,s] + X[w,s] Z^-1[x,s]) / 2 over the coordinates j
     where s shares the class of w and x, a matmul over 2n products per s,
-    and the row-row block is sum_j X_j o Z_j^-1 plus the (u, xi) part.  All
-    of the symmetric M is filled, in out when given: the solver reuses one
-    buffer, since a fresh M (0.66 MB at n = 5) every iteration page-faults.
+    and the row-row block is sum_j X_j o Z_j^-1 plus the (u, xi) part.
     """
-    g, num_inputs = sdp.gather, sdp.num_inputs
+    g, num_inputs, orbits = sdp.gather, sdp.num_inputs, sdp.orbits
     a, b = g["row_f0"].shape[2], g["row_f1"].shape[2]  # |F0|, |F1|
     p, k = a * b, 4 * sdp.n
     src = np.zeros((2, sdp.stack_size + 1))  # [X | 0 | Z^-1 | 0]
@@ -262,47 +415,54 @@ def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio
     src[1, :-1] = z_inv.ravel()
     flat = src.ravel()
 
-    m = np.empty((p + num_inputs, p + num_inputs)) if out is None else out
-    # slice u of the smaller side r holds (v, u', v') over the other side o
-    pair_block = m[:p, :p].reshape(a, b, a, b)
-    pair_block = pair_block.transpose(1, 0, 3, 2) if g["swap"] else pair_block
+    pair_reps, input_reps = g["pair_reps"], g["input_reps"]
+    q, size = (p, p + num_inputs) if orbits is None else (len(pair_reps), len(orbits.reps))  # pair rows, all rows
+    rows = np.empty((size, p + num_inputs)) if out is None else out
     same_r = np.take(flat, g["same_r"])
     same_r *= 0.25
     across = np.take(flat, g["across"])
     across *= 0.25
     nr, no = across.shape[1:]
-    same_o = np.take(flat, g["same_o"]).reshape(k, no * no)
-    back = np.take(flat, g["back"]).reshape(k, no * nr).T
-    for u in range(nr):
-        np.add((same_r[:, u].T @ same_o).reshape(nr, no, no).transpose(1, 0, 2),
-               (back @ across[:, u]).reshape(no, nr, no), out=pair_block[u])
+    same_o = np.take(flat, g["same_o"])  # (k, v, v')
+    back = np.take(flat, g["back"])  # (k, v, u')
+    for u, v, run in g["runs"]:
+        # the rows (u, v) for v in the run, as (v, u', v')
+        block = rows[run, :p].reshape(-1, a, b)
+        block = block.transpose(0, 2, 1) if g["swap"] else block
+        so, bk = (same_o, back) if v is None else (same_o[:, v], back[:, v])
+        np.add((same_r[:, u].T @ so.reshape(k, -1)).reshape(nr, -1, no).transpose(1, 0, 2),
+               (bk.reshape(k, -1).T @ across[:, u]).reshape(-1, nr, no), out=block)
     ws = np.take(flat, g["row_f0"])
     ws *= 0.5
     pair_row = np.matmul(ws.transpose(0, 2, 1), np.take(flat, g["row_f1"])).reshape(num_inputs, p)
-    m[p:, :p] = pair_row
-    m[:p, p:] = pair_row.T
-    row_block = m[p:, p:]
-    np.take(src[0] * src[1], g["blocks"]).sum(axis=0, out=row_block)
+    row_block = np.take(src[0] * src[1], g["blocks"]).sum(axis=0)
     row_block += lp_ratio[-1]
     row_block[np.diag_indices(num_inputs)] += lp_ratio[:-1]
-    return m
+    rows[:q, p:] = pair_row[:, pair_reps].T
+    rows[q:, :p] = pair_row[input_reps]
+    rows[q:, p:] = row_block[input_reps]
+    if orbits is None:
+        return rows
+    reduced = rows @ orbits.expand
+    reduced *= orbits.scale[:, None]
+    return reduced
 
 
 def _solver(m: np.ndarray):
     """Solve with M: Cholesky in place, or LU where M is numerically singular
     (as it gets near the optimum when f ignores a variable).  The Cholesky of
     the Fortran-ordered M^T writes only M's lower triangle, so after a failed
-    one the upper triangle and the saved diagonal restore M for the LU."""
+    one the upper triangle and the saved diagonal restore M for the LU.
+    LAPACK is called directly, without the checks of scipy's wrappers."""
     diagonal = m.diagonal().copy()
-    try:
-        factor = scipy.linalg.cho_factor(m.T, overwrite_a=True, check_finite=False)
-        return lambda r: scipy.linalg.cho_solve(factor, r, check_finite=False)
-    except np.linalg.LinAlgError:
-        lower = np.tril_indices(len(m), -1)
-        m[lower] = m.T[lower]
-        m[np.diag_indices(len(m))] = diagonal
-        factor = scipy.linalg.lu_factor(m, overwrite_a=True, check_finite=False)
-        return lambda r: scipy.linalg.lu_solve(factor, r, check_finite=False)
+    factor, info = scipy.linalg.lapack.dpotrf(m.T, lower=0, overwrite_a=1, clean=0)
+    if info == 0:
+        return lambda r: scipy.linalg.lapack.dpotrs(factor, r, lower=0)[0]
+    lower = np.tril_indices(len(m), -1)
+    m[lower] = m.T[lower]
+    m[np.diag_indices(len(m))] = diagonal
+    factor = scipy.linalg.lu_factor(m, overwrite_a=True, check_finite=False)
+    return lambda r: scipy.linalg.lu_solve(factor, r, check_finite=False)
 
 
 def _inverse_factors(blocks: np.ndarray) -> np.ndarray:
@@ -391,7 +551,9 @@ def solve_sdp(
 
     history: list[dict] = []
     iterations = 0
-    m = np.empty((num_pairs + num_inputs,) * 2)  # the Schur complement, refilled every iteration
+    orbits = sdp.orbits
+    # the Schur complement's rows, refilled every iteration
+    m = np.empty((num_pairs + num_inputs if orbits is None else len(orbits.reps), num_pairs + num_inputs))
     while True:
         rp = b - _apply(sdp, x)
         rd = cost - _apply_adjoint(sdp, y) - z
@@ -415,7 +577,11 @@ def solve_sdp(
         mu = complementarity / order
         z_inv = l_inv[2 * n :].transpose(0, 2, 1) @ l_inv[2 * n :]
         lp_x, lp_z = x[nb:], z[nb:]
-        solve = _solver(schur_complement(sdp, xb, z_inv, lp_x / lp_z, out=m))
+        if orbits is not None:
+            # Z^-1 from the factors is invariant only to about eps cond(Z), cond(Z) ~ 1/mu
+            orbits.average(z_inv.reshape(-1))
+        reduced = _solver(schur_complement(sdp, xb, z_inv, lp_x / lp_z, out=m))
+        solve = reduced if orbits is None else lambda r: orbits.expand @ reduced(r @ orbits.expand)
         x_rd_zinv = (xb @ rd[:nb].reshape(shape) @ z_inv).ravel()
         lp_rd = lp_x * rd[nb:] / lp_z
 
@@ -442,6 +608,9 @@ def solve_sdp(
         x += step_p * dx
         y += step_d * dy
         z += step_d * dz
+        if orbits is not None:  # dX comes through products with Z^-1, so X drifts without this
+            orbits.average(x)
+            orbits.average(z)
         iterations += 1
         history.append({"mu": mu, "gap": gap, "primal_infeasibility": primal_inf,
                         "dual_infeasibility": dual_inf, "step_primal": step_p, "step_dual": step_d})
@@ -518,15 +687,22 @@ def extract_certificate(sol: SdpSolution, f: BooleanFunction) -> AdversaryCertif
     kept = ~on_dropped
     w, x = w[kept], x[kept]
     gamma[w, x] = gamma[x, w] = sol.alpha[kept] / np.sqrt(sol.beta[w] * sol.beta[x])
-    value = adversary_ratio(gamma, f)
+    norm, denom = _ratio_norms(gamma, f)
     beta_hat = np.sqrt(np.maximum(sol.beta, 0.0))
     beta_hat /= np.linalg.norm(beta_hat)
-    alignment = float(beta_hat @ gamma @ beta_hat) / spectral_norm(gamma)
-    return AdversaryCertificate(f=f, gamma=gamma, value=value, beta_alignment=alignment)
+    alignment = float(beta_hat @ gamma @ beta_hat) / norm
+    return AdversaryCertificate(f=f, gamma=gamma, value=norm / denom, beta_alignment=alignment)
 
 
 def adversary_ratio(gamma, f: BooleanFunction) -> float:
     """||Gamma|| / max_i ||Gamma o D_i|| for an adversary matrix of f."""
+    norm, denom = _ratio_norms(gamma, f)
+    return norm / denom
+
+
+def _ratio_norms(gamma, f: BooleanFunction) -> tuple[float, float]:
+    """||Gamma|| and max_i ||Gamma o D_i|| of an adversary matrix of f, from
+    one stacked SVD of Gamma and the n matrices Gamma o D_i."""
     g = np.asarray(gamma)
     scale = float(np.abs(g).max()) if g.size else 0.0
     if scale == 0.0:
@@ -536,5 +712,7 @@ def adversary_ratio(gamma, f: BooleanFunction) -> float:
     if wrong.any():
         x, y = np.unravel_index(np.argmax(wrong), wrong.shape)
         raise PatternViolationError(f"Gamma[{x},{y}] = {g[x, y]:.3e} but f({x}) = f({y})")
-    denom = max(spectral_norm(hadamard(g, difference_matrix(f, i))) for i in range(1, f.n + 1))
-    return spectral_norm(g) / denom
+    bits = f.bits.T
+    differ = (bits[:, :, None] != bits[:, None, :]).astype(float)  # D_i, (n, 2^n, 2^n)
+    norms = np.linalg.svd(np.concatenate([g[None], g * differ]), compute_uv=False)[:, 0]
+    return float(norms[0]), float(norms[1:].max())

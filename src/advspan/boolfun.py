@@ -7,6 +7,7 @@ bit being x_1; this convention is fixed project-wide.  Coordinates are
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,6 +124,55 @@ def difference_matrix(f: BooleanFunction, i: int) -> np.ndarray:
         raise IndexOutOfRangeError(f"coordinate {i} outside 1..{f.n}")
     bits = f.bits[:, i - 1]
     return (bits[:, None] != bits[None, :]).astype(float)
+
+
+@lru_cache(maxsize=None)
+def input_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every input permutation and negation g = (pi, m) of n bits, row
+    pi 2^n + m with pi numbered as itertools.permutations (0 the identity):
+    the input each s maps to, x_j of the image being x_{pi(j)} of s xor m_j,
+    of shape (n! 2^n, 2^n), and the coordinate each j moves to, pi^-1(j), of
+    shape (n! 2^n, n).  With them, the input each t comes from under pi
+    alone, of shape (n!, 2^n), and the Hadamard matrix (-1)^(u.v) of side
+    2^n.  Built on first use, once per n."""
+    perms = np.array(list(itertools.permutations(range(n))))
+    bits = input_bits(n)
+    permuted = bits[:, perms] @ (1 << (n - 1 - np.arange(n)))  # (2^n, n!)
+    images = (permuted.T[:, None, :] ^ np.arange(2**n)[:, None]).reshape(-1, 2**n)
+    sources = np.empty_like(permuted.T)
+    sources[np.arange(len(perms))[:, None], permuted.T] = np.arange(2**n)
+    walsh = 1.0 - 2.0 * ((bits @ bits.T) & 1)
+    return images, np.repeat(np.argsort(perms, axis=1), 2**n, axis=0), sources, walsh
+
+
+def automorphism_cosets(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aut(f), the input permutations and negations g with f(g(s)) = f(s) for
+    every s, as cosets of its pure negations: (perms, shifts, negations) with
+    Aut(f) the union over k of (perms[k], shifts[k] xor N), N = negations.
+    Output negation is not included: it swaps F0 and F1.
+
+    With a = (-1)^f and b_pi = a o pi^-1 (pi alone, no negation), (pi, m)
+    fixes f exactly when sum_t a(t xor m) b_pi(t) = 2^n.  The XOR
+    convolution theorem gives that sum for every m at once as
+    H (H a . H b_pi) / 2^n, H the Hadamard matrix: three small GEMMs over the
+    n! permutations instead of a look-up per candidate and input."""
+    _, _, sources, walsh = input_maps(f.n)
+    size = 2**f.n
+    sign = 1.0 - 2.0 * np.array(f.table)
+    correlation = ((np.take(sign, sources) @ walsh) * (sign @ walsh)) @ walsh  # 2^n times the sum, exact
+    fixes = correlation == size * size
+    perms = np.flatnonzero(fixes.any(axis=1))
+    return perms, fixes[perms].argmax(axis=1), np.flatnonzero(fixes[0])
+
+
+def automorphisms(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Aut(f) element by element, as (images, coordinates): images[g, s] is
+    the input s maps to and coordinates[g, j] the 0-based coordinate j
+    moves to (input_maps)."""
+    images, coordinates, _, _ = input_maps(f.n)
+    perms, shifts, negations = automorphism_cosets(f)
+    rows = (perms[:, None] * 2**f.n + (shifts[:, None] ^ negations)).ravel()
+    return images[rows], coordinates[rows]
 
 
 # ---------------------------------------------------------------------------

@@ -273,9 +273,10 @@ def _round_factor(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
         jjt[:, np.arange(len(f1)), :, np.arange(len(f1))] += np.einsum(
             "wxj,vxj,jwv->xwv", differ, differ, gram[:, f0[:, None], f0])
         jjt = jjt.reshape(len(sdp.pairs), len(sdp.pairs))
-        try:
-            lam = scipy.linalg.cho_solve(scipy.linalg.cho_factor(jjt), residual)
-        except np.linalg.LinAlgError:  # J J^T singular: the least-norm multipliers
+        factor, info = scipy.linalg.lapack.dpotrf(jjt, lower=0, clean=0)
+        if info == 0:
+            lam = scipy.linalg.lapack.dpotrs(factor, residual, lower=0)[0]
+        else:  # J J^T singular: the least-norm multipliers
             lam = np.linalg.lstsq(jjt, residual, rcond=None)[0]
         v = v - 2.0 * pair_adjoint(sdp, lam) @ v
     return v

@@ -1,8 +1,9 @@
 """Shared corpus of solved functions, cached once per session, the dense
 references of the canonical program and of the program and input graphs that
 only tests build, the per-input span-program evaluation, the oracle of the
-stacked `evaluate`, and the interior-point loop on n full Gram blocks of side
-2^n, the oracle of the class-block `solve_sdp`."""
+stacked `evaluate`, the whole Schur complement, the oracle of the one
+`schur_complement` builds on the orbits of Aut(f), and the interior-point loop
+on n full Gram blocks of side 2^n, the oracle of the class-block `solve_sdp`."""
 
 from __future__ import annotations
 
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 from advspan import verify
-from advspan.advsdp import DEFAULT_TOL, MAX_ITERATIONS, SdpSolution, _inverse_factors, _solver, build_witness_sdp
+from advspan.advsdp import (
+    DEFAULT_TOL, MAX_ITERATIONS, SdpSolution, WitnessSdp, _inverse_factors, _solver, build_witness_sdp,
+)
 from advspan.boolfun import BooleanFunction
 from advspan.matkernel import gram_factor, nullspace_projector
 from advspan.errors import GramFailureError, NoConvergenceError
@@ -203,6 +206,62 @@ def reference_evaluate(p, s: int) -> tuple[bool, np.ndarray, float]:
     y = basis @ np.linalg.lstsq(kkt, rhs, rcond=None)[0][: len(t_comp)]
     pulled = y @ p.matrix
     return False, y, float(pulled @ pulled)
+
+
+# -- the whole Schur complement ------------------------------------------------
+
+
+def full_schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio: np.ndarray) -> np.ndarray:
+    """The whole HKM Schur complement M[i,k] = tr(A_i X A_k Z^-1) + sum_l a_il a_kl x_l / z_l,
+    every row of it, as the solver built it before it worked on the orbits of
+    Aut(f): the oracle of advsdp.schur_complement.
+
+    x and z_inv are stacks of the 2n class blocks and lp_ratio is x / z on
+    (u, xi).  Pair rows (w,x) and (w',x') meet in class block (j,c) when all
+    four inputs lie in C_{j,c}, where their entry is
+    X[w,w'] Z^-1[x,x'] + Z^-1[w,w'] X[x,x'] + Z^-1[w,x'] X[x,w'] + X[w,x'] Z^-1[x,w']
+    over 4, summed over the blocks.  Gathered from the stack with zeros off
+    the class (WitnessSdp.gather), each term is a sum over the 4n (block, X
+    or Z^-1) of an F0-side matrix times an F1-side one, so the first two are
+    one GEMM over 4n products and the last two another.  Both run one slice
+    of the smaller side at a time, each slice landing in M's pair block, so
+    no temporary of M's size is made.  A pair-row entry is
+    sum_j (Z^-1[w,s] X[x,s] + X[w,s] Z^-1[x,s]) / 2 over the coordinates j
+    where s shares the class of w and x, a matmul over 2n products per s,
+    and the row-row block is sum_j X_j o Z_j^-1 plus the (u, xi) part.
+    """
+    g, num_inputs = sdp.gather, sdp.num_inputs
+    a, b = g["row_f0"].shape[2], g["row_f1"].shape[2]  # |F0|, |F1|
+    p, k = a * b, 4 * sdp.n
+    src = np.zeros((2, sdp.stack_size + 1))  # [X | 0 | Z^-1 | 0]
+    src[0, :-1] = x.ravel()
+    src[1, :-1] = z_inv.ravel()
+    flat = src.ravel()
+
+    m = np.empty((p + num_inputs, p + num_inputs))
+    # slice u of the smaller side r holds (v, u', v') over the other side o
+    pair_block = m[:p, :p].reshape(a, b, a, b)
+    pair_block = pair_block.transpose(1, 0, 3, 2) if g["swap"] else pair_block
+    same_r = np.take(flat, g["same_r"])
+    same_r *= 0.25
+    across = np.take(flat, g["across"])
+    across *= 0.25
+    nr, no = across.shape[1:]
+    same_o = np.take(flat, g["same_o"]).reshape(k, no * no)
+    back = np.take(flat, g["back"]).reshape(k, no * nr).T
+    for u in range(nr):
+        np.add((same_r[:, u].T @ same_o).reshape(nr, no, no).transpose(1, 0, 2),
+               (back @ across[:, u]).reshape(no, nr, no), out=pair_block[u])
+    ws = np.take(flat, g["row_f0"])
+    ws *= 0.5
+    pair_row = np.matmul(ws.transpose(0, 2, 1), np.take(flat, g["row_f1"])).reshape(num_inputs, p)
+    m[p:, :p] = pair_row
+    m[:p, p:] = pair_row.T
+    row_block = m[p:, p:]
+    np.take(src[0] * src[1], g["blocks"]).sum(axis=0, out=row_block)
+    row_block += lp_ratio[-1]
+    row_block[np.diag_indices(num_inputs)] += lp_ratio[:-1]
+    return m
 
 
 # -- the interior-point loop on the n full Gram blocks ------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from advspan.advsdp import (
     solve_sdp,
 )
 from advspan import verify
-from advspan.boolfun import load_function
+from advspan.boolfun import automorphisms, difference_matrix, input_maps, load_function
+from advspan.matkernel import hadamard, spectral_norm
 from advspan.pipeline import ADV_RTOL
 from advspan.errors import (
     ConstantFunctionError,
@@ -25,7 +27,7 @@ from advspan.errors import (
     ZeroMatrixError,
 )
 
-from conftest import corpus_specs, reference_solve_sdp
+from conftest import corpus_specs, full_schur_complement, reference_solve_sdp
 
 
 def random_tables(n: int, count: int, seed: int) -> list[str]:
@@ -351,28 +353,158 @@ def class_block_stack(sdp, rng) -> np.ndarray:
     return stack
 
 
-@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "MAJ:4", "AND:4"] + random_tables(4, 2, 1))
-def test_block_solver_matches_dense_reference(spec):
-    """The Schur complement from GEMMs on the F0 x F1 grid equals
-    A (X (x) Z^-1 (+) diag(x/z)) A^T with the dense constraint rows A on the
-    class blocks, the solver never forming the Kronecker product.  X and Z^-1
-    are drawn block-diagonal over the classes, the only form the solver's
-    iterates take.  OR:4 (|F0| = 1) and AND:4 (|F1| = 1) run its loop over
-    the smaller side from either side."""
+@pytest.fixture
+def reduce_every_group(monkeypatch):
+    """Solve on the orbits of any nontrivial group, however small M is."""
+    monkeypatch.setattr(advsdp, "MIN_REDUCED_SIDE", 0)
+
+
+def member(table: str, g: int) -> str:
+    """The table of f o g, g a row of input_maps: a permuted and negated member."""
+    f = load_function(table)
+    return "".join(str(f.table[s]) for s in input_maps(f.n)[0][g])
+
+
+def spread(label: np.ndarray, v: np.ndarray) -> float:
+    """The largest max - min of v over the elements sharing a label."""
+    high, low = np.full(label.max() + 1, -np.inf), np.full(label.max() + 1, np.inf)
+    np.maximum.at(high, label, v)
+    np.minimum.at(low, label, v)
+    present = np.isfinite(high)
+    return float((high[present] - low[present]).max())
+
+
+# groups under which some pair's orbit holds every (u, v) of its u, so the
+# Schur complement builds that u's rows as a whole slice; 00000111 loops over F1
+WHOLE_RUNS = ["00000111", "00011011"]
+
+
+@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "MAJ:4", "AND:4", "PARITY:4"] + random_tables(4, 2, 1)
+                         + WHOLE_RUNS)
+def test_block_solver_matches_dense_reference(spec, reduce_every_group):
+    """The Schur complement from GEMMs on the F0 x F1 grid, at the rows of one
+    representative per orbit of Aut(f) and summed over each orbit's columns,
+    equals D^-1/2 P^T A (X (x) Z^-1 (+) diag(x/z)) A^T P D^-1/2 with the dense
+    constraint rows A on the class blocks, the solver never forming the
+    Kronecker product; the whole M of the test oracle equals A (...) A^T.  X
+    and Z^-1 are drawn block-diagonal over the classes, the only form the
+    solver's iterates take, and averaged over the orbits, as the solver
+    keeps them.  OR:4 (|F0| = 1) and AND:4 (|F1| = 1) run its loop over the
+    smaller side from either side; the two random tables have trivial groups."""
     sdp = build_witness_sdp(load_function(spec))
-    s, k = sdp.num_inputs, sdp.side
+    s, k, nb = sdp.num_inputs, sdp.side, sdp.stack_size
     rng = np.random.default_rng(3)
-    x = class_block_stack(sdp, rng)
-    z_inv = class_block_stack(sdp, rng)
-    lp_ratio = rng.uniform(0.1, 2.0, s + 1)
+    x = np.concatenate([class_block_stack(sdp, rng).ravel(), rng.uniform(0.1, 2.0, s + 1)])
+    z_inv = class_block_stack(sdp, rng).ravel()
+    if sdp.orbits is not None:
+        sdp.orbits.average(x)
+        sdp.orbits.average(z_inv)
+    x, lp_ratio, z_inv = x[:nb].reshape(-1, k, k), x[nb:], z_inv.reshape(-1, k, k)
     a = sdp.constraints
     kron = np.zeros((a.shape[1], a.shape[1]))
     for b in range(2 * sdp.n):
         kron[b * k * k : (b + 1) * k * k, b * k * k : (b + 1) * k * k] = np.kron(x[b], z_inv[b])
-    kron[sdp.stack_size :, sdp.stack_size :] = np.diag(lp_ratio)
+    kron[nb:, nb:] = np.diag(lp_ratio)
     ref = a @ kron @ a.T
+    assert np.abs(full_schur_complement(sdp, x, z_inv, lp_ratio) - ref).max() <= 1e-12 * np.abs(ref).max()
+    if sdp.orbits is not None:
+        ref = sdp.orbits.expand.T @ ref @ sdp.orbits.expand
     got = schur_complement(sdp, x, z_inv, lp_ratio)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_group_orders_of_the_builtins(n):
+    def order(spec):
+        return len(automorphisms(load_function(spec))[0])
+
+    assert order(f"OR:{n}") == math.factorial(n)
+    assert order(f"MAJ:{n}") == math.factorial(n)
+    assert order(f"PARITY:{n}") == math.factorial(n) * 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("spec", ["OR:5", "MAJ:5", "PARITY:4", "00010110", "0001011001101000"])
+def test_automorphisms_fix_f_and_a_member_has_the_same_order(spec):
+    """Every element fixes f, none repeats, and coordinates[g, j] is where a
+    flip of x_{j+1} lands under g.  A member under a permutation and a
+    weight-2 negation has a conjugate group, of the same order."""
+    f = load_function(spec)
+    images, coordinates = automorphisms(f)
+    table = np.array(f.table)
+    assert np.all(table[images] == table) and len(np.unique(images, axis=0)) == len(images)
+    flips = 1 << (f.n - 1 - np.arange(f.n))
+    assert np.array_equal(images[:, flips] ^ images[:, :1], 1 << (f.n - 1 - coordinates))
+    g = 3 * 2**f.n + 0b11  # the fourth permutation, negating the last two inputs
+    assert len(automorphisms(load_function(member(spec, g)))[0]) == len(images)
+
+
+def test_random_five_bit_table_has_a_trivial_group():
+    table = random_tables(5, 1, 2)[0]
+    assert len(automorphisms(load_function(table))[0]) == 1
+    assert build_witness_sdp(load_function(table)).orbits is None
+
+
+@pytest.mark.parametrize("spec, order, side, reduced", [("MAJ:5", 120, 288, 20), ("PARITY:5", 1920, 288, 5),
+                                                        ("OR:5", 120, 63, 11), ("MAJ:4", 24, 71, 13)])
+def test_reduced_schur_sides(spec, order, side, reduced, reduce_every_group):
+    sdp = build_witness_sdp(load_function(spec))
+    assert (sdp.orbits.order, len(sdp.pairs) + sdp.num_inputs, len(sdp.orbits.reps)) == (order, side, reduced)
+
+
+@pytest.mark.parametrize("spec", ["OR:5", "OR:4", "MAJ:3", "PARITY:3"])
+def test_small_schur_complements_are_not_reduced(spec):
+    """Below MIN_REDUCED_SIDE the solver works on all of M, group or not."""
+    sdp = build_witness_sdp(load_function(spec))
+    assert len(sdp.pairs) + sdp.num_inputs < advsdp.MIN_REDUCED_SIDE and sdp.orbits is None
+
+
+@pytest.mark.parametrize("spec", ["MAJ:3", "OR:4", "MAJ:4", "PARITY:4", "OR:5", member("MAJ:5", 77)] + WHOLE_RUNS)
+def test_orbits_commute_with_the_constraints(spec, reduce_every_group):
+    """An orbit-averaged x gives A x constant on the pair and input orbits,
+    to roundoff (each row sums its coordinates in its own order), and an
+    orbit-constant y gives A^T y exactly constant on the entry and input
+    orbits."""
+    sdp = build_witness_sdp(load_function(spec))
+    orbits = sdp.orbits
+    rng = np.random.default_rng(1)
+    ax = advsdp._apply(sdp, orbits.average(rng.standard_normal(sdp.stack_size + sdp.num_inputs + 1)))
+    assert spread(orbits.row, ax) <= 1e-13 * np.abs(ax).max()
+    y = rng.standard_normal(len(orbits.reps))[orbits.row]
+    assert spread(orbits.label, advsdp._apply_adjoint(sdp, y)[:-1]) == 0.0
+
+
+@pytest.mark.parametrize("spec", ["MAJ:4", "PARITY:4", "MAJ:5", member("MAJ:5", 77)])
+def test_solution_is_exactly_constant_on_its_orbits(spec):
+    """alpha on the pair orbits, beta on the input orbits and the Gram blocks
+    on the entry orbits: the solver keeps its iterates invariant, not only
+    nearly so."""
+    sdp = build_witness_sdp(load_function(spec))
+    sol, orbits = solve_sdp(sdp), sdp.orbits
+    assert spread(orbits.row, np.concatenate([sol.alpha, sol.beta])) == 0.0
+    inside = sdp.gather["blocks"] < sdp.stack_size
+    stack = np.zeros(sdp.stack_size)
+    stack[sdp.gather["blocks"][inside]] = sol.blocks[inside]
+    assert spread(orbits.label[: sdp.stack_size], stack) == 0.0
+
+
+@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "AND:4"] + WHOLE_RUNS)
+def test_reduced_solve_follows_the_full_block_path(spec, reduce_every_group):
+    """Solved on the orbits of its group, a function takes as many iterations
+    as the loop on the n full Gram blocks, to the same xi."""
+    f = load_function(spec)
+    sol = solve_sdp(build_witness_sdp(f))
+    ref = reference_solve_sdp(f)
+    assert sol.residuals["iterations"] == ref.residuals["iterations"]
+    assert abs(sol.xi - ref.xi) <= 1e-9 * max(1.0, ref.xi)
+
+
+def test_certificate_norms_come_from_one_stacked_svd(corpus):
+    """||Gamma|| and the n norms ||Gamma o D_i|| from one stacked SVD equal
+    the separate ones bitwise."""
+    for bundle in corpus:
+        f, gamma = bundle.f, bundle.certificate.gamma
+        norms = [spectral_norm(hadamard(gamma, difference_matrix(f, i))) for i in range(1, f.n + 1)]
+        assert adversary_ratio(gamma, f) == spectral_norm(gamma) / max(norms)
 
 
 def test_certificate_beta_alignment_reported(corpus):
@@ -450,3 +582,17 @@ def test_random_tables_meet_strong_duality_on_the_full_block_path(table):
     assert abs(xi - extract_certificate(sol, f).value) <= max(ADV_RTOL, 100.0 * DEFAULT_TOL) * max(1.0, xi)
     assert abs(sol.beta.sum() - 1.0) <= DEFAULT_TOL
     assert sol.residuals["iterations"] == reference_solve_sdp(f).residuals["iterations"]
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(TABLES, st.integers(0, 2**16))
+def test_members_follow_the_path_of_their_function(table, g):
+    """A table and its member f o g under an input permutation and negation g
+    pose the same SDP with relabelled rows, so the solver takes as many
+    iterations to the same xi."""
+    f = load_function(table)
+    g %= len(input_maps(f.n)[0])
+    a = solve_sdp(build_witness_sdp(f))
+    b = solve_sdp(build_witness_sdp(load_function(member(table, g))))
+    assert a.residuals["iterations"] == b.residuals["iterations"]
+    assert abs(a.xi - b.xi) <= 1e-9 * max(1.0, a.xi)
