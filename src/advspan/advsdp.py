@@ -68,10 +68,19 @@ feasibility on MAJ:4).  So is Z^-1: computed from the per-block Cholesky
 factors, which no permutation commutes with, it is invariant only to about
 eps cond(Z), cond(Z) ~ 1/mu, and the representative rows would stop
 representing their orbits near the optimum.  Z is averaged too, which moves
-it by at most an ulp.  A function whose group is trivial, as almost every
-random table, solves on all of M exactly as before, and so does one whose M
-has side below MIN_REDUCED_SIDE, where the reduction's own calls cost more
-than M.
+it by at most an ulp.  Averaged, every class block of X, Z and Z^-1 is an
+exact permutation of the least block of its orbit under the group, so the
+block algebra runs on those representatives only (4 of MAJ:5's 20 blocks of
+X and Z, 2 of PARITY:5's): the Cholesky factors and their inverses, Z^-1,
+X R_d Z^-1, the products of both directions and the eigvalsh of the step
+lengths.  Each product that A reads reaches the whole stack through one
+gather (Orbits.from_reps); the averages keep each representative invariant
+under its own stabilizer.  A step length read off one representative in
+place of the least over its orbit differs at the roundoff that cond(X)
+amplifies, about 1e-8 relative near the optimum.  A function whose group is
+trivial, as almost every random table, solves on all of M and every block
+exactly as before, and so does one whose M has side below MIN_REDUCED_SIDE,
+where the reduction's own calls cost more than they save.
 """
 
 from __future__ import annotations
@@ -96,16 +105,22 @@ MIN_TOL = 1e-9
 MAX_ITERATIONS = 100
 BETA_DROP_TOL = 1e-10
 # The side of the smallest Schur complement solved on the orbits of Aut(f).
-# Below it M costs less to build and factor than the reduction's own calls
-# each iteration (the averages and the expand GEMVs): reduced, the solve of
-# the 254 3-bit tables (side <= 24) took 1.08 times as long, OR:4 and AND:4
-# (31) 1.05, OR:5 and AND:5 (63) 0.99; MAJ:4 (71) 0.96, MAJ:5 (288) 0.62.
-MIN_REDUCED_SIDE = 64
+# Below it M and the class blocks cost less to build and factor than the
+# reduction's own calls each iteration (the averages, the gathers and the
+# expand GEMVs).  Build and solve reduced, against the same on all of M and
+# every block (process time, 1 BLAS thread, interleaved medians): the 254
+# 3-bit tables (side <= 24) 1.10 times as long, OR:4 and AND:4 (31) 1.03
+# and 1.04; 4-bit tables of weight 2 (44) 0.95-1.05 and of weight 3 (55)
+# 0.96-1.17 by group order, 1.17 at order 2; OR:5 and AND:5 (63) 0.78 and
+# 0.80, MAJ:4 (71) 0.88.  At n <= 5 the sides 56 to 63 hold only OR:5, AND:5
+# and their members.
+MIN_REDUCED_SIDE = 56
 
 
 @dataclass(frozen=True)
 class Orbits:
-    """The orbits of Aut(f), of order |G| > 1, on the SDP's three index sets.
+    """The orbits of Aut(f), of order |G| > 1, on the SDP's three index sets
+    and on its class blocks.
 
     label holds the orbit of each entry of the class-block stack (the padding
     is one orbit of zeros), then of each slack u_s, that is of each input;
@@ -117,6 +132,10 @@ class Orbits:
     of each reduced row, scale sqrt(orbit size), and expand = P D^-1/2, P the
     0/1 orbit-membership matrix of the rows and D = P^T P: its columns are
     orthonormal, M reduces to expand^T M expand and dy = expand dy_reduced.
+    blocks lists the least class block of each orbit of the group on the 2n
+    class blocks, and from_reps maps the stack onto those blocks: entry e of
+    the stack is entry from_reps[e] of the representatives' stack, the one a
+    group element carries onto e, and the padding reads the zero after it.
     """
 
     order: int
@@ -126,6 +145,8 @@ class Orbits:
     reps: np.ndarray
     expand: np.ndarray
     scale: np.ndarray
+    blocks: np.ndarray
+    from_reps: np.ndarray
 
     def average(self, v: np.ndarray) -> np.ndarray:
         """v averaged over each orbit, in place: a class-block stack, or a flat
@@ -134,6 +155,11 @@ class Orbits:
         label = self.label[:size]
         v[:size] = np.bincount(label, weights=v[:size])[label] * self.weight[:size]
         return v
+
+    def expand_stack(self, reps: np.ndarray) -> np.ndarray:
+        """The whole class-block stack, flat, from the stack of the
+        representative blocks; exact for a stack constant on its orbits."""
+        return np.take(np.append(reps, 0.0), self.from_reps)
 
 
 @dataclass(frozen=True)
@@ -149,7 +175,8 @@ class WitnessSdp:
     sum_j X_j[s,s] + u_s = xi, with X_j[s,s] at diagonal[j, s].  Pair row p
     sums (X_j[w,x] + X_j[x,w]) / 2 over the entries e with entry_pair[e] = p,
     one per 0-based j with w_j != x_j, at entry_index[e] and entry_mirror[e].
-    padding indexes the padding's diagonal in the stack.
+    padding indexes the padding's diagonal in the stack [X; Z] of the class
+    blocks the solver factors: every block, or one per orbit (Orbits.blocks).
 
     gather holds the flat indices that schur_complement reads from the stack
     [X | 0 | Z^-1 | 0] (the two stacks, each followed by one zero), one array
@@ -159,10 +186,12 @@ class WitnessSdp:
     one GEMM per u on the smaller side of F0 x F1, and gather["pair_reps"]
     and gather["input_reps"] the pairs and inputs at those rows.
 
-    orbits holds the orbits of Aut(f) on the pair rows, the inputs and the
-    stack entries (Orbits), and the map of the equality rows onto the
-    reduced Newton system; None when the group is trivial or M has side
-    below MIN_REDUCED_SIDE, and every row of M is then built and solved.
+    orbits holds the orbits of Aut(f) on the pair rows, the inputs, the
+    stack entries and the class blocks (Orbits), the map of the equality
+    rows onto the reduced Newton system and of the representative blocks
+    onto the stack; None when the group is trivial or M has side below
+    MIN_REDUCED_SIDE, and every row of M is then built and solved and every
+    class block factored.
     """
 
     f: BooleanFunction
@@ -199,17 +228,6 @@ class WitnessSdp:
         """2n K^2, the entries of the class-block stack in the flat variable."""
         return self.members.size * self.side
 
-    @property
-    def constraints(self) -> np.ndarray:
-        """Dense equality rows A, the tests' reference; the solver never builds it."""
-        p, s, nb = len(self.pairs), self.num_inputs, self.stack_size
-        rows = np.zeros((p + s, nb + s + 1))
-        rows[self.entry_pair, self.entry_index] = 0.5
-        rows[self.entry_pair, self.entry_mirror] = 0.5
-        rows[p + np.arange(s), self.diagonal] = 1.0
-        rows[p:, nb:] = np.hstack([np.eye(s), -np.ones((s, 1))])
-        return rows
-
 
 def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
     """Index the constraint system on the 2n class blocks; one equality per
@@ -234,7 +252,6 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
 
     pair, j = np.nonzero((bits[f0][:, None, :] != bits[f1][None, :, :]).reshape(len(pairs), n))
     w, x = f0[pair // len(f1)], f1[pair % len(f1)]
-    b, i = np.nonzero(members < 0)
 
     def both(flat: np.ndarray, axis: int, swapped: bool) -> np.ndarray:
         """flat read in X, then in Z^-1 (swapped: Z^-1, then X), along axis."""
@@ -272,15 +289,19 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
         runs = [(u, None, slice(u, nr * no, nr) if swap else slice(u * no, (u + 1) * no)) for u in range(nr)]
         gather["pair_reps"], gather["input_reps"] = slice(None), slice(None)
     gather["runs"] = runs
+    factored = members if orbits is None else members[orbits.blocks]
+    b, i = np.nonzero(factored < 0)
+    padding = (b * side + i) * side + i
     return WitnessSdp(f=f, pairs=pairs, members=members, entry_pair=pair,
                       entry_index=entries[j, w, x], entry_mirror=entries[j, x, w],
-                      diagonal=entries[:, np.arange(s), np.arange(s)], padding=(b * side + i) * side + i,
-                      gather=gather, orbits=orbits)
+                      diagonal=entries[:, np.arange(s), np.arange(s)],
+                      padding=np.concatenate([padding, factored.size * side + padding]), gather=gather, orbits=orbits)
 
 
 def _orbits(f: BooleanFunction, members: np.ndarray, r: np.ndarray, o: np.ndarray, swap: bool) -> Orbits | None:
-    """The orbits of Aut(f) on the inputs, the pairs and the stack entries,
-    each labelled by its smallest member; None when the group is trivial.
+    """The orbits of Aut(f) on the inputs, the pairs, the stack entries and
+    the class blocks, each labelled by its smallest member; None when the
+    group is trivial.
 
     No orbit is gathered under the whole group.  Aut(f) is a union of cosets
     (pi, m_pi xor N), N its pure negations, so the smallest input of the orbit
@@ -334,8 +355,40 @@ def _orbits(f: BooleanFunction, members: np.ndarray, r: np.ndarray, o: np.ndarra
     u, v = position[pair_reps // num], position[pair_reps % num]
     first = np.concatenate([v * len(r) + u if swap else u * len(o) + v, len(pair_code) + reps])
     label = np.concatenate([entry, n * num * num + 1 + lowest])
+    blocks, from_reps = _block_orbits(f, members, heads, negations)
     return Orbits(order=len(perms) * len(negations), label=label, weight=1.0 / np.bincount(label)[label], row=row,
-                  reps=first, expand=expand, scale=np.sqrt(size))
+                  reps=first, expand=expand, scale=np.sqrt(size), blocks=blocks, from_reps=from_reps)
+
+
+def _block_orbits(f: BooleanFunction, members: np.ndarray, heads: np.ndarray,
+                  negations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least class block of each orbit of Aut(f) on the 2n class blocks,
+    and for every stack entry the flat index of the entry of its block's
+    representative that one group element carries onto it (the padding
+    indexes the zero after the representatives' stack).
+
+    g = (pi, m) moves coordinate j to j' = pi^-1(j) and maps s to t with
+    t_j' = s_j xor m_j', and f(t) = f(s), so it carries class block (j, c)
+    onto (j', c xor m_j').  That needs only the |G| x 2n block images, never
+    the image of every input; one element per block is then applied."""
+    images, coordinates, _, _ = input_maps(f.n)
+    n, num, side = f.n, 2**f.n, members.shape[1]
+    elements = (heads[:, None] ^ negations).ravel()  # every element of the group, the identity first
+    moved = coordinates[elements][:, np.arange(2 * n) // 2]  # (|G|, 2n): where the coordinate of block b goes
+    flip = ((elements % num)[:, None] >> (n - 1 - moved)) & 1
+    block_images = 2 * moved + (np.arange(2 * n) % 2 ^ flip)
+    least = block_images.min(axis=0)
+    blocks = np.flatnonzero(least == np.arange(2 * n))
+    carry = elements[(block_images[:, least] == np.arange(2 * n)).argmax(axis=0)]  # carry[b] maps least[b] onto b
+    back = np.empty((2 * n, num), dtype=int)
+    back[np.arange(2 * n)[:, None], images[carry]] = np.arange(num)  # the inverse of carry[b]
+    place = np.full((2 * n, num), -1)
+    b, i = np.nonzero(members >= 0)
+    place[b, members[b, i]] = i  # the position of s in block b
+    source = place[least[:, None], back[np.arange(2 * n)[:, None], members]]  # read only off the padding
+    flat = (np.searchsorted(blocks, least)[:, None, None] * side + source[:, :, None]) * side + source[:, None, :]
+    padding = (members[:, :, None] < 0) | (members[:, None, :] < 0)
+    return blocks, np.where(padding, len(blocks) * side * side, flat).ravel()
 
 
 def _pair_values(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
@@ -474,6 +527,91 @@ def _inverse_factors(blocks: np.ndarray) -> np.ndarray:
     return factors
 
 
+def _newton_step(sdp: WitnessSdp, x: np.ndarray, y: np.ndarray, z: np.ndarray, rp: np.ndarray, rd: np.ndarray,
+                 m: np.ndarray | None = None):
+    """One Mehrotra predictor-corrector step of the HKM method from the
+    iterate (x, y, z), with rp = b - A x and rd = c - A^T y - z.  Returns mu,
+    the stack Z^-1, and for the predictor, then the corrector, the direction
+    (dx, dy, dz) and its step lengths, each at most 1 (the corrector's cut to
+    the fraction of the way to the boundary that it takes).  m is a buffer
+    for the Schur complement's rows.  None where a class block of X or Z is
+    not positive definite: roundoff has left the cone's interior.
+
+    With a nontrivial group (sdp.orbits) the Newton system is solved on its
+    orbits, X, Z and Z^-1 are constant on the entry orbits (averaged), and so
+    in exact arithmetic is every direction; each class block is then a
+    permutation of its orbit's representative, and only the representatives
+    (Orbits.blocks) are factored, inverted and multiplied; each product that
+    A reads reaches the whole stack through one gather (Orbits.expand_stack).
+    Otherwise every block is.
+    """
+    n, num_inputs, nb, orbits = sdp.n, sdp.num_inputs, sdp.stack_size, sdp.orbits
+    shape = (2 * n, sdp.side, sdp.side)
+    reps, to_stack = (slice(None), np.ravel) if orbits is None else (orbits.blocks, orbits.expand_stack)
+    xb = x[:nb].reshape(shape)
+    xr = xb[reps]
+    count = len(xr)
+    blocks = np.concatenate([xr, z[:nb].reshape(shape)[reps]])
+    blocks.reshape(-1)[sdp.padding] = 1.0  # factor X_b + I and Z_b + I on the padding
+    try:
+        l_inv = _inverse_factors(blocks)
+    except np.linalg.LinAlgError:
+        return None
+    l_inv.reshape(-1)[sdp.padding] = 0.0  # so Z^-1 and every direction keep the padding at zero
+    order = n * num_inputs + num_inputs + 1
+    mu = float(x @ z) / order
+    z_inv = l_inv[count:].transpose(0, 2, 1) @ l_inv[count:]
+    if orbits is not None:
+        # Z^-1 from the factors is invariant only to about eps cond(Z), cond(Z) ~ 1/mu
+        z_inv = orbits.average(to_stack(z_inv)).reshape(shape)
+    zr_inv = z_inv[reps]
+    lp_x, lp_z = x[nb:], z[nb:]
+    reduced = _solver(schur_complement(sdp, xb, z_inv, lp_x / lp_z, out=m))
+    solve = reduced if orbits is None else lambda r: orbits.expand @ reduced(r @ orbits.expand)
+    x_rd_zinv = xr @ rd[:nb].reshape(shape)[reps] @ zr_inv
+    lp_rd = lp_x * rd[nb:] / lp_z
+
+    def direction(rc_zinv: np.ndarray, rc_lp: np.ndarray):
+        """(dx, dy, dz) with A dx = rp, A^T dy + dz = rd and the linearized
+        HKM centring dX = sym((R_c - X dZ) Z^-1), given R_c Z^-1 and r_c / z."""
+        dy = solve(rp + _apply(sdp, np.concatenate([to_stack(x_rd_zinv - rc_zinv), lp_rd - rc_lp])))
+        dz = rd - _apply_adjoint(sdp, dy)
+        dxb = rc_zinv - xr @ dz[:nb].reshape(shape)[reps] @ zr_inv
+        dxb += dxb.transpose(0, 2, 1)
+        dxb *= 0.5
+        return np.concatenate([to_stack(dxb), rc_lp - lp_x * dz[nb:] / lp_z]), dy, dz
+
+    def max_step(dx: np.ndarray, dz: np.ndarray) -> tuple[float, float]:
+        """Largest a_p and a_d with X + a_p dX and Z + a_d dZ PSD and
+        (u, xi) + a dv >= 0 on each side.  With V = L L^T and l_inv the stack
+        of L^-1 for the class blocks of X then Z, V + a dV is PSD while
+        a lambda_min(L^-1 dV L^-T) >= -1, so one eigvalsh of the blocks
+        L^-1 dV L^-T gives both lengths.  A padded block adds zero
+        eigenvalues, which leave the length unchanged: it is unbounded as
+        long as lambda_min >= 0."""
+        dv = np.concatenate([dx[:nb].reshape(shape)[reps], dz[:nb].reshape(shape)[reps]])
+        low = np.linalg.eigvalsh(l_inv @ dv @ l_inv.transpose(0, 2, 1)).min(axis=1)
+        steps = []
+        for lam, v, d in ((float(low[:count].min()), x, dx), (float(low[count:].min()), z, dz)):
+            shrink = d[nb:] < 0
+            steps.append(min(np.inf if lam >= 0 else -1.0 / lam,
+                             float((v[nb:][shrink] / -d[nb:][shrink]).min(initial=np.inf))))
+        return steps[0], steps[1]
+
+    # Mehrotra: an affine predictor sets the centring sigma, then one corrector
+    dx, dy, dz = direction(-xr, -lp_x)
+    step_p, step_d = (min(1.0, step) for step in max_step(dx, dz))
+    predictor = dx, dy, dz, step_p, step_d
+    sigma = min(1.0, ((x + step_p * dx) @ (z + step_d * dz) / order / mu) ** 3)
+    dxb, dzb = dx[:nb].reshape(shape)[reps], dz[:nb].reshape(shape)[reps]
+    dx, dy, dz = direction(sigma * mu * zr_inv - xr - dxb @ dzb @ zr_inv,
+                           (sigma * mu - dx[nb:] * dz[nb:]) / lp_z - lp_x)
+    # the fraction of the way to the boundary, as in SDPT3
+    fraction = 0.9 + 0.09 * min(step_p, step_d)
+    step_p, step_d = (min(1.0, fraction * step) for step in max_step(dx, dz))
+    return mu, z_inv, predictor, (dx, dy, dz, step_p, step_d)
+
+
 @dataclass(frozen=True)
 class SdpSolution:
     """Primal-dual output of solve_sdp.
@@ -498,9 +636,6 @@ class SdpSolution:
     def dual_objective(self) -> float:
         return float(self.alpha.sum())
 
-    def row_sum(self, s: int) -> float:
-        return float(self.blocks[:, s, s].sum())
-
 
 def solve_sdp(
     sdp: WitnessSdp,
@@ -514,15 +649,17 @@ def solve_sdp(
     NoConvergenceError (with residuals attached) at the iteration cap or when
     roundoff leaves an iterate on the cone's boundary.  residuals["history"]
     has one row per iteration: mu, the gap and both infeasibilities at the
-    iterate it started from, and the step lengths it took.  Deterministic:
-    fixed start X_b = Z_b = I on every class block.
+    iterate it started from, and the step lengths it took.
+    residuals["orbits"] says which path the solve took: None on all of M and
+    every class block, else the group's order, M's side before and after the
+    reduction, and the class blocks factored per iteration (X's and Z's
+    representatives).  Deterministic: fixed start X_b = Z_b = I on every
+    class block.
     """
     if not (np.isfinite(tol) and tol >= MIN_TOL):
         raise ValueError(f"tol must be finite and at least {MIN_TOL:g}")
     n, num_inputs, num_pairs = sdp.n, sdp.num_inputs, len(sdp.pairs)
-    nb, shape = sdp.stack_size, (2 * n, sdp.side, sdp.side)
-    padding = np.concatenate([sdp.padding, nb + sdp.padding])  # in the stack [X; Z]
-    order = n * num_inputs + num_inputs + 1
+    nb = sdp.stack_size
     b = np.concatenate([np.ones(num_pairs), np.zeros(num_inputs)])
     cost = np.zeros(nb + num_inputs + 1)
     cost[-1] = 1.0
@@ -531,23 +668,6 @@ def solve_sdp(
     x, z, y = np.zeros_like(cost), np.zeros_like(cost), np.zeros(num_pairs + num_inputs)
     x[sdp.diagonal], x[nb:], x[-1] = 1.0, 1.0, n + 1.0
     z[sdp.diagonal], z[nb:] = 1.0, 1.0
-
-    def max_step(l_inv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> tuple[float, float]:
-        """Largest a_p and a_d with X + a_p dX and Z + a_d dZ PSD and
-        (u, xi) + a dv >= 0 on each side.  With V = L L^T and l_inv the stack
-        of L^-1 for the class blocks of X then Z, V + a dV is PSD while
-        a lambda_min(L^-1 dV L^-T) >= -1, so one eigvalsh of the 4n blocks
-        L^-1 dV L^-T gives both lengths.  A padded block adds zero
-        eigenvalues, which leave the length unchanged: it is unbounded as
-        long as lambda_min >= 0."""
-        dv = np.concatenate([dx[:nb], dz[:nb]]).reshape(4 * n, sdp.side, sdp.side)
-        low = np.linalg.eigvalsh(l_inv @ dv @ l_inv.transpose(0, 2, 1)).min(axis=1)
-        steps = []
-        for lam, v, d in ((float(low[: 2 * n].min()), x, dx), (float(low[2 * n :].min()), z, dz)):
-            shrink = d[nb:] < 0
-            steps.append(min(np.inf if lam >= 0 else -1.0 / lam,
-                             float((v[nb:][shrink] / -d[nb:][shrink]).min(initial=np.inf))))
-        return steps[0], steps[1]
 
     history: list[dict] = []
     iterations = 0
@@ -566,45 +686,10 @@ def solve_sdp(
             break
         if iterations == max_iterations:
             break
-        xb, zb = x[:nb].reshape(shape), z[:nb].reshape(shape)
-        blocks = np.concatenate([xb, zb])
-        blocks.reshape(-1)[padding] = 1.0  # factor X_b + I and Z_b + I on the padding
-        try:
-            l_inv = _inverse_factors(blocks)
-        except np.linalg.LinAlgError:
+        step = _newton_step(sdp, x, y, z, rp, rd, m)
+        if step is None:
             break  # roundoff has left the cone's interior
-        l_inv.reshape(-1)[padding] = 0.0  # so Z^-1 and every direction keep the padding at zero
-        mu = complementarity / order
-        z_inv = l_inv[2 * n :].transpose(0, 2, 1) @ l_inv[2 * n :]
-        lp_x, lp_z = x[nb:], z[nb:]
-        if orbits is not None:
-            # Z^-1 from the factors is invariant only to about eps cond(Z), cond(Z) ~ 1/mu
-            orbits.average(z_inv.reshape(-1))
-        reduced = _solver(schur_complement(sdp, xb, z_inv, lp_x / lp_z, out=m))
-        solve = reduced if orbits is None else lambda r: orbits.expand @ reduced(r @ orbits.expand)
-        x_rd_zinv = (xb @ rd[:nb].reshape(shape) @ z_inv).ravel()
-        lp_rd = lp_x * rd[nb:] / lp_z
-
-        def direction(rc_zinv: np.ndarray, rc_lp: np.ndarray):
-            """(dx, dy, dz) with A dx = rp, A^T dy + dz = rd and the linearized
-            HKM centring dX = sym((R_c - X dZ) Z^-1), given R_c Z^-1 and r_c / z."""
-            dy = solve(rp + _apply(sdp, np.concatenate([x_rd_zinv - rc_zinv.ravel(), lp_rd - rc_lp])))
-            dz = rd - _apply_adjoint(sdp, dy)
-            dxb = rc_zinv - xb @ dz[:nb].reshape(shape) @ z_inv
-            dxb += dxb.transpose(0, 2, 1)
-            dxb *= 0.5
-            return np.concatenate([dxb.ravel(), rc_lp - lp_x * dz[nb:] / lp_z]), dy, dz
-
-        # Mehrotra: an affine predictor sets the centring sigma, then one corrector
-        dx, dy, dz = direction(-xb, -lp_x)
-        step_p, step_d = (min(1.0, step) for step in max_step(l_inv, dx, dz))
-        sigma = min(1.0, ((x + step_p * dx) @ (z + step_d * dz) / order / mu) ** 3)
-        dxb, dzb = dx[:nb].reshape(shape), dz[:nb].reshape(shape)
-        dx, dy, dz = direction(sigma * mu * z_inv - xb - dxb @ dzb @ z_inv,
-                               (sigma * mu - dx[nb:] * dz[nb:]) / lp_z - lp_x)
-        # the fraction of the way to the boundary, as in SDPT3
-        fraction = 0.9 + 0.09 * min(step_p, step_d)
-        step_p, step_d = (min(1.0, fraction * step) for step in max_step(l_inv, dx, dz))
+        mu, _, _, (dx, dy, dz, step_p, step_d) = step
         x += step_p * dx
         y += step_d * dy
         z += step_d * dz
@@ -616,7 +701,7 @@ def solve_sdp(
                         "dual_infeasibility": dual_inf, "step_primal": step_p, "step_dual": step_d})
 
     alpha, beta = y[:num_pairs], -y[num_pairs:]
-    stack, sizes = x[:nb].reshape(shape), sdp.sizes
+    stack, sizes = x[:nb].reshape(2 * n, sdp.side, sdp.side), sdp.sizes
     residuals = {
         "primal_equality": float(np.abs(_pair_values(sdp, x) - 1.0).max()),
         "row_sum_violation": float(max(0.0, (x[sdp.diagonal].sum(axis=0) - xi).max())),
@@ -631,6 +716,10 @@ def solve_sdp(
         "iterations": iterations,
         "tolerance": tol,
         "history": history,
+        "orbits": None if orbits is None else {
+            "order": orbits.order, "schur_side": num_pairs + num_inputs, "reduced_side": len(orbits.reps),
+            "blocks_factored": 2 * len(orbits.blocks),
+        },
     }
     if max(primal_inf, dual_inf, abs(gap), complementarity) > scale:
         stop = "the iteration cap" if iterations == max_iterations else "the iterates left the cone's interior"

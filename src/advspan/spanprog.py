@@ -259,10 +259,16 @@ def _round_factor(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
     eigenvalues, which moves the pair sums by ~1e-9; one step leaves 7e-12
     where J is nearly singular (00000011, sigma_min 1e-5), a second reaches
     roundoff.
+
+    With a nontrivial group (sdp.orbits) the residual and J J^T commute with
+    it, so the system is solved on the pair orbits, E^T J J^T E mu = E^T r
+    with E the pair columns of Orbits.expand, and lambda = E mu.
     """
-    f = sdp.f
+    f, orbits = sdp.f, sdp.orbits
     f0, f1 = np.array(f.f0), np.array(f.f1)
     differ = (f.bits[f0][:, None, :] != f.bits[f1][None, :, :]).astype(float)  # (w, x, j)
+    num_pairs = len(sdp.pairs)
+    expand = None if orbits is None else orbits.expand[:num_pairs, : orbits.row[:num_pairs].max() + 1]
     for _ in range(2):
         gram = v @ v.transpose(0, 2, 1)
         residual = pair_sums(sdp, gram) - 1.0
@@ -272,13 +278,15 @@ def _round_factor(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
             "wxj,wyj,jxy->wxy", differ, differ, gram[:, f1[:, None], f1])
         jjt[:, np.arange(len(f1)), :, np.arange(len(f1))] += np.einsum(
             "wxj,vxj,jwv->xwv", differ, differ, gram[:, f0[:, None], f0])
-        jjt = jjt.reshape(len(sdp.pairs), len(sdp.pairs))
+        jjt = jjt.reshape(num_pairs, num_pairs)
+        if expand is not None:
+            jjt, residual = expand.T @ jjt @ expand, residual @ expand
         factor, info = scipy.linalg.lapack.dpotrf(jjt, lower=0, clean=0)
         if info == 0:
             lam = scipy.linalg.lapack.dpotrs(factor, residual, lower=0)[0]
         else:  # J J^T singular: the least-norm multipliers
             lam = np.linalg.lstsq(jjt, residual, rcond=None)[0]
-        v = v - 2.0 * pair_adjoint(sdp, lam) @ v
+        v = v - 2.0 * pair_adjoint(sdp, lam if expand is None else expand @ lam) @ v
     return v
 
 

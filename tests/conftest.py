@@ -1,9 +1,10 @@
 """Shared corpus of solved functions, cached once per session, the dense
-references of the canonical program and of the program and input graphs that
-only tests build, the per-input span-program evaluation, the oracle of the
-stacked `evaluate`, the whole Schur complement, the oracle of the one
-`schur_complement` builds on the orbits of Aut(f), and the interior-point loop
-on n full Gram blocks of side 2^n, the oracle of the class-block `solve_sdp`."""
+references of the SDP's constraint rows, of the canonical program and of the
+program and input graphs that only tests build, the per-input span-program
+evaluation, the oracle of the stacked `evaluate`, the whole Schur complement,
+the oracle of the one `schur_complement` builds on the orbits of Aut(f), and
+the interior-point loop on n full Gram blocks of side 2^n, the oracle of the
+class-block `solve_sdp`."""
 
 from __future__ import annotations
 
@@ -78,6 +79,18 @@ def corpus(solved):
 
 
 # -- dense references -------------------------------------------------------
+
+
+def dense_constraints(sdp: WitnessSdp) -> np.ndarray:
+    """The dense equality rows A of the witness SDP on its flat variable
+    [stack | u | xi]; the solver never builds them."""
+    p, s, nb = len(sdp.pairs), sdp.num_inputs, sdp.stack_size
+    rows = np.zeros((p + s, nb + s + 1))
+    rows[sdp.entry_pair, sdp.entry_index] = 0.5
+    rows[sdp.entry_pair, sdp.entry_mirror] = 0.5
+    rows[p + np.arange(s), sdp.diagonal] = 1.0
+    rows[p:, nb:] = np.hstack([np.eye(s), -np.ones((s, 1))])
+    return rows
 
 
 def dense_adjacency(g) -> np.ndarray:

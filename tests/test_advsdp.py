@@ -27,7 +27,7 @@ from advspan.errors import (
     ZeroMatrixError,
 )
 
-from conftest import corpus_specs, full_schur_complement, reference_solve_sdp
+from conftest import corpus_specs, dense_constraints, full_schur_complement, reference_solve_sdp
 
 
 def random_tables(n: int, count: int, seed: int) -> list[str]:
@@ -39,7 +39,7 @@ def test_build_dimensions_parity2():
     sdp = build_witness_sdp(load_function("PARITY:2"))
     assert (sdp.n, sdp.num_inputs) == (2, 4)  # two Gram blocks of side 4
     assert len(sdp.pairs) == 4  # |F0| * |F1| = 2 * 2
-    assert sdp.constraints.shape[0] == 4 + 4  # equalities + one row bound per input
+    assert dense_constraints(sdp).shape[0] == 4 + 4  # equalities + one row bound per input
 
 
 def test_build_dimensions_or2_and_identity():
@@ -152,7 +152,7 @@ def test_solution_residual_invariants(corpus):
         assert res["row_sum_violation"] <= 1e-6
         assert abs(res["beta_sum"] - 1.0) <= 1e-6
         for s in bundle.f.inputs:
-            assert sol.row_sum(s) <= sol.xi + 1e-6
+            assert sol.blocks[:, s, s].sum() <= sol.xi + 1e-6
 
 
 def test_certificate_values(solved):
@@ -298,9 +298,9 @@ def test_pair_constraints_touch_only_differing_coordinates():
     coordinates j where w and x differ, in the class block of C_{j, w_j}; the
     layout puts both ends of an entry in the same class block by construction."""
     sdp = build_witness_sdp(load_function("MAJ:3"))
-    shape = (2 * sdp.n, sdp.side, sdp.side)
+    shape, rows = (2 * sdp.n, sdp.side, sdp.side), dense_constraints(sdp)
     for p, (w, x) in enumerate(sdp.pairs):
-        support = np.flatnonzero(sdp.constraints[p, : sdp.stack_size])
+        support = np.flatnonzero(rows[p, : sdp.stack_size])
         assert len(support) > 0
         for flat in support:
             b, r, c = np.unravel_index(flat, shape)
@@ -400,7 +400,7 @@ def test_block_solver_matches_dense_reference(spec, reduce_every_group):
         sdp.orbits.average(x)
         sdp.orbits.average(z_inv)
     x, lp_ratio, z_inv = x[:nb].reshape(-1, k, k), x[nb:], z_inv.reshape(-1, k, k)
-    a = sdp.constraints
+    a = dense_constraints(sdp)
     kron = np.zeros((a.shape[1], a.shape[1]))
     for b in range(2 * sdp.n):
         kron[b * k * k : (b + 1) * k * k, b * k * k : (b + 1) * k * k] = np.kron(x[b], z_inv[b])
@@ -451,9 +451,11 @@ def test_reduced_schur_sides(spec, order, side, reduced, reduce_every_group):
     assert (sdp.orbits.order, len(sdp.pairs) + sdp.num_inputs, len(sdp.orbits.reps)) == (order, side, reduced)
 
 
-@pytest.mark.parametrize("spec", ["OR:5", "OR:4", "MAJ:3", "PARITY:3"])
+@pytest.mark.parametrize("spec", ["0110100000000000", "OR:4", "MAJ:3", "PARITY:3"])
 def test_small_schur_complements_are_not_reduced(spec):
-    """Below MIN_REDUCED_SIDE the solver works on all of M, group or not."""
+    """Below MIN_REDUCED_SIDE the solver works on all of M, group or not;
+    0110100000000000 (side 55, a group of order 6) is the largest side below
+    it."""
     sdp = build_witness_sdp(load_function(spec))
     assert len(sdp.pairs) + sdp.num_inputs < advsdp.MIN_REDUCED_SIDE and sdp.orbits is None
 
@@ -485,6 +487,75 @@ def test_solution_is_exactly_constant_on_its_orbits(spec):
     stack = np.zeros(sdp.stack_size)
     stack[sdp.gather["blocks"][inside]] = sol.blocks[inside]
     assert spread(orbits.label[: sdp.stack_size], stack) == 0.0
+
+
+@pytest.mark.parametrize("spec, count", [("MAJ:5", 2), ("PARITY:5", 1), ("MAJ:4", 2), (member("MAJ:5", 77), 2),
+                                         ("OR:5", 2), ("00011011", 3)])
+def test_class_block_orbit_counts(spec, count, reduce_every_group):
+    """Aut(f) maps class blocks onto class blocks; its representatives are
+    the least block of each orbit.  A negation flips the class, so under
+    PARITY:5 all ten blocks form one orbit and under MAJ:5 the two classes of
+    each coordinate stay apart."""
+    orbits = build_witness_sdp(load_function(spec)).orbits
+    assert len(orbits.blocks) == count and orbits.blocks[0] == 0 and np.all(np.diff(orbits.blocks) > 0)
+
+
+@pytest.mark.parametrize("spec", ["MAJ:5", "PARITY:5", "OR:5", "MAJ:4", "PARITY:4", member("MAJ:5", 77)] + WHOLE_RUNS)
+def test_orbit_averaged_stack_is_its_representatives_expanded(spec, reduce_every_group):
+    """Every class block of an orbit-averaged stack equals, bitwise, the
+    block of its representative permuted by a group element, padding
+    included."""
+    sdp = build_witness_sdp(load_function(spec))
+    stack = sdp.orbits.average(class_block_stack(sdp, np.random.default_rng(4)).ravel())
+    reps = stack.reshape(2 * sdp.n, sdp.side, sdp.side)[sdp.orbits.blocks]
+    assert np.array_equal(sdp.orbits.expand_stack(reps), stack)
+
+
+def every_block(sdp):
+    """sdp with each class block its own representative: the solver's block
+    algebra then runs on every block, on the same reduced Newton system."""
+    orbits, nb, k = sdp.orbits, sdp.stack_size, sdp.side
+    padding = ((sdp.members[:, :, None] < 0) | (sdp.members[:, None, :] < 0)).ravel()
+    b, i = np.nonzero(sdp.members < 0)
+    diagonal = (b * k + i) * k + i
+    return dataclasses.replace(sdp, padding=np.concatenate([diagonal, nb + diagonal]), orbits=dataclasses.replace(
+        orbits, blocks=np.arange(2 * sdp.n), from_reps=np.where(padding, nb, np.arange(nb))))
+
+
+@pytest.mark.parametrize("spec", ["MAJ:4", "PARITY:4", member("MAJ:5", 77), "OR:5"])
+def test_representative_blocks_give_the_every_block_step(spec, reduce_every_group):
+    """At an orbit-averaged random iterate, Z^-1, the predictor's and the
+    corrector's directions and their step lengths from one class block per
+    orbit equal those from every block within 1e-12 relative."""
+    sdp = build_witness_sdp(load_function(spec))
+    orbits, nb, s = sdp.orbits, sdp.stack_size, sdp.num_inputs
+    rng = np.random.default_rng(6)
+    x = orbits.average(np.concatenate([class_block_stack(sdp, rng).ravel(), rng.uniform(0.5, 2.0, s), [4.0]]))
+    z = orbits.average(np.concatenate([class_block_stack(sdp, rng).ravel(), rng.uniform(0.5, 2.0, s + 1)]))
+    y = rng.standard_normal(len(orbits.reps))[orbits.row]
+    cost = np.zeros_like(x)
+    cost[-1] = 1.0
+    rp = np.concatenate([np.ones(len(sdp.pairs)), np.zeros(s)]) - advsdp._apply(sdp, x)
+    rd = cost - advsdp._apply_adjoint(sdp, y) - z
+    got = advsdp._newton_step(sdp, x, y, z, rp, rd)
+    ref = advsdp._newton_step(every_block(sdp), x, y, z, rp, rd)
+    assert got[0] == ref[0]
+    assert np.abs(got[1] - ref[1]).max() <= 1e-12 * np.abs(ref[1]).max()
+    for step, ref_step in zip(got[2:], ref[2:]):
+        for a, b in zip(step, ref_step):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        assert min(step[3:]) < 1.0  # not both lengths capped at 1
+
+
+def test_residuals_report_the_path_taken():
+    """residuals["orbits"]: the group's order, M's side before and after the
+    reduction and the class blocks factored per iteration; None on the
+    full path."""
+    assert solve_sdp(build_witness_sdp(load_function("MAJ:5"))).residuals["orbits"] == {
+        "order": 120, "schur_side": 288, "reduced_side": 20, "blocks_factored": 4}
+    assert solve_sdp(build_witness_sdp(load_function("PARITY:5"))).residuals["orbits"]["blocks_factored"] == 2
+    for spec in ("MAJ:3", random_tables(5, 1, 2)[0]):
+        assert solve_sdp(build_witness_sdp(load_function(spec))).residuals["orbits"] is None
 
 
 @pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "AND:4"] + WHOLE_RUNS)
