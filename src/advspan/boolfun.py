@@ -75,11 +75,6 @@ class BooleanFunction:
     def is_constant(self) -> bool:
         return len(set(self.table)) == 1
 
-    def depends_on(self, j: int) -> bool:
-        """True when flipping coordinate j changes the value somewhere."""
-        flip = 1 << (self.n - j)
-        return any(self.table[s] != self.table[s ^ flip] for s in self.inputs)
-
     def name(self) -> str:
         return "".join(str(v) for v in self.table)
 
@@ -163,16 +158,6 @@ def automorphism_cosets(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray, np.
     fixes = correlation == size * size
     perms = np.flatnonzero(fixes.any(axis=1))
     return perms, fixes[perms].argmax(axis=1), np.flatnonzero(fixes[0])
-
-
-def automorphisms(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Aut(f) element by element, as (images, coordinates): images[g, s] is
-    the input s maps to and coordinates[g, j] the 0-based coordinate j
-    moves to (input_maps)."""
-    images, coordinates, _, _ = input_maps(f.n)
-    perms, shifts, negations = automorphism_cosets(f)
-    rows = (perms[:, None] * 2**f.n + (shifts[:, None] ^ negations)).ravel()
-    return images[rows], coordinates[rows]
 
 
 # ---------------------------------------------------------------------------

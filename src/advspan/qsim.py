@@ -21,7 +21,7 @@ from .errors import (
     DimensionMismatchError,
     NotNormalizedError,
 )
-from .matkernel import eig_hermitian, hadamard, spectral_norm
+from .matkernel import require_hermitian
 
 FINAL_OVERLAP_CONSTANT = (2.0 / 3.0) * np.sqrt(2.0)
 
@@ -149,7 +149,9 @@ def progress_trace(
     M^(0) = ||Gamma||, the per-query drop bound, and the final overlap
     bound.  Requires the algorithm to err below 1/3 on every input; the adversary
     matrix is flipped in sign when needed so its top eigenvalue equals
-    ||Gamma||, and the progress vector delta is that top eigenvector.
+    ||Gamma||, and the progress vector delta is that top eigenvector, taken
+    from the same eigh; it enters only through delta delta^T, so its phase is
+    immaterial.
     """
     run = run_query_algorithm(a, f)
     if run.success.min() < 2.0 / 3.0 - 1e-9:
@@ -157,14 +159,12 @@ def progress_trace(
             f"error {1 - run.success.min():.4f} exceeds 1/3 on input {int(run.success.argmin())}"
         )
     gamma = np.array(certificate.gamma, dtype=float)
-    es = eig_hermitian(gamma)
-    if abs(es.eigenvalues[0]) > es.eigenvalues[-1]:
+    w, v = np.linalg.eigh(require_hermitian(gamma))
+    top = 0 if abs(w[0]) > w[-1] else -1
+    if top == 0:
         gamma = -gamma
-        es = eig_hermitian(gamma)
-    gamma_norm = float(es.eigenvalues[-1])
-    delta = es.eigenvectors[:, -1]
-    if np.abs(delta.imag).max(initial=0.0) < 1e-14:
-        delta = delta.real
+    gamma_norm = float(abs(w[top]))
+    delta = v[:, top]
 
     steps = run.states.shape[0]
     weight = np.outer(delta, delta.conj())
@@ -177,7 +177,7 @@ def progress_trace(
         values[t] = m_t.real
     drops = values[:-1] - values[1:]
     drop_bound = 2.0 * max(
-        spectral_norm(hadamard(gamma, difference_matrix(f, i))) for i in range(1, f.n + 1)
+        np.linalg.norm(gamma * difference_matrix(f, i), 2) for i in range(1, f.n + 1)
     )
 
     final = run.states[-1]
@@ -338,14 +338,3 @@ def parity_two_query_algorithm() -> QueryAlgorithm:
         n=2, query_dim=qd, work_dim=wd, unitaries=(u0, u1, u2), proj0=proj0, proj1=proj1
     )
 
-
-def constant_output_algorithm(n: int, output: int) -> QueryAlgorithm:
-    """Zero-query algorithm that always answers `output`."""
-    d = n  # minimal query register, single workspace state
-    eye = np.eye(d)
-    proj_out = np.eye(d)
-    proj_other = np.zeros((d, d))
-    proj0, proj1 = (proj_other, proj_out) if output else (proj_out, proj_other)
-    return QueryAlgorithm(
-        n=n, query_dim=d, work_dim=1, unitaries=(eye,), proj0=proj0, proj1=proj1
-    )

@@ -9,7 +9,6 @@ in their span.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -49,13 +48,6 @@ class SpanProgram:
     @property
     def columns(self) -> int:
         return self.matrix.shape[1]
-
-    def column_range(self, j: int, b: int) -> slice:
-        """Columns of index set I_{j,b} (j is 1-based)."""
-        start = sum(s0 + s1 for s0, s1 in self.block_sizes[: j - 1])
-        if b:
-            start += self.block_sizes[j - 1][0]
-        return slice(start, start + self.block_sizes[j - 1][b])
 
     def selection_masks(self) -> np.ndarray:
         """(2^n, columns) boolean: row s marks the columns Pi(s) keeps."""
@@ -204,37 +196,6 @@ class CanonicalSpanProgram:
     def stored_witness_sizes(self) -> np.ndarray:
         """sum_j ||v_{s,j}||^2 for every input s, the canonical witness accounting."""
         return np.einsum("sjk,sjk->s", self.vectors, self.vectors)
-
-    def pair_sum(self, w: int, x: int) -> float:
-        """sum over disagreeing coordinates of <v_{w,j}|v_{x,j}>."""
-        differ = self.f.bits[w] != self.f.bits[x]
-        return float(np.einsum("jk,jk->", self.vectors[w, differ], self.vectors[x, differ]))
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.f.n,
-            "table": self.f.name(),
-            "m": self.m,
-            "witness_size": self.witness_size,
-            "vectors": self.vectors.tolist(),
-            "matrix": self.matrix.tolist(),
-            "target": self.target.tolist(),
-            "block_sizes": [list(b) for b in self.block_sizes],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "CanonicalSpanProgram":
-        d = json.loads(text)
-        f = BooleanFunction(d["n"], tuple(int(c) for c in d["table"]))
-        return CanonicalSpanProgram(
-            f=f,
-            m=d["m"],
-            witness_size=d["witness_size"],
-            vectors=np.array(d["vectors"]),
-            matrix=np.array(d["matrix"]),
-            target=np.array(d["target"]),
-        )
 
 
 def _check_pair_sums(sdp: WitnessSdp, gram: np.ndarray) -> None:

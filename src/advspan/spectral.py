@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoNullWitnessError, WitnessViolationError, WrongBranchError
-from .matkernel import DEFAULT_ZERO_TOL, eig_hermitian, nullspace_projector, require_hermitian
+from .matkernel import DEFAULT_ZERO_TOL, require_hermitian
 from .spanprog import CanonicalSpanProgram, literal_masks
 
 # A singular value of B_G within this factor of the rank cut, on either side,
@@ -297,22 +297,23 @@ def psd_spectral_bound_check(x, t: np.ndarray, gamma_grid) -> list[tuple[float, 
     delta is the best kernel overlap ||P_null(X) t||^2; if the null space
     of X carries none of t the bound is undefined and NoNullWitnessError
     is raised.  Eigenvalues at numerical zero are excluded from the sum
-    (they provably carry no t component).  Returns (gamma, lhs, rhs)
+    (they provably carry no t component).  Only eigenvalues and |<t|beta>|^2
+    are read, which no eigenvector phase changes.  Returns (gamma, lhs, rhs)
     triples.
     """
     xm = require_hermitian(x)
-    p_null = nullspace_projector(xm)
-    delta = float(np.linalg.norm(p_null @ t) ** 2)
+    w, v = np.linalg.eigh(xm)
+    kernel = np.abs(w) <= DEFAULT_ZERO_TOL * max(1.0, float(np.abs(w).max(initial=0.0)))
+    delta = float(np.linalg.norm(v[:, kernel].conj().T @ t) ** 2)
     if delta <= DEFAULT_ZERO_TOL * max(1.0, float(t @ t)):
         raise NoNullWitnessError("null space of X is orthogonal to t; delta is undefined")
-    x_prime = xm + np.outer(t, t.conj())
-    es = eig_hermitian(x_prime)
-    scale = max(1.0, float(np.abs(es.eigenvalues).max()))
-    overlaps = np.abs(es.eigenvectors.conj().T @ t.astype(complex)) ** 2
+    w, v = np.linalg.eigh(xm + np.outer(t, t.conj()))
+    scale = max(1.0, float(np.abs(w).max()))
+    overlaps = np.abs(v.conj().T @ t) ** 2
     out = []
     for gamma in gamma_grid:
-        sel = (es.eigenvalues > DEFAULT_ZERO_TOL * scale) & (es.eigenvalues <= gamma)
-        lhs = float((overlaps[sel] / es.eigenvalues[sel]).sum())
+        sel = (w > DEFAULT_ZERO_TOL * scale) & (w <= gamma)
+        lhs = float((overlaps[sel] / w[sel]).sum())
         rhs = 4.0 * gamma / delta
         out.append((float(gamma), lhs, rhs))
     return out

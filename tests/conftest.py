@@ -4,21 +4,26 @@ program and input graphs that only tests build, the per-input span-program
 evaluation, the oracle of the stacked `evaluate`, the whole Schur complement,
 the oracle of the one `schur_complement` builds on the orbits of Aut(f), and
 the interior-point loop on n full Gram blocks of side 2^n, the oracle of the
-class-block `solve_sdp`."""
+class-block `solve_sdp`.  Also the small helpers that only tests call: the
+dense null-space projector and unitary eigensystem, Aut(f) element by
+element, coordinate dependence, pair sums and index-set columns of a span
+program, and the zero-query constant algorithm."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from advspan import verify
 from advspan.advsdp import (
     DEFAULT_TOL, MAX_ITERATIONS, SdpSolution, WitnessSdp, _inverse_factors, _solver, build_witness_sdp,
 )
-from advspan.boolfun import BooleanFunction
-from advspan.matkernel import gram_factor, nullspace_projector
-from advspan.errors import GramFailureError, NoConvergenceError
-from advspan.spanprog import WITNESS_RTOL, CanonicalSpanProgram, _round_factor
+from advspan.boolfun import BooleanFunction, automorphism_cosets, input_maps
+from advspan.matkernel import DEFAULT_ZERO_TOL, gram_factor
+from advspan.errors import DimensionMismatchError, GramFailureError, NoConvergenceError, NonHermitianError
+from advspan.qsim import QueryAlgorithm
+from advspan.spanprog import WITNESS_RTOL, CanonicalSpanProgram, SpanProgram, _round_factor
 
 # Lexicographically smallest truth table of each non-constant NPN class of
 # 3-bit functions.
@@ -28,13 +33,19 @@ NPN3_CANONICAL = (
 )
 
 
+def depends_on(f: BooleanFunction, j: int) -> bool:
+    """True when flipping coordinate j changes the value of f somewhere."""
+    flip = 1 << (f.n - j)
+    return any(f.table[s] != f.table[s ^ flip] for s in f.inputs)
+
+
 def two_bit_dependent_tables() -> list[str]:
     """The ten 2-ary tables that are non-constant and depend on both inputs."""
     out = []
     for code in range(16):
         table = tuple((code >> (3 - s)) & 1 for s in range(4))
         f = BooleanFunction(2, table)
-        if not f.is_constant and f.depends_on(1) and f.depends_on(2):
+        if not f.is_constant and depends_on(f, 1) and depends_on(f, 2):
             out.append(f.name())
     return out
 
@@ -76,6 +87,66 @@ def solved():
 def corpus(solved):
     """All corpus functions, solved."""
     return [solved(spec) for spec in corpus_specs()]
+
+
+# -- small helpers off the verify path ----------------------------------------
+
+
+def automorphisms(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Aut(f) element by element, as (images, coordinates): images[g, s] is
+    the input s maps to and coordinates[g, j] the 0-based coordinate j
+    moves to (input_maps)."""
+    images, coordinates, _, _ = input_maps(f.n)
+    perms, shifts, negations = automorphism_cosets(f)
+    rows = (perms[:, None] * 2**f.n + (shifts[:, None] ^ negations)).ravel()
+    return images[rows], coordinates[rows]
+
+
+def column_range(p: SpanProgram, j: int, b: int) -> slice:
+    """Columns of index set I_{j,b} of p (j is 1-based)."""
+    start = sum(s0 + s1 for s0, s1 in p.block_sizes[: j - 1])
+    if b:
+        start += p.block_sizes[j - 1][0]
+    return slice(start, start + p.block_sizes[j - 1][b])
+
+
+def pair_sum(prog: CanonicalSpanProgram, w: int, x: int) -> float:
+    """sum over the coordinates where w and x disagree of <v_{w,j}|v_{x,j}>."""
+    differ = prog.f.bits[w] != prog.f.bits[x]
+    return float(np.einsum("jk,jk->", prog.vectors[w, differ], prog.vectors[x, differ]))
+
+
+def constant_output_algorithm(n: int, output: int) -> QueryAlgorithm:
+    """Zero-query algorithm that always answers `output`."""
+    proj_out, proj_other = np.eye(n), np.zeros((n, n))  # minimal query register, one workspace state
+    proj0, proj1 = (proj_other, proj_out) if output else (proj_out, proj_other)
+    return QueryAlgorithm(n=n, query_dim=n, work_dim=1, unitaries=(np.eye(n),), proj0=proj0, proj1=proj1)
+
+
+def nullspace_projector(m, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """Orthogonal projector onto the span of the |eigenvalue| <= tol eigenvectors
+    of a Hermitian m, the tolerance relative to max(1, its spectral norm); an
+    empty null space yields the zero matrix, the zero matrix the identity."""
+    w, v = np.linalg.eigh(m)
+    v = v[:, np.abs(w) <= zero_tol * max(1.0, float(np.abs(w).max(initial=0.0)))]
+    p = v @ v.conj().T
+    return (p + p.conj().T) / 2
+
+
+def unitary_eigensystem(u, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases in (-pi, pi] and orthonormal eigenvector columns of a unitary
+    matrix, from a complex Schur decomposition, which stays orthonormal inside
+    degenerate eigenspaces (plain nonsymmetric eig does not)."""
+    a = np.asarray(u, dtype=complex)
+    defect = float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
+    if defect > tol * max(1.0, a.shape[0]):
+        raise DimensionMismatchError(f"matrix is not unitary (defect {defect:.3e})")
+    t, z = scipy.linalg.schur(a, output="complex")
+    offdiag = float(np.abs(t - np.diag(np.diag(t))).max())
+    if offdiag > 1e-7:
+        raise NonHermitianError(f"Schur form of a unitary should be diagonal (offdiag {offdiag:.3e})")
+    phases = np.angle(np.diag(t))
+    return np.where(phases <= -np.pi + 1e-15, np.pi, phases), z
 
 
 # -- dense references -------------------------------------------------------

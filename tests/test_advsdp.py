@@ -16,8 +16,7 @@ from advspan.advsdp import (
     solve_sdp,
 )
 from advspan import verify
-from advspan.boolfun import automorphisms, difference_matrix, input_maps, load_function
-from advspan.matkernel import hadamard, spectral_norm
+from advspan.boolfun import difference_matrix, input_maps, load_function
 from advspan.pipeline import ADV_RTOL
 from advspan.errors import (
     ConstantFunctionError,
@@ -27,7 +26,7 @@ from advspan.errors import (
     ZeroMatrixError,
 )
 
-from conftest import corpus_specs, dense_constraints, full_schur_complement, reference_solve_sdp
+from conftest import automorphisms, corpus_specs, dense_constraints, full_schur_complement, reference_solve_sdp
 
 
 def random_tables(n: int, count: int, seed: int) -> list[str]:
@@ -574,8 +573,8 @@ def test_certificate_norms_come_from_one_stacked_svd(corpus):
     the separate ones bitwise."""
     for bundle in corpus:
         f, gamma = bundle.f, bundle.certificate.gamma
-        norms = [spectral_norm(hadamard(gamma, difference_matrix(f, i))) for i in range(1, f.n + 1)]
-        assert adversary_ratio(gamma, f) == spectral_norm(gamma) / max(norms)
+        norms = [np.linalg.norm(gamma * difference_matrix(f, i), 2) for i in range(1, f.n + 1)]
+        assert adversary_ratio(gamma, f) == np.linalg.norm(gamma, 2) / max(norms)
 
 
 def test_certificate_beta_alignment_reported(corpus):
@@ -598,12 +597,29 @@ def test_iteration_cap_below_convergence_raises():
     assert solve_sdp(sdp, max_iterations=converging).residuals["iterations"] == converging
 
 
-@pytest.mark.parametrize("spec, adv", [("OR:5", np.sqrt(5.0)), ("AND:5", np.sqrt(5.0)), ("PARITY:5", 5.0)])
+def threshold(k: int, n: int) -> str:
+    """Th_k^n, true on the inputs of weight at least k: OR and AND by name,
+    the rest as truth tables."""
+    if k == 1:
+        return f"OR:{n}"
+    if k == n:
+        return f"AND:{n}"
+    return "".join(str(int(bin(s).count("1") >= k)) for s in range(2**n))
+
+
+CLOSED_FORMS = [(threshold(k, n), np.sqrt(k * (n - k + 1))) for n in range(1, 6) for k in range(1, n + 1)]
+CLOSED_FORMS += [(f"PARITY:{n}", float(n)) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("spec, adv", CLOSED_FORMS)
 def test_five_bit_closed_forms(spec, adv):
+    """ADV(Th_k^n) = sqrt(k (n - k + 1)) for 1 <= k <= n <= 5, OR, AND and
+    MAJ among them, and ADV(PARITY:n) = n, on the solution and on its
+    certificate."""
     f = load_function(spec)
     sol = solve_sdp(build_witness_sdp(f))
-    assert sol.xi == pytest.approx(adv, abs=1e-5)
-    assert extract_certificate(sol, f).value == pytest.approx(adv, abs=1e-5)
+    assert sol.xi == pytest.approx(adv, rel=1e-6)
+    assert extract_certificate(sol, f).value == pytest.approx(adv, rel=1e-6)
 
 
 @pytest.mark.parametrize("table", random_tables(4, 12, 0))

@@ -2,106 +2,14 @@ import numpy as np
 import pytest
 
 from advspan.errors import DimensionMismatchError, NonHermitianError, NotPSDError
-from advspan.matkernel import (
-    eig_hermitian,
-    gram_factor,
-    hadamard,
-    nullspace_projector,
-    spectral_norm,
-    unitary_eigensystem,
-)
+from advspan.matkernel import gram_factor, require_hermitian
 
-
-def random_hermitian(rng, dim, complex_entries=True):
-    a = rng.standard_normal((dim, dim))
-    if complex_entries:
-        a = a + 1j * rng.standard_normal((dim, dim))
-    return (a + a.conj().T) / 2
-
-
-def test_eig_identity():
-    es = eig_hermitian(np.eye(2))
-    assert np.allclose(es.eigenvalues, [1.0, 1.0])
-
-
-def test_eig_pauli_x():
-    es = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(es.eigenvalues, [-1.0, 1.0])
-
-
-def test_eig_hand_characteristic_polynomial():
-    # det([[1-l, 2], [2, 1-l]]) = l^2 - 2l - 3 = (l+1)(l-3)
-    es = eig_hermitian(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert np.allclose(es.eigenvalues, [-1.0, 3.0], atol=1e-12)
+from conftest import nullspace_projector, unitary_eigensystem
 
 
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eig_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(7)
-    for dim in (2, 5, 17, 40):
-        for complex_entries in (False, True):
-            m = random_hermitian(rng, dim, complex_entries)
-            es = eig_hermitian(m)
-            v = es.eigenvectors
-            assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-10
-            rebuilt = (v * es.eigenvalues) @ v.conj().T
-            assert np.abs(rebuilt - m).max() <= 1e-8
-            scale = max(1.0, spectral_norm(m))
-            for k in range(dim):
-                residual = np.linalg.norm(m @ v[:, k] - es.eigenvalues[k] * v[:, k])
-                assert residual <= 1e-9 * scale
-
-
-def test_eig_deterministic_bytes():
-    rng = np.random.default_rng(3)
-    m = random_hermitian(rng, 9)
-    a = eig_hermitian(m)
-    b = eig_hermitian(m.copy())
-    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
-    assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
-
-
-def test_eig_tie_order_matches_tuple_key():
-    """Exact eigenvalue ties are ordered as by the reference key (eigenvalue,
-    rounded real parts, rounded imaginary parts), compared as tuples."""
-    pauli_y = np.array([[0.0, -1j], [1j, 0.0]])
-    cases = [
-        np.eye(3),
-        np.diag([2.0, 1.0, 2.0, 1.0, 2.0]),
-        np.kron(np.eye(3), np.array([[0.0, 1.0], [1.0, 0.0]])),
-        np.kron(np.eye(2), pauli_y),
-        np.kron(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2)),
-    ]
-    for m in cases:
-        es = eig_hermitian(m)
-        v = es.eigenvectors
-        keys = [
-            (es.eigenvalues[k],) + tuple(np.round(v[:, k].real, 12)) + tuple(np.round(v[:, k].imag, 12))
-            for k in range(es.dim)
-        ]
-        assert len(set(es.eigenvalues)) < es.dim  # the case has exact ties
-        assert keys == sorted(keys)
-
-
-def test_spectral_norm_examples():
-    assert spectral_norm(np.eye(3)) == pytest.approx(1.0)
-    assert spectral_norm(np.zeros((4, 2))) == 0.0
-    assert spectral_norm(np.array([[1.0, 2.0], [2.0, 1.0]])) == pytest.approx(3.0)
-
-
-def test_hadamard():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(hadamard(a, np.ones((2, 2))), a)
-    assert np.array_equal(hadamard(a, np.zeros((2, 2))), np.zeros((2, 2)))
-    assert np.array_equal(
-        hadamard(a, np.array([[0.0, 1.0], [1.0, 0.0]])), np.array([[0.0, 2.0], [3.0, 0.0]])
-    )
-    with pytest.raises(DimensionMismatchError):
-        hadamard(a, np.ones((3, 2)))
+        require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_gram_factor_identity():

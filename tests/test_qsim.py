@@ -7,10 +7,8 @@ from advspan.errors import (
     DimensionMismatchError,
     NotNormalizedError,
 )
-from advspan.matkernel import unitary_eigensystem
 from advspan.qsim import (
     QueryAlgorithm,
-    constant_output_algorithm,
     default_ancilla_count,
     parity_two_query_algorithm,
     progress_trace,
@@ -20,7 +18,7 @@ from advspan.qsim import (
     search_noregister_probability,
 )
 
-from conftest import anchor_vector, dense_unitary
+from conftest import anchor_vector, constant_output_algorithm, dense_unitary, unitary_eigensystem
 
 FINAL_CONSTANT = (2.0 / 3.0) * np.sqrt(2.0)
 
