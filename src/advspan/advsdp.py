@@ -136,6 +136,7 @@ class Orbits:
     class blocks, and from_reps maps the stack onto those blocks: entry e of
     the stack is entry from_reps[e] of the representatives' stack, the one a
     group element carries onto e, and the padding reads the zero after it.
+    inputs holds the least member of each input's orbit.
     """
 
     order: int
@@ -147,6 +148,7 @@ class Orbits:
     scale: np.ndarray
     blocks: np.ndarray
     from_reps: np.ndarray
+    inputs: np.ndarray
 
     def average(self, v: np.ndarray) -> np.ndarray:
         """v averaged over each orbit, in place: a class-block stack, or a flat
@@ -357,7 +359,8 @@ def _orbits(f: BooleanFunction, members: np.ndarray, r: np.ndarray, o: np.ndarra
     label = np.concatenate([entry, n * num * num + 1 + lowest])
     blocks, from_reps = _block_orbits(f, members, heads, negations)
     return Orbits(order=len(perms) * len(negations), label=label, weight=1.0 / np.bincount(label)[label], row=row,
-                  reps=first, expand=expand, scale=np.sqrt(size), blocks=blocks, from_reps=from_reps)
+                  reps=first, expand=expand, scale=np.sqrt(size), blocks=blocks, from_reps=from_reps,
+                  inputs=lowest)
 
 
 def _block_orbits(f: BooleanFunction, members: np.ndarray, heads: np.ndarray,

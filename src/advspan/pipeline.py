@@ -26,12 +26,16 @@ MARGIN_TOL = 1e-12
 # is larger, times max(1, xi): the solver stops at a relative gap of tol, and
 # on 292 functions with n = 3..5 both stayed below 1e-7 max(1, xi)
 ADV_RTOL = 1e-5
+# wsize_le_stored's bound on max_s (evaluated - stored witness size) / W: the
+# stored vectors are themselves witnesses, so only roundoff can exceed them
+# (6.6e-13 at most on 360 functions with n = 3..5)
+STORED_WSIZE_RTOL = 1e-9
 # how the gap checks' names print their grid parameter
 C_LABEL, THETA_LABEL = "c={:g}", "theta={:.6g}"
 # the family of each check name (the part before "["), for report["margins"]
 CHECK_FAMILIES = {
     "strong_duality_gap": "sdp", "equality_residual": "sdp", "psd_residual": "sdp",
-    "wsize_matches_adv": "span_program", "evaluate_agrees_with_f": "span_program",
+    "wsize_matches_adv": "span_program", "evaluate_agrees_with_f": "span_program", "wsize_le_stored": "span_program",
     "zero_witness_ratio": "zero_witness", "jordan_reconstruction": "jordan", "rank_cut": "jordan",
     "effective_gap": "effective_gap", "phase_gap": "phase_gap",
     "phase_estimation_true": "phase_estimation", "phase_estimation_false": "phase_estimation",
@@ -153,50 +157,66 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
     timings["canonical"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     ev = evaluate(witness_prog)
-    stored = program.stored_witness_sizes
+    # each input's values are its orbit's least input's: program.orbit says
+    # which inputs the stages below resolve, all of them when it is None
+    orbit = np.arange(len(f.table)) if program.orbit is None else program.orbit
+    reps = np.flatnonzero(orbit == np.arange(len(orbit)))
+    row = np.searchsorted(reps, orbit)  # each input's representative in a stack over reps
+    stored = program.stored_witness_sizes[orbit]
     labels = [f"{s:0{f.n}b}" for s in f.inputs]
     per_input = [{"input": label, "f": f.value(s), "evaluates": int(ev.value[s]),
                   "witness_size": float(ev.witness_size[s]), "stored_witness_size": float(stored[s])}
                  for s, label in zip(f.inputs, labels)]
     timings["span_program"] = time.perf_counter() - t0
     report["span_program"] = {"m": program.m, "witness_size": program.witness_size, "per_input": per_input}
-    wmax = max(row["witness_size"] for row in per_input)
-    eval_ok = all(row["evaluates"] == row["f"] for row in per_input)
-    checks.append(_check("wsize_matches_adv", abs(wmax - xi), adv_bound, "le"))
+    report["orbits"] = None if program.orbit is None else {
+        "order": sol.sdp.orbits.order, "representatives": [labels[s] for s in reps]}
+    eval_ok = all(r["evaluates"] == r["f"] for r in per_input)
+    checks.append(_check("wsize_matches_adv", abs(ev.witness_size.max() - xi), adv_bound, "le"))
     checks.append(_check("evaluate_agrees_with_f", 0.0 if eval_ok else 1.0, 0.5, "le"))
+    # the stored vectors are witnesses (e_s for a false s, the v_{x,j} on the
+    # blocks (j, x_j) for a true x), so the least witness is no larger
+    excess = float((ev.witness_size - stored).max()) / program.witness_size
+    checks.append(_check("wsize_le_stored", excess, STORED_WSIZE_RTOL, "le"))
 
-    # every per-input quantity is computed as a stack over the inputs (or over
-    # F0 or F1); the loop at the end only assembles rows and checks
+    # every per-input quantity is computed as a stack over the representatives
+    # (or over F0 or F1) and read at each input's representative; the loop at
+    # the end only assembles rows and checks
     t0 = time.perf_counter()
     graph = spectral.build_program_graph(program)
     w_size = program.witness_size
     c_grid = _distinct(c_grid, C_LABEL)
     theta_grid = _distinct(theta_grid or (1.0 / (50.0 * w_size), 0.01, 0.1, 1.0), THETA_LABEL)
     values = np.array(f.table)
-    f0 = np.flatnonzero(values == 0)
+    # the kernel witnesses cost no SVD, so they are checked on every input
+    # (raising on any violation) and reported from the representatives
     _, overlap, kernel_residual = spectral.zero_witness_vectors(program)
-    ig = spectral.build_input_graph(graph, program)
+    overlap, kernel_residual = overlap[orbit], kernel_residual[orbit]
+    ig = spectral.build_input_graph(graph, program, inputs=reps)
     phases, overlaps = spectral.anchor_measure(ig)
     marks = [time.perf_counter()]
     # the closed-form measure against U_s applied to |0> itself, by their first moments
-    recon = np.abs(spectral.moments(phases, overlaps) - spectral.walk_moments(graph)).max(axis=1)
-    spread = (spectral.rank_spread(graph, program, (graph.rank, *graph.near_ranks))
+    recon = np.abs(spectral.moments(phases, overlaps) - spectral.walk_moments(graph, reps)).max(axis=1)[row]
+    spread = (spectral.rank_spread(graph, program, (graph.rank, *graph.near_ranks), reps)[row]
               if graph.near_ranks else None)
     marks.append(time.perf_counter())
-    gap_lhs, gap_rhs = spectral.effective_gap_profile(ig.select(f0), w_size, c_grid)
-    phase_lhs, phase_rhs = spectral.phase_gap_profile(phases[f0], overlaps[f0], w_size, theta_grid, values[f0])
+    false_reps = values[reps] == 0
+    gap_lhs, phase_lhs = np.zeros((len(reps), len(c_grid))), np.zeros((len(reps), len(theta_grid)))
+    gap_lhs[false_reps], gap_rhs = spectral.effective_gap_profile(ig.select(false_reps), w_size, c_grid)
+    phase_lhs[false_reps], phase_rhs = spectral.phase_gap_profile(
+        phases[false_reps], overlaps[false_reps], w_size, theta_grid, values[reps][false_reps])
+    gap_lhs, phase_lhs = gap_lhs[row], phase_lhs[row]
     marks.append(time.perf_counter())
     if simulate:
         precision = 1.0 / (100.0 * w_size)
         tau = int(np.ceil(100.0 * w_size))
-        p_phase = qsim.qpe_accept_probability(phases, overlaps, precision, qsim.default_ancilla_count(precision))
-        p_search = qsim.search_accept_probability(phases, overlaps, tau)
-        p_bare = qsim.search_noregister_probability(phases, overlaps, tau)
+        p_phase = qsim.qpe_accept_probability(phases, overlaps, precision, qsim.default_ancilla_count(precision))[row]
+        p_search = qsim.search_accept_probability(phases, overlaps, tau)[row]
+        p_bare = qsim.search_noregister_probability(phases, overlaps, tau)[row]
     marks.append(time.perf_counter())
     stages = dict(zip(("resolve", "walk", "gaps", "algorithms"), np.diff([t0, *marks]).tolist()))
 
     zero_rows, gap_rows, phase_rows, alg_rows = [], [], [], []
-    false_profiles = zip(gap_lhs.tolist(), phase_lhs.tolist())  # one row per false input, in input order
     for s, label in zip(f.inputs, labels):
         target_ratio = 0.9 if f.value(s) else 1.0 / (9.0 * w_size * (w_size + 1.0))
         zero_rows.append({"input": label, "f": f.value(s), "overlap_ratio": float(overlap[s]),
@@ -208,11 +228,10 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
             checks.append(_check(f"rank_cut[{label}]", spread[s], 1e-8, "le"))
 
         if f.value(s) == 0:
-            gap_lhs_s, phase_lhs_s = next(false_profiles)
-            for c, lhs, rhs in zip(c_grid, gap_lhs_s, gap_rhs.tolist()):
+            for c, lhs, rhs in zip(c_grid, gap_lhs[s].tolist(), gap_rhs.tolist()):
                 gap_rows.append({"input": label, "c": float(c), "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
                 checks.append(_check(f"effective_gap[{label},{C_LABEL.format(c)}]", lhs, rhs + 1e-6, "le"))
-            for theta, lhs, rhs in zip(theta_grid, phase_lhs_s, phase_rhs.tolist()):
+            for theta, lhs, rhs in zip(theta_grid, phase_lhs[s].tolist(), phase_rhs.tolist()):
                 phase_rows.append({"input": label, "theta": float(theta), "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
                 checks.append(_check(f"phase_gap[{label},{THETA_LABEL.format(theta)}]", lhs, rhs + 1e-6, "le"))
 

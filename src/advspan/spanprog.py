@@ -25,10 +25,15 @@ WITNESS_RTOL = 1e-7
 
 @dataclass(frozen=True)
 class SpanProgram:
+    """orbit, when given, holds the least member of each input's orbit under
+    a group of input symmetries the program respects exactly; evaluate then
+    resolves one input per orbit and copies its values to the rest."""
+
     n: int
     block_sizes: tuple[tuple[int, int], ...]
     matrix: np.ndarray
     target: np.ndarray
+    orbit: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.block_sizes) != self.n:
@@ -72,11 +77,14 @@ class Evaluation:
     with A Pi(s) z = t, and residual[s] is ||A Pi(s) z - t|| / ||t||.  For
     value False it is the negative witness y with y* A Pi(s) = 0,
     <y|t> = 1 and minimal ||y* A||^2, and residual[s] is ||y* A Pi(s)||.
-    witness_size[s] is the corresponding squared norm.
+    witness_size[s] is the corresponding squared norm.  With the program's
+    orbit given, only each orbit's least input is resolved: value,
+    witness_size and residual are copied from it, and witness[s] is None on
+    the other inputs.
     """
 
     value: np.ndarray
-    witness: tuple[np.ndarray, ...]
+    witness: tuple[np.ndarray | None, ...]
     witness_size: np.ndarray
     residual: np.ndarray
 
@@ -85,23 +93,26 @@ def evaluate(p: SpanProgram) -> Evaluation:
     """Evaluate the program on all 2^n inputs, returning each branch and its
     optimal witness.
 
-    Inputs that select equally many columns share one stacked SVD of their
-    selected columns A Pi(s) (a canonical program is one such group).  It
-    gives the true branch's least-norm solution and the false branch's
-    basis of null((A Pi(s))^T), both cut at numpy's rank rule
-    max(rows, columns) eps sigma_1, the rule of lstsq(rcond=None).  Only the
-    false branch's KKT solve for the negative witness runs per input, in
-    input order.
+    Only the least input of each orbit (p.orbit; every input when it is
+    None) is resolved.  Resolved inputs that select equally many columns
+    share one stacked SVD of their selected columns A Pi(s) (a canonical
+    program is one such group).  It gives the true branch's least-norm
+    solution and the false branch's basis of null((A Pi(s))^T), both cut at
+    numpy's rank rule max(rows, columns) eps sigma_1, the rule of
+    lstsq(rcond=None).  Only the false branch's KKT solve for the negative
+    witness runs per input, in input order.
     """
     t = p.target
     tnorm = np.linalg.norm(t)
     masks = p.selection_masks()
-    counts = masks.sum(axis=1)
     num_inputs = len(masks)
+    orbit = np.arange(num_inputs) if p.orbit is None else p.orbit
+    resolved = orbit == np.arange(num_inputs)
+    counts = np.where(resolved, masks.sum(axis=1), -1)
     value = np.zeros(num_inputs, dtype=bool)
     sizes, residual = np.zeros(num_inputs), np.zeros(num_inputs)
-    witness: list[np.ndarray] = [np.zeros(0)] * num_inputs
-    for k in np.unique(counts).tolist():
+    witness: list[np.ndarray | None] = [None] * num_inputs
+    for k in np.unique(counts[resolved]).tolist():
         group = np.flatnonzero(counts == k)
         cols = np.nonzero(masks[group])[1].reshape(len(group), k)
         selected = p.matrix[:, cols].transpose(1, 0, 2)  # (inputs, rows, k)
@@ -147,7 +158,7 @@ def evaluate(p: SpanProgram) -> Evaluation:
             y = basis @ np.linalg.lstsq(kkt, rhs, rcond=None)[0][:d]
             pulled = y @ p.matrix
             witness[s], sizes[s], residual[s] = y, pulled @ pulled, np.linalg.norm(y @ selected[g])
-    return Evaluation(value, tuple(witness), sizes, residual)
+    return Evaluation(value[orbit], tuple(witness), sizes[orbit], residual[orbit])
 
 
 def program_witness_size(p: SpanProgram) -> float:
@@ -168,7 +179,10 @@ class CanonicalSpanProgram:
     vectors on the disagreeing blocks and zeros on the agreeing blocks.
     target is the graph normalization (1 / (3 sqrt(W))) * all-ones used by
     the bipartite-graph constructions; witness-size accounting uses the
-    unit all-ones target (see witness_program).
+    unit all-ones target (see witness_program).  orbit is the least member
+    of each input's orbit under Aut(f) when the SDP was solved on those
+    orbits (Orbits.inputs), so that the program's per-input values are
+    constant on them; None otherwise.
     """
 
     f: BooleanFunction
@@ -177,6 +191,7 @@ class CanonicalSpanProgram:
     vectors: np.ndarray
     matrix: np.ndarray
     target: np.ndarray
+    orbit: np.ndarray | None = None
 
     @property
     def block_sizes(self) -> tuple[tuple[int, int], ...]:
@@ -190,6 +205,7 @@ class CanonicalSpanProgram:
             block_sizes=self.block_sizes,
             matrix=self.matrix,
             target=np.ones(len(self.f.f0)),
+            orbit=self.orbit,
         )
 
     @property
@@ -259,13 +275,19 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     vectors only ever appear in its own column blocks I_{j,b}, so the program
     reads no inner product across coordinates (AA^T[w,w'] is
     sum_{j : w_j = w'_j} X_j[w,w']).  Every deficient input then gets one
-    private dimension, which m counts too, so that sum_j ||v_{s,j}||^2 equals
-    the witness size W exactly; the pair constraints are untouched because
-    the private dimensions never meet across inputs.  This tightness is what
-    makes the spectral-gap witness overlaps (9/10 and 1/(9W(W+1))) exact
-    rather than one-sided.  Before the padding, Gauss-Newton steps on the
-    factor make the pair constraints hold to roundoff, not only to the
-    solver's tolerance; xi and the dual multipliers are not touched.
+    private dimension, which m counts too, spread evenly over the n
+    coordinates so that sum_j ||v_{s,j}||^2 equals the witness size W
+    exactly; the pair constraints are untouched because the private
+    dimensions never meet across inputs.  This tightness is what makes the
+    spectral-gap witness overlaps (9/10 and 1/(9W(W+1))) exact rather than
+    one-sided.  Spread over every coordinate, the padding adds the same
+    diagonal to each X_j, so the program respects Aut(f) whenever the blocks
+    do: a group element then moves each coordinate's vectors by an
+    orthogonal map, and every per-input value is equal within an orbit (a
+    padding on one coordinate breaks that by up to 1e-3 in the effective-gap
+    profile of MAJ:4).  Before the padding, Gauss-Newton steps on the factor
+    make the pair constraints hold to roundoff, not only to the solver's
+    tolerance; xi and the dual multipliers are not touched.
     """
     n, num_inputs = f.n, 2**f.n
     factor = gram_factor(sol.blocks)
@@ -286,7 +308,7 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     m = rank + len(deficient)
     vectors = np.zeros((num_inputs, n, m))
     vectors[:, :, :rank] = factor.transpose(1, 0, 2)
-    vectors[deficient, 0, rank + np.arange(len(deficient))] = np.sqrt(gaps[deficient])
+    vectors[deficient, :, rank + np.arange(len(deficient))] = np.sqrt(gaps[deficient] / n)[:, None]
 
     # row r holds v_{w,j} on the disagreeing block I_{j, 1 - w_j}
     f0 = np.array(f.f0)
@@ -295,6 +317,6 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     target = np.ones(len(f0)) / (3 * np.sqrt(w_size))
 
     _check_pair_sums(sol.sdp, np.einsum("wjk,xjk->jwx", vectors, vectors))
-    return CanonicalSpanProgram(
-        f=f, m=m, witness_size=w_size, vectors=vectors, matrix=matrix.reshape(len(f0), -1), target=target
-    )
+    orbit = None if sol.sdp.orbits is None else sol.sdp.orbits.inputs
+    return CanonicalSpanProgram(f=f, m=m, witness_size=w_size, vectors=vectors, matrix=matrix.reshape(len(f0), -1),
+                                target=target, orbit=orbit)

@@ -62,10 +62,11 @@ class ProgramGraph:
     def v_r(self) -> np.ndarray:
         return self.v[:, : self.rank]
 
-    def pi_masks(self) -> np.ndarray:
-        """(2^n, dim): row s marks the coordinates of F0 | mu0 | I that Pi_s
-        keeps, all but the (j, not s_j, k) entries."""
-        kept = literal_masks(self.n, ((self.m, self.m),) * self.n)
+    def pi_masks(self, inputs=slice(None)) -> np.ndarray:
+        """(len(inputs), dim), every input by default: row i marks the
+        coordinates of F0 | mu0 | I that Pi_s keeps for s = inputs[i], all
+        but the (j, not s_j, k) entries."""
+        kept = literal_masks(self.n, ((self.m, self.m),) * self.n)[inputs]
         return np.hstack([np.ones((len(kept), self.num_false + 1), dtype=bool), kept])
 
     def edges(self) -> list[tuple[int, int, float]]:
@@ -129,15 +130,18 @@ class InputGraph:
         return np.concatenate([top, np.broadcast_to(dropped, (len(top), *dropped.shape))], axis=1)
 
 
-def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, rank: int | None = None) -> InputGraph:
-    """Every input's T basis from two stacked thin SVDs, of V_r's kept rows
-    (2^n, 1 + n m, r) and of its dropped rows (2^n, n m, r); any orthonormal
-    columns do, since T need only contain both row blocks' ranges to be
-    invariant under Pi_s and Delta.  rank, g.rank by default, is how many of
-    g's singular vectors make up V_r."""
+def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, rank: int | None = None,
+                      inputs: np.ndarray | None = None) -> InputGraph:
+    """The T basis of each of the inputs (every input by default) from two
+    stacked thin SVDs, of V_r's kept rows (inputs, 1 + n m, r) and of its
+    dropped rows (inputs, n m, r); any orthonormal columns do, since T need
+    only contain both row blocks' ranges to be invariant under Pi_s and
+    Delta.  rank, g.rank by default, is how many of g's singular vectors
+    make up V_r."""
     rank = g.rank if rank is None else rank
+    inputs = np.arange(len(p.f.table)) if inputs is None else np.asarray(inputs)
     v_r = g.v[:, :rank]
-    kept = g.pi_masks()[:, g.num_false:]  # on mu0 | I
+    kept = g.pi_masks(inputs)[:, g.num_false:]  # on mu0 | I
     num_inputs = len(kept)
     rows_kept = np.nonzero(kept)[1].reshape(num_inputs, -1)
     rows_dropped = np.nonzero(~kept)[1].reshape(num_inputs, -1)
@@ -147,7 +151,7 @@ def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, rank: int | None
     keep = np.arange(w.shape[1]) < cosines.shape[1]
     anchor = np.zeros(w.shape[:2])
     anchor[:, keep] = u_kept[:, 0]  # mu0 is the first kept row
-    return InputGraph(inputs=np.arange(num_inputs), value=np.array(p.f.table), w=w, keep=keep, cosines=cosines,
+    return InputGraph(inputs=inputs, value=np.array(p.f.table)[inputs], w=w, keep=keep, cosines=cosines,
                       anchor=anchor, sigma=g.sigma[:rank])
 
 
@@ -225,12 +229,13 @@ def moments(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("...tk,...k->...t", np.exp(1j * powers * phases[..., None, :]), weights)
 
 
-def walk_moments(g: ProgramGraph) -> np.ndarray:
-    """<0|U_s^t|0> for t = 1..MOMENTS and every input s, (2^n, MOMENTS), by
-    applying U_s to |0> on mu0 | I, x -> (2 Pi_s - I)(x - 2 V_r V_r^T x), to
-    all inputs at once as the columns of one block: no basis of T and no
-    SVD, so it checks anchor_measure independently."""
-    sign = np.where(g.pi_masks()[:, g.num_false:].T, 1.0, -1.0)  # (mu0 | I, inputs)
+def walk_moments(g: ProgramGraph, inputs=slice(None)) -> np.ndarray:
+    """<0|U_s^t|0> for t = 1..MOMENTS and each of the inputs s (every input
+    by default), (inputs, MOMENTS), by applying U_s to |0> on mu0 | I,
+    x -> (2 Pi_s - I)(x - 2 V_r V_r^T x), to all of them at once as the
+    columns of one block: no basis of T and no SVD, so it checks
+    anchor_measure independently."""
+    sign = np.where(g.pi_masks(inputs)[:, g.num_false:].T, 1.0, -1.0)  # (mu0 | I, inputs)
     v_r = g.v_r
     x = np.zeros(sign.shape)
     x[0] = 1.0
@@ -241,10 +246,10 @@ def walk_moments(g: ProgramGraph) -> np.ndarray:
     return out
 
 
-def rank_spread(g: ProgramGraph, p: CanonicalSpanProgram, ranks) -> np.ndarray:
-    """Largest difference, per input, of the anchor's moments between V_r
-    cut to ranks[0] and to each later rank."""
-    base, *others = (moments(*anchor_measure(build_input_graph(g, p, rank))) for rank in ranks)
+def rank_spread(g: ProgramGraph, p: CanonicalSpanProgram, ranks, inputs: np.ndarray | None = None) -> np.ndarray:
+    """Largest difference, per input (of inputs, every input by default), of
+    the anchor's moments between V_r cut to ranks[0] and to each later rank."""
+    base, *others = (moments(*anchor_measure(build_input_graph(g, p, rank, inputs))) for rank in ranks)
     return np.max([np.abs(other - base).max(axis=1) for other in others], axis=0)
 
 

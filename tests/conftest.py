@@ -7,9 +7,12 @@ the interior-point loop on n full Gram blocks of side 2^n, the oracle of the
 class-block `solve_sdp`.  Also the small helpers that only tests call: the
 dense null-space projector and unitary eigensystem, Aut(f) element by
 element, coordinate dependence, pair sums and index-set columns of a span
-program, and the zero-query constant algorithm."""
+program, a canonical program with its padding on one coordinate, and the
+zero-query constant algorithm."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -246,6 +249,23 @@ def whole_gram_program(f, sol) -> CanonicalSpanProgram:
             matrix[r, start : start + m] = vectors[w, j - 1]
     return CanonicalSpanProgram(f=f, m=m, witness_size=w_size, vectors=vectors, matrix=matrix,
                                 target=np.ones(len(f.f0)) / (3 * np.sqrt(w_size)))
+
+
+def padding_on_first_coordinate(prog: CanonicalSpanProgram, sol: SdpSolution) -> CanonicalSpanProgram:
+    """prog with each deficient input's private dimension on coordinate 0
+    alone, the layout canonical_from_gram used before it spread the padding
+    evenly over the coordinates: every Sum_j ||v_{s,j}||^2, pair sum and
+    entry of AA^T stays, but no group element maps the padding onto itself.
+    The private dimensions are the columns past the rank of the Gram factor."""
+    f, n, m = prog.f, prog.f.n, prog.m
+    rank = gram_factor(sol.blocks).shape[2]
+    vectors = prog.vectors.copy()
+    vectors[:, 0, rank:] = np.sqrt(np.einsum("sjk,sjk->sk", vectors[:, :, rank:], vectors[:, :, rank:]))
+    vectors[:, 1:, rank:] = 0.0
+    f0 = np.array(f.f0)
+    matrix = np.zeros((len(f0), n, 2, m))
+    matrix[np.arange(len(f0))[:, None], np.arange(n), 1 - f.bits[f0]] = vectors[f0]
+    return dataclasses.replace(prog, vectors=vectors, matrix=matrix.reshape(len(f0), -1))
 
 
 # -- the per-input span-program evaluation ----------------------------------

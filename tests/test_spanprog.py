@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from advspan import verify
 from advspan.advsdp import SdpSolution, build_witness_sdp, extract_certificate, pair_sums
 from advspan.boolfun import load_function
 from advspan.errors import GramFailureError
 from advspan.matkernel import DEFAULT_RANK_TOL
 from advspan.spanprog import (
+    CanonicalSpanProgram,
     SpanProgram,
     canonical_from_gram,
     evaluate,
@@ -277,3 +281,33 @@ def test_or_n_example_witness_size_is_n(n):
     assert np.allclose(ev.witness[0], [1.0])
     assert ev.witness_size[0] == pytest.approx(float(n), abs=1e-9)
     assert program_witness_size(p) == pytest.approx(float(n), abs=1e-9)
+
+
+def test_near_degenerate_membership_warns():
+    """A program whose membership residual sits within a decade of the branch
+    threshold WITNESS_RTOL ||t|| warns: the true input's column [1, 5e-8]
+    leaves t = [1, 0] a residual of 5e-8 ||t||."""
+    p = SpanProgram(n=1, block_sizes=((0, 1),), matrix=np.array([[1.0], [5e-8]]), target=np.array([1.0, 0.0]))
+    with pytest.warns(UserWarning, match="near-degenerate span program: membership residual 5.000e-08"):
+        ev = evaluate(p)
+    assert ev.value.tolist() == [False, True]
+
+
+@pytest.mark.parametrize("spec", ["MAJ:3", "00000011", "MAJ:5"])
+def test_stored_vectors_bound_the_evaluated_witness_sizes(solved, spec):
+    """wsize_le_stored: the stored vectors are witnesses, so no evaluated
+    witness size exceeds its stored one by more than 1e-9 W."""
+    chk = next(c for c in solved(spec).report["checks"] if c["name"] == "wsize_le_stored")
+    assert chk["pass"] and chk["bound"] == 1e-9 and chk["value"] <= 1e-10
+
+
+def test_wsize_le_stored_fails_on_a_perturbed_program(monkeypatch):
+    """Shrinking the evaluated program's matrix by 1% makes every positive
+    witness 1/0.99 longer than the stored vectors, so the check fails."""
+    witness_program = CanonicalSpanProgram.witness_program
+    monkeypatch.setattr(CanonicalSpanProgram, "witness_program",
+                        lambda self: dataclasses.replace(witness_program(self), matrix=0.99 * self.matrix))
+    report = verify("MAJ:3").report
+    chk = next(c for c in report["checks"] if c["name"] == "wsize_le_stored")
+    assert not chk["pass"] and chk["value"] > 0.01
+    assert report["status"] == "FAIL"

@@ -34,6 +34,7 @@ from conftest import (
     dense_unitary,
     input_adjacency,
     input_biadjacency,
+    padding_on_first_coordinate,
     pi_projector,
     unitary_eigensystem,
 )
@@ -495,16 +496,20 @@ def test_jordan_decomposes_every_input_of_hard_3bit_tables(solved, table):
 def test_rank_cut_rows_only_where_the_cut_is_ambiguous(solved, monkeypatch):
     """No rounded canonical program has a singular value of B_G within
     RANK_WINDOW of the cut, so the corpus and the 13 NPN classes report no
-    rank_cut row.  Moving 00000011's two smallest singular values (real, near
-    5e-4) to 1.28 and 0.90 times the cut makes it ambiguous: ranks 4 and 6 are
-    resolved beside 5, and they agree, so verify reports one passing rank_cut
-    row per input; ranks 3 and 4 span a real singular value and do not
-    agree."""
+    rank_cut row.  Moving two singular values (real, near 5e-4) of
+    00000011's program, its padding on coordinate 0 alone, to 1.28 and 0.90
+    times the cut makes it ambiguous: ranks 4 and 6 are resolved beside 5,
+    and they agree, so verify reports one passing rank_cut row per input;
+    ranks 3 and 4 span a real singular value and do not agree.  (Moved the
+    same way, the program with its padding spread over the coordinates has
+    ranks 4 and 6 differing by 2.6e-7 to 1.4e-6; the fixture only needs some
+    program with an ambiguous cut.)"""
     for spec in [*corpus_specs(), *NPN3_CANONICAL]:
         bundle = solved(spec)
         assert bundle.graph.near_ranks == ()
         assert not any(chk["name"].startswith("rank_cut[") for chk in bundle.report["checks"])
-    p = solved("00000011").program
+    bundle = solved("00000011")
+    p = padding_on_first_coordinate(bundle.program, bundle.solution)
     u, sigma, vh = np.linalg.svd(np.hstack([p.target[:, None], p.matrix]), full_matrices=False)
     cut = DEFAULT_ZERO_TOL * max(1.0, sigma[0])
     sigma[-2:] = (1.28 * cut, 0.90 * cut)
