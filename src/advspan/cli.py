@@ -17,8 +17,6 @@ import sys
 from pathlib import Path
 
 from .advsdp import DEFAULT_TOL, MIN_TOL
-# unused here; perfbench/test_perfbench.py checks that its tracer patches this copy
-from .advsdp import build_witness_sdp  # noqa: F401
 from .errors import AdvspanError, BadSpecError, ConstantFunctionError, NoConvergenceError
 from .pipeline import DEFAULT_C_GRID, verify
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advsdp import AdversaryCertificate
-from .boolfun import BooleanFunction, difference_matrix
+from .boolfun import BooleanFunction, difference_matrix, input_bits
 from .errors import (
     AlgorithmTooWeakError,
     DimensionMismatchError,
@@ -77,14 +77,6 @@ class QueryAlgorithm:
     def dim(self) -> int:
         return self.query_dim * self.work_dim
 
-    def oracle_diagonal(self, x: int) -> np.ndarray:
-        """Diagonal of V_ind for input string x (MSB of x is coordinate 1)."""
-        phases = np.ones(self.query_dim)
-        for j in range(1, self.n + 1):
-            if (x >> (self.n - j)) & 1:
-                phases[j - 1] = -1.0
-        return np.repeat(phases, self.work_dim)
-
 
 @dataclass(frozen=True)
 class AlgorithmRun:
@@ -95,27 +87,26 @@ class AlgorithmRun:
 
 
 def run_query_algorithm(a: QueryAlgorithm, f: BooleanFunction) -> AlgorithmRun:
-    """Exact state-vector evolution over every input simultaneously."""
+    """Exact state-vector evolution over every input simultaneously: row x of
+    each step's states is psi_x^t, and the oracle multiplies it by x's sign
+    row, (-1)^{x_j} on query state j - 1 (repeated over the workspace) and 1
+    on the rest."""
     if f.n != a.n:
         raise DimensionMismatchError(f"function arity {f.n} != algorithm arity {a.n}")
-    num_inputs = 2**f.n
-    steps = len(a.unitaries)
-    states = np.zeros((steps, num_inputs, a.dim), dtype=complex)
-    start = np.zeros(a.dim, dtype=complex)
-    start[0] = 1.0
-    for x in f.inputs:
-        psi = a.unitaries[0] @ start
-        states[0, x] = psi
-        for t in range(1, steps):
-            if a.oracle_flags[t - 1]:
-                psi = a.oracle_diagonal(x) * psi
-            psi = a.unitaries[t] @ psi
-            states[t, x] = psi
-    success = np.zeros(num_inputs)
-    for x in f.inputs:
-        proj = a.proj1 if f.value(x) else a.proj0
-        success[x] = float(np.linalg.norm(proj @ states[-1, x]) ** 2)
-    return AlgorithmRun(states=states, success=success)
+    signs = np.ones((2**f.n, a.query_dim))
+    signs[:, : a.n] = 1 - 2 * input_bits(a.n)
+    signs = np.repeat(signs, a.work_dim, axis=1)
+    states = np.empty((len(a.unitaries), 2**f.n, a.dim), dtype=complex)
+    states[0] = a.unitaries[0][:, 0]  # U_0 |0> on every input
+    for t, (u, query) in enumerate(zip(a.unitaries[1:], a.oracle_flags), start=1):
+        states[t] = (signs * states[t - 1] if query else states[t - 1]) @ u.T
+    return AlgorithmRun(states=states, success=np.linalg.norm(_good_part(a, f, states[-1]), axis=1) ** 2)
+
+
+def _good_part(a: QueryAlgorithm, f: BooleanFunction, final: np.ndarray) -> np.ndarray:
+    """Each final state projected on its right answer: proj1 psi_x where
+    f(x) = 1, proj0 psi_x elsewhere, stacked over the inputs."""
+    return np.where(np.array(f.table)[:, None] == 1, final @ a.proj1.T, final @ a.proj0.T)
 
 
 @dataclass(frozen=True)
@@ -181,11 +172,9 @@ def progress_trace(
     )
 
     final = run.states[-1]
-    x0_sq = x1_sq = 0.0
-    for x in f.inputs:
-        good = a.proj1 if f.value(x) else a.proj0
-        x0_sq += abs(delta[x]) ** 2 * float(np.linalg.norm(good @ final[x]) ** 2)
-        x1_sq += abs(delta[x]) ** 2 * float(np.linalg.norm((np.eye(a.dim) - good) @ final[x]) ** 2)
+    weight = np.abs(delta) ** 2
+    x0_sq = float(weight @ run.success)
+    x1_sq = float(weight @ np.linalg.norm(final - _good_part(a, f, final), axis=1) ** 2)
     return ProgressTrace(
         gamma=gamma,
         delta=delta,

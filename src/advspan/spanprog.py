@@ -13,9 +13,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .advsdp import SdpSolution, WitnessSdp, pair_adjoint, pair_sums
+from .advsdp import SdpSolution, WitnessSdp, pair_sums, round_factor
 from .boolfun import BooleanFunction, input_bits
 from .errors import DimensionMismatchError, GramFailureError
 from .matkernel import gram_factor
@@ -220,53 +219,6 @@ def _check_pair_sums(sdp: WitnessSdp, gram: np.ndarray) -> None:
         raise GramFailureError(f"pair-sum constraint residual {worst:.3e} exceeds 1e-6")
 
 
-def _round_factor(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
-    """Two least-norm Gauss-Newton steps on the Gram factors v_j (rows v_{s,j})
-    towards the pair constraints sum_{j : w_j != x_j} <v_{w,j}|v_{x,j}> = 1,
-    after Peyrl and Parrilo's rounding, done in the factor space.
-
-    Each step is dV_j = -L_j V_j, with L_j the symmetric matrix holding the
-    multiplier lambda_{wx} = ((J J^T)^-1 r)_{wx} at [w,x] and [x,w] for the
-    pairs that differ in coordinate j (twice the Gram-block part of A^T
-    lambda).  With pairs ordered w-major over F0 x F1,
-    J J^T = sum_j D_j (I_{F0} (x) G_j[F1,F1] + G_j[F0,F0] (x) I_{F1}) D_j,
-    G_j = V_j V_j^T and D_j the pairs' mask, so J itself is never formed.  The
-    residual r falls to about |r|^2 / sigma_min(J)^2, and X = V V^T stays PSD
-    because only the factor moves.  The rank cut drops the solver's mu-sized
-    eigenvalues, which moves the pair sums by ~1e-9; one step leaves 7e-12
-    where J is nearly singular (00000011, sigma_min 1e-5), a second reaches
-    roundoff.
-
-    With a nontrivial group (sdp.orbits) the residual and J J^T commute with
-    it, so the system is solved on the pair orbits, E^T J J^T E mu = E^T r
-    with E the pair columns of Orbits.expand, and lambda = E mu.
-    """
-    f, orbits = sdp.f, sdp.orbits
-    f0, f1 = np.array(f.f0), np.array(f.f1)
-    differ = (f.bits[f0][:, None, :] != f.bits[f1][None, :, :]).astype(float)  # (w, x, j)
-    num_pairs = len(sdp.pairs)
-    expand = None if orbits is None else orbits.expand[:num_pairs, : orbits.row[:num_pairs].max() + 1]
-    for _ in range(2):
-        gram = v @ v.transpose(0, 2, 1)
-        residual = pair_sums(sdp, gram) - 1.0
-        # J J^T[(w,x),(w',x')] = sum_j d_j[w,x] d_j[w',x'] (delta_ww' G_j[x,x'] + G_j[w,w'] delta_xx')
-        jjt = np.zeros((len(f0), len(f1), len(f0), len(f1)))
-        jjt[np.arange(len(f0)), :, np.arange(len(f0)), :] += np.einsum(
-            "wxj,wyj,jxy->wxy", differ, differ, gram[:, f1[:, None], f1])
-        jjt[:, np.arange(len(f1)), :, np.arange(len(f1))] += np.einsum(
-            "wxj,vxj,jwv->xwv", differ, differ, gram[:, f0[:, None], f0])
-        jjt = jjt.reshape(num_pairs, num_pairs)
-        if expand is not None:
-            jjt, residual = expand.T @ jjt @ expand, residual @ expand
-        factor, info = scipy.linalg.lapack.dpotrf(jjt, lower=0, clean=0)
-        if info == 0:
-            lam = scipy.linalg.lapack.dpotrs(factor, residual, lower=0)[0]
-        else:  # J J^T singular: the least-norm multipliers
-            lam = np.linalg.lstsq(jjt, residual, rcond=None)[0]
-        v = v - 2.0 * pair_adjoint(sdp, lam if expand is None else expand @ lam) @ v
-    return v
-
-
 def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanProgram:
     """Canonical span program from the Gram blocks of a solved SDP.
 
@@ -285,9 +237,10 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     do: a group element then moves each coordinate's vectors by an
     orthogonal map, and every per-input value is equal within an orbit (a
     padding on one coordinate breaks that by up to 1e-3 in the effective-gap
-    profile of MAJ:4).  Before the padding, Gauss-Newton steps on the factor
-    make the pair constraints hold to roundoff, not only to the solver's
-    tolerance; xi and the dual multipliers are not touched.
+    profile of MAJ:4).  Before the padding, two Gauss-Newton steps on the
+    factor (round_factor) tighten the pair constraints past the solver's
+    tolerance, to roundoff where they are well conditioned; xi and the dual
+    multipliers are not touched.
     """
     n, num_inputs = f.n, 2**f.n
     factor = gram_factor(sol.blocks)
@@ -295,7 +248,7 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     if np.abs(gram - sol.blocks).max() > 1e-6:
         raise GramFailureError("Gram factorization does not reproduce X within 1e-6")
     _check_pair_sums(sol.sdp, gram)
-    factor = _round_factor(sol.sdp, factor)
+    factor = round_factor(sol.sdp, factor)
     rank = factor.shape[2]
 
     row_sums = np.einsum("jsk,jsk->s", factor, factor)

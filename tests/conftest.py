@@ -2,13 +2,14 @@
 references of the SDP's constraint rows, of the canonical program and of the
 program and input graphs that only tests build, the per-input span-program
 evaluation, the oracle of the stacked `evaluate`, the whole Schur complement,
-the oracle of the one `schur_complement` builds on the orbits of Aut(f), and
-the interior-point loop on n full Gram blocks of side 2^n, the oracle of the
-class-block `solve_sdp`.  Also the small helpers that only tests call: the
-dense null-space projector and unitary eigensystem, Aut(f) element by
-element, coordinate dependence, pair sums and index-set columns of a span
-program, a canonical program with its padding on one coordinate, and the
-zero-query constant algorithm."""
+the oracle of the one `schur_complement` builds on the orbits of Aut(f), the
+dense J J^T of the pair constraints, the oracle of the rounding's normal
+matrix, and the interior-point loop on n full Gram blocks of side 2^n, the
+oracle of the class-block `solve_sdp`.  Also the small helpers that only tests
+call: the dense null-space projector and unitary eigensystem, Aut(f) element
+by element, coordinate dependence, pair sums and index-set columns of a span
+program, a canonical program with its padding on one coordinate, the
+zero-query constant algorithm and the per-input run of a query algorithm."""
 
 from __future__ import annotations
 
@@ -20,13 +21,13 @@ import scipy.linalg
 
 from advspan import verify
 from advspan.advsdp import (
-    DEFAULT_TOL, MAX_ITERATIONS, SdpSolution, WitnessSdp, _inverse_factors, _solver, build_witness_sdp,
+    DEFAULT_TOL, MAX_ITERATIONS, SdpSolution, WitnessSdp, _inverse_factors, _solver, build_witness_sdp, round_factor,
 )
 from advspan.boolfun import BooleanFunction, automorphism_cosets, input_maps
 from advspan.matkernel import DEFAULT_ZERO_TOL, gram_factor
 from advspan.errors import DimensionMismatchError, GramFailureError, NoConvergenceError, NonHermitianError
 from advspan.qsim import QueryAlgorithm
-from advspan.spanprog import WITNESS_RTOL, CanonicalSpanProgram, SpanProgram, _round_factor
+from advspan.spanprog import WITNESS_RTOL, CanonicalSpanProgram, SpanProgram
 
 # Lexicographically smallest truth table of each non-constant NPN class of
 # 3-bit functions.
@@ -124,6 +125,31 @@ def constant_output_algorithm(n: int, output: int) -> QueryAlgorithm:
     proj_out, proj_other = np.eye(n), np.zeros((n, n))  # minimal query register, one workspace state
     proj0, proj1 = (proj_other, proj_out) if output else (proj_out, proj_other)
     return QueryAlgorithm(n=n, query_dim=n, work_dim=1, unitaries=(np.eye(n),), proj0=proj0, proj1=proj1)
+
+
+def reference_run(a: QueryAlgorithm, f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(states, success) of run_query_algorithm, one input at a time: the
+    oracle's diagonal from x's bits in a loop, one U psi per step.  The
+    oracle of the stacked run."""
+    steps, num_inputs = len(a.unitaries), 2**f.n
+    states = np.zeros((steps, num_inputs, a.dim), dtype=complex)
+    success = np.zeros(num_inputs)
+    for x in f.inputs:
+        phases = np.ones(a.query_dim)
+        for j in range(1, a.n + 1):
+            if (x >> (a.n - j)) & 1:
+                phases[j - 1] = -1.0
+        oracle = np.repeat(phases, a.work_dim)
+        psi = a.unitaries[0][:, 0].astype(complex)
+        states[0, x] = psi
+        for t in range(1, steps):
+            if a.oracle_flags[t - 1]:
+                psi = oracle * psi
+            psi = a.unitaries[t] @ psi
+            states[t, x] = psi
+        proj = a.proj1 if f.value(x) else a.proj0
+        success[x] = float(np.linalg.norm(proj @ psi) ** 2)
+    return states, success
 
 
 def nullspace_projector(m, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
@@ -229,7 +255,7 @@ def whole_gram_program(f, sol) -> CanonicalSpanProgram:
     canonical_from_gram.  Its rounding maps each block G_j to
     (I - L_j) G_j (I - L_j), which no layout of the factor changes."""
     n, num_inputs = f.n, 2**f.n
-    v = _round_factor(sol.sdp, gram_factor(sol.blocks))
+    v = round_factor(sol.sdp, gram_factor(sol.blocks))
     blocks = v @ v.transpose(0, 2, 1)
     x = np.einsum("jwx,jk->wjxk", blocks, np.eye(n)).reshape(n * num_inputs, n * num_inputs)
     flat = gram_factor(x).reshape(num_inputs, n, -1)
@@ -366,6 +392,28 @@ def full_schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_
     row_block += lp_ratio[-1]
     row_block[np.diag_indices(num_inputs)] += lp_ratio[:-1]
     return m
+
+
+def reference_pair_normal(sdp: WitnessSdp, gram: np.ndarray) -> np.ndarray:
+    """J J^T of the pair constraints at Gram blocks gram = V V^T, of shape
+    (n, 2^n, 2^n), assembled densely from the (w, x, j) mask of the pairs'
+    differing coordinates: with pairs w-major over F0 x F1,
+    J J^T = sum_j D_j (I_{F0} (x) G_j[F1,F1] + G_j[F0,F0] (x) I_{F1}) D_j.
+    Where sdp.orbits is set, E^T J J^T E on the pair orbits, E the pair
+    columns of Orbits.expand.  The oracle of round_factor's normal matrix."""
+    f, orbits, num_pairs = sdp.f, sdp.orbits, len(sdp.pairs)
+    f0, f1 = np.array(f.f0), np.array(f.f1)
+    differ = (f.bits[f0][:, None, :] != f.bits[f1][None, :, :]).astype(float)  # (w, x, j)
+    jjt = np.zeros((len(f0), len(f1), len(f0), len(f1)))
+    jjt[np.arange(len(f0)), :, np.arange(len(f0)), :] += np.einsum(
+        "wxj,wyj,jxy->wxy", differ, differ, gram[:, f1[:, None], f1])
+    jjt[:, np.arange(len(f1)), :, np.arange(len(f1))] += np.einsum(
+        "wxj,vxj,jwv->xwv", differ, differ, gram[:, f0[:, None], f0])
+    jjt = jjt.reshape(num_pairs, num_pairs)
+    if orbits is None:
+        return jjt
+    expand = orbits.expand[:num_pairs, : orbits.row[:num_pairs].max() + 1]
+    return expand.T @ jjt @ expand
 
 
 # -- the interior-point loop on the n full Gram blocks ------------------------

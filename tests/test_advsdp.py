@@ -12,6 +12,7 @@ from advspan.advsdp import (
     adversary_ratio,
     build_witness_sdp,
     extract_certificate,
+    round_factor,
     schur_complement,
     solve_sdp,
 )
@@ -26,7 +27,11 @@ from advspan.errors import (
     ZeroMatrixError,
 )
 
-from conftest import automorphisms, corpus_specs, dense_constraints, full_schur_complement, reference_solve_sdp
+from advspan.matkernel import gram_factor
+
+from conftest import (
+    automorphisms, corpus_specs, dense_constraints, full_schur_complement, reference_pair_normal, reference_solve_sdp,
+)
 
 
 def random_tables(n: int, count: int, seed: int) -> list[str]:
@@ -343,6 +348,24 @@ def test_padding_takes_no_direction(monkeypatch):
     assert padding.any() and np.all(stack[padding] == 0.0)
 
 
+@pytest.mark.parametrize("spec", ["00000011", "MAJ:3", "OR:4", "MAJ:5", "PARITY:5",
+                                  "00101010010110010110010110111111",  # a group of order 2
+                                  "11111110000110010100100010100111"])  # a trivial group
+def test_rounding_normal_matrix_is_the_schur_pair_block(spec):
+    """round_factor's J J^T, 4 times the pair block of schur_complement at
+    X = V V^T and Z^-1 = I, matches the dense J J^T (E^T J J^T E on the pair
+    orbits when the group is nontrivial) at the factor before and after
+    rounding."""
+    sdp = build_witness_sdp(load_function(spec))
+    assert (sdp.orbits is not None) == (spec in ("MAJ:5", "PARITY:5", "00101010010110010110010110111111"))
+    v = gram_factor(solve_sdp(sdp).blocks)
+    for factor in (v, round_factor(sdp, v)):
+        gram = factor @ factor.transpose(0, 2, 1)
+        oracle = reference_pair_normal(sdp, gram)
+        normal = advsdp._pair_normal(sdp, advsdp._to_stack(sdp, gram))
+        assert np.abs(normal - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
 def class_block_stack(sdp, rng) -> np.ndarray:
     """A random stack positive definite on each class block, zero on the padding."""
     stack = np.zeros((2 * sdp.n, sdp.side, sdp.side))
@@ -555,6 +578,19 @@ def test_residuals_report_the_path_taken():
     assert solve_sdp(build_witness_sdp(load_function("PARITY:5"))).residuals["orbits"]["blocks_factored"] == 2
     for spec in ("MAJ:3", random_tables(5, 1, 2)[0]):
         assert solve_sdp(build_witness_sdp(load_function(spec))).residuals["orbits"] is None
+
+
+@pytest.mark.xfail(strict=True, raises=NoConvergenceError,
+                   reason="on the orbits the iterates leave the cone's interior after 29 iterations")
+def test_order_two_table_converges_on_its_orbits_at_tight_tol():
+    """1101100101001001 has a group of order 2 and M of side 80, so it is
+    solved on its orbits.  At tol 1e-9 the loop on all of M converges in 17
+    iterations (14 at the default tol on either path), but on the orbits the
+    primal infeasibility stalls near 8e-9 and the primal steps shrink to
+    1e-5..1e-9 until the iterates leave the cone's interior after 29.  A
+    known fault."""
+    sol = solve_sdp(build_witness_sdp(load_function("1101100101001001")), tol=1e-9)
+    assert sol.residuals["orbits"]["order"] == 2
 
 
 @pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "AND:4"] + WHOLE_RUNS)

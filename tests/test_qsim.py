@@ -18,7 +18,7 @@ from advspan.qsim import (
     search_noregister_probability,
 )
 
-from conftest import anchor_vector, constant_output_algorithm, dense_unitary, unitary_eigensystem
+from conftest import anchor_vector, constant_output_algorithm, dense_unitary, reference_run, unitary_eigensystem
 
 FINAL_CONSTANT = (2.0 / 3.0) * np.sqrt(2.0)
 
@@ -49,6 +49,24 @@ def test_parity_algorithm_is_exact():
     assert alg.queries == 2
     run = run_query_algorithm(alg, load_function("PARITY:2"))
     assert np.allclose(run.success, 1.0, atol=1e-12)
+
+
+def test_stacked_run_matches_the_per_input_run():
+    """Every input evolved at once, with one sign row per input, gives the
+    per-input run's states and success probabilities to roundoff, on random
+    unitaries with an oracle-free step and inert query states."""
+    rng = np.random.default_rng(11)
+    qd, wd = 5, 2
+    unitaries = tuple(np.linalg.qr(rng.standard_normal((qd * wd, qd * wd))
+                                   + 1j * rng.standard_normal((qd * wd, qd * wd)))[0] for _ in range(4))
+    proj1 = np.kron(np.eye(qd), np.diag([0.0, 1.0]))
+    alg = QueryAlgorithm(n=3, query_dim=qd, work_dim=wd, unitaries=unitaries, proj0=np.eye(qd * wd) - proj1,
+                         proj1=proj1, oracle_flags=(True, False, True))
+    f = load_function("MAJ:3")
+    run = run_query_algorithm(alg, f)
+    states, success = reference_run(alg, f)
+    assert np.abs(run.states - states).max() <= 1e-13
+    assert np.abs(run.success - success).max() <= 1e-13
 
 
 def test_run_rejects_wrong_arity():
