@@ -61,26 +61,38 @@ D = P^T P, dy = P d and M dy = r reduce to D^-1/2 P^T M P D^-1/2 (D^1/2 d)
 = D^-1/2 P^T r: M is built only at one representative row per orbit,
 summed over each orbit's columns, and is symmetric positive definite of side
 the number of orbits (MAJ:5 288 -> 20, PARITY:5 288 -> 5, MAJ:4 71 -> 13).
-y and Z then move by orbit-constant steps, but dX comes through products
-with Z^-1, so X is averaged over its orbits after every step, or roundoff
-lets it drift (a prototype that reduced only the Newton system lost primal
-feasibility on MAJ:4).  So is Z^-1: computed from the per-block Cholesky
-factors, which no permutation commutes with, it is invariant only to about
-eps cond(Z), cond(Z) ~ 1/mu, and the representative rows would stop
-representing their orbits near the optimum.  Z is averaged too, which moves
-it by at most an ulp.  Averaged, every class block of X, Z and Z^-1 is an
-exact permutation of the least block of its orbit under the group, so the
-block algebra runs on those representatives only (4 of MAJ:5's 20 blocks of
-X and Z, 2 of PARITY:5's): the Cholesky factors and their inverses, Z^-1,
-X R_d Z^-1, the products of both directions and the eigvalsh of the step
-lengths.  Each product that A reads reaches the whole stack through one
-gather (Orbits.from_reps); the averages keep each representative invariant
-under its own stabilizer.  A step length read off one representative in
-place of the least over its orbit differs at the roundoff that cond(X)
-amplifies, about 1e-8 relative near the optimum.  A function whose group is
-trivial, as almost every random table, solves on all of M and every block
-exactly as before, and so does one whose M has side below MIN_REDUCED_SIDE,
-where the reduction's own calls cost more than they save.
+The iterate itself lives in orbit coordinates (WitnessSdp): X and Z as the
+least class block of each orbit of the group on the 2n class blocks (2 of
+MAJ:5's 10, 1 of PARITY:5's), every other block being an exact permutation
+of its representative; u and z_u as one entry per input orbit; y as one
+multiplier per row orbit.  A and A^T act there through index maps built once
+per function: A reads each representative row's entries in the
+representatives' stack, A^T writes each representative entry from the
+multiplier of the row orbit that reads it, and <X, Z> and mu count each
+entry with the size of its block's orbit.  dy is D^-1/2 times the reduced
+system's solution for D^1/2 r, and no vector of the whole stack is formed
+inside the loop: the Cholesky factors and their inverses, Z^-1, X R_d Z^-1,
+both directions and the eigvalsh of the step lengths all run on the
+representatives.  A representative is invariant under its block's
+stabilizer, and the iterate keeps it so.  y and Z move by orbit-constant
+steps, since A^T reads one multiplier per row orbit, so Z stays exactly
+invariant.  But dX and the products that A reads come through products with
+Z^-1, so both are averaged over the stabilizer orbits before they are used,
+and A then reads what the reduced system sums over the row orbits, and X
+stays exactly invariant (without the average roundoff lets X drift: a
+prototype that reduced only the Newton system lost primal feasibility on
+MAJ:4, and one that averaged X after each step in place of dX stalled at
+tol 1e-9 on tables the loop on all of M solves).  So is Z^-1: computed from
+the per-block Cholesky factors, which no permutation commutes with, it is
+invariant only to about eps cond(Z), cond(Z) ~ 1/mu.  A step length read
+off one representative in place of the least over its orbit differs at the
+roundoff that cond(X) amplifies, about 1e-8 relative near the optimum.  The
+whole stack, alpha and beta are expanded once, after the loop.  A function
+whose group is trivial, as almost every random table, is the identity case
+of the same loop, every block its own representative and every map the
+identity, and keeps the arithmetic of the loop on all of M bit for bit; so
+does one whose M has side below MIN_REDUCED_SIDE, where the reduction's own
+work costs more than it saves.
 """
 
 from __future__ import annotations
@@ -106,15 +118,15 @@ MAX_ITERATIONS = 100
 BETA_DROP_TOL = 1e-10
 # The side of the smallest Schur complement solved on the orbits of Aut(f).
 # Below it M and the class blocks cost less to build and factor than the
-# reduction's own calls each iteration (the averages, the gathers and the
-# expand GEMVs).  Build and solve reduced, against the same on all of M and
-# every block (process time, 1 BLAS thread, interleaved medians): the 254
-# 3-bit tables (side <= 24) 1.10 times as long, OR:4 and AND:4 (31) 1.03
-# and 1.04; 4-bit tables of weight 2 (44) 0.95-1.05 and of weight 3 (55)
-# 0.96-1.17 by group order, 1.17 at order 2; OR:5 and AND:5 (63) 0.78 and
-# 0.80, MAJ:4 (71) 0.88.  At n <= 5 the sides 56 to 63 hold only OR:5, AND:5
-# and their members.
-MIN_REDUCED_SIDE = 56
+# reduction's own work: the orbit maps built per function, the stabilizer
+# averages and the reduction of M each iteration.  Build and solve on the
+# orbits, against the same on all of M and every block (process time, 1 BLAS
+# thread, interleaved medians of 9): 3-bit tables with a nontrivial group
+# (side <= 24) 1.07 times as long (0.95-1.13), OR:4 and AND:4 (31) 0.88;
+# 4-bit tables of weight 2 (44) 0.78-0.86 by group order; of weight 3 (55)
+# 0.81-0.93, but 1.07 at order 2; 5-bit tables of order 2 (about 284) 0.99
+# (0.80-1.02).  No Schur complement at n <= 5 has a side from 25 to 30.
+MIN_REDUCED_SIDE = 25
 
 
 @dataclass(frozen=True)
@@ -123,40 +135,28 @@ class Orbits:
     and on its class blocks.
 
     label holds the orbit of each entry of the class-block stack (the padding
-    is one orbit of zeros), then of each slack u_s, that is of each input;
-    weight is 1 / orbit size per element, so the orbit average of v is
-    bincount(label, v)[label] * weight (average).  row maps each equality
-    row, the pairs then the inputs, to its reduced row: the pair orbits
-    first, sorted by their representative's u on the Schur complement's loop
-    side, then the input orbits.  reps holds the representative equality row
-    of each reduced row, scale sqrt(orbit size), and expand = P D^-1/2, P the
-    0/1 orbit-membership matrix of the rows and D = P^T P: its columns are
-    orthonormal, M reduces to expand^T M expand and dy = expand dy_reduced.
-    blocks lists the least class block of each orbit of the group on the 2n
-    class blocks, and from_reps maps the stack onto those blocks: entry e of
-    the stack is entry from_reps[e] of the representatives' stack, the one a
-    group element carries onto e, and the padding reads the zero after it.
-    inputs holds the least member of each input's orbit.
+    is one orbit of zeros), then of each input.  row maps each equality row,
+    the pairs then the inputs, to its reduced row: the pair orbits first,
+    sorted by their representative's u on the Schur complement's loop side,
+    then the input orbits, in the order of their least members.  reps holds
+    the representative equality row of each reduced row, and expand =
+    P D^-1/2, P the 0/1 orbit-membership matrix of the rows and D = P^T P: its
+    columns are orthonormal and M reduces to expand^T M expand.  blocks lists
+    the least class block of each orbit of the group on the 2n class blocks,
+    and from_reps maps the stack onto those blocks: entry e of the stack is
+    entry from_reps[e] of the representatives' stack, the one a group element
+    carries onto e, and the padding reads the zero after it.  inputs holds
+    the least member of each input's orbit.
     """
 
     order: int
     label: np.ndarray
-    weight: np.ndarray
     row: np.ndarray
     reps: np.ndarray
     expand: np.ndarray
-    scale: np.ndarray
     blocks: np.ndarray
     from_reps: np.ndarray
     inputs: np.ndarray
-
-    def average(self, v: np.ndarray) -> np.ndarray:
-        """v averaged over each orbit, in place: a class-block stack, or a flat
-        variable [stack | u | xi] (xi is fixed by the group)."""
-        size = min(len(v), len(self.label))
-        label = self.label[:size]
-        v[:size] = np.bincount(label, weights=v[:size])[label] * self.weight[:size]
-        return v
 
     def expand_stack(self, reps: np.ndarray) -> np.ndarray:
         """The whole class-block stack, flat, from the stack of the
@@ -171,29 +171,47 @@ class WitnessSdp:
     Class block b = 2j + c holds X_{j,c}, the Gram block of coordinate j
     (0-based) on the class C_{j,c} = {s : s_j xor f(s) = c}; members[b] lists
     its inputs in increasing order, then -1 on the padding up to the common
-    side K.  The flat variable vector is [vec(X_0) ... vec(X_{2n-1}) | u | xi]
-    with X_b[i,k] at (b K + i) K + k.  Equality rows cover the F0 x F1 pair
-    constraints followed by the slack-completed row-sum constraints
+    side K.  The whole stack is [vec(X_0) ... vec(X_{2n-1})] with X_b[i,k] at
+    (b K + i) K + k.  Equality rows cover the F0 x F1 pair constraints
+    followed by the slack-completed row-sum constraints
     sum_j X_j[s,s] + u_s = xi, with X_j[s,s] at diagonal[j, s].  Pair row p
     sums (X_j[w,x] + X_j[x,w]) / 2 over the entries e with entry_pair[e] = p,
     one per 0-based j with w_j != x_j, at entry_index[e] and entry_mirror[e].
-    padding indexes the padding's diagonal in the stack [X; Z] of the class
-    blocks the solver factors: every block, or one per orbit (Orbits.blocks).
 
-    gather holds the flat indices that schur_complement reads from the stack
-    [X | 0 | Z^-1 | 0] (the two stacks, each followed by one zero), one array
-    per product term, pointing at that zero off the class; gather["blocks"],
-    of shape (n, 2^n, 2^n), maps the stack onto the n Gram blocks X_j of side
-    2^n (to_blocks).  gather["runs"] lists the rows schur_complement builds,
-    one GEMM per u on the smaller side of F0 x F1, and gather["pair_reps"]
-    and gather["input_reps"] the pairs and inputs at those rows.
+    The solver works in orbit coordinates: the variable
+    [vec(X_b) for b in classes | u_k | xi], classes the representative class
+    blocks (Orbits.blocks; every block when the group is trivial) and u_k one
+    slack per input orbit, with one multiplier per reduced row (Orbits.row).
+    Its maps, each the identity when the group is trivial:
+    rep_pair, rep_index and rep_mirror are the entries of the pair rows at
+    their orbits' representatives, in the representatives' stack, and
+    rep_diagonal[j, k] is X_j[s,s] there, s the least input of input orbit k.
+    entry_row is the reduced row whose constraint reads each entry of the
+    representatives' stack (len(row_size) where none does), for A^T;
+    row_size the orbit size of each reduced row; multiplicity the number of
+    entries of the whole variable each one stands for (its block orbit's
+    size; its input orbit's size for u_k; 1 for xi), so <x, z> is
+    sum multiplicity x z.  stabilizer holds the orbit of each representative
+    entry under its block's stabilizer and 1 / its size, None when the group
+    is trivial.  block_rows[b, i] is the row (block K + position) of the
+    representatives' stack that member i of class block b copies.  padding
+    indexes the padding's diagonal in the stack [X; Z] of the representative
+    blocks.
 
-    orbits holds the orbits of Aut(f) on the pair rows, the inputs, the
-    stack entries and the class blocks (Orbits), the map of the equality
-    rows onto the reduced Newton system and of the representative blocks
-    onto the stack; None when the group is trivial or M has side below
-    MIN_REDUCED_SIDE, and every row of M is then built and solved and every
-    class block factored.
+    gather holds the flat indices that schur_complement reads from
+    [X | 0 | Z^-1 | 0] (the two stacks of the representative blocks, each
+    followed by one zero), one array per product term, pointing at that zero
+    off the class (row_f0 and row_f1 at the input representatives only), and
+    gather["row_sums"] those of the row-sum rows there; gather["blocks"], of
+    shape (n, 2^n, 2^n), maps the whole stack onto the n Gram blocks X_j of
+    side 2^n (to_blocks).
+    gather["runs"] lists the pair rows schur_complement builds, one GEMM per
+    u on the smaller side of F0 x F1, and gather["input_reps"] the inputs of
+    the row-sum rows it builds.
+
+    orbits holds the orbits of Aut(f) (Orbits); None when the group is
+    trivial or M has side below MIN_REDUCED_SIDE, and every row of M is then
+    built and solved and every class block factored.
     """
 
     f: BooleanFunction
@@ -203,6 +221,16 @@ class WitnessSdp:
     entry_index: np.ndarray
     entry_mirror: np.ndarray
     diagonal: np.ndarray
+    classes: np.ndarray
+    rep_pair: np.ndarray
+    rep_index: np.ndarray
+    rep_mirror: np.ndarray
+    rep_diagonal: np.ndarray
+    entry_row: np.ndarray
+    row_size: np.ndarray
+    multiplicity: np.ndarray
+    stabilizer: tuple[np.ndarray, np.ndarray] | None
+    block_rows: np.ndarray
     padding: np.ndarray
     gather: dict
     orbits: Orbits | None
@@ -227,14 +255,25 @@ class WitnessSdp:
 
     @property
     def stack_size(self) -> int:
-        """2n K^2, the entries of the class-block stack in the flat variable."""
+        """2n K^2, the entries of the whole class-block stack."""
         return self.members.size * self.side
+
+    @property
+    def class_shape(self) -> tuple[int, int, int]:
+        """The shape of the representatives' stack the solver works on."""
+        return len(self.classes), self.side, self.side
+
+    @property
+    def pair_rows(self) -> int:
+        """The reduced pair rows, which lead the reduced rows."""
+        return len(self.row_size) - self.rep_diagonal.shape[1]
 
 
 def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
     """Index the constraint system on the 2n class blocks; one equality per
-    (w,x), one row bound per s, the gather indices of schur_complement, and
-    the orbits of Aut(f), computed once per function."""
+    (w,x), one row bound per s, the orbits of Aut(f), and the solver's maps
+    and the gather indices of schur_complement in orbit coordinates,
+    computed once per function."""
     if f.is_constant:
         raise ConstantFunctionError("ADV is undefined for constant functions (F0 x F1 is empty)")
     n, s = f.n, 2**f.n
@@ -246,14 +285,31 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
     side = int(np.bincount(block.ravel(), minlength=2 * n).max())
     members = np.full((2 * n, side), -1)
     members[block, pos] = np.arange(s)[:, None]
-    zero = members.size * side  # the zero after each stack, at zero and 2 zero + 1
+    stack_size = members.size * side
     c = cls.T
-    # entries[j, s, t]: where X_j[s,t] sits in the stack, or zero between two classes
+    # entries[j, s, t]: where X_j[s,t] sits in the stack, or stack_size between two classes
     entries = np.where(c[:, :, None] == c[:, None, :],
-                       ((block.T * side + pos.T) * side)[:, :, None] + pos.T[:, None, :], zero)
-
+                       ((block.T * side + pos.T) * side)[:, :, None] + pos.T[:, None, :], stack_size)
     pair, j = np.nonzero((bits[f0][:, None, :] != bits[f1][None, :, :]).reshape(len(pairs), n))
     w, x = f0[pair // len(f1)], f1[pair % len(f1)]
+    entry_index, entry_mirror = entries[j, w, x], entries[j, x, w]
+    diagonal = entries[:, np.arange(s), np.arange(s)]
+
+    # the Schur complement loops over the smaller side r of F0 x F1; its
+    # arrays read (X, Z^-1), the other side's (Z^-1, X)
+    (r, o), swap = ((f0, f1), False) if len(f0) <= len(f1) else ((f1, f0), True)
+    num_rows = len(pairs) + s
+    orbits = _orbits(f, members, r, o, swap) if num_rows >= MIN_REDUCED_SIDE else None
+    if orbits is None:
+        classes, from_reps, row = np.arange(2 * n), np.arange(stack_size), np.arange(num_rows)
+        row_reps = row
+    else:
+        classes, from_reps, row, row_reps = orbits.blocks, orbits.from_reps, orbits.row, orbits.reps
+    zero = len(classes) * side * side  # the zero after each representatives' stack, at zero and 2 zero + 1
+    to_rep = np.append(from_reps, zero)
+    rep_entries = to_rep[entries]  # X_j[s,t] in the representatives' stack
+    input_reps = row_reps[row_reps >= len(pairs)] - len(pairs)
+    num_pair_rows = len(row_reps) - len(input_reps)
 
     def both(flat: np.ndarray, axis: int, swapped: bool) -> np.ndarray:
         """flat read in X, then in Z^-1 (swapped: Z^-1, then X), along axis."""
@@ -262,42 +318,56 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
 
     def terms(u: np.ndarray, v: np.ndarray, swapped: bool = False) -> np.ndarray:
         """X_{j,c}[u,v] for u, v on two sides, stacked over (t, j, c)."""
-        flat = np.where(c[:, None, u, None] == np.arange(2)[:, None, None], entries[:, None, u[:, None], v], zero)
+        flat = np.where(c[:, None, u, None] == np.arange(2)[:, None, None], rep_entries[:, None, u[:, None], v], zero)
         return both(flat.reshape(2 * n, len(u), len(v)), 0, swapped)
 
     def by_row(v: np.ndarray, swapped: bool = False) -> np.ndarray:
-        """X_j[s,v] for every input s and v on one side, in the class of s in
-        each coordinate j, stacked over (s, t, j)."""
-        return both(entries[:, :, v].transpose(1, 0, 2), 1, swapped)
+        """X_j[s,v] for each representative input s and v on one side, in the
+        class of s in each coordinate j, stacked over (s, t, j)."""
+        return both(rep_entries[:, input_reps[:, None], v].transpose(1, 0, 2), 1, swapped)
 
-    # the Schur complement loops over the smaller side r of F0 x F1; its
-    # arrays read (X, Z^-1), the other side's (Z^-1, X)
-    (r, o), swap = ((f0, f1), False) if len(f0) <= len(f1) else ((f1, f0), True)
     gather = {
         "same_r": terms(r, r), "same_o": terms(o, o, True), "across": terms(r, o, True), "back": terms(o, r),
         "row_f0": by_row(f0), "row_f1": by_row(f1, True), "swap": swap, "blocks": entries,
+        "row_sums": rep_entries[:, input_reps], "input_reps": input_reps,
     }
-    orbits = _orbits(f, members, r, o, swap) if len(pairs) + s >= MIN_REDUCED_SIDE else None
     if orbits is not None:
-        reps = orbits.reps[orbits.reps < len(pairs)]  # the pair rows, sorted by their u
+        reps = row_reps[:num_pair_rows]  # the pair rows, sorted by their u
         u, v = np.divmod(reps, len(f1))
         u, v = (v, u) if swap else (u, v)
         bounds = np.flatnonzero(np.diff(u)) + 1
         runs = [(int(u[start]), None if stop - start == len(o) else v[start:stop], slice(start, stop))
                 for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(u)])]
-        gather["pair_reps"], gather["input_reps"] = reps, orbits.reps[len(reps):] - len(pairs)
     else:  # every pair is a row, in pair order: the rows (u, v) of one u lie |F1| apart when r is F1
         nr, no = len(r), len(o)
         runs = [(u, None, slice(u, nr * no, nr) if swap else slice(u * no, (u + 1) * no)) for u in range(nr)]
-        gather["pair_reps"], gather["input_reps"] = slice(None), slice(None)
     gather["runs"] = runs
-    factored = members if orbits is None else members[orbits.blocks]
-    b, i = np.nonzero(factored < 0)
+
+    is_rep = np.zeros(num_rows, dtype=bool)
+    is_rep[row_reps] = True
+    kept = is_rep[pair]  # the entries of the representative pair rows
+    touch = np.full(stack_size, num_rows)  # the equality row reading each entry of the stack
+    touch[entry_index] = touch[entry_mirror] = pair
+    touch[diagonal] = len(pairs) + np.arange(s)
+    rep_flat = (classes[:, None] * side * side + np.arange(side * side)).ravel()
+    row_size = np.bincount(row).astype(float)
+    stabilizer = None
+    if orbits is not None:
+        count = np.bincount(orbits.label[rep_flat])
+        label = (np.cumsum(count > 0) - 1)[orbits.label[rep_flat]]  # numbered from 0, so bincount stays short
+        stabilizer = (label, 1.0 / count[orbits.label[rep_flat]])
+    block_rows = to_rep[np.arange(2 * n)[:, None] * side * side + np.arange(side) * (side + 1)] // side
+    reps_of = np.bincount(block_rows[:, 0] // side, minlength=len(classes) + 1)[:-1]  # an empty class has none
+    b, i = np.nonzero(members[classes] < 0)
     padding = (b * side + i) * side + i
-    return WitnessSdp(f=f, pairs=pairs, members=members, entry_pair=pair,
-                      entry_index=entries[j, w, x], entry_mirror=entries[j, x, w],
-                      diagonal=entries[:, np.arange(s), np.arange(s)],
-                      padding=np.concatenate([padding, factored.size * side + padding]), gather=gather, orbits=orbits)
+    return WitnessSdp(
+        f=f, pairs=pairs, members=members, entry_pair=pair, entry_index=entry_index, entry_mirror=entry_mirror,
+        diagonal=diagonal, classes=classes, rep_pair=row[pair[kept]], rep_index=to_rep[entry_index[kept]],
+        rep_mirror=to_rep[entry_mirror[kept]], rep_diagonal=to_rep[diagonal[:, input_reps]],
+        entry_row=np.append(row, len(row_reps))[touch[rep_flat]], row_size=row_size,
+        multiplicity=np.concatenate([np.repeat(reps_of, side * side), row_size[num_pair_rows:], [1]]),
+        stabilizer=stabilizer, block_rows=block_rows,
+        padding=np.concatenate([padding, zero + padding]), gather=gather, orbits=orbits)
 
 
 def _orbits(f: BooleanFunction, members: np.ndarray, r: np.ndarray, o: np.ndarray, swap: bool) -> Orbits | None:
@@ -358,9 +428,8 @@ def _orbits(f: BooleanFunction, members: np.ndarray, r: np.ndarray, o: np.ndarra
     first = np.concatenate([v * len(r) + u if swap else u * len(o) + v, len(pair_code) + reps])
     label = np.concatenate([entry, n * num * num + 1 + lowest])
     blocks, from_reps = _block_orbits(f, members, heads, negations)
-    return Orbits(order=len(perms) * len(negations), label=label, weight=1.0 / np.bincount(label)[label], row=row,
-                  reps=first, expand=expand, scale=np.sqrt(size), blocks=blocks, from_reps=from_reps,
-                  inputs=lowest)
+    return Orbits(order=len(perms) * len(negations), label=label, row=row, reps=first, expand=expand,
+                  blocks=blocks, from_reps=from_reps, inputs=lowest)
 
 
 def _block_orbits(f: BooleanFunction, members: np.ndarray, heads: np.ndarray,
@@ -395,40 +464,48 @@ def _block_orbits(f: BooleanFunction, members: np.ndarray, heads: np.ndarray,
 
 
 def _pair_values(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
-    """The pair rows of A applied to the flat variable v."""
+    """The pair rows of A applied to the whole stack at the head of v."""
     both = v[sdp.entry_index] + v[sdp.entry_mirror]
     return 0.5 * np.bincount(sdp.entry_pair, weights=both, minlength=len(sdp.pairs))
 
 
+def class_pair_sums(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
+    """The pair rows of A at their orbits' representatives, on the
+    representatives' stack: at the head of the flat v, or v itself of shape
+    WitnessSdp.class_shape."""
+    v = v.ravel()
+    both = v[sdp.rep_index] + v[sdp.rep_mirror]
+    return 0.5 * np.bincount(sdp.rep_pair, weights=both, minlength=sdp.pair_rows)
+
+
 def _apply(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
-    """A v: the pair rows, then the row-sum rows sum_j X_j[s,s] + u_s - xi."""
-    num_inputs = sdp.num_inputs
-    rows = v[sdp.diagonal].sum(axis=0) + v[-1 - num_inputs : -1] - v[-1]
-    return np.concatenate([_pair_values(sdp, v), rows])
+    """A v in orbit coordinates: the pair rows at their representatives, then
+    the row sums sum_j X_j[s,s] + u_k - xi at the least input s of each input
+    orbit k."""
+    inputs = sdp.rep_diagonal.shape[1]
+    rows = v[sdp.rep_diagonal].sum(axis=0) + v[-1 - inputs : -1] - v[-1]
+    return np.concatenate([class_pair_sums(sdp, v), rows])
 
 
 def _apply_adjoint(sdp: WitnessSdp, y: np.ndarray) -> np.ndarray:
-    """A^T y on the flat variable; no (b,i,k) repeats or is also a (b,k,i)."""
-    num_pairs, num_inputs = len(sdp.pairs), sdp.num_inputs
-    v = np.zeros(sdp.stack_size + num_inputs + 1)
-    half = 0.5 * y[:num_pairs][sdp.entry_pair]
-    v[sdp.entry_index] = half
-    v[sdp.entry_mirror] = half
-    v[sdp.diagonal] = y[num_pairs:]
-    v[-1 - num_inputs : -1] = y[num_pairs:]
-    v[-1] = -y[num_pairs:].sum()
-    return v
+    """A^T y in orbit coordinates, y one multiplier per reduced row: each
+    entry of the representatives' stack is read by at most one row (with
+    weight 1/2 in a pair row, 1 on the diagonal), u_k by its input orbit's
+    row, and xi by every input row, once per member of each orbit."""
+    q = sdp.pair_rows
+    reads = np.concatenate([0.5 * y[:q], y[q:], [0.0]])
+    return np.concatenate([reads[sdp.entry_row], y[q:], [-(sdp.row_size[q:] * y[q:]).sum()]])
 
 
 def to_blocks(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
     """The n Gram blocks X_j of side 2^n, of shape (n, 2^n, 2^n), from the
-    class stack at the head of the flat v; zero between two classes."""
+    whole class stack at the head of the flat v; zero between two classes."""
     return np.append(v[: sdp.stack_size], 0.0)[sdp.gather["blocks"]]
 
 
 def _to_stack(sdp: WitnessSdp, blocks: np.ndarray) -> np.ndarray:
-    """The class-block stack, flat, from Gram blocks of shape (n, 2^n, 2^n);
-    the entries between two classes are dropped."""
+    """The whole class-block stack, flat, from Gram blocks of shape
+    (n, 2^n, 2^n); the entries between two classes are dropped."""
     stack = np.zeros(sdp.stack_size + 1)
     stack[sdp.gather["blocks"]] = blocks  # every entry between two classes lands on the spare last slot
     return stack[:-1]
@@ -446,34 +523,37 @@ def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio
     on the orbits of Aut(f): expand^T M expand (Orbits), or M itself when the
     group is trivial.
 
-    x and z_inv are stacks of the 2n class blocks and lp_ratio is x / z on
-    (u, xi), all constant on their orbits, so M commutes with the group and
-    only M's rows at one representative per orbit are built, in out when
-    given (the solver reuses one buffer, since a fresh M, 0.66 MB at n = 5,
-    every iteration page-faults); summed over each orbit's columns and scaled
-    they are the reduced system.  Pair rows (w,x) and (w',x') meet in class
-    block (j,c) when all four inputs lie in C_{j,c}, where their entry is
+    x and z_inv are stacks of the representative class blocks and lp_ratio
+    is x / z on (u_k, xi), all constant on their orbits, so M commutes with
+    the group and only M's rows at one representative per orbit are built,
+    in out when given (the solver reuses one buffer, since a fresh M, 0.66 MB
+    at n = 5, every iteration page-faults); summed over each orbit's columns
+    and scaled they are the reduced system.  Pair rows (w,x) and (w',x') meet
+    in class block (j,c) when all four inputs lie in C_{j,c}, where their
+    entry is
     X[w,w'] Z^-1[x,x'] + Z^-1[w,w'] X[x,x'] + Z^-1[w,x'] X[x,w'] + X[w,x'] Z^-1[x,w']
-    over 4, summed over the blocks.  Gathered from the stack with zeros off
-    the class (WitnessSdp.gather), each term is a sum over the 4n (block, X
-    or Z^-1) of an F0-side matrix times an F1-side one, so the first two are
+    over 4, summed over the blocks.  Gathered with zeros off the class
+    (WitnessSdp.gather), through the group element that carries each block's
+    representative onto it, each term is a sum over the 4n (block, X or
+    Z^-1) of an F0-side matrix times an F1-side one, so the first two are
     one GEMM over 4n products and the last two another, run for all the rows
-    of one u on the smaller side at a time (gather["runs"]).  A pair-row entry
-    is sum_j (Z^-1[w,s] X[x,s] + X[w,s] Z^-1[x,s]) / 2 over the coordinates j
-    where s shares the class of w and x, a matmul over 2n products per s,
-    and the row-row block is sum_j X_j o Z_j^-1 plus the (u, xi) part.
+    of one u on the smaller side at a time (gather["runs"]).  An entry of a
+    row-sum row and a pair column is
+    sum_j (Z^-1[w,s] X[x,s] + X[w,s] Z^-1[x,s]) / 2 over the coordinates j
+    where s shares the class of w and x, a matmul over 2n products per
+    representative input s; its transpose fills the pair rows' input
+    columns.  The row-row block is sum_j X_j o Z_j^-1 plus the (u, xi) part.
     """
     g, num_inputs, orbits = sdp.gather, sdp.num_inputs, sdp.orbits
     a, b = g["row_f0"].shape[2], g["row_f1"].shape[2]  # |F0|, |F1|
     p, k = a * b, 4 * sdp.n
-    src = np.zeros((2, sdp.stack_size + 1))  # [X | 0 | Z^-1 | 0]
+    src = np.zeros((2, x.size + 1))  # [X | 0 | Z^-1 | 0]
     src[0, :-1] = x.ravel()
     src[1, :-1] = z_inv.ravel()
     flat = src.ravel()
 
-    pair_reps, input_reps = g["pair_reps"], g["input_reps"]
-    q, size = (p, p + num_inputs) if orbits is None else (len(pair_reps), len(orbits.reps))  # pair rows, all rows
-    rows = np.empty((size, p + num_inputs)) if out is None else out
+    input_reps, q = g["input_reps"], sdp.pair_rows
+    rows = np.empty((len(sdp.row_size), p + num_inputs)) if out is None else out
     same_r = np.take(flat, g["same_r"])
     same_r *= 0.25
     across = np.take(flat, g["across"])
@@ -490,62 +570,113 @@ def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio
                (bk.reshape(k, -1).T @ across[:, u]).reshape(-1, nr, no), out=block)
     ws = np.take(flat, g["row_f0"])
     ws *= 0.5
-    pair_row = np.matmul(ws.transpose(0, 2, 1), np.take(flat, g["row_f1"])).reshape(num_inputs, p)
-    row_block = np.take(src[0] * src[1], g["blocks"]).sum(axis=0)
+    rows[q:, :p] = np.matmul(ws.transpose(0, 2, 1), np.take(flat, g["row_f1"])).reshape(len(input_reps), p)
+    row_block = rows[q:, p:]
+    np.take(src[0] * src[1], g["row_sums"]).sum(axis=0, out=row_block)
     row_block += lp_ratio[-1]
-    row_block[np.diag_indices(num_inputs)] += lp_ratio[:-1]
-    rows[:q, p:] = pair_row[:, pair_reps].T
-    rows[q:, :p] = pair_row[input_reps]
-    rows[q:, p:] = row_block[input_reps]
+    row_block[np.arange(len(input_reps)), input_reps] += lp_ratio[:-1]
     if orbits is None:
+        rows[:q, p:] = rows[q:, :p].T
         return rows
-    reduced = rows @ orbits.expand
-    reduced *= orbits.scale[:, None]
+    # M is symmetric, so the pair rows' input columns of the reduced system
+    # are the transpose of its input rows' pair columns, and neither the
+    # pair rows' input columns nor any other input's pair columns are built
+    scale, size = np.sqrt(sdp.row_size)[:, None], len(sdp.row_size)
+    reduced = np.empty((size, size))
+    np.matmul(rows[:, :p], orbits.expand[:p, :q], out=reduced[:, :q])
+    reduced[:, :q] *= scale
+    np.matmul(row_block, orbits.expand[p:, q:], out=reduced[q:, q:])
+    reduced[q:, q:] *= scale[q:]
+    reduced[:q, q:] = reduced[q:, :q].T
     return reduced
 
 
 def _pair_normal(sdp: WitnessSdp, stack: np.ndarray) -> np.ndarray:
-    """J J^T of the pair constraints at the class-block stack X = V V^T, on
-    the pair orbits when sdp.orbits is set: 4 times the pair block of
+    """J J^T of the pair constraints at the representatives' stack X = V V^T,
+    on the pair orbits when sdp.orbits is set: 4 times the pair block of
     schur_complement at Z^-1 = I (see round_factor)."""
-    size = len(sdp.pairs) if sdp.orbits is None else len(sdp.gather["pair_reps"])
-    identity = np.broadcast_to(np.eye(sdp.side), (2 * sdp.n, sdp.side, sdp.side))
-    return 4.0 * schur_complement(sdp, stack, identity, np.zeros(sdp.num_inputs + 1))[:size, :size]
+    q = sdp.pair_rows
+    identity = np.broadcast_to(np.eye(sdp.side), sdp.class_shape)
+    return 4.0 * schur_complement(sdp, stack, identity, np.zeros(len(sdp.row_size) - q + 1))[:q, :q]
 
 
 def round_factor(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
-    """Two least-norm Gauss-Newton steps on the Gram factors v_j (rows v_{s,j})
-    towards the pair constraints sum_{j : w_j != x_j} <v_{w,j}|v_{x,j}> = 1,
-    after Peyrl and Parrilo's rounding, done in the factor space, so that
-    X = V V^T stays PSD.
+    """Least-norm Gauss-Newton steps on the factors v_b (rows v_{s,b}) of the
+    representative class blocks towards the pair constraints
+    sum_{j : w_j != x_j} <v_{w,j}|v_{x,j}> = 1, after Peyrl and Parrilo's
+    rounding, done in the factor space, so that X = V V^T stays PSD.
 
-    Each step is dV_j = -L_j V_j, L_j the Gram-block part of 2 A^T lambda
-    with lambda = (J J^T)^-1 r.  At X = V V^T and Z^-1 = I on every class
-    block the pair block of the Schur complement, tr(A_i X A_k Z^-1), is
-    J J^T / 4: its cross terms read Z^-1 between F0 and F1, which is zero.  So
-    schur_complement builds J J^T, on the pair orbits when sdp.orbits is set
-    (X and r are then constant on them), and J is never formed.  A step takes
-    r to about |r|^2 / sigma_min(J)^2, so two reach roundoff only where J is
-    well conditioned: the worst pair residual of MAJ:5 falls from 1.1e-8 to
-    2.7e-15 in one step, that of 1011010001111100 from 1.9e-8 to 5.5e-9 and
-    6.7e-10, which two more steps would take to 4.4e-15.
+    Each step is dV_b = -L_b V_b, L_b the class-block part of 2 A^T lambda
+    with J J^T lambda = r, solved on the pair orbits like the Newton system.
+    At X = V V^T and Z^-1 = I on every class block the pair block of the
+    Schur complement, tr(A_i X A_k Z^-1), is J J^T / 4: its cross terms read
+    Z^-1 between F0 and F1, which is zero.  So schur_complement builds J J^T
+    and J is never formed.
+
+    A step takes r to about |r|^2 / sigma_min(J)^2, so the steps go on until
+    the worst pair residual is roundoff, or until a step no longer halves it
+    (the smaller of the two is kept).  A Gram entry <v_{w,b}|v_{x,b}> of
+    vectors of length at most K <= 2^n is computed to within
+    2^n eps |v_{w,b}| |v_{x,b}| (Higham's gamma_K), the sum over at most 2n
+    halves adds 2n eps times the same sizes, and by Cauchy-Schwarz
+    sum_j |v_{w,j}| |v_{x,j}| <= W, the largest row sum
+    sum_j |v_{s,j}|^2; subtracting 1 is exact this close to it.  So a
+    residual within (2^n + 2n) eps max(1, W) is roundoff.  MAJ:5 gets there
+    in one step, from 1.1e-8; 1011010001111100 in four, 1.9e-8 -> 5.5e-9 ->
+    6.7e-10 -> 1.1e-11 -> 4.4e-15.
     """
-    num_pairs, orbits = len(sdp.pairs), sdp.orbits
-    for _ in range(2):
-        stack = _to_stack(sdp, v @ v.transpose(0, 2, 1))
-        residual = _pair_values(sdp, stack) - 1.0
+    q = sdp.pair_rows
+    scale = np.sqrt(sdp.row_size[:q])
+    no_rows = np.zeros(len(sdp.row_size) - q)
+
+    def residual(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        stack = v @ v.transpose(0, 2, 1)
+        r = class_pair_sums(sdp, stack) - 1.0
+        return stack, r, float(np.abs(r).max())
+
+    stack, r, worst = residual(v)
+    w_size = float(stack.ravel()[sdp.rep_diagonal].sum(axis=0).max())
+    bound = (2**sdp.n + 2 * sdp.n) * np.finfo(float).eps * max(1.0, w_size)
+    while worst > bound:
         normal = _pair_normal(sdp, stack)
-        if orbits is not None:  # the pair columns of Orbits.expand: the pair orbits lead the reduced rows
-            expand = orbits.expand[:num_pairs, : len(normal)]
-            residual = residual @ expand
         factor, info = scipy.linalg.lapack.dpotrf(normal, lower=0, clean=0)
         if info == 0:
-            lam = scipy.linalg.lapack.dpotrs(factor, residual, lower=0)[0]
+            lam = scipy.linalg.lapack.dpotrs(factor, r * scale, lower=0)[0]
         else:  # J J^T singular: the least-norm multipliers
-            lam = np.linalg.lstsq(normal, residual, rcond=None)[0]
-        lam = np.concatenate([lam if orbits is None else expand @ lam, np.zeros(sdp.num_inputs)])
-        v = v - 2.0 * to_blocks(sdp, _apply_adjoint(sdp, lam)) @ v
+            lam = np.linalg.lstsq(normal, r * scale, rcond=None)[0]
+        step = _apply_adjoint(sdp, np.concatenate([lam / scale, no_rows]))[: stack.size].reshape(stack.shape)
+        moved = v - 2.0 * step @ v
+        moved_stack, moved_r, moved_worst = residual(moved)
+        if moved_worst < worst:
+            v, stack, r = moved, moved_stack, moved_r
+        if not moved_worst <= 0.5 * worst:
+            break
+        worst = moved_worst
     return v
+
+
+def coordinate_factors(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
+    """Rows v_{s,j} of a factor of each coordinate's Gram block X_j, of shape
+    (2^n, n, r), from factors v of the representative class blocks whose
+    columns past each block's rank are zero (gram_factor, round_factor).
+
+    Class block b copies its representative's rows through the group element
+    that carries one onto the other (WitnessSdp.block_rows).  Coordinate j
+    puts the rows of its class (j, 0) in its first columns and those of
+    (j, 1) in the next, so the two classes stay orthogonal, as X_j is zero
+    between them, and r = max_j rank X_{j,0} + rank X_{j,1} = max_j rank X_j.
+    """
+    n, side, width = sdp.n, sdp.side, v.shape[2]
+    rows = np.concatenate([v.reshape(-1, width), np.zeros((1, width))])
+    rank = np.append(np.count_nonzero(np.abs(v).max(axis=1), axis=1), 0)[sdp.block_rows[:, 0] // side]
+    offset = np.zeros(2 * n, dtype=int)
+    offset[1::2] = rank[0::2]
+    vectors = np.zeros((sdp.num_inputs, n, int((rank[0::2] + rank[1::2]).max())))
+    for b in range(2 * n):
+        inside = sdp.members[b] >= 0
+        columns = slice(offset[b], offset[b] + rank[b])
+        vectors[sdp.members[b, inside], b // 2, columns] = rows[sdp.block_rows[b, inside], : rank[b]]
+    return vectors
 
 
 def _solver(m: np.ndarray):
@@ -574,31 +705,37 @@ def _inverse_factors(blocks: np.ndarray) -> np.ndarray:
     return factors
 
 
+def _symmetrize(sdp: WitnessSdp, stack: np.ndarray) -> np.ndarray:
+    """The representatives' stack, flat, averaged in place over the orbits of
+    each block's stabilizer (WitnessSdp.stabilizer); unchanged when the group
+    is trivial."""
+    if sdp.stabilizer is not None:
+        label, weight = sdp.stabilizer
+        stack[:] = np.bincount(label, weights=stack)[label] * weight
+    return stack
+
+
 def _newton_step(sdp: WitnessSdp, x: np.ndarray, y: np.ndarray, z: np.ndarray, rp: np.ndarray, rd: np.ndarray,
                  m: np.ndarray | None = None):
     """One Mehrotra predictor-corrector step of the HKM method from the
-    iterate (x, y, z), with rp = b - A x and rd = c - A^T y - z.  Returns mu,
-    the stack Z^-1, and for the predictor, then the corrector, the direction
-    (dx, dy, dz) and its step lengths, each at most 1 (the corrector's cut to
-    the fraction of the way to the boundary that it takes).  m is a buffer
-    for the Schur complement's rows.  None where a class block of X or Z is
-    not positive definite: roundoff has left the cone's interior.
+    iterate (x, y, z) in orbit coordinates (WitnessSdp), with rp = b - A x
+    and rd = c - A^T y - z.  Returns mu, the stack Z^-1, and for the
+    predictor, then the corrector, the direction (dx, dy, dz) and its step
+    lengths, each at most 1 (the corrector's cut to the fraction of the way
+    to the boundary that it takes).  m is a buffer for the Schur complement's
+    rows.  None where a class block of X or Z is not positive definite:
+    roundoff has left the cone's interior.
 
-    With a nontrivial group (sdp.orbits) the Newton system is solved on its
-    orbits, X, Z and Z^-1 are constant on the entry orbits (averaged), and so
-    in exact arithmetic is every direction; each class block is then a
-    permutation of its orbit's representative, and only the representatives
-    (Orbits.blocks) are factored, inverted and multiplied; each product that
-    A reads reaches the whole stack through one gather (Orbits.expand_stack).
-    Otherwise every block is.
+    Only the representative class blocks are factored, inverted and
+    multiplied.  Z^-1, the products A reads and dX are averaged over each
+    block's stabilizer, so that X + a dX stays invariant (see the module
+    docstring).  The reduced Newton system gives D^1/2 dy from D^1/2 r
+    (Orbits), D the row orbits' sizes.
     """
-    n, num_inputs, nb, orbits = sdp.n, sdp.num_inputs, sdp.stack_size, sdp.orbits
-    shape = (2 * n, sdp.side, sdp.side)
-    reps, to_stack = (slice(None), np.ravel) if orbits is None else (orbits.blocks, orbits.expand_stack)
-    xb = x[:nb].reshape(shape)
-    xr = xb[reps]
-    count = len(xr)
-    blocks = np.concatenate([xr, z[:nb].reshape(shape)[reps]])
+    n, num_inputs, shape = sdp.n, sdp.num_inputs, sdp.class_shape
+    nb, count = shape[0] * shape[1] * shape[2], shape[0]
+    xr = x[:nb].reshape(shape)
+    blocks = np.concatenate([xr, z[:nb].reshape(shape)])
     blocks.reshape(-1)[sdp.padding] = 1.0  # factor X_b + I and Z_b + I on the padding
     try:
         l_inv = _inverse_factors(blocks)
@@ -606,27 +743,29 @@ def _newton_step(sdp: WitnessSdp, x: np.ndarray, y: np.ndarray, z: np.ndarray, r
         return None
     l_inv.reshape(-1)[sdp.padding] = 0.0  # so Z^-1 and every direction keep the padding at zero
     order = n * num_inputs + num_inputs + 1
-    mu = float(x @ z) / order
+    weight = sdp.multiplicity
+    mu = float(x @ (weight * z)) / order
     z_inv = l_inv[count:].transpose(0, 2, 1) @ l_inv[count:]
-    if orbits is not None:
-        # Z^-1 from the factors is invariant only to about eps cond(Z), cond(Z) ~ 1/mu
-        z_inv = orbits.average(to_stack(z_inv)).reshape(shape)
-    zr_inv = z_inv[reps]
+    _symmetrize(sdp, z_inv.reshape(-1))
     lp_x, lp_z = x[nb:], z[nb:]
-    reduced = _solver(schur_complement(sdp, xb, z_inv, lp_x / lp_z, out=m))
-    solve = reduced if orbits is None else lambda r: orbits.expand @ reduced(r @ orbits.expand)
-    x_rd_zinv = xr @ rd[:nb].reshape(shape)[reps] @ zr_inv
+    reduced = _solver(schur_complement(sdp, xr, z_inv, lp_x / lp_z, out=m))
+    scale = np.sqrt(sdp.row_size)
+    x_rd_zinv = xr @ rd[:nb].reshape(shape) @ z_inv
     lp_rd = lp_x * rd[nb:] / lp_z
 
     def direction(rc_zinv: np.ndarray, rc_lp: np.ndarray):
         """(dx, dy, dz) with A dx = rp, A^T dy + dz = rd and the linearized
         HKM centring dX = sym((R_c - X dZ) Z^-1), given R_c Z^-1 and r_c / z."""
-        dy = solve(rp + _apply(sdp, np.concatenate([to_stack(x_rd_zinv - rc_zinv), lp_rd - rc_lp])))
+        # averaged over the stabilizers, A reads what the reduced Newton system
+        # sums over the row orbits, and what X + a dX reads once averaged
+        product = _symmetrize(sdp, (x_rd_zinv - rc_zinv).ravel())
+        dy = reduced((rp + _apply(sdp, np.concatenate([product, lp_rd - rc_lp]))) * scale) / scale
         dz = rd - _apply_adjoint(sdp, dy)
-        dxb = rc_zinv - xr @ dz[:nb].reshape(shape)[reps] @ zr_inv
+        dxb = rc_zinv - xr @ dz[:nb].reshape(shape) @ z_inv
         dxb += dxb.transpose(0, 2, 1)
         dxb *= 0.5
-        return np.concatenate([to_stack(dxb), rc_lp - lp_x * dz[nb:] / lp_z]), dy, dz
+        _symmetrize(sdp, dxb.reshape(-1))  # so X + a dX stays invariant
+        return np.concatenate([dxb.ravel(), rc_lp - lp_x * dz[nb:] / lp_z]), dy, dz
 
     def max_step(dx: np.ndarray, dz: np.ndarray) -> tuple[float, float]:
         """Largest a_p and a_d with X + a_p dX and Z + a_d dZ PSD and
@@ -636,7 +775,7 @@ def _newton_step(sdp: WitnessSdp, x: np.ndarray, y: np.ndarray, z: np.ndarray, r
         L^-1 dV L^-T gives both lengths.  A padded block adds zero
         eigenvalues, which leave the length unchanged: it is unbounded as
         long as lambda_min >= 0."""
-        dv = np.concatenate([dx[:nb].reshape(shape)[reps], dz[:nb].reshape(shape)[reps]])
+        dv = np.concatenate([dx[:nb].reshape(shape), dz[:nb].reshape(shape)])
         low = np.linalg.eigvalsh(l_inv @ dv @ l_inv.transpose(0, 2, 1)).min(axis=1)
         steps = []
         for lam, v, d in ((float(low[:count].min()), x, dx), (float(low[count:].min()), z, dz)):
@@ -649,9 +788,9 @@ def _newton_step(sdp: WitnessSdp, x: np.ndarray, y: np.ndarray, z: np.ndarray, r
     dx, dy, dz = direction(-xr, -lp_x)
     step_p, step_d = (min(1.0, step) for step in max_step(dx, dz))
     predictor = dx, dy, dz, step_p, step_d
-    sigma = min(1.0, ((x + step_p * dx) @ (z + step_d * dz) / order / mu) ** 3)
-    dxb, dzb = dx[:nb].reshape(shape)[reps], dz[:nb].reshape(shape)[reps]
-    dx, dy, dz = direction(sigma * mu * zr_inv - xr - dxb @ dzb @ zr_inv,
+    sigma = min(1.0, ((x + step_p * dx) @ (weight * (z + step_d * dz)) / order / mu) ** 3)
+    dxb, dzb = dx[:nb].reshape(shape), dz[:nb].reshape(shape)
+    dx, dy, dz = direction(sigma * mu * z_inv - xr - dxb @ dzb @ z_inv,
                            (sigma * mu - dx[nb:] * dz[nb:]) / lp_z - lp_x)
     # the fraction of the way to the boundary, as in SDPT3
     fraction = 0.9 + 0.09 * min(step_p, step_d)
@@ -667,9 +806,10 @@ class SdpSolution:
     X_j[w,x] = <v_{w,j}|v_{x,j}>, assembled once from the solver's class
     blocks with zeros between two classes; they are the whole primal, since
     no constraint reads an entry between two coordinates.  alpha holds one
-    multiplier per equality constraint (keyed like WitnessSdp.pairs) and
-    beta one nonnegative multiplier per input; at the optimum sum(beta) = 1
-    and sum(alpha) equals xi.
+    multiplier per equality
+    constraint (keyed like WitnessSdp.pairs) and beta one nonnegative
+    multiplier per input; at the optimum sum(beta) = 1 and sum(alpha) equals
+    xi.
     """
 
     sdp: WitnessSdp
@@ -682,6 +822,12 @@ class SdpSolution:
     @property
     def dual_objective(self) -> float:
         return float(self.alpha.sum())
+
+    @property
+    def class_blocks(self) -> np.ndarray:
+        """The representative class blocks the solver works on, of shape
+        WitnessSdp.class_shape."""
+        return _to_stack(self.sdp, self.blocks).reshape(2 * self.sdp.n, self.sdp.side, -1)[self.sdp.classes]
 
 
 def solve_sdp(
@@ -702,31 +848,41 @@ def solve_sdp(
     reduction, and the class blocks factored per iteration (X's and Z's
     representatives).  Deterministic: fixed start X_b = Z_b = I on every
     class block.
+
+    The iterate lives in orbit coordinates (WitnessSdp): X and Z as their
+    representative class blocks, u and z_u one entry per input orbit, y one
+    multiplier per reduced row; the infeasibilities are read at the
+    representative rows and entries, and <X, Z> counts each entry with its
+    multiplicity.  The whole stack, alpha and beta are expanded once, after
+    the loop.
     """
     if not (np.isfinite(tol) and tol >= MIN_TOL):
         raise ValueError(f"tol must be finite and at least {MIN_TOL:g}")
-    n, num_inputs, num_pairs = sdp.n, sdp.num_inputs, len(sdp.pairs)
-    nb = sdp.stack_size
-    b = np.concatenate([np.ones(num_pairs), np.zeros(num_inputs)])
-    cost = np.zeros(nb + num_inputs + 1)
+    n, num_inputs, num_pairs, orbits = sdp.n, sdp.num_inputs, len(sdp.pairs), sdp.orbits
+    shape, q, weight = sdp.class_shape, sdp.pair_rows, sdp.multiplicity
+    nb = shape[0] * shape[1] * shape[2]
+    b = np.concatenate([np.ones(q), np.zeros(len(sdp.row_size) - q)])
+    cost = np.zeros(len(weight))
     cost[-1] = 1.0
 
-    # X_j = I and u = 1 satisfy the row sums with xi = n + 1
-    x, z, y = np.zeros_like(cost), np.zeros_like(cost), np.zeros(num_pairs + num_inputs)
-    x[sdp.diagonal], x[nb:], x[-1] = 1.0, 1.0, n + 1.0
-    z[sdp.diagonal], z[nb:] = 1.0, 1.0
+    # X_b = I and u = 1 satisfy the row sums with xi = n + 1
+    x, z, y = np.zeros_like(cost), np.zeros_like(cost), np.zeros(len(sdp.row_size))
+    diagonal = np.arange(sdp.side)
+    x[:nb].reshape(shape)[:, diagonal, diagonal] = z[:nb].reshape(shape)[:, diagonal, diagonal] = \
+        sdp.members[sdp.classes] >= 0
+    x[nb:], x[-1] = 1.0, n + 1.0
+    z[nb:] = 1.0
 
     history: list[dict] = []
     iterations = 0
-    orbits = sdp.orbits
     # the Schur complement's rows, refilled every iteration
-    m = np.empty((num_pairs + num_inputs if orbits is None else len(orbits.reps), num_pairs + num_inputs))
+    m = np.empty((len(sdp.row_size), num_pairs + num_inputs))
     while True:
         rp = b - _apply(sdp, x)
         rd = cost - _apply_adjoint(sdp, y) - z
         xi = float(x[-1])
-        complementarity = float(x @ z)
-        gap = xi - float(y[:num_pairs].sum())
+        complementarity = float(x @ (weight * z))
+        gap = xi - float((sdp.row_size[:q] * y[:q]).sum())
         primal_inf, dual_inf = float(np.abs(rp).max()), float(np.abs(rd).max())
         scale = tol * max(1.0, abs(xi))
         if max(primal_inf, dual_inf, abs(gap), complementarity) <= scale:
@@ -740,18 +896,20 @@ def solve_sdp(
         x += step_p * dx
         y += step_d * dy
         z += step_d * dz
-        if orbits is not None:  # dX comes through products with Z^-1, so X drifts without this
-            orbits.average(x)
-            orbits.average(z)
         iterations += 1
         history.append({"mu": mu, "gap": gap, "primal_infeasibility": primal_inf,
                         "dual_infeasibility": dual_inf, "step_primal": step_p, "step_dual": step_d})
 
-    alpha, beta = y[:num_pairs], -y[num_pairs:]
-    stack, sizes = x[:nb].reshape(2 * n, sdp.side, sdp.side), sdp.sizes
+    stack = x[:nb].reshape(shape)
+    if orbits is None:
+        whole, alpha, beta = x, y[:num_pairs], -y[num_pairs:]
+    else:
+        whole = orbits.expand_stack(stack)
+        alpha, beta = y[orbits.row[:num_pairs]], -y[orbits.row[num_pairs:]]
+    sizes = sdp.sizes[sdp.classes]
     residuals = {
-        "primal_equality": float(np.abs(_pair_values(sdp, x) - 1.0).max()),
-        "row_sum_violation": float(max(0.0, (x[sdp.diagonal].sum(axis=0) - xi).max())),
+        "primal_equality": float(np.abs(_pair_values(sdp, whole) - 1.0).max()),
+        "row_sum_violation": float(max(0.0, (whole[sdp.diagonal].sum(axis=0) - xi).max())),
         # the class blocks without their padding, grouped by size (a class may be empty)
         "min_eigenvalue": min(float(np.linalg.eigvalsh(stack[sizes == k, :k, :k]).min())
                               for k in np.unique(sizes[sizes > 0])),
@@ -765,7 +923,7 @@ def solve_sdp(
         "history": history,
         "orbits": None if orbits is None else {
             "order": orbits.order, "schur_side": num_pairs + num_inputs, "reduced_side": len(orbits.reps),
-            "blocks_factored": 2 * len(orbits.blocks),
+            "blocks_factored": 2 * len(sdp.classes),
         },
     }
     if max(primal_inf, dual_inf, abs(gap), complementarity) > scale:
@@ -776,7 +934,7 @@ def solve_sdp(
             f"gap {gap:.2e}, complementarity {complementarity:.2e})",
             residuals,
         )
-    return SdpSolution(sdp=sdp, blocks=to_blocks(sdp, x), xi=xi, alpha=alpha, beta=beta, residuals=residuals)
+    return SdpSolution(sdp=sdp, blocks=to_blocks(sdp, whole), xi=xi, alpha=alpha, beta=beta, residuals=residuals)
 
 
 @dataclass(frozen=True)
@@ -823,7 +981,9 @@ def extract_certificate(sol: SdpSolution, f: BooleanFunction) -> AdversaryCertif
     kept = ~on_dropped
     w, x = w[kept], x[kept]
     gamma[w, x] = gamma[x, w] = sol.alpha[kept] / np.sqrt(sol.beta[w] * sol.beta[x])
-    norm, denom = _ratio_norms(gamma, f)
+    # Gamma is constant on the orbits of Aut(f), so ||Gamma o D_i|| is too:
+    # one coordinate per orbit, the coordinates of the representative blocks
+    norm, denom = _ratio_norms(gamma, f, np.unique(sol.sdp.classes // 2))
     beta_hat = np.sqrt(np.maximum(sol.beta, 0.0))
     beta_hat /= np.linalg.norm(beta_hat)
     alignment = float(beta_hat @ gamma @ beta_hat) / norm
@@ -836,9 +996,10 @@ def adversary_ratio(gamma, f: BooleanFunction) -> float:
     return norm / denom
 
 
-def _ratio_norms(gamma, f: BooleanFunction) -> tuple[float, float]:
+def _ratio_norms(gamma, f: BooleanFunction, coordinates: np.ndarray | None = None) -> tuple[float, float]:
     """||Gamma|| and max_i ||Gamma o D_i|| of an adversary matrix of f, from
-    one stacked SVD of Gamma and the n matrices Gamma o D_i."""
+    one stacked SVD of Gamma and the matrices Gamma o D_i, i over the given
+    coordinates (0-based; all n when None)."""
     g = np.asarray(gamma)
     scale = float(np.abs(g).max()) if g.size else 0.0
     if scale == 0.0:
@@ -848,7 +1009,7 @@ def _ratio_norms(gamma, f: BooleanFunction) -> tuple[float, float]:
     if wrong.any():
         x, y = np.unravel_index(np.argmax(wrong), wrong.shape)
         raise PatternViolationError(f"Gamma[{x},{y}] = {g[x, y]:.3e} but f({x}) = f({y})")
-    bits = f.bits.T
-    differ = (bits[:, :, None] != bits[:, None, :]).astype(float)  # D_i, (n, 2^n, 2^n)
+    bits = f.bits.T if coordinates is None else f.bits.T[coordinates]
+    differ = (bits[:, :, None] != bits[:, None, :]).astype(float)  # D_i, (coordinates, 2^n, 2^n)
     norms = np.linalg.svd(np.concatenate([g[None], g * differ]), compute_uv=False)[:, 0]
     return float(norms[0]), float(norms[1:].max())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advsdp import SdpSolution, WitnessSdp, pair_sums, round_factor
+from .advsdp import SdpSolution, class_pair_sums, coordinate_factors, pair_sums, round_factor
 from .boolfun import BooleanFunction, input_bits
 from .errors import DimensionMismatchError, GramFailureError
 from .matkernel import gram_factor
@@ -213,8 +213,8 @@ class CanonicalSpanProgram:
         return np.einsum("sjk,sjk->s", self.vectors, self.vectors)
 
 
-def _check_pair_sums(sdp: WitnessSdp, gram: np.ndarray) -> None:
-    worst = float(np.abs(pair_sums(sdp, gram) - 1.0).max())
+def _check_pair_sums(sums: np.ndarray) -> None:
+    worst = float(np.abs(sums - 1.0).max())
     if worst > 1e-6:
         raise GramFailureError(f"pair-sum constraint residual {worst:.3e} exceeds 1e-6")
 
@@ -222,11 +222,14 @@ def _check_pair_sums(sdp: WitnessSdp, gram: np.ndarray) -> None:
 def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanProgram:
     """Canonical span program from the Gram blocks of a solved SDP.
 
-    v_{s,j} is row s of gram_factor's factor of X_j, so every coordinate
-    shares one R^m with m = max_j rank X_j.  That is exact: coordinate j's
-    vectors only ever appear in its own column blocks I_{j,b}, so the program
-    reads no inner product across coordinates (AA^T[w,w'] is
-    sum_{j : w_j = w'_j} X_j[w,w']).  Every deficient input then gets one
+    v_{s,j} is row s of a factor of X_j, so every coordinate shares one R^m
+    with m = max_j rank X_j.  That is exact: coordinate j's vectors only ever
+    appear in its own column blocks I_{j,b}, so the program reads no inner
+    product across coordinates (AA^T[w,w'] is sum_{j : w_j = w'_j} X_j[w,w']).
+    gram_factor factors only the solver's representative class blocks
+    (SdpSolution.class_blocks), and coordinate_factors assembles each X_j's
+    factor from its two classes through the group elements that carry the
+    representatives onto them.  Every deficient input then gets one
     private dimension, which m counts too, spread evenly over the n
     coordinates so that sum_j ||v_{s,j}||^2 equals the witness size W
     exactly; the pair constraints are untouched because the private
@@ -237,21 +240,21 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     do: a group element then moves each coordinate's vectors by an
     orthogonal map, and every per-input value is equal within an orbit (a
     padding on one coordinate breaks that by up to 1e-3 in the effective-gap
-    profile of MAJ:4).  Before the padding, two Gauss-Newton steps on the
-    factor (round_factor) tighten the pair constraints past the solver's
-    tolerance, to roundoff where they are well conditioned; xi and the dual
-    multipliers are not touched.
+    profile of MAJ:4).  Before the padding, Gauss-Newton steps on the
+    representatives' factor (round_factor) tighten the pair constraints past
+    the solver's tolerance to roundoff; xi and the dual multipliers are not
+    touched.
     """
-    n, num_inputs = f.n, 2**f.n
-    factor = gram_factor(sol.blocks)
+    n, num_inputs, sdp, blocks = f.n, 2**f.n, sol.sdp, sol.class_blocks
+    factor = gram_factor(blocks)
     gram = factor @ factor.transpose(0, 2, 1)
-    if np.abs(gram - sol.blocks).max() > 1e-6:
+    if np.abs(gram - blocks).max() > 1e-6:
         raise GramFailureError("Gram factorization does not reproduce X within 1e-6")
-    _check_pair_sums(sol.sdp, gram)
-    factor = round_factor(sol.sdp, factor)
+    _check_pair_sums(class_pair_sums(sdp, gram))
+    factor = coordinate_factors(sdp, round_factor(sdp, factor))
     rank = factor.shape[2]
 
-    row_sums = np.einsum("jsk,jsk->s", factor, factor)
+    row_sums = np.einsum("sjk,sjk->s", factor, factor)
     # pad up to the worst row (not xi itself): feasibility slop can leave a
     # row marginally above xi, and exact tightness is what the witness
     # overlaps need
@@ -260,7 +263,7 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     deficient = np.flatnonzero(gaps > 1e-12 * max(1.0, w_size))
     m = rank + len(deficient)
     vectors = np.zeros((num_inputs, n, m))
-    vectors[:, :, :rank] = factor.transpose(1, 0, 2)
+    vectors[:, :, :rank] = factor
     vectors[deficient, :, rank + np.arange(len(deficient))] = np.sqrt(gaps[deficient] / n)[:, None]
 
     # row r holds v_{w,j} on the disagreeing block I_{j, 1 - w_j}
@@ -269,7 +272,7 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     matrix[np.arange(len(f0))[:, None], np.arange(n), 1 - f.bits[f0]] = vectors[f0]
     target = np.ones(len(f0)) / (3 * np.sqrt(w_size))
 
-    _check_pair_sums(sol.sdp, np.einsum("wjk,xjk->jwx", vectors, vectors))
-    orbit = None if sol.sdp.orbits is None else sol.sdp.orbits.inputs
+    _check_pair_sums(pair_sums(sdp, np.einsum("wjk,xjk->jwx", vectors, vectors)))
+    orbit = None if sdp.orbits is None else sdp.orbits.inputs
     return CanonicalSpanProgram(f=f, m=m, witness_size=w_size, vectors=vectors, matrix=matrix.reshape(len(f0), -1),
                                 target=target, orbit=orbit)

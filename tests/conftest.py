@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from advspan import verify
+from advspan import advsdp, verify
 from advspan.advsdp import (
-    DEFAULT_TOL, MAX_ITERATIONS, SdpSolution, WitnessSdp, _inverse_factors, _solver, build_witness_sdp, round_factor,
+    DEFAULT_TOL, MAX_ITERATIONS, SdpSolution, WitnessSdp, _inverse_factors, _solver, build_witness_sdp,
+    coordinate_factors, round_factor,
 )
 from advspan.boolfun import BooleanFunction, automorphism_cosets, input_maps
 from advspan.matkernel import DEFAULT_ZERO_TOL, gram_factor
@@ -255,8 +256,8 @@ def whole_gram_program(f, sol) -> CanonicalSpanProgram:
     canonical_from_gram.  Its rounding maps each block G_j to
     (I - L_j) G_j (I - L_j), which no layout of the factor changes."""
     n, num_inputs = f.n, 2**f.n
-    v = round_factor(sol.sdp, gram_factor(sol.blocks))
-    blocks = v @ v.transpose(0, 2, 1)
+    v = coordinate_factors(sol.sdp, round_factor(sol.sdp, gram_factor(sol.class_blocks)))
+    blocks = np.einsum("sjk,tjk->jst", v, v)
     x = np.einsum("jwx,jk->wjxk", blocks, np.eye(n)).reshape(n * num_inputs, n * num_inputs)
     flat = gram_factor(x).reshape(num_inputs, n, -1)
     row_sums = np.einsum("sjk,sjk->s", flat, flat)
@@ -341,6 +342,17 @@ def reference_evaluate(p, s: int) -> tuple[bool, np.ndarray, float]:
 # -- the whole Schur complement ------------------------------------------------
 
 
+def unreduced(f: BooleanFunction) -> WitnessSdp:
+    """The SDP of f as solved on all of M and every class block, whatever
+    its group: every map of its orbit coordinates is the identity."""
+    saved = advsdp.MIN_REDUCED_SIDE
+    advsdp.MIN_REDUCED_SIDE = np.inf
+    try:
+        return build_witness_sdp(f)
+    finally:
+        advsdp.MIN_REDUCED_SIDE = saved
+
+
 def full_schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio: np.ndarray) -> np.ndarray:
     """The whole HKM Schur complement M[i,k] = tr(A_i X A_k Z^-1) + sum_l a_il a_kl x_l / z_l,
     every row of it, as the solver built it before it worked on the orbits of
@@ -358,9 +370,10 @@ def full_schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_
     no temporary of M's size is made.  A pair-row entry is
     sum_j (Z^-1[w,s] X[x,s] + X[w,s] Z^-1[x,s]) / 2 over the coordinates j
     where s shares the class of w and x, a matmul over 2n products per s,
-    and the row-row block is sum_j X_j o Z_j^-1 plus the (u, xi) part.
+    and the row-row block is sum_j X_j o Z_j^-1 plus the (u, xi) part.  The
+    gathers are those of f's SDP on every block (unreduced).
     """
-    g, num_inputs = sdp.gather, sdp.num_inputs
+    g, num_inputs = unreduced(sdp.f).gather, sdp.num_inputs
     a, b = g["row_f0"].shape[2], g["row_f1"].shape[2]  # |F0|, |F1|
     p, k = a * b, 4 * sdp.n
     src = np.zeros((2, sdp.stack_size + 1))  # [X | 0 | Z^-1 | 0]

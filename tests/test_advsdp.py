@@ -353,17 +353,40 @@ def test_padding_takes_no_direction(monkeypatch):
                                   "11111110000110010100100010100111"])  # a trivial group
 def test_rounding_normal_matrix_is_the_schur_pair_block(spec):
     """round_factor's J J^T, 4 times the pair block of schur_complement at
-    X = V V^T and Z^-1 = I, matches the dense J J^T (E^T J J^T E on the pair
-    orbits when the group is nontrivial) at the factor before and after
-    rounding."""
+    X = V V^T on the representative class blocks and Z^-1 = I, matches the
+    dense J J^T (E^T J J^T E on the pair orbits when the group is
+    nontrivial) at the factor before and after rounding."""
     sdp = build_witness_sdp(load_function(spec))
-    assert (sdp.orbits is not None) == (spec in ("MAJ:5", "PARITY:5", "00101010010110010110010110111111"))
-    v = gram_factor(solve_sdp(sdp).blocks)
+    assert (sdp.orbits is not None) == (spec in ("OR:4", "MAJ:5", "PARITY:5", "00101010010110010110010110111111"))
+    v = gram_factor(solve_sdp(sdp).class_blocks)
     for factor in (v, round_factor(sdp, v)):
-        gram = factor @ factor.transpose(0, 2, 1)
-        oracle = reference_pair_normal(sdp, gram)
-        normal = advsdp._pair_normal(sdp, advsdp._to_stack(sdp, gram))
+        stack = factor @ factor.transpose(0, 2, 1)
+        oracle = reference_pair_normal(sdp, whole_blocks(sdp, stack))
+        normal = advsdp._pair_normal(sdp, stack)
         assert np.abs(normal - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def whole_blocks(sdp, stack: np.ndarray) -> np.ndarray:
+    """The n Gram blocks of side 2^n from a stack of the representative class
+    blocks constant on its orbits."""
+    return advsdp.to_blocks(sdp, stack.ravel() if sdp.orbits is None else sdp.orbits.expand_stack(stack))
+
+
+def orbit_average(orbits, v: np.ndarray) -> np.ndarray:
+    """v averaged in place over each orbit (Orbits.label): a whole class-block
+    stack, or [stack | u | xi] with one u per input (xi is fixed)."""
+    size = min(len(v), len(orbits.label))
+    label = orbits.label[:size]
+    v[:size] = np.bincount(label, weights=v[:size])[label] / np.bincount(label)[label]
+    return v
+
+
+def orbit_coordinates(sdp, v: np.ndarray) -> np.ndarray:
+    """The flat [whole stack | u per input | xi] in the solver's coordinates:
+    the representative class blocks, u at the least input of each orbit, xi."""
+    nb = sdp.stack_size
+    stack = v[:nb].reshape(2 * sdp.n, sdp.side, sdp.side)[sdp.classes]
+    return np.concatenate([stack.ravel(), v[nb:-1][sdp.gather["input_reps"]], v[-1:]])
 
 
 def class_block_stack(sdp, rng) -> np.ndarray:
@@ -408,8 +431,9 @@ def test_block_solver_matches_dense_reference(spec, reduce_every_group):
     representative per orbit of Aut(f) and summed over each orbit's columns,
     equals D^-1/2 P^T A (X (x) Z^-1 (+) diag(x/z)) A^T P D^-1/2 with the dense
     constraint rows A on the class blocks, the solver never forming the
-    Kronecker product; the whole M of the test oracle equals A (...) A^T.  X
-    and Z^-1 are drawn block-diagonal over the classes, the only form the
+    Kronecker product, from the representative class blocks and one (u, xi)
+    ratio per input orbit; the whole M of the test oracle equals A (...) A^T.
+    X and Z^-1 are drawn block-diagonal over the classes, the only form the
     solver's iterates take, and averaged over the orbits, as the solver
     keeps them.  OR:4 (|F0| = 1) and AND:4 (|F1| = 1) run its loop over the
     smaller side from either side; the two random tables have trivial groups."""
@@ -419,8 +443,8 @@ def test_block_solver_matches_dense_reference(spec, reduce_every_group):
     x = np.concatenate([class_block_stack(sdp, rng).ravel(), rng.uniform(0.1, 2.0, s + 1)])
     z_inv = class_block_stack(sdp, rng).ravel()
     if sdp.orbits is not None:
-        sdp.orbits.average(x)
-        sdp.orbits.average(z_inv)
+        orbit_average(sdp.orbits, x)
+        orbit_average(sdp.orbits, z_inv)
     x, lp_ratio, z_inv = x[:nb].reshape(-1, k, k), x[nb:], z_inv.reshape(-1, k, k)
     a = dense_constraints(sdp)
     kron = np.zeros((a.shape[1], a.shape[1]))
@@ -431,7 +455,8 @@ def test_block_solver_matches_dense_reference(spec, reduce_every_group):
     assert np.abs(full_schur_complement(sdp, x, z_inv, lp_ratio) - ref).max() <= 1e-12 * np.abs(ref).max()
     if sdp.orbits is not None:
         ref = sdp.orbits.expand.T @ ref @ sdp.orbits.expand
-    got = schur_complement(sdp, x, z_inv, lp_ratio)
+    got = schur_complement(sdp, x[sdp.classes], z_inv[sdp.classes],
+                           np.append(lp_ratio[sdp.gather["input_reps"]], lp_ratio[-1]))
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -473,28 +498,37 @@ def test_reduced_schur_sides(spec, order, side, reduced, reduce_every_group):
     assert (sdp.orbits.order, len(sdp.pairs) + sdp.num_inputs, len(sdp.orbits.reps)) == (order, side, reduced)
 
 
-@pytest.mark.parametrize("spec", ["0110100000000000", "OR:4", "MAJ:3", "PARITY:3"])
+@pytest.mark.parametrize("spec", ["0110100000000000", "OR:4", "MAJ:3", "PARITY:3", "00001111"])
 def test_small_schur_complements_are_not_reduced(spec):
-    """Below MIN_REDUCED_SIDE the solver works on all of M, group or not;
-    0110100000000000 (side 55, a group of order 6) is the largest side below
-    it."""
+    """Below MIN_REDUCED_SIDE the solver works on all of M, group or not,
+    and from it on, on the orbits of a nontrivial group: 00001111 (side 24,
+    a group of order 8) has the largest side below it, OR:4 (31) the
+    smallest above, and 0110100000000000 (55, order 6) is reduced too."""
     sdp = build_witness_sdp(load_function(spec))
-    assert len(sdp.pairs) + sdp.num_inputs < advsdp.MIN_REDUCED_SIDE and sdp.orbits is None
+    assert sdp.orbits is None or sdp.orbits.order > 1
+    assert (len(sdp.pairs) + sdp.num_inputs < advsdp.MIN_REDUCED_SIDE) == (sdp.orbits is None)
+    assert (sdp.orbits is None) == (spec in ("MAJ:3", "PARITY:3", "00001111"))
 
 
 @pytest.mark.parametrize("spec", ["MAJ:3", "OR:4", "MAJ:4", "PARITY:4", "OR:5", member("MAJ:5", 77)] + WHOLE_RUNS)
 def test_orbits_commute_with_the_constraints(spec, reduce_every_group):
     """An orbit-averaged x gives A x constant on the pair and input orbits,
-    to roundoff (each row sums its coordinates in its own order), and an
-    orbit-constant y gives A^T y exactly constant on the entry and input
-    orbits."""
+    to roundoff (each row sums its coordinates in its own order), and the
+    solver's A on its orbit coordinates gives those values at the
+    representative rows; an orbit-constant y gives A^T y exactly constant on
+    the entry and input orbits, and the solver's A^T gives it exactly at the
+    representative entries and inputs."""
     sdp = build_witness_sdp(load_function(spec))
-    orbits = sdp.orbits
+    orbits, a = sdp.orbits, dense_constraints(sdp)
     rng = np.random.default_rng(1)
-    ax = advsdp._apply(sdp, orbits.average(rng.standard_normal(sdp.stack_size + sdp.num_inputs + 1)))
+    x = orbit_average(orbits, rng.standard_normal(sdp.stack_size + sdp.num_inputs + 1))
+    ax = a @ x
     assert spread(orbits.row, ax) <= 1e-13 * np.abs(ax).max()
-    y = rng.standard_normal(len(orbits.reps))[orbits.row]
-    assert spread(orbits.label, advsdp._apply_adjoint(sdp, y)[:-1]) == 0.0
+    assert np.abs(advsdp._apply(sdp, orbit_coordinates(sdp, x)) - ax[orbits.reps]).max() <= 1e-13 * np.abs(ax).max()
+    y = rng.standard_normal(len(orbits.reps))
+    aty = a.T @ y[orbits.row]
+    assert spread(orbits.label, aty[:-1]) == 0.0
+    assert np.array_equal(advsdp._apply_adjoint(sdp, y)[:-1], orbit_coordinates(sdp, aty)[:-1])
 
 
 @pytest.mark.parametrize("spec", ["MAJ:4", "PARITY:4", "MAJ:5", member("MAJ:5", 77)])
@@ -528,45 +562,93 @@ def test_orbit_averaged_stack_is_its_representatives_expanded(spec, reduce_every
     block of its representative permuted by a group element, padding
     included."""
     sdp = build_witness_sdp(load_function(spec))
-    stack = sdp.orbits.average(class_block_stack(sdp, np.random.default_rng(4)).ravel())
-    reps = stack.reshape(2 * sdp.n, sdp.side, sdp.side)[sdp.orbits.blocks]
+    stack = orbit_average(sdp.orbits, class_block_stack(sdp, np.random.default_rng(4)).ravel())
+    reps = stack.reshape(2 * sdp.n, sdp.side, sdp.side)[sdp.classes]
     assert np.array_equal(sdp.orbits.expand_stack(reps), stack)
 
 
-def every_block(sdp):
-    """sdp with each class block its own representative: the solver's block
-    algebra then runs on every block, on the same reduced Newton system."""
-    orbits, nb, k = sdp.orbits, sdp.stack_size, sdp.side
-    padding = ((sdp.members[:, :, None] < 0) | (sdp.members[:, None, :] < 0)).ravel()
-    b, i = np.nonzero(sdp.members < 0)
-    diagonal = (b * k + i) * k + i
-    return dataclasses.replace(sdp, padding=np.concatenate([diagonal, nb + diagonal]), orbits=dataclasses.replace(
-        orbits, blocks=np.arange(2 * sdp.n), from_reps=np.where(padding, nb, np.arange(nb))))
+def every_block(monkeypatch, spec):
+    """The SDP of spec with each class block its own representative: the
+    solver's block algebra then runs on every block, averaged over whole
+    orbits, on the same reduced Newton system."""
+    with monkeypatch.context() as patch:
+        patch.setattr(advsdp, "_block_orbits", lambda f, members, heads, negations: (
+            np.arange(len(members)), np.arange(members.size * members.shape[1])))
+        return build_witness_sdp(load_function(spec))
 
 
 @pytest.mark.parametrize("spec", ["MAJ:4", "PARITY:4", member("MAJ:5", 77), "OR:5"])
-def test_representative_blocks_give_the_every_block_step(spec, reduce_every_group):
-    """At an orbit-averaged random iterate, Z^-1, the predictor's and the
+def test_representative_blocks_give_the_every_block_step(spec, reduce_every_group, monkeypatch):
+    """At an orbit-averaged random iterate, mu, Z^-1, the predictor's and the
     corrector's directions and their step lengths from one class block per
     orbit equal those from every block within 1e-12 relative."""
-    sdp = build_witness_sdp(load_function(spec))
-    orbits, nb, s = sdp.orbits, sdp.stack_size, sdp.num_inputs
+    sdp, whole = build_witness_sdp(load_function(spec)), every_block(monkeypatch, spec)
+    assert len(whole.classes) == 2 * sdp.n > len(sdp.classes)
+    orbits, s = sdp.orbits, sdp.num_inputs
     rng = np.random.default_rng(6)
-    x = orbits.average(np.concatenate([class_block_stack(sdp, rng).ravel(), rng.uniform(0.5, 2.0, s), [4.0]]))
-    z = orbits.average(np.concatenate([class_block_stack(sdp, rng).ravel(), rng.uniform(0.5, 2.0, s + 1)]))
-    y = rng.standard_normal(len(orbits.reps))[orbits.row]
-    cost = np.zeros_like(x)
-    cost[-1] = 1.0
-    rp = np.concatenate([np.ones(len(sdp.pairs)), np.zeros(s)]) - advsdp._apply(sdp, x)
-    rd = cost - advsdp._apply_adjoint(sdp, y) - z
-    got = advsdp._newton_step(sdp, x, y, z, rp, rd)
-    ref = advsdp._newton_step(every_block(sdp), x, y, z, rp, rd)
-    assert got[0] == ref[0]
-    assert np.abs(got[1] - ref[1]).max() <= 1e-12 * np.abs(ref[1]).max()
-    for step, ref_step in zip(got[2:], ref[2:]):
-        for a, b in zip(step, ref_step):
+    x = orbit_average(orbits, np.concatenate([class_block_stack(sdp, rng).ravel(), rng.uniform(0.5, 2.0, s), [4.0]]))
+    z = orbit_average(orbits, np.concatenate([class_block_stack(sdp, rng).ravel(), rng.uniform(0.5, 2.0, s + 1)]))
+    y = rng.standard_normal(len(orbits.reps))
+
+    def step(sdp, x, z):
+        cost = np.zeros_like(x)
+        cost[-1] = 1.0
+        rhs = np.concatenate([np.ones(sdp.pair_rows), np.zeros(len(sdp.row_size) - sdp.pair_rows)])
+        rp = rhs - advsdp._apply(sdp, x)
+        return advsdp._newton_step(sdp, x, y, z, rp, cost - advsdp._apply_adjoint(sdp, y) - z)
+
+    got = step(sdp, orbit_coordinates(sdp, x), orbit_coordinates(sdp, z))
+    ref = step(whole, orbit_coordinates(whole, x), orbit_coordinates(whole, z))
+    assert abs(got[0] - ref[0]) <= 1e-12 * ref[0]
+    assert np.abs(got[1] - ref[1][sdp.classes]).max() <= 1e-12 * np.abs(ref[1]).max()
+    for direction, ref_direction in zip(got[2:], ref[2:]):
+        # every block's direction, at the representative blocks
+        dx, dz = (np.concatenate([d[: whole.stack_size].reshape(whole.class_shape)[sdp.classes].ravel(),
+                                  d[whole.stack_size:]]) for d in (ref_direction[0], ref_direction[2]))
+        for a, b in zip(direction, (dx, ref_direction[1], dz, *ref_direction[3:])):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-        assert min(step[3:]) < 1.0  # not both lengths capped at 1
+        assert min(direction[3:]) < 1.0  # not both lengths capped at 1
+
+
+ORDER_TWO = "00101010010110010110010110111111"  # a 5-bit table whose group has order 2
+
+
+@pytest.mark.parametrize("spec", ["MAJ:5", "PARITY:5", "OR:5", member("MAJ:5", 77), ORDER_TWO])
+def test_reduced_constraints_are_adjoint_under_the_orbit_sizes(spec):
+    """On random invariant iterates in orbit coordinates, the solver's A and
+    A^T are adjoint under the orbit sizes: <A x, y> summed with each reduced
+    row's orbit size equals <x, A^T y> summed with each entry's multiplicity,
+    within 1e-12 relative."""
+    sdp = build_witness_sdp(load_function(spec))
+    assert sdp.orbits is not None
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        x = rng.standard_normal(len(sdp.multiplicity))
+        advsdp._symmetrize(sdp, x[: math.prod(sdp.class_shape)])
+        y = rng.standard_normal(len(sdp.row_size))
+        ax, aty = advsdp._apply(sdp, x), advsdp._apply_adjoint(sdp, y)
+        left, right = (sdp.row_size * ax) @ y, (sdp.multiplicity * x) @ aty
+        assert abs(left - right) <= 1e-12 * (np.abs(sdp.row_size * ax) @ np.abs(y))
+
+
+@pytest.mark.parametrize("spec, expansions", [("MAJ:5", 1), ("PARITY:5", 1), (ORDER_TWO, 1), ("MAJ:3", 0),
+                                              (random_tables(5, 1, 2)[0], 0)])
+def test_stack_is_expanded_once_per_solve(spec, expansions, monkeypatch):
+    """On the orbits the solver expands its representatives' stack to the
+    whole stack once, after the loop; with a trivial group, or a Schur
+    complement below MIN_REDUCED_SIDE, never."""
+    calls = []
+    expand_stack = advsdp.Orbits.expand_stack
+
+    def counted(self, reps):
+        calls.append(reps.shape)
+        return expand_stack(self, reps)
+
+    monkeypatch.setattr(advsdp.Orbits, "expand_stack", counted)
+    sdp = build_witness_sdp(load_function(spec))
+    solve_sdp(sdp)
+    assert (sdp.orbits is not None) == (expansions == 1)
+    assert calls == [sdp.class_shape] * expansions
 
 
 def test_residuals_report_the_path_taken():
@@ -580,17 +662,16 @@ def test_residuals_report_the_path_taken():
         assert solve_sdp(build_witness_sdp(load_function(spec))).residuals["orbits"] is None
 
 
-@pytest.mark.xfail(strict=True, raises=NoConvergenceError,
-                   reason="on the orbits the iterates leave the cone's interior after 29 iterations")
 def test_order_two_table_converges_on_its_orbits_at_tight_tol():
     """1101100101001001 has a group of order 2 and M of side 80, so it is
-    solved on its orbits.  At tol 1e-9 the loop on all of M converges in 17
-    iterations (14 at the default tol on either path), but on the orbits the
-    primal infeasibility stalls near 8e-9 and the primal steps shrink to
-    1e-5..1e-9 until the iterates leave the cone's interior after 29.  A
-    known fault."""
+    solved on its orbits.  At tol 1e-9 it converges in 17 iterations, as the
+    loop on all of M does.  Averaging the whole stack over its orbits after
+    every step, as the solver once did, stalled it near a primal
+    infeasibility of 8e-9 until the iterates left the cone's interior after
+    29."""
     sol = solve_sdp(build_witness_sdp(load_function("1101100101001001")), tol=1e-9)
     assert sol.residuals["orbits"]["order"] == 2
+    assert sol.residuals["iterations"] == 17
 
 
 @pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "AND:4"] + WHOLE_RUNS)
@@ -611,6 +692,20 @@ def test_certificate_norms_come_from_one_stacked_svd(corpus):
         f, gamma = bundle.f, bundle.certificate.gamma
         norms = [np.linalg.norm(gamma * difference_matrix(f, i), 2) for i in range(1, f.n + 1)]
         assert adversary_ratio(gamma, f) == np.linalg.norm(gamma, 2) / max(norms)
+
+
+@pytest.mark.parametrize("spec, orbits", [("MAJ:5", 1), ("OR:5", 1), ("PARITY:5", 1), (member("MAJ:5", 77), 1),
+                                          ("0000000001111111", 2)])  # x1 and (x2 or x3 or x4)
+def test_certificate_reads_one_coordinate_per_orbit(spec, orbits):
+    """extract_certificate reads ||Gamma o D_i|| at one coordinate per orbit
+    of Aut(f), as Gamma is constant on the orbits; its ratio equals
+    adversary_ratio over all n coordinates within 1e-12 relative."""
+    f = load_function(spec)
+    sol = solve_sdp(build_witness_sdp(f))
+    assert len(np.unique(sol.sdp.classes // 2)) == orbits
+    value = extract_certificate(sol, f).value
+    ref = adversary_ratio(extract_certificate(sol, f).gamma, f)
+    assert abs(value - ref) <= 1e-12 * ref
 
 
 def test_certificate_beta_alignment_reported(corpus):

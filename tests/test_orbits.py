@@ -22,7 +22,7 @@ LADDER = [f"{name}:{n}" for n in (4, 5) for name in ("OR", "MAJ", "PARITY", "AND
 # default_rng(7)'s seventh random 5-bit table: its Aut(f) has order 2
 ORDER_TWO = "00101010010110010110010110111111"
 # the tables below whose SDP is solved on the orbits of Aut(f)
-REDUCED = ("MAJ:4", "PARITY:4", "OR:5", "MAJ:5", "PARITY:5", "AND:5", ORDER_TWO)
+REDUCED = ("OR:4", "MAJ:4", "PARITY:4", "AND:4", "OR:5", "MAJ:5", "PARITY:5", "AND:5", ORDER_TWO)
 
 
 def exactly(n: int, k: int) -> str:
@@ -107,12 +107,12 @@ def test_exactly_k_closed_form(n, k):
         assert rows[f"{s:0{n}b}"] == rows[f"{least:0{n}b}"]
 
 
-def test_nine_exactly_k_tables_take_the_orbit_path():
-    """The orbit rows of test_exactly_k_closed_form are not vacuous: 9 of its
-    18 tables have M of side at least MIN_REDUCED_SIDE (the 4-bit ones with
-    1 <= k <= 3 and every 5-bit one)."""
+def test_eleven_exactly_k_tables_take_the_orbit_path():
+    """The orbit rows of test_exactly_k_closed_form are not vacuous: 11 of
+    its 18 tables have M of side at least MIN_REDUCED_SIDE (every 4-bit and
+    every 5-bit one)."""
     reduced = [(n, k) for n, k in EXACTLY if build_witness_sdp(load_function(exactly(n, k))).orbits is not None]
-    assert reduced == [(4, 1), (4, 2), (4, 3)] + [(5, k) for k in range(6)]
+    assert reduced == [(4, k) for k in range(5)] + [(5, k) for k in range(6)]
 
 
 def test_report_names_the_group_and_the_resolved_inputs(solved):

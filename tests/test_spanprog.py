@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from advspan import verify
-from advspan.advsdp import SdpSolution, build_witness_sdp, extract_certificate, pair_sums
+from advspan import advsdp, verify
+from advspan.advsdp import SdpSolution, build_witness_sdp, extract_certificate, pair_sums, solve_sdp
 from advspan.boolfun import load_function
 from advspan.errors import GramFailureError
 from advspan.matkernel import DEFAULT_RANK_TOL
@@ -136,11 +136,30 @@ def parity_example_gram_solution():
     )
 
 
-def test_canonical_from_all_ones_gram_has_m_1():
+def worked_parity_canonical() -> CanonicalSpanProgram:
+    """The worked example for PARITY:2: every v_{s,j} the same unit scalar,
+    m = 1.  It aligns the two classes of each coordinate, so it is not a
+    program canonical_from_gram builds: that reads no entry between two
+    classes."""
+    f = load_function("PARITY:2")
+    f0, vectors = np.array(f.f0), np.ones((4, 2, 1))
+    matrix = np.zeros((2, 2, 2, 1))
+    matrix[np.arange(2)[:, None], np.arange(2), 1 - f.bits[f0]] = vectors[f0]
+    return CanonicalSpanProgram(f=f, m=1, witness_size=2.0, vectors=vectors, matrix=matrix.reshape(2, -1),
+                                target=np.ones(2) / (3 * np.sqrt(2.0)))
+
+
+def test_canonical_from_all_ones_gram_reads_only_the_class_blocks():
+    """From all-ones Gram blocks canonical_from_gram reads only the class
+    blocks, all ones, so each coordinate's two classes get a column each
+    (m = 2) in place of the worked example's shared one, with the same AA^T,
+    pair sums and witness size."""
     f = load_function("PARITY:2")
     prog = canonical_from_gram(f, parity_example_gram_solution())
-    assert prog.m == 1
+    assert prog.m == 2
     assert prog.witness_size == pytest.approx(2.0)
+    worked = worked_parity_canonical()
+    assert np.abs(prog.matrix @ prog.matrix.T - worked.matrix @ worked.matrix.T).max() <= 1e-12
     # zero blocks on agreeing literals, vectors elsewhere
     for r, w in enumerate(f.f0):
         for j in (1, 2):
@@ -237,6 +256,22 @@ def test_rounding_meets_pair_constraints_to_roundoff(solved, spec):
     assert (sol.xi, sol.alpha.tobytes(), sol.beta.tobytes(), sol.blocks.tobytes()) == before
     assert bundle.report["adv"]["xi"] == sol.xi
     assert extract_certificate(sol, f).gamma.tobytes() == bundle.certificate.gamma.tobytes()
+
+
+@pytest.mark.parametrize("spec, steps", [("1011010001111100", 4), ("MAJ:5", 1)])
+def test_rounding_stops_at_roundoff(spec, steps, monkeypatch):
+    """round_factor steps until the worst pair residual is roundoff: four
+    steps take 1011010001111100's from 1.9e-8 to within 1e-13, where two
+    left it at 6.7e-10, and MAJ:5 gets there in one."""
+    normals = []
+    pair_normal = advsdp._pair_normal
+    monkeypatch.setattr(advsdp, "_pair_normal", lambda sdp, stack: normals.append(1) or pair_normal(sdp, stack))
+    f = load_function(spec)
+    sol = solve_sdp(build_witness_sdp(f))
+    prog = canonical_from_gram(f, sol)
+    assert len(normals) == steps
+    gram = np.einsum("wjk,xjk->jwx", prog.vectors, prog.vectors)
+    assert np.abs(pair_sums(sol.sdp, gram) - 1.0).max() <= 1e-13
 
 
 def test_canonical_target_normalization(corpus):

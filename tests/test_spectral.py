@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from advspan import verify
-from advspan.boolfun import load_function
 from advspan.errors import NoNullWitnessError, WitnessViolationError, WrongBranchError
 from advspan.matkernel import DEFAULT_ZERO_TOL
 from advspan.spanprog import CanonicalSpanProgram
@@ -38,7 +37,7 @@ from conftest import (
     pi_projector,
     unitary_eigensystem,
 )
-from test_spanprog import parity_example_gram_solution
+from test_spanprog import worked_parity_canonical
 
 
 def two_reflections(v):
@@ -90,10 +89,7 @@ def rebuilt_u_r(g) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def worked_parity_program():
-    from advspan.spanprog import canonical_from_gram
-
-    f = load_function("PARITY:2")
-    return canonical_from_gram(f, parity_example_gram_solution())
+    return worked_parity_canonical()
 
 
 def test_program_graph_layout(worked_parity_program):
