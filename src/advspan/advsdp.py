@@ -86,8 +86,10 @@ tol 1e-9 on tables the loop on all of M solves).  So is Z^-1: computed from
 the per-block Cholesky factors, which no permutation commutes with, it is
 invariant only to about eps cond(Z), cond(Z) ~ 1/mu.  A step length read
 off one representative in place of the least over its orbit differs at the
-roundoff that cond(X) amplifies, about 1e-8 relative near the optimum.  The
-whole stack, alpha and beta are expanded once, after the loop.  A function
+roundoff that cond(X) amplifies, about 1e-8 relative near the optimum.
+alpha and beta are expanded once, after the loop, and the whole stack only
+to check the final residuals: the solution keeps the representative class
+blocks, and nothing downstream forms a Gram block of side 2^n.  A function
 whose group is trivial, as almost every random table, is the identity case
 of the same loop, every block its own representative and every map the
 identity, and keeps the arithmetic of the loop on all of M bit for bit; so
@@ -202,9 +204,7 @@ class WitnessSdp:
     [X | 0 | Z^-1 | 0] (the two stacks of the representative blocks, each
     followed by one zero), one array per product term, pointing at that zero
     off the class (row_f0 and row_f1 at the input representatives only), and
-    gather["row_sums"] those of the row-sum rows there; gather["blocks"], of
-    shape (n, 2^n, 2^n), maps the whole stack onto the n Gram blocks X_j of
-    side 2^n (to_blocks).
+    gather["row_sums"] those of the row-sum rows there.
     gather["runs"] lists the pair rows schur_complement builds, one GEMM per
     u on the smaller side of F0 x F1, and gather["input_reps"] the inputs of
     the row-sum rows it builds.
@@ -328,7 +328,7 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
 
     gather = {
         "same_r": terms(r, r), "same_o": terms(o, o, True), "across": terms(r, o, True), "back": terms(o, r),
-        "row_f0": by_row(f0), "row_f1": by_row(f1, True), "swap": swap, "blocks": entries,
+        "row_f0": by_row(f0), "row_f1": by_row(f1, True), "swap": swap,
         "row_sums": rep_entries[:, input_reps], "input_reps": input_reps,
     }
     if orbits is not None:
@@ -469,6 +469,17 @@ def _pair_values(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
     return 0.5 * np.bincount(sdp.entry_pair, weights=both, minlength=len(sdp.pairs))
 
 
+def factor_pair_sums(sdp: WitnessSdp, vectors: np.ndarray) -> np.ndarray:
+    """The pair rows of A at the Gram blocks of coordinate factors, rows
+    v_{s,j} = vectors[s, j] of shape (2^n, n, m): every class block of the
+    whole stack is built straight from its members' rows, block b from the
+    rows vectors[members[b], b // 2] and zero on its padding, by one batched
+    V V^T, so no Gram block of side 2^n is formed."""
+    rows = np.concatenate([vectors, np.zeros((1, *vectors.shape[1:]))])  # members' -1 reads the zero row
+    v = rows[sdp.members, np.arange(2 * sdp.n)[:, None] // 2]
+    return _pair_values(sdp, (v @ v.transpose(0, 2, 1)).ravel())
+
+
 def class_pair_sums(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
     """The pair rows of A at their orbits' representatives, on the
     representatives' stack: at the head of the flat v, or v itself of shape
@@ -495,26 +506,6 @@ def _apply_adjoint(sdp: WitnessSdp, y: np.ndarray) -> np.ndarray:
     q = sdp.pair_rows
     reads = np.concatenate([0.5 * y[:q], y[q:], [0.0]])
     return np.concatenate([reads[sdp.entry_row], y[q:], [-(sdp.row_size[q:] * y[q:]).sum()]])
-
-
-def to_blocks(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
-    """The n Gram blocks X_j of side 2^n, of shape (n, 2^n, 2^n), from the
-    whole class stack at the head of the flat v; zero between two classes."""
-    return np.append(v[: sdp.stack_size], 0.0)[sdp.gather["blocks"]]
-
-
-def _to_stack(sdp: WitnessSdp, blocks: np.ndarray) -> np.ndarray:
-    """The whole class-block stack, flat, from Gram blocks of shape
-    (n, 2^n, 2^n); the entries between two classes are dropped."""
-    stack = np.zeros(sdp.stack_size + 1)
-    stack[sdp.gather["blocks"]] = blocks  # every entry between two classes lands on the spare last slot
-    return stack[:-1]
-
-
-def pair_sums(sdp: WitnessSdp, blocks: np.ndarray) -> np.ndarray:
-    """The pair rows of A on Gram blocks of shape (n, 2^n, 2^n):
-    sum_{j : w_j != x_j} (X_j[w,x] + X_j[x,w]) / 2 for every pair (w,x)."""
-    return _pair_values(sdp, _to_stack(sdp, blocks))
 
 
 def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio: np.ndarray,
@@ -802,18 +793,18 @@ def _newton_step(sdp: WitnessSdp, x: np.ndarray, y: np.ndarray, z: np.ndarray, r
 class SdpSolution:
     """Primal-dual output of solve_sdp.
 
-    blocks, of shape (n, 2^n, 2^n), holds the Gram blocks
-    X_j[w,x] = <v_{w,j}|v_{x,j}>, assembled once from the solver's class
-    blocks with zeros between two classes; they are the whole primal, since
-    no constraint reads an entry between two coordinates.  alpha holds one
-    multiplier per equality
-    constraint (keyed like WitnessSdp.pairs) and beta one nonnegative
-    multiplier per input; at the optimum sum(beta) = 1 and sum(alpha) equals
-    xi.
+    class_blocks, of shape WitnessSdp.class_shape, holds the representative
+    class blocks X_{j,c}[w,x] = <v_{w,j}|v_{x,j}> of the final iterate,
+    zero on their padding; with the group elements that carry them onto the
+    other blocks (Orbits.expand_stack) they are the whole primal, since no
+    constraint reads an entry between two classes or two coordinates.
+    alpha holds one multiplier per equality constraint (keyed like
+    WitnessSdp.pairs) and beta one nonnegative multiplier per input; at the
+    optimum sum(beta) = 1 and sum(alpha) equals xi.
     """
 
     sdp: WitnessSdp
-    blocks: np.ndarray
+    class_blocks: np.ndarray
     xi: float
     alpha: np.ndarray
     beta: np.ndarray
@@ -822,12 +813,6 @@ class SdpSolution:
     @property
     def dual_objective(self) -> float:
         return float(self.alpha.sum())
-
-    @property
-    def class_blocks(self) -> np.ndarray:
-        """The representative class blocks the solver works on, of shape
-        WitnessSdp.class_shape."""
-        return _to_stack(self.sdp, self.blocks).reshape(2 * self.sdp.n, self.sdp.side, -1)[self.sdp.classes]
 
 
 def solve_sdp(
@@ -853,8 +838,10 @@ def solve_sdp(
     representative class blocks, u and z_u one entry per input orbit, y one
     multiplier per reduced row; the infeasibilities are read at the
     representative rows and entries, and <X, Z> counts each entry with its
-    multiplicity.  The whole stack, alpha and beta are expanded once, after
-    the loop.
+    multiplicity.  alpha and beta are expanded once, after the loop, and the
+    whole stack only for residuals["primal_equality"] and
+    residuals["row_sum_violation"]; the solution holds the representatives
+    (SdpSolution.class_blocks).
     """
     if not (np.isfinite(tol) and tol >= MIN_TOL):
         raise ValueError(f"tol must be finite and at least {MIN_TOL:g}")
@@ -934,7 +921,7 @@ def solve_sdp(
             f"gap {gap:.2e}, complementarity {complementarity:.2e})",
             residuals,
         )
-    return SdpSolution(sdp=sdp, blocks=to_blocks(sdp, whole), xi=xi, alpha=alpha, beta=beta, residuals=residuals)
+    return SdpSolution(sdp=sdp, class_blocks=stack, xi=xi, alpha=alpha, beta=beta, residuals=residuals)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,8 @@ def _print_report(report: dict, stream) -> None:
         print(f"  [{flag}] {chk['name']}: value={chk['value']!r} bound={chk['bound']!r} "
               f"margin={chk['margin']:.3e}", file=stream)
     for family, least in report["margins"].items():
-        print(f"  least margin {family}: {least['margin']:.3e} ({least['check']})", file=stream)
+        print(f"  least margin {family}: {least['margin']:.3e}, {least['relative']:.3e} of its bound "
+              f"({least['check']})", file=stream)
     print(f"status: {report['status']}", file=stream)
 
 

@@ -19,8 +19,7 @@ from .spanprog import CanonicalSpanProgram, canonical_from_gram, evaluate
 
 DEFAULT_C_GRID = (0.05, 0.1, 0.5, 1.0, 2.0)
 PHASE_ERROR_BUDGET = 0.1
-# a check passes when its margin is at least -MARGIN_TOL, and margins within
-# MARGIN_TOL of each other count as equal in report["margins"]
+# a check passes when its margin is at least -MARGIN_TOL
 MARGIN_TOL = 1e-12
 # strong_duality_gap and wsize_matches_adv allow ADV_RTOL or 100 tol, whichever
 # is larger, times max(1, xi): the solver stops at a relative gap of tol, and
@@ -78,19 +77,24 @@ def _distinct(grid, label: str) -> tuple:
 
 
 def _margins(checks: list[dict]) -> dict:
-    """The check of least margin in each family, families in report order.
+    """The check of least relative margin, margin / bound, in each family,
+    families in report order, with its margin and its relative margin.
 
-    Several checks of a family often have margins equal up to roundoff, so
-    the first check in report order within MARGIN_TOL of the family's least
-    margin is named, with its own margin."""
+    Every bound is positive, and a family mixes identities held to roundoff,
+    whose margin is about their bound, with inequalities that can come
+    close, so only the relative margin says which came closest.  Several
+    checks of a family often have relative margins equal up to roundoff
+    (inputs one group element maps onto each other), so the first check in
+    report order within 1e-9 of the family's least is named."""
     families: dict[str, list[dict]] = {}
     for chk in checks:
         families.setdefault(CHECK_FAMILIES[chk["name"].split("[")[0]], []).append(chk)
     out: dict[str, dict] = {}
     for family, members in families.items():
-        least = min(chk["margin"] for chk in members)
-        chk = next(chk for chk in members if chk["margin"] <= least + MARGIN_TOL)
-        out[family] = {"check": chk["name"], "margin": chk["margin"]}
+        relative = [chk["margin"] / chk["bound"] for chk in members]
+        tied = min(relative) + 1e-9
+        k = next(k for k, r in enumerate(relative) if r <= tied)
+        out[family] = {"check": members[k]["name"], "margin": members[k]["margin"], "relative": relative[k]}
     return out
 
 

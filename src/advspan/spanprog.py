@@ -1,5 +1,5 @@
 """Span programs: evaluation with explicit witnesses, witness sizes, and the
-canonical program assembled from a Gram-matrix SDP solution.
+canonical program assembled from the class blocks of a solved witness SDP.
 
 A span program holds a matrix A whose columns are grouped into 2n index
 sets I_{j,b} (order I_{1,0}, I_{1,1}, I_{2,0}, ...) and a target vector t.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advsdp import SdpSolution, class_pair_sums, coordinate_factors, pair_sums, round_factor
+from .advsdp import SdpSolution, class_pair_sums, coordinate_factors, factor_pair_sums, round_factor
 from .boolfun import BooleanFunction, input_bits
 from .errors import DimensionMismatchError, GramFailureError
 from .matkernel import gram_factor
@@ -220,10 +220,11 @@ def _check_pair_sums(sums: np.ndarray) -> None:
 
 
 def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanProgram:
-    """Canonical span program from the Gram blocks of a solved SDP.
+    """Canonical span program from the class blocks of a solved SDP.
 
-    v_{s,j} is row s of a factor of X_j, so every coordinate shares one R^m
-    with m = max_j rank X_j.  That is exact: coordinate j's vectors only ever
+    v_{s,j} is row s of a factor of coordinate j's Gram block X_j, zero
+    between its two classes, so every coordinate shares one R^m with
+    m = max_j rank X_j.  That is exact: coordinate j's vectors only ever
     appear in its own column blocks I_{j,b}, so the program reads no inner
     product across coordinates (AA^T[w,w'] is sum_{j : w_j = w'_j} X_j[w,w']).
     gram_factor factors only the solver's representative class blocks
@@ -243,7 +244,9 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     profile of MAJ:4).  Before the padding, Gauss-Newton steps on the
     representatives' factor (round_factor) tighten the pair constraints past
     the solver's tolerance to roundoff; xi and the dual multipliers are not
-    touched.
+    touched.  Last, every pair constraint is checked on the assembled
+    vectors themselves (factor_pair_sums), so a row copied wrongly onto a
+    block that is not a representative fails loudly.
     """
     n, num_inputs, sdp, blocks = f.n, 2**f.n, sol.sdp, sol.class_blocks
     factor = gram_factor(blocks)
@@ -272,7 +275,7 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     matrix[np.arange(len(f0))[:, None], np.arange(n), 1 - f.bits[f0]] = vectors[f0]
     target = np.ones(len(f0)) / (3 * np.sqrt(w_size))
 
-    _check_pair_sums(pair_sums(sdp, np.einsum("wjk,xjk->jwx", vectors, vectors)))
+    _check_pair_sums(factor_pair_sums(sdp, vectors))
     orbit = None if sdp.orbits is None else sdp.orbits.inputs
     return CanonicalSpanProgram(f=f, m=m, witness_size=w_size, vectors=vectors, matrix=matrix.reshape(len(f0), -1),
                                 target=target, orbit=orbit)

@@ -1,4 +1,6 @@
-"""Shared corpus of solved functions, cached once per session, the dense
+"""Shared corpus of solved functions, cached once per session, and the
+acceptance gate's seeded random 5-bit tables; the n Gram blocks of side 2^n
+of a class-block solution and the class blocks of Gram blocks; the dense
 references of the SDP's constraint rows, of the canonical program and of the
 program and input graphs that only tests build, the per-input span-program
 evaluation, the oracle of the stacked `evaluate`, the whole Schur complement,
@@ -94,6 +96,22 @@ def corpus(solved):
     return [solved(spec) for spec in corpus_specs()]
 
 
+def random_tables(n: int, count: int, seed: int) -> list[str]:
+    """count seeded random n-bit truth tables, as bitstrings."""
+    rng = np.random.default_rng(seed)
+    return ["".join(str(b) for b in rng.integers(0, 2, 2**n)) for _ in range(count)]
+
+
+@pytest.fixture(scope="session")
+def five_bit_gate(solved):
+    """The acceptance gate's 20 random 5-bit tables of default_rng(7),
+    solved.  All but three have a trivial Aut(f), the common case at n = 5,
+    which the corpus (n <= 3) does not reach."""
+    tables = random_tables(5, 20, 7)
+    assert all(len(set(table)) == 2 for table in tables)  # none is constant
+    return [solved(table) for table in tables]
+
+
 # -- small helpers off the verify path ----------------------------------------
 
 
@@ -115,10 +133,13 @@ def column_range(p: SpanProgram, j: int, b: int) -> slice:
     return slice(start, start + p.block_sizes[j - 1][b])
 
 
-def pair_sum(prog: CanonicalSpanProgram, w: int, x: int) -> float:
-    """sum over the coordinates where w and x disagree of <v_{w,j}|v_{x,j}>."""
-    differ = prog.f.bits[w] != prog.f.bits[x]
-    return float(np.einsum("jk,jk->", prog.vectors[w, differ], prog.vectors[x, differ]))
+def pair_sums(prog: CanonicalSpanProgram) -> np.ndarray:
+    """sum over the coordinates where w and x disagree of <v_{w,j}|v_{x,j}>,
+    for every pair (w, x) of F0 x F1, w-major (WitnessSdp.pairs)."""
+    f = prog.f
+    w, x = np.repeat(f.f0, len(f.f1)), np.tile(f.f1, len(f.f0))
+    differ = f.bits[w] != f.bits[x]
+    return np.einsum("pj,pjk,pjk->p", differ, prog.vectors[w], prog.vectors[x])
 
 
 def constant_output_algorithm(n: int, output: int) -> QueryAlgorithm:
@@ -180,6 +201,27 @@ def unitary_eigensystem(u, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
 
 
 # -- dense references -------------------------------------------------------
+
+
+def gram_blocks(sdp: WitnessSdp, class_blocks: np.ndarray) -> np.ndarray:
+    """The n Gram blocks X_j of side 2^n, of shape (n, 2^n, 2^n) and zero
+    between two classes, from a stack of the representative class blocks
+    constant on its orbits (SdpSolution.class_blocks): the layout of the
+    solution before the class-block split, which only tests read."""
+    whole = class_blocks.ravel() if sdp.orbits is None else sdp.orbits.expand_stack(class_blocks)
+    # on every block, the row-sum gathers index X_j[s,t] for every s and t
+    return np.append(whole, 0.0)[unreduced(sdp.f).gather["row_sums"]]
+
+
+def class_blocks_of(sdp: WitnessSdp, gram: np.ndarray) -> np.ndarray:
+    """The representative class blocks of sdp, of shape
+    WitnessSdp.class_shape and zero on their padding, read off Gram blocks
+    of shape (n, 2^n, 2^n); the entries between two classes are dropped."""
+    members = sdp.members[sdp.classes]
+    inside = members >= 0
+    rows = np.where(inside, members, 0)
+    blocks = gram[(sdp.classes // 2)[:, None, None], rows[:, :, None], rows[:, None, :]]
+    return np.where(inside[:, :, None] & inside[:, None, :], blocks, 0.0)
 
 
 def dense_constraints(sdp: WitnessSdp) -> np.ndarray:
@@ -285,7 +327,7 @@ def padding_on_first_coordinate(prog: CanonicalSpanProgram, sol: SdpSolution) ->
     entry of AA^T stays, but no group element maps the padding onto itself.
     The private dimensions are the columns past the rank of the Gram factor."""
     f, n, m = prog.f, prog.f.n, prog.m
-    rank = gram_factor(sol.blocks).shape[2]
+    rank = gram_factor(gram_blocks(sol.sdp, sol.class_blocks)).shape[2]
     vectors = prog.vectors.copy()
     vectors[:, 0, rank:] = np.sqrt(np.einsum("sjk,sjk->sk", vectors[:, :, rank:], vectors[:, :, rank:]))
     vectors[:, 1:, rank:] = 0.0
@@ -401,7 +443,7 @@ def full_schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_
     m[p:, :p] = pair_row
     m[:p, p:] = pair_row.T
     row_block = m[p:, p:]
-    np.take(src[0] * src[1], g["blocks"]).sum(axis=0, out=row_block)
+    np.take(src[0] * src[1], g["row_sums"]).sum(axis=0, out=row_block)
     row_block += lp_ratio[-1]
     row_block[np.diag_indices(num_inputs)] += lp_ratio[:-1]
     return m
@@ -437,8 +479,10 @@ def reference_solve_sdp(f, tol: float = DEFAULT_TOL, max_iterations: int = MAX_I
     side 2^n, with the Schur complement summed over the whole split
     [w_j != x_j] = sum_c [w_j = c][x_j = 1 - c], all 8n products per entry
     (c = c' and c != c').  The same start, steps and stopping rule; only the
-    cone's layout differs.  Returns the SdpSolution with blocks, xi, alpha,
-    beta and the residuals iterations, history and duality_gap."""
+    cone's layout differs.  Returns the SdpSolution with the class blocks
+    read off the final Gram blocks (class_blocks_of), xi, alpha, beta and the
+    residuals iterations, history, duality_gap and gram_blocks, the final
+    Gram blocks themselves."""
     n, s = f.n, 2**f.n
     sdp = build_witness_sdp(f)
     num_pairs = len(sdp.pairs)
@@ -547,8 +591,9 @@ def reference_solve_sdp(f, tol: float = DEFAULT_TOL, max_iterations: int = MAX_I
         step_p, step_d = (min(1.0, fraction * step) for step in max_step(l_inv, dx, dz))
         x, y, z = x + step_p * dx, y + step_d * dy, z + step_d * dz
         history.append({"mu": mu, "step_primal": step_p, "step_dual": step_d})
-    residuals = {"iterations": len(history), "history": history, "duality_gap": abs(gap)}
+    gram = x[:nb].reshape(shape)
+    residuals = {"iterations": len(history), "history": history, "duality_gap": abs(gap), "gram_blocks": gram}
     if residual > tol * max(1.0, abs(xi)):
         raise NoConvergenceError(f"reference loop: no convergence after {len(history)} iterations", residuals)
-    return SdpSolution(sdp=sdp, blocks=x[:nb].reshape(shape), xi=xi, alpha=y[:num_pairs], beta=-y[num_pairs:],
-                       residuals=residuals)
+    return SdpSolution(sdp=sdp, class_blocks=class_blocks_of(sdp, gram), xi=xi, alpha=y[:num_pairs],
+                       beta=-y[num_pairs:], residuals=residuals)

@@ -1,5 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
+Criteria 2-5, 7 and 8 read the corpus (n <= 3) and 20 seeded random 5-bit
+tables (the five_bit_gate fixture), most of them with a trivial Aut(f).
+
 Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 """
 
@@ -36,7 +39,7 @@ def test_criterion_1_parity2_adv():
     report(1, ok, f"ADV(PARITY:2) = {sol.xi:.8f} (|err| = {abs(sol.xi - 2.0):.2e}), {elapsed:.2f}s")
 
 
-def test_criterion_2_strong_duality_corpus():
+def test_criterion_2_strong_duality_corpus(five_bit_gate):
     start = time.perf_counter()
     worst = 0.0
     for spec in corpus_specs():
@@ -45,14 +48,18 @@ def test_criterion_2_strong_duality_corpus():
         cert = extract_certificate(sol, f)
         worst = max(worst, abs(sol.xi - cert.value) / sol.xi)
     elapsed = time.perf_counter() - start
+    # the random 5-bit tables, from the session's verify runs
+    for bundle in five_bit_gate:
+        worst = max(worst, abs(bundle.solution.xi - bundle.certificate.value) / bundle.solution.xi)
     ok = worst <= 1e-3 and elapsed < 120.0
-    report(2, ok, f"{len(corpus_specs())} functions, worst relative gap {worst:.2e}, {elapsed:.1f}s")
+    report(2, ok, f"{len(corpus_specs())} + {len(five_bit_gate)} functions, worst relative gap {worst:.2e}, "
+                  f"{elapsed:.1f}s")
 
 
-def test_criterion_3_canonical_round_trip(corpus):
+def test_criterion_3_canonical_round_trip(corpus, five_bit_gate):
     worst = 0.0
     agree = True
-    for bundle in corpus:
+    for bundle in corpus + five_bit_gate:
         p = bundle.program.witness_program()
         wsize = program_witness_size(p)
         worst = max(worst, abs(wsize - bundle.solution.xi) / bundle.solution.xi)
@@ -61,9 +68,9 @@ def test_criterion_3_canonical_round_trip(corpus):
     report(3, ok, f"worst relative wsize gap {worst:.2e}, evaluation agreement {agree}")
 
 
-def test_criterion_4_spectra_gap_constants(corpus):
+def test_criterion_4_spectra_gap_constants(corpus, five_bit_gate):
     worst_true = worst_false = 0.0
-    for bundle in corpus:
+    for bundle in corpus + five_bit_gate:
         w = bundle.program.witness_size
         rows = bundle.report["lemma_checks"]["zero_witness"]
         assert [row["input"] for row in rows] == labels(bundle, bundle.f.inputs), bundle.spec
@@ -78,12 +85,12 @@ def test_criterion_4_spectra_gap_constants(corpus):
                   f"false-input |ratio - 1/(9W(W+1))| <= {worst_false:.2e}")
 
 
-def test_criterion_5_effective_and_phase_gap(corpus):
+def test_criterion_5_effective_and_phase_gap(corpus, five_bit_gate):
     c_grid = (0.05, 0.1, 0.5, 1.0, 2.0)
     violations = 0
     min_margin = np.inf
     rows = 0
-    for bundle in corpus:
+    for bundle in corpus + five_bit_gate:
         w = bundle.program.witness_size
         # the default grid, less an entry that prints like an earlier one (1/(50W) is 0.01 at W = 2)
         theta_grid = []
@@ -125,9 +132,9 @@ def test_criterion_6_psd_bound_suite():
     report(6, ok, f"200 seeded instances, {violations} violations, {elapsed:.1f}s")
 
 
-def test_criterion_7_phase_estimation_thresholds(corpus):
+def test_criterion_7_phase_estimation_thresholds(corpus, five_bit_gate):
     worst_true, worst_false = 1.0, 0.0
-    for bundle in corpus:
+    for bundle in corpus + five_bit_gate:
         rows = bundle.report["algorithms"]
         assert [row["input"] for row in rows] == labels(bundle, bundle.f.inputs), bundle.spec
         for s, row in zip(bundle.f.inputs, rows):
@@ -141,10 +148,10 @@ def test_criterion_7_phase_estimation_thresholds(corpus):
                   f"false inputs <= {worst_false:.6f} (need 2/5)")
 
 
-def test_criterion_8_search_thresholds(corpus):
+def test_criterion_8_search_thresholds(corpus, five_bit_gate):
     worst_true, worst_false = 1.0, 0.0
     noregister = []
-    for bundle in corpus:
+    for bundle in corpus + five_bit_gate:
         rows = bundle.report["algorithms"]
         assert [row["input"] for row in rows] == labels(bundle, bundle.f.inputs), bundle.spec
         for s, row in zip(bundle.f.inputs, rows):

@@ -30,13 +30,9 @@ from advspan.errors import (
 from advspan.matkernel import gram_factor
 
 from conftest import (
-    automorphisms, corpus_specs, dense_constraints, full_schur_complement, reference_pair_normal, reference_solve_sdp,
+    automorphisms, corpus_specs, dense_constraints, full_schur_complement, gram_blocks, random_tables,
+    reference_pair_normal, reference_solve_sdp,
 )
-
-
-def random_tables(n: int, count: int, seed: int) -> list[str]:
-    rng = np.random.default_rng(seed)
-    return ["".join(str(b) for b in rng.integers(0, 2, 2**n)) for _ in range(count)]
 
 
 def test_build_dimensions_parity2():
@@ -155,8 +151,8 @@ def test_solution_residual_invariants(corpus):
         assert res["min_eigenvalue"] >= -1e-7
         assert res["row_sum_violation"] <= 1e-6
         assert abs(res["beta_sum"] - 1.0) <= 1e-6
-        for s in bundle.f.inputs:
-            assert sol.blocks[:, s, s].sum() <= sol.xi + 1e-6
+        row_sums = gram_blocks(sol.sdp, sol.class_blocks).diagonal(axis1=1, axis2=2).sum(axis=0)
+        assert np.all(row_sums <= sol.xi + 1e-6)
 
 
 def test_certificate_values(solved):
@@ -230,7 +226,7 @@ def test_solver_is_deterministic():
     sdp = build_witness_sdp(load_function("OR:2"))
     a = solve_sdp(sdp)
     b = solve_sdp(sdp)
-    assert a.blocks.tobytes() == b.blocks.tobytes()
+    assert a.class_blocks.tobytes() == b.class_blocks.tobytes()
     assert a.xi == b.xi
     assert a.alpha.tobytes() == b.alpha.tobytes()
 
@@ -330,21 +326,15 @@ def test_class_blocks_partition_each_coordinate(spec, sizes):
             assert sdp.members[2 * j + c].tolist() == expected + [-1] * (sdp.side - len(expected))
 
 
-def test_padding_takes_no_direction(monkeypatch):
+def test_padding_takes_no_direction():
     """A class smaller than the stack's side is zero-padded.  The solver
     factors each block completed by the identity on its padding, but no
-    direction ever moves the padding: the final iterate is zero there."""
-    to_blocks, iterates = advsdp.to_blocks, []
-
-    def capture(sdp, v):
-        iterates.append(v.copy())
-        return to_blocks(sdp, v)
-
-    monkeypatch.setattr(advsdp, "to_blocks", capture)
+    direction ever moves the padding: the final iterate, which the solution
+    keeps as its class blocks, is zero there."""
     sdp = build_witness_sdp(load_function("MAJ:4"))  # classes of 11 and 5
-    solve_sdp(sdp)
-    stack = iterates[0][: sdp.stack_size].reshape(2 * sdp.n, sdp.side, sdp.side)
-    padding = (sdp.members[:, :, None] < 0) | (sdp.members[:, None, :] < 0)
+    stack = solve_sdp(sdp).class_blocks
+    members = sdp.members[sdp.classes]
+    padding = (members[:, :, None] < 0) | (members[:, None, :] < 0)
     assert padding.any() and np.all(stack[padding] == 0.0)
 
 
@@ -361,15 +351,9 @@ def test_rounding_normal_matrix_is_the_schur_pair_block(spec):
     v = gram_factor(solve_sdp(sdp).class_blocks)
     for factor in (v, round_factor(sdp, v)):
         stack = factor @ factor.transpose(0, 2, 1)
-        oracle = reference_pair_normal(sdp, whole_blocks(sdp, stack))
+        oracle = reference_pair_normal(sdp, gram_blocks(sdp, stack))
         normal = advsdp._pair_normal(sdp, stack)
         assert np.abs(normal - oracle).max() <= 1e-13 * np.abs(oracle).max()
-
-
-def whole_blocks(sdp, stack: np.ndarray) -> np.ndarray:
-    """The n Gram blocks of side 2^n from a stack of the representative class
-    blocks constant on its orbits."""
-    return advsdp.to_blocks(sdp, stack.ravel() if sdp.orbits is None else sdp.orbits.expand_stack(stack))
 
 
 def orbit_average(orbits, v: np.ndarray) -> np.ndarray:
@@ -539,10 +523,7 @@ def test_solution_is_exactly_constant_on_its_orbits(spec):
     sdp = build_witness_sdp(load_function(spec))
     sol, orbits = solve_sdp(sdp), sdp.orbits
     assert spread(orbits.row, np.concatenate([sol.alpha, sol.beta])) == 0.0
-    inside = sdp.gather["blocks"] < sdp.stack_size
-    stack = np.zeros(sdp.stack_size)
-    stack[sdp.gather["blocks"][inside]] = sol.blocks[inside]
-    assert spread(orbits.label[: sdp.stack_size], stack) == 0.0
+    assert spread(orbits.label[: sdp.stack_size], orbits.expand_stack(sol.class_blocks)) == 0.0
 
 
 @pytest.mark.parametrize("spec, count", [("MAJ:5", 2), ("PARITY:5", 1), ("MAJ:4", 2), (member("MAJ:5", 77), 2),
@@ -771,16 +752,18 @@ def test_class_blocks_follow_the_full_block_path(spec):
     """Splitting each Gram block over its two classes loses nothing: the same
     interior-point loop on the n full blocks of side 2^n (reference_solve_sdp)
     takes as many iterations to the same xi, and keeps every entry between
-    two classes at exactly zero.  alpha and beta are not compared: where the
-    dual optimum is not unique they move while xi holds, by up to 2.3e-4 on
-    the 3-bit tables (00001110)."""
+    two classes at exactly zero, the entries a class-block solution does not
+    hold.  alpha and beta are not compared: where the dual optimum is not
+    unique they move while xi holds, by up to 2.3e-4 on the 3-bit tables
+    (00001110)."""
     f = load_function(spec)
     sol = solve_sdp(build_witness_sdp(f))
     ref = reference_solve_sdp(f)
     assert sol.residuals["iterations"] == ref.residuals["iterations"]
     assert abs(sol.xi - ref.xi) <= 1e-9 * max(1.0, ref.xi)
-    between = sol.sdp.gather["blocks"] == sol.sdp.stack_size
-    assert np.all(ref.blocks[between] == 0.0) and np.all(sol.blocks[between] == 0.0)
+    cls = (f.bits ^ np.array(f.table)[:, None]).T  # the class of each input in each coordinate
+    between = cls[:, :, None] != cls[:, None, :]
+    assert np.all(ref.residuals["gram_blocks"][between] == 0.0)
 
 
 # non-constant truth tables of 1 to 4 bits, as bitstrings

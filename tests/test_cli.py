@@ -7,7 +7,7 @@ import pytest
 
 from advspan import advsdp, pipeline
 from advspan.cli import build_parser, main, run_pipeline
-from advspan.pipeline import CHECK_FAMILIES, MARGIN_TOL, _check, _margins, matrix_to_json, verify
+from advspan.pipeline import CHECK_FAMILIES, _check, _margins, matrix_to_json, verify
 
 from advspan.spectral import edge_list
 
@@ -230,29 +230,56 @@ def test_margins_summarize_each_check_family(solved, capsys):
     assert {"sdp", "zero_witness", "jordan", "effective_gap", "phase_gap", "phase_estimation",
             "search"} <= set(families)
     for family, chks in families.items():
-        least = min(chk["margin"] for chk in chks)
-        first = next(chk for chk in chks if chk["margin"] <= least + MARGIN_TOL)
-        assert report["margins"][family] == {"check": first["name"], "margin": first["margin"]}
+        assert all(chk["bound"] > 0.0 for chk in chks)
+        least = min(chk["margin"] / chk["bound"] for chk in chks)
+        first = next(chk for chk in chks if chk["margin"] / chk["bound"] <= least + 1e-9)
+        assert report["margins"][family] == {"check": first["name"], "margin": first["margin"],
+                                             "relative": first["margin"] / first["bound"]}
     # phase_estimation_true is tight by construction (the kernel witness has
     # overlap exactly 9/10), so it is its family's least margin, and it holds
     assert report["margins"]["phase_estimation"]["check"].startswith("phase_estimation_true[")
     assert -1e-12 <= report["margins"]["phase_estimation"]["margin"] <= 1e-6
+    # relative to its bound the duality gap comes closer than the PSD
+    # residual, which the least absolute margin always named
+    assert report["margins"]["sdp"]["check"] == "strong_duality_gap"
     assert main(["verify", "--function", "OR:2", "--skip-sim"]) == 0
     out = capsys.readouterr().out
     assert "least margin zero_witness: " in out and "least margin search" not in out
+    assert " of its bound (zero_witness_ratio[" in out
 
 
 def test_margins_name_the_first_of_checks_tied_to_roundoff():
-    """Margins equal up to roundoff name the first such check in report
-    order, whichever is smallest in the last bits; a clearly smaller margin
-    still wins."""
-    checks = [_check("zero_witness_ratio[00]", 2e-16, 1e-9, "le"),
-              _check("zero_witness_ratio[01]", 3e-16, 1e-9, "le"),
+    """Relative margins within 1e-9 of each other name the first such check
+    in report order, whichever is smallest in the last bits; a clearly
+    smaller one still wins, and a check of small bound wins on its relative
+    margin over one of large bound."""
+    checks = [_check("zero_witness_ratio[00]", 2e-19, 1e-9, "le"),
+              _check("zero_witness_ratio[01]", 3e-19, 1e-9, "le"),
               _check("jordan_reconstruction[00]", 1e-15, 1e-8, "le"),
-              _check("jordan_reconstruction[01]", 2e-9, 1e-8, "le")]
+              _check("jordan_reconstruction[01]", 2e-9, 1e-8, "le"),
+              _check("wsize_matches_adv", 0.0, 1e-5, "le"),
+              _check("wsize_le_stored", 5e-10, 1e-9, "le")]
     margins = _margins(checks)
-    assert margins["zero_witness"] == {"check": "zero_witness_ratio[00]", "margin": checks[0]["margin"]}
+    assert margins["zero_witness"] == {"check": "zero_witness_ratio[00]", "margin": checks[0]["margin"],
+                                       "relative": checks[0]["margin"] / 1e-9}
     assert margins["jordan"]["check"] == "jordan_reconstruction[01]"
+    assert margins["span_program"] == {"check": "wsize_le_stored", "margin": 5e-10, "relative": 0.5}
+
+
+def test_margins_pin_an_orbit_tie_of_a_four_bit_table():
+    """On 1011010000100100 (a group of order 2) the inputs 0000 and 0011 share
+    an orbit, and their phase_estimation_true margins once came out 8.8e-12
+    apart, in either order from run to run.  Their relative margins tie, so
+    the first in report order is named whichever is smaller in the last
+    bits; the family's least, 0101, is clearly below both."""
+    report = verify("1011010000100100").report
+    assert report["margins"]["phase_estimation"]["check"] == "phase_estimation_true[0101]"
+    pair = [chk for chk in report["checks"] if chk["name"] in ("phase_estimation_true[0000]",
+                                                              "phase_estimation_true[0011]")]
+    assert [chk["name"] for chk in pair] == ["phase_estimation_true[0000]", "phase_estimation_true[0011]"]
+    for shift in (8.8e-12, -8.8e-12):
+        shifted = [pair[0], dict(pair[1], margin=pair[0]["margin"] - shift)]
+        assert _margins(shifted)["phase_estimation"]["check"] == "phase_estimation_true[0000]"
 
 
 @pytest.mark.parametrize("spec", ["MAJ:5", "AND:5"])

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from advspan import advsdp, verify
-from advspan.advsdp import SdpSolution, build_witness_sdp, extract_certificate, pair_sums, solve_sdp
+from advspan import advsdp, spanprog, verify
+from advspan.advsdp import SdpSolution, build_witness_sdp, extract_certificate, solve_sdp
 from advspan.boolfun import load_function
 from advspan.errors import GramFailureError
 from advspan.matkernel import DEFAULT_RANK_TOL
@@ -17,7 +17,9 @@ from advspan.spanprog import (
 )
 from advspan.spectral import build_program_graph
 
-from conftest import NPN3_CANONICAL, column_range, corpus_specs, pair_sum, reference_evaluate, whole_gram_program
+from conftest import (
+    NPN3_CANONICAL, column_range, corpus_specs, gram_blocks, pair_sums, reference_evaluate, whole_gram_program,
+)
 
 
 def parity_example_program():
@@ -122,13 +124,14 @@ def test_stacked_evaluate_matches_per_input_reference(solved, corpus, seed):
 
 
 def parity_example_gram_solution():
-    """All-ones Gram blocks: every v_{s,j} is the same unit scalar, which
-    is feasible and optimal for parity with m = 1."""
+    """All-ones class blocks, the class-block part of all-ones Gram blocks:
+    every v_{s,j} the same unit scalar is feasible and optimal for parity
+    with m = 1."""
     f = load_function("PARITY:2")
     sdp = build_witness_sdp(f)
     return SdpSolution(
         sdp=sdp,
-        blocks=np.ones((2, 4, 4)),
+        class_blocks=np.ones(sdp.class_shape),
         xi=2.0,
         alpha=np.full(4, 0.5),
         beta=np.full(4, 0.25),
@@ -150,10 +153,10 @@ def worked_parity_canonical() -> CanonicalSpanProgram:
 
 
 def test_canonical_from_all_ones_gram_reads_only_the_class_blocks():
-    """From all-ones Gram blocks canonical_from_gram reads only the class
-    blocks, all ones, so each coordinate's two classes get a column each
-    (m = 2) in place of the worked example's shared one, with the same AA^T,
-    pair sums and witness size."""
+    """A solution holds only the class blocks of the all-ones Gram blocks,
+    all ones, so each coordinate's two classes get a column each (m = 2) in
+    place of the worked example's shared one, with the same AA^T, pair sums
+    and witness size."""
     f = load_function("PARITY:2")
     prog = canonical_from_gram(f, parity_example_gram_solution())
     assert prog.m == 2
@@ -165,18 +168,13 @@ def test_canonical_from_all_ones_gram_reads_only_the_class_blocks():
         for j in (1, 2):
             agree = column_range(prog.witness_program(), j, f.bit(w, j))
             assert np.all(prog.matrix[r, agree] == 0.0)
-    for w in f.f0:
-        for x in f.f1:
-            assert pair_sum(prog, w, x) == pytest.approx(1.0, abs=1e-9)
+    assert np.abs(pair_sums(prog) - 1.0).max() <= 1e-9
     assert np.allclose(prog.target, np.ones(2) / (3 * np.sqrt(2.0)))
 
 
 def test_canonical_pair_sums_across_corpus(corpus):
     for bundle in corpus:
-        f, prog = bundle.f, bundle.program
-        for w in f.f0:
-            for x in f.f1:
-                assert abs(pair_sum(prog, w, x) - 1.0) <= 1e-6
+        assert np.abs(pair_sums(bundle.program) - 1.0).max() <= 1e-6
 
 
 def test_canonical_witness_size_matches_adv(corpus):
@@ -232,9 +230,10 @@ def test_shared_layout_matches_whole_gram_reference(solved, spec):
     sigma, sigma_ref = (np.linalg.svd(build_program_graph(p).b_g, compute_uv=False) for p in (prog, ref))
     assert np.abs(sigma - sigma_ref).max() <= 1e-11
     assert np.abs(prog.stored_witness_sizes - ref.stored_witness_sizes).max() <= 1e-12
-    eigenvalues = np.linalg.eigvalsh(sol.blocks)
+    blocks = gram_blocks(sol.sdp, sol.class_blocks)
+    eigenvalues = np.linalg.eigvalsh(blocks)
     ranks = (eigenvalues > DEFAULT_RANK_TOL * max(1.0, eigenvalues.max())).sum(axis=1)
-    row_sums = sol.blocks.diagonal(axis1=1, axis2=2).sum(axis=0)
+    row_sums = blocks.diagonal(axis1=1, axis2=2).sum(axis=0)
     w_size = max(sol.xi, row_sums.max())
     deficient = int((w_size - row_sums > 1e-12 * max(1.0, w_size)).sum())
     assert prog.m == ranks.max() + deficient
@@ -247,13 +246,13 @@ def test_rounding_meets_pair_constraints_to_roundoff(solved, spec):
     are the solver's, bit for bit."""
     bundle = solved(spec)
     f, sol, prog = bundle.f, bundle.solution, bundle.program
-    gram = np.einsum("wjk,xjk->jwx", prog.vectors, prog.vectors)
-    assert np.abs(pair_sums(sol.sdp, gram) - 1.0).max() <= 1e-12
-    unrounded = max(sol.xi, sol.blocks.diagonal(axis1=1, axis2=2).sum(axis=0).max())
+    assert np.abs(pair_sums(prog) - 1.0).max() <= 1e-12
+    row_sums = gram_blocks(sol.sdp, sol.class_blocks).diagonal(axis1=1, axis2=2).sum(axis=0)
+    unrounded = max(sol.xi, row_sums.max())
     assert abs(prog.witness_size - unrounded) <= 1e-6 * unrounded
-    before = (sol.xi, sol.alpha.tobytes(), sol.beta.tobytes(), sol.blocks.tobytes())
+    before = (sol.xi, sol.alpha.tobytes(), sol.beta.tobytes(), sol.class_blocks.tobytes())
     canonical_from_gram(f, sol)
-    assert (sol.xi, sol.alpha.tobytes(), sol.beta.tobytes(), sol.blocks.tobytes()) == before
+    assert (sol.xi, sol.alpha.tobytes(), sol.beta.tobytes(), sol.class_blocks.tobytes()) == before
     assert bundle.report["adv"]["xi"] == sol.xi
     assert extract_certificate(sol, f).gamma.tobytes() == bundle.certificate.gamma.tobytes()
 
@@ -270,8 +269,7 @@ def test_rounding_stops_at_roundoff(spec, steps, monkeypatch):
     sol = solve_sdp(build_witness_sdp(f))
     prog = canonical_from_gram(f, sol)
     assert len(normals) == steps
-    gram = np.einsum("wjk,xjk->jwx", prog.vectors, prog.vectors)
-    assert np.abs(pair_sums(sol.sdp, gram) - 1.0).max() <= 1e-13
+    assert np.abs(pair_sums(prog) - 1.0).max() <= 1e-13
 
 
 def test_canonical_target_normalization(corpus):
@@ -286,7 +284,7 @@ def test_canonical_rejects_infeasible_gram():
     sdp = build_witness_sdp(f)
     broken = SdpSolution(
         sdp=sdp,
-        blocks=np.tile(np.eye(4), (2, 1, 1)),  # PSD but violates every pair constraint
+        class_blocks=np.tile(np.eye(2), (4, 1, 1)),  # PSD but violates every pair constraint
         xi=2.0,
         alpha=np.zeros(4),
         beta=np.full(4, 0.25),
@@ -294,6 +292,29 @@ def test_canonical_rejects_infeasible_gram():
     )
     with pytest.raises(GramFailureError):
         canonical_from_gram(f, broken)
+
+
+def test_canonical_rejects_a_corrupted_copied_row(monkeypatch):
+    """The last check reads every pair row on the assembled vectors, so it
+    covers the rows coordinate_factors copies onto the blocks that are not
+    representatives: on MAJ:4 (2 of 8 class blocks solved) zeroing one
+    copied row raises, though the representatives' own rows are intact."""
+    f = load_function("MAJ:4")
+    sol = solve_sdp(build_witness_sdp(f))
+    sdp = sol.sdp
+    block = next(b for b in range(2 * f.n) if b not in sdp.classes)
+    s = int(sdp.members[block, 0])
+    coordinate_factors = spanprog.coordinate_factors
+
+    def corrupted(sdp, v):
+        vectors = coordinate_factors(sdp, v)
+        vectors[s, block // 2] = 0.0
+        return vectors
+
+    canonical_from_gram(f, sol)
+    monkeypatch.setattr(spanprog, "coordinate_factors", corrupted)
+    with pytest.raises(GramFailureError, match="pair-sum constraint residual"):
+        canonical_from_gram(f, sol)
 
 
 def or_n_example_program(n):
