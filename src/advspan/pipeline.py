@@ -19,8 +19,9 @@ from .spanprog import CanonicalSpanProgram, canonical_from_gram, evaluate
 
 DEFAULT_C_GRID = (0.05, 0.1, 0.5, 1.0, 2.0)
 PHASE_ERROR_BUDGET = 0.1
-# a check passes when its margin is at least -MARGIN_TOL
-MARGIN_TOL = 1e-12
+# a check passes when its margin is at least -MARGIN_TOL; report["margins"] ties a
+# margin within max(MARGIN_TOL, MARGIN_RTOL * bound) of bound * its family's least margin/bound
+MARGIN_TOL, MARGIN_RTOL = 1e-12, 1e-9
 # strong_duality_gap and wsize_matches_adv allow ADV_RTOL or 100 tol, whichever
 # is larger, times max(1, xi): the solver stops at a relative gap of tol, and
 # on 292 functions with n = 3..5 both stayed below 1e-7 max(1, xi)
@@ -82,18 +83,19 @@ def _margins(checks: list[dict]) -> dict:
 
     Every bound is positive, and a family mixes identities held to roundoff,
     whose margin is about their bound, with inequalities that can come
-    close, so only the relative margin says which came closest.  Several
-    checks of a family often have relative margins equal up to roundoff
-    (inputs one group element maps onto each other), so the first check in
-    report order within 1e-9 of the family's least is named."""
+    close, so only the relative margin says which came closest.  Margins
+    equal up to roundoff (of inputs one group element maps onto each other,
+    or roundoff values against bounds near 1e-11) tie, and the first tied
+    check in report order is named."""
     families: dict[str, list[dict]] = {}
     for chk in checks:
         families.setdefault(CHECK_FAMILIES[chk["name"].split("[")[0]], []).append(chk)
     out: dict[str, dict] = {}
     for family, members in families.items():
         relative = [chk["margin"] / chk["bound"] for chk in members]
-        tied = min(relative) + 1e-9
-        k = next(k for k, r in enumerate(relative) if r <= tied)
+        least = min(relative)
+        k = next(k for k, (chk, r) in enumerate(zip(members, relative))
+                 if r - least <= max(MARGIN_RTOL, MARGIN_TOL / chk["bound"]))
         out[family] = {"check": members[k]["name"], "margin": members[k]["margin"], "relative": relative[k]}
     return out
 

@@ -7,7 +7,7 @@ import pytest
 
 from advspan import advsdp, pipeline
 from advspan.cli import build_parser, main, run_pipeline
-from advspan.pipeline import CHECK_FAMILIES, _check, _margins, matrix_to_json, verify
+from advspan.pipeline import CHECK_FAMILIES, MARGIN_RTOL, MARGIN_TOL, _check, _margins, matrix_to_json, verify
 
 from advspan.spectral import edge_list
 
@@ -232,7 +232,8 @@ def test_margins_summarize_each_check_family(solved, capsys):
     for family, chks in families.items():
         assert all(chk["bound"] > 0.0 for chk in chks)
         least = min(chk["margin"] / chk["bound"] for chk in chks)
-        first = next(chk for chk in chks if chk["margin"] / chk["bound"] <= least + 1e-9)
+        first = next(chk for chk in chks if chk["margin"] / chk["bound"] - least
+                     <= max(MARGIN_RTOL, MARGIN_TOL / chk["bound"]))
         assert report["margins"][family] == {"check": first["name"], "margin": first["margin"],
                                              "relative": first["margin"] / first["bound"]}
     # phase_estimation_true is tight by construction (the kernel witness has
@@ -249,12 +250,16 @@ def test_margins_summarize_each_check_family(solved, capsys):
 
 
 def test_margins_name_the_first_of_checks_tied_to_roundoff():
-    """Relative margins within 1e-9 of each other name the first such check
-    in report order, whichever is smallest in the last bits; a clearly
-    smaller one still wins, and a check of small bound wins on its relative
-    margin over one of large bound."""
-    checks = [_check("zero_witness_ratio[00]", 2e-19, 1e-9, "le"),
-              _check("zero_witness_ratio[01]", 3e-19, 1e-9, "le"),
+    """Checks whose margins differ by roundoff name the first of them in
+    report order, whichever is smallest in the last bits: relative margins
+    within MARGIN_RTOL tie, and so do margins within MARGIN_TOL, which on a
+    bound of 1e-9 or below is far more than MARGIN_RTOL of it.  A clearly
+    smaller relative margin still wins, and a check of small bound wins on
+    its relative margin over one of large bound."""
+    checks = [_check("zero_witness_ratio[00]", 2e-16, 1e-9, "le"),
+              _check("zero_witness_ratio[01]", 3e-16, 1e-9, "le"),
+              _check("zero_witness_ratio[10]", 0.0, 1.9e-11, "le"),
+              _check("zero_witness_ratio[11]", 1e-16, 1.9e-11, "le"),
               _check("jordan_reconstruction[00]", 1e-15, 1e-8, "le"),
               _check("jordan_reconstruction[01]", 2e-9, 1e-8, "le"),
               _check("wsize_matches_adv", 0.0, 1e-5, "le"),
@@ -262,8 +267,20 @@ def test_margins_name_the_first_of_checks_tied_to_roundoff():
     margins = _margins(checks)
     assert margins["zero_witness"] == {"check": "zero_witness_ratio[00]", "margin": checks[0]["margin"],
                                        "relative": checks[0]["margin"] / 1e-9}
+    assert _margins(checks[2:4])["zero_witness"]["check"] == "zero_witness_ratio[10]"
     assert margins["jordan"]["check"] == "jordan_reconstruction[01]"
     assert margins["span_program"] == {"check": "wsize_le_stored", "margin": 5e-10, "relative": 0.5}
+
+
+def test_margins_of_roundoff_identities_name_the_first_input(solved):
+    """On MAJ:3 (a group of order 6, too small for the orbit path, so inputs
+    of one orbit differ by roundoff) every zero_witness and jordan value is
+    roundoff, below MARGIN_TOL, and each family names its first check in
+    report order."""
+    report = solved("MAJ:3").report
+    assert report["orbits"] is None
+    assert report["margins"]["zero_witness"]["check"] == "zero_witness_ratio[000]"
+    assert report["margins"]["jordan"]["check"] == "jordan_reconstruction[000]"
 
 
 def test_margins_pin_an_orbit_tie_of_a_four_bit_table():
