@@ -92,9 +92,8 @@ to check the final residuals: the solution keeps the representative class
 blocks, and nothing downstream forms a Gram block of side 2^n.  A function
 whose group is trivial, as almost every random table, is the identity case
 of the same loop, every block its own representative and every map the
-identity, and keeps the arithmetic of the loop on all of M bit for bit; so
-does one whose M has side below MIN_REDUCED_SIDE, where the reduction's own
-work costs more than it saves.
+identity, and keeps the arithmetic of the loop on all of M bit for bit.
+Every other function, however small, is solved on its orbits.
 """
 
 from __future__ import annotations
@@ -118,17 +117,6 @@ DEFAULT_TOL = 1e-7
 MIN_TOL = 1e-9
 MAX_ITERATIONS = 100
 BETA_DROP_TOL = 1e-10
-# The side of the smallest Schur complement solved on the orbits of Aut(f).
-# Below it M and the class blocks cost less to build and factor than the
-# reduction's own work: the orbit maps built per function, the stabilizer
-# averages and the reduction of M each iteration.  Build and solve on the
-# orbits, against the same on all of M and every block (process time, 1 BLAS
-# thread, interleaved medians of 9): 3-bit tables with a nontrivial group
-# (side <= 24) 1.07 times as long (0.95-1.13), OR:4 and AND:4 (31) 0.88;
-# 4-bit tables of weight 2 (44) 0.78-0.86 by group order; of weight 3 (55)
-# 0.81-0.93, but 1.07 at order 2; 5-bit tables of order 2 (about 284) 0.99
-# (0.80-1.02).  No Schur complement at n <= 5 has a side from 25 to 30.
-MIN_REDUCED_SIDE = 25
 
 
 @dataclass(frozen=True)
@@ -209,9 +197,9 @@ class WitnessSdp:
     u on the smaller side of F0 x F1, and gather["input_reps"] the inputs of
     the row-sum rows it builds.
 
-    orbits holds the orbits of Aut(f) (Orbits); None when the group is
-    trivial or M has side below MIN_REDUCED_SIDE, and every row of M is then
-    built and solved and every class block factored.
+    orbits holds the orbits of Aut(f) (Orbits); None exactly when the group
+    is trivial, and every row of M is then built and solved and every class
+    block factored.
     """
 
     f: BooleanFunction
@@ -299,7 +287,7 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
     # arrays read (X, Z^-1), the other side's (Z^-1, X)
     (r, o), swap = ((f0, f1), False) if len(f0) <= len(f1) else ((f1, f0), True)
     num_rows = len(pairs) + s
-    orbits = _orbits(f, members, r, o, swap) if num_rows >= MIN_REDUCED_SIDE else None
+    orbits = _orbits(f, members, r, o, swap)
     if orbits is None:
         classes, from_reps, row = np.arange(2 * n), np.arange(stack_size), np.arange(num_rows)
         row_reps = row
@@ -828,11 +816,11 @@ def solve_sdp(
     roundoff leaves an iterate on the cone's boundary.  residuals["history"]
     has one row per iteration: mu, the gap and both infeasibilities at the
     iterate it started from, and the step lengths it took.
-    residuals["orbits"] says which path the solve took: None on all of M and
-    every class block, else the group's order, M's side before and after the
-    reduction, and the class blocks factored per iteration (X's and Z's
-    representatives).  Deterministic: fixed start X_b = Z_b = I on every
-    class block.
+    residuals["orbits"] says which path the solve took: None, exactly when
+    Aut(f) is trivial, on all of M and every class block, else the group's
+    order, M's side before and after the reduction, and the class blocks
+    factored per iteration (X's and Z's representatives).  Deterministic:
+    fixed start X_b = Z_b = I on every class block.
 
     The iterate lives in orbit coordinates (WitnessSdp): X and Z as their
     representative class blocks, u and z_u one entry per input orbit, y one

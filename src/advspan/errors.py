@@ -18,7 +18,7 @@ class NotPSDError(AdvspanError):
 
 
 class BadSpecError(AdvspanError):
-    """Unparseable boolean-function specification."""
+    """Unparseable boolean-function specification, or a bad verify parameter."""
 
 
 class IndexOutOfRangeError(AdvspanError):

@@ -15,6 +15,7 @@ import numpy as np
 from . import qsim, spectral
 from .advsdp import DEFAULT_TOL, AdversaryCertificate, SdpSolution, build_witness_sdp, extract_certificate, solve_sdp
 from .boolfun import formula_size, load_function
+from .errors import BadSpecError
 from .spanprog import CanonicalSpanProgram, canonical_from_gram, evaluate
 
 DEFAULT_C_GRID = (0.05, 0.1, 0.5, 1.0, 2.0)
@@ -86,17 +87,20 @@ def _margins(checks: list[dict]) -> dict:
     close, so only the relative margin says which came closest.  Margins
     equal up to roundoff (of inputs one group element maps onto each other,
     or roundoff values against bounds near 1e-11) tie, and the first tied
-    check in report order is named."""
+    check in report order is named; a NaN relative margin, which compares
+    with nothing, is named first."""
     families: dict[str, list[dict]] = {}
     for chk in checks:
         families.setdefault(CHECK_FAMILIES[chk["name"].split("[")[0]], []).append(chk)
     out: dict[str, dict] = {}
     for family, members in families.items():
-        relative = [chk["margin"] / chk["bound"] for chk in members]
-        least = min(relative)
-        k = next(k for k, (chk, r) in enumerate(zip(members, relative))
-                 if r - least <= max(MARGIN_RTOL, MARGIN_TOL / chk["bound"]))
-        out[family] = {"check": members[k]["name"], "margin": members[k]["margin"], "relative": relative[k]}
+        relative = np.array([chk["margin"] / chk["bound"] for chk in members])
+        bounds = np.array([chk["bound"] for chk in members])
+        least = relative.min()  # NaN when any relative margin is
+        tied = (np.isnan(relative) | (relative == least) if not np.isfinite(least)
+                else relative - least <= np.maximum(MARGIN_RTOL, MARGIN_TOL / bounds))
+        k = int(tied.argmax())
+        out[family] = {"check": members[k]["name"], "margin": members[k]["margin"], "relative": float(relative[k])}
     return out
 
 
@@ -117,8 +121,11 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
     phase-estimation and search algorithms, formula_bound also checks
     ADV <= sqrt(minimal formula size), and seed is only recorded.  A failed
     check sets the report's status to FAIL; bad input and solver failure
-    raise the package's errors.
+    raise the package's errors, and so does a c or Theta that is not finite
+    and positive (at c <= 0 the gap checks would hold trivially).
     """
+    if not all(np.isfinite(x) and x > 0.0 for x in (*c_grid, *(theta_grid or ()))):
+        raise BadSpecError(f"every c and Theta must be finite and positive, got {c_grid=}, {theta_grid=}")
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
     f = load_function(spec)

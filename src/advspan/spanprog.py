@@ -179,9 +179,9 @@ class CanonicalSpanProgram:
     target is the graph normalization (1 / (3 sqrt(W))) * all-ones used by
     the bipartite-graph constructions; witness-size accounting uses the
     unit all-ones target (see witness_program).  orbit is the least member
-    of each input's orbit under Aut(f) when the SDP was solved on those
-    orbits (Orbits.inputs), so that the program's per-input values are
-    constant on them; None otherwise.
+    of each input's orbit under Aut(f) (Orbits.inputs), on which the SDP was
+    solved, so that the program's per-input values are constant on them;
+    None exactly when Aut(f) is trivial.
     """
 
     f: BooleanFunction

@@ -125,6 +125,13 @@ def automorphisms(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
     return images[rows], coordinates[rows]
 
 
+def group_order(f: BooleanFunction) -> int:
+    """|Aut(f)|: the SDP of f is solved on its orbits exactly when it is
+    above 1."""
+    perms, _, negations = automorphism_cosets(f)
+    return len(perms) * len(negations)
+
+
 def column_range(p: SpanProgram, j: int, b: int) -> slice:
     """Columns of index set I_{j,b} of p (j is 1-based)."""
     start = sum(s0 + s1 for s0, s1 in p.block_sizes[: j - 1])
@@ -386,13 +393,14 @@ def reference_evaluate(p, s: int) -> tuple[bool, np.ndarray, float]:
 
 def unreduced(f: BooleanFunction) -> WitnessSdp:
     """The SDP of f as solved on all of M and every class block, whatever
-    its group: every map of its orbit coordinates is the identity."""
-    saved = advsdp.MIN_REDUCED_SIDE
-    advsdp.MIN_REDUCED_SIDE = np.inf
+    its group: _orbits patched to report a trivial group, so every map of
+    its orbit coordinates is the identity."""
+    saved = advsdp._orbits
+    advsdp._orbits = lambda *args: None
     try:
         return build_witness_sdp(f)
     finally:
-        advsdp.MIN_REDUCED_SIDE = saved
+        advsdp._orbits = saved
 
 
 def full_schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from advspan.errors import (
 from advspan.matkernel import gram_factor
 
 from conftest import (
-    automorphisms, corpus_specs, dense_constraints, full_schur_complement, gram_blocks, random_tables,
+    automorphisms, corpus_specs, dense_constraints, full_schur_complement, gram_blocks, group_order, random_tables,
     reference_pair_normal, reference_solve_sdp,
 )
 
@@ -347,7 +347,7 @@ def test_rounding_normal_matrix_is_the_schur_pair_block(spec):
     dense J J^T (E^T J J^T E on the pair orbits when the group is
     nontrivial) at the factor before and after rounding."""
     sdp = build_witness_sdp(load_function(spec))
-    assert (sdp.orbits is not None) == (spec in ("OR:4", "MAJ:5", "PARITY:5", "00101010010110010110010110111111"))
+    assert (sdp.orbits is None) == (group_order(sdp.f) == 1)
     v = gram_factor(solve_sdp(sdp).class_blocks)
     for factor in (v, round_factor(sdp, v)):
         stack = factor @ factor.transpose(0, 2, 1)
@@ -382,12 +382,6 @@ def class_block_stack(sdp, rng) -> np.ndarray:
     return stack
 
 
-@pytest.fixture
-def reduce_every_group(monkeypatch):
-    """Solve on the orbits of any nontrivial group, however small M is."""
-    monkeypatch.setattr(advsdp, "MIN_REDUCED_SIDE", 0)
-
-
 def member(table: str, g: int) -> str:
     """The table of f o g, g a row of input_maps: a permuted and negated member."""
     f = load_function(table)
@@ -410,7 +404,7 @@ WHOLE_RUNS = ["00000111", "00011011"]
 
 @pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "MAJ:4", "AND:4", "PARITY:4"] + random_tables(4, 2, 1)
                          + WHOLE_RUNS)
-def test_block_solver_matches_dense_reference(spec, reduce_every_group):
+def test_block_solver_matches_dense_reference(spec):
     """The Schur complement from GEMMs on the F0 x F1 grid, at the rows of one
     representative per orbit of Aut(f) and summed over each orbit's columns,
     equals D^-1/2 P^T A (X (x) Z^-1 (+) diag(x/z)) A^T P D^-1/2 with the dense
@@ -477,25 +471,46 @@ def test_random_five_bit_table_has_a_trivial_group():
 
 @pytest.mark.parametrize("spec, order, side, reduced", [("MAJ:5", 120, 288, 20), ("PARITY:5", 1920, 288, 5),
                                                         ("OR:5", 120, 63, 11), ("MAJ:4", 24, 71, 13)])
-def test_reduced_schur_sides(spec, order, side, reduced, reduce_every_group):
+def test_reduced_schur_sides(spec, order, side, reduced):
     sdp = build_witness_sdp(load_function(spec))
     assert (sdp.orbits.order, len(sdp.pairs) + sdp.num_inputs, len(sdp.orbits.reps)) == (order, side, reduced)
 
 
 @pytest.mark.parametrize("spec", ["0110100000000000", "OR:4", "MAJ:3", "PARITY:3", "00001111"])
-def test_small_schur_complements_are_not_reduced(spec):
-    """Below MIN_REDUCED_SIDE the solver works on all of M, group or not,
-    and from it on, on the orbits of a nontrivial group: 00001111 (side 24,
-    a group of order 8) has the largest side below it, OR:4 (31) the
-    smallest above, and 0110100000000000 (55, order 6) is reduced too."""
+def test_small_schur_complements_are_reduced(spec):
+    """No Schur complement is too small for the orbits: MAJ:3, PARITY:3 and
+    00001111 (side 24, groups of order 6, 24 and 8) are reduced like OR:4
+    (31) and 0110100000000000 (55, order 6); M's side never decides the
+    path."""
     sdp = build_witness_sdp(load_function(spec))
-    assert sdp.orbits is None or sdp.orbits.order > 1
-    assert (len(sdp.pairs) + sdp.num_inputs < advsdp.MIN_REDUCED_SIDE) == (sdp.orbits is None)
-    assert (sdp.orbits is None) == (spec in ("MAJ:3", "PARITY:3", "00001111"))
+    assert sdp.orbits.order == group_order(sdp.f) > 1
+    assert len(sdp.orbits.reps) < len(sdp.pairs) + sdp.num_inputs
+
+
+def tables_up_to_three_bits() -> list[str]:
+    """Every non-constant truth table with 1 <= n <= 3, as bitstrings."""
+    return [format(code, f"0{2**n}b") for n in (1, 2, 3) for code in range(1, 2 ** 2**n - 1)]
+
+
+def test_orbit_path_is_taken_exactly_when_the_group_is_nontrivial():
+    """build_witness_sdp solves f on its orbits exactly when Aut(f) is
+    nontrivial, whatever the side of M: on all 270 non-constant tables with
+    n <= 3 (every one but 01 and 10 has a nontrivial group), and on 4- and
+    5-bit tables with trivial groups, groups of order 2 and 4, and the
+    symmetric functions."""
+    small = tables_up_to_three_bits()
+    larger = random_tables(4, 12, 0) + random_tables(5, 3, 2) + ["OR:4", "MAJ:5", ORDER_TWO]
+    orders = {}
+    for table in small + larger:
+        f = load_function(table)
+        orders[table] = group_order(f)
+        assert (build_witness_sdp(f).orbits is None) == (orders[table] == 1), table
+    assert len(small) == 270 and [t for t in small if orders[t] == 1] == ["01", "10"]
+    assert {orders[t] for t in larger} == {1, 2, 4, 24, 120}
 
 
 @pytest.mark.parametrize("spec", ["MAJ:3", "OR:4", "MAJ:4", "PARITY:4", "OR:5", member("MAJ:5", 77)] + WHOLE_RUNS)
-def test_orbits_commute_with_the_constraints(spec, reduce_every_group):
+def test_orbits_commute_with_the_constraints(spec):
     """An orbit-averaged x gives A x constant on the pair and input orbits,
     to roundoff (each row sums its coordinates in its own order), and the
     solver's A on its orbit coordinates gives those values at the
@@ -528,7 +543,7 @@ def test_solution_is_exactly_constant_on_its_orbits(spec):
 
 @pytest.mark.parametrize("spec, count", [("MAJ:5", 2), ("PARITY:5", 1), ("MAJ:4", 2), (member("MAJ:5", 77), 2),
                                          ("OR:5", 2), ("00011011", 3)])
-def test_class_block_orbit_counts(spec, count, reduce_every_group):
+def test_class_block_orbit_counts(spec, count):
     """Aut(f) maps class blocks onto class blocks; its representatives are
     the least block of each orbit.  A negation flips the class, so under
     PARITY:5 all ten blocks form one orbit and under MAJ:5 the two classes of
@@ -538,7 +553,7 @@ def test_class_block_orbit_counts(spec, count, reduce_every_group):
 
 
 @pytest.mark.parametrize("spec", ["MAJ:5", "PARITY:5", "OR:5", "MAJ:4", "PARITY:4", member("MAJ:5", 77)] + WHOLE_RUNS)
-def test_orbit_averaged_stack_is_its_representatives_expanded(spec, reduce_every_group):
+def test_orbit_averaged_stack_is_its_representatives_expanded(spec):
     """Every class block of an orbit-averaged stack equals, bitwise, the
     block of its representative permuted by a group element, padding
     included."""
@@ -559,7 +574,7 @@ def every_block(monkeypatch, spec):
 
 
 @pytest.mark.parametrize("spec", ["MAJ:4", "PARITY:4", member("MAJ:5", 77), "OR:5"])
-def test_representative_blocks_give_the_every_block_step(spec, reduce_every_group, monkeypatch):
+def test_representative_blocks_give_the_every_block_step(spec, monkeypatch):
     """At an orbit-averaged random iterate, mu, Z^-1, the predictor's and the
     corrector's directions and their step lengths from one class block per
     orbit equal those from every block within 1e-12 relative."""
@@ -612,12 +627,11 @@ def test_reduced_constraints_are_adjoint_under_the_orbit_sizes(spec):
         assert abs(left - right) <= 1e-12 * (np.abs(sdp.row_size * ax) @ np.abs(y))
 
 
-@pytest.mark.parametrize("spec, expansions", [("MAJ:5", 1), ("PARITY:5", 1), (ORDER_TWO, 1), ("MAJ:3", 0),
+@pytest.mark.parametrize("spec, expansions", [("MAJ:5", 1), ("PARITY:5", 1), (ORDER_TWO, 1), ("MAJ:3", 1),
                                               (random_tables(5, 1, 2)[0], 0)])
 def test_stack_is_expanded_once_per_solve(spec, expansions, monkeypatch):
     """On the orbits the solver expands its representatives' stack to the
-    whole stack once, after the loop; with a trivial group, or a Schur
-    complement below MIN_REDUCED_SIDE, never."""
+    whole stack once, after the loop; with a trivial group, never."""
     calls = []
     expand_stack = advsdp.Orbits.expand_stack
 
@@ -628,19 +642,23 @@ def test_stack_is_expanded_once_per_solve(spec, expansions, monkeypatch):
     monkeypatch.setattr(advsdp.Orbits, "expand_stack", counted)
     sdp = build_witness_sdp(load_function(spec))
     solve_sdp(sdp)
-    assert (sdp.orbits is not None) == (expansions == 1)
+    assert (sdp.orbits is not None) == (group_order(sdp.f) > 1) == (expansions == 1)
     assert calls == [sdp.class_shape] * expansions
 
 
 def test_residuals_report_the_path_taken():
     """residuals["orbits"]: the group's order, M's side before and after the
-    reduction and the class blocks factored per iteration; None on the
-    full path."""
+    reduction and the class blocks factored per iteration, on every
+    nontrivial group however small (MAJ:3: M of side 24 reduced to 9); None
+    exactly when the group is trivial."""
     assert solve_sdp(build_witness_sdp(load_function("MAJ:5"))).residuals["orbits"] == {
         "order": 120, "schur_side": 288, "reduced_side": 20, "blocks_factored": 4}
     assert solve_sdp(build_witness_sdp(load_function("PARITY:5"))).residuals["orbits"]["blocks_factored"] == 2
-    for spec in ("MAJ:3", random_tables(5, 1, 2)[0]):
-        assert solve_sdp(build_witness_sdp(load_function(spec))).residuals["orbits"] is None
+    assert solve_sdp(build_witness_sdp(load_function("MAJ:3"))).residuals["orbits"] == {
+        "order": 6, "schur_side": 24, "reduced_side": 9, "blocks_factored": 4}
+    for spec in ("01", random_tables(5, 1, 2)[0]):
+        f = load_function(spec)
+        assert group_order(f) == 1 and solve_sdp(build_witness_sdp(f)).residuals["orbits"] is None
 
 
 def test_order_two_table_converges_on_its_orbits_at_tight_tol():
@@ -656,7 +674,7 @@ def test_order_two_table_converges_on_its_orbits_at_tight_tol():
 
 
 @pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "AND:4"] + WHOLE_RUNS)
-def test_reduced_solve_follows_the_full_block_path(spec, reduce_every_group):
+def test_reduced_solve_follows_the_full_block_path(spec):
     """Solved on the orbits of its group, a function takes as many iterations
     as the loop on the n full Gram blocks, to the same xi."""
     f = load_function(spec)

@@ -7,6 +7,7 @@ import pytest
 
 from advspan import advsdp, pipeline
 from advspan.cli import build_parser, main, run_pipeline
+from advspan.errors import BadSpecError
 from advspan.pipeline import CHECK_FAMILIES, MARGIN_RTOL, MARGIN_TOL, _check, _margins, matrix_to_json, verify
 
 from advspan.spectral import edge_list
@@ -111,6 +112,40 @@ def test_custom_grids(tmp_path):
     assert cs == [0.1, 1.0]
     thetas = sorted({row["theta"] for row in report["lemma_checks"]["phase_gap"]})
     assert thetas == [0.05, 0.5]
+
+
+BAD_GRIDS = [("--theta-grid", "-1"), ("--c-grid", "nan"), ("--c-grid", "inf"), ("--c-grid", "-0.5"),
+             ("--c-grid", "0"), ("--theta-grid", "0.1,inf")]
+
+
+@pytest.mark.parametrize("flag, grid", BAD_GRIDS)
+def test_bad_gap_grid_exits_2(flag, grid, capsys):
+    """A c or Theta that is not finite and positive is bad input: exit 2
+    with an input error line, never a traceback, and never a PASS whose gap
+    checks hold trivially (at c <= 0 every lhs is 0)."""
+    assert main(["verify", "--function", "0110", f"{flag}={grid}"]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("flag, grid", BAD_GRIDS)
+def test_verify_rejects_a_bad_gap_grid(flag, grid):
+    values = tuple(float(v) for v in grid.split(","))
+    keyword = "c_grid" if flag == "--c-grid" else "theta_grid"
+    with pytest.raises(BadSpecError, match="finite and positive"):
+        verify("0110", **{keyword: values})
+
+
+def test_margins_name_a_nan_or_infinite_margin():
+    """A NaN relative margin (a NaN margin, or an infinite one over an
+    infinite bound) is named in its family before any other, and a margin
+    of -inf is the least like any other; none raises."""
+    finite, nan = _check("effective_gap[00,c=1]", 0.1, 1.0, "le"), _check("effective_gap[01,c=1]", np.nan, 1.0, "le")
+    assert _margins([finite, nan])["effective_gap"]["check"] == "effective_gap[01,c=1]"
+    assert not nan["pass"]
+    low = _check("effective_gap[11,c=1]", np.inf, 1.0, "le")
+    assert _margins([finite, low, dict(low, name="effective_gap[10,c=1]")])["effective_gap"]["check"] == low["name"]
+    high = _check("phase_gap[00,theta=1]", 1.0, np.inf, "le")
+    assert _margins([high, dict(high, name="phase_gap[01,theta=1]")])["phase_gap"]["check"] == high["name"]
 
 
 def test_matrix_to_json_pairs():
@@ -272,15 +307,17 @@ def test_margins_name_the_first_of_checks_tied_to_roundoff():
     assert margins["span_program"] == {"check": "wsize_le_stored", "margin": 5e-10, "relative": 0.5}
 
 
-def test_margins_of_roundoff_identities_name_the_first_input(solved):
-    """On MAJ:3 (a group of order 6, too small for the orbit path, so inputs
-    of one orbit differ by roundoff) every zero_witness and jordan value is
-    roundoff, below MARGIN_TOL, and each family names its first check in
-    report order."""
-    report = solved("MAJ:3").report
+def test_margins_of_roundoff_identities_name_the_first_input():
+    """On 1111110100101100 (a trivial group, so every input is resolved on
+    its own and the values differ by roundoff) every zero_witness and jordan
+    value is roundoff, below MARGIN_TOL, and each family names its first
+    check in report order, whichever of them is least in the last bits."""
+    report = verify("1111110100101100").report
     assert report["orbits"] is None
-    assert report["margins"]["zero_witness"]["check"] == "zero_witness_ratio[000]"
-    assert report["margins"]["jordan"]["check"] == "jordan_reconstruction[000]"
+    for family, prefix in (("zero_witness", "zero_witness_ratio["), ("jordan", "jordan_reconstruction[")):
+        values = [chk["value"] for chk in report["checks"] if chk["name"].startswith(prefix)]
+        assert len(values) == 16 and max(values) <= MARGIN_TOL
+        assert report["margins"][family]["check"] == prefix + "0000]"
 
 
 def test_margins_pin_an_orbit_tie_of_a_four_bit_table():

@@ -1,11 +1,12 @@
 """Per-input stages resolved once per orbit of Aut(f).
 
-Where the SDP is solved on the orbits of Aut(f), the canonical program
-carries each input's least orbit member (CanonicalSpanProgram.orbit), and
-evaluate and verify's spectral stage resolve only those representatives.
+Where Aut(f) is nontrivial, the SDP is solved on its orbits, the canonical
+program carries each input's least orbit member (CanonicalSpanProgram.orbit),
+and evaluate and verify's spectral stage resolve only those representatives.
 The oracle is the same program resolved on every input, orbit=None."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,13 +17,11 @@ from advspan.advsdp import build_witness_sdp
 from advspan.boolfun import load_function
 from advspan.spanprog import canonical_from_gram, evaluate
 
-from conftest import NPN3_CANONICAL, automorphisms, corpus_specs
+from conftest import NPN3_CANONICAL, automorphisms, corpus_specs, group_order
 
 LADDER = [f"{name}:{n}" for n in (4, 5) for name in ("OR", "MAJ", "PARITY", "AND")]
 # default_rng(7)'s seventh random 5-bit table: its Aut(f) has order 2
 ORDER_TWO = "00101010010110010110010110111111"
-# the tables below whose SDP is solved on the orbits of Aut(f)
-REDUCED = ("OR:4", "MAJ:4", "PARITY:4", "AND:4", "OR:5", "MAJ:5", "PARITY:5", "AND:5", ORDER_TWO)
 
 
 def exactly(n: int, k: int) -> str:
@@ -78,7 +77,7 @@ def test_orbit_path_matches_every_input_resolved(spec, monkeypatch):
                         lambda f, sol: dataclasses.replace(canonical_from_gram(f, sol), orbit=None))
     full = verify(spec).report
     assert full["orbits"] is None
-    assert (reduced["orbits"] is not None) == (spec in REDUCED)
+    assert (reduced["orbits"] is None) == (group_order(load_function(spec)) == 1)
     ours, theirs = per_input_values(reduced), per_input_values(full)
     assert ours.keys() == theirs.keys()
     for key, value in theirs.items():
@@ -93,13 +92,11 @@ def test_exactly_k_closed_form(n, k):
     """Regression pin, an observed fit and not a cited theorem: the "exactly
     k ones" function has xi within 1e-6 relative of
     sqrt(k (n - k + 1) + (k + 1)(n - k)) for 2 <= n <= 5, 0 <= k <= n (worst
-    7.3e-8 when pinned).  Where the orbits are resolved, every per-input row
-    is its representative's, exactly."""
+    7.3e-8 when pinned).  Every table is symmetric, so its orbits are
+    resolved and every per-input row is its representative's, exactly."""
     report = verify(exactly(n, k)).report
     assert report["status"] == "PASS"
     assert report["adv"]["xi"] == pytest.approx(np.sqrt(k * (n - k + 1) + (k + 1) * (n - k)), rel=1e-6)
-    if report["orbits"] is None:
-        return
     orbit = build_witness_sdp(load_function(exactly(n, k))).orbits.inputs
     rows = rows_by_input(report)
     assert report["orbits"]["representatives"] == [f"{s:0{n}b}" for s in np.unique(orbit)]
@@ -107,12 +104,14 @@ def test_exactly_k_closed_form(n, k):
         assert rows[f"{s:0{n}b}"] == rows[f"{least:0{n}b}"]
 
 
-def test_eleven_exactly_k_tables_take_the_orbit_path():
-    """The orbit rows of test_exactly_k_closed_form are not vacuous: 11 of
-    its 18 tables have M of side at least MIN_REDUCED_SIDE (every 4-bit and
-    every 5-bit one)."""
-    reduced = [(n, k) for n, k in EXACTLY if build_witness_sdp(load_function(exactly(n, k))).orbits is not None]
-    assert reduced == [(4, k) for k in range(5)] + [(5, k) for k in range(6)]
+def test_every_exactly_k_table_takes_the_orbit_path():
+    """The orbit rows of test_exactly_k_closed_form are not vacuous: all 18
+    of its tables are symmetric, so each has a nontrivial group (of order
+    n!, times 2 where k = n/2, the negation of every input) and is solved on
+    its orbits."""
+    for n, k in EXACTLY:
+        f = load_function(exactly(n, k))
+        assert build_witness_sdp(f).orbits.order == group_order(f) == math.factorial(n) * (2 if 2 * k == n else 1)
 
 
 def test_report_names_the_group_and_the_resolved_inputs(solved):
