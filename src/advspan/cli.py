@@ -43,15 +43,12 @@ def _write_csvs(directory: Path, report: dict, graph) -> None:
             for row in report["lemma_checks"][family]:
                 writer.writerow([row["input"], row[param], row["lhs"], row["rhs"], row["margin"]])
     if report["algorithms"] is not None:
-        passed = {chk["name"]: chk["pass"] for chk in report["checks"]}
         with open(directory / "algorithms.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["input", "algorithm", "parameter", "probability", "threshold", "pass"])
             for row in report["algorithms"]:
-                branch = "true" if row["f"] else "false"
                 for alg, param in (("phase_estimation", row["phase_error_budget"]), ("search", row["tau"])):
-                    writer.writerow([row["input"], alg, param, row[alg], row["thresholds"][alg],
-                                     passed[f"{alg}_{branch}[{row['input']}]"]])
+                    writer.writerow([row["input"], alg, param, row[alg], row["thresholds"][alg], row["pass"][alg]])
                 writer.writerow([row["input"], "search_noregister", row["tau"], row["search_noregister"], "", ""])
     (directory / "program_graph_edges.txt").write_text("".join(f"{r} {c} {wgt!r}\n" for r, c, wgt in graph.edges()))
 

@@ -20,8 +20,8 @@ from .spanprog import CanonicalSpanProgram, canonical_from_gram, evaluate
 
 DEFAULT_C_GRID = (0.05, 0.1, 0.5, 1.0, 2.0)
 PHASE_ERROR_BUDGET = 0.1
-# a check passes when its margin is at least -MARGIN_TOL; report["margins"] ties a
-# margin within max(MARGIN_TOL, MARGIN_RTOL * bound) of bound * its family's least margin/bound
+# a check passes when its margin is at least -MARGIN_TOL; report["margins"] ranks a check
+# on min(bound, margin + MARGIN_TOL) / bound and ties ranks within MARGIN_RTOL of its family's least
 MARGIN_TOL, MARGIN_RTOL = 1e-12, 1e-9
 # strong_duality_gap and wsize_matches_adv allow ADV_RTOL or 100 tol, whichever
 # is larger, times max(1, xi): the solver stops at a relative gap of tol, and
@@ -33,17 +33,6 @@ ADV_RTOL = 1e-5
 STORED_WSIZE_RTOL = 1e-9
 # how the gap checks' names print their grid parameter
 C_LABEL, THETA_LABEL = "c={:g}", "theta={:.6g}"
-# the family of each check name (the part before "["), for report["margins"]
-CHECK_FAMILIES = {
-    "strong_duality_gap": "sdp", "equality_residual": "sdp", "psd_residual": "sdp",
-    "wsize_matches_adv": "span_program", "evaluate_agrees_with_f": "span_program", "wsize_le_stored": "span_program",
-    "zero_witness_ratio": "zero_witness", "jordan_reconstruction": "jordan", "rank_cut": "jordan",
-    "effective_gap": "effective_gap", "phase_gap": "phase_gap",
-    "phase_estimation_true": "phase_estimation", "phase_estimation_false": "phase_estimation",
-    "search_true": "search", "search_false": "search",
-    "adv_le_sqrt_formula_size": "formula_bound",
-}
-
 
 @dataclass(frozen=True)
 class Verification:
@@ -56,11 +45,13 @@ class Verification:
     graph: spectral.ProgramGraph
 
 
-def _check(name: str, value: float, bound: float, kind: str) -> dict:
-    """One reported check: kind 'le' means value <= bound, 'ge' the reverse."""
+def _check(family: str, name: str, value: float, bound: float, kind: str) -> dict:
+    """One reported check, summarized with its family in report["margins"]:
+    kind 'le' means value <= bound, 'ge' the reverse."""
     margin = (bound - value) if kind == "le" else (value - bound)
     return {
         "name": name,
+        "family": family,
         "value": float(value),
         "bound": float(bound),
         "kind": kind,
@@ -79,35 +70,37 @@ def _distinct(grid, label: str) -> tuple:
 
 
 def _margins(checks: list[dict]) -> dict:
-    """The check of least relative margin, margin / bound, in each family,
-    families in report order, with its margin and its relative margin.
+    """The check that came closest to failing in each family, families in
+    report order, with its margin and its relative margin, margin / bound.
 
     Every bound is positive, and a family mixes identities held to roundoff,
     whose margin is about their bound, with inequalities that can come
-    close, so only the relative margin says which came closest.  Margins
-    equal up to roundoff (of inputs one group element maps onto each other,
-    or roundoff values against bounds near 1e-11) tie, and the first tied
-    check in report order is named; a NaN relative margin, which compares
-    with nothing, is named first."""
+    close, so checks are ranked on their margin relative to their bound:
+    min(bound, margin + MARGIN_TOL) / bound, where a margin within
+    MARGIN_TOL of its bound, the slack a pass already grants, counts as the
+    whole bound.  Ranks within MARGIN_RTOL of the least tie (margins equal
+    up to roundoff, of inputs one group element maps onto each other), and
+    the first tied check in report order is named; a NaN rank, which
+    compares with nothing, is named first."""
     families: dict[str, list[dict]] = {}
     for chk in checks:
-        families.setdefault(CHECK_FAMILIES[chk["name"].split("[")[0]], []).append(chk)
+        families.setdefault(chk["family"], []).append(chk)
     out: dict[str, dict] = {}
     for family, members in families.items():
-        relative = np.array([chk["margin"] / chk["bound"] for chk in members])
-        bounds = np.array([chk["bound"] for chk in members])
-        least = relative.min()  # NaN when any relative margin is
-        tied = (np.isnan(relative) | (relative == least) if not np.isfinite(least)
-                else relative - least <= np.maximum(MARGIN_RTOL, MARGIN_TOL / bounds))
-        k = int(tied.argmax())
-        out[family] = {"check": members[k]["name"], "margin": members[k]["margin"], "relative": float(relative[k])}
+        margin, bound = (np.array([chk[key] for chk in members]) for key in ("margin", "bound"))
+        with np.errstate(invalid="ignore"):  # an infinite margin over an infinite bound ranks NaN
+            rank = np.minimum(bound, margin + MARGIN_TOL) / bound
+        least = rank.min()  # NaN when any rank is
+        tied = np.isnan(rank) | (rank == least) if not np.isfinite(least) else rank - least <= MARGIN_RTOL
+        named = members[int(tied.argmax())]
+        out[family] = {"check": named["name"], "margin": named["margin"], "relative": named["margin"] / named["bound"]}
     return out
 
 
 def matrix_to_json(mat: np.ndarray) -> list:
     """Nested rows of [re, im] pairs."""
     arr = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_grid=None,
@@ -160,9 +153,9 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
         "residuals": sol.residuals,
     }
     adv_bound = max(ADV_RTOL, 100.0 * tol) * max(1.0, xi)
-    checks.append(_check("strong_duality_gap", abs(xi - cert.value), adv_bound, "le"))
-    checks.append(_check("equality_residual", sol.residuals["primal_equality"], 1e-6, "le"))
-    checks.append(_check("psd_residual", -sol.residuals["min_eigenvalue"], 1e-7, "le"))
+    checks.append(_check("sdp", "strong_duality_gap", abs(xi - cert.value), adv_bound, "le"))
+    checks.append(_check("sdp", "equality_residual", sol.residuals["primal_equality"], 1e-6, "le"))
+    checks.append(_check("sdp", "psd_residual", -sol.residuals["min_eigenvalue"], 1e-7, "le"))
 
     t0 = time.perf_counter()
     program = canonical_from_gram(f, sol)
@@ -185,12 +178,12 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
     report["orbits"] = None if program.orbit is None else {
         "order": sol.sdp.orbits.order, "representatives": [labels[s] for s in reps]}
     eval_ok = all(r["evaluates"] == r["f"] for r in per_input)
-    checks.append(_check("wsize_matches_adv", abs(ev.witness_size.max() - xi), adv_bound, "le"))
-    checks.append(_check("evaluate_agrees_with_f", 0.0 if eval_ok else 1.0, 0.5, "le"))
+    checks.append(_check("span_program", "wsize_matches_adv", abs(ev.witness_size.max() - xi), adv_bound, "le"))
+    checks.append(_check("span_program", "evaluate_agrees_with_f", 0.0 if eval_ok else 1.0, 0.5, "le"))
     # the stored vectors are witnesses (e_s for a false s, the v_{x,j} on the
     # blocks (j, x_j) for a true x), so the least witness is no larger
     excess = float((ev.witness_size - stored).max()) / program.witness_size
-    checks.append(_check("wsize_le_stored", excess, STORED_WSIZE_RTOL, "le"))
+    checks.append(_check("span_program", "wsize_le_stored", excess, STORED_WSIZE_RTOL, "le"))
 
     # every per-input quantity is computed as a stack over the representatives
     # (or over F0 or F1) and read at each input's representative; the loop at
@@ -235,31 +228,38 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
         zero_rows.append({"input": label, "f": f.value(s), "overlap_ratio": float(overlap[s]),
                           "expected": target_ratio, "kernel_residual": float(kernel_residual[s])})
         # both ratios are exact by construction, so the bound is relative
-        checks.append(_check(f"zero_witness_ratio[{label}]", abs(overlap[s] - target_ratio), 1e-9 * target_ratio, "le"))
-        checks.append(_check(f"jordan_reconstruction[{label}]", recon[s], 1e-8, "le"))
+        checks.append(_check("zero_witness", f"zero_witness_ratio[{label}]", abs(overlap[s] - target_ratio),
+                             1e-9 * target_ratio, "le"))
+        checks.append(_check("jordan", f"jordan_reconstruction[{label}]", recon[s], 1e-8, "le"))
         if spread is not None:
-            checks.append(_check(f"rank_cut[{label}]", spread[s], 1e-8, "le"))
+            checks.append(_check("jordan", f"rank_cut[{label}]", spread[s], 1e-8, "le"))
 
         if f.value(s) == 0:
             for c, lhs, rhs in zip(c_grid, gap_lhs[s].tolist(), gap_rhs.tolist()):
                 gap_rows.append({"input": label, "c": float(c), "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
-                checks.append(_check(f"effective_gap[{label},{C_LABEL.format(c)}]", lhs, rhs + 1e-6, "le"))
+                checks.append(_check("effective_gap", f"effective_gap[{label},{C_LABEL.format(c)}]",
+                                     lhs, rhs + 1e-6, "le"))
             for theta, lhs, rhs in zip(theta_grid, phase_lhs[s].tolist(), phase_rhs.tolist()):
                 phase_rows.append({"input": label, "theta": float(theta), "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
-                checks.append(_check(f"phase_gap[{label},{THETA_LABEL.format(theta)}]", lhs, rhs + 1e-6, "le"))
+                checks.append(_check("phase_gap", f"phase_gap[{label},{THETA_LABEL.format(theta)}]",
+                                     lhs, rhs + 1e-6, "le"))
 
         if simulate:
             if f.value(s):
-                checks.append(_check(f"phase_estimation_true[{label}]", p_phase[s] - PHASE_ERROR_BUDGET, 0.8, "ge"))
-                checks.append(_check(f"search_true[{label}]", p_search[s], 0.9, "ge"))
-                thresholds = {"phase_estimation": 0.8, "search": 0.9}
+                judged = (_check("phase_estimation", f"phase_estimation_true[{label}]",
+                                 p_phase[s] - PHASE_ERROR_BUDGET, 0.8, "ge"),
+                          _check("search", f"search_true[{label}]", p_search[s], 0.9, "ge"))
             else:
-                checks.append(_check(f"phase_estimation_false[{label}]", p_phase[s] + PHASE_ERROR_BUDGET, 0.4, "le"))
-                checks.append(_check(f"search_false[{label}]", p_search[s], 0.88, "le"))
-                thresholds = {"phase_estimation": 0.4, "search": 0.88}
+                judged = (_check("phase_estimation", f"phase_estimation_false[{label}]",
+                                 p_phase[s] + PHASE_ERROR_BUDGET, 0.4, "le"),
+                          _check("search", f"search_false[{label}]", p_search[s], 0.88, "le"))
+            checks.extend(judged)
+            # each algorithm's threshold and pass flag are those of its check
             alg_rows.append({"input": label, "f": f.value(s), "phase_estimation": float(p_phase[s]),
                              "phase_error_budget": PHASE_ERROR_BUDGET, "search": float(p_search[s]),
-                             "search_noregister": float(p_bare[s]), "tau": tau, "thresholds": thresholds})
+                             "search_noregister": float(p_bare[s]), "tau": tau,
+                             "thresholds": {chk["family"]: chk["bound"] for chk in judged},
+                             "pass": {chk["family"]: chk["pass"] for chk in judged}})
     timings["spectral"] = time.perf_counter() - t0
     report["lemma_checks"] = {"zero_witness": zero_rows, "effective_gap": gap_rows, "phase_gap": phase_rows}
     report["algorithms"] = alg_rows if simulate else None
@@ -273,7 +273,7 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
             report["formula_bound"] = {"leaves": None, "note": note}
         else:
             report["formula_bound"] = {"leaves": leaves, "sqrt_leaves": float(np.sqrt(leaves))}
-            checks.append(_check("adv_le_sqrt_formula_size", xi, float(np.sqrt(leaves)) + 1e-6, "le"))
+            checks.append(_check("formula_bound", "adv_le_sqrt_formula_size", xi, float(np.sqrt(leaves)) + 1e-6, "le"))
     else:
         report["formula_bound"] = None
 

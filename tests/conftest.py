@@ -1,5 +1,6 @@
-"""Shared corpus of solved functions, cached once per session, and the
-acceptance gate's seeded random 5-bit tables; the n Gram blocks of side 2^n
+"""Shared corpus of solved functions, cached once per session, every
+non-constant table of up to 3 bits, and the acceptance gate's seeded random
+5-bit tables; the n Gram blocks of side 2^n
 of a class-block solution and the class blocks of Gram blocks; the dense
 references of the SDP's constraint rows, of the canonical program and of the
 program and input graphs that only tests build, the per-input span-program
@@ -100,6 +101,11 @@ def random_tables(n: int, count: int, seed: int) -> list[str]:
     """count seeded random n-bit truth tables, as bitstrings."""
     rng = np.random.default_rng(seed)
     return ["".join(str(b) for b in rng.integers(0, 2, 2**n)) for _ in range(count)]
+
+
+def tables_up_to_three_bits() -> list[str]:
+    """Every non-constant truth table with 1 <= n <= 3, as bitstrings."""
+    return [format(code, f"0{2**n}b") for n in (1, 2, 3) for code in range(1, 2 ** 2**n - 1)]
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ from advspan.matkernel import gram_factor
 
 from conftest import (
     automorphisms, corpus_specs, dense_constraints, full_schur_complement, gram_blocks, group_order, random_tables,
-    reference_pair_normal, reference_solve_sdp,
+    reference_pair_normal, reference_solve_sdp, tables_up_to_three_bits,
 )
 
 
@@ -487,11 +487,6 @@ def test_small_schur_complements_are_reduced(spec):
     assert len(sdp.orbits.reps) < len(sdp.pairs) + sdp.num_inputs
 
 
-def tables_up_to_three_bits() -> list[str]:
-    """Every non-constant truth table with 1 <= n <= 3, as bitstrings."""
-    return [format(code, f"0{2**n}b") for n in (1, 2, 3) for code in range(1, 2 ** 2**n - 1)]
-
-
 def test_orbit_path_is_taken_exactly_when_the_group_is_nontrivial():
     """build_witness_sdp solves f on its orbits exactly when Aut(f) is
     nontrivial, whatever the side of M: on all 270 non-constant tables with
@@ -673,17 +668,6 @@ def test_order_two_table_converges_on_its_orbits_at_tight_tol():
     assert sol.residuals["iterations"] == 17
 
 
-@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "AND:4"] + WHOLE_RUNS)
-def test_reduced_solve_follows_the_full_block_path(spec):
-    """Solved on the orbits of its group, a function takes as many iterations
-    as the loop on the n full Gram blocks, to the same xi."""
-    f = load_function(spec)
-    sol = solve_sdp(build_witness_sdp(f))
-    ref = reference_solve_sdp(f)
-    assert sol.residuals["iterations"] == ref.residuals["iterations"]
-    assert abs(sol.xi - ref.xi) <= 1e-9 * max(1.0, ref.xi)
-
-
 def test_certificate_norms_come_from_one_stacked_svd(corpus):
     """||Gamma|| and the n norms ||Gamma o D_i|| from one stacked SVD equal
     the separate ones bitwise."""
@@ -765,9 +749,10 @@ def test_random_five_bit_tables_solve(table):
     assert abs(sol.xi - extract_certificate(sol, f).value) <= 1e-6
 
 
-@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "MAJ:4", "AND:4"] + random_tables(5, 2, 0))
+@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "MAJ:4", "AND:4"] + WHOLE_RUNS + random_tables(5, 2, 0))
 def test_class_blocks_follow_the_full_block_path(spec):
-    """Splitting each Gram block over its two classes loses nothing: the same
+    """Splitting each Gram block over its two classes, and solving on the
+    orbits of Aut(f) (WHOLE_RUNS among them), loses nothing: the same
     interior-point loop on the n full blocks of side 2^n (reference_solve_sdp)
     takes as many iterations to the same xi, and keeps every entry between
     two classes at exactly zero, the entries a class-block solution does not

@@ -8,11 +8,11 @@ import pytest
 from advspan import advsdp, pipeline
 from advspan.cli import build_parser, main, run_pipeline
 from advspan.errors import BadSpecError
-from advspan.pipeline import CHECK_FAMILIES, MARGIN_RTOL, MARGIN_TOL, _check, _margins, matrix_to_json, verify
+from advspan.pipeline import MARGIN_RTOL, MARGIN_TOL, _check, _margins, matrix_to_json, verify
 
 from advspan.spectral import edge_list
 
-from conftest import NPN3_CANONICAL, corpus_specs, dense_adjacency
+from conftest import NPN3_CANONICAL, corpus_specs, dense_adjacency, tables_up_to_three_bits
 
 
 def run_args(tmp_path, *extra):
@@ -139,18 +139,34 @@ def test_margins_name_a_nan_or_infinite_margin():
     """A NaN relative margin (a NaN margin, or an infinite one over an
     infinite bound) is named in its family before any other, and a margin
     of -inf is the least like any other; none raises."""
-    finite, nan = _check("effective_gap[00,c=1]", 0.1, 1.0, "le"), _check("effective_gap[01,c=1]", np.nan, 1.0, "le")
+    finite = _check("effective_gap", "effective_gap[00,c=1]", 0.1, 1.0, "le")
+    nan = _check("effective_gap", "effective_gap[01,c=1]", np.nan, 1.0, "le")
     assert _margins([finite, nan])["effective_gap"]["check"] == "effective_gap[01,c=1]"
     assert not nan["pass"]
-    low = _check("effective_gap[11,c=1]", np.inf, 1.0, "le")
+    low = _check("effective_gap", "effective_gap[11,c=1]", np.inf, 1.0, "le")
     assert _margins([finite, low, dict(low, name="effective_gap[10,c=1]")])["effective_gap"]["check"] == low["name"]
-    high = _check("phase_gap[00,theta=1]", 1.0, np.inf, "le")
+    high = _check("phase_gap", "phase_gap[00,theta=1]", 1.0, np.inf, "le")
     assert _margins([high, dict(high, name="phase_gap[01,theta=1]")])["phase_gap"]["check"] == high["name"]
 
 
 def test_matrix_to_json_pairs():
     enc = matrix_to_json(np.array([[1.0, 1j]]))
     assert enc == [[[1.0, 0.0], [0.0, 1.0]]]
+
+
+def reference_matrix_to_json(mat) -> list:
+    """matrix_to_json one entry at a time, a Python float per part."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, dtype=complex)]
+
+
+def test_matrix_to_json_is_the_per_entry_loop(solved, five_bit_gate):
+    """The stacked encoding writes the same JSON as the per-entry loop, byte
+    for byte, on the certificates of MAJ:3, OR:4 and a 5-bit table, and on
+    signed zeros and complex entries."""
+    mats = [solved("MAJ:3").certificate.gamma, solved("OR:4").certificate.gamma, five_bit_gate[0].certificate.gamma,
+            np.array([[-0.0, 1e-300 - 2.5j], [np.pi * 1j, -1.0 + 0.1j]])]
+    for mat in mats:
+        assert json.dumps(matrix_to_json(mat)) == json.dumps(reference_matrix_to_json(mat))
 
 
 def test_parser_defaults():
@@ -260,15 +276,14 @@ def test_margins_summarize_each_check_family(solved, capsys):
     report = solved("00111101").report
     families = {}
     for chk in report["checks"]:
-        families.setdefault(CHECK_FAMILIES[chk["name"].split("[")[0]], []).append(chk)
+        families.setdefault(chk["family"], []).append(chk)
     assert list(report["margins"]) == list(families)
     assert {"sdp", "zero_witness", "jordan", "effective_gap", "phase_gap", "phase_estimation",
             "search"} <= set(families)
     for family, chks in families.items():
         assert all(chk["bound"] > 0.0 for chk in chks)
-        least = min(chk["margin"] / chk["bound"] for chk in chks)
-        first = next(chk for chk in chks if chk["margin"] / chk["bound"] - least
-                     <= max(MARGIN_RTOL, MARGIN_TOL / chk["bound"]))
+        rank = [min(chk["bound"], chk["margin"] + MARGIN_TOL) / chk["bound"] for chk in chks]
+        first = chks[next(k for k, r in enumerate(rank) if r - min(rank) <= MARGIN_RTOL)]
         assert report["margins"][family] == {"check": first["name"], "margin": first["margin"],
                                              "relative": first["margin"] / first["bound"]}
     # phase_estimation_true is tight by construction (the kernel witness has
@@ -286,19 +301,20 @@ def test_margins_summarize_each_check_family(solved, capsys):
 
 def test_margins_name_the_first_of_checks_tied_to_roundoff():
     """Checks whose margins differ by roundoff name the first of them in
-    report order, whichever is smallest in the last bits: relative margins
-    within MARGIN_RTOL tie, and so do margins within MARGIN_TOL, which on a
-    bound of 1e-9 or below is far more than MARGIN_RTOL of it.  A clearly
-    smaller relative margin still wins, and a check of small bound wins on
-    its relative margin over one of large bound."""
-    checks = [_check("zero_witness_ratio[00]", 2e-16, 1e-9, "le"),
-              _check("zero_witness_ratio[01]", 3e-16, 1e-9, "le"),
-              _check("zero_witness_ratio[10]", 0.0, 1.9e-11, "le"),
-              _check("zero_witness_ratio[11]", 1e-16, 1.9e-11, "le"),
-              _check("jordan_reconstruction[00]", 1e-15, 1e-8, "le"),
-              _check("jordan_reconstruction[01]", 2e-9, 1e-8, "le"),
-              _check("wsize_matches_adv", 0.0, 1e-5, "le"),
-              _check("wsize_le_stored", 5e-10, 1e-9, "le")]
+    report order, whichever is smallest in the last bits: a margin within
+    MARGIN_TOL of its bound ranks as the whole bound, which on a bound of
+    1e-9 or below is far more than MARGIN_RTOL of it, and ranks within
+    MARGIN_RTOL tie.  A clearly smaller relative margin still wins, and a
+    check of small bound wins on its relative margin over one of large
+    bound."""
+    checks = [_check("zero_witness", "zero_witness_ratio[00]", 2e-16, 1e-9, "le"),
+              _check("zero_witness", "zero_witness_ratio[01]", 3e-16, 1e-9, "le"),
+              _check("zero_witness", "zero_witness_ratio[10]", 0.0, 1.9e-11, "le"),
+              _check("zero_witness", "zero_witness_ratio[11]", 1e-16, 1.9e-11, "le"),
+              _check("jordan", "jordan_reconstruction[00]", 1e-15, 1e-8, "le"),
+              _check("jordan", "jordan_reconstruction[01]", 2e-9, 1e-8, "le"),
+              _check("span_program", "wsize_matches_adv", 0.0, 1e-5, "le"),
+              _check("span_program", "wsize_le_stored", 5e-10, 1e-9, "le")]
     margins = _margins(checks)
     assert margins["zero_witness"] == {"check": "zero_witness_ratio[00]", "margin": checks[0]["margin"],
                                        "relative": checks[0]["margin"] / 1e-9}
@@ -334,6 +350,47 @@ def test_margins_pin_an_orbit_tie_of_a_four_bit_table():
     for shift in (8.8e-12, -8.8e-12):
         shifted = [pair[0], dict(pair[1], margin=pair[0]["margin"] - shift)]
         assert _margins(shifted)["phase_estimation"]["check"] == "phase_estimation_true[0000]"
+
+
+CHECK_FAMILIES = ("sdp", "span_program", "zero_witness", "jordan", "effective_gap", "phase_gap", "phase_estimation",
+                  "search", "formula_bound")
+
+
+def test_checks_carry_their_family(corpus, five_bit_gate):
+    """Every check carries one of the nine families, report["margins"] has
+    one entry per family present, in report order, and each algorithm row
+    carries the pass flag and the bound of its input's phase_estimation and
+    search checks."""
+    for bundle in corpus + five_bit_gate:
+        report = bundle.report
+        families = [chk["family"] for chk in report["checks"]]
+        assert set(families) <= set(CHECK_FAMILIES)
+        assert list(report["margins"]) == list(dict.fromkeys(families))
+        for alg in ("phase_estimation", "search"):
+            judged = [chk for chk in report["checks"] if chk["family"] == alg]
+            assert len(judged) == len(report["algorithms"]) == 2**bundle.f.n
+            for row, chk in zip(report["algorithms"], judged):
+                assert chk["name"].endswith(f"[{row['input']}]")
+                assert row["pass"][alg] is chk["pass"] and row["thresholds"][alg] == chk["bound"]
+
+
+# 0100 and 15 of the 268 non-constant 2- and 3-bit tables (01 and 10 have a trivial group)
+PATH_SAMPLE = ["0100", *np.random.default_rng(23).choice(tables_up_to_three_bits()[2:], 15, replace=False).tolist()]
+
+
+@pytest.mark.parametrize("table", PATH_SAMPLE)
+def test_both_solver_paths_name_the_same_checks(table, monkeypatch):
+    """Solved on the orbits of Aut(f) or on all of M (_orbits patched to
+    report a trivial group), a function's report names the same check in
+    every family.  On 0100 both span_program residuals read exactly 0 on
+    all of M and roundoff (4e-16 and 3e-16) on the orbits; each ranks as
+    its whole bound, so wsize_matches_adv, the first, is named on both."""
+    orbit = verify(table).report
+    monkeypatch.setattr(advsdp, "_orbits", lambda *args: None)
+    whole = verify(table).report
+    assert orbit["orbits"] is not None and whole["orbits"] is None
+    assert ({family: least["check"] for family, least in orbit["margins"].items()}
+            == {family: least["check"] for family, least in whole["margins"].items()})
 
 
 @pytest.mark.parametrize("spec", ["MAJ:5", "AND:5"])
