@@ -668,6 +668,17 @@ def test_order_two_table_converges_on_its_orbits_at_tight_tol():
     assert sol.residuals["iterations"] == 17
 
 
+@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "AND:4"])
+def test_reduced_solve_follows_the_full_block_path(spec):
+    """Solved on the orbits of its group, a function takes as many iterations
+    as the loop on the n full Gram blocks, to the same xi."""
+    f = load_function(spec)
+    sol = solve_sdp(build_witness_sdp(f))
+    ref = reference_solve_sdp(f)
+    assert sol.residuals["iterations"] == ref.residuals["iterations"]
+    assert abs(sol.xi - ref.xi) <= 1e-9 * max(1.0, ref.xi)
+
+
 def test_certificate_norms_come_from_one_stacked_svd(corpus):
     """||Gamma|| and the n norms ||Gamma o D_i|| from one stacked SVD equal
     the separate ones bitwise."""
