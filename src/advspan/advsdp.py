@@ -90,16 +90,16 @@ roundoff that cond(X) amplifies, about 1e-8 relative near the optimum.
 alpha and beta are expanded once, after the loop, and the whole stack only
 to check the final residuals: the solution keeps the representative class
 blocks, and nothing downstream forms a Gram block of side 2^n.  A function
-whose group is trivial, as almost every random table, is the identity case
-of the same loop, every block its own representative and every map the
-identity, and keeps the arithmetic of the loop on all of M bit for bit.
-Every other function, however small, is solved on its orbits.
+whose group is trivial, as almost every random table, is the order-1 case
+of the same loop: every block, row and input is its own representative,
+every map is the identity, no stabilizer moves an entry, and M is already
+the reduced system, so schur_complement skips the reduction's GEMM.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -121,32 +121,39 @@ BETA_DROP_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Orbits:
-    """The orbits of Aut(f), of order |G| > 1, on the SDP's three index sets
-    and on its class blocks.
+    """The orbits of Aut(f), of order |G|, on the SDP's three index sets and
+    on its class blocks; a trivial group has order 1 and every map the
+    identity.
 
     label holds the orbit of each entry of the class-block stack (the padding
     is one orbit of zeros), then of each input.  row maps each equality row,
     the pairs then the inputs, to its reduced row: the pair orbits first,
     sorted by their representative's u on the Schur complement's loop side,
     then the input orbits, in the order of their least members.  reps holds
-    the representative equality row of each reduced row, and expand =
-    P D^-1/2, P the 0/1 orbit-membership matrix of the rows and D = P^T P: its
-    columns are orthonormal and M reduces to expand^T M expand.  blocks lists
-    the least class block of each orbit of the group on the 2n class blocks,
-    and from_reps maps the stack onto those blocks: entry e of the stack is
-    entry from_reps[e] of the representatives' stack, the one a group element
-    carries onto e, and the padding reads the zero after it.  inputs holds
-    the least member of each input's orbit.
+    the representative equality row of each reduced row.  from_reps maps the
+    stack onto the representative class blocks (WitnessSdp.classes): entry e
+    of the stack is entry from_reps[e] of the representatives' stack, the one
+    a group element carries onto e, and the padding reads the zero after it.
+    inputs holds the least member of each input's orbit.
     """
 
     order: int
     label: np.ndarray
     row: np.ndarray
     reps: np.ndarray
-    expand: np.ndarray
-    blocks: np.ndarray
     from_reps: np.ndarray
     inputs: np.ndarray
+
+    @cached_property
+    def expand(self) -> np.ndarray:
+        """P D^-1/2, P the 0/1 orbit-membership matrix of the rows and
+        D = P^T P: its columns are orthonormal and M reduces to
+        expand^T M expand.  Built on first use, which schur_complement makes
+        only when the order is above 1 (at order 1 it is the identity)."""
+        size = np.bincount(self.row)
+        expand = np.zeros((len(self.row), len(size)))
+        expand[np.arange(len(self.row)), self.row] = 1.0 / np.sqrt(size[self.row])
+        return expand
 
     def expand_stack(self, reps: np.ndarray) -> np.ndarray:
         """The whole class-block stack, flat, from the stack of the
@@ -164,15 +171,18 @@ class WitnessSdp:
     side K.  The whole stack is [vec(X_0) ... vec(X_{2n-1})] with X_b[i,k] at
     (b K + i) K + k.  Equality rows cover the F0 x F1 pair constraints
     followed by the slack-completed row-sum constraints
-    sum_j X_j[s,s] + u_s = xi, with X_j[s,s] at diagonal[j, s].  Pair row p
-    sums (X_j[w,x] + X_j[x,w]) / 2 over the entries e with entry_pair[e] = p,
-    one per 0-based j with w_j != x_j, at entry_index[e] and entry_mirror[e].
+    sum_j X_j[s,s] + u_s = xi, with X_j[s,s] at diagonal[j, s].  pairs lists
+    each (w, x), w in F0, in the order of the pair rows: over r x o, u-major,
+    r the smaller of F0 and F1 (F0 on a tie), which the Schur complement
+    loops over.  Pair row p sums (X_j[w,x] + X_j[x,w]) / 2 over the entries e
+    with entry_pair[e] = p, one per 0-based j with w_j != x_j, at
+    entry_index[e] and entry_mirror[e].
 
     The solver works in orbit coordinates: the variable
-    [vec(X_b) for b in classes | u_k | xi], classes the representative class
-    blocks (Orbits.blocks; every block when the group is trivial) and u_k one
-    slack per input orbit, with one multiplier per reduced row (Orbits.row).
-    Its maps, each the identity when the group is trivial:
+    [vec(X_b) for b in classes | u_k | xi], classes the least class block of
+    each orbit of the group on the 2n class blocks and u_k one slack per
+    input orbit, with one multiplier per reduced row (Orbits.row).  Its maps,
+    each the identity when the group is trivial:
     rep_pair, rep_index and rep_mirror are the entries of the pair rows at
     their orbits' representatives, in the representatives' stack, and
     rep_diagonal[j, k] is X_j[s,s] there, s the least input of input orbit k.
@@ -181,25 +191,24 @@ class WitnessSdp:
     row_size the orbit size of each reduced row; multiplicity the number of
     entries of the whole variable each one stands for (its block orbit's
     size; its input orbit's size for u_k; 1 for xi), so <x, z> is
-    sum multiplicity x z.  stabilizer holds the orbit of each representative
-    entry under its block's stabilizer and 1 / its size, None when the group
-    is trivial.  block_rows[b, i] is the row (block K + position) of the
-    representatives' stack that member i of class block b copies.  padding
-    indexes the padding's diagonal in the stack [X; Z] of the representative
-    blocks.
+    sum multiplicity x z.  stabilizer holds the representative entries that
+    their block's stabilizer moves (none when the group is trivial; never the
+    padding, which stays zero), the orbit of each among them, numbered from
+    0, and 1 / its size.  block_rows[b, i] is the row (block K + position) of
+    the representatives' stack that member i of class block b copies.
+    padding indexes the padding's diagonal in the stack [X; Z] of the
+    representative blocks.
 
     gather holds the flat indices that schur_complement reads from
     [X | 0 | Z^-1 | 0] (the two stacks of the representative blocks, each
     followed by one zero), one array per product term, pointing at that zero
-    off the class (row_f0 and row_f1 at the input representatives only), and
+    off the class (row_r and row_o at the input representatives only), and
     gather["row_sums"] those of the row-sum rows there.
     gather["runs"] lists the pair rows schur_complement builds, one GEMM per
-    u on the smaller side of F0 x F1, and gather["input_reps"] the inputs of
-    the row-sum rows it builds.
+    u in r, and gather["input_reps"] the inputs of the row-sum rows it builds.
 
-    orbits holds the orbits of Aut(f) (Orbits); None exactly when the group
-    is trivial, and every row of M is then built and solved and every class
-    block factored.
+    orbits holds the orbits of Aut(f) (Orbits), of order 1 when the group is
+    trivial.
     """
 
     f: BooleanFunction
@@ -217,11 +226,11 @@ class WitnessSdp:
     entry_row: np.ndarray
     row_size: np.ndarray
     multiplicity: np.ndarray
-    stabilizer: tuple[np.ndarray, np.ndarray] | None
+    stabilizer: tuple[np.ndarray, np.ndarray, np.ndarray]
     block_rows: np.ndarray
     padding: np.ndarray
     gather: dict
-    orbits: Orbits | None
+    orbits: Orbits
 
     @property
     def n(self) -> int:
@@ -265,8 +274,13 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
     if f.is_constant:
         raise ConstantFunctionError("ADV is undefined for constant functions (F0 x F1 is empty)")
     n, s = f.n, 2**f.n
-    pairs = tuple(itertools.product(f.f0, f.f1))
     bits, f0, f1 = f.bits, np.array(f.f0), np.array(f.f1)
+    # the Schur complement loops over the smaller side r of F0 x F1, and the
+    # pairs run over r x o, u-major; r's arrays read (X, Z^-1), o's (Z^-1, X)
+    r, o = (f0, f1) if len(f0) <= len(f1) else (f1, f0)
+    ends = np.repeat(r, len(o)), np.tile(o, len(r))  # (u, v) of every pair
+    w, x = ends if r is f0 else ends[::-1]
+    pairs = tuple(zip(w.tolist(), x.tolist()))
     cls = bits ^ np.array(f.table)[:, None]  # (s, j): the c of the class of s in coordinate j
     block = 2 * np.arange(n) + cls
     pos = np.where(cls, np.cumsum(cls, axis=0), np.cumsum(1 - cls, axis=0)) - 1  # place within the class
@@ -278,21 +292,13 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
     # entries[j, s, t]: where X_j[s,t] sits in the stack, or stack_size between two classes
     entries = np.where(c[:, :, None] == c[:, None, :],
                        ((block.T * side + pos.T) * side)[:, :, None] + pos.T[:, None, :], stack_size)
-    pair, j = np.nonzero((bits[f0][:, None, :] != bits[f1][None, :, :]).reshape(len(pairs), n))
-    w, x = f0[pair // len(f1)], f1[pair % len(f1)]
-    entry_index, entry_mirror = entries[j, w, x], entries[j, x, w]
+    pair, j = np.nonzero(bits[w] != bits[x])
+    entry_index, entry_mirror = entries[j, w[pair], x[pair]], entries[j, x[pair], w[pair]]
     diagonal = entries[:, np.arange(s), np.arange(s)]
 
-    # the Schur complement loops over the smaller side r of F0 x F1; its
-    # arrays read (X, Z^-1), the other side's (Z^-1, X)
-    (r, o), swap = ((f0, f1), False) if len(f0) <= len(f1) else ((f1, f0), True)
     num_rows = len(pairs) + s
-    orbits = _orbits(f, members, r, o, swap)
-    if orbits is None:
-        classes, from_reps, row = np.arange(2 * n), np.arange(stack_size), np.arange(num_rows)
-        row_reps = row
-    else:
-        classes, from_reps, row, row_reps = orbits.blocks, orbits.from_reps, orbits.row, orbits.reps
+    orbits, classes = _orbits(f, members, r, o)
+    from_reps, row, row_reps = orbits.from_reps, orbits.row, orbits.reps
     zero = len(classes) * side * side  # the zero after each representatives' stack, at zero and 2 zero + 1
     to_rep = np.append(from_reps, zero)
     rep_entries = to_rep[entries]  # X_j[s,t] in the representatives' stack
@@ -316,20 +322,13 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
 
     gather = {
         "same_r": terms(r, r), "same_o": terms(o, o, True), "across": terms(r, o, True), "back": terms(o, r),
-        "row_f0": by_row(f0), "row_f1": by_row(f1, True), "swap": swap,
+        "row_r": by_row(r), "row_o": by_row(o, True),
         "row_sums": rep_entries[:, input_reps], "input_reps": input_reps,
     }
-    if orbits is not None:
-        reps = row_reps[:num_pair_rows]  # the pair rows, sorted by their u
-        u, v = np.divmod(reps, len(f1))
-        u, v = (v, u) if swap else (u, v)
-        bounds = np.flatnonzero(np.diff(u)) + 1
-        runs = [(int(u[start]), None if stop - start == len(o) else v[start:stop], slice(start, stop))
-                for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(u)])]
-    else:  # every pair is a row, in pair order: the rows (u, v) of one u lie |F1| apart when r is F1
-        nr, no = len(r), len(o)
-        runs = [(u, None, slice(u, nr * no, nr) if swap else slice(u * no, (u + 1) * no)) for u in range(nr)]
-    gather["runs"] = runs
+    u, v = np.divmod(row_reps[:num_pair_rows], len(o))  # the pair rows, sorted by their u
+    bounds = np.flatnonzero(np.diff(u)) + 1
+    gather["runs"] = [(int(u[start]), None if stop - start == len(o) else v[start:stop], slice(start, stop))
+                      for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(u)])]
 
     is_rep = np.zeros(num_rows, dtype=bool)
     is_rep[row_reps] = True
@@ -339,11 +338,9 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
     touch[diagonal] = len(pairs) + np.arange(s)
     rep_flat = (classes[:, None] * side * side + np.arange(side * side)).ravel()
     row_size = np.bincount(row).astype(float)
-    stabilizer = None
-    if orbits is not None:
-        count = np.bincount(orbits.label[rep_flat])
-        label = (np.cumsum(count > 0) - 1)[orbits.label[rep_flat]]  # numbered from 0, so bincount stays short
-        stabilizer = (label, 1.0 / count[orbits.label[rep_flat]])
+    label = orbits.label[rep_flat]
+    moved = np.flatnonzero((np.bincount(label)[label] > 1) & (from_reps[rep_flat] < zero))
+    label = np.unique(label[moved], return_inverse=True)[1]  # numbered from 0, so bincount stays short
     block_rows = to_rep[np.arange(2 * n)[:, None] * side * side + np.arange(side) * (side + 1)] // side
     reps_of = np.bincount(block_rows[:, 0] // side, minlength=len(classes) + 1)[:-1]  # an empty class has none
     b, i = np.nonzero(members[classes] < 0)
@@ -354,14 +351,14 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
         rep_mirror=to_rep[entry_mirror[kept]], rep_diagonal=to_rep[diagonal[:, input_reps]],
         entry_row=np.append(row, len(row_reps))[touch[rep_flat]], row_size=row_size,
         multiplicity=np.concatenate([np.repeat(reps_of, side * side), row_size[num_pair_rows:], [1]]),
-        stabilizer=stabilizer, block_rows=block_rows,
+        stabilizer=(moved, label, 1.0 / np.bincount(label)[label]), block_rows=block_rows,
         padding=np.concatenate([padding, zero + padding]), gather=gather, orbits=orbits)
 
 
-def _orbits(f: BooleanFunction, members: np.ndarray, r: np.ndarray, o: np.ndarray, swap: bool) -> Orbits | None:
+def _orbits(f: BooleanFunction, members: np.ndarray, r: np.ndarray, o: np.ndarray) -> tuple[Orbits, np.ndarray]:
     """The orbits of Aut(f) on the inputs, the pairs, the stack entries and
-    the class blocks, each labelled by its smallest member; None when the
-    group is trivial.
+    the class blocks, each labelled by its smallest member, and the least
+    class block of each block orbit (_block_orbits).
 
     No orbit is gathered under the whole group.  Aut(f) is a union of cosets
     (pi, m_pi xor N), N its pure negations, so the smallest input of the orbit
@@ -373,8 +370,6 @@ def _orbits(f: BooleanFunction, members: np.ndarray, r: np.ndarray, o: np.ndarra
     stabilizer for every (j, t) at once.  Pairs (u, v), u on the smaller side
     r, are labelled the same way through u."""
     perms, shifts, negations = automorphism_cosets(f)
-    if len(perms) * len(negations) == 1:
-        return None
     images, coordinates, _, _ = input_maps(f.n)
     n, num = f.n, 2**f.n
     heads = perms * num + shifts  # one element of each coset
@@ -401,23 +396,20 @@ def _orbits(f: BooleanFunction, members: np.ndarray, r: np.ndarray, o: np.ndarra
                                                h_images[s, t]]
     entry = np.where((s < 0) | (t < 0), n * num * num, code).ravel()  # the padding is one orbit of zeros
 
-    pair_code = lowest[r][:, None] * num + least_input[which[r][:, None], h_images[r[:, None], o]]
-    pair_code = (pair_code.T if swap else pair_code).ravel()  # in pair order, w-major over F0 x F1
+    # in pair order, r x o u-major, so the rows are numbered in pair order at order 1
+    pair_code = (lowest[r][:, None] * num + least_input[which[r][:, None], h_images[r[:, None], o]]).ravel()
     present = np.zeros(num * num, dtype=bool)
     present[pair_code] = True
     pair_reps = np.flatnonzero(present)
     row = np.concatenate([(np.cumsum(present) - 1)[pair_code], len(pair_reps) + which])
-    size = np.bincount(row)
-    expand = np.zeros((len(row), len(size)))
-    expand[np.arange(len(row)), row] = 1.0 / np.sqrt(size[row])
     position = np.empty(num, dtype=int)
     position[r], position[o] = np.arange(len(r)), np.arange(len(o))
     u, v = position[pair_reps // num], position[pair_reps % num]
-    first = np.concatenate([v * len(r) + u if swap else u * len(o) + v, len(pair_code) + reps])
+    first = np.concatenate([u * len(o) + v, len(pair_code) + reps])
     label = np.concatenate([entry, n * num * num + 1 + lowest])
     blocks, from_reps = _block_orbits(f, members, heads, negations)
-    return Orbits(order=len(perms) * len(negations), label=label, row=row, reps=first, expand=expand,
-                  blocks=blocks, from_reps=from_reps, inputs=lowest)
+    return Orbits(order=len(perms) * len(negations), label=label, row=row, reps=first, from_reps=from_reps,
+                  inputs=lowest), blocks
 
 
 def _block_orbits(f: BooleanFunction, members: np.ndarray, heads: np.ndarray,
@@ -499,8 +491,8 @@ def _apply_adjoint(sdp: WitnessSdp, y: np.ndarray) -> np.ndarray:
 def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
     """The HKM Schur complement M[i,k] = tr(A_i X A_k Z^-1) + sum_l a_il a_kl x_l / z_l,
-    on the orbits of Aut(f): expand^T M expand (Orbits), or M itself when the
-    group is trivial.
+    on the orbits of Aut(f): expand^T M expand (Orbits), which at order 1 is
+    M itself, returned without the reduction's GEMM.
 
     x and z_inv are stacks of the representative class blocks and lp_ratio
     is x / z on (u_k, xi), all constant on their orbits, so M commutes with
@@ -516,7 +508,7 @@ def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio
     representative onto it, each term is a sum over the 4n (block, X or
     Z^-1) of an F0-side matrix times an F1-side one, so the first two are
     one GEMM over 4n products and the last two another, run for all the rows
-    of one u on the smaller side at a time (gather["runs"]).  An entry of a
+    of one u in r at a time (gather["runs"]).  An entry of a
     row-sum row and a pair column is
     sum_j (Z^-1[w,s] X[x,s] + X[w,s] Z^-1[x,s]) / 2 over the coordinates j
     where s shares the class of w and x, a matmul over 2n products per
@@ -524,8 +516,8 @@ def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio
     columns.  The row-row block is sum_j X_j o Z_j^-1 plus the (u, xi) part.
     """
     g, num_inputs, orbits = sdp.gather, sdp.num_inputs, sdp.orbits
-    a, b = g["row_f0"].shape[2], g["row_f1"].shape[2]  # |F0|, |F1|
-    p, k = a * b, 4 * sdp.n
+    nr, no = g["row_r"].shape[2], g["row_o"].shape[2]  # |r|, |o|
+    p, k = nr * no, 4 * sdp.n
     src = np.zeros((2, x.size + 1))  # [X | 0 | Z^-1 | 0]
     src[0, :-1] = x.ravel()
     src[1, :-1] = z_inv.ravel()
@@ -537,24 +529,22 @@ def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio
     same_r *= 0.25
     across = np.take(flat, g["across"])
     across *= 0.25
-    nr, no = across.shape[1:]
     same_o = np.take(flat, g["same_o"])  # (k, v, v')
     back = np.take(flat, g["back"])  # (k, v, u')
     for u, v, run in g["runs"]:
         # the rows (u, v) for v in the run, as (v, u', v')
-        block = rows[run, :p].reshape(-1, a, b)
-        block = block.transpose(0, 2, 1) if g["swap"] else block
+        block = rows[run, :p].reshape(-1, nr, no)
         so, bk = (same_o, back) if v is None else (same_o[:, v], back[:, v])
         np.add((same_r[:, u].T @ so.reshape(k, -1)).reshape(nr, -1, no).transpose(1, 0, 2),
                (bk.reshape(k, -1).T @ across[:, u]).reshape(-1, nr, no), out=block)
-    ws = np.take(flat, g["row_f0"])
+    ws = np.take(flat, g["row_r"])
     ws *= 0.5
-    rows[q:, :p] = np.matmul(ws.transpose(0, 2, 1), np.take(flat, g["row_f1"])).reshape(len(input_reps), p)
+    rows[q:, :p] = np.matmul(ws.transpose(0, 2, 1), np.take(flat, g["row_o"])).reshape(len(input_reps), p)
     row_block = rows[q:, p:]
     np.take(src[0] * src[1], g["row_sums"]).sum(axis=0, out=row_block)
     row_block += lp_ratio[-1]
     row_block[np.arange(len(input_reps)), input_reps] += lp_ratio[:-1]
-    if orbits is None:
+    if orbits.order == 1:  # every row is its own orbit: M is the reduced system
         rows[:q, p:] = rows[q:, :p].T
         return rows
     # M is symmetric, so the pair rows' input columns of the reduced system
@@ -572,8 +562,8 @@ def schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio
 
 def _pair_normal(sdp: WitnessSdp, stack: np.ndarray) -> np.ndarray:
     """J J^T of the pair constraints at the representatives' stack X = V V^T,
-    on the pair orbits when sdp.orbits is set: 4 times the pair block of
-    schur_complement at Z^-1 = I (see round_factor)."""
+    on the pair orbits: 4 times the pair block of schur_complement at
+    Z^-1 = I (see round_factor)."""
     q = sdp.pair_rows
     identity = np.broadcast_to(np.eye(sdp.side), sdp.class_shape)
     return 4.0 * schur_complement(sdp, stack, identity, np.zeros(len(sdp.row_size) - q + 1))[:q, :q]
@@ -686,11 +676,10 @@ def _inverse_factors(blocks: np.ndarray) -> np.ndarray:
 
 def _symmetrize(sdp: WitnessSdp, stack: np.ndarray) -> np.ndarray:
     """The representatives' stack, flat, averaged in place over the orbits of
-    each block's stabilizer (WitnessSdp.stabilizer); unchanged when the group
-    is trivial."""
-    if sdp.stabilizer is not None:
-        label, weight = sdp.stabilizer
-        stack[:] = np.bincount(label, weights=stack)[label] * weight
+    each block's stabilizer (WitnessSdp.stabilizer); only the entries some
+    stabilizer moves are touched, none when the group is trivial."""
+    moved, label, weight = sdp.stabilizer
+    stack[moved] = np.bincount(label, weights=stack[moved])[label] * weight
     return stack
 
 
@@ -816,10 +805,9 @@ def solve_sdp(
     roundoff leaves an iterate on the cone's boundary.  residuals["history"]
     has one row per iteration: mu, the gap and both infeasibilities at the
     iterate it started from, and the step lengths it took.
-    residuals["orbits"] says which path the solve took: None, exactly when
-    Aut(f) is trivial, on all of M and every class block, else the group's
-    order, M's side before and after the reduction, and the class blocks
-    factored per iteration (X's and Z's representatives).  Deterministic:
+    residuals["orbits"] holds the group's order (1 when Aut(f) is trivial),
+    M's side before and after the reduction, and the class blocks factored
+    per iteration (X's and Z's representatives).  Deterministic:
     fixed start X_b = Z_b = I on every class block.
 
     The iterate lives in orbit coordinates (WitnessSdp): X and Z as their
@@ -876,11 +864,8 @@ def solve_sdp(
                         "dual_infeasibility": dual_inf, "step_primal": step_p, "step_dual": step_d})
 
     stack = x[:nb].reshape(shape)
-    if orbits is None:
-        whole, alpha, beta = x, y[:num_pairs], -y[num_pairs:]
-    else:
-        whole = orbits.expand_stack(stack)
-        alpha, beta = y[orbits.row[:num_pairs]], -y[orbits.row[num_pairs:]]
+    whole = orbits.expand_stack(stack)
+    alpha, beta = y[orbits.row[:num_pairs]], -y[orbits.row[num_pairs:]]
     sizes = sdp.sizes[sdp.classes]
     residuals = {
         "primal_equality": float(np.abs(_pair_values(sdp, whole) - 1.0).max()),
@@ -896,10 +881,8 @@ def solve_sdp(
         "iterations": iterations,
         "tolerance": tol,
         "history": history,
-        "orbits": None if orbits is None else {
-            "order": orbits.order, "schur_side": num_pairs + num_inputs, "reduced_side": len(orbits.reps),
-            "blocks_factored": 2 * len(sdp.classes),
-        },
+        "orbits": {"order": orbits.order, "schur_side": num_pairs + num_inputs, "reduced_side": len(sdp.row_size),
+                   "blocks_factored": 2 * len(sdp.classes)},
     }
     if max(primal_inf, dual_inf, abs(gap), complementarity) > scale:
         stop = "the iteration cap" if iterations == max_iterations else "the iterates left the cone's interior"

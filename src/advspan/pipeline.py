@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qsim, spectral
-from .advsdp import DEFAULT_TOL, AdversaryCertificate, SdpSolution, build_witness_sdp, extract_certificate, solve_sdp
+from .advsdp import (
+    DEFAULT_TOL, MIN_TOL, AdversaryCertificate, SdpSolution, build_witness_sdp, extract_certificate, solve_sdp,
+)
 from .boolfun import formula_size, load_function
 from .errors import BadSpecError
 from .spanprog import CanonicalSpanProgram, canonical_from_gram, evaluate
@@ -115,10 +117,13 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
     ADV <= sqrt(minimal formula size), and seed is only recorded.  A failed
     check sets the report's status to FAIL; bad input and solver failure
     raise the package's errors, and so does a c or Theta that is not finite
-    and positive (at c <= 0 the gap checks would hold trivially).
+    and positive (at c <= 0 the gap checks would hold trivially) or a tol
+    that is not finite and at least MIN_TOL.
     """
     if not all(np.isfinite(x) and x > 0.0 for x in (*c_grid, *(theta_grid or ()))):
         raise BadSpecError(f"every c and Theta must be finite and positive, got {c_grid=}, {theta_grid=}")
+    if not (np.isfinite(tol) and tol >= MIN_TOL):
+        raise BadSpecError(f"tol must be finite and at least {MIN_TOL:g}, got {tol!r}")
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
     f = load_function(spec)
@@ -164,8 +169,8 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
     t0 = time.perf_counter()
     ev = evaluate(witness_prog)
     # each input's values are its orbit's least input's: program.orbit says
-    # which inputs the stages below resolve, all of them when it is None
-    orbit = np.arange(len(f.table)) if program.orbit is None else program.orbit
+    # which inputs the stages below resolve, all of them when Aut(f) is trivial
+    orbit = program.orbit
     reps = np.flatnonzero(orbit == np.arange(len(orbit)))
     row = np.searchsorted(reps, orbit)  # each input's representative in a stack over reps
     stored = program.stored_witness_sizes[orbit]
@@ -175,8 +180,7 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
                  for s, label in zip(f.inputs, labels)]
     timings["span_program"] = time.perf_counter() - t0
     report["span_program"] = {"m": program.m, "witness_size": program.witness_size, "per_input": per_input}
-    report["orbits"] = None if program.orbit is None else {
-        "order": sol.sdp.orbits.order, "representatives": [labels[s] for s in reps]}
+    report["orbits"] = {"order": sol.sdp.orbits.order, "representatives": [labels[s] for s in reps]}
     eval_ok = all(r["evaluates"] == r["f"] for r in per_input)
     checks.append(_check("span_program", "wsize_matches_adv", abs(ev.witness_size.max() - xi), adv_bound, "le"))
     checks.append(_check("span_program", "evaluate_agrees_with_f", 0.0 if eval_ok else 1.0, 0.5, "le"))

@@ -24,15 +24,16 @@ WITNESS_RTOL = 1e-7
 
 @dataclass(frozen=True)
 class SpanProgram:
-    """orbit, when given, holds the least member of each input's orbit under
-    a group of input symmetries the program respects exactly; evaluate then
-    resolves one input per orbit and copies its values to the rest."""
+    """orbit holds the least member of each input's orbit under a group of
+    input symmetries the program respects exactly (every input its own under
+    the trivial group); evaluate resolves one input per orbit and copies its
+    values to the rest."""
 
     n: int
     block_sizes: tuple[tuple[int, int], ...]
     matrix: np.ndarray
     target: np.ndarray
-    orbit: np.ndarray | None = None
+    orbit: np.ndarray
 
     def __post_init__(self):
         if len(self.block_sizes) != self.n:
@@ -92,20 +93,19 @@ def evaluate(p: SpanProgram) -> Evaluation:
     """Evaluate the program on all 2^n inputs, returning each branch and its
     optimal witness.
 
-    Only the least input of each orbit (p.orbit; every input when it is
-    None) is resolved.  Resolved inputs that select equally many columns
-    share one stacked SVD of their selected columns A Pi(s) (a canonical
-    program is one such group).  It gives the true branch's least-norm
-    solution and the false branch's basis of null((A Pi(s))^T), both cut at
-    numpy's rank rule max(rows, columns) eps sigma_1, the rule of
-    lstsq(rcond=None).  Only the false branch's KKT solve for the negative
-    witness runs per input, in input order.
+    Only the least input of each orbit (p.orbit) is resolved.  Resolved
+    inputs that select equally many columns share one stacked SVD of their
+    selected columns A Pi(s) (a canonical program is one such group).  It
+    gives the true branch's least-norm solution and the false branch's basis
+    of null((A Pi(s))^T), both cut at numpy's rank rule
+    max(rows, columns) eps sigma_1, the rule of lstsq(rcond=None).  Only the
+    false branch's KKT solve for the negative witness runs per input, in
+    input order.
     """
     t = p.target
     tnorm = np.linalg.norm(t)
     masks = p.selection_masks()
-    num_inputs = len(masks)
-    orbit = np.arange(num_inputs) if p.orbit is None else p.orbit
+    num_inputs, orbit = len(masks), p.orbit
     resolved = orbit == np.arange(num_inputs)
     counts = np.where(resolved, masks.sum(axis=1), -1)
     value = np.zeros(num_inputs, dtype=bool)
@@ -181,7 +181,7 @@ class CanonicalSpanProgram:
     unit all-ones target (see witness_program).  orbit is the least member
     of each input's orbit under Aut(f) (Orbits.inputs), on which the SDP was
     solved, so that the program's per-input values are constant on them;
-    None exactly when Aut(f) is trivial.
+    every input is its own when Aut(f) is trivial.
     """
 
     f: BooleanFunction
@@ -190,7 +190,7 @@ class CanonicalSpanProgram:
     vectors: np.ndarray
     matrix: np.ndarray
     target: np.ndarray
-    orbit: np.ndarray | None = None
+    orbit: np.ndarray
 
     @property
     def block_sizes(self) -> tuple[tuple[int, int], ...]:
@@ -276,6 +276,5 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     target = np.ones(len(f0)) / (3 * np.sqrt(w_size))
 
     _check_pair_sums(factor_pair_sums(sdp, vectors))
-    orbit = None if sdp.orbits is None else sdp.orbits.inputs
     return CanonicalSpanProgram(f=f, m=m, witness_size=w_size, vectors=vectors, matrix=matrix.reshape(len(f0), -1),
-                                target=target, orbit=orbit)
+                                target=target, orbit=sdp.orbits.inputs)

@@ -148,7 +148,7 @@ def column_range(p: SpanProgram, j: int, b: int) -> slice:
 
 def pair_sums(prog: CanonicalSpanProgram) -> np.ndarray:
     """sum over the coordinates where w and x disagree of <v_{w,j}|v_{x,j}>,
-    for every pair (w, x) of F0 x F1, w-major (WitnessSdp.pairs)."""
+    for every pair (w, x) of F0 x F1, w-major."""
     f = prog.f
     w, x = np.repeat(f.f0, len(f.f1)), np.tile(f.f1, len(f.f0))
     differ = f.bits[w] != f.bits[x]
@@ -221,7 +221,7 @@ def gram_blocks(sdp: WitnessSdp, class_blocks: np.ndarray) -> np.ndarray:
     between two classes, from a stack of the representative class blocks
     constant on its orbits (SdpSolution.class_blocks): the layout of the
     solution before the class-block split, which only tests read."""
-    whole = class_blocks.ravel() if sdp.orbits is None else sdp.orbits.expand_stack(class_blocks)
+    whole = sdp.orbits.expand_stack(class_blocks)
     # on every block, the row-sum gathers index X_j[s,t] for every s and t
     return np.append(whole, 0.0)[unreduced(sdp.f).gather["row_sums"]]
 
@@ -330,7 +330,7 @@ def whole_gram_program(f, sol) -> CanonicalSpanProgram:
             start = ((j - 1) * 2 + 1 - f.bit(w, j)) * m
             matrix[r, start : start + m] = vectors[w, j - 1]
     return CanonicalSpanProgram(f=f, m=m, witness_size=w_size, vectors=vectors, matrix=matrix,
-                                target=np.ones(len(f.f0)) / (3 * np.sqrt(w_size)))
+                                target=np.ones(len(f.f0)) / (3 * np.sqrt(w_size)), orbit=np.arange(num_inputs))
 
 
 def padding_on_first_coordinate(prog: CanonicalSpanProgram, sol: SdpSolution) -> CanonicalSpanProgram:
@@ -397,16 +397,23 @@ def reference_evaluate(p, s: int) -> tuple[bool, np.ndarray, float]:
 # -- the whole Schur complement ------------------------------------------------
 
 
+def trivial_group(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aut(f) as automorphism_cosets would give it were it trivial: the
+    identity alone, whatever f."""
+    return np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.zeros(1, dtype=int)
+
+
 def unreduced(f: BooleanFunction) -> WitnessSdp:
     """The SDP of f as solved on all of M and every class block, whatever
-    its group: _orbits patched to report a trivial group, so every map of
-    its orbit coordinates is the identity."""
-    saved = advsdp._orbits
-    advsdp._orbits = lambda *args: None
+    its group: automorphism_cosets patched to report a trivial group, so f
+    is solved at order 1 and every map of its orbit coordinates is the
+    identity."""
+    saved = advsdp.automorphism_cosets
+    advsdp.automorphism_cosets = trivial_group
     try:
         return build_witness_sdp(f)
     finally:
-        advsdp._orbits = saved
+        advsdp.automorphism_cosets = saved
 
 
 def full_schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_ratio: np.ndarray) -> np.ndarray:
@@ -415,14 +422,15 @@ def full_schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_
     Aut(f): the oracle of advsdp.schur_complement.
 
     x and z_inv are stacks of the 2n class blocks and lp_ratio is x / z on
-    (u, xi).  Pair rows (w,x) and (w',x') meet in class block (j,c) when all
+    (u, xi).  The pairs run over r x o, u-major, r the smaller of F0 and F1
+    (WitnessSdp.pairs).  Pair rows (w,x) and (w',x') meet in class block (j,c) when all
     four inputs lie in C_{j,c}, where their entry is
     X[w,w'] Z^-1[x,x'] + Z^-1[w,w'] X[x,x'] + Z^-1[w,x'] X[x,w'] + X[w,x'] Z^-1[x,w']
     over 4, summed over the blocks.  Gathered from the stack with zeros off
     the class (WitnessSdp.gather), each term is a sum over the 4n (block, X
     or Z^-1) of an F0-side matrix times an F1-side one, so the first two are
     one GEMM over 4n products and the last two another.  Both run one slice
-    of the smaller side at a time, each slice landing in M's pair block, so
+    of r at a time, each slice landing in M's pair block, so
     no temporary of M's size is made.  A pair-row entry is
     sum_j (Z^-1[w,s] X[x,s] + X[w,s] Z^-1[x,s]) / 2 over the coordinates j
     where s shares the class of w and x, a matmul over 2n products per s,
@@ -430,30 +438,28 @@ def full_schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_
     gathers are those of f's SDP on every block (unreduced).
     """
     g, num_inputs = unreduced(sdp.f).gather, sdp.num_inputs
-    a, b = g["row_f0"].shape[2], g["row_f1"].shape[2]  # |F0|, |F1|
-    p, k = a * b, 4 * sdp.n
+    nr, no = g["row_r"].shape[2], g["row_o"].shape[2]  # |r|, |o|
+    p, k = nr * no, 4 * sdp.n
     src = np.zeros((2, sdp.stack_size + 1))  # [X | 0 | Z^-1 | 0]
     src[0, :-1] = x.ravel()
     src[1, :-1] = z_inv.ravel()
     flat = src.ravel()
 
     m = np.empty((p + num_inputs, p + num_inputs))
-    # slice u of the smaller side r holds (v, u', v') over the other side o
-    pair_block = m[:p, :p].reshape(a, b, a, b)
-    pair_block = pair_block.transpose(1, 0, 3, 2) if g["swap"] else pair_block
+    # slice u of r holds (v, u', v') over the other side o
+    pair_block = m[:p, :p].reshape(nr, no, nr, no)
     same_r = np.take(flat, g["same_r"])
     same_r *= 0.25
     across = np.take(flat, g["across"])
     across *= 0.25
-    nr, no = across.shape[1:]
     same_o = np.take(flat, g["same_o"]).reshape(k, no * no)
     back = np.take(flat, g["back"]).reshape(k, no * nr).T
     for u in range(nr):
         np.add((same_r[:, u].T @ same_o).reshape(nr, no, no).transpose(1, 0, 2),
                (back @ across[:, u]).reshape(no, nr, no), out=pair_block[u])
-    ws = np.take(flat, g["row_f0"])
+    ws = np.take(flat, g["row_r"])
     ws *= 0.5
-    pair_row = np.matmul(ws.transpose(0, 2, 1), np.take(flat, g["row_f1"])).reshape(num_inputs, p)
+    pair_row = np.matmul(ws.transpose(0, 2, 1), np.take(flat, g["row_o"])).reshape(num_inputs, p)
     m[p:, :p] = pair_row
     m[:p, p:] = pair_row.T
     row_block = m[p:, p:]
@@ -465,22 +471,21 @@ def full_schur_complement(sdp: WitnessSdp, x: np.ndarray, z_inv: np.ndarray, lp_
 
 def reference_pair_normal(sdp: WitnessSdp, gram: np.ndarray) -> np.ndarray:
     """J J^T of the pair constraints at Gram blocks gram = V V^T, of shape
-    (n, 2^n, 2^n), assembled densely from the (w, x, j) mask of the pairs'
-    differing coordinates: with pairs w-major over F0 x F1,
-    J J^T = sum_j D_j (I_{F0} (x) G_j[F1,F1] + G_j[F0,F0] (x) I_{F1}) D_j.
-    Where sdp.orbits is set, E^T J J^T E on the pair orbits, E the pair
-    columns of Orbits.expand.  The oracle of round_factor's normal matrix."""
+    (n, 2^n, 2^n), assembled densely from the (u, v, j) mask of the pairs'
+    differing coordinates: with pairs u-major over r x o (WitnessSdp.pairs),
+    J J^T = sum_j D_j (I_r (x) G_j[o,o] + G_j[r,r] (x) I_o) D_j, and then
+    E^T J J^T E on the pair orbits, E the pair columns of Orbits.expand (the
+    identity when the group is trivial).  The oracle of round_factor's
+    normal matrix."""
     f, orbits, num_pairs = sdp.f, sdp.orbits, len(sdp.pairs)
-    f0, f1 = np.array(f.f0), np.array(f.f1)
-    differ = (f.bits[f0][:, None, :] != f.bits[f1][None, :, :]).astype(float)  # (w, x, j)
-    jjt = np.zeros((len(f0), len(f1), len(f0), len(f1)))
-    jjt[np.arange(len(f0)), :, np.arange(len(f0)), :] += np.einsum(
-        "wxj,wyj,jxy->wxy", differ, differ, gram[:, f1[:, None], f1])
-    jjt[:, np.arange(len(f1)), :, np.arange(len(f1))] += np.einsum(
-        "wxj,vxj,jwv->xwv", differ, differ, gram[:, f0[:, None], f0])
+    r, o = sorted((np.array(f.f0), np.array(f.f1)), key=len)  # F0 on a tie
+    differ = (f.bits[r][:, None, :] != f.bits[o][None, :, :]).astype(float)  # (u, v, j)
+    jjt = np.zeros((len(r), len(o), len(r), len(o)))
+    jjt[np.arange(len(r)), :, np.arange(len(r)), :] += np.einsum(
+        "wxj,wyj,jxy->wxy", differ, differ, gram[:, o[:, None], o])
+    jjt[:, np.arange(len(o)), :, np.arange(len(o))] += np.einsum(
+        "wxj,vxj,jwv->xwv", differ, differ, gram[:, r[:, None], r])
     jjt = jjt.reshape(num_pairs, num_pairs)
-    if orbits is None:
-        return jjt
     expand = orbits.expand[:num_pairs, : orbits.row[:num_pairs].max() + 1]
     return expand.T @ jjt @ expand
 
@@ -494,9 +499,9 @@ def reference_solve_sdp(f, tol: float = DEFAULT_TOL, max_iterations: int = MAX_I
     [w_j != x_j] = sum_c [w_j = c][x_j = 1 - c], all 8n products per entry
     (c = c' and c != c').  The same start, steps and stopping rule; only the
     cone's layout differs.  Returns the SdpSolution with the class blocks
-    read off the final Gram blocks (class_blocks_of), xi, alpha, beta and the
-    residuals iterations, history, duality_gap and gram_blocks, the final
-    Gram blocks themselves."""
+    read off the final Gram blocks (class_blocks_of), xi, alpha (keyed like
+    WitnessSdp.pairs), beta and the residuals iterations, history,
+    duality_gap and gram_blocks, the final Gram blocks themselves."""
     n, s = f.n, 2**f.n
     sdp = build_witness_sdp(f)
     num_pairs = len(sdp.pairs)
@@ -609,5 +614,7 @@ def reference_solve_sdp(f, tol: float = DEFAULT_TOL, max_iterations: int = MAX_I
     residuals = {"iterations": len(history), "history": history, "duality_gap": abs(gap), "gram_blocks": gram}
     if residual > tol * max(1.0, abs(xi)):
         raise NoConvergenceError(f"reference loop: no convergence after {len(history)} iterations", residuals)
-    return SdpSolution(sdp=sdp, class_blocks=class_blocks_of(sdp, gram), xi=xi, alpha=y[:num_pairs],
+    w, x_ = np.array(sdp.pairs).T  # this loop's pairs are w-major over F0 x F1
+    alpha = y[:num_pairs][np.searchsorted(f0, w) * len(f1) + np.searchsorted(f1, x_)]
+    return SdpSolution(sdp=sdp, class_blocks=class_blocks_of(sdp, gram), xi=xi, alpha=alpha,
                        beta=-y[num_pairs:], residuals=residuals)

@@ -344,10 +344,10 @@ def test_padding_takes_no_direction():
 def test_rounding_normal_matrix_is_the_schur_pair_block(spec):
     """round_factor's J J^T, 4 times the pair block of schur_complement at
     X = V V^T on the representative class blocks and Z^-1 = I, matches the
-    dense J J^T (E^T J J^T E on the pair orbits when the group is
-    nontrivial) at the factor before and after rounding."""
+    dense J J^T (E^T J J^T E on the pair orbits, E the identity when the
+    group is trivial) at the factor before and after rounding."""
     sdp = build_witness_sdp(load_function(spec))
-    assert (sdp.orbits is None) == (group_order(sdp.f) == 1)
+    assert sdp.orbits.order == group_order(sdp.f)
     v = gram_factor(solve_sdp(sdp).class_blocks)
     for factor in (v, round_factor(sdp, v)):
         stack = factor @ factor.transpose(0, 2, 1)
@@ -420,9 +420,8 @@ def test_block_solver_matches_dense_reference(spec):
     rng = np.random.default_rng(3)
     x = np.concatenate([class_block_stack(sdp, rng).ravel(), rng.uniform(0.1, 2.0, s + 1)])
     z_inv = class_block_stack(sdp, rng).ravel()
-    if sdp.orbits is not None:
-        orbit_average(sdp.orbits, x)
-        orbit_average(sdp.orbits, z_inv)
+    orbit_average(sdp.orbits, x)
+    orbit_average(sdp.orbits, z_inv)
     x, lp_ratio, z_inv = x[:nb].reshape(-1, k, k), x[nb:], z_inv.reshape(-1, k, k)
     a = dense_constraints(sdp)
     kron = np.zeros((a.shape[1], a.shape[1]))
@@ -431,8 +430,7 @@ def test_block_solver_matches_dense_reference(spec):
     kron[nb:, nb:] = np.diag(lp_ratio)
     ref = a @ kron @ a.T
     assert np.abs(full_schur_complement(sdp, x, z_inv, lp_ratio) - ref).max() <= 1e-12 * np.abs(ref).max()
-    if sdp.orbits is not None:
-        ref = sdp.orbits.expand.T @ ref @ sdp.orbits.expand
+    ref = sdp.orbits.expand.T @ ref @ sdp.orbits.expand
     got = schur_complement(sdp, x[sdp.classes], z_inv[sdp.classes],
                            np.append(lp_ratio[sdp.gather["input_reps"]], lp_ratio[-1]))
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -466,7 +464,32 @@ def test_automorphisms_fix_f_and_a_member_has_the_same_order(spec):
 def test_random_five_bit_table_has_a_trivial_group():
     table = random_tables(5, 1, 2)[0]
     assert len(automorphisms(load_function(table))[0]) == 1
-    assert build_witness_sdp(load_function(table)).orbits is None
+    assert build_witness_sdp(load_function(table)).orbits.order == 1
+
+
+# 01, 10 and four 5-bit tables of default_rng(7) with a trivial group:
+# |F0| < |F1|, |F0| = |F1| and two with |F0| > |F1|, where the pairs run F1-major
+TRIVIAL = ["01", "10", "11111110000110010100100010100111", "00110000011110111101011100101000",
+           "10000010011001000101101101111100", "01000000000101001101100101001001"]
+
+
+@pytest.mark.parametrize("spec", TRIVIAL)
+def test_trivial_group_is_the_order_one_orbits(spec):
+    """A trivial Aut(f) is the order-1 case of the orbit path: every row,
+    input and class block is its own representative, no stabilizer moves an
+    entry, the pairs (w, x) run over r x o, u-major, r the smaller side, and
+    the report resolves every input."""
+    f = load_function(spec)
+    sdp = build_witness_sdp(f)
+    orbits, rows = sdp.orbits, len(sdp.pairs) + sdp.num_inputs
+    assert orbits.order == group_order(f) == 1
+    for index, size in ((orbits.row, rows), (orbits.reps, rows), (orbits.inputs, sdp.num_inputs),
+                        (sdp.classes, 2 * f.n)):
+        assert np.array_equal(index, np.arange(size))
+    assert len(sdp.stabilizer[0]) == 0
+    r, o = sorted((f.f0, f.f1), key=len)
+    assert sdp.pairs == tuple((u, v) if f.value(u) == 0 else (v, u) for u in r for v in o)
+    assert verify(spec).report["orbits"] == {"order": 1, "representatives": [f"{s:0{f.n}b}" for s in f.inputs]}
 
 
 @pytest.mark.parametrize("spec, order, side, reduced", [("MAJ:5", 120, 288, 20), ("PARITY:5", 1920, 288, 5),
@@ -488,18 +511,18 @@ def test_small_schur_complements_are_reduced(spec):
 
 
 def test_orbit_path_is_taken_exactly_when_the_group_is_nontrivial():
-    """build_witness_sdp solves f on its orbits exactly when Aut(f) is
-    nontrivial, whatever the side of M: on all 270 non-constant tables with
-    n <= 3 (every one but 01 and 10 has a nontrivial group), and on 4- and
-    5-bit tables with trivial groups, groups of order 2 and 4, and the
-    symmetric functions."""
+    """build_witness_sdp solves f on the orbits of its whole group Aut(f),
+    of order 1 exactly when it is trivial, whatever the side of M: on all
+    270 non-constant tables with n <= 3 (every one but 01 and 10 has a
+    nontrivial group), and on 4- and 5-bit tables with trivial groups,
+    groups of order 2 and 4, and the symmetric functions."""
     small = tables_up_to_three_bits()
     larger = random_tables(4, 12, 0) + random_tables(5, 3, 2) + ["OR:4", "MAJ:5", ORDER_TWO]
     orders = {}
     for table in small + larger:
         f = load_function(table)
         orders[table] = group_order(f)
-        assert (build_witness_sdp(f).orbits is None) == (orders[table] == 1), table
+        assert build_witness_sdp(f).orbits.order == orders[table], table
     assert len(small) == 270 and [t for t in small if orders[t] == 1] == ["01", "10"]
     assert {orders[t] for t in larger} == {1, 2, 4, 24, 120}
 
@@ -543,8 +566,8 @@ def test_class_block_orbit_counts(spec, count):
     the least block of each orbit.  A negation flips the class, so under
     PARITY:5 all ten blocks form one orbit and under MAJ:5 the two classes of
     each coordinate stay apart."""
-    orbits = build_witness_sdp(load_function(spec)).orbits
-    assert len(orbits.blocks) == count and orbits.blocks[0] == 0 and np.all(np.diff(orbits.blocks) > 0)
+    classes = build_witness_sdp(load_function(spec)).classes
+    assert len(classes) == count and classes[0] == 0 and np.all(np.diff(classes) > 0)
 
 
 @pytest.mark.parametrize("spec", ["MAJ:5", "PARITY:5", "OR:5", "MAJ:4", "PARITY:4", member("MAJ:5", 77)] + WHOLE_RUNS)
@@ -623,10 +646,10 @@ def test_reduced_constraints_are_adjoint_under_the_orbit_sizes(spec):
 
 
 @pytest.mark.parametrize("spec, expansions", [("MAJ:5", 1), ("PARITY:5", 1), (ORDER_TWO, 1), ("MAJ:3", 1),
-                                              (random_tables(5, 1, 2)[0], 0)])
+                                              (random_tables(5, 1, 2)[0], 1)])
 def test_stack_is_expanded_once_per_solve(spec, expansions, monkeypatch):
-    """On the orbits the solver expands its representatives' stack to the
-    whole stack once, after the loop; with a trivial group, never."""
+    """The solver expands its representatives' stack to the whole stack
+    once, after the loop, at every order of the group, 1 included."""
     calls = []
     expand_stack = advsdp.Orbits.expand_stack
 
@@ -637,15 +660,16 @@ def test_stack_is_expanded_once_per_solve(spec, expansions, monkeypatch):
     monkeypatch.setattr(advsdp.Orbits, "expand_stack", counted)
     sdp = build_witness_sdp(load_function(spec))
     solve_sdp(sdp)
-    assert (sdp.orbits is not None) == (group_order(sdp.f) > 1) == (expansions == 1)
+    assert sdp.orbits.order == group_order(sdp.f)
     assert calls == [sdp.class_shape] * expansions
 
 
 def test_residuals_report_the_path_taken():
     """residuals["orbits"]: the group's order, M's side before and after the
     reduction and the class blocks factored per iteration, on every
-    nontrivial group however small (MAJ:3: M of side 24 reduced to 9); None
-    exactly when the group is trivial."""
+    nontrivial group however small (MAJ:3: M of side 24 reduced to 9); order
+    1, M unreduced and every class block factored when the group is
+    trivial."""
     assert solve_sdp(build_witness_sdp(load_function("MAJ:5"))).residuals["orbits"] == {
         "order": 120, "schur_side": 288, "reduced_side": 20, "blocks_factored": 4}
     assert solve_sdp(build_witness_sdp(load_function("PARITY:5"))).residuals["orbits"]["blocks_factored"] == 2
@@ -653,7 +677,9 @@ def test_residuals_report_the_path_taken():
         "order": 6, "schur_side": 24, "reduced_side": 9, "blocks_factored": 4}
     for spec in ("01", random_tables(5, 1, 2)[0]):
         f = load_function(spec)
-        assert group_order(f) == 1 and solve_sdp(build_witness_sdp(f)).residuals["orbits"] is None
+        side = len(f.f0) * len(f.f1) + 2**f.n
+        assert group_order(f) == 1 and solve_sdp(build_witness_sdp(f)).residuals["orbits"] == {
+            "order": 1, "schur_side": side, "reduced_side": side, "blocks_factored": 4 * f.n}
 
 
 def test_order_two_table_converges_on_its_orbits_at_tight_tol():
@@ -760,10 +786,12 @@ def test_random_five_bit_tables_solve(table):
     assert abs(sol.xi - extract_certificate(sol, f).value) <= 1e-6
 
 
-@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "MAJ:4", "AND:4"] + WHOLE_RUNS + random_tables(5, 2, 0))
+@pytest.mark.parametrize("spec", corpus_specs() + ["OR:4", "MAJ:4", "AND:4"] + WHOLE_RUNS + random_tables(5, 2, 0)
+                         + TRIVIAL[4:5])
 def test_class_blocks_follow_the_full_block_path(spec):
     """Splitting each Gram block over its two classes, and solving on the
-    orbits of Aut(f) (WHOLE_RUNS among them), loses nothing: the same
+    orbits of Aut(f) (WHOLE_RUNS among them, and a trivial group with
+    |F0| > |F1|, whose pairs run F1-major), loses nothing: the same
     interior-point loop on the n full blocks of side 2^n (reference_solve_sdp)
     takes as many iterations to the same xi, and keeps every entry between
     two classes at exactly zero, the entries a class-block solution does not

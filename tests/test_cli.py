@@ -12,7 +12,7 @@ from advspan.pipeline import MARGIN_RTOL, MARGIN_TOL, _check, _margins, matrix_t
 
 from advspan.spectral import edge_list
 
-from conftest import NPN3_CANONICAL, corpus_specs, dense_adjacency, tables_up_to_three_bits
+from conftest import NPN3_CANONICAL, corpus_specs, dense_adjacency, tables_up_to_three_bits, trivial_group
 
 
 def run_args(tmp_path, *extra):
@@ -133,6 +133,15 @@ def test_verify_rejects_a_bad_gap_grid(flag, grid):
     keyword = "c_grid" if flag == "--c-grid" else "theta_grid"
     with pytest.raises(BadSpecError, match="finite and positive"):
         verify("0110", **{keyword: values})
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, 1e-10])
+def test_verify_rejects_a_bad_tol(tol):
+    """A tol that is not finite or is below the solver's floor MIN_TOL is bad
+    input, rejected before any work with the package's error, as the CLI
+    rejects it when it parses --tol."""
+    with pytest.raises(BadSpecError, match="tol must be finite"):
+        verify("OR:2", tol=tol)
 
 
 def test_margins_name_a_nan_or_infinite_margin():
@@ -329,7 +338,7 @@ def test_margins_of_roundoff_identities_name_the_first_input():
     value is roundoff, below MARGIN_TOL, and each family names its first
     check in report order, whichever of them is least in the last bits."""
     report = verify("1111110100101100").report
-    assert report["orbits"] is None
+    assert report["orbits"]["order"] == 1
     for family, prefix in (("zero_witness", "zero_witness_ratio["), ("jordan", "jordan_reconstruction[")):
         values = [chk["value"] for chk in report["checks"] if chk["name"].startswith(prefix)]
         assert len(values) == 16 and max(values) <= MARGIN_TOL
@@ -380,15 +389,15 @@ PATH_SAMPLE = ["0100", *np.random.default_rng(23).choice(tables_up_to_three_bits
 
 @pytest.mark.parametrize("table", PATH_SAMPLE)
 def test_both_solver_paths_name_the_same_checks(table, monkeypatch):
-    """Solved on the orbits of Aut(f) or on all of M (_orbits patched to
-    report a trivial group), a function's report names the same check in
-    every family.  On 0100 both span_program residuals read exactly 0 on
+    """Solved on the orbits of Aut(f) or on all of M (automorphism_cosets
+    patched to report the order-1 group), a function's report names the
+    same check in every family.  On 0100 both span_program residuals read exactly 0 on
     all of M and roundoff (4e-16 and 3e-16) on the orbits; each ranks as
     its whole bound, so wsize_matches_adv, the first, is named on both."""
     orbit = verify(table).report
-    monkeypatch.setattr(advsdp, "_orbits", lambda *args: None)
+    monkeypatch.setattr(advsdp, "automorphism_cosets", trivial_group)
     whole = verify(table).report
-    assert orbit["orbits"] is not None and whole["orbits"] is None
+    assert orbit["orbits"]["order"] > 1 and whole["orbits"]["order"] == 1
     assert ({family: least["check"] for family, least in orbit["margins"].items()}
             == {family: least["check"] for family, least in whole["margins"].items()})
 

@@ -3,7 +3,8 @@
 Where Aut(f) is nontrivial, the SDP is solved on its orbits, the canonical
 program carries each input's least orbit member (CanonicalSpanProgram.orbit),
 and evaluate and verify's spectral stage resolve only those representatives.
-The oracle is the same program resolved on every input, orbit=None."""
+The oracle is the same program resolved on every input, its orbit the
+identity."""
 
 import dataclasses
 import math
@@ -74,10 +75,11 @@ def test_orbit_path_matches_every_input_resolved(spec, monkeypatch):
     within 1e-10 and every check the same name and the same pass flag."""
     reduced = verify(spec).report
     monkeypatch.setattr(advspan.pipeline, "canonical_from_gram",
-                        lambda f, sol: dataclasses.replace(canonical_from_gram(f, sol), orbit=None))
+                        lambda f, sol: dataclasses.replace(canonical_from_gram(f, sol), orbit=np.arange(2**f.n)))
     full = verify(spec).report
-    assert full["orbits"] is None
-    assert (reduced["orbits"] is None) == (group_order(load_function(spec)) == 1)
+    f = load_function(spec)
+    assert full["orbits"]["representatives"] == [f"{s:0{f.n}b}" for s in f.inputs]
+    assert reduced["orbits"]["order"] == group_order(f)
     ours, theirs = per_input_values(reduced), per_input_values(full)
     assert ours.keys() == theirs.keys()
     for key, value in theirs.items():
@@ -122,12 +124,14 @@ def test_report_names_the_group_and_the_resolved_inputs(solved):
 
 
 def test_trivial_group_resolves_every_input():
-    """A 5-bit table (default_rng(7)'s first) whose Aut(f) is trivial takes
-    no orbit: report["orbits"] is null and evaluate resolves all 32 inputs."""
+    """A 5-bit table (default_rng(7)'s first) whose Aut(f) is trivial is its
+    own orbit on every input: report["orbits"] has order 1 and lists every
+    input, and evaluate resolves all 32 inputs."""
     table = "11111110000110010100100010100111"
     assert len(automorphisms(load_function(table))[0]) == 1
     result = verify(table)
-    assert result.report["orbits"] is None and result.program.orbit is None
+    assert result.report["orbits"] == {"order": 1, "representatives": [f"{s:05b}" for s in range(32)]}
+    assert np.array_equal(result.program.orbit, np.arange(32))
     assert all(w is not None for w in evaluate(result.program.witness_program()).witness)
 
 

@@ -30,6 +30,7 @@ def parity_example_program():
         block_sizes=((1, 1), (1, 1)),
         matrix=np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]),
         target=np.array([1.0, 1.0]),
+        orbit=np.arange(4),
     )
 
 
@@ -40,6 +41,7 @@ def or2_example_program():
         block_sizes=((0, 1), (0, 1)),
         matrix=np.array([[1.0, 1.0]]),
         target=np.array([1.0]),
+        orbit=np.arange(4),
     )
 
 
@@ -76,7 +78,7 @@ def test_or2_program():
 
 def test_single_literal_program():
     p = SpanProgram(
-        n=1, block_sizes=((0, 1),), matrix=np.array([[1.0]]), target=np.array([1.0])
+        n=1, block_sizes=((0, 1),), matrix=np.array([[1.0]]), target=np.array([1.0]), orbit=np.arange(2)
     )
     assert program_witness_size(p) == pytest.approx(1.0, abs=1e-9)
     assert evaluate(p).value.tolist() == [False, True]
@@ -103,7 +105,8 @@ def test_selection_masks_group_unequal_blocks():
     0 or 1, so their inputs fall into groups of different widths."""
     or2 = or2_example_program()
     assert or2.selection_masks().sum(axis=1).tolist() == [0, 1, 1, 2]
-    single = SpanProgram(n=1, block_sizes=((0, 1),), matrix=np.array([[1.0]]), target=np.array([1.0]))
+    single = SpanProgram(n=1, block_sizes=((0, 1),), matrix=np.array([[1.0]]), target=np.array([1.0]),
+                         orbit=np.arange(2))
     for label, p in (("parity", parity_example_program()), ("or2", or2), ("single", single),
                      ("or3", or_n_example_program(3))):
         assert_matches_reference(p, label)
@@ -149,7 +152,7 @@ def worked_parity_canonical() -> CanonicalSpanProgram:
     matrix = np.zeros((2, 2, 2, 1))
     matrix[np.arange(2)[:, None], np.arange(2), 1 - f.bits[f0]] = vectors[f0]
     return CanonicalSpanProgram(f=f, m=1, witness_size=2.0, vectors=vectors, matrix=matrix.reshape(2, -1),
-                                target=np.ones(2) / (3 * np.sqrt(2.0)))
+                                target=np.ones(2) / (3 * np.sqrt(2.0)), orbit=np.arange(4))
 
 
 def test_canonical_from_all_ones_gram_reads_only_the_class_blocks():
@@ -324,6 +327,7 @@ def or_n_example_program(n):
         block_sizes=tuple((0, 1) for _ in range(n)),
         matrix=np.ones((1, n)),
         target=np.array([1.0]),
+        orbit=np.arange(2**n),
     )
 
 
@@ -343,7 +347,8 @@ def test_near_degenerate_membership_warns():
     """A program whose membership residual sits within a decade of the branch
     threshold WITNESS_RTOL ||t|| warns: the true input's column [1, 5e-8]
     leaves t = [1, 0] a residual of 5e-8 ||t||."""
-    p = SpanProgram(n=1, block_sizes=((0, 1),), matrix=np.array([[1.0], [5e-8]]), target=np.array([1.0, 0.0]))
+    p = SpanProgram(n=1, block_sizes=((0, 1),), matrix=np.array([[1.0], [5e-8]]), target=np.array([1.0, 0.0]),
+                    orbit=np.arange(2))
     with pytest.warns(UserWarning, match="near-degenerate span program: membership residual 5.000e-08"):
         ev = evaluate(p)
     assert ev.value.tolist() == [False, True]

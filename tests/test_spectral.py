@@ -230,6 +230,7 @@ def test_zero_witness_rejects_corrupted_program(solved):
         vectors=prog.vectors * 1.01,  # breaks the pair sums
         matrix=prog.matrix * 1.01,
         target=prog.target,
+        orbit=prog.orbit,
     )
     # every input fails; the error names the first in input order, a false one
     with pytest.raises(WitnessViolationError, match="false witness for input 00:"):
