@@ -10,7 +10,6 @@ from .boolfun import (
     kw_partition,
     load_function,
     minimal_formula,
-    parse_formula,
 )
 from .advsdp import (
     AdversaryCertificate,

@@ -205,49 +205,6 @@ class Formula:
     def truth_table(self, n: int) -> tuple[int, ...]:
         return tuple(self.evaluate(s, n) for s in range(2**n))
 
-    def serialize(self) -> str:
-        if self.op == "LIT":
-            leaf = f"x{self.var}"
-            return f"(NOT {leaf})" if self.negated else leaf
-        return f"({self.op} {self.left.serialize()} {self.right.serialize()})"
-
-
-def parse_formula(text: str) -> Formula:
-    """Inverse of Formula.serialize (parenthesized prefix notation)."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse() -> Formula:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise BadSpecError("unexpected end of formula")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            head = tokens[pos]
-            pos += 1
-            if head == "NOT":
-                leaf = parse()
-                if leaf.op != "LIT" or leaf.negated:
-                    raise BadSpecError("NOT is only allowed on plain literals")
-                node = Formula.literal(leaf.var, negated=True)
-            elif head in ("AND", "OR"):
-                node = Formula.gate(head, parse(), parse())
-            else:
-                raise BadSpecError(f"unknown operator {head!r}")
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise BadSpecError("missing closing parenthesis")
-            pos += 1
-            return node
-        if tok.startswith("x"):
-            return Formula.literal(int(tok[1:]))
-        raise BadSpecError(f"unexpected token {tok!r}")
-
-    node = parse()
-    if pos != len(tokens):
-        raise BadSpecError("trailing tokens after formula")
-    return node
-
 
 def _table_code(table: tuple[int, ...]) -> int:
     code = 0

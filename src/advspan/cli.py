@@ -24,7 +24,7 @@ from .pipeline import DEFAULT_C_GRID, verify
 def run_pipeline(options: argparse.Namespace) -> tuple[dict, int]:
     """Run `verify` with the parsed flags, then write the CSV and JSON exports."""
     result = verify(options.function, tol=options.tol, c_grid=options.c_grid, theta_grid=options.theta_grid,
-                    simulate=not options.skip_sim, formula_bound=options.formula_bound, seed=options.seed)
+                    simulate=not options.skip_sim, formula_bound=options.formula_bound)
     report = result.report
     if options.csv_dir:
         _write_csvs(Path(options.csv_dir), report, result.graph)
@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--function", required=True, help='e.g. PARITY:2, OR:3, or a bitstring like "0110"')
     verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help=f"SDP duality-gap tolerance, at least {MIN_TOL:g}")
-    verify.add_argument("--seed", type=int, default=0,
-                        help="recorded in the report; the pipeline itself is deterministic")
     verify.add_argument("--skip-sim", action="store_true", help="skip the algorithm simulations")
     verify.add_argument("--formula-bound", action="store_true",
                         help="check ADV <= sqrt(minimal formula size)")

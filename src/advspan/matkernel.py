@@ -32,7 +32,7 @@ def hermitian_defect(m) -> float:
     return float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Return the exactly-symmetrized matrix (or stack), or raise NonHermitianError.
 
     The defect tolerance is scaled by max(1, max|entry|) so that large
@@ -41,26 +41,27 @@ def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = np.asarray(m)
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
     defect = hermitian_defect(a)
-    if defect > tol * scale:
-        raise NonHermitianError(f"Hermitian defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}")
+    if defect > HERMITIAN_TOL * scale:
+        raise NonHermitianError(f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e} * {scale:.3e}")
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
-def gram_factor(x, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def gram_factor(x) -> np.ndarray:
     """Vectors v_i with <v_i|v_j> = X[i,j], as rows, for one Gram matrix X or
     for each block of a stack (..., k, k), from one eigh call.
 
-    Eigenvalues at or below rank_tol * max(1, lambda_max), lambda_max over the
-    whole stack, are truncated.  The result has shape (..., k, r_max), r_max
-    the largest numerical rank in the stack: each block's columns follow its
-    eigenvalues in descending order, so those past its own rank are zero.
-    Raises NotPSDError when an eigenvalue is below -rank_tol on the same scale.
+    Eigenvalues at or below DEFAULT_RANK_TOL * max(1, lambda_max),
+    lambda_max over the whole stack, are truncated.  The result has shape
+    (..., k, r_max), r_max the largest numerical rank in the stack: each
+    block's columns follow its eigenvalues in descending order, so those past
+    its own rank are zero.  Raises NotPSDError when an eigenvalue is below
+    -DEFAULT_RANK_TOL on the same scale.
     """
     w, v = np.linalg.eigh(require_hermitian(x))
     scale = max(1.0, float(w.max(initial=0.0)))
-    if w.min(initial=0.0) < -rank_tol * scale:
-        raise NotPSDError(f"minimum eigenvalue {w.min():.3e} below -{rank_tol:.1e} * {scale:.3e}")
-    keep = w > rank_tol * scale
+    if w.min(initial=0.0) < -DEFAULT_RANK_TOL * scale:
+        raise NotPSDError(f"minimum eigenvalue {w.min():.3e} below -{DEFAULT_RANK_TOL:.1e} * {scale:.3e}")
+    keep = w > DEFAULT_RANK_TOL * scale
     rank = int(keep.sum(axis=-1).max(initial=0))
     vectors = v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
     return vectors[..., ::-1][..., :rank]

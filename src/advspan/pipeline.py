@@ -106,20 +106,22 @@ def matrix_to_json(mat: np.ndarray) -> list:
 
 
 def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_grid=None,
-           simulate: bool = True, formula_bound: bool = False, seed: int = 0) -> Verification:
+           simulate: bool = True, formula_bound: bool = False) -> Verification:
     """Solve the witness SDP of `spec` and check every lemma on every input.
 
     The keywords are the `advspan verify` flags: tol is the SDP duality-gap
     tolerance, c_grid and theta_grid the effective- and phase-gap parameters
-    (theta_grid defaults to 1/(50W), 0.01, 0.1, 1; an entry whose check
+    (theta_grid None means 1/(50W), 0.01, 0.1, 1; an entry whose check
     name repeats an earlier one's is dropped), simulate runs the
-    phase-estimation and search algorithms, formula_bound also checks
-    ADV <= sqrt(minimal formula size), and seed is only recorded.  A failed
-    check sets the report's status to FAIL; bad input and solver failure
-    raise the package's errors, and so does a c or Theta that is not finite
-    and positive (at c <= 0 the gap checks would hold trivially) or a tol
-    that is not finite and at least MIN_TOL.
+    phase-estimation and search algorithms, and formula_bound also checks
+    ADV <= sqrt(minimal formula size).  A failed check sets the report's
+    status to FAIL; bad input and solver failure raise the package's errors,
+    and so does an empty grid (it would check nothing), a c or Theta that is
+    not finite and positive (at c <= 0 the gap checks would hold trivially)
+    or a tol that is not finite and at least MIN_TOL.
     """
+    if len(c_grid) == 0 or (theta_grid is not None and len(theta_grid) == 0):
+        raise BadSpecError(f"c_grid and theta_grid must not be empty, got {c_grid=}, {theta_grid=}")
     if not all(np.isfinite(x) and x > 0.0 for x in (*c_grid, *(theta_grid or ()))):
         raise BadSpecError(f"every c and Theta must be finite and positive, got {c_grid=}, {theta_grid=}")
     if not (np.isfinite(tol) and tol >= MIN_TOL):
@@ -133,7 +135,6 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
         "function": {"spec": spec, "n": f.n, "table": f.name()},
         "flags": {
             "tol": tol,
-            "seed": seed,
             "skip_sim": not simulate,
             "formula_bound": formula_bound,
             "c_grid": list(c_grid),
@@ -220,7 +221,7 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
     if simulate:
         precision = 1.0 / (100.0 * w_size)
         tau = int(np.ceil(100.0 * w_size))
-        p_phase = qsim.qpe_accept_probability(phases, overlaps, precision, qsim.default_ancilla_count(precision))[row]
+        p_phase = qsim.qpe_accept_probability(phases, overlaps, precision)[row]
         p_search = qsim.search_accept_probability(phases, overlaps, tau)[row]
         p_bare = qsim.search_noregister_probability(phases, overlaps, tau)[row]
     marks.append(time.perf_counter())

@@ -31,10 +31,9 @@ class QueryAlgorithm:
     """Input-independent unitaries interleaved with phase-oracle calls.
 
     unitaries holds U_0..U_T on the Q tensor W space (dimension
-    query_dim * work_dim); oracle_flags[t] tells whether step t+1 is
-    preceded by an oracle call (all True for a plain T-query algorithm;
-    False inserts a unitary-only step, which the progress measure must
-    ignore).
+    query_dim * work_dim); every step U_1..U_T follows one oracle call, so
+    the algorithm makes T queries.  A step without a query is the product of
+    two adjacent unitaries.
     """
 
     n: int
@@ -43,18 +42,11 @@ class QueryAlgorithm:
     unitaries: tuple[np.ndarray, ...]
     proj0: np.ndarray
     proj1: np.ndarray
-    oracle_flags: tuple[bool, ...] = ()
 
     def __post_init__(self):
         if self.query_dim < self.n:
             raise DimensionMismatchError("query register must address all n coordinates")
         d = self.query_dim * self.work_dim
-        flags = tuple(self.oracle_flags) if self.oracle_flags else tuple(
-            True for _ in range(len(self.unitaries) - 1)
-        )
-        object.__setattr__(self, "oracle_flags", flags)
-        if len(flags) != len(self.unitaries) - 1:
-            raise DimensionMismatchError("need one oracle flag per step U_1..U_T")
         eye = np.eye(d)
         for u in self.unitaries:
             if u.shape != (d, d):
@@ -71,7 +63,7 @@ class QueryAlgorithm:
 
     @property
     def queries(self) -> int:
-        return int(sum(self.oracle_flags))
+        return len(self.unitaries) - 1
 
     @property
     def dim(self) -> int:
@@ -98,8 +90,8 @@ def run_query_algorithm(a: QueryAlgorithm, f: BooleanFunction) -> AlgorithmRun:
     signs = np.repeat(signs, a.work_dim, axis=1)
     states = np.empty((len(a.unitaries), 2**f.n, a.dim), dtype=complex)
     states[0] = a.unitaries[0][:, 0]  # U_0 |0> on every input
-    for t, (u, query) in enumerate(zip(a.unitaries[1:], a.oracle_flags), start=1):
-        states[t] = (signs * states[t - 1] if query else states[t - 1]) @ u.T
+    for t, u in enumerate(a.unitaries[1:], start=1):
+        states[t] = (signs * states[t - 1]) @ u.T
     return AlgorithmRun(states=states, success=np.linalg.norm(_good_part(a, f, states[-1]), axis=1) ** 2)
 
 
@@ -128,7 +120,6 @@ class ProgressTrace:
     final_bound_overlap: float
     final_bound_actual: float
     success: np.ndarray
-    oracle_flags: tuple[bool, ...]
 
 
 def progress_trace(
@@ -185,7 +176,6 @@ def progress_trace(
         final_bound_overlap=FINAL_OVERLAP_CONSTANT * gamma_norm,
         final_bound_actual=2.0 * np.sqrt(x0_sq * x1_sq) * gamma_norm,
         success=run.success,
-        oracle_flags=a.oracle_flags,
     )
 
 
@@ -231,22 +221,17 @@ def _dirichlet_sum(phi, tau: int) -> np.ndarray:
     return np.where(small, float(tau), num / np.where(small, 1.0, den))
 
 
-def qpe_accept_probability(phases, overlaps, precision: float, ancilla_count: int):
+def qpe_accept_probability(phases, overlaps, precision: float):
     """Exact ideal-circuit probability of measuring phase zero.
 
     phases/overlaps describe the spectral resolution of the initial state
     over U_s eigenvectors, along the last axis, so a (..., K) stack gives a
-    (...) array of probabilities; each row of overlaps must sum to one.
-    Requires 2^-ancilla_count <= precision.
+    (...) array of probabilities; each row of overlaps must sum to one.  The
+    register holds ceil(log2(1/precision)) + 1 qubits.
     """
     phases, overlaps = _resolution(phases, overlaps)
-    if 2.0**-ancilla_count > precision:
-        raise ValueError("ancilla register too small for the requested precision")
+    ancilla_count = int(np.ceil(np.log2(1.0 / precision))) + 1
     return (overlaps * qpe_kernel(phases, ancilla_count)).sum(axis=-1)
-
-
-def default_ancilla_count(precision: float) -> int:
-    return int(np.ceil(np.log2(1.0 / precision))) + 1
 
 
 def search_accept_probability(phases, overlaps, tau: int):

@@ -178,9 +178,7 @@ def reference_run(a: QueryAlgorithm, f: BooleanFunction) -> tuple[np.ndarray, np
         psi = a.unitaries[0][:, 0].astype(complex)
         states[0, x] = psi
         for t in range(1, steps):
-            if a.oracle_flags[t - 1]:
-                psi = oracle * psi
-            psi = a.unitaries[t] @ psi
+            psi = a.unitaries[t] @ (oracle * psi)
             states[t, x] = psi
         proj = a.proj1 if f.value(x) else a.proj0
         success[x] = float(np.linalg.norm(proj @ psi) ** 2)

@@ -11,7 +11,6 @@ from advspan.boolfun import (
     kw_partition,
     load_function,
     minimal_formula,
-    parse_formula,
 )
 from advspan.errors import (
     ArityTooLargeError,
@@ -116,17 +115,6 @@ def test_minimal_formula_roundtrip():
         formula = minimal_formula(f)
         assert formula.truth_table(f.n) == f.table
         assert formula.leaves() == formula_size(f)
-        assert parse_formula(formula.serialize()).truth_table(f.n) == f.table
-
-
-def test_parse_formula_notation():
-    text = "(OR (AND x1 (NOT x2)) (AND (NOT x1) x2))"
-    formula = parse_formula(text)
-    assert formula.truth_table(2) == (0, 1, 1, 0)
-    assert formula.serialize() == text
-    for bad in ("(XAND x1 x2)", "(NOT (NOT x1))", "(OR x1 x2", "x1 x2"):
-        with pytest.raises(BadSpecError):
-            parse_formula(bad)
 
 
 def test_kw_partition_single_literal():
@@ -140,7 +128,7 @@ def test_kw_partition_single_literal():
 
 def test_kw_partition_or2():
     f = load_function("OR:2")
-    part = kw_partition(parse_formula("(OR x1 x2)"), f)
+    part = kw_partition(Formula.gate("OR", Formula.literal(1), Formula.literal(2)), f)
     part.verify()
     assert len(part.rectangles) == 2
     covered = {(x, y) for r in part.rectangles for x in r.xs for y in r.ys}
@@ -158,7 +146,7 @@ def test_kw_partition_parity2():
 
 def test_kw_partition_rejects_wrong_formula():
     with pytest.raises(FormulaMismatchError):
-        kw_partition(parse_formula("(AND x1 x2)"), load_function("OR:2"))
+        kw_partition(Formula.gate("AND", Formula.literal(1), Formula.literal(2)), load_function("OR:2"))
 
 
 def test_kw_partitions_verify_across_corpus():

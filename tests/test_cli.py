@@ -38,8 +38,8 @@ def test_parity2_report(tmp_path, capsys):
 
 
 def test_report_is_deterministic_modulo_timings(tmp_path):
-    _, first = run_args(tmp_path, "--function", "OR:2", "--seed", "5")
-    _, second = run_args(tmp_path, "--function", "OR:2", "--seed", "5")
+    _, first = run_args(tmp_path, "--function", "OR:2")
+    _, second = run_args(tmp_path, "--function", "OR:2")
     first.pop("timings")
     second.pop("timings")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
@@ -133,6 +133,14 @@ def test_verify_rejects_a_bad_gap_grid(flag, grid):
     keyword = "c_grid" if flag == "--c-grid" else "theta_grid"
     with pytest.raises(BadSpecError, match="finite and positive"):
         verify("0110", **{keyword: values})
+
+
+@pytest.mark.parametrize("keyword", ["c_grid", "theta_grid"])
+def test_verify_rejects_an_empty_gap_grid(keyword):
+    """An empty grid is bad input: it would check nothing (c_grid) or run
+    the default grid while recording none (theta_grid), yet pass."""
+    with pytest.raises(BadSpecError, match="must not be empty"):
+        verify("MAJ:3", **{keyword: ()})
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, 1e-10])

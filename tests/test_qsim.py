@@ -9,10 +9,10 @@ from advspan.errors import (
 )
 from advspan.qsim import (
     QueryAlgorithm,
-    default_ancilla_count,
     parity_two_query_algorithm,
     progress_trace,
     qpe_accept_probability,
+    qpe_kernel,
     run_query_algorithm,
     search_accept_probability,
     search_noregister_probability,
@@ -54,14 +54,14 @@ def test_parity_algorithm_is_exact():
 def test_stacked_run_matches_the_per_input_run():
     """Every input evolved at once, with one sign row per input, gives the
     per-input run's states and success probabilities to roundoff, on random
-    unitaries with an oracle-free step and inert query states."""
+    unitaries with inert query states."""
     rng = np.random.default_rng(11)
     qd, wd = 5, 2
     unitaries = tuple(np.linalg.qr(rng.standard_normal((qd * wd, qd * wd))
                                    + 1j * rng.standard_normal((qd * wd, qd * wd)))[0] for _ in range(4))
     proj1 = np.kron(np.eye(qd), np.diag([0.0, 1.0]))
     alg = QueryAlgorithm(n=3, query_dim=qd, work_dim=wd, unitaries=unitaries, proj0=np.eye(qd * wd) - proj1,
-                         proj1=proj1, oracle_flags=(True, False, True))
+                         proj1=proj1)
     f = load_function("MAJ:3")
     run = run_query_algorithm(alg, f)
     states, success = reference_run(alg, f)
@@ -90,25 +90,6 @@ def test_progress_trace_parity(solved):
     assert (trace.values[0] - trace.values[-1]) / trace.drop_bound <= len(trace.drops) + 1e-9
 
 
-def test_progress_trace_ignores_oracle_free_steps(solved):
-    bundle = solved("PARITY:2")
-    base = parity_two_query_algorithm()
-    padded = QueryAlgorithm(
-        n=2,
-        query_dim=base.query_dim,
-        work_dim=base.work_dim,
-        unitaries=(base.unitaries[0], np.eye(base.dim), base.unitaries[1], base.unitaries[2]),
-        proj0=base.proj0,
-        proj1=base.proj1,
-        oracle_flags=(False, True, True),
-    )
-    run = run_query_algorithm(padded, bundle.f)
-    assert np.allclose(run.success, 1.0, atol=1e-12)
-    trace = progress_trace(padded, bundle.f, bundle.certificate)
-    assert abs(trace.drops[0]) <= 1e-12  # a unitary without an oracle moves nothing
-    assert trace.drops.max() <= trace.drop_bound + 1e-8
-
-
 def test_progress_trace_rejects_weak_algorithms(solved):
     bundle = solved("PARITY:2")
     with pytest.raises(AlgorithmTooWeakError):
@@ -116,20 +97,22 @@ def test_progress_trace_rejects_weak_algorithms(solved):
 
 
 def test_qpe_kernel_examples():
-    assert qpe_accept_probability([0.0], [1.0], 0.25, 3) == pytest.approx(1.0)
-    assert qpe_accept_probability([np.pi], [1.0], 0.5, 2) == pytest.approx(0.0, abs=1e-12)
+    """precision 2^-k gives a register of k + 1 qubits: 3, 2 and 4 here."""
+    assert qpe_accept_probability([0.0], [1.0], 0.25) == pytest.approx(1.0)
+    assert qpe_accept_probability([np.pi], [1.0], 0.5) == pytest.approx(0.0, abs=1e-12)
     a = 4
-    assert qpe_accept_probability([2.0 * np.pi / 2**a], [1.0], 0.25, a) == pytest.approx(
+    assert qpe_accept_probability([2.0 * np.pi / 2**a], [1.0], 2.0 ** (1 - a)) == pytest.approx(
         0.0, abs=1e-12
     )
 
 
 def test_qpe_validates_inputs():
     with pytest.raises(NotNormalizedError):
-        qpe_accept_probability([0.0, 1.0], [0.7, 0.7], 0.25, 3)
-    with pytest.raises(ValueError):
-        qpe_accept_probability([0.0], [1.0], 0.01, 2)  # 2^-2 > 0.01
-    assert default_ancilla_count(0.01) == 8
+        qpe_accept_probability([0.0, 1.0], [0.7, 0.7], 0.25)
+    # precision 0.01 rounds up to a register of ceil(log2(100)) + 1 = 8 qubits
+    phases, overlaps = seeded_measures()
+    assert np.array_equal(qpe_accept_probability(phases, overlaps, 0.01),
+                          (overlaps * qpe_kernel(phases, 8)).sum(axis=-1))
 
 
 def test_search_probability_trivial_unitaries():
@@ -215,7 +198,7 @@ def seeded_measures(count=6, size=9):
 def test_stacked_probabilities_match_explicit_sums(tau):
     phases, overlaps = seeded_measures()
     a = 5
-    qpe = qpe_accept_probability(phases, overlaps, 2.0**-a, a)
+    qpe = qpe_accept_probability(phases, overlaps, 2.0 ** (1 - a))
     search = search_accept_probability(phases, overlaps, tau)
     noregister = search_noregister_probability(phases, overlaps, tau)
     assert qpe.shape == search.shape == noregister.shape == (len(phases),)
@@ -223,7 +206,7 @@ def test_stacked_probabilities_match_explicit_sums(tau):
         expected = explicit_probabilities(phases[i], overlaps[i], tau, a)
         assert [qpe[i], search[i], noregister[i]] == pytest.approx(expected, abs=1e-12)
         # a stack gives the values of its rows taken one by one
-        assert qpe_accept_probability(phases[i], overlaps[i], 2.0**-a, a) == pytest.approx(qpe[i], abs=1e-15)
+        assert qpe_accept_probability(phases[i], overlaps[i], 2.0 ** (1 - a)) == pytest.approx(qpe[i], abs=1e-15)
         assert search_accept_probability(phases[i], overlaps[i], tau) == pytest.approx(search[i], abs=1e-15)
         assert search_noregister_probability(phases[i], overlaps[i], tau) == pytest.approx(noregister[i], abs=1e-15)
 
