@@ -653,7 +653,8 @@ def _solver(m: np.ndarray):
     (as it gets near the optimum when f ignores a variable).  The Cholesky of
     the Fortran-ordered M^T writes only M's lower triangle, so after a failed
     one the upper triangle and the saved diagonal restore M for the LU.
-    LAPACK is called directly, without the checks of scipy's wrappers."""
+    LAPACK is called directly, without the checks of scipy's wrappers;
+    LinAlgError where the LU meets an exactly zero pivot."""
     diagonal = m.diagonal().copy()
     factor, info = scipy.linalg.lapack.dpotrf(m.T, lower=0, overwrite_a=1, clean=0)
     if info == 0:
@@ -661,8 +662,10 @@ def _solver(m: np.ndarray):
     lower = np.tril_indices(len(m), -1)
     m[lower] = m.T[lower]
     m[np.diag_indices(len(m))] = diagonal
-    factor = scipy.linalg.lu_factor(m, overwrite_a=True, check_finite=False)
-    return lambda r: scipy.linalg.lu_solve(factor, r, check_finite=False)
+    factor, pivots, info = scipy.linalg.lapack.dgetrf(m, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"the Newton system is singular at pivot {info}")
+    return lambda r: scipy.linalg.lapack.dgetrs(factor, pivots, r)[0]
 
 
 def _inverse_factors(blocks: np.ndarray) -> np.ndarray:
@@ -692,7 +695,8 @@ def _newton_step(sdp: WitnessSdp, x: np.ndarray, y: np.ndarray, z: np.ndarray, r
     lengths, each at most 1 (the corrector's cut to the fraction of the way
     to the boundary that it takes).  m is a buffer for the Schur complement's
     rows.  None where a class block of X or Z is not positive definite:
-    roundoff has left the cone's interior.
+    roundoff has left the cone's interior; LinAlgError where the Newton
+    system is singular or gives a direction that is not finite.
 
     Only the representative class blocks are factored, inverted and
     multiplied.  Z^-1, the products A reads and dX are averaged over each
@@ -728,6 +732,8 @@ def _newton_step(sdp: WitnessSdp, x: np.ndarray, y: np.ndarray, z: np.ndarray, r
         # sums over the row orbits, and what X + a dX reads once averaged
         product = _symmetrize(sdp, (x_rd_zinv - rc_zinv).ravel())
         dy = reduced((rp + _apply(sdp, np.concatenate([product, lp_rd - rc_lp]))) * scale) / scale
+        if not np.isfinite(dy).all():
+            raise np.linalg.LinAlgError("the Newton direction is not finite")
         dz = rd - _apply_adjoint(sdp, dy)
         dxb = rc_zinv - xr @ dz[:nb].reshape(shape) @ z_inv
         dxb += dxb.transpose(0, 2, 1)
@@ -801,8 +807,10 @@ def solve_sdp(
 
     Stops when the largest primal and dual infeasibilities, |xi - sum(alpha)|
     and <X, Z> + <(u, xi), (z_u, z_xi)> all fall below tol * max(1, xi); raises
-    NoConvergenceError (with residuals attached) at the iteration cap or when
-    roundoff leaves an iterate on the cone's boundary.  residuals["history"]
+    NoConvergenceError (with the residuals of the last finite iterate
+    attached) at the iteration cap, when roundoff leaves an iterate on the
+    cone's boundary, or when a step fails: LinAlgError in the step, or a
+    direction or iterate that is not finite.  residuals["history"]
     has one row per iteration: mu, the gap and both infeasibilities at the
     iterate it started from, and the step lengths it took.
     residuals["orbits"] holds the group's order (1 when Aut(f) is trivial),
@@ -838,6 +846,7 @@ def solve_sdp(
 
     history: list[dict] = []
     iterations = 0
+    stop = "the iteration cap"
     # the Schur complement's rows, refilled every iteration
     m = np.empty((len(sdp.row_size), num_pairs + num_inputs))
     while True:
@@ -852,13 +861,20 @@ def solve_sdp(
             break
         if iterations == max_iterations:
             break
-        step = _newton_step(sdp, x, y, z, rp, rd, m)
+        try:
+            step = _newton_step(sdp, x, y, z, rp, rd, m)
+        except np.linalg.LinAlgError as exc:
+            stop = f"a failed Newton step ({exc})"
+            break
         if step is None:
-            break  # roundoff has left the cone's interior
+            stop = "the iterates left the cone's interior"
+            break
         mu, _, _, (dx, dy, dz, step_p, step_d) = step
-        x += step_p * dx
-        y += step_d * dy
-        z += step_d * dz
+        iterate = x + step_p * dx, y + step_d * dy, z + step_d * dz
+        if not all(np.isfinite(v).all() for v in iterate):
+            stop = "an iterate that is not finite"
+            break
+        x, y, z = iterate
         iterations += 1
         history.append({"mu": mu, "gap": gap, "primal_infeasibility": primal_inf,
                         "dual_infeasibility": dual_inf, "step_primal": step_p, "step_dual": step_d})
@@ -885,11 +901,10 @@ def solve_sdp(
                    "blocks_factored": 2 * len(sdp.classes)},
     }
     if max(primal_inf, dual_inf, abs(gap), complementarity) > scale:
-        stop = "the iteration cap" if iterations == max_iterations else "the iterates left the cone's interior"
         raise NoConvergenceError(
-            f"no convergence after {iterations} iterations, at {stop} "
-            f"(infeasibility {primal_inf:.2e}/{dual_inf:.2e}, "
-            f"gap {gap:.2e}, complementarity {complementarity:.2e})",
+            f"no convergence after {iterations} iterations, at {stop}; "
+            f"infeasibility {primal_inf:.2e}/{dual_inf:.2e}, "
+            f"gap {gap:.2e}, complementarity {complementarity:.2e}",
             residuals,
         )
     return SdpSolution(sdp=sdp, class_blocks=stack, xi=xi, alpha=alpha, beta=beta, residuals=residuals)

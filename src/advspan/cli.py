@@ -18,13 +18,12 @@ from pathlib import Path
 
 from .advsdp import DEFAULT_TOL, MIN_TOL
 from .errors import AdvspanError, BadSpecError, ConstantFunctionError, NoConvergenceError
-from .pipeline import DEFAULT_C_GRID, verify
+from .pipeline import verify
 
 
 def run_pipeline(options: argparse.Namespace) -> tuple[dict, int]:
     """Run `verify` with the parsed flags, then write the CSV and JSON exports."""
-    result = verify(options.function, tol=options.tol, c_grid=options.c_grid, theta_grid=options.theta_grid,
-                    simulate=not options.skip_sim, formula_bound=options.formula_bound)
+    result = verify(options.function, tol=options.tol, formula_bound=options.formula_bound)
     report = result.report
     if options.csv_dir:
         _write_csvs(Path(options.csv_dir), report, result.graph)
@@ -42,14 +41,13 @@ def _write_csvs(directory: Path, report: dict, graph) -> None:
             writer.writerow(["input", param, "lhs", "rhs", "margin"])
             for row in report["lemma_checks"][family]:
                 writer.writerow([row["input"], row[param], row["lhs"], row["rhs"], row["margin"]])
-    if report["algorithms"] is not None:
-        with open(directory / "algorithms.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["input", "algorithm", "parameter", "probability", "threshold", "pass"])
-            for row in report["algorithms"]:
-                for alg, param in (("phase_estimation", row["phase_error_budget"]), ("search", row["tau"])):
-                    writer.writerow([row["input"], alg, param, row[alg], row["thresholds"][alg], row["pass"][alg]])
-                writer.writerow([row["input"], "search_noregister", row["tau"], row["search_noregister"], "", ""])
+    with open(directory / "algorithms.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["input", "algorithm", "parameter", "probability", "threshold", "pass"])
+        for row in report["algorithms"]:
+            for alg, param in (("phase_estimation", row["phase_error_budget"]), ("search", row["tau"])):
+                writer.writerow([row["input"], alg, param, row[alg], row["thresholds"][alg], row["pass"][alg]])
+            writer.writerow([row["input"], "search_noregister", row["tau"], row["search_noregister"], "", ""])
     (directory / "program_graph_edges.txt").write_text("".join(f"{r} {c} {wgt!r}\n" for r, c, wgt in graph.edges()))
 
 
@@ -90,15 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--function", required=True, help='e.g. PARITY:2, OR:3, or a bitstring like "0110"')
     verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help=f"SDP duality-gap tolerance, at least {MIN_TOL:g}")
-    verify.add_argument("--skip-sim", action="store_true", help="skip the algorithm simulations")
     verify.add_argument("--formula-bound", action="store_true",
                         help="check ADV <= sqrt(minimal formula size)")
     verify.add_argument("--json", help="write the JSON report here")
     verify.add_argument("--csv-dir", help="write CSV exports into this directory")
-    verify.add_argument("--c-grid", type=lambda s: tuple(float(v) for v in s.split(",")),
-                        default=DEFAULT_C_GRID, help="comma list of c values for the effective gap")
-    verify.add_argument("--theta-grid", type=lambda s: tuple(float(v) for v in s.split(",")),
-                        default=None, help="comma list of Theta values (default 1/(50W),0.01,0.1,1)")
     return parser
 
 
@@ -110,7 +103,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NoConvergenceError as exc:
-        print(f"solver did not converge: {exc}; residuals: {exc.residuals}", file=sys.stderr)
+        print(f"solver did not converge: {exc}", file=sys.stderr)
         return 3
     except AdvspanError as exc:
         print(f"check failed hard: {exc}", file=sys.stderr)

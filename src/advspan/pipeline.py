@@ -105,25 +105,19 @@ def matrix_to_json(mat: np.ndarray) -> list:
     return np.stack([arr.real, arr.imag], -1).tolist()
 
 
-def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_grid=None,
-           simulate: bool = True, formula_bound: bool = False) -> Verification:
+def verify(spec: str, *, tol: float = DEFAULT_TOL, formula_bound: bool = False) -> Verification:
     """Solve the witness SDP of `spec` and check every lemma on every input.
 
     The keywords are the `advspan verify` flags: tol is the SDP duality-gap
-    tolerance, c_grid and theta_grid the effective- and phase-gap parameters
-    (theta_grid None means 1/(50W), 0.01, 0.1, 1; an entry whose check
-    name repeats an earlier one's is dropped), simulate runs the
-    phase-estimation and search algorithms, and formula_bound also checks
-    ADV <= sqrt(minimal formula size).  A failed check sets the report's
-    status to FAIL; bad input and solver failure raise the package's errors,
-    and so does an empty grid (it would check nothing), a c or Theta that is
-    not finite and positive (at c <= 0 the gap checks would hold trivially)
-    or a tol that is not finite and at least MIN_TOL.
+    tolerance, and formula_bound also checks ADV <= sqrt(minimal formula
+    size).  The effective gap is checked at every c in DEFAULT_C_GRID and
+    the phase gap at Theta = 1/(50W), 0.01, 0.1 and 1, less an entry whose
+    check name repeats an earlier one's; spectral.effective_gap_profile and
+    spectral.phase_gap_profile take any other grid.  A failed check sets the
+    report's status to FAIL; bad input and solver failure raise the
+    package's errors, and so does a tol that is not finite and at least
+    MIN_TOL.
     """
-    if len(c_grid) == 0 or (theta_grid is not None and len(theta_grid) == 0):
-        raise BadSpecError(f"c_grid and theta_grid must not be empty, got {c_grid=}, {theta_grid=}")
-    if not all(np.isfinite(x) and x > 0.0 for x in (*c_grid, *(theta_grid or ()))):
-        raise BadSpecError(f"every c and Theta must be finite and positive, got {c_grid=}, {theta_grid=}")
     if not (np.isfinite(tol) and tol >= MIN_TOL):
         raise BadSpecError(f"tol must be finite and at least {MIN_TOL:g}, got {tol!r}")
     timings: dict[str, float] = {}
@@ -133,13 +127,7 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
     report: dict = {
         "schema": "advspan/1",
         "function": {"spec": spec, "n": f.n, "table": f.name()},
-        "flags": {
-            "tol": tol,
-            "skip_sim": not simulate,
-            "formula_bound": formula_bound,
-            "c_grid": list(c_grid),
-            "theta_grid": list(theta_grid) if theta_grid else None,
-        },
+        "flags": {"tol": tol, "formula_bound": formula_bound},
     }
     checks: list[dict] = []
 
@@ -196,8 +184,7 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
     t0 = time.perf_counter()
     graph = spectral.build_program_graph(program)
     w_size = program.witness_size
-    c_grid = _distinct(c_grid, C_LABEL)
-    theta_grid = _distinct(theta_grid or (1.0 / (50.0 * w_size), 0.01, 0.1, 1.0), THETA_LABEL)
+    theta_grid = _distinct((1.0 / (50.0 * w_size), 0.01, 0.1, 1.0), THETA_LABEL)
     values = np.array(f.table)
     # the kernel witnesses cost no SVD, so they are checked on every input
     # (raising on any violation) and reported from the representatives
@@ -212,18 +199,17 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
               if graph.near_ranks else None)
     marks.append(time.perf_counter())
     false_reps = values[reps] == 0
-    gap_lhs, phase_lhs = np.zeros((len(reps), len(c_grid))), np.zeros((len(reps), len(theta_grid)))
-    gap_lhs[false_reps], gap_rhs = spectral.effective_gap_profile(ig.select(false_reps), w_size, c_grid)
+    gap_lhs, phase_lhs = np.zeros((len(reps), len(DEFAULT_C_GRID))), np.zeros((len(reps), len(theta_grid)))
+    gap_lhs[false_reps], gap_rhs = spectral.effective_gap_profile(ig.select(false_reps), w_size, DEFAULT_C_GRID)
     phase_lhs[false_reps], phase_rhs = spectral.phase_gap_profile(
         phases[false_reps], overlaps[false_reps], w_size, theta_grid, values[reps][false_reps])
     gap_lhs, phase_lhs = gap_lhs[row], phase_lhs[row]
     marks.append(time.perf_counter())
-    if simulate:
-        precision = 1.0 / (100.0 * w_size)
-        tau = int(np.ceil(100.0 * w_size))
-        p_phase = qsim.qpe_accept_probability(phases, overlaps, precision)[row]
-        p_search = qsim.search_accept_probability(phases, overlaps, tau)[row]
-        p_bare = qsim.search_noregister_probability(phases, overlaps, tau)[row]
+    precision = 1.0 / (100.0 * w_size)
+    tau = int(np.ceil(100.0 * w_size))
+    p_phase = qsim.qpe_accept_probability(phases, overlaps, precision)[row]
+    p_search = qsim.search_accept_probability(phases, overlaps, tau)[row]
+    p_bare = qsim.search_noregister_probability(phases, overlaps, tau)[row]
     marks.append(time.perf_counter())
     stages = dict(zip(("resolve", "walk", "gaps", "algorithms"), np.diff([t0, *marks]).tolist()))
 
@@ -240,7 +226,7 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
             checks.append(_check("jordan", f"rank_cut[{label}]", spread[s], 1e-8, "le"))
 
         if f.value(s) == 0:
-            for c, lhs, rhs in zip(c_grid, gap_lhs[s].tolist(), gap_rhs.tolist()):
+            for c, lhs, rhs in zip(DEFAULT_C_GRID, gap_lhs[s].tolist(), gap_rhs.tolist()):
                 gap_rows.append({"input": label, "c": float(c), "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
                 checks.append(_check("effective_gap", f"effective_gap[{label},{C_LABEL.format(c)}]",
                                      lhs, rhs + 1e-6, "le"))
@@ -249,25 +235,24 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, c_grid=DEFAULT_C_GRID, theta_
                 checks.append(_check("phase_gap", f"phase_gap[{label},{THETA_LABEL.format(theta)}]",
                                      lhs, rhs + 1e-6, "le"))
 
-        if simulate:
-            if f.value(s):
-                judged = (_check("phase_estimation", f"phase_estimation_true[{label}]",
-                                 p_phase[s] - PHASE_ERROR_BUDGET, 0.8, "ge"),
-                          _check("search", f"search_true[{label}]", p_search[s], 0.9, "ge"))
-            else:
-                judged = (_check("phase_estimation", f"phase_estimation_false[{label}]",
-                                 p_phase[s] + PHASE_ERROR_BUDGET, 0.4, "le"),
-                          _check("search", f"search_false[{label}]", p_search[s], 0.88, "le"))
-            checks.extend(judged)
-            # each algorithm's threshold and pass flag are those of its check
-            alg_rows.append({"input": label, "f": f.value(s), "phase_estimation": float(p_phase[s]),
-                             "phase_error_budget": PHASE_ERROR_BUDGET, "search": float(p_search[s]),
-                             "search_noregister": float(p_bare[s]), "tau": tau,
-                             "thresholds": {chk["family"]: chk["bound"] for chk in judged},
-                             "pass": {chk["family"]: chk["pass"] for chk in judged}})
+        if f.value(s):
+            judged = (_check("phase_estimation", f"phase_estimation_true[{label}]",
+                             p_phase[s] - PHASE_ERROR_BUDGET, 0.8, "ge"),
+                      _check("search", f"search_true[{label}]", p_search[s], 0.9, "ge"))
+        else:
+            judged = (_check("phase_estimation", f"phase_estimation_false[{label}]",
+                             p_phase[s] + PHASE_ERROR_BUDGET, 0.4, "le"),
+                      _check("search", f"search_false[{label}]", p_search[s], 0.88, "le"))
+        checks.extend(judged)
+        # each algorithm's threshold and pass flag are those of its check
+        alg_rows.append({"input": label, "f": f.value(s), "phase_estimation": float(p_phase[s]),
+                         "phase_error_budget": PHASE_ERROR_BUDGET, "search": float(p_search[s]),
+                         "search_noregister": float(p_bare[s]), "tau": tau,
+                         "thresholds": {chk["family"]: chk["bound"] for chk in judged},
+                         "pass": {chk["family"]: chk["pass"] for chk in judged}})
     timings["spectral"] = time.perf_counter() - t0
     report["lemma_checks"] = {"zero_witness": zero_rows, "effective_gap": gap_rows, "phase_gap": phase_rows}
-    report["algorithms"] = alg_rows if simulate else None
+    report["algorithms"] = alg_rows
 
     if formula_bound:
         t0 = time.perf_counter()

