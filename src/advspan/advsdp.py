@@ -694,9 +694,10 @@ def _newton_step(sdp: WitnessSdp, x: np.ndarray, y: np.ndarray, z: np.ndarray, r
     predictor, then the corrector, the direction (dx, dy, dz) and its step
     lengths, each at most 1 (the corrector's cut to the fraction of the way
     to the boundary that it takes).  m is a buffer for the Schur complement's
-    rows.  None where a class block of X or Z is not positive definite:
-    roundoff has left the cone's interior; LinAlgError where the Newton
-    system is singular or gives a direction that is not finite.
+    rows.  Raises LinAlgError naming the cause where the step fails: a class
+    block of X or Z that is not positive definite (roundoff has left the
+    cone's interior), a singular Newton system or a direction that is not
+    finite.
 
     Only the representative class blocks are factored, inverted and
     multiplied.  Z^-1, the products A reads and dX are averaged over each
@@ -712,7 +713,7 @@ def _newton_step(sdp: WitnessSdp, x: np.ndarray, y: np.ndarray, z: np.ndarray, r
     try:
         l_inv = _inverse_factors(blocks)
     except np.linalg.LinAlgError:
-        return None
+        raise np.linalg.LinAlgError("the iterates left the cone's interior") from None
     l_inv.reshape(-1)[sdp.padding] = 0.0  # so Z^-1 and every direction keep the padding at zero
     order = n * num_inputs + num_inputs + 1
     weight = sdp.multiplicity
@@ -798,21 +799,17 @@ class SdpSolution:
         return float(self.alpha.sum())
 
 
-def solve_sdp(
-    sdp: WitnessSdp,
-    tol: float = DEFAULT_TOL,
-    max_iterations: int = MAX_ITERATIONS,
-) -> SdpSolution:
+def solve_sdp(sdp: WitnessSdp, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Follow the central path until the duality gap closes.
 
     Stops when the largest primal and dual infeasibilities, |xi - sum(alpha)|
     and <X, Z> + <(u, xi), (z_u, z_xi)> all fall below tol * max(1, xi); raises
-    NoConvergenceError (with the residuals of the last finite iterate
-    attached) at the iteration cap, when roundoff leaves an iterate on the
-    cone's boundary, or when a step fails: LinAlgError in the step, or a
-    direction or iterate that is not finite.  residuals["history"]
-    has one row per iteration: mu, the gap and both infeasibilities at the
-    iterate it started from, and the step lengths it took.
+    NoConvergenceError, naming the cause and carrying the residuals of the
+    last finite iterate, after MAX_ITERATIONS (read at each call) or at a
+    failed step: the LinAlgError of _newton_step, or a new iterate that is
+    not finite.  residuals["history"] has one row per iteration: mu, the gap
+    and both infeasibilities at the iterate it started from, and the step
+    lengths it took.
     residuals["orbits"] holds the group's order (1 when Aut(f) is trivial),
     M's side before and after the reduction, and the class blocks factored
     per iteration (X's and Z's representatives).  Deterministic:
@@ -845,7 +842,6 @@ def solve_sdp(
     z[nb:] = 1.0
 
     history: list[dict] = []
-    iterations = 0
     stop = "the iteration cap"
     # the Schur complement's rows, refilled every iteration
     m = np.empty((len(sdp.row_size), num_pairs + num_inputs))
@@ -856,26 +852,18 @@ def solve_sdp(
         complementarity = float(x @ (weight * z))
         gap = xi - float((sdp.row_size[:q] * y[:q]).sum())
         primal_inf, dual_inf = float(np.abs(rp).max()), float(np.abs(rd).max())
-        scale = tol * max(1.0, abs(xi))
-        if max(primal_inf, dual_inf, abs(gap), complementarity) <= scale:
-            break
-        if iterations == max_iterations:
+        converged = max(primal_inf, dual_inf, abs(gap), complementarity) <= tol * max(1.0, abs(xi))
+        if converged or len(history) == MAX_ITERATIONS:
             break
         try:
-            step = _newton_step(sdp, x, y, z, rp, rd, m)
+            mu, _, _, (dx, dy, dz, step_p, step_d) = _newton_step(sdp, x, y, z, rp, rd, m)
+            iterate = x + step_p * dx, y + step_d * dy, z + step_d * dz
+            if not all(np.isfinite(v).all() for v in iterate):
+                raise np.linalg.LinAlgError("the new iterate is not finite")
         except np.linalg.LinAlgError as exc:
-            stop = f"a failed Newton step ({exc})"
-            break
-        if step is None:
-            stop = "the iterates left the cone's interior"
-            break
-        mu, _, _, (dx, dy, dz, step_p, step_d) = step
-        iterate = x + step_p * dx, y + step_d * dy, z + step_d * dz
-        if not all(np.isfinite(v).all() for v in iterate):
-            stop = "an iterate that is not finite"
+            stop = str(exc)
             break
         x, y, z = iterate
-        iterations += 1
         history.append({"mu": mu, "gap": gap, "primal_infeasibility": primal_inf,
                         "dual_infeasibility": dual_inf, "step_primal": step_p, "step_dual": step_d})
 
@@ -894,15 +882,15 @@ def solve_sdp(
         "primal_infeasibility": primal_inf,
         "dual_infeasibility": dual_inf,
         "complementarity": complementarity,
-        "iterations": iterations,
+        "iterations": len(history),
         "tolerance": tol,
         "history": history,
         "orbits": {"order": orbits.order, "schur_side": num_pairs + num_inputs, "reduced_side": len(sdp.row_size),
                    "blocks_factored": 2 * len(sdp.classes)},
     }
-    if max(primal_inf, dual_inf, abs(gap), complementarity) > scale:
+    if not converged:
         raise NoConvergenceError(
-            f"no convergence after {iterations} iterations, at {stop}; "
+            f"no convergence after {len(history)} iterations: {stop}; "
             f"infeasibility {primal_inf:.2e}/{dual_inf:.2e}, "
             f"gap {gap:.2e}, complementarity {complementarity:.2e}",
             residuals,

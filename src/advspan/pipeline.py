@@ -194,9 +194,9 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, formula_bound: bool = False) 
     phases, overlaps = spectral.anchor_measure(ig)
     marks = [time.perf_counter()]
     # the closed-form measure against U_s applied to |0> itself, by their first moments
-    recon = np.abs(spectral.moments(phases, overlaps) - spectral.walk_moments(graph, reps)).max(axis=1)[row]
-    spread = (spectral.rank_spread(graph, program, (graph.rank, *graph.near_ranks), reps)[row]
-              if graph.near_ranks else None)
+    base = spectral.moments(phases, overlaps)
+    recon = np.abs(base - spectral.walk_moments(graph, reps)).max(axis=1)[row]
+    spread = spectral.rank_spread(graph, program, base, graph.near_ranks, reps)[row] if graph.near_ranks else None
     marks.append(time.perf_counter())
     false_reps = values[reps] == 0
     gap_lhs, phase_lhs = np.zeros((len(reps), len(DEFAULT_C_GRID))), np.zeros((len(reps), len(theta_grid)))

@@ -246,10 +246,12 @@ def walk_moments(g: ProgramGraph, inputs=slice(None)) -> np.ndarray:
     return out
 
 
-def rank_spread(g: ProgramGraph, p: CanonicalSpanProgram, ranks, inputs: np.ndarray | None = None) -> np.ndarray:
+def rank_spread(g: ProgramGraph, p: CanonicalSpanProgram, base: np.ndarray, ranks,
+                inputs: np.ndarray | None = None) -> np.ndarray:
     """Largest difference, per input (of inputs, every input by default), of
-    the anchor's moments between V_r cut to ranks[0] and to each later rank."""
-    base, *others = (moments(*anchor_measure(build_input_graph(g, p, rank, inputs))) for rank in ranks)
+    the anchor's moments between base, those of some cut of V_r (one row per
+    input), and V_r cut to each of ranks."""
+    others = (moments(*anchor_measure(build_input_graph(g, p, rank, inputs))) for rank in ranks)
     return np.max([np.abs(other - base).max(axis=1) for other in others], axis=0)
 
 

@@ -231,10 +231,11 @@ def test_solver_is_deterministic():
     assert a.alpha.tobytes() == b.alpha.tobytes()
 
 
-def test_no_convergence_reports_residuals():
+def test_no_convergence_reports_residuals(monkeypatch):
     sdp = build_witness_sdp(load_function("PARITY:2"))
-    with pytest.raises(NoConvergenceError) as err:
-        solve_sdp(sdp, max_iterations=3)
+    monkeypatch.setattr(advsdp, "MAX_ITERATIONS", 3)
+    with pytest.raises(NoConvergenceError, match="after 3 iterations: the iteration cap") as err:
+        solve_sdp(sdp)
     residuals = err.value.residuals
     assert residuals["iterations"] == 3
     assert len(residuals["history"]) == 3
@@ -289,14 +290,27 @@ def test_schur_solver_raises_on_an_exactly_singular_lu():
         advsdp._solver(m)
 
 
-def test_singular_newton_system_stops_with_the_last_finite_iterate():
-    """At tol 1e-9 the Newton system of 00110100 becomes exactly singular
-    after 11 iterations: solve_sdp raises NoConvergenceError carrying the
-    residuals and the history of those 11, all finite, never LinAlgError."""
-    with pytest.raises(NoConvergenceError, match="singular") as err:
-        solve_sdp(build_witness_sdp(load_function("00110100")), tol=1e-9)
+def test_singular_newton_system_stops_with_the_last_finite_iterate(monkeypatch):
+    """A Newton system that is exactly singular, here M with its last row and
+    column zeroed on the fourth step, so that its LU meets a zero pivot:
+    solve_sdp raises NoConvergenceError naming it, carrying the residuals and
+    the history of the three iterations it finished, all finite, never
+    LinAlgError."""
+    sdp = build_witness_sdp(load_function("MAJ:3"))
+    assert solve_sdp(sdp).residuals["iterations"] > 4
+    solver, calls = advsdp._solver, []
+
+    def singular_fourth_call(m):
+        calls.append(m.shape)
+        if len(calls) == 4:
+            m[-1] = m[:, -1] = 0.0
+        return solver(m)
+
+    monkeypatch.setattr(advsdp, "_solver", singular_fourth_call)
+    with pytest.raises(NoConvergenceError, match="singular at pivot") as err:
+        solve_sdp(sdp)
     residuals = err.value.residuals
-    assert residuals["iterations"] == len(residuals["history"]) == 11
+    assert residuals["iterations"] == len(residuals["history"]) == 3
     assert all(np.isfinite(value) for row in residuals["history"] for value in row.values())
     assert all(np.isfinite(residuals[key]) for key in ("primal_equality", "min_eigenvalue", "duality_gap"))
 
@@ -746,15 +760,17 @@ def test_certificate_beta_alignment_reported(corpus):
     print("beta alignment <beta|Gamma|beta> / ||Gamma|| by function:", values)
 
 
-def test_iteration_cap_below_convergence_raises():
+def test_iteration_cap_below_convergence_raises(monkeypatch):
     """The cap raises unless the loop's own stopping test held: no cap below
     the converging count returns an unconverged solution."""
     sdp = build_witness_sdp(load_function("OR:2"))
     converging = solve_sdp(sdp).residuals["iterations"]
     for cap in range(converging):
+        monkeypatch.setattr(advsdp, "MAX_ITERATIONS", cap)
         with pytest.raises(NoConvergenceError):
-            solve_sdp(sdp, max_iterations=cap)
-    assert solve_sdp(sdp, max_iterations=converging).residuals["iterations"] == converging
+            solve_sdp(sdp)
+    monkeypatch.setattr(advsdp, "MAX_ITERATIONS", converging)
+    assert solve_sdp(sdp).residuals["iterations"] == converging
 
 
 def threshold(k: int, n: int) -> str:

@@ -572,7 +572,7 @@ def test_rank_cut_rows_only_where_the_cut_is_ambiguous(solved, monkeypatch):
     q = dataclasses.replace(p, target=moved[:, 0], matrix=moved[:, 1:])
     g = build_program_graph(q)
     assert (g.rank, g.near_ranks) == (5, (4, 6))
-    assert rank_spread(g, q, (3, 4)).min() > 1e-8
+    assert rank_spread(g, q, moments(*anchor_measure(build_input_graph(g, q, 3))), (4,)).min() > 1e-8
     # the input graphs read only the program graph, so verify on 00000011 with
     # this graph in place of its own reports the rows the moved program gets
     monkeypatch.setattr("advspan.spectral.build_program_graph", lambda program: g)
@@ -580,3 +580,27 @@ def test_rank_cut_rows_only_where_the_cut_is_ambiguous(solved, monkeypatch):
     rows = [chk for chk in report["checks"] if chk["name"].startswith("rank_cut[")]
     assert [chk["name"] for chk in rows] == [f"rank_cut[{s:03b}]" for s in q.f.inputs]
     assert all(chk["pass"] and chk["bound"] == 1e-8 for chk in rows)
+
+
+def test_rank_cut_resolves_only_the_near_ranks(monkeypatch):
+    """verify hands rank_spread the moments it already holds at graph.rank,
+    so it builds the input graph 1 + len(near_ranks) times.  A RANK_WINDOW of
+    1e8 makes MAJ:3's cut ambiguous down to rank 0; each rank_cut value
+    equals, bitwise, the one from moments rebuilt at graph.rank."""
+    monkeypatch.setattr("advspan.spectral.RANK_WINDOW", 1e8)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_input_graph(*args, **kwargs)
+
+    monkeypatch.setattr("advspan.spectral.build_input_graph", counted)
+    result = verify("MAJ:3")
+    g, p = result.graph, result.program
+    assert g.near_ranks == (0, 1, 2, 3)
+    assert len(calls) == 1 + len(g.near_ranks)
+    reps = np.flatnonzero(p.orbit == np.arange(len(p.orbit)))
+    base = moments(*anchor_measure(build_input_graph(g, p, g.rank, reps)))
+    rebuilt = rank_spread(g, p, base, g.near_ranks, reps)[np.searchsorted(reps, p.orbit)]
+    rows = [chk for chk in result.report["checks"] if chk["name"].startswith("rank_cut[")]
+    assert [chk["value"] for chk in rows] == rebuilt.tolist()
