@@ -206,93 +206,85 @@ class Formula:
         return tuple(self.evaluate(s, n) for s in range(2**n))
 
 
-def _table_code(table: tuple[int, ...]) -> int:
-    code = 0
-    for s, v in enumerate(table):
-        code |= v << s
-    return code
+MAX_LEAVES = 12
+_OPS = ("LIT", "AND", "OR")  # parent[code, 0] indexes this
 
 
-@lru_cache(maxsize=8)
-def _formula_dp(n: int, max_leaves: int):
-    """Tables reachable with at most max_leaves leaves, plus witness parents.
+@lru_cache(maxsize=None)
+def _formula_dp(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least leaf count of a De Morgan formula for every n-bit table, up
+    to MAX_LEAVES, and the decomposition that reaches it.
 
-    Returns (best, parent): best maps table-code -> minimal leaf count,
-    parent maps table-code -> ("LIT", var, negated) or (op, code1, code2).
-    Bottom-up over exact minimal counts; correctness follows from
-    L(g op h) decompositions using minimal subformulas only.
+    Two read-only arrays indexed by table code (bit s = f(s)): best[code] is
+    the least leaf count, 0 when it exceeds MAX_LEAVES, and parent[code] is
+    (op, left, right), op indexing _OPS, a literal storing (var, negated) and
+    a gate its children's codes.  Bottom-up over exact minimal counts, which
+    suffices because a minimal formula's subformulas are minimal.  Level k
+    joins the codes first reached at i and k - i leaves, for each split i,
+    each chunk of level i, AND before OR, and lists the codes it reaches first
+    in that order, each chunk's in increasing code; a code keeps the first
+    pair of the row-major outer product that reaches it.  Built on first use,
+    once per n.
     """
-    full = (1 << (2**n)) - 1
-    best: dict[int, int] = {}
-    parent: dict[int, tuple] = {}
-    levels: list[list[int]] = [[]]  # levels[k] = codes first reached at k leaves
-
-    first = []
-    for var in range(1, n + 1):
-        for negated in (False, True):
-            code = _table_code(
-                tuple(
-                    (1 - ((s >> (n - var)) & 1)) if negated else ((s >> (n - var)) & 1)
-                    for s in range(2**n)
-                )
-            )
-            if code not in best:
-                best[code] = 1
-                parent[code] = ("LIT", var, negated)
-                first.append(code)
-    levels.append(first)
-
-    for k in range(2, max_leaves + 1):
-        fresh: list[int] = []
+    size = 1 << 2**n
+    best = np.zeros(size, np.int8)
+    parent = np.zeros((size, 3), np.int64)
+    bits = input_bits(n)
+    literals = np.stack([bits, 1 - bits], axis=2).reshape(2**n, 2 * n).T @ (1 << np.arange(2**n))
+    best[literals] = 1
+    parent[literals, 1] = np.repeat(np.arange(1, n + 1), 2)  # x1, not x1, x2, ...
+    parent[literals, 2] = np.tile([0, 1], n)
+    levels = [None, literals.astype(np.uint16)]  # levels[k]: the codes first reached at k leaves
+    for k in range(2, MAX_LEAVES + 1):
+        fresh = []
         for i in range(1, k // 2 + 1):
-            a = np.array(levels[i], dtype=np.uint32)
-            b = np.array(levels[k - i], dtype=np.uint32)
-            if len(a) == 0 or len(b) == 0:
-                continue
-            # chunk the outer products to bound memory on n = 4
-            step = max(1, (1 << 22) // max(1, len(b)))
-            for lo in range(0, len(a), step):
-                blk = a[lo : lo + step]
-                for op, prod in (
-                    ("AND", blk[:, None] & b[None, :]),
-                    ("OR", blk[:, None] | b[None, :]),
-                ):
-                    codes, idx = np.unique(prod, return_index=True)
-                    for code, flat in zip(codes.tolist(), idx.tolist()):
-                        if code not in best:
-                            best[code] = k
-                            parent[code] = (op, int(blk[flat // len(b)]), int(b[flat % len(b)]))
-                            fresh.append(code)
-        levels.append(fresh)
-        if len(best) == full + 1:
-            break
+            b = levels[k - i]
+            step = max(1, (1 << 22) // max(1, len(b)))  # chunk the outer products to bound memory on n = 4
+            for lo in range(0, len(levels[i]), step):
+                blk = levels[i][lo : lo + step]
+                for op, join in ((1, np.bitwise_and), (2, np.bitwise_or)):
+                    prod = join.outer(blk, b).ravel()
+                    flat = np.flatnonzero(best[prod] == 0)
+                    first = np.full(size, len(prod))
+                    np.minimum.at(first, prod[flat], flat)
+                    codes = np.flatnonzero(first < len(prod))
+                    best[codes] = k
+                    rows, cols = np.divmod(first[codes], len(b))
+                    parent[codes] = np.column_stack([np.full(len(codes), op), blk[rows], b[cols]])
+                    fresh.append(codes.astype(np.uint16))
+        levels.append(np.concatenate(fresh))
+    best.flags.writeable = parent.flags.writeable = False
     return best, parent
 
 
-def formula_size(f: BooleanFunction, max_leaves: int = 12) -> int | None:
+def _least_leaves(f: BooleanFunction, max_leaves: int) -> tuple[int, int | None]:
+    """f's table code and its least leaf count, None past max_leaves."""
+    if f.n > 4:
+        raise ArityTooLargeError(f"exhaustive synthesis supports n <= 4, got {f.n}")
+    if not 1 <= max_leaves <= MAX_LEAVES:
+        raise BadSpecError(f"max_leaves must lie in 1..{MAX_LEAVES}")
+    code = sum(v << s for s, v in enumerate(f.table))
+    leaves = int(_formula_dp(f.n)[0][code])
+    return code, (leaves if 0 < leaves <= max_leaves else None)
+
+
+def formula_size(f: BooleanFunction, max_leaves: int = MAX_LEAVES) -> int | None:
     """Minimal leaf count of a De Morgan formula for f, or None past max_leaves."""
-    if f.n > 4:
-        raise ArityTooLargeError(f"exhaustive synthesis supports n <= 4, got {f.n}")
-    if not 1 <= max_leaves <= 12:
-        raise BadSpecError("max_leaves must lie in 1..12")
-    best, _ = _formula_dp(f.n, max_leaves)
-    return best.get(_table_code(f.table))
+    return _least_leaves(f, max_leaves)[1]
 
 
-def minimal_formula(f: BooleanFunction, max_leaves: int = 12) -> Formula | None:
+def minimal_formula(f: BooleanFunction, max_leaves: int = MAX_LEAVES) -> Formula | None:
     """A leaf-minimal De Morgan formula computing f, or None past max_leaves."""
-    if f.n > 4:
-        raise ArityTooLargeError(f"exhaustive synthesis supports n <= 4, got {f.n}")
-    best, parent = _formula_dp(f.n, max_leaves)
-    code = _table_code(f.table)
-    if code not in best:
+    code, leaves = _least_leaves(f, max_leaves)
+    if leaves is None:
         return None
+    parent = _formula_dp(f.n)[1]
 
     def rebuild(c: int) -> Formula:
-        node = parent[c]
-        if node[0] == "LIT":
-            return Formula.literal(node[1], negated=node[2])
-        return Formula.gate(node[0], rebuild(node[1]), rebuild(node[2]))
+        op, left, right = parent[c].tolist()
+        if op == 0:
+            return Formula.literal(left, negated=bool(right))
+        return Formula.gate(_OPS[op], rebuild(left), rebuild(right))
 
     return rebuild(code)
 

@@ -3,8 +3,8 @@
 
     advspan verify --function PARITY:2 [--json report.json] [--csv-dir out/]
 
-Exit codes: 0 all checks pass, 1 some check failed, 2 bad input,
-3 solver non-convergence.
+Exit codes: 0 all checks pass, 1 some check failed, 2 bad input (an
+export path that cannot be written included), 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -25,11 +25,14 @@ def run_pipeline(options: argparse.Namespace) -> tuple[dict, int]:
     """Run `verify` with the parsed flags, then write the CSV and JSON exports."""
     result = verify(options.function, tol=options.tol, formula_bound=options.formula_bound)
     report = result.report
-    if options.csv_dir:
-        _write_csvs(Path(options.csv_dir), report, result.graph)
-    if options.json:
-        # compact: without an indent json uses its C encoder (read it with python -m json.tool)
-        Path(options.json).write_text(json.dumps(report, sort_keys=True) + "\n")
+    try:
+        if options.csv_dir:
+            _write_csvs(Path(options.csv_dir), report, result.graph)
+        if options.json:
+            # compact: without an indent json uses its C encoder (read it with python -m json.tool)
+            Path(options.json).write_text(json.dumps(report, sort_keys=True) + "\n")
+    except OSError as exc:  # a path that cannot be written is bad input, not a failed check
+        raise BadSpecError(f"cannot write the exports: {exc}") from exc
     return report, (0 if report["status"] == "PASS" else 1)
 
 

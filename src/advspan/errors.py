@@ -18,7 +18,8 @@ class NotPSDError(AdvspanError):
 
 
 class BadSpecError(AdvspanError):
-    """Unparseable boolean-function specification, or a bad verify parameter."""
+    """Unparseable boolean-function specification, a bad verify parameter, or an
+    export path that cannot be written."""
 
 
 class IndexOutOfRangeError(AdvspanError):

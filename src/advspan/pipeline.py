@@ -16,7 +16,7 @@ from . import qsim, spectral
 from .advsdp import (
     DEFAULT_TOL, MIN_TOL, AdversaryCertificate, SdpSolution, build_witness_sdp, extract_certificate, solve_sdp,
 )
-from .boolfun import formula_size, load_function
+from .boolfun import MAX_LEAVES, formula_size, load_function
 from .errors import BadSpecError
 from .spanprog import CanonicalSpanProgram, canonical_from_gram, evaluate
 
@@ -256,10 +256,10 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, formula_bound: bool = False) 
 
     if formula_bound:
         t0 = time.perf_counter()
-        leaves = formula_size(f, max_leaves=12) if f.n <= 4 else None
+        leaves = formula_size(f) if f.n <= 4 else None
         timings["formula"] = time.perf_counter() - t0
         if leaves is None:
-            note = "no formula within 12 leaves" if f.n <= 4 else "the exhaustive formula search covers n <= 4 only"
+            note = f"no formula within {MAX_LEAVES} leaves" if f.n <= 4 else "the exhaustive formula search covers n <= 4 only"
             report["formula_bound"] = {"leaves": None, "note": note}
         else:
             report["formula_bound"] = {"leaves": leaves, "sqrt_leaves": float(np.sqrt(leaves))}

@@ -12,11 +12,14 @@ oracle of the class-block `solve_sdp`.  Also the small helpers that only tests
 call: the dense null-space projector and unitary eigensystem, Aut(f) element
 by element, coordinate dependence, pair sums and index-set columns of a span
 program, a canonical program with its padding on one coordinate, the
-zero-query constant algorithm and the per-input run of a query algorithm."""
+zero-query constant algorithm and the per-input run of a query algorithm.
+Last, the dict-based minimal-formula search, the oracle of the array table
+in `boolfun`."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from advspan.advsdp import (
     DEFAULT_TOL, MAX_ITERATIONS, SdpSolution, WitnessSdp, _inverse_factors, _solver, build_witness_sdp,
     coordinate_factors, round_factor,
 )
-from advspan.boolfun import BooleanFunction, automorphism_cosets, input_maps
+from advspan.boolfun import BooleanFunction, Formula, automorphism_cosets, input_maps
 from advspan.matkernel import DEFAULT_ZERO_TOL, gram_factor
 from advspan.errors import DimensionMismatchError, GramFailureError, NoConvergenceError, NonHermitianError
 from advspan.qsim import QueryAlgorithm
@@ -616,3 +619,89 @@ def reference_solve_sdp(f, tol: float = DEFAULT_TOL, max_iterations: int = MAX_I
     alpha = y[:num_pairs][np.searchsorted(f0, w) * len(f1) + np.searchsorted(f1, x_)]
     return SdpSolution(sdp=sdp, class_blocks=class_blocks_of(sdp, gram), xi=xi, alpha=alpha,
                        beta=-y[num_pairs:], residuals=residuals)
+
+
+# -- the dict-based minimal-formula search --------------------------------------
+
+
+def _table_code(table: tuple[int, ...]) -> int:
+    code = 0
+    for s, v in enumerate(table):
+        code |= v << s
+    return code
+
+
+@functools.lru_cache(maxsize=8)
+def reference_formula_dp(n: int, max_leaves: int):
+    """Tables reachable with at most max_leaves leaves, plus witness parents,
+    the oracle of boolfun._formula_dp.
+
+    Returns (best, parent): best maps table-code -> minimal leaf count,
+    parent maps table-code -> ("LIT", var, negated) or (op, code1, code2).
+    Bottom-up over exact minimal counts; correctness follows from
+    L(g op h) decompositions using minimal subformulas only.
+    """
+    full = (1 << (2**n)) - 1
+    best: dict[int, int] = {}
+    parent: dict[int, tuple] = {}
+    levels: list[list[int]] = [[]]  # levels[k] = codes first reached at k leaves
+
+    first = []
+    for var in range(1, n + 1):
+        for negated in (False, True):
+            code = _table_code(
+                tuple(
+                    (1 - ((s >> (n - var)) & 1)) if negated else ((s >> (n - var)) & 1)
+                    for s in range(2**n)
+                )
+            )
+            if code not in best:
+                best[code] = 1
+                parent[code] = ("LIT", var, negated)
+                first.append(code)
+    levels.append(first)
+
+    for k in range(2, max_leaves + 1):
+        fresh: list[int] = []
+        for i in range(1, k // 2 + 1):
+            a = np.array(levels[i], dtype=np.uint32)
+            b = np.array(levels[k - i], dtype=np.uint32)
+            if len(a) == 0 or len(b) == 0:
+                continue
+            # chunk the outer products to bound memory on n = 4
+            step = max(1, (1 << 22) // max(1, len(b)))
+            for lo in range(0, len(a), step):
+                blk = a[lo : lo + step]
+                for op, prod in (
+                    ("AND", blk[:, None] & b[None, :]),
+                    ("OR", blk[:, None] | b[None, :]),
+                ):
+                    codes, idx = np.unique(prod, return_index=True)
+                    for code, flat in zip(codes.tolist(), idx.tolist()):
+                        if code not in best:
+                            best[code] = k
+                            parent[code] = (op, int(blk[flat // len(b)]), int(b[flat % len(b)]))
+                            fresh.append(code)
+        levels.append(fresh)
+        if len(best) == full + 1:
+            break
+    return best, parent
+
+
+def reference_formula_size(f: BooleanFunction, max_leaves: int) -> int | None:
+    return reference_formula_dp(f.n, max_leaves)[0].get(_table_code(f.table))
+
+
+def reference_minimal_formula(f: BooleanFunction, max_leaves: int) -> Formula | None:
+    best, parent = reference_formula_dp(f.n, max_leaves)
+    code = _table_code(f.table)
+    if code not in best:
+        return None
+
+    def rebuild(c: int) -> Formula:
+        node = parent[c]
+        if node[0] == "LIT":
+            return Formula.literal(node[1], negated=node[2])
+        return Formula.gate(node[0], rebuild(node[1]), rebuild(node[2]))
+
+    return rebuild(code)

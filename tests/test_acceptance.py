@@ -186,25 +186,27 @@ def test_criterion_9_progress_measure(solved):
 
 def test_criterion_10_formula_size_bound():
     worst_gap = -np.inf
-    checked = 0
+    checked = {8: 0, 12: 0}  # by the cap on L
     parity_equality = None
-    for n in (1, 2, 3):
-        for code in range(2 ** (2**n)):
-            table = tuple((code >> (2**n - 1 - s)) & 1 for s in range(2**n))
-            f = BooleanFunction(n, table)
-            if f.is_constant:
-                continue
-            leaves = formula_size(f, max_leaves=8)
-            if leaves is None:
-                continue
-            xi = solve_sdp(build_witness_sdp(f)).xi
-            checked += 1
-            worst_gap = max(worst_gap, xi - np.sqrt(leaves))
-            if f.table == (0, 1, 1, 0):
-                parity_equality = abs(xi - np.sqrt(leaves))
+    small = [(BooleanFunction(n, tuple((code >> (2**n - 1 - s)) & 1 for s in range(2**n))), 8)
+             for n in (1, 2, 3) for code in range(2 ** (2**n))]
+    draws = np.random.default_rng(10).integers(0, 2, (20, 16))
+    four_bit = [(BooleanFunction(4, tuple(row.tolist())), 12) for row in draws]
+    for f, cap in small + four_bit:
+        if f.is_constant:
+            continue
+        leaves = formula_size(f, max_leaves=cap)
+        if leaves is None:
+            continue
+        xi = solve_sdp(build_witness_sdp(f)).xi
+        checked[cap] += 1
+        worst_gap = max(worst_gap, xi - np.sqrt(leaves))
+        if f.table == (0, 1, 1, 0):
+            parity_equality = abs(xi - np.sqrt(leaves))
     rng = np.random.default_rng(4096)
     subadd_violations = 0
-    for spec in ("PARITY:2", "OR:2", "MAJ:3", "0001", "1001"):
+    specs = ("PARITY:2", "OR:2", "MAJ:3", "0001", "1001", "MAJ:4")
+    for spec in specs:
         f = load_function(spec)
         part = kw_partition(minimal_formula(f), f)
         f0, f1 = f.f0, f.f1
@@ -220,11 +222,12 @@ def test_criterion_10_formula_size_bound():
                 )
                 pieces += np.linalg.norm(masked, 2) ** 2
             subadd_violations += np.linalg.norm(a, 2) ** 2 > pieces + 1e-9
-    ok = worst_gap <= 1e-6 and parity_equality <= 1e-3 and subadd_violations == 0
+    ok = worst_gap <= 1e-6 and parity_equality <= 1e-3 and subadd_violations == 0 and checked[12] == len(draws)
     report(
         10,
         ok,
-        f"{checked} functions with L <= 8: max (ADV - sqrt(L)) = {worst_gap:.2e}; "
+        f"{checked[8]} functions of n <= 3 with L <= 8 and {checked[12]}/{len(draws)} seeded 4-bit ones with "
+        f"L <= 12: max (ADV - sqrt(L)) = {worst_gap:.2e}; "
         f"PARITY:2 equality |2 - sqrt(4)| err {parity_equality:.2e}; "
-        f"rectangle subadditivity violations {subadd_violations}/500",
+        f"rectangle subadditivity violations {subadd_violations}/{100 * len(specs)}",
     )

@@ -19,6 +19,8 @@ from advspan.errors import (
     IndexOutOfRangeError,
 )
 
+from conftest import reference_formula_size, reference_minimal_formula
+
 
 def test_load_builtins():
     assert load_function("PARITY:2").table == (0, 1, 1, 0)
@@ -107,6 +109,34 @@ def test_formula_size_budget_and_arity_limits():
     assert formula_size(load_function("PARITY:3"), max_leaves=7) is None  # L(parity_3) > 7
     with pytest.raises(ArityTooLargeError):
         formula_size(BooleanFunction(5, tuple([0, 1] * 16)))
+    for cap in (0, 13):  # the table stops at MAX_LEAVES = 12
+        with pytest.raises(BadSpecError):
+            minimal_formula(load_function("OR:2"), max_leaves=cap)
+
+
+def test_formula_table_matches_the_dict_search_up_to_three_bits():
+    """The array table gives the dict-based search's leaf count under every
+    cap, and the same decomposition, on every table of up to 3 bits."""
+    for n in (1, 2, 3):
+        tables = [BooleanFunction(n, tuple((code >> s) & 1 for s in range(2**n))) for code in range(2 ** 2**n)]
+        for cap in range(1, 13):
+            for f in tables:
+                assert formula_size(f, max_leaves=cap) == reference_formula_size(f, cap)
+                assert minimal_formula(f, max_leaves=cap) == reference_minimal_formula(f, cap)
+
+
+@pytest.mark.parametrize("spec, leaves", [
+    ("OR:4", 4), ("AND:4", 4), ("MAJ:4", 8), ("0001011101111110", 12),
+    ("PARITY:4", None),  # L(parity_4) = 16 > 12
+])
+def test_formula_size_at_four_bits(spec, leaves):
+    f = load_function(spec)
+    assert formula_size(f) == leaves
+    formula = minimal_formula(f)
+    if leaves is not None:
+        assert formula.truth_table(4) == f.table and formula.leaves() == leaves
+    else:
+        assert formula is None
 
 
 def test_minimal_formula_roundtrip():

@@ -64,6 +64,20 @@ def test_input_errors_exit_2(tmp_path):
     assert main(["verify", "--function", "0000"]) == 2  # constant: ADV undefined
 
 
+@pytest.mark.parametrize("flag, kind", [("--json", "missing"), ("--json", "directory"), ("--csv-dir", "file")])
+def test_unwritable_export_path_exits_2(tmp_path, capsys, flag, kind):
+    """A missing parent directory, a directory for --json, or a file for
+    --csv-dir: one input-error line naming the path, no traceback."""
+    path = {"missing": tmp_path / "absent" / "r.json", "directory": tmp_path, "file": tmp_path / "taken"}[kind]
+    if kind == "file":
+        path.write_text("")
+    assert main(["verify", "--function", "OR:2", flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ") and str(path) in lines[0]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("tol", ["1e-10", "0", "-1", "nan", "inf", "abc"])
 def test_bad_tol_exits_2(tol, capsys):
     """A tolerance below the solver's floor of 1e-9, or not a finite number,
@@ -161,6 +175,18 @@ def test_formula_bound_note_past_four_bits():
     report = verify("0" * 16 + "1" * 16, formula_bound=True).report
     assert report["formula_bound"] == {"leaves": None, "note": "the exhaustive formula search covers n <= 4 only"}
     assert "adv_le_sqrt_formula_size" not in [chk["name"] for chk in report["checks"]]
+
+
+def test_formula_bound_at_four_bits():
+    """L(MAJ_4) = 8 and ADV(MAJ_4) = sqrt(6): the check holds with room.
+    L(PARITY_4) = 16 lies past the 12-leaf table, which the note says."""
+    report = verify("MAJ:4", formula_bound=True).report
+    assert report["status"] == "PASS"
+    assert report["formula_bound"] == {"leaves": 8, "sqrt_leaves": np.sqrt(8)}
+    [chk] = [c for c in report["checks"] if c["name"] == "adv_le_sqrt_formula_size"]
+    assert chk["pass"] and chk["value"] == pytest.approx(np.sqrt(6), abs=1e-6)
+    report = verify("PARITY:4", formula_bound=True).report
+    assert report["formula_bound"] == {"leaves": None, "note": "no formula within 12 leaves"}
 
 
 def test_npn_class_00011001_verifies():
