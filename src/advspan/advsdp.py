@@ -38,12 +38,15 @@ F0 x F1 every pair-pair term of M is a sum over the 4n (class block, X or
 Z^-1) of one F0-side times one F1-side matrix, gathered from the stack with
 zeros off the class, and M is built from GEMMs (schur_complement).  M has
 side |F0||F1| + 2^n (at most 288 at n = 5), and neither the dense constraint
-matrix nor a matrix of side n 4^n is ever formed.  Each iterate's class
-blocks are factored once, X_b = L L^T and Z_b = L L^T (a padded block with
-the identity on its padding): Z^-1 is L_Z^-T L_Z^-1, the largest step keeping
-V + a dV PSD is read off lambda_min(L^-1 dV L^-T), and a failed factorization
-means roundoff has left the cone's interior.  No eigh runs inside the loop;
-eigvalsh of L^-1 dV L^-T is the only spectral call.
+matrix nor a matrix of side n 4^n is ever formed.  M is solved by LU with
+partial pivoting, once for each of the two Mehrotra directions (_solver);
+all the linear algebra is numpy's.  Each iterate's class blocks are factored
+once, X_b = L L^T and Z_b = L L^T (a padded block with the identity on its
+padding), and the factors are inverted in one call: Z^-1 is L_Z^-T L_Z^-1,
+the largest step keeping V + a dV PSD is read off lambda_min(L^-1 dV L^-T),
+and a failed factorization means roundoff has left the cone's interior.
+No eigh runs inside the loop; eigvalsh of L^-1 dV L^-T is the only spectral
+call.
 
 Each Newton system is solved on the orbits of Aut(f), the input
 permutations and negations g with f o g = f (output negation is excluded:
@@ -102,7 +105,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .boolfun import BooleanFunction, automorphism_cosets, input_maps
 from .errors import (
@@ -608,10 +610,13 @@ def round_factor(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
     bound = (2**sdp.n + 2 * sdp.n) * np.finfo(float).eps * max(1.0, w_size)
     while worst > bound:
         normal = _pair_normal(sdp, stack)
-        factor, info = scipy.linalg.lapack.dpotrf(normal, lower=0, clean=0)
-        if info == 0:
-            lam = scipy.linalg.lapack.dpotrs(factor, r * scale, lower=0)[0]
-        else:  # J J^T singular: the least-norm multipliers
+        # Cholesky tests that J J^T is positive definite; roundoff lets it
+        # pass some exactly singular ones (1100's [[2, 2], [2, 2]]), where
+        # the LU then meets a zero pivot
+        try:
+            np.linalg.cholesky(normal)
+            lam = np.linalg.solve(normal, r * scale)
+        except np.linalg.LinAlgError:  # J J^T singular: the least-norm multipliers
             lam = np.linalg.lstsq(normal, r * scale, rcond=None)[0]
         step = _apply_adjoint(sdp, np.concatenate([lam / scale, no_rows]))[: stack.size].reshape(stack.shape)
         moved = v - 2.0 * step @ v
@@ -649,32 +654,26 @@ def coordinate_factors(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
 
 
 def _solver(m: np.ndarray):
-    """Solve with M: Cholesky in place, or LU where M is numerically singular
-    (as it gets near the optimum when f ignores a variable).  The Cholesky of
-    the Fortran-ordered M^T writes only M's lower triangle, so after a failed
-    one the upper triangle and the saved diagonal restore M for the LU.
-    LAPACK is called directly, without the checks of scipy's wrappers;
-    LinAlgError where the LU meets an exactly zero pivot."""
-    diagonal = m.diagonal().copy()
-    factor, info = scipy.linalg.lapack.dpotrf(m.T, lower=0, overwrite_a=1, clean=0)
-    if info == 0:
-        return lambda r: scipy.linalg.lapack.dpotrs(factor, r, lower=0)[0]
-    lower = np.tril_indices(len(m), -1)
-    m[lower] = m.T[lower]
-    m[np.diag_indices(len(m))] = diagonal
-    factor, pivots, info = scipy.linalg.lapack.dgetrf(m, overwrite_a=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"the Newton system is singular at pivot {info}")
-    return lambda r: scipy.linalg.lapack.dgetrs(factor, pivots, r)[0]
+    """Solve with M by LU with partial pivoting (numpy's LAPACK gesv), once
+    per right-hand side.  M is symmetric positive definite on the central
+    path but loses rank near the optimum on some tables (when f ignores a
+    variable, and on others), where LU still solves it; LinAlgError naming
+    a singular Newton system where the LU meets an exactly zero pivot."""
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.solve(m, r)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError("the Newton system is singular") from None
+
+    return solve
 
 
 def _inverse_factors(blocks: np.ndarray) -> np.ndarray:
-    """L^-1 for the Cholesky factor L = chol(V) of each block V of the stack;
-    LinAlgError where a block is not positive definite."""
-    factors = np.linalg.cholesky(blocks)
-    for factor in factors:
-        factor[...] = scipy.linalg.lapack.dtrtri(factor, lower=1)[0]
-    return factors
+    """L^-1 for the Cholesky factor L = chol(V) of each block V of the stack,
+    all inverted in one np.linalg.inv call; LinAlgError where a block is not
+    positive definite."""
+    return np.linalg.inv(np.linalg.cholesky(blocks))
 
 
 def _symmetrize(sdp: WitnessSdp, stack: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -265,10 +266,10 @@ def test_failed_cholesky_stops_with_the_finished_iterations(monkeypatch):
     assert residuals["primal_infeasibility"] >= 0.0 and residuals["dual_infeasibility"] >= 0.0
 
 
-def test_schur_solver_restores_m_for_the_lu_fallback():
-    """M's Cholesky runs in place.  Where it fails (here M is indefinite, so it
-    fails part way), the LU solves with M restored from its untouched triangle
-    and the saved diagonal."""
+def test_schur_solver_leaves_m_for_the_second_direction():
+    """The predictor and the corrector solve with the same M: the LU runs on
+    a copy, once per right-hand side, so M stays as it was, indefinite M
+    included."""
     rng = np.random.default_rng(5)
     q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     m = q @ np.diag([3.0, 2.0, 1.0, -1.0, 0.5, 2.0]) @ q.T
@@ -276,18 +277,22 @@ def test_schur_solver_restores_m_for_the_lu_fallback():
     r = rng.standard_normal(6)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(m)
-    assert np.allclose(advsdp._solver(m.copy())(r), np.linalg.solve(m, r), rtol=1e-12, atol=1e-12)
-    spd = m @ m.T + np.eye(6)
-    assert np.allclose(advsdp._solver(spd.copy())(r), np.linalg.solve(spd, r), rtol=1e-12, atol=1e-12)
+    for matrix in (m, m @ m.T + np.eye(6)):
+        saved, solve = matrix.copy(), advsdp._solver(matrix)
+        for rhs in (r, 2.0 * r):
+            assert np.allclose(matrix @ solve(rhs), rhs, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(matrix, saved)
 
 
 def test_schur_solver_raises_on_an_exactly_singular_lu():
-    """An LU that meets an exactly zero pivot raises LinAlgError, never the
-    LinAlgWarning of scipy's lu_factor and a solve that divides by zero."""
+    """An LU that meets an exactly zero pivot raises LinAlgError naming a
+    singular Newton system, never a warning and a solve that divides by zero."""
     m = np.diag([2.0, -1.0, 1.0])
     m[2, 2] = 0.0
-    with pytest.raises(np.linalg.LinAlgError, match="singular at pivot 3"):
-        advsdp._solver(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="the Newton system is singular"):
+            advsdp._solver(m)(np.ones(3))
 
 
 def test_singular_newton_system_stops_with_the_last_finite_iterate(monkeypatch):
@@ -307,7 +312,7 @@ def test_singular_newton_system_stops_with_the_last_finite_iterate(monkeypatch):
         return solver(m)
 
     monkeypatch.setattr(advsdp, "_solver", singular_fourth_call)
-    with pytest.raises(NoConvergenceError, match="singular at pivot") as err:
+    with pytest.raises(NoConvergenceError, match="the Newton system is singular") as err:
         solve_sdp(sdp)
     residuals = err.value.residuals
     assert residuals["iterations"] == len(residuals["history"]) == 3

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import advspan
 from advspan import advsdp, pipeline
 from advspan.cli import build_parser, main, run_pipeline
 from advspan.errors import BadSpecError
@@ -220,8 +224,9 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err == "solver did not converge: stalled\n"
 
 
-# tables that stopped on a singular Newton system at tol 1e-9 (00110100,
-# 01000101 and 01001010 depend on every variable)
+# tables whose Newton system at tol 1e-9 comes near or onto an exactly
+# singular M; which of them stop moves with roundoff (00110100, 01000101 and
+# 01001010 depend on every variable)
 TIGHT_TOL_TABLES = ["00110100", "01000101", "01001010", "11001100", "11110011", "0000000000001111"]
 
 
@@ -459,3 +464,34 @@ def test_stacked_stages_take_a_fixed_number_of_svds(monkeypatch):
         verify(spec)
         assert sorted(name for name in callers if name in ("advspan.spanprog", "advspan.spectral")) == [
             "advspan.spanprog", *["advspan.spectral"] * 4], spec
+
+
+# Runs in a fresh interpreter: pytest's error::scipy.linalg.LinAlgWarning
+# filter has already imported scipy in this one.
+RUN_WITHOUT_SCIPY = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from advspan.cli import main
+codes = [main(["verify", "--function", "MAJ:4", "--formula-bound"]),
+         main(["verify", "--function", "11111110000110010100100010100111"])]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+@pytest.mark.parametrize("mode", ["loaded", "blocked"])
+def test_verify_runs_without_scipy(mode):
+    """advspan imports no scipy module on `advspan verify`'s path, here MAJ:4
+    with --formula-bound and a 5-bit table with a trivial Aut(f), and both
+    pass with scipy blocked."""
+    src = str(Path(advspan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", RUN_WITHOUT_SCIPY, mode], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    assert result["codes"] == [0, 0]
+    assert lines.count("status: PASS") == 2
+    # blocked: only the None entry that blocks it
+    assert result["scipy"] == ([] if mode == "loaded" else ["scipy"])
