@@ -106,7 +106,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boolfun import BooleanFunction, automorphism_cosets, input_maps
+from .boolfun import BooleanFunction, automorphism_cosets, element_maps
 from .errors import (
     ConstantFunctionError,
     DegenerateDualError,
@@ -370,12 +370,13 @@ def _orbits(f: BooleanFunction, members: np.ndarray, r: np.ndarray, o: np.ndarra
     so the smallest (s0, j', t') in the orbit of X_j[s,t] is s0 with the
     smallest image of (h(j), h(t)) under G_s0, one minimum over each
     stabilizer for every (j, t) at once.  Pairs (u, v), u on the smaller side
-    r, are labelled the same way through u."""
+    r, are labelled the same way through u.  The maps of the coset heads,
+    the stabilizers' members and the h are read through element_maps, so
+    no element's images are stored beyond these."""
     perms, shifts, negations = automorphism_cosets(f)
-    images, coordinates, _, _ = input_maps(f.n)
     n, num = f.n, 2**f.n
     heads = perms * num + shifts  # one element of each coset
-    head_images = images[heads]
+    head_images, _ = element_maps(n, heads)
     inputs = np.arange(num)
     to_least = negations[(inputs[:, None] ^ negations).argmin(axis=1)]  # t xor it is the least of t xor N
     shift = to_least[head_images]
@@ -388,13 +389,14 @@ def _orbits(f: BooleanFunction, members: np.ndarray, r: np.ndarray, o: np.ndarra
     rep, k = np.nonzero(in_negations[head_images[:, reps] ^ reps].T)  # the stabilizer of each rep, in turn
     member = heads[k] ^ head_images[k, reps[rep]] ^ reps[rep]
     starts = np.searchsorted(rep, np.arange(len(reps)))
-    moved = images[member]
+    moved, moved_coordinates = element_maps(n, member)
     least_input = np.minimum.reduceat(moved, starts)  # (reps, 2^n)
-    least_entry = np.minimum.reduceat(coordinates[member][:, :, None] * num + moved[:, None, :], starts)
-    which, h_images = np.searchsorted(reps, lowest), images[h]
+    least_entry = np.minimum.reduceat(moved_coordinates[:, :, None] * num + moved[:, None, :], starts)
+    which = np.searchsorted(reps, lowest)
+    h_images, h_coordinates = element_maps(n, h)
 
     s, t = members[:, :, None], members[:, None, :]
-    code = lowest[s] * (n * num) + least_entry[which[s], coordinates[h][s, np.arange(2 * n)[:, None, None] // 2],
+    code = lowest[s] * (n * num) + least_entry[which[s], h_coordinates[s, np.arange(2 * n)[:, None, None] // 2],
                                                h_images[s, t]]
     entry = np.where((s < 0) | (t < 0), n * num * num, code).ravel()  # the padding is one orbit of zeros
 
@@ -424,18 +426,19 @@ def _block_orbits(f: BooleanFunction, members: np.ndarray, heads: np.ndarray,
     g = (pi, m) moves coordinate j to j' = pi^-1(j) and maps s to t with
     t_j' = s_j xor m_j', and f(t) = f(s), so it carries class block (j, c)
     onto (j', c xor m_j').  That needs only the |G| x 2n block images, never
-    the image of every input; one element per block is then applied."""
-    images, coordinates, _, _ = input_maps(f.n)
+    the image of every input: pi^-1 is read once per coset, whose members all
+    share pi, and the images of one element per block are then applied."""
     n, num, side = f.n, 2**f.n, members.shape[1]
     elements = (heads[:, None] ^ negations).ravel()  # every element of the group, the identity first
-    moved = coordinates[elements][:, np.arange(2 * n) // 2]  # (|G|, 2n): where the coordinate of block b goes
+    coordinates = np.repeat(element_maps(n, heads)[1], len(negations), axis=0)  # a coset shares its pi
+    moved = coordinates[:, np.arange(2 * n) // 2]  # (|G|, 2n): where the coordinate of block b goes
     flip = ((elements % num)[:, None] >> (n - 1 - moved)) & 1
     block_images = 2 * moved + (np.arange(2 * n) % 2 ^ flip)
     least = block_images.min(axis=0)
     blocks = np.flatnonzero(least == np.arange(2 * n))
     carry = elements[(block_images[:, least] == np.arange(2 * n)).argmax(axis=0)]  # carry[b] maps least[b] onto b
     back = np.empty((2 * n, num), dtype=int)
-    back[np.arange(2 * n)[:, None], images[carry]] = np.arange(num)  # the inverse of carry[b]
+    back[np.arange(2 * n)[:, None], element_maps(n, carry)[0]] = np.arange(num)  # the inverse of carry[b]
     place = np.full((2 * n, num), -1)
     b, i = np.nonzero(members >= 0)
     place[b, members[b, i]] = i  # the position of s in block b

@@ -123,21 +123,31 @@ def difference_matrix(f: BooleanFunction, i: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def input_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every input permutation and negation g = (pi, m) of n bits, row
-    pi 2^n + m with pi numbered as itertools.permutations (0 the identity):
-    the input each s maps to, x_j of the image being x_{pi(j)} of s xor m_j,
-    of shape (n! 2^n, 2^n), and the coordinate each j moves to, pi^-1(j), of
-    shape (n! 2^n, n).  With them, the input each t comes from under pi
-    alone, of shape (n!, 2^n), and the Hadamard matrix (-1)^(u.v) of side
-    2^n.  Built on first use, once per n."""
+    """The input permutations pi of n bits, numbered as itertools.permutations
+    (0 the identity), one row each: the input each s maps to under pi alone,
+    x_j of the image being x_{pi(j)} of s, of shape (n!, 2^n); the coordinate
+    each j moves to, pi^-1(j), of shape (n!, n); the input each t comes from
+    under pi, of shape (n!, 2^n); and the Hadamard matrix (-1)^(u.v) of side
+    2^n.  Built on first use, once per n.
+
+    The permutation and negation g = (pi, m), which maps s to pi(s) xor m, is
+    numbered g = pi 2^n + m; element_maps reads its maps off the first two."""
     perms = np.array(list(itertools.permutations(range(n))))
     bits = input_bits(n)
-    permuted = bits[:, perms] @ (1 << (n - 1 - np.arange(n)))  # (2^n, n!)
-    images = (permuted.T[:, None, :] ^ np.arange(2**n)[:, None]).reshape(-1, 2**n)
-    sources = np.empty_like(permuted.T)
-    sources[np.arange(len(perms))[:, None], permuted.T] = np.arange(2**n)
+    permuted = (1 << (n - 1 - np.arange(n))) @ bits.T[perms]  # (n!, 2^n)
+    sources = np.empty_like(permuted)
+    sources[np.arange(len(perms))[:, None], permuted] = np.arange(2**n)
     walsh = 1.0 - 2.0 * ((bits @ bits.T) & 1)
-    return images, np.repeat(np.argsort(perms, axis=1), 2**n, axis=0), sources, walsh
+    return permuted, np.argsort(perms, axis=1), sources, walsh
+
+
+def element_maps(n: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maps of the elements g = pi 2^n + m (input_maps), for g of any
+    shape: the input each s maps to, pi(s) xor m, of shape g.shape + (2^n,),
+    and the coordinate each j moves to, pi^-1(j), of shape g.shape + (n,)."""
+    permuted, coordinates, _, _ = input_maps(n)
+    g = np.asarray(g)
+    return permuted[g >> n] ^ (g & (2**n - 1))[..., None], coordinates[g >> n]
 
 
 def automorphism_cosets(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

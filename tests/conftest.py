@@ -30,7 +30,7 @@ from advspan.advsdp import (
     DEFAULT_TOL, MAX_ITERATIONS, SdpSolution, WitnessSdp, _inverse_factors, _solver, build_witness_sdp,
     coordinate_factors, round_factor,
 )
-from advspan.boolfun import BooleanFunction, Formula, automorphism_cosets, input_maps
+from advspan.boolfun import BooleanFunction, Formula, automorphism_cosets, element_maps
 from advspan.matkernel import DEFAULT_ZERO_TOL, gram_factor
 from advspan.errors import DimensionMismatchError, GramFailureError, NoConvergenceError, NonHermitianError
 from advspan.qsim import QueryAlgorithm
@@ -127,11 +127,9 @@ def five_bit_gate(solved):
 def automorphisms(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
     """Aut(f) element by element, as (images, coordinates): images[g, s] is
     the input s maps to and coordinates[g, j] the 0-based coordinate j
-    moves to (input_maps)."""
-    images, coordinates, _, _ = input_maps(f.n)
+    moves to (element_maps)."""
     perms, shifts, negations = automorphism_cosets(f)
-    rows = (perms[:, None] * 2**f.n + (shifts[:, None] ^ negations)).ravel()
-    return images[rows], coordinates[rows]
+    return element_maps(f.n, (perms[:, None] * 2**f.n + (shifts[:, None] ^ negations)).ravel())
 
 
 def group_order(f: BooleanFunction) -> int:

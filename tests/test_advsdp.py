@@ -18,7 +18,7 @@ from advspan.advsdp import (
     solve_sdp,
 )
 from advspan import verify
-from advspan.boolfun import difference_matrix, input_maps, load_function
+from advspan.boolfun import difference_matrix, element_maps, load_function
 from advspan.pipeline import ADV_RTOL
 from advspan.errors import (
     ConstantFunctionError,
@@ -32,7 +32,7 @@ from advspan.matkernel import gram_factor
 
 from conftest import (
     automorphisms, corpus_specs, dense_constraints, full_schur_complement, gram_blocks, group_order, random_tables,
-    reference_pair_normal, reference_solve_sdp, tables_up_to_three_bits,
+    reference_pair_normal, reference_solve_sdp, tables_up_to_three_bits, unreduced,
 )
 
 
@@ -423,9 +423,10 @@ def class_block_stack(sdp, rng) -> np.ndarray:
 
 
 def member(table: str, g: int) -> str:
-    """The table of f o g, g a row of input_maps: a permuted and negated member."""
+    """The table of f o g, g = pi 2^n + m an element of element_maps: a
+    permuted and negated member."""
     f = load_function(table)
-    return "".join(str(f.table[s]) for s in input_maps(f.n)[0][g])
+    return "".join(str(f.table[s]) for s in element_maps(f.n, g)[0])
 
 
 def spread(label: np.ndarray, v: np.ndarray) -> float:
@@ -723,14 +724,16 @@ def test_residuals_report_the_path_taken():
 
 def test_order_two_table_converges_on_its_orbits_at_tight_tol():
     """1101100101001001 has a group of order 2 and M of side 80, so it is
-    solved on its orbits.  At tol 1e-9 it converges in 17 iterations, as the
-    loop on all of M does.  Averaging the whole stack over its orbits after
-    every step, as the solver once did, stalled it near a primal
-    infeasibility of 8e-9 until the iterates left the cone's interior after
-    29."""
-    sol = solve_sdp(build_witness_sdp(load_function("1101100101001001")), tol=1e-9)
+    solved on its orbits.  At tol 1e-9 it converges in as many iterations as
+    the loop on all of M (17 each; the count itself moves with the order of
+    a sum, so it is not pinned).  Averaging the whole stack over its
+    orbits after every step, as the solver once did, stalled it near a
+    primal infeasibility of 8e-9 until the iterates left the cone's interior
+    after 29."""
+    f = load_function("1101100101001001")
+    sol = solve_sdp(build_witness_sdp(f), tol=1e-9)
     assert sol.residuals["orbits"]["order"] == 2
-    assert sol.residuals["iterations"] == 17
+    assert sol.residuals["iterations"] == solve_sdp(unreduced(f), tol=1e-9).residuals["iterations"]
 
 
 def test_certificate_norms_come_from_one_stacked_svd(corpus):
@@ -864,7 +867,7 @@ def test_members_follow_the_path_of_their_function(table, g):
     pose the same SDP with relabelled rows, so the solver takes as many
     iterations to the same xi."""
     f = load_function(table)
-    g %= len(input_maps(f.n)[0])
+    g %= math.factorial(f.n) * 2**f.n
     a = solve_sdp(build_witness_sdp(f))
     b = solve_sdp(build_witness_sdp(load_function(member(table, g))))
     assert a.residuals["iterations"] == b.residuals["iterations"]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from advspan.boolfun import (
     BooleanFunction,
     Formula,
     difference_matrix,
+    element_maps,
     formula_size,
+    input_maps,
     kw_partition,
     load_function,
     minimal_formula,
@@ -60,6 +63,35 @@ def test_difference_matrices_sum_to_hamming_distance():
         total = sum(difference_matrix(f, i) for i in range(1, n + 1))
         for x, y in itertools.product(range(2**n), repeat=2):
             assert total[x, y] == bin(x ^ y).count("1")
+
+
+def test_element_maps_match_a_direct_construction():
+    """Every element g = pi 2^n + m at n <= 4, pi the pi-th tuple of
+    itertools.permutations: element_maps gives the input s maps to, x_j of it
+    being x_{pi(j)} of s xor m_j, and the coordinate j moves to, pi^-1(j); a
+    batch of any shape gives the same maps."""
+    for n in (1, 2, 3, 4):
+        g = np.arange(math.factorial(n) * 2**n)
+        images, coordinates = element_maps(n, g)
+        assert images.shape == (len(g), 2**n) and coordinates.shape == (len(g), n)
+        for k, pi in enumerate(itertools.permutations(range(n))):
+            for m in range(2**n):
+                row = k * 2**n + m
+                for s in range(2**n):
+                    x = [(s >> (n - 1 - j)) & 1 for j in range(n)]
+                    image = sum((x[pi[j]] ^ (m >> (n - 1 - j)) & 1) << (n - 1 - j) for j in range(n))
+                    assert images[row, s] == image
+                assert coordinates[row].tolist() == [pi.index(j) for j in range(n)]
+        batch = element_maps(n, g.reshape(-1, 2**n))
+        assert np.array_equal(batch[0], images.reshape(-1, 2**n, 2**n))
+        assert np.array_equal(batch[1], coordinates.reshape(-1, 2**n, n))
+
+
+def test_input_maps_hold_one_row_per_permutation():
+    """input_maps(5) keeps the 120 permutations' maps, not the 3840
+    elements' (element_maps derives those): its arrays hold 74,432 bytes,
+    under 100 KB."""
+    assert sum(a.nbytes for a in input_maps(5)) < 100_000
 
 
 def enumerate_tables_up_to(n, max_leaves):
