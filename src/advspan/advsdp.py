@@ -448,23 +448,6 @@ def _block_orbits(f: BooleanFunction, members: np.ndarray, heads: np.ndarray,
     return blocks, np.where(padding, len(blocks) * side * side, flat).ravel()
 
 
-def _pair_values(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
-    """The pair rows of A applied to the whole stack at the head of v."""
-    both = v[sdp.entry_index] + v[sdp.entry_mirror]
-    return 0.5 * np.bincount(sdp.entry_pair, weights=both, minlength=len(sdp.pairs))
-
-
-def factor_pair_sums(sdp: WitnessSdp, vectors: np.ndarray) -> np.ndarray:
-    """The pair rows of A at the Gram blocks of coordinate factors, rows
-    v_{s,j} = vectors[s, j] of shape (2^n, n, m): every class block of the
-    whole stack is built straight from its members' rows, block b from the
-    rows vectors[members[b], b // 2] and zero on its padding, by one batched
-    V V^T, so no Gram block of side 2^n is formed."""
-    rows = np.concatenate([vectors, np.zeros((1, *vectors.shape[1:]))])  # members' -1 reads the zero row
-    v = rows[sdp.members, np.arange(2 * sdp.n)[:, None] // 2]
-    return _pair_values(sdp, (v @ v.transpose(0, 2, 1)).ravel())
-
-
 def class_pair_sums(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
     """The pair rows of A at their orbits' representatives, on the
     representatives' stack: at the head of the flat v, or v itself of shape
@@ -873,8 +856,11 @@ def solve_sdp(sdp: WitnessSdp, tol: float = DEFAULT_TOL) -> SdpSolution:
     whole = orbits.expand_stack(stack)
     alpha, beta = y[orbits.row[:num_pairs]], -y[orbits.row[num_pairs:]]
     sizes = sdp.sizes[sdp.classes]
+    # the pair rows of A on the whole stack
+    pair_values = 0.5 * np.bincount(sdp.entry_pair, weights=whole[sdp.entry_index] + whole[sdp.entry_mirror],
+                                    minlength=num_pairs)
     residuals = {
-        "primal_equality": float(np.abs(_pair_values(sdp, whole) - 1.0).max()),
+        "primal_equality": float(np.abs(pair_values - 1.0).max()),
         "row_sum_violation": float(max(0.0, (whole[sdp.diagonal].sum(axis=0) - xi).max())),
         # the class blocks without their padding, grouped by size (a class may be empty)
         "min_eigenvalue": min(float(np.linalg.eigvalsh(stack[sizes == k, :k, :k]).min())

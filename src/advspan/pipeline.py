@@ -190,13 +190,13 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, formula_bound: bool = False) 
     # (raising on any violation) and reported from the representatives
     _, overlap, kernel_residual = spectral.zero_witness_vectors(program)
     overlap, kernel_residual = overlap[orbit], kernel_residual[orbit]
-    ig = spectral.build_input_graph(graph, program, inputs=reps)
+    ig = spectral.build_input_graph(graph, inputs=reps)
     phases, overlaps = spectral.anchor_measure(ig)
     marks = [time.perf_counter()]
     # the closed-form measure against U_s applied to |0> itself, by their first moments
     base = spectral.moments(phases, overlaps)
     recon = np.abs(base - spectral.walk_moments(graph, reps)).max(axis=1)[row]
-    spread = spectral.rank_spread(graph, program, base, graph.near_ranks, reps)[row] if graph.near_ranks else None
+    spread = spectral.rank_spread(graph, base, graph.near_ranks, reps)[row] if graph.near_ranks else None
     marks.append(time.perf_counter())
     false_reps = values[reps] == 0
     gap_lhs, phase_lhs = np.zeros((len(reps), len(DEFAULT_C_GRID))), np.zeros((len(reps), len(theta_grid)))

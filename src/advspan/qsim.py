@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advsdp import AdversaryCertificate
-from .boolfun import BooleanFunction, difference_matrix, input_bits
+from .advsdp import AdversaryCertificate, _ratio_norms
+from .boolfun import BooleanFunction, input_bits
 from .errors import (
     AlgorithmTooWeakError,
     DimensionMismatchError,
@@ -33,14 +33,14 @@ class QueryAlgorithm:
     unitaries holds U_0..U_T on the Q tensor W space (dimension
     query_dim * work_dim); every step U_1..U_T follows one oracle call, so
     the algorithm makes T queries.  A step without a query is the product of
-    two adjacent unitaries.
+    two adjacent unitaries.  proj1 projects onto the states that answer 1,
+    and proj0 = I - proj1 onto those that answer 0.
     """
 
     n: int
     query_dim: int
     work_dim: int
     unitaries: tuple[np.ndarray, ...]
-    proj0: np.ndarray
     proj1: np.ndarray
 
     def __post_init__(self):
@@ -53,13 +53,13 @@ class QueryAlgorithm:
                 raise DimensionMismatchError(f"unitary shape {u.shape} != ({d}, {d})")
             if np.abs(u.conj().T @ u - eye).max() > 1e-9:
                 raise DimensionMismatchError("step matrix is not unitary within 1e-9")
-        for p in (self.proj0, self.proj1):
-            if np.abs(p - p.conj().T).max() > 1e-9 or np.abs(p @ p - p).max() > 1e-9:
-                raise DimensionMismatchError("output projectors must be Hermitian idempotent")
-        if np.abs(self.proj0 + self.proj1 - eye).max() > 1e-9:
-            raise DimensionMismatchError("output projectors must resolve the identity")
-        if np.abs(self.proj0 @ self.proj1).max() > 1e-9:
-            raise DimensionMismatchError("output projectors must be orthogonal")
+        p = self.proj1
+        if p.shape != (d, d) or np.abs(p - p.conj().T).max() > 1e-9 or np.abs(p @ p - p).max() > 1e-9:
+            raise DimensionMismatchError(f"proj1 must be a Hermitian idempotent ({d}, {d}) matrix")
+
+    @property
+    def proj0(self) -> np.ndarray:
+        return np.eye(self.dim) - self.proj1
 
     @property
     def queries(self) -> int:
@@ -122,10 +122,8 @@ class ProgressTrace:
     success: np.ndarray
 
 
-def progress_trace(
-    a: QueryAlgorithm, f: BooleanFunction, certificate: AdversaryCertificate
-) -> ProgressTrace:
-    """Track the adversary progress measure along one run.
+def progress_trace(a: QueryAlgorithm, certificate: AdversaryCertificate) -> ProgressTrace:
+    """Track the adversary progress measure along one run on certificate.f.
 
     The trace carries everything needed to check the start value
     M^(0) = ||Gamma||, the per-query drop bound, and the final overlap
@@ -133,8 +131,10 @@ def progress_trace(
     matrix is flipped in sign when needed so its top eigenvalue equals
     ||Gamma||, and the progress vector delta is that top eigenvector, taken
     from the same eigh; it enters only through delta delta^T, so its phase is
-    immaterial.
+    immaterial.  The drop bound's norms come from advsdp's one stacked SVD
+    of Gamma and the Gamma o D_i.
     """
+    f = certificate.f
     run = run_query_algorithm(a, f)
     if run.success.min() < 2.0 / 3.0 - 1e-9:
         raise AlgorithmTooWeakError(
@@ -158,9 +158,7 @@ def progress_trace(
             raise NotNormalizedError(f"progress measure picked up imaginary part {m_t.imag:.2e}")
         values[t] = m_t.real
     drops = values[:-1] - values[1:]
-    drop_bound = 2.0 * max(
-        np.linalg.norm(gamma * difference_matrix(f, i), 2) for i in range(1, f.n + 1)
-    )
+    drop_bound = 2.0 * _ratio_norms(gamma, f)[1]
 
     final = run.states[-1]
     weight = np.abs(delta) ** 2
@@ -307,8 +305,5 @@ def parity_two_query_algorithm() -> QueryAlgorithm:
     u1 = on_query(_mix(qd, 2, 1)) @ swap_q_on_w1(0, 2) @ flip_w_on(0) @ on_query(_mix(qd, 2, 0))
     u2 = flip_w_on(1) @ on_query(_mix(qd, 2, 1))
     proj1 = np.kron(np.eye(qd), np.diag([0.0, 1.0]))
-    proj0 = np.eye(qd * wd) - proj1
-    return QueryAlgorithm(
-        n=2, query_dim=qd, work_dim=wd, unitaries=(u0, u1, u2), proj0=proj0, proj1=proj1
-    )
+    return QueryAlgorithm(n=2, query_dim=qd, work_dim=wd, unitaries=(u0, u1, u2), proj1=proj1)
 

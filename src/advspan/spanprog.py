@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advsdp import SdpSolution, class_pair_sums, coordinate_factors, factor_pair_sums, round_factor
+from .advsdp import SdpSolution, class_pair_sums, coordinate_factors, round_factor
 from .boolfun import BooleanFunction, input_bits
 from .errors import DimensionMismatchError, GramFailureError
 from .matkernel import gram_factor
@@ -27,17 +27,15 @@ class SpanProgram:
     """orbit holds the least member of each input's orbit under a group of
     input symmetries the program respects exactly (every input its own under
     the trivial group); evaluate resolves one input per orbit and copies its
-    values to the rest."""
+    values to the rest.  block_sizes holds one (|I_{j,0}|, |I_{j,1}|) pair
+    per coordinate, so there are n of them."""
 
-    n: int
     block_sizes: tuple[tuple[int, int], ...]
     matrix: np.ndarray
     target: np.ndarray
     orbit: np.ndarray
 
     def __post_init__(self):
-        if len(self.block_sizes) != self.n:
-            raise DimensionMismatchError("need one (|I_{j,0}|, |I_{j,1}|) pair per coordinate")
         total = sum(a + b for a, b in self.block_sizes)
         if self.matrix.shape != (len(self.target), total):
             raise DimensionMismatchError(
@@ -45,6 +43,10 @@ class SpanProgram:
             )
         if np.linalg.norm(self.target) == 0:
             raise DimensionMismatchError("target vector must be nonzero")
+
+    @property
+    def n(self) -> int:
+        return len(self.block_sizes)
 
     @property
     def rows(self) -> int:
@@ -174,8 +176,9 @@ def program_witness_size(p: SpanProgram) -> float:
 class CanonicalSpanProgram:
     """Canonical form: one row per false input, 2n column blocks of width m.
 
-    vectors[s, j-1] is v_{s,j}; rows of the matrix hold the false-input
-    vectors on the disagreeing blocks and zeros on the agreeing blocks.
+    vectors[s, j-1] is v_{s,j}, of length m; rows of the matrix hold the
+    false-input vectors on the disagreeing blocks and zeros on the agreeing
+    blocks.
     target is the graph normalization (1 / (3 sqrt(W))) * all-ones used by
     the bipartite-graph constructions; witness-size accounting uses the
     unit all-ones target (see witness_program).  orbit is the least member
@@ -185,12 +188,15 @@ class CanonicalSpanProgram:
     """
 
     f: BooleanFunction
-    m: int
     witness_size: float
     vectors: np.ndarray
     matrix: np.ndarray
     target: np.ndarray
     orbit: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.vectors.shape[2]
 
     @property
     def block_sizes(self) -> tuple[tuple[int, int], ...]:
@@ -199,13 +205,8 @@ class CanonicalSpanProgram:
     def witness_program(self) -> SpanProgram:
         """The program with unit all-ones target, whose witness sizes realize
         wsize(P_f, s) = sum_j ||v_{s,j}||^2 at the SDP optimum."""
-        return SpanProgram(
-            n=self.f.n,
-            block_sizes=self.block_sizes,
-            matrix=self.matrix,
-            target=np.ones(len(self.f.f0)),
-            orbit=self.orbit,
-        )
+        return SpanProgram(block_sizes=self.block_sizes, matrix=self.matrix, target=np.ones(len(self.f.f0)),
+                           orbit=self.orbit)
 
     @property
     def stored_witness_sizes(self) -> np.ndarray:
@@ -245,8 +246,9 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     representatives' factor (round_factor) tighten the pair constraints past
     the solver's tolerance to roundoff; xi and the dual multipliers are not
     touched.  Last, every pair constraint is checked on the assembled
-    vectors themselves (factor_pair_sums), so a row copied wrongly onto a
-    block that is not a representative fails loudly.
+    vectors themselves, by one batched V_j[F0] V_j[F1]^T over the
+    coordinates j, so a row copied wrongly onto a block that is not a
+    representative fails loudly.
     """
     n, num_inputs, sdp, blocks = f.n, 2**f.n, sol.sdp, sol.class_blocks
     factor = gram_factor(blocks)
@@ -270,11 +272,14 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     vectors[deficient, :, rank + np.arange(len(deficient))] = np.sqrt(gaps[deficient] / n)[:, None]
 
     # row r holds v_{w,j} on the disagreeing block I_{j, 1 - w_j}
-    f0 = np.array(f.f0)
+    f0, f1 = np.array(f.f0), np.array(f.f1)
     matrix = np.zeros((len(f0), n, 2, m))
     matrix[np.arange(len(f0))[:, None], np.arange(n), 1 - f.bits[f0]] = vectors[f0]
     target = np.ones(len(f0)) / (3 * np.sqrt(w_size))
 
-    _check_pair_sums(factor_pair_sums(sdp, vectors))
-    return CanonicalSpanProgram(f=f, m=m, witness_size=w_size, vectors=vectors, matrix=matrix.reshape(len(f0), -1),
+    by_coordinate = vectors.transpose(1, 0, 2)
+    products = by_coordinate[:, f0] @ by_coordinate[:, f1].transpose(0, 2, 1)  # (n, F0, F1)
+    differ = f.bits.T[:, f0, None] != f.bits.T[:, None, f1]
+    _check_pair_sums((products * differ).sum(axis=0))
+    return CanonicalSpanProgram(f=f, witness_size=w_size, vectors=vectors, matrix=matrix.reshape(len(f0), -1),
                                 target=target, orbit=sdp.orbits.inputs)

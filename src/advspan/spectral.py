@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .boolfun import BooleanFunction
 from .errors import NoNullWitnessError, WitnessViolationError, WrongBranchError
 from .matkernel import DEFAULT_ZERO_TOL, require_hermitian
 from .spanprog import CanonicalSpanProgram, literal_masks
@@ -43,11 +44,10 @@ class ProgramGraph:
     resolve Delta, the projector onto the adjacency's kernel:
     I - Delta = U_r U_r^T on F0 (+) V_r V_r^T on mu0 | I, with
     U_r = B_G V_r diag(sigma)^-1.  near_ranks are the other ranks a cut
-    within RANK_WINDOW of this one would pick."""
+    within RANK_WINDOW of this one would pick.  f is the program's
+    function; B_G has one row per false input and the columns mu0 | I."""
 
-    n: int
-    m: int
-    num_false: int
+    f: BooleanFunction
     b_g: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
@@ -55,8 +55,22 @@ class ProgramGraph:
     near_ranks: tuple[int, ...]
 
     @property
+    def n(self) -> int:
+        return self.f.n
+
+    @property
+    def num_false(self) -> int:
+        return self.b_g.shape[0]
+
+    @property
+    def m(self) -> int:
+        """The width of each of the 2n column blocks of I."""
+        return (self.b_g.shape[1] - 1) // (2 * self.n)
+
+    @property
     def dim(self) -> int:
-        return self.num_false + 1 + 2 * self.n * self.m
+        """|F0| + 1 + 2 n m, B_G's rows and columns."""
+        return sum(self.b_g.shape)
 
     @property
     def v_r(self) -> np.ndarray:
@@ -83,8 +97,8 @@ def build_program_graph(p: CanonicalSpanProgram) -> ProgramGraph:
     _, sigma, vh = np.linalg.svd(b_g, full_matrices=False)
     cut = DEFAULT_ZERO_TOL * max(1.0, float(sigma.max(initial=0.0)))
     rank, low, high = (int((sigma > bound).sum()) for bound in (cut, cut * RANK_WINDOW, cut / RANK_WINDOW))
-    return ProgramGraph(n=p.f.n, m=p.m, num_false=len(p.f.f0), b_g=b_g, sigma=sigma[:high], v=vh[:high].T,
-                        rank=rank, near_ranks=tuple(k for k in range(low, high + 1) if k != rank))
+    return ProgramGraph(f=p.f, b_g=b_g, sigma=sigma[:high], v=vh[:high].T, rank=rank,
+                        near_ranks=tuple(k for k in range(low, high + 1) if k != rank))
 
 
 @dataclass(frozen=True)
@@ -130,8 +144,7 @@ class InputGraph:
         return np.concatenate([top, np.broadcast_to(dropped, (len(top), *dropped.shape))], axis=1)
 
 
-def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, rank: int | None = None,
-                      inputs: np.ndarray | None = None) -> InputGraph:
+def build_input_graph(g: ProgramGraph, rank: int | None = None, inputs: np.ndarray | None = None) -> InputGraph:
     """The T basis of each of the inputs (every input by default) from two
     stacked thin SVDs, of V_r's kept rows (inputs, 1 + n m, r) and of its
     dropped rows (inputs, n m, r); any orthonormal columns do, since T need
@@ -139,7 +152,7 @@ def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, rank: int | None
     Delta.  rank, g.rank by default, is how many of g's singular vectors
     make up V_r."""
     rank = g.rank if rank is None else rank
-    inputs = np.arange(len(p.f.table)) if inputs is None else np.asarray(inputs)
+    inputs = np.arange(len(g.f.table)) if inputs is None else np.asarray(inputs)
     v_r = g.v[:, :rank]
     kept = g.pi_masks(inputs)[:, g.num_false:]  # on mu0 | I
     num_inputs = len(kept)
@@ -151,7 +164,7 @@ def build_input_graph(g: ProgramGraph, p: CanonicalSpanProgram, rank: int | None
     keep = np.arange(w.shape[1]) < cosines.shape[1]
     anchor = np.zeros(w.shape[:2])
     anchor[:, keep] = u_kept[:, 0]  # mu0 is the first kept row
-    return InputGraph(inputs=inputs, value=np.array(p.f.table)[inputs], w=w, keep=keep, cosines=cosines,
+    return InputGraph(inputs=inputs, value=np.array(g.f.table)[inputs], w=w, keep=keep, cosines=cosines,
                       anchor=anchor, sigma=g.sigma[:rank])
 
 
@@ -246,12 +259,11 @@ def walk_moments(g: ProgramGraph, inputs=slice(None)) -> np.ndarray:
     return out
 
 
-def rank_spread(g: ProgramGraph, p: CanonicalSpanProgram, base: np.ndarray, ranks,
-                inputs: np.ndarray | None = None) -> np.ndarray:
+def rank_spread(g: ProgramGraph, base: np.ndarray, ranks, inputs: np.ndarray | None = None) -> np.ndarray:
     """Largest difference, per input (of inputs, every input by default), of
     the anchor's moments between base, those of some cut of V_r (one row per
     input), and V_r cut to each of ranks."""
-    others = (moments(*anchor_measure(build_input_graph(g, p, rank, inputs))) for rank in ranks)
+    others = (moments(*anchor_measure(build_input_graph(g, rank, inputs))) for rank in ranks)
     return np.max([np.abs(other - base).max(axis=1) for other in others], axis=0)
 
 

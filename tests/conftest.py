@@ -158,9 +158,8 @@ def pair_sums(prog: CanonicalSpanProgram) -> np.ndarray:
 
 def constant_output_algorithm(n: int, output: int) -> QueryAlgorithm:
     """Zero-query algorithm that always answers `output`."""
-    proj_out, proj_other = np.eye(n), np.zeros((n, n))  # minimal query register, one workspace state
-    proj0, proj1 = (proj_other, proj_out) if output else (proj_out, proj_other)
-    return QueryAlgorithm(n=n, query_dim=n, work_dim=1, unitaries=(np.eye(n),), proj0=proj0, proj1=proj1)
+    # minimal query register, one workspace state
+    return QueryAlgorithm(n=n, query_dim=n, work_dim=1, unitaries=(np.eye(n),), proj1=output * np.eye(n))
 
 
 def reference_run(a: QueryAlgorithm, f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -328,7 +327,7 @@ def whole_gram_program(f, sol) -> CanonicalSpanProgram:
         for j in range(1, n + 1):
             start = ((j - 1) * 2 + 1 - f.bit(w, j)) * m
             matrix[r, start : start + m] = vectors[w, j - 1]
-    return CanonicalSpanProgram(f=f, m=m, witness_size=w_size, vectors=vectors, matrix=matrix,
+    return CanonicalSpanProgram(f=f, witness_size=w_size, vectors=vectors, matrix=matrix,
                                 target=np.ones(len(f.f0)) / (3 * np.sqrt(w_size)), orbit=np.arange(num_inputs))
 
 

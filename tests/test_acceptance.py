@@ -163,7 +163,7 @@ def test_criterion_8_search_thresholds(corpus, five_bit_gate):
 
 def test_criterion_9_progress_measure(solved):
     bundle = solved("PARITY:2")
-    trace = progress_trace(parity_two_query_algorithm(), bundle.f, bundle.certificate)
+    trace = progress_trace(parity_two_query_algorithm(), bundle.certificate)
     queries = len(trace.drops)
     start_err = abs(trace.values[0] - trace.gamma_norm)
     step_excess = float((trace.drops - trace.drop_bound).max())

@@ -38,6 +38,17 @@ def test_load_bitstring():
     assert f.table == (1, 0, 0, 1, 0, 1, 1, 0)
 
 
+@pytest.mark.parametrize("n, table, message", [
+    (6, (0,) * 64, r"arity 6 outside 1\.\.5"),
+    (2, (0, 1, 1), r"table length 3 != 2\^2"),
+    (1, (0, 2), "table entries must be 0/1"),
+])
+def test_boolean_function_rejects_bad_tables(n, table, message):
+    """BooleanFunction built directly, past load_function's own checks."""
+    with pytest.raises(BadSpecError, match=message):
+        BooleanFunction(n, table)
+
+
 def test_load_rejects_bad_specs():
     for spec in ("XOR:2", "OR:0", "OR:6", "010", "01102", "", "OR:x"):
         with pytest.raises(BadSpecError):

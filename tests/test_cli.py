@@ -224,6 +224,19 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err == "solver did not converge: stalled\n"
 
 
+def test_hard_check_failure_exits_1(monkeypatch, capsys):
+    """A package error that is neither bad input nor non-convergence leaves
+    verify and exits 1 with its one-line message."""
+    from advspan.errors import WitnessViolationError
+
+    def explode(*args, **kwargs):
+        raise WitnessViolationError("planted violation")
+
+    monkeypatch.setattr("advspan.spectral.zero_witness_vectors", explode)
+    assert main(["verify", "--function", "PARITY:2"]) == 1
+    assert capsys.readouterr().err == "check failed hard: planted violation\n"
+
+
 # tables whose Newton system at tol 1e-9 comes near or onto an exactly
 # singular M; which of them stop moves with roundoff (00110100, 01000101 and
 # 01001010 depend on every variable)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -60,13 +62,36 @@ def test_stacked_run_matches_the_per_input_run():
     unitaries = tuple(np.linalg.qr(rng.standard_normal((qd * wd, qd * wd))
                                    + 1j * rng.standard_normal((qd * wd, qd * wd)))[0] for _ in range(4))
     proj1 = np.kron(np.eye(qd), np.diag([0.0, 1.0]))
-    alg = QueryAlgorithm(n=3, query_dim=qd, work_dim=wd, unitaries=unitaries, proj0=np.eye(qd * wd) - proj1,
-                         proj1=proj1)
+    alg = QueryAlgorithm(n=3, query_dim=qd, work_dim=wd, unitaries=unitaries, proj1=proj1)
     f = load_function("MAJ:3")
     run = run_query_algorithm(alg, f)
     states, success = reference_run(alg, f)
     assert np.abs(run.states - states).max() <= 1e-13
     assert np.abs(run.success - success).max() <= 1e-13
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n": 3}, "query register must address all n coordinates"),
+    ({"unitaries": (np.eye(3),)}, "unitary shape (3, 3) != (2, 2)"),
+    ({"unitaries": (2.0 * np.eye(2),)}, "step matrix is not unitary within 1e-9"),
+    ({"proj1": 0.5 * np.eye(2)}, "proj1 must be a Hermitian idempotent (2, 2) matrix"),
+    ({"proj1": np.array([[1.0, 1.0], [0.0, 0.0]])}, "proj1 must be a Hermitian idempotent (2, 2) matrix"),
+    ({"proj1": np.eye(3)}, "proj1 must be a Hermitian idempotent (2, 2) matrix"),
+])
+def test_query_algorithm_rejects_bad_fields(fields, message):
+    """Each field of a two-coordinate, zero-query algorithm replaced by a bad
+    value: a query register too small for n, a step of the wrong shape or not
+    unitary, and a proj1 that is not idempotent, not Hermitian or of the
+    wrong shape."""
+    good = {"n": 2, "query_dim": 2, "work_dim": 1, "unitaries": (np.eye(2),), "proj1": np.diag([0.0, 1.0])}
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+        QueryAlgorithm(**{**good, **fields})
+
+
+@pytest.mark.parametrize("probability", [search_accept_probability, search_noregister_probability])
+def test_search_probabilities_reject_tau_zero(probability):
+    with pytest.raises(ValueError, match="tau must be at least 1"):
+        probability(np.zeros(1), np.ones(1), 0)
 
 
 def test_run_rejects_wrong_arity():
@@ -76,7 +101,7 @@ def test_run_rejects_wrong_arity():
 
 def test_progress_trace_parity(solved):
     bundle = solved("PARITY:2")
-    trace = progress_trace(parity_two_query_algorithm(), bundle.f, bundle.certificate)
+    trace = progress_trace(parity_two_query_algorithm(), bundle.certificate)
     # Claim 1: M^(0) = ||Gamma||
     assert trace.values[0] == pytest.approx(trace.gamma_norm, abs=1e-8)
     # Claim 3 at every step
@@ -93,7 +118,7 @@ def test_progress_trace_parity(solved):
 def test_progress_trace_rejects_weak_algorithms(solved):
     bundle = solved("PARITY:2")
     with pytest.raises(AlgorithmTooWeakError):
-        progress_trace(constant_output_algorithm(2, 0), bundle.f, bundle.certificate)
+        progress_trace(constant_output_algorithm(2, 0), bundle.certificate)
 
 
 def test_qpe_kernel_examples():

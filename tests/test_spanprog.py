@@ -6,7 +6,7 @@ import pytest
 from advspan import advsdp, spanprog, verify
 from advspan.advsdp import SdpSolution, build_witness_sdp, extract_certificate, solve_sdp
 from advspan.boolfun import load_function
-from advspan.errors import GramFailureError
+from advspan.errors import DimensionMismatchError, GramFailureError
 from advspan.matkernel import DEFAULT_RANK_TOL
 from advspan.spanprog import (
     CanonicalSpanProgram,
@@ -26,7 +26,6 @@ def parity_example_program():
     """The two-row parity program from the worked example: t = [1,1],
     columns I_{1,0}, I_{1,1}, I_{2,0}, I_{2,1}."""
     return SpanProgram(
-        n=2,
         block_sizes=((1, 1), (1, 1)),
         matrix=np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]),
         target=np.array([1.0, 1.0]),
@@ -37,7 +36,6 @@ def parity_example_program():
 def or2_example_program():
     """A = [1 1] over I_{1,1} and I_{2,1}, t = [1]."""
     return SpanProgram(
-        n=2,
         block_sizes=((0, 1), (0, 1)),
         matrix=np.array([[1.0, 1.0]]),
         target=np.array([1.0]),
@@ -77,11 +75,21 @@ def test_or2_program():
 
 
 def test_single_literal_program():
-    p = SpanProgram(
-        n=1, block_sizes=((0, 1),), matrix=np.array([[1.0]]), target=np.array([1.0]), orbit=np.arange(2)
-    )
+    p = SpanProgram(block_sizes=((0, 1),), matrix=np.array([[1.0]]), target=np.array([1.0]), orbit=np.arange(2))
     assert program_witness_size(p) == pytest.approx(1.0, abs=1e-9)
     assert evaluate(p).value.tolist() == [False, True]
+
+
+@pytest.mark.parametrize("block_sizes, matrix, target, message", [
+    (((1, 1),), np.ones((1, 3)), np.ones(1), r"matrix shape \(1, 3\) != \(1, 2\)"),
+    (((1, 1),), np.ones((2, 2)), np.ones(1), r"matrix shape \(2, 2\) != \(1, 2\)"),
+    (((0, 1),), np.ones((1, 1)), np.zeros(1), "target vector must be nonzero"),
+])
+def test_span_program_rejects_bad_fields(block_sizes, matrix, target, message):
+    """A matrix whose width disagrees with block_sizes or whose height
+    disagrees with the target, and a zero target."""
+    with pytest.raises(DimensionMismatchError, match=message):
+        SpanProgram(block_sizes=block_sizes, matrix=matrix, target=target, orbit=np.arange(2))
 
 
 def test_exactly_one_branch_on_the_example_programs():
@@ -105,8 +113,7 @@ def test_selection_masks_group_unequal_blocks():
     0 or 1, so their inputs fall into groups of different widths."""
     or2 = or2_example_program()
     assert or2.selection_masks().sum(axis=1).tolist() == [0, 1, 1, 2]
-    single = SpanProgram(n=1, block_sizes=((0, 1),), matrix=np.array([[1.0]]), target=np.array([1.0]),
-                         orbit=np.arange(2))
+    single = SpanProgram(block_sizes=((0, 1),), matrix=np.array([[1.0]]), target=np.array([1.0]), orbit=np.arange(2))
     for label, p in (("parity", parity_example_program()), ("or2", or2), ("single", single),
                      ("or3", or_n_example_program(3))):
         assert_matches_reference(p, label)
@@ -151,7 +158,7 @@ def worked_parity_canonical() -> CanonicalSpanProgram:
     f0, vectors = np.array(f.f0), np.ones((4, 2, 1))
     matrix = np.zeros((2, 2, 2, 1))
     matrix[np.arange(2)[:, None], np.arange(2), 1 - f.bits[f0]] = vectors[f0]
-    return CanonicalSpanProgram(f=f, m=1, witness_size=2.0, vectors=vectors, matrix=matrix.reshape(2, -1),
+    return CanonicalSpanProgram(f=f, witness_size=2.0, vectors=vectors, matrix=matrix.reshape(2, -1),
                                 target=np.ones(2) / (3 * np.sqrt(2.0)), orbit=np.arange(4))
 
 
@@ -323,7 +330,6 @@ def test_canonical_rejects_a_corrupted_copied_row(monkeypatch):
 def or_n_example_program(n):
     """The 1 x n all-ones program for OR_n from the worked example."""
     return SpanProgram(
-        n=n,
         block_sizes=tuple((0, 1) for _ in range(n)),
         matrix=np.ones((1, n)),
         target=np.array([1.0]),
@@ -347,7 +353,7 @@ def test_near_degenerate_membership_warns():
     """A program whose membership residual sits within a decade of the branch
     threshold WITNESS_RTOL ||t|| warns: the true input's column [1, 5e-8]
     leaves t = [1, 0] a residual of 5e-8 ||t||."""
-    p = SpanProgram(n=1, block_sizes=((0, 1),), matrix=np.array([[1.0], [5e-8]]), target=np.array([1.0, 0.0]),
+    p = SpanProgram(block_sizes=((0, 1),), matrix=np.array([[1.0], [5e-8]]), target=np.array([1.0, 0.0]),
                     orbit=np.arange(2))
     with pytest.warns(UserWarning, match="near-degenerate span program: membership residual 5.000e-08"):
         ev = evaluate(p)

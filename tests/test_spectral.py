@@ -1,5 +1,4 @@
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from advspan import verify
 from advspan.advsdp import build_witness_sdp, solve_sdp
-from advspan.boolfun import load_function
+from advspan.boolfun import BooleanFunction, load_function
 from advspan.errors import NoNullWitnessError, WitnessViolationError, WrongBranchError
 from advspan.matkernel import DEFAULT_ZERO_TOL
 from advspan.spanprog import CanonicalSpanProgram, canonical_from_gram
@@ -48,9 +47,9 @@ def two_reflections(v):
     n = 1, for orthonormal columns v of length 1 + 2m, at input 0: Pi keeps
     mu0 and the first m coordinates of I, and drops the last m."""
     dim, rank = v.shape
-    g = ProgramGraph(n=1, m=(dim - 1) // 2, num_false=0, b_g=np.zeros((0, dim)), sigma=np.ones(rank),
-                     v=v, rank=rank, near_ranks=())
-    return g, build_input_graph(g, SimpleNamespace(f=SimpleNamespace(table=(0, 0)))).select([0])
+    g = ProgramGraph(f=BooleanFunction(1, (0, 0)), b_g=np.zeros((0, dim)), sigma=np.ones(rank), v=v, rank=rank,
+                     near_ranks=())
+    return g, build_input_graph(g).select([0])
 
 
 def measure_of(g, ig):
@@ -82,7 +81,7 @@ def b_true_singular_values(g, ig, s) -> np.ndarray:
 
 def resolve(bundle):
     """The input graphs of every input, stacked."""
-    return build_input_graph(bundle.graph, bundle.program)
+    return build_input_graph(bundle.graph)
 
 
 def rebuilt_u_r(g) -> np.ndarray:
@@ -135,7 +134,7 @@ def test_input_graph_matches_worked_parity_matrices(worked_parity_program):
         atol=1e-12,
     )
     # the biadjacency on T and the isometry outside it give b_true's singular values
-    ig = build_input_graph(g, worked_parity_program)
+    ig = build_input_graph(g)
     assert ig.w.shape == (4, 4, 2)  # dim T = 2 rank(B_G) on each of the 4 inputs
     for s in range(4):
         dense = np.linalg.svd(input_biadjacency(g, s)[0], compute_uv=False)
@@ -225,7 +224,6 @@ def test_zero_witness_rejects_corrupted_program(solved):
     prog = solved("PARITY:2").program
     broken = CanonicalSpanProgram(
         f=prog.f,
-        m=prog.m,
         witness_size=prog.witness_size,
         vectors=prog.vectors * 1.01,  # breaks the pair sums
         matrix=prog.matrix * 1.01,
@@ -268,9 +266,8 @@ SMALL_TABLES = st.integers(1, 3).flatmap(
 def graphs_of(table: str):
     """(program graph, input graphs of every input) of a table's canonical program."""
     f = load_function(table)
-    program = canonical_from_gram(f, solve_sdp(build_witness_sdp(f)))
-    g = build_program_graph(program)
-    return g, build_input_graph(g, program)
+    g = build_program_graph(canonical_from_gram(f, solve_sdp(build_witness_sdp(f))))
+    return g, build_input_graph(g)
 
 
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -406,7 +403,7 @@ def test_effective_gap_profile(corpus):
     for bundle in corpus:
         f, prog, g = bundle.f, bundle.program, bundle.graph
         w = prog.witness_size
-        ig = build_input_graph(g, prog)
+        ig = build_input_graph(g)
         grid = [0.0, 0.05, 0.1, 0.5, 1.0, 2.0]
         lhs, rhs = effective_gap_profile(ig.select(list(f.f0)), w, grid)
         assert lhs.shape == (len(f.f0), len(grid)) and (lhs <= rhs + 1e-6).all()
@@ -425,7 +422,7 @@ def test_effective_gap_full_spectrum_case(solved):
     bundle = solved("PARITY:2")
     prog, g = bundle.program, bundle.graph
     w = prog.witness_size
-    ig = build_input_graph(g, prog).select([bundle.f.f0[0]])
+    ig = build_input_graph(g).select([bundle.f.f0[0]])
     big_c = w * (np.abs(np.linalg.eigvalsh(input_adjacency(g, bundle.f.f0[0])[0])).max() + 1.0)
     (lhs,), (rhs,) = effective_gap_profile(ig, w, [big_c])
     assert lhs == pytest.approx([1.0], abs=1e-9)  # whole spectrum: full mass of |0>
@@ -434,8 +431,8 @@ def test_effective_gap_full_spectrum_case(solved):
 
 def test_bipartite_spectrum_is_symmetric(corpus):
     for bundle in corpus[:6]:
-        g, prog = bundle.graph, bundle.program
-        ig = build_input_graph(g, prog)
+        g = bundle.graph
+        ig = build_input_graph(g)
         for s in bundle.f.inputs:
             ev = np.linalg.eigvalsh(input_adjacency(g, s)[0])
             assert np.abs(np.sort(ev) + np.sort(-ev)[::-1]).max() <= 1e-8
@@ -572,7 +569,7 @@ def test_rank_cut_rows_only_where_the_cut_is_ambiguous(solved, monkeypatch):
     q = dataclasses.replace(p, target=moved[:, 0], matrix=moved[:, 1:])
     g = build_program_graph(q)
     assert (g.rank, g.near_ranks) == (5, (4, 6))
-    assert rank_spread(g, q, moments(*anchor_measure(build_input_graph(g, q, 3))), (4,)).min() > 1e-8
+    assert rank_spread(g, moments(*anchor_measure(build_input_graph(g, 3))), (4,)).min() > 1e-8
     # the input graphs read only the program graph, so verify on 00000011 with
     # this graph in place of its own reports the rows the moved program gets
     monkeypatch.setattr("advspan.spectral.build_program_graph", lambda program: g)
@@ -600,7 +597,7 @@ def test_rank_cut_resolves_only_the_near_ranks(monkeypatch):
     assert g.near_ranks == (0, 1, 2, 3)
     assert len(calls) == 1 + len(g.near_ranks)
     reps = np.flatnonzero(p.orbit == np.arange(len(p.orbit)))
-    base = moments(*anchor_measure(build_input_graph(g, p, g.rank, reps)))
-    rebuilt = rank_spread(g, p, base, g.near_ranks, reps)[np.searchsorted(reps, p.orbit)]
+    base = moments(*anchor_measure(build_input_graph(g, g.rank, reps)))
+    rebuilt = rank_spread(g, base, g.near_ranks, reps)[np.searchsorted(reps, p.orbit)]
     rows = [chk for chk in result.report["checks"] if chk["name"].startswith("rank_cut[")]
     assert [chk["value"] for chk in rows] == rebuilt.tolist()
