@@ -107,13 +107,7 @@ from functools import cached_property
 import numpy as np
 
 from .boolfun import BooleanFunction, automorphism_cosets, element_maps
-from .errors import (
-    ConstantFunctionError,
-    DegenerateDualError,
-    NoConvergenceError,
-    PatternViolationError,
-    ZeroMatrixError,
-)
+from .errors import BadSpecError, CheckError, NoConvergenceError
 
 DEFAULT_TOL = 1e-7
 MIN_TOL = 1e-9
@@ -274,7 +268,7 @@ def build_witness_sdp(f: BooleanFunction) -> WitnessSdp:
     and the gather indices of schur_complement in orbit coordinates,
     computed once per function."""
     if f.is_constant:
-        raise ConstantFunctionError("ADV is undefined for constant functions (F0 x F1 is empty)")
+        raise BadSpecError("ADV is undefined for constant functions (F0 x F1 is empty)")
     n, s = f.n, 2**f.n
     bits, f0, f1 = f.bits, np.array(f.f0), np.array(f.f1)
     # the Schur complement loops over the smaller side r of F0 x F1, and the
@@ -810,7 +804,7 @@ def solve_sdp(sdp: WitnessSdp, tol: float = DEFAULT_TOL) -> SdpSolution:
     (SdpSolution.class_blocks).
     """
     if not (np.isfinite(tol) and tol >= MIN_TOL):
-        raise ValueError(f"tol must be finite and at least {MIN_TOL:g}")
+        raise BadSpecError(f"tol must be finite and at least {MIN_TOL:g}, got {tol!r}")
     n, num_inputs, num_pairs, orbits = sdp.n, sdp.num_inputs, len(sdp.pairs), sdp.orbits
     shape, q, weight = sdp.class_shape, sdp.pair_rows, sdp.multiplicity
     nb = shape[0] * shape[1] * shape[2]
@@ -911,8 +905,10 @@ def extract_certificate(sol: SdpSolution, f: BooleanFunction) -> AdversaryCertif
     |alpha_wx| <= 2 sqrt(beta_w beta_x), and an interior-point dual sits at
     that scale (beta_s ~ mu on a slack input, alpha ~ sqrt(mu)).  An alpha
     beyond that bound, by more than 1e-6 max(1, max|alpha|), reports the
-    dual as degenerate.
+    dual as degenerate.  f must be the solved function, sol.sdp.f.
     """
+    if f.name() != sol.sdp.f.name():
+        raise BadSpecError(f"f = {f.name()} is not the solved function {sol.sdp.f.name()}")
     num_inputs = 2**f.n
     gamma = np.zeros((num_inputs, num_inputs))
     alpha_scale = max(1.0, float(np.abs(sol.alpha).max()) if len(sol.alpha) else 0.0)
@@ -923,7 +919,7 @@ def extract_certificate(sol: SdpSolution, f: BooleanFunction) -> AdversaryCertif
     beyond = on_dropped & (np.abs(sol.alpha) > 2.0 * np.sqrt(beta_plus[w] * beta_plus[x]) + 1e-6 * alpha_scale)
     if beyond.any():
         p = int(np.argmax(beyond))
-        raise DegenerateDualError(
+        raise CheckError(
             f"beta vanished on inputs {sorted(int(s) for s in (w[p], x[p]) if dropped[s])} "
             f"but alpha[{w[p]},{x[p]}] = {sol.alpha[p]:.3e} exceeds what Z >= 0 allows"
         )
@@ -952,12 +948,12 @@ def _ratio_norms(gamma, f: BooleanFunction, coordinates: np.ndarray | None = Non
     g = np.asarray(gamma)
     scale = float(np.abs(g).max()) if g.size else 0.0
     if scale == 0.0:
-        raise ZeroMatrixError("adversary ratio is undefined for the zero matrix")
+        raise CheckError("adversary ratio is undefined for the zero matrix")
     table = np.array(f.table)
     wrong = (table[:, None] == table[None, :]) & (np.abs(g) > 1e-12 * scale)
     if wrong.any():
         x, y = np.unravel_index(np.argmax(wrong), wrong.shape)
-        raise PatternViolationError(f"Gamma[{x},{y}] = {g[x, y]:.3e} but f({x}) = f({y})")
+        raise CheckError(f"Gamma[{x},{y}] = {g[x, y]:.3e} but f({x}) = f({y})")
     bits = f.bits.T if coordinates is None else f.bits.T[coordinates]
     differ = (bits[:, :, None] != bits[:, None, :]).astype(float)  # D_i, (coordinates, 2^n, 2^n)
     norms = np.linalg.svd(np.concatenate([g[None], g * differ]), compute_uv=False)[:, 0]

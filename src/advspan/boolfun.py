@@ -13,12 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    ArityTooLargeError,
-    BadSpecError,
-    FormulaMismatchError,
-    IndexOutOfRangeError,
-)
+from .errors import BadSpecError, CheckError
 
 MAX_ARITY = 5
 _BUILTINS = ("OR", "AND", "PARITY", "MAJ")
@@ -51,7 +46,7 @@ class BooleanFunction:
     def bit(self, s: int, j: int) -> int:
         """Bit x_j of input string s (j is 1-based, MSB = x_1)."""
         if not 1 <= j <= self.n:
-            raise IndexOutOfRangeError(f"coordinate {j} outside 1..{self.n}")
+            raise BadSpecError(f"coordinate {j} outside 1..{self.n}")
         return (s >> (self.n - j)) & 1
 
     @property
@@ -116,7 +111,7 @@ def load_function(spec: str) -> BooleanFunction:
 def difference_matrix(f: BooleanFunction, i: int) -> np.ndarray:
     """0/1 matrix with entry (x, y) = 1 exactly when x_i != y_i."""
     if not 1 <= i <= f.n:
-        raise IndexOutOfRangeError(f"coordinate {i} outside 1..{f.n}")
+        raise BadSpecError(f"coordinate {i} outside 1..{f.n}")
     bits = f.bits[:, i - 1]
     return (bits[:, None] != bits[None, :]).astype(float)
 
@@ -270,7 +265,7 @@ def _formula_dp(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _least_leaves(f: BooleanFunction, max_leaves: int) -> tuple[int, int | None]:
     """f's table code and its least leaf count, None past max_leaves."""
     if f.n > 4:
-        raise ArityTooLargeError(f"exhaustive synthesis supports n <= 4, got {f.n}")
+        raise BadSpecError(f"exhaustive synthesis supports n <= 4, got {f.n}")
     if not 1 <= max_leaves <= MAX_LEAVES:
         raise BadSpecError(f"max_leaves must lie in 1..{MAX_LEAVES}")
     code = sum(v << s for s, v in enumerate(f.table))
@@ -325,15 +320,15 @@ class RectanglePartition:
             for x in r.xs:
                 for y in r.ys:
                     if (x, y) in seen:
-                        raise FormulaMismatchError(f"pair ({x}, {y}) covered twice")
+                        raise CheckError(f"pair ({x}, {y}) covered twice")
                     seen.add((x, y))
                     if self.f.bit(x, r.color) == self.f.bit(y, r.color):
-                        raise FormulaMismatchError(
+                        raise CheckError(
                             f"pair ({x}, {y}) agrees on coordinate {r.color}"
                         )
         want = {(x, y) for x in self.f.f0 for y in self.f.f1}
         if seen != want:
-            raise FormulaMismatchError("rectangles do not cover F0 x F1")
+            raise CheckError("rectangles do not cover F0 x F1")
 
 
 def kw_partition(formula: Formula, f: BooleanFunction) -> RectanglePartition:
@@ -345,7 +340,7 @@ def kw_partition(formula: Formula, f: BooleanFunction) -> RectanglePartition:
     One rectangle per leaf, including empty ones.
     """
     if formula.truth_table(f.n) != f.table:
-        raise FormulaMismatchError("formula does not compute the function")
+        raise CheckError("formula does not compute the function")
 
     rects: list[Rectangle] = []
 

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .advsdp import DEFAULT_TOL, MIN_TOL
-from .errors import AdvspanError, BadSpecError, ConstantFunctionError, NoConvergenceError
+from .errors import AdvspanError, BadSpecError, NoConvergenceError
 from .pipeline import verify
 
 
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = run_pipeline(args)
-    except (BadSpecError, ConstantFunctionError) as exc:
+    except BadSpecError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NoConvergenceError as exc:

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NonHermitianError,
-    NotPSDError,
-)
+from .errors import CheckError
 
 HERMITIAN_TOL = 1e-12
 DEFAULT_ZERO_TOL = 1e-8
@@ -26,14 +22,14 @@ def hermitian_defect(m) -> float:
     """max |M[i,j] - conj(M[j,i])| over all entries of a matrix or a stack (..., k, k)."""
     a = np.asarray(m)
     if a.ndim < 2:
-        raise DimensionMismatchError(f"expected a matrix or a stack of them, got shape {a.shape}")
+        raise CheckError(f"expected a matrix or a stack of them, got shape {a.shape}")
     if a.shape[-2] != a.shape[-1]:
         return float("inf")
     return float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
 
 
 def require_hermitian(m) -> np.ndarray:
-    """Return the exactly-symmetrized matrix (or stack), or raise NonHermitianError.
+    """Return the exactly-symmetrized matrix (or stack), or raise CheckError.
 
     The defect tolerance is scaled by max(1, max|entry|) so that large
     well-conditioned matrices are not rejected for roundoff.
@@ -42,7 +38,7 @@ def require_hermitian(m) -> np.ndarray:
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
     defect = hermitian_defect(a)
     if defect > HERMITIAN_TOL * scale:
-        raise NonHermitianError(f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e} * {scale:.3e}")
+        raise CheckError(f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e} * {scale:.3e}")
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
@@ -54,13 +50,13 @@ def gram_factor(x) -> np.ndarray:
     lambda_max over the whole stack, are truncated.  The result has shape
     (..., k, r_max), r_max the largest numerical rank in the stack: each
     block's columns follow its eigenvalues in descending order, so those past
-    its own rank are zero.  Raises NotPSDError when an eigenvalue is below
+    its own rank are zero.  Raises CheckError when an eigenvalue is below
     -DEFAULT_RANK_TOL on the same scale.
     """
     w, v = np.linalg.eigh(require_hermitian(x))
     scale = max(1.0, float(w.max(initial=0.0)))
     if w.min(initial=0.0) < -DEFAULT_RANK_TOL * scale:
-        raise NotPSDError(f"minimum eigenvalue {w.min():.3e} below -{DEFAULT_RANK_TOL:.1e} * {scale:.3e}")
+        raise CheckError(f"minimum eigenvalue {w.min():.3e} below -{DEFAULT_RANK_TOL:.1e} * {scale:.3e}")
     keep = w > DEFAULT_RANK_TOL * scale
     rank = int(keep.sum(axis=-1).max(initial=0))
     vectors = v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]

@@ -14,10 +14,9 @@ import numpy as np
 
 from . import qsim, spectral
 from .advsdp import (
-    DEFAULT_TOL, MIN_TOL, AdversaryCertificate, SdpSolution, build_witness_sdp, extract_certificate, solve_sdp,
+    DEFAULT_TOL, AdversaryCertificate, SdpSolution, build_witness_sdp, extract_certificate, solve_sdp,
 )
 from .boolfun import MAX_LEAVES, formula_size, load_function
-from .errors import BadSpecError
 from .spanprog import CanonicalSpanProgram, canonical_from_gram, evaluate
 
 DEFAULT_C_GRID = (0.05, 0.1, 0.5, 1.0, 2.0)
@@ -114,12 +113,10 @@ def verify(spec: str, *, tol: float = DEFAULT_TOL, formula_bound: bool = False) 
     the phase gap at Theta = 1/(50W), 0.01, 0.1 and 1, less an entry whose
     check name repeats an earlier one's; spectral.effective_gap_profile and
     spectral.phase_gap_profile take any other grid.  A failed check sets the
-    report's status to FAIL; bad input and solver failure raise the
-    package's errors, and so does a tol that is not finite and at least
-    MIN_TOL.
+    report's status to FAIL.  Bad input, a tol that is not finite and at
+    least advsdp.MIN_TOL included, raises BadSpecError, and solver failure
+    NoConvergenceError.
     """
-    if not (np.isfinite(tol) and tol >= MIN_TOL):
-        raise BadSpecError(f"tol must be finite and at least {MIN_TOL:g}, got {tol!r}")
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
     f = load_function(spec)

@@ -16,11 +16,7 @@ import numpy as np
 
 from .advsdp import AdversaryCertificate, _ratio_norms
 from .boolfun import BooleanFunction, input_bits
-from .errors import (
-    AlgorithmTooWeakError,
-    DimensionMismatchError,
-    NotNormalizedError,
-)
+from .errors import BadSpecError, CheckError
 from .matkernel import require_hermitian
 
 FINAL_OVERLAP_CONSTANT = (2.0 / 3.0) * np.sqrt(2.0)
@@ -45,17 +41,17 @@ class QueryAlgorithm:
 
     def __post_init__(self):
         if self.query_dim < self.n:
-            raise DimensionMismatchError("query register must address all n coordinates")
+            raise CheckError("query register must address all n coordinates")
         d = self.query_dim * self.work_dim
         eye = np.eye(d)
         for u in self.unitaries:
             if u.shape != (d, d):
-                raise DimensionMismatchError(f"unitary shape {u.shape} != ({d}, {d})")
+                raise CheckError(f"unitary shape {u.shape} != ({d}, {d})")
             if np.abs(u.conj().T @ u - eye).max() > 1e-9:
-                raise DimensionMismatchError("step matrix is not unitary within 1e-9")
+                raise CheckError("step matrix is not unitary within 1e-9")
         p = self.proj1
         if p.shape != (d, d) or np.abs(p - p.conj().T).max() > 1e-9 or np.abs(p @ p - p).max() > 1e-9:
-            raise DimensionMismatchError(f"proj1 must be a Hermitian idempotent ({d}, {d}) matrix")
+            raise CheckError(f"proj1 must be a Hermitian idempotent ({d}, {d}) matrix")
 
     @property
     def proj0(self) -> np.ndarray:
@@ -84,7 +80,7 @@ def run_query_algorithm(a: QueryAlgorithm, f: BooleanFunction) -> AlgorithmRun:
     row, (-1)^{x_j} on query state j - 1 (repeated over the workspace) and 1
     on the rest."""
     if f.n != a.n:
-        raise DimensionMismatchError(f"function arity {f.n} != algorithm arity {a.n}")
+        raise CheckError(f"function arity {f.n} != algorithm arity {a.n}")
     signs = np.ones((2**f.n, a.query_dim))
     signs[:, : a.n] = 1 - 2 * input_bits(a.n)
     signs = np.repeat(signs, a.work_dim, axis=1)
@@ -137,7 +133,7 @@ def progress_trace(a: QueryAlgorithm, certificate: AdversaryCertificate) -> Prog
     f = certificate.f
     run = run_query_algorithm(a, f)
     if run.success.min() < 2.0 / 3.0 - 1e-9:
-        raise AlgorithmTooWeakError(
+        raise CheckError(
             f"error {1 - run.success.min():.4f} exceeds 1/3 on input {int(run.success.argmin())}"
         )
     gamma = np.array(certificate.gamma, dtype=float)
@@ -155,7 +151,7 @@ def progress_trace(a: QueryAlgorithm, certificate: AdversaryCertificate) -> Prog
         overlap = run.states[t] @ run.states[t].conj().T  # [x,y] = <psi_y|psi_x>
         m_t = np.sum(gamma.conj() * (weight * overlap))
         if abs(m_t.imag) > 1e-9:
-            raise NotNormalizedError(f"progress measure picked up imaginary part {m_t.imag:.2e}")
+            raise CheckError(f"progress measure picked up imaginary part {m_t.imag:.2e}")
         values[t] = m_t.real
     drops = values[:-1] - values[1:]
     drop_bound = 2.0 * _ratio_norms(gamma, f)[1]
@@ -202,7 +198,7 @@ def _resolution(phases, overlaps) -> tuple[np.ndarray, np.ndarray]:
     totals = overlaps.sum(axis=-1)
     worst = np.abs(totals - 1.0)
     if worst.max(initial=0.0) > 1e-8:
-        raise NotNormalizedError(f"overlaps sum to {np.ravel(totals)[np.argmax(worst)]:.10f}, expected 1")
+        raise CheckError(f"overlaps sum to {np.ravel(totals)[np.argmax(worst)]:.10f}, expected 1")
     return phases, overlaps
 
 
@@ -242,7 +238,7 @@ def search_accept_probability(phases, overlaps, tau: int):
     formed.
     """
     if tau < 1:
-        raise ValueError("tau must be at least 1")
+        raise BadSpecError("tau must be at least 1")
     phases, overlaps = _resolution(phases, overlaps)
     return (overlaps * (0.5 + _dirichlet_sum(phases, tau) / (2.0 * tau))).sum(axis=-1)
 
@@ -253,7 +249,7 @@ def search_noregister_probability(phases, overlaps, tau: int):
     sum_{k,l} w_k w_l (1/tau) sum_T cos(T (theta_k - theta_l)), one Dirichlet
     sum per pair of phases."""
     if tau < 1:
-        raise ValueError("tau must be at least 1")
+        raise BadSpecError("tau must be at least 1")
     phases, overlaps = _resolution(phases, overlaps)
     kernel = _dirichlet_sum(phases[..., :, None] - phases[..., None, :], tau) / tau
     return np.einsum("...k,...kl,...l->...", overlaps, kernel, overlaps)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .advsdp import SdpSolution, class_pair_sums, coordinate_factors, round_factor
 from .boolfun import BooleanFunction, input_bits
-from .errors import DimensionMismatchError, GramFailureError
+from .errors import BadSpecError, CheckError
 from .matkernel import gram_factor
 
 WITNESS_RTOL = 1e-7
@@ -38,11 +38,11 @@ class SpanProgram:
     def __post_init__(self):
         total = sum(a + b for a, b in self.block_sizes)
         if self.matrix.shape != (len(self.target), total):
-            raise DimensionMismatchError(
+            raise CheckError(
                 f"matrix shape {self.matrix.shape} != ({len(self.target)}, {total})"
             )
         if np.linalg.norm(self.target) == 0:
-            raise DimensionMismatchError("target vector must be nonzero")
+            raise CheckError("target vector must be nonzero")
 
     @property
     def n(self) -> int:
@@ -58,13 +58,14 @@ class SpanProgram:
 
     def selection_masks(self) -> np.ndarray:
         """(2^n, columns) boolean: row s marks the columns Pi(s) keeps."""
-        return literal_masks(self.n, self.block_sizes)
+        return literal_masks(self.block_sizes)
 
 
-def literal_masks(n: int, block_sizes) -> np.ndarray:
+def literal_masks(block_sizes) -> np.ndarray:
     """(2^n, columns) boolean over the blocks I_{1,0}, I_{1,1}, I_{2,0}, ...
-    of the given (|I_{j,0}|, |I_{j,1}|) sizes: row s marks the literals
-    agreeing with s (b = s_j in I_{j,b})."""
+    of the given (|I_{j,0}|, |I_{j,1}|) sizes, one pair per coordinate: row
+    s marks the literals agreeing with s (b = s_j in I_{j,b})."""
+    n = len(block_sizes)
     block = np.repeat(np.arange(2 * n), [size for pair in block_sizes for size in pair])
     return input_bits(n)[:, block // 2] == block % 2
 
@@ -148,7 +149,7 @@ def evaluate(p: SpanProgram) -> Evaluation:
             basis = vt[g, rank[g]:].T
             t_comp = basis.T @ t
             if np.linalg.norm(t_comp) <= WITNESS_RTOL * tnorm:
-                raise GramFailureError(f"no branch admits a witness on input {s:0{p.n}b}")
+                raise CheckError(f"no branch admits a witness on input {s:0{p.n}b}")
             reach = p.matrix.T @ basis
             d = len(t_comp)
             kkt = np.zeros((d + 1, d + 1))
@@ -217,7 +218,7 @@ class CanonicalSpanProgram:
 def _check_pair_sums(sums: np.ndarray) -> None:
     worst = float(np.abs(sums - 1.0).max())
     if worst > 1e-6:
-        raise GramFailureError(f"pair-sum constraint residual {worst:.3e} exceeds 1e-6")
+        raise CheckError(f"pair-sum constraint residual {worst:.3e} exceeds 1e-6")
 
 
 def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanProgram:
@@ -248,13 +249,15 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     touched.  Last, every pair constraint is checked on the assembled
     vectors themselves, by one batched V_j[F0] V_j[F1]^T over the
     coordinates j, so a row copied wrongly onto a block that is not a
-    representative fails loudly.
+    representative fails loudly.  f must be the solved function, sol.sdp.f.
     """
+    if f.name() != sol.sdp.f.name():
+        raise BadSpecError(f"f = {f.name()} is not the solved function {sol.sdp.f.name()}")
     n, num_inputs, sdp, blocks = f.n, 2**f.n, sol.sdp, sol.class_blocks
     factor = gram_factor(blocks)
     gram = factor @ factor.transpose(0, 2, 1)
     if np.abs(gram - blocks).max() > 1e-6:
-        raise GramFailureError("Gram factorization does not reproduce X within 1e-6")
+        raise CheckError("Gram factorization does not reproduce X within 1e-6")
     _check_pair_sums(class_pair_sums(sdp, gram))
     factor = coordinate_factors(sdp, round_factor(sdp, factor))
     rank = factor.shape[2]

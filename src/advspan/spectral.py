@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .boolfun import BooleanFunction
-from .errors import NoNullWitnessError, WitnessViolationError, WrongBranchError
+from .errors import CheckError
 from .matkernel import DEFAULT_ZERO_TOL, require_hermitian
 from .spanprog import CanonicalSpanProgram, literal_masks
 
@@ -80,7 +80,7 @@ class ProgramGraph:
         """(len(inputs), dim), every input by default: row i marks the
         coordinates of F0 | mu0 | I that Pi_s keeps for s = inputs[i], all
         but the (j, not s_j, k) entries."""
-        kept = literal_masks(self.n, ((self.m, self.m),) * self.n)[inputs]
+        kept = literal_masks(((self.m, self.m),) * self.n)[inputs]
         return np.hstack([np.ones((len(kept), self.num_false + 1), dtype=bool), kept])
 
     def edges(self) -> list[tuple[int, int, float]]:
@@ -179,7 +179,7 @@ def zero_witness_vectors(p: CanonicalSpanProgram) -> tuple[tuple[np.ndarray, np.
     kernel vector of B_{G'(s)}* with |<t|psi'>|^2 / ||psi'||^2 = 1/(9W(W+1)).
     Returns (psi, overlap ratios, kernel residuals): psi[v] stacks the
     witnesses of the inputs with f(s) = v (f.f0 or f.f1, in that order), the
-    ratios and residuals are indexed by input.  Raises WitnessViolationError,
+    ratios and residuals are indexed by input.  Raises CheckError,
     naming the first offending input, when a residual or ratio betrays an
     inaccurate upstream SDP solution.
     """
@@ -210,7 +210,7 @@ def zero_witness_vectors(p: CanonicalSpanProgram) -> tuple[tuple[np.ndarray, np.
     bad = np.flatnonzero((residual > 1e-6) | (ratio < floor - 1e-9))
     if len(bad):
         s = int(bad[0])
-        raise WitnessViolationError(
+        raise CheckError(
             f"{'true' if values[s] else 'false'} witness for input {s:0{n}b}: residual {residual[s]:.3e}, "
             f"ratio {ratio[s]:.12g} vs floor {floor[s]:.12g}"
         )
@@ -282,7 +282,7 @@ def effective_gap_profile(ig: InputGraph, w_size: float, c_grid) -> tuple[np.nda
     """
     if ig.value.any():
         true_input = int(ig.inputs[ig.value.argmax()])
-        raise WrongBranchError(f"input {true_input:b} evaluates true; the profile needs f(s) = 0")
+        raise CheckError(f"input {true_input:b} evaluates true; the profile needs f(s) = 0")
     c_grid = np.asarray(c_grid, dtype=float)
     _, sigma, vh = np.linalg.svd(ig.biadjacency(), full_matrices=False)
     sigma = np.hstack([sigma, np.zeros((len(sigma), 1))])
@@ -302,7 +302,7 @@ def phase_gap_profile(phases: np.ndarray, overlaps: np.ndarray, w_size: float, t
     Only defined on false inputs.
     """
     if np.any(input_value):
-        raise WrongBranchError("phase profile needs f(s) = 0")
+        raise CheckError("phase profile needs f(s) = 0")
     theta_grid = np.asarray(theta_grid, dtype=float)
     low = np.abs(phases)[:, None, :] <= theta_grid[None, :, None]
     lhs = np.einsum("itk,ik->it", low.astype(float), overlaps)
@@ -314,7 +314,7 @@ def psd_spectral_bound_check(x, t: np.ndarray, gamma_grid) -> list[tuple[float, 
     |<t|beta>|^2 / theta(beta) against 4 gamma / delta.
 
     delta is the best kernel overlap ||P_null(X) t||^2; if the null space
-    of X carries none of t the bound is undefined and NoNullWitnessError
+    of X carries none of t the bound is undefined and CheckError
     is raised.  Eigenvalues at numerical zero are excluded from the sum
     (they provably carry no t component).  Only eigenvalues and |<t|beta>|^2
     are read, which no eigenvector phase changes.  Returns (gamma, lhs, rhs)
@@ -325,7 +325,7 @@ def psd_spectral_bound_check(x, t: np.ndarray, gamma_grid) -> list[tuple[float, 
     kernel = np.abs(w) <= DEFAULT_ZERO_TOL * max(1.0, float(np.abs(w).max(initial=0.0)))
     delta = float(np.linalg.norm(v[:, kernel].conj().T @ t) ** 2)
     if delta <= DEFAULT_ZERO_TOL * max(1.0, float(t @ t)):
-        raise NoNullWitnessError("null space of X is orthogonal to t; delta is undefined")
+        raise CheckError("null space of X is orthogonal to t; delta is undefined")
     w, v = np.linalg.eigh(xm + np.outer(t, t.conj()))
     scale = max(1.0, float(np.abs(w).max()))
     overlaps = np.abs(v.conj().T @ t) ** 2

@@ -32,7 +32,7 @@ from advspan.advsdp import (
 )
 from advspan.boolfun import BooleanFunction, Formula, automorphism_cosets, element_maps
 from advspan.matkernel import DEFAULT_ZERO_TOL, gram_factor
-from advspan.errors import DimensionMismatchError, GramFailureError, NoConvergenceError, NonHermitianError
+from advspan.errors import CheckError, NoConvergenceError
 from advspan.qsim import QueryAlgorithm
 from advspan.spanprog import WITNESS_RTOL, CanonicalSpanProgram, SpanProgram
 
@@ -202,11 +202,11 @@ def unitary_eigensystem(u, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(u, dtype=complex)
     defect = float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
     if defect > tol * max(1.0, a.shape[0]):
-        raise DimensionMismatchError(f"matrix is not unitary (defect {defect:.3e})")
+        raise CheckError(f"matrix is not unitary (defect {defect:.3e})")
     t, z = scipy.linalg.schur(a, output="complex")
     offdiag = float(np.abs(t - np.diag(np.diag(t))).max())
     if offdiag > 1e-7:
-        raise NonHermitianError(f"Schur form of a unitary should be diagonal (offdiag {offdiag:.3e})")
+        raise CheckError(f"Schur form of a unitary should be diagonal (offdiag {offdiag:.3e})")
     phases = np.angle(np.diag(t))
     return np.where(phases <= -np.pi + 1e-15, np.pi, phases), z
 
@@ -382,7 +382,7 @@ def reference_evaluate(p, s: int) -> tuple[bool, np.ndarray, float]:
     basis = _nullspace_basis(selected.T)
     t_comp = basis.T @ t
     if np.linalg.norm(t_comp) <= WITNESS_RTOL * tnorm:
-        raise GramFailureError(f"no branch admits a witness on input {s:0{p.n}b}")
+        raise CheckError(f"no branch admits a witness on input {s:0{p.n}b}")
     reach = p.matrix.T @ basis
     kkt = np.block([[reach.T @ reach, t_comp[:, None]], [t_comp[None, :], np.zeros((1, 1))]])
     rhs = np.zeros(len(t_comp) + 1)

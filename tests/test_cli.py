@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import advspan
-from advspan import advsdp, pipeline
+from advspan import advsdp, errors, pipeline
 from advspan.cli import build_parser, main, run_pipeline
-from advspan.errors import BadSpecError
+from advspan.errors import BadSpecError, CheckError, NoConvergenceError
 from advspan.pipeline import MARGIN_RTOL, MARGIN_TOL, _check, _margins, matrix_to_json, verify
 
 from advspan.spectral import edge_list
@@ -123,8 +123,8 @@ def test_edge_file_lists_the_dense_adjacency(tmp_path):
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, 1e-10])
 def test_verify_rejects_a_bad_tol(tol):
     """A tol that is not finite or is below the solver's floor MIN_TOL is bad
-    input, rejected before any work with the package's error, as the CLI
-    rejects it when it parses --tol."""
+    input: solve_sdp rejects it with the package's error, as the CLI rejects
+    it when it parses --tol."""
     with pytest.raises(BadSpecError, match="tol must be finite"):
         verify("OR:2", tol=tol)
 
@@ -214,8 +214,6 @@ def test_run_pipeline_returns_report_object(tmp_path):
 def test_solver_failure_exits_3(monkeypatch, capsys):
     """Exit 3 prints the error's one-line summary, not its residuals, which
     library callers read from the exception."""
-    from advspan.errors import NoConvergenceError
-
     def explode(*args, **kwargs):
         raise NoConvergenceError("stalled", {"primal_infeasibility": 1.0})
 
@@ -227,14 +225,33 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
 def test_hard_check_failure_exits_1(monkeypatch, capsys):
     """A package error that is neither bad input nor non-convergence leaves
     verify and exits 1 with its one-line message."""
-    from advspan.errors import WitnessViolationError
-
     def explode(*args, **kwargs):
-        raise WitnessViolationError("planted violation")
+        raise CheckError("planted violation")
 
     monkeypatch.setattr("advspan.spectral.zero_witness_vectors", explode)
     assert main(["verify", "--function", "PARITY:2"]) == 1
     assert capsys.readouterr().err == "check failed hard: planted violation\n"
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (BadSpecError("planted"), 2, "input error:"),
+    (NoConvergenceError("planted", {}), 3, "solver did not converge:"),
+    (CheckError("planted"), 1, "check failed hard:"),
+])
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code, prefix):
+    def explode(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("advspan.cli.verify", explode)
+    assert main(["verify", "--function", "PARITY:2"]) == code
+    assert capsys.readouterr().err == f"{prefix} planted\n"
+
+
+def test_errors_define_one_class_per_outcome():
+    """advspan.errors holds the base class and one class for each of exit codes 1, 2 and 3."""
+    classes = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert classes == {"AdvspanError", "BadSpecError", "NoConvergenceError", "CheckError"}
+    assert all(issubclass(getattr(errors, name), errors.AdvspanError) for name in classes)
 
 
 # tables whose Newton system at tol 1e-9 comes near or onto an exactly

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from advspan.errors import DimensionMismatchError, NonHermitianError, NotPSDError
+from advspan.errors import CheckError
 from advspan.matkernel import gram_factor, require_hermitian
 
 from conftest import nullspace_projector, unitary_eigensystem
 
 
 def test_eig_rejects_non_hermitian():
-    with pytest.raises(NonHermitianError):
+    with pytest.raises(CheckError, match="Hermitian defect"):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
@@ -46,9 +46,9 @@ def test_gram_factor_random_psd():
 
 
 def test_gram_factor_rejects_indefinite():
-    with pytest.raises(NotPSDError):
+    with pytest.raises(CheckError, match="minimum eigenvalue -5.000e-01 below"):
         gram_factor(np.diag([1.0, -0.5]))
-    with pytest.raises(NotPSDError):
+    with pytest.raises(CheckError, match="minimum eigenvalue -5.000e-01 below"):
         gram_factor(np.stack([np.eye(2), np.diag([1.0, -0.5]), np.ones((2, 2))]))
 
 
@@ -79,5 +79,5 @@ def test_unitary_eigensystem_orthonormal_on_degenerate_spectra():
     assert np.abs(vectors.conj().T @ vectors - np.eye(6)).max() <= 1e-9
     for k in range(6):
         assert np.linalg.norm(u @ vectors[:, k] - np.exp(1j * phases[k]) * vectors[:, k]) <= 1e-8
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(CheckError, match="matrix is not unitary"):
         unitary_eigensystem(np.ones((2, 2)))

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from advspan.boolfun import BooleanFunction, load_function
-from advspan.errors import (
-    AlgorithmTooWeakError,
-    DimensionMismatchError,
-    NotNormalizedError,
-)
+from advspan.errors import BadSpecError, CheckError
 from advspan.qsim import (
     QueryAlgorithm,
     parity_two_query_algorithm,
@@ -84,18 +80,18 @@ def test_query_algorithm_rejects_bad_fields(fields, message):
     unitary, and a proj1 that is not idempotent, not Hermitian or of the
     wrong shape."""
     good = {"n": 2, "query_dim": 2, "work_dim": 1, "unitaries": (np.eye(2),), "proj1": np.diag([0.0, 1.0])}
-    with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+    with pytest.raises(CheckError, match=re.escape(message)):
         QueryAlgorithm(**{**good, **fields})
 
 
 @pytest.mark.parametrize("probability", [search_accept_probability, search_noregister_probability])
 def test_search_probabilities_reject_tau_zero(probability):
-    with pytest.raises(ValueError, match="tau must be at least 1"):
+    with pytest.raises(BadSpecError, match="tau must be at least 1"):
         probability(np.zeros(1), np.ones(1), 0)
 
 
 def test_run_rejects_wrong_arity():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(CheckError, match="function arity 3 != algorithm arity 2"):
         run_query_algorithm(parity_two_query_algorithm(), load_function("OR:3"))
 
 
@@ -117,7 +113,7 @@ def test_progress_trace_parity(solved):
 
 def test_progress_trace_rejects_weak_algorithms(solved):
     bundle = solved("PARITY:2")
-    with pytest.raises(AlgorithmTooWeakError):
+    with pytest.raises(CheckError, match="exceeds 1/3 on input"):
         progress_trace(constant_output_algorithm(2, 0), bundle.certificate)
 
 
@@ -132,7 +128,7 @@ def test_qpe_kernel_examples():
 
 
 def test_qpe_validates_inputs():
-    with pytest.raises(NotNormalizedError):
+    with pytest.raises(CheckError, match="overlaps sum to 1.4000000000, expected 1"):
         qpe_accept_probability([0.0, 1.0], [0.7, 0.7], 0.25)
     # precision 0.01 rounds up to a register of ceil(log2(100)) + 1 = 8 qubits
     phases, overlaps = seeded_measures()
@@ -239,5 +235,5 @@ def test_stacked_probabilities_match_explicit_sums(tau):
 def test_stacked_probabilities_validate_every_row():
     phases, overlaps = seeded_measures()
     overlaps[3] *= 1.01
-    with pytest.raises(NotNormalizedError):
+    with pytest.raises(CheckError, match="overlaps sum to 1.01"):
         search_accept_probability(phases, overlaps, 5)

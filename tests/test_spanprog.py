@@ -6,7 +6,7 @@ import pytest
 from advspan import advsdp, spanprog, verify
 from advspan.advsdp import SdpSolution, build_witness_sdp, extract_certificate, solve_sdp
 from advspan.boolfun import load_function
-from advspan.errors import DimensionMismatchError, GramFailureError
+from advspan.errors import BadSpecError, CheckError
 from advspan.matkernel import DEFAULT_RANK_TOL
 from advspan.spanprog import (
     CanonicalSpanProgram,
@@ -88,7 +88,7 @@ def test_single_literal_program():
 def test_span_program_rejects_bad_fields(block_sizes, matrix, target, message):
     """A matrix whose width disagrees with block_sizes or whose height
     disagrees with the target, and a zero target."""
-    with pytest.raises(DimensionMismatchError, match=message):
+    with pytest.raises(CheckError, match=message):
         SpanProgram(block_sizes=block_sizes, matrix=matrix, target=target, orbit=np.arange(2))
 
 
@@ -300,8 +300,16 @@ def test_canonical_rejects_infeasible_gram():
         beta=np.full(4, 0.25),
         residuals={},
     )
-    with pytest.raises(GramFailureError):
+    with pytest.raises(CheckError, match="pair-sum constraint residual 1.000e\\+00"):
         canonical_from_gram(f, broken)
+
+
+@pytest.mark.parametrize("build", [extract_certificate, lambda sol, f: canonical_from_gram(f, sol)],
+                         ids=["extract_certificate", "canonical_from_gram"])
+def test_rejects_a_function_other_than_the_solved_one(solved, build):
+    """MAJ:3's solution with its negation 11101000, whose F0 is MAJ:3's F1."""
+    with pytest.raises(BadSpecError, match="f = 11101000 is not the solved function 00010111"):
+        build(solved("MAJ:3").solution, load_function("11101000"))
 
 
 def test_canonical_rejects_a_corrupted_copied_row(monkeypatch):
@@ -323,7 +331,7 @@ def test_canonical_rejects_a_corrupted_copied_row(monkeypatch):
 
     canonical_from_gram(f, sol)
     monkeypatch.setattr(spanprog, "coordinate_factors", corrupted)
-    with pytest.raises(GramFailureError, match="pair-sum constraint residual"):
+    with pytest.raises(CheckError, match="pair-sum constraint residual"):
         canonical_from_gram(f, sol)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from advspan import verify
 from advspan.advsdp import build_witness_sdp, solve_sdp
 from advspan.boolfun import BooleanFunction, load_function
-from advspan.errors import NoNullWitnessError, WitnessViolationError, WrongBranchError
+from advspan.errors import CheckError
 from advspan.matkernel import DEFAULT_ZERO_TOL
 from advspan.spanprog import CanonicalSpanProgram, canonical_from_gram
 from advspan.spectral import (
@@ -231,7 +231,7 @@ def test_zero_witness_rejects_corrupted_program(solved):
         orbit=prog.orbit,
     )
     # every input fails; the error names the first in input order, a false one
-    with pytest.raises(WitnessViolationError, match="false witness for input 00:"):
+    with pytest.raises(CheckError, match="false witness for input 00:"):
         zero_witness_vectors(broken)
 
 
@@ -414,7 +414,7 @@ def test_effective_gap_profile(corpus):
             overlaps = eigenvectors[mu0] ** 2
             for c, value in zip(grid, lhs[i]):
                 assert value == pytest.approx(overlaps[np.abs(eigenvalues) <= c / w].sum(), abs=1e-12)
-        with pytest.raises(WrongBranchError):
+        with pytest.raises(CheckError, match="evaluates true; the profile needs"):
             effective_gap_profile(ig.select([*f.f0, f.f1[0]]), w, [0.1])
 
 
@@ -453,7 +453,7 @@ def test_phase_gap_profile(corpus):
         assert lhs.shape == (len(f0), len(grid)) and (lhs <= rhs + 1e-6).all()
         assert lhs[:, 0].max() <= 1e-9  # Theta = 0: zero-phase vectors miss |0>
         assert lhs[:, -1].max() <= 1.0 + 1e-9  # Theta = pi: completeness
-        with pytest.raises(WrongBranchError):
+        with pytest.raises(CheckError, match="phase profile needs"):
             phase_gap_profile(phases, overlaps, w, [0.1], values)
 
 
@@ -481,7 +481,7 @@ def test_psd_bound_random_planted_kernels():
 
 
 def test_psd_bound_requires_null_witness():
-    with pytest.raises(NoNullWitnessError):
+    with pytest.raises(CheckError, match="null space of X is orthogonal to t"):
         psd_spectral_bound_check(np.eye(3), np.array([1.0, 0.0, 0.0]), [1.0])
 
 
