@@ -108,6 +108,7 @@ import numpy as np
 
 from .boolfun import BooleanFunction, automorphism_cosets, element_maps
 from .errors import BadSpecError, CheckError, NoConvergenceError
+from .matkernel import gram_factor
 
 DEFAULT_TOL = 1e-7
 MIN_TOL = 1e-9
@@ -551,11 +552,19 @@ def _pair_normal(sdp: WitnessSdp, stack: np.ndarray) -> np.ndarray:
     return 4.0 * schur_complement(sdp, stack, identity, np.zeros(len(sdp.row_size) - q + 1))[:q, :q]
 
 
-def round_factor(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
-    """Least-norm Gauss-Newton steps on the factors v_b (rows v_{s,b}) of the
-    representative class blocks towards the pair constraints
-    sum_{j : w_j != x_j} <v_{w,j}|v_{x,j}> = 1, after Peyrl and Parrilo's
-    rounding, done in the factor space, so that X = V V^T stays PSD.
+def check_pair_residual(worst: float) -> None:
+    """Raise CheckError when the worst pair sum misses 1 by more than 1e-6."""
+    if worst > 1e-6:
+        raise CheckError(f"pair-sum constraint residual {worst:.3e} exceeds 1e-6")
+
+
+def round_factor(sdp: WitnessSdp, blocks: np.ndarray) -> np.ndarray:
+    """gram_factor's factors v_b (rows v_{s,b}) of the representative class
+    blocks (SdpSolution.class_blocks), whose Gram stack must reproduce them
+    and meet the pair constraints sum_{j : w_j != x_j} <v_{w,j}|v_{x,j}> = 1
+    within 1e-6 (else CheckError), after least-norm Gauss-Newton steps
+    towards those constraints, Peyrl and Parrilo's rounding done in the
+    factor space, so that X = V V^T stays PSD.
 
     Each step is dV_b = -L_b V_b, L_b the class-block part of 2 A^T lambda
     with J J^T lambda = r, solved on the pair orbits like the Newton system.
@@ -585,7 +594,11 @@ def round_factor(sdp: WitnessSdp, v: np.ndarray) -> np.ndarray:
         r = class_pair_sums(sdp, stack) - 1.0
         return stack, r, float(np.abs(r).max())
 
+    v = gram_factor(blocks)
     stack, r, worst = residual(v)
+    if np.abs(stack - blocks).max() > 1e-6:
+        raise CheckError("Gram factorization does not reproduce X within 1e-6")
+    check_pair_residual(worst)
     w_size = float(stack.ravel()[sdp.rep_diagonal].sum(axis=0).max())
     bound = (2**sdp.n + 2 * sdp.n) * np.finfo(float).eps * max(1.0, w_size)
     while worst > bound:

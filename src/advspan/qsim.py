@@ -208,6 +208,8 @@ def _dirichlet_sum(phi, tau: int) -> np.ndarray:
     the sines stay as small as phi's distance to the nearest multiple of
     2 pi; where |sin(phi / 2)| < 1e-12 every term is 1 to roundoff and the
     sum is tau, the guard qpe_kernel uses."""
+    if tau < 1:
+        raise BadSpecError("tau must be at least 1")
     phi = np.remainder(np.asarray(phi, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
     den = np.sin(phi / 2.0)
     small = np.abs(den) < 1e-12
@@ -221,8 +223,10 @@ def qpe_accept_probability(phases, overlaps, precision: float):
     phases/overlaps describe the spectral resolution of the initial state
     over U_s eigenvectors, along the last axis, so a (..., K) stack gives a
     (...) array of probabilities; each row of overlaps must sum to one.  The
-    register holds ceil(log2(1/precision)) + 1 qubits.
+    register holds ceil(log2(1/precision)) + 1 qubits for precision in (0, 1].
     """
+    if not (np.isfinite(precision) and 0.0 < precision <= 1.0):
+        raise BadSpecError(f"precision must be finite and in (0, 1], got {precision!r}")
     phases, overlaps = _resolution(phases, overlaps)
     ancilla_count = int(np.ceil(np.log2(1.0 / precision))) + 1
     return (overlaps * qpe_kernel(phases, ancilla_count)).sum(axis=-1)
@@ -237,8 +241,6 @@ def search_accept_probability(phases, overlaps, tau: int):
     over T is a Dirichlet sum, so neither a matrix power nor a term per T is
     formed.
     """
-    if tau < 1:
-        raise BadSpecError("tau must be at least 1")
     phases, overlaps = _resolution(phases, overlaps)
     return (overlaps * (0.5 + _dirichlet_sum(phases, tau) / (2.0 * tau))).sum(axis=-1)
 
@@ -248,8 +250,6 @@ def search_noregister_probability(phases, overlaps, tau: int):
     anchor's spectral resolution along the last axis:
     sum_{k,l} w_k w_l (1/tau) sum_T cos(T (theta_k - theta_l)), one Dirichlet
     sum per pair of phases."""
-    if tau < 1:
-        raise BadSpecError("tau must be at least 1")
     phases, overlaps = _resolution(phases, overlaps)
     kernel = _dirichlet_sum(phases[..., :, None] - phases[..., None, :], tau) / tau
     return np.einsum("...k,...kl,...l->...", overlaps, kernel, overlaps)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advsdp import SdpSolution, class_pair_sums, coordinate_factors, round_factor
+from .advsdp import SdpSolution, check_pair_residual, coordinate_factors, round_factor
 from .boolfun import BooleanFunction, input_bits
 from .errors import BadSpecError, CheckError
-from .matkernel import gram_factor
 
 WITNESS_RTOL = 1e-7
 
@@ -55,10 +54,6 @@ class SpanProgram:
     @property
     def columns(self) -> int:
         return self.matrix.shape[1]
-
-    def selection_masks(self) -> np.ndarray:
-        """(2^n, columns) boolean: row s marks the columns Pi(s) keeps."""
-        return literal_masks(self.block_sizes)
 
 
 def literal_masks(block_sizes) -> np.ndarray:
@@ -107,7 +102,7 @@ def evaluate(p: SpanProgram) -> Evaluation:
     """
     t = p.target
     tnorm = np.linalg.norm(t)
-    masks = p.selection_masks()
+    masks = literal_masks(p.block_sizes)
     num_inputs, orbit = len(masks), p.orbit
     resolved = orbit == np.arange(num_inputs)
     counts = np.where(resolved, masks.sum(axis=1), -1)
@@ -215,12 +210,6 @@ class CanonicalSpanProgram:
         return np.einsum("sjk,sjk->s", self.vectors, self.vectors)
 
 
-def _check_pair_sums(sums: np.ndarray) -> None:
-    worst = float(np.abs(sums - 1.0).max())
-    if worst > 1e-6:
-        raise CheckError(f"pair-sum constraint residual {worst:.3e} exceeds 1e-6")
-
-
 def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanProgram:
     """Canonical span program from the class blocks of a solved SDP.
 
@@ -229,8 +218,9 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     m = max_j rank X_j.  That is exact: coordinate j's vectors only ever
     appear in its own column blocks I_{j,b}, so the program reads no inner
     product across coordinates (AA^T[w,w'] is sum_{j : w_j = w'_j} X_j[w,w']).
-    gram_factor factors only the solver's representative class blocks
-    (SdpSolution.class_blocks), and coordinate_factors assembles each X_j's
+    round_factor factors only the solver's representative class blocks
+    (SdpSolution.class_blocks), checks that the factor reproduces them and
+    that their pair sums hold, and coordinate_factors assembles each X_j's
     factor from its two classes through the group elements that carry the
     representatives onto them.  Every deficient input then gets one
     private dimension, which m counts too, spread evenly over the n
@@ -253,13 +243,8 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     """
     if f.name() != sol.sdp.f.name():
         raise BadSpecError(f"f = {f.name()} is not the solved function {sol.sdp.f.name()}")
-    n, num_inputs, sdp, blocks = f.n, 2**f.n, sol.sdp, sol.class_blocks
-    factor = gram_factor(blocks)
-    gram = factor @ factor.transpose(0, 2, 1)
-    if np.abs(gram - blocks).max() > 1e-6:
-        raise CheckError("Gram factorization does not reproduce X within 1e-6")
-    _check_pair_sums(class_pair_sums(sdp, gram))
-    factor = coordinate_factors(sdp, round_factor(sdp, factor))
+    n, num_inputs, sdp = f.n, 2**f.n, sol.sdp
+    factor = coordinate_factors(sdp, round_factor(sdp, sol.class_blocks))
     rank = factor.shape[2]
 
     row_sums = np.einsum("sjk,sjk->s", factor, factor)
@@ -283,6 +268,6 @@ def canonical_from_gram(f: BooleanFunction, sol: SdpSolution) -> CanonicalSpanPr
     by_coordinate = vectors.transpose(1, 0, 2)
     products = by_coordinate[:, f0] @ by_coordinate[:, f1].transpose(0, 2, 1)  # (n, F0, F1)
     differ = f.bits.T[:, f0, None] != f.bits.T[:, None, f1]
-    _check_pair_sums((products * differ).sum(axis=0))
+    check_pair_residual(float(np.abs((products * differ).sum(axis=0) - 1.0).max()))
     return CanonicalSpanProgram(f=f, witness_size=w_size, vectors=vectors, matrix=matrix.reshape(len(f0), -1),
                                 target=target, orbit=sdp.orbits.inputs)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .boolfun import BooleanFunction
-from .errors import CheckError
+from .errors import BadSpecError, CheckError
 from .matkernel import DEFAULT_ZERO_TOL, require_hermitian
 from .spanprog import CanonicalSpanProgram, literal_masks
 
@@ -299,11 +299,13 @@ def phase_gap_profile(phases: np.ndarray, overlaps: np.ndarray, w_size: float, t
     phases/overlaps resolve the mu0 anchor over the eigenvectors of U_s, one
     row per input, and input_value holds those inputs' f(s).  Returns
     (lhs, rhs): lhs[i, theta] for input i and grid entry theta, rhs[theta].
-    Only defined on false inputs.
+    Only defined on false inputs, and for finite Theta >= 0.
     """
     if np.any(input_value):
         raise CheckError("phase profile needs f(s) = 0")
     theta_grid = np.asarray(theta_grid, dtype=float)
+    if not (np.isfinite(theta_grid).all() and (theta_grid >= 0).all()):
+        raise BadSpecError(f"Theta must be finite and nonnegative, got {theta_grid.tolist()}")
     low = np.abs(phases)[:, None, :] <= theta_grid[None, :, None]
     lhs = np.einsum("itk,ik->it", low.astype(float), overlaps)
     return lhs, (2.0 * np.sqrt(6.0 * theta_grid * w_size) + theta_grid / 2.0) ** 2

@@ -34,7 +34,7 @@ from advspan.boolfun import BooleanFunction, Formula, automorphism_cosets, eleme
 from advspan.matkernel import DEFAULT_ZERO_TOL, gram_factor
 from advspan.errors import CheckError, NoConvergenceError
 from advspan.qsim import QueryAlgorithm
-from advspan.spanprog import WITNESS_RTOL, CanonicalSpanProgram, SpanProgram
+from advspan.spanprog import WITNESS_RTOL, CanonicalSpanProgram, SpanProgram, literal_masks
 
 # Lexicographically smallest truth table of each non-constant NPN class of
 # 3-bit functions.
@@ -309,7 +309,7 @@ def whole_gram_program(f, sol) -> CanonicalSpanProgram:
     canonical_from_gram.  Its rounding maps each block G_j to
     (I - L_j) G_j (I - L_j), which no layout of the factor changes."""
     n, num_inputs = f.n, 2**f.n
-    v = coordinate_factors(sol.sdp, round_factor(sol.sdp, gram_factor(sol.class_blocks)))
+    v = coordinate_factors(sol.sdp, round_factor(sol.sdp, sol.class_blocks))
     blocks = np.einsum("sjk,tjk->jst", v, v)
     x = np.einsum("jwx,jk->wjxk", blocks, np.eye(n)).reshape(n * num_inputs, n * num_inputs)
     flat = gram_factor(x).reshape(num_inputs, n, -1)
@@ -366,7 +366,7 @@ def reference_evaluate(p, s: int) -> tuple[bool, np.ndarray, float]:
     """(branch, witness, witness size) of input s, one input at a time: lstsq
     for the positive witness, a null-space basis and a KKT lstsq for the
     negative one.  The oracle of the stacked spanprog.evaluate."""
-    mask = p.selection_masks()[s]
+    mask = literal_masks(p.block_sizes)[s]
     selected = p.matrix[:, mask]
     t = p.target
     tnorm = np.linalg.norm(t)

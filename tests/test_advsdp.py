@@ -382,8 +382,8 @@ def test_rounding_normal_matrix_is_the_schur_pair_block(spec):
     group is trivial) at the factor before and after rounding."""
     sdp = build_witness_sdp(load_function(spec))
     assert sdp.orbits.order == group_order(sdp.f)
-    v = gram_factor(solve_sdp(sdp).class_blocks)
-    for factor in (v, round_factor(sdp, v)):
+    blocks = solve_sdp(sdp).class_blocks
+    for factor in (gram_factor(blocks), round_factor(sdp, blocks)):
         stack = factor @ factor.transpose(0, 2, 1)
         oracle = reference_pair_normal(sdp, gram_blocks(sdp, stack))
         normal = advsdp._pair_normal(sdp, stack)

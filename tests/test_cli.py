@@ -82,12 +82,21 @@ def test_unwritable_export_path_exits_2(tmp_path, capsys, flag, kind):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("tol", ["1e-10", "0", "-1", "nan", "inf", "abc"])
+@pytest.mark.parametrize("tol", ["1e-10", "0", "-1", "nan", "inf"])
 def test_bad_tol_exits_2(tol, capsys):
-    """A tolerance below the solver's floor of 1e-9, or not a finite number,
-    is bad input: rejected while the arguments are parsed, before any solve."""
+    """A tolerance below the solver's floor of 1e-9, or not finite, is bad
+    input: solve_sdp rejects it, and main prints its one-line message."""
+    assert main(["verify", "--function", "01", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: tol must be finite and at least 1e-09")
+    assert captured.out == ""
+
+
+def test_non_number_tol_exits_2_while_parsing(capsys):
+    """A --tol that is not a number is bad input, rejected while the
+    arguments are parsed."""
     with pytest.raises(SystemExit) as err:
-        main(["verify", "--function", "01", f"--tol={tol}"])
+        main(["verify", "--function", "01", "--tol=abc"])
     assert err.value.code == 2
     assert "input error" in capsys.readouterr().err
 
@@ -123,8 +132,8 @@ def test_edge_file_lists_the_dense_adjacency(tmp_path):
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, 1e-10])
 def test_verify_rejects_a_bad_tol(tol):
     """A tol that is not finite or is below the solver's floor MIN_TOL is bad
-    input: solve_sdp rejects it with the package's error, as the CLI rejects
-    it when it parses --tol."""
+    input: solve_sdp rejects it with the package's error, and the CLI's --tol
+    reaches that same check."""
     with pytest.raises(BadSpecError, match="tol must be finite"):
         verify("OR:2", tol=tol)
 

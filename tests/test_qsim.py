@@ -90,6 +90,14 @@ def test_search_probabilities_reject_tau_zero(probability):
         probability(np.zeros(1), np.ones(1), 0)
 
 
+@pytest.mark.parametrize("precision", [0.0, -0.1, np.nan, np.inf, 4.0])
+def test_qpe_rejects_a_precision_outside_0_1(precision):
+    """The register holds ceil(log2(1/precision)) + 1 qubits: at 4.0 that is
+    -1 qubits, and at 0, -0.1 or NaN no count at all."""
+    with pytest.raises(BadSpecError, match="precision must be finite and in"):
+        qpe_accept_probability(np.zeros(1), np.ones(1), precision)
+
+
 def test_run_rejects_wrong_arity():
     with pytest.raises(CheckError, match="function arity 3 != algorithm arity 2"):
         run_query_algorithm(parity_two_query_algorithm(), load_function("OR:3"))

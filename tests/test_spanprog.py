@@ -13,6 +13,7 @@ from advspan.spanprog import (
     SpanProgram,
     canonical_from_gram,
     evaluate,
+    literal_masks,
     program_witness_size,
 )
 from advspan.spectral import build_program_graph
@@ -112,7 +113,7 @@ def test_selection_masks_group_unequal_blocks():
     """OR:2's program keeps 0, 1 or 2 columns and the single-literal program
     0 or 1, so their inputs fall into groups of different widths."""
     or2 = or2_example_program()
-    assert or2.selection_masks().sum(axis=1).tolist() == [0, 1, 1, 2]
+    assert literal_masks(or2.block_sizes).sum(axis=1).tolist() == [0, 1, 1, 2]
     single = SpanProgram(block_sizes=((0, 1),), matrix=np.array([[1.0]]), target=np.array([1.0]), orbit=np.arange(2))
     for label, p in (("parity", parity_example_program()), ("or2", or2), ("single", single),
                      ("or3", or_n_example_program(3))):
@@ -207,7 +208,7 @@ def test_canonical_witnesses_are_attained_by_stored_vectors(corpus):
         f, prog = bundle.f, bundle.program
         p = prog.witness_program()
         n, m = f.n, prog.m
-        masks, sizes = p.selection_masks(), evaluate(p).witness_size
+        masks, sizes = literal_masks(p.block_sizes), evaluate(p).witness_size
         for s in f.inputs:
             stored = prog.stored_witness_sizes[s]
             assert stored == pytest.approx(prog.witness_size, rel=1e-9)  # tight padding
@@ -301,6 +302,19 @@ def test_canonical_rejects_infeasible_gram():
         residuals={},
     )
     with pytest.raises(CheckError, match="pair-sum constraint residual 1.000e\\+00"):
+        canonical_from_gram(f, broken)
+
+
+def test_canonical_rejects_a_gram_factor_that_misses_x():
+    """gram_factor truncates an eigenvalue of -5e-6 on blocks of scale 1e3,
+    above its -1e-8 * scale floor, so the factor lets the blocks through but
+    misses them by 5e-6."""
+    f = load_function("PARITY:2")
+    sdp = build_witness_sdp(f)
+    blocks = np.broadcast_to(np.diag([1e3, -5e-6]), sdp.class_shape).copy()
+    broken = SdpSolution(sdp=sdp, class_blocks=blocks, xi=2.0, alpha=np.zeros(4), beta=np.full(4, 0.25),
+                         residuals={})
+    with pytest.raises(CheckError, match="Gram factorization does not reproduce X within 1e-6"):
         canonical_from_gram(f, broken)
 
 

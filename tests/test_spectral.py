@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from advspan import verify
 from advspan.advsdp import build_witness_sdp, solve_sdp
 from advspan.boolfun import BooleanFunction, load_function
-from advspan.errors import CheckError
+from advspan.errors import BadSpecError, CheckError
 from advspan.matkernel import DEFAULT_ZERO_TOL
 from advspan.spanprog import CanonicalSpanProgram, canonical_from_gram
 from advspan.spectral import (
@@ -455,6 +455,14 @@ def test_phase_gap_profile(corpus):
         assert lhs[:, -1].max() <= 1.0 + 1e-9  # Theta = pi: completeness
         with pytest.raises(CheckError, match="phase profile needs"):
             phase_gap_profile(phases, overlaps, w, [0.1], values)
+
+
+@pytest.mark.parametrize("theta", [-0.1, np.nan, np.inf, -np.inf])
+def test_phase_gap_profile_rejects_a_bad_theta(theta):
+    """A negative Theta would take the square root of a negative number and
+    give a NaN bound."""
+    with pytest.raises(BadSpecError, match="Theta must be finite and nonnegative"):
+        phase_gap_profile(np.zeros((1, 1)), np.ones((1, 1)), 2.0, [0.1, theta], np.zeros(1, dtype=bool))
 
 
 def test_psd_bound_scalar_case():
